@@ -7,6 +7,7 @@ from .decompose import (  # noqa: F401
     decompose_layer,
     decompose_network,
     decomposed_jacobian_rank,
+    decomposed_pairs,
     partition_blocks,
 )
 from .degeneracy import (  # noqa: F401
@@ -29,7 +30,7 @@ from .modelio import load_model, save_model  # noqa: F401
 from .reconstruct import (  # noqa: F401
     CalibrationSet,
     collect_responses,
-    merge_into_pointwise,
+    merge_pointwise_weights,
     reconstruct_network,
     solve_reconstruction,
 )

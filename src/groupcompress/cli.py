@@ -10,12 +10,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .decompose import decompose_network, group_conv_matrix, p_layer_id
+from .decompose import decompose_network, decomposed_pairs, group_conv_matrix
 from .degeneracy import (
     equal_flops_ranks,
     filter_correlation,
@@ -33,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .fixtures import BUILDERS
-from .model import NetworkSpec, forward, network_flops, propagate_shapes
+from .model import NetworkSpec, network_flops, propagate_shapes, stack_taps
 from .modelio import load_model, save_model
 from .reconstruct import CalibrationSet, reconstruct_network
 from .schedule import CompressionPlan, build_plan, list_presets, plan_from_preset
@@ -45,49 +42,23 @@ EXIT_PLAN = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class RunConfig:
-    """Everything cmd_compress needs; mirrors the CLI flags."""
-
-    model: Path
-    out_dir: Path
-    plan_path: Path | None = None
-    preset: str | None = None
-    degree: str | None = None
-    base_n: int | None = None
-    calib_path: Path | None = None
-    calib_seed: int = 0
-    calib_count: int = 128
-    ridge: float | None = None
-    reconstruct: bool = True
-    intercept: bool = True
-    symmetric: bool = False
-    force_pointwise: bool = False
-
-
-def _resolve_plan(net: NetworkSpec, config: RunConfig) -> CompressionPlan:
-    if config.plan_path is not None:
-        return CompressionPlan.load(config.plan_path)
-    if config.preset is not None:
-        return plan_from_preset(net, config.preset)
-    if config.degree is not None and config.base_n is not None:
-        return build_plan(net, config.degree, config.base_n)
+def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
+    if args.plan:
+        return CompressionPlan.load(args.plan)
+    if args.preset is not None:
+        return plan_from_preset(net, args.preset)
+    if args.degree is not None and args.base_n is not None:
+        return build_plan(net, args.degree, args.base_n)
     raise PlanError("no plan given: pass --plan, --preset, or --degree/--base-n")
 
 
-def _calibration(config: RunConfig, input_shape) -> tuple[CalibrationSet, dict]:
-    if config.calib_path is not None:
-        calib = CalibrationSet.from_file(config.calib_path)
-        info = {"source": str(config.calib_path), "count": calib.count}
+def _calibration(args, input_shape) -> tuple[CalibrationSet, dict]:
+    if args.calib:
+        calib = CalibrationSet.from_file(args.calib)
+        info = {"source": str(Path(args.calib)), "count": calib.count}
     else:
-        calib = CalibrationSet.synthetic(
-            input_shape, config.calib_count, seed=config.calib_seed
-        )
-        info = {
-            "source": "synthetic",
-            "seed": config.calib_seed,
-            "count": config.calib_count,
-        }
+        calib = CalibrationSet.synthetic(input_shape, args.calib_count, seed=args.calib_seed)
+        info = {"source": "synthetic", "seed": args.calib_seed, "count": args.calib_count}
     if calib.sample_shape != tuple(input_shape):
         raise ShapeError(
             f"calibration shape {calib.sample_shape} != model input {tuple(input_shape)}"
@@ -95,34 +66,40 @@ def _calibration(config: RunConfig, input_shape) -> tuple[CalibrationSet, dict]:
     return calib, info
 
 
-def run_compress(config: RunConfig) -> dict:
-    """plan -> decompose -> (optional) reconstruct -> serialize + report."""
-    net = load_model(config.model)
-    plan = _resolve_plan(net, config)
+def run_compress(args) -> dict:
+    """plan -> decompose -> (optional) reconstruct -> serialize + report.
+
+    ``args`` carries the ``compress`` subcommand's parsed flags.
+    """
+    net = load_model(args.model)
+    plan = _resolve_plan(net, args)
     flops_before, per_before = network_flops(net)
 
     compressed, decomps = decompose_network(
-        net, plan.layer_ranks, force_pointwise=config.force_pointwise
+        net, plan.layer_ranks, force_pointwise=args.force_1x1
     )
 
     recon_reports = {}
     calib_info = None
-    if config.reconstruct and plan.layer_ranks:
-        calib, calib_info = _calibration(config, net.input_shape)
+    reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
+    if reconstruct:
+        calib, calib_info = _calibration(args, net.input_shape)
         compressed, reports = reconstruct_network(
             net,
             compressed,
             calib,
-            ridge=config.ridge,
-            intercept=config.intercept,
-            symmetric=config.symmetric,
+            ridge=args.ridge,
+            intercept=not args.no_intercept,
+            symmetric=args.symmetric_reconstruction,
         )
         recon_reports = {r.layer_id: r for r in reports}
 
     flops_after, per_after = network_flops(compressed)
+    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
     layer_rows = []
     for layer_id, n in plan.layer_ranks.items():
         decomp = decomps[layer_id]
+        d_layer, p_layer = pairs[layer_id]
         row = {
             "layer": layer_id,
             "n": n,
@@ -131,7 +108,7 @@ def run_compress(config: RunConfig) -> dict:
                 float(e) for e in decomp.block_truncation_errors
             ],
             "flops_before": per_before[layer_id],
-            "flops_after": per_after[f"{layer_id}.d"] + per_after[p_layer_id(layer_id)],
+            "flops_after": per_after[d_layer.id] + per_after[p_layer.id],
         }
         recon = recon_reports.get(layer_id)
         if recon is not None:
@@ -144,15 +121,16 @@ def run_compress(config: RunConfig) -> dict:
             )
         layer_rows.append(row)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = save_model(compressed, config.out_dir / "model.json")
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_path = save_model(compressed, out_dir / "model.json")
     report = {
         "model": net.name,
         "plan": plan.to_json(),
         "reconstruction": {
-            "enabled": bool(config.reconstruct and plan.layer_ranks),
-            "symmetric": config.symmetric,
-            "intercept": config.intercept,
+            "enabled": reconstruct,
+            "symmetric": args.symmetric_reconstruction,
+            "intercept": not args.no_intercept,
             "calibration": calib_info,
         },
         "flops_before": flops_before,
@@ -161,7 +139,7 @@ def run_compress(config: RunConfig) -> dict:
         "layers": layer_rows,
         "output_model": model_path.name,
     }
-    report_path = config.out_dir / "report.json"
+    report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
@@ -210,41 +188,14 @@ def cmd_plan(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    config = RunConfig(
-        model=Path(args.model),
-        out_dir=Path(args.output),
-        plan_path=Path(args.plan) if args.plan else None,
-        preset=args.preset,
-        degree=args.degree,
-        base_n=args.base_n,
-        calib_path=Path(args.calib) if args.calib else None,
-        calib_seed=args.calib_seed,
-        calib_count=args.calib_count,
-        ridge=args.ridge,
-        reconstruct=not args.no_reconstruct,
-        intercept=not args.no_intercept,
-        symmetric=args.symmetric_reconstruction,
-        force_pointwise=args.force_1x1,
-    )
-    report = run_compress(config)
+    report = run_compress(args)
     print(
         f"compressed {report['model']}: "
         f"{report['flops_before']:,} -> {report['flops_after']:,} flops "
         f"(x{report['flops_before'] / max(report['flops_after'], 1):.2f})"
     )
-    print(f"outputs in {config.out_dir}")
+    print(f"outputs in {Path(args.output)}")
     return EXIT_OK
-
-
-def _decomposed_pairs(compressed: NetworkSpec):
-    """(source_id, d_layer, p_layer) for every decomposed conv, in order."""
-    pairs = []
-    for layer in compressed.layers:
-        if layer.kind == "conv" and layer.id.endswith(".p"):
-            src = layer.meta.get("decomposed_from")
-            if src:
-                pairs.append((src, compressed.layer(f"{src}.d"), layer))
-    return pairs
 
 
 def cmd_analyze(args) -> int:
@@ -254,7 +205,7 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = "sigma" if args.energy_sigma else "squared"
 
-    pairs = _decomposed_pairs(compressed)
+    pairs = decomposed_pairs(compressed)
     if not pairs:
         raise PlanError(f"{args.compressed}: no decomposed layers to analyze")
 
@@ -313,10 +264,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _pointwise_feeding(compressed: NetworkSpec, d_layer) -> tuple[str, str] | None:
-    """Walk back from a group conv through activations to the pointwise conv
-    that feeds it. Returns (pointwise_id, post_activation_tap_id) or None if
-    anything else (pooling, joins) intervenes."""
+def _pointwise_feeding(
+    compressed: NetworkSpec, d_layer, pointwise_ids: set[str]
+) -> tuple[str, str] | None:
+    """Walk back from a group conv through activations to the decomposed
+    pointwise conv (one of ``pointwise_ids``) that feeds it. Returns
+    (pointwise_id, post_activation_tap_id) or None if anything else (another
+    conv, pooling, joins) intervenes."""
     index = {l.id: i for i, l in enumerate(compressed.layers)}
     current = d_layer
     tap_id = None
@@ -331,7 +285,7 @@ def _pointwise_feeding(compressed: NetworkSpec, d_layer) -> tuple[str, str] | No
         if tap_id is None:
             tap_id = prev.id  # the map the group conv actually consumes
         if prev.kind == "conv":
-            if prev.id.endswith(".p") and prev.meta.get("decomposed_from"):
+            if prev.id in pointwise_ids:
                 return prev.id, tap_id
             return None
         if prev.kind in ("relu", "channel_affine"):
@@ -344,20 +298,15 @@ def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=Fals
     """Correlate each group conv's output with the output maps of the
     pointwise conv feeding it (post-activation by default)."""
     rows = []
+    pointwise_ids = {p_layer.id for _, _, p_layer in pairs}
     for src, d_layer, _ in pairs:
-        found = _pointwise_feeding(compressed, compressed.layer(d_layer.id))
+        found = _pointwise_feeding(compressed, d_layer, pointwise_ids)
         if found is None:
             continue
         point_id, post_act_id = found
         tap_point = point_id if pre_activation else post_act_id
-        taps = {tap_point, d_layer.id}
-        point_rows, group_rows = [], []
-        for sample in calib.samples:
-            _, recorded = forward(compressed, sample, taps=taps, stop_after=d_layer.id)
-            point_rows.append(recorded[tap_point].response)
-            group_rows.append(recorded[d_layer.id].response)
-        point = np.vstack(point_rows)
-        group = np.vstack(group_rows)
+        stacked = stack_taps(compressed, calib.samples, [tap_point, d_layer.id])
+        point, group = stacked[tap_point], stacked[d_layer.id]
         if point.shape[0] != group.shape[0]:
             continue  # strided group conv; rows misalign
         n = d_layer.conv.c_in // d_layer.conv.groups

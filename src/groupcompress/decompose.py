@@ -20,13 +20,13 @@ well conditioned for response reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
-from .errors import DecompositionError
-from .model import ConvWeights, LayerSpec, NetworkSpec, clone_network
+from .errors import DecompositionError, ModelFormatError
+from .model import ConvWeights, LayerSpec, NetworkSpec
 
 
 def _divisors(value: int) -> list[int]:
@@ -189,6 +189,22 @@ def p_layer_id(layer_id: str) -> str:
     return f"{layer_id}.p"
 
 
+def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]:
+    """(source id, D layer, P layer) for every decomposed conv, in network
+    order, found by the ``decomposed_from`` provenance both layers carry."""
+    found: dict[str, list[LayerSpec]] = {}
+    for layer in net.layers:
+        src = layer.meta.get("decomposed_from")
+        if src:
+            found.setdefault(src, []).append(layer)
+    for src, layers in found.items():
+        if len(layers) != 2:
+            raise ModelFormatError(
+                f"{len(layers)} layers carry the provenance decomposed_from={src!r}"
+            )
+    return [(src, d, p) for src, (d, p) in found.items()]
+
+
 def decompose_network(
     net: NetworkSpec,
     layer_ranks: dict[str, int],
@@ -199,11 +215,21 @@ def decompose_network(
     The D layer keeps the original layer's stage and input; the P layer is
     named ``<id>.p`` and all later references to the original id are
     redirected to it. Provenance (source id and n) is recorded on both
-    layers.
+    layers. Every other layer keeps its parameter records and arrays.
     """
-    missing = [lid for lid in layer_ranks if lid not in {l.id for l in net.layers}]
+    ids = {l.id for l in net.layers}
+    missing = [lid for lid in layer_ranks if lid not in ids]
     if missing:
         raise DecompositionError(f"layers not in network: {missing}")
+    planned = [l.id for l in net.layers if l.kind == "conv" and l.id in layer_ranks]
+    taken = ids - set(planned)
+    for lid in planned:
+        for new_id in (d_layer_id(lid), p_layer_id(lid)):
+            if new_id in taken:
+                raise DecompositionError(
+                    f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
+                )
+            taken.add(new_id)
 
     new_layers: list[LayerSpec] = []
     decompositions: dict[str, GroupDecomposition] = {}
@@ -212,9 +238,8 @@ def decompose_network(
     def remap(ref: str | None) -> str | None:
         return renamed.get(ref, ref) if ref is not None else None
 
-    for layer in clone_network(net).layers:
-        layer.input = remap(layer.input)
-        layer.source = remap(layer.source)
+    for layer in net.layers:
+        layer = replace(layer, input=remap(layer.input), source=remap(layer.source))
         if layer.kind != "conv" or layer.id not in layer_ranks:
             new_layers.append(layer)
             continue

@@ -24,7 +24,7 @@ n < c_in / k^2) assume the usual regime c_in <= c_out < c_in k^2 with k > 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +48,7 @@ class StrategyRankReport:
     rank_group: int
 
     def to_row(self) -> dict:
-        return {
-            "c_in": self.c_in,
-            "c_out": self.c_out,
-            "k": self.k,
-            "n": self.n,
-            "flops_ratio": self.flops_ratio,
-            "c_d": self.c_d,
-            "c_d_prime_k": self.c_d_prime_k,
-            "rank_svd": self.rank_svd,
-            "rank_spatial": self.rank_spatial,
-            "rank_group": self.rank_group,
-        }
+        return asdict(self)
 
 
 def equal_flops_ranks(c_in: int, c_out: int, k: int, n: int) -> StrategyRankReport:

@@ -174,11 +174,6 @@ def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     return cols.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, c * k * k)
 
 
-def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:
     """Count singular values above rel_threshold times the largest one."""
     s = svd(a).singular_values

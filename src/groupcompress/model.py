@@ -7,11 +7,16 @@ Supported kinds: conv, relu, maxpool, avgpool, add, fc, channel_affine.
 
 FLOPs convention: two operations per multiply-accumulate, bias and
 activations excluded. Only conv and fc layers carry FLOPs.
+
+Specs are shared, not copied: a network derived from another keeps the
+unchanged parameter arrays of its input, and no code writes to an array in
+place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 import warnings
 
@@ -20,11 +25,32 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 
-LAYER_KINDS = ("conv", "relu", "maxpool", "avgpool", "add", "fc", "channel_affine")
+
+def _array(shape: Callable):
+    """A parameter array field; ``shape`` maps the record to the array's
+    shape. The model file stores these fields in the weight blob."""
+    return field(default=None, metadata={"shape": shape})
+
+
+class _Window:
+    """Geometry shared by conv and pooling: a k x k window moved by
+    ``stride`` over an input zero-padded by ``pad``."""
+
+    def _check_window(self) -> None:
+        if self.k < 1 or self.stride < 1 or self.pad < 0:
+            raise ShapeError(
+                f"need k >= 1, stride >= 1 and pad >= 0; got k={self.k}, "
+                f"stride={self.stride}, pad={self.pad}"
+            )
+
+    def out_size(self, h: int, w: int) -> tuple[int, int]:
+        h_out = (h + 2 * self.pad - self.k) // self.stride + 1
+        w_out = (w + 2 * self.pad - self.k) // self.stride + 1
+        return h_out, w_out
 
 
 @dataclass
-class ConvWeights:
+class ConvWeights(_Window):
     """Weights and geometry of one convolutional layer.
 
     ``weights`` has shape (c_out, c_in // groups, k, k) and may be None for
@@ -37,13 +63,14 @@ class ConvWeights:
     groups: int = 1
     stride: int = 1
     pad: int = 0
-    weights: np.ndarray | None = None
-    bias: np.ndarray | None = None
+    weights: np.ndarray | None = _array(lambda c: (c.c_out, c.c_in // c.groups, c.k, c.k))
+    bias: np.ndarray | None = _array(lambda c: (c.c_out,))
 
     def __post_init__(self):
         if self.c_in < 1 or self.c_out < 1 or self.k < 1:
             raise ShapeError("conv dimensions must be positive")
-        if self.c_in % self.groups or self.c_out % self.groups:
+        self._check_window()
+        if self.groups < 1 or self.c_in % self.groups or self.c_out % self.groups:
             raise ShapeError(
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
             )
@@ -79,30 +106,30 @@ class ConvWeights:
         block = self.weights[g * per_group : (g + 1) * per_group]
         return block.reshape(per_group, -1).T
 
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        h_out = (h + 2 * self.pad - self.k) // self.stride + 1
-        w_out = (w + 2 * self.pad - self.k) // self.stride + 1
-        return h_out, w_out
+    def group_patches(self, x: np.ndarray):
+        """im2col matrix of each filter group's input channels, in group order."""
+        per_group = self.c_in // self.groups
+        for g in range(self.groups):
+            chunk = x[g * per_group : (g + 1) * per_group]
+            yield linalg.im2col(chunk, self.k, self.stride, self.pad)
 
 
 @dataclass
-class PoolParams:
+class PoolParams(_Window):
     k: int
     stride: int
     pad: int = 0
 
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        h_out = (h + 2 * self.pad - self.k) // self.stride + 1
-        w_out = (w + 2 * self.pad - self.k) // self.stride + 1
-        return h_out, w_out
+    def __post_init__(self):
+        self._check_window()
 
 
 @dataclass
 class FcParams:
     in_features: int
     out_features: int
-    weights: np.ndarray | None = None  # (out_features, in_features)
-    bias: np.ndarray | None = None
+    weights: np.ndarray | None = _array(lambda f: (f.out_features, f.in_features))
+    bias: np.ndarray | None = _array(lambda f: (f.out_features,))
 
 
 @dataclass
@@ -110,8 +137,8 @@ class AffineParams:
     """Per-channel scale and shift (inference-time batch norm stand-in)."""
 
     channels: int
-    scale: np.ndarray | None = None
-    shift: np.ndarray | None = None
+    scale: np.ndarray | None = _array(lambda a: (a.channels,))
+    shift: np.ndarray | None = _array(lambda a: (a.channels,))
 
 
 @dataclass
@@ -128,7 +155,7 @@ class LayerSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _KINDS:
             raise ShapeError(f"layer {self.id}: unknown kind {self.kind!r}")
 
 
@@ -152,14 +179,144 @@ class NetworkSpec:
                 return layer
         raise KeyError(f"no layer named {layer_id!r}")
 
-    def index_of(self, layer_id: str) -> int:
-        for i, layer in enumerate(self.layers):
-            if layer.id == layer_id:
-                return i
-        raise KeyError(f"no layer named {layer_id!r}")
-
     def conv_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.kind == "conv"]
+
+
+# Per-kind rules. Shape: (layer, input shape, earlier shapes) -> output shape.
+# Forward: (layer, input, earlier outputs) -> output. FLOPs: (layer, output
+# shape) -> int, for the kinds that carry FLOPs.
+
+
+def _spatial_shape(layer: LayerSpec, c: int, h_out: int, w_out: int) -> tuple:
+    if h_out < 1 or w_out < 1:
+        raise ShapeError(f"layer {layer.id}: degenerate output {h_out}x{w_out}")
+    return (c, h_out, w_out)
+
+
+def _conv_shape(layer, in_shape, shapes):
+    conv = layer.conv
+    c, h, w = in_shape
+    if c != conv.c_in:
+        raise ShapeError(f"layer {layer.id}: expects {conv.c_in} channels, got {c}")
+    return _spatial_shape(layer, conv.c_out, *conv.out_size(h, w))
+
+
+def _pool_shape(layer, in_shape, shapes):
+    c, h, w = in_shape
+    return _spatial_shape(layer, c, *layer.pool.out_size(h, w))
+
+
+def _affine_shape(layer, in_shape, shapes):
+    if in_shape[0] != layer.affine.channels:
+        raise ShapeError(
+            f"layer {layer.id}: affine over {layer.affine.channels} channels, "
+            f"input has {in_shape[0]}"
+        )
+    return in_shape
+
+
+def _add_shape(layer, in_shape, shapes):
+    if layer.source is None or layer.source not in shapes:
+        raise ShapeError(f"layer {layer.id}: add source must be an earlier layer")
+    if shapes[layer.source] != in_shape:
+        raise ShapeError(
+            f"layer {layer.id}: add shapes differ {in_shape} vs {shapes[layer.source]}"
+        )
+    return in_shape
+
+
+def _fc_shape(layer, in_shape, shapes):
+    n_in = int(np.prod(in_shape))
+    if n_in != layer.fc.in_features:
+        raise ShapeError(
+            f"layer {layer.id}: fc expects {layer.fc.in_features} features, got {n_in}"
+        )
+    return (layer.fc.out_features,)
+
+
+def _conv_forward(layer, x, outputs):
+    conv = layer.conv
+    if x.shape[0] != conv.c_in:
+        raise ShapeError(
+            f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[0]}"
+        )
+    pieces = [p @ conv.group_matrix(g) for g, p in enumerate(conv.group_patches(x))]
+    resp = pieces[0] if conv.groups == 1 else np.hstack(pieces)
+    if conv.bias is not None:
+        resp = resp + conv.bias
+    return resp.T.reshape(conv.c_out, *conv.out_size(*x.shape[1:]))
+
+
+def _pool_windows(pool: PoolParams, x: np.ndarray, fill: float) -> np.ndarray:
+    c, h, w = x.shape
+    h_out, w_out = pool.out_size(h, w)
+    padded = np.full((c, h + 2 * pool.pad, w + 2 * pool.pad), fill)
+    padded[:, pool.pad : pool.pad + h, pool.pad : pool.pad + w] = x
+    windows = np.empty((pool.k * pool.k, c, h_out, w_out))
+    idx = 0
+    for ki in range(pool.k):
+        for kj in range(pool.k):
+            windows[idx] = padded[
+                :,
+                ki : ki + pool.stride * h_out : pool.stride,
+                kj : kj + pool.stride * w_out : pool.stride,
+            ]
+            idx += 1
+    return windows
+
+
+def _add_forward(layer, x, outputs):
+    other = outputs.get(layer.source)
+    if other is None or other.shape != x.shape:
+        raise ShapeError(f"layer {layer.id}: bad add source {layer.source!r}")
+    return x + other
+
+
+def _fc_forward(layer, x, outputs):
+    out = layer.fc.weights @ x.reshape(-1)
+    if layer.fc.bias is not None:
+        out = out + layer.fc.bias
+    return out
+
+
+def _affine_forward(layer, x, outputs):
+    aff = layer.affine
+    return x * aff.scale[:, None, None] + aff.shift[:, None, None]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one layer kind does. ``param`` names the LayerSpec attribute
+    carrying the kind's parameters."""
+
+    param: str | None
+    shape: Callable
+    forward: Callable
+    flops: Callable | None = None
+
+
+_KINDS = {
+    "conv": _Kind(
+        "conv", _conv_shape, _conv_forward,
+        lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
+    ),
+    "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, outs: np.maximum(x, 0.0)),
+    "maxpool": _Kind(
+        "pool", _pool_shape,
+        lambda layer, x, outs: _pool_windows(layer.pool, x, -np.inf).max(axis=0),
+    ),
+    "avgpool": _Kind(
+        "pool", _pool_shape,
+        lambda layer, x, outs: _pool_windows(layer.pool, x, 0.0).mean(axis=0),
+    ),
+    "add": _Kind(None, _add_shape, _add_forward),
+    "fc": _Kind("fc", _fc_shape, _fc_forward, lambda layer, shape: flops_of_fc(layer.fc)),
+    "channel_affine": _Kind("affine", _affine_shape, _affine_forward),
+}
+# Kind -> the LayerSpec attribute carrying its parameters (None: no parameters).
+LAYER_KINDS = {kind: rule.param for kind, rule in _KINDS.items()}
+PARAM_TYPES = {"conv": ConvWeights, "pool": PoolParams, "fc": FcParams, "affine": AffineParams}
 
 
 def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
@@ -168,63 +325,16 @@ def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     Shapes are (C, H, W) except after fc, which yields (features,).
     """
     shapes: dict[str, tuple] = {}
-    prev_shape = net.input_shape
     prev_id = None
     for layer in net.layers:
         in_id = layer.input if layer.input is not None else prev_id
         if in_id is None:
             in_shape = net.input_shape
+        elif in_id not in shapes:
+            raise ShapeError(f"layer {layer.id}: input {in_id!r} not defined earlier")
         else:
-            if in_id not in shapes:
-                raise ShapeError(f"layer {layer.id}: input {in_id!r} not defined earlier")
             in_shape = shapes[in_id]
-
-        if layer.kind == "conv":
-            conv = layer.conv
-            c, h, w = in_shape
-            if c != conv.c_in:
-                raise ShapeError(
-                    f"layer {layer.id}: expects {conv.c_in} channels, got {c}"
-                )
-            h_out, w_out = conv.out_size(h, w)
-            if h_out < 1 or w_out < 1:
-                raise ShapeError(f"layer {layer.id}: degenerate output {h_out}x{w_out}")
-            out_shape = (conv.c_out, h_out, w_out)
-        elif layer.kind in ("relu", "channel_affine"):
-            if layer.kind == "channel_affine" and in_shape[0] != layer.affine.channels:
-                raise ShapeError(
-                    f"layer {layer.id}: affine over {layer.affine.channels} channels, "
-                    f"input has {in_shape[0]}"
-                )
-            out_shape = in_shape
-        elif layer.kind in ("maxpool", "avgpool"):
-            c, h, w = in_shape
-            h_out, w_out = layer.pool.out_size(h, w)
-            if h_out < 1 or w_out < 1:
-                raise ShapeError(f"layer {layer.id}: degenerate output {h_out}x{w_out}")
-            out_shape = (c, h_out, w_out)
-        elif layer.kind == "add":
-            if layer.source is None or layer.source not in shapes:
-                raise ShapeError(f"layer {layer.id}: add source must be an earlier layer")
-            if shapes[layer.source] != in_shape:
-                raise ShapeError(
-                    f"layer {layer.id}: add shapes differ "
-                    f"{in_shape} vs {shapes[layer.source]}"
-                )
-            out_shape = in_shape
-        elif layer.kind == "fc":
-            n_in = int(np.prod(in_shape))
-            if n_in != layer.fc.in_features:
-                raise ShapeError(
-                    f"layer {layer.id}: fc expects {layer.fc.in_features} features, "
-                    f"got {n_in}"
-                )
-            out_shape = (layer.fc.out_features,)
-        else:  # pragma: no cover - guarded by LayerSpec
-            raise ShapeError(f"layer {layer.id}: unknown kind {layer.kind}")
-
-        shapes[layer.id] = out_shape
-        prev_shape = out_shape
+        shapes[layer.id] = _KINDS[layer.kind].shape(layer, in_shape, shapes)
         prev_id = layer.id
     return shapes
 
@@ -239,54 +349,18 @@ class TapPoint:
     """
 
     output: np.ndarray
-    response: np.ndarray
-    patches: np.ndarray | None = None
+    input: np.ndarray
+    layer: LayerSpec
 
+    @property
+    def response(self) -> np.ndarray:
+        out = self.output
+        return out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :]
 
-def _conv_forward(conv: ConvWeights, x: np.ndarray, want_patches: bool):
-    c, h, w = x.shape
-    h_out, w_out = conv.out_size(h, w)
-    per_group_in = conv.c_in // conv.groups
-    outputs = []
-    full_patches = None
-    if conv.groups == 1:
-        full_patches = linalg.im2col(x, conv.k, conv.stride, conv.pad)
-        resp = full_patches @ conv.weight_matrix()
-    else:
-        pieces = []
-        for g in range(conv.groups):
-            chunk = x[g * per_group_in : (g + 1) * per_group_in]
-            patches = linalg.im2col(chunk, conv.k, conv.stride, conv.pad)
-            pieces.append(patches)
-            outputs.append(patches @ conv.group_matrix(g))
-        resp = np.hstack(outputs)
-        if want_patches:
-            full_patches = np.hstack(pieces)
-    if conv.bias is not None:
-        resp = resp + conv.bias
-    out = resp.T.reshape(conv.c_out, h_out, w_out)
-    return out, resp, (full_patches if want_patches else None)
-
-
-def _pool_forward(kind: str, pool: PoolParams, x: np.ndarray) -> np.ndarray:
-    c, h, w = x.shape
-    h_out, w_out = pool.out_size(h, w)
-    fill = -np.inf if kind == "maxpool" else 0.0
-    padded = np.full((c, h + 2 * pool.pad, w + 2 * pool.pad), fill)
-    padded[:, pool.pad : pool.pad + h, pool.pad : pool.pad + w] = x
-    windows = np.empty((pool.k * pool.k, c, h_out, w_out))
-    idx = 0
-    for ki in range(pool.k):
-        for kj in range(pool.k):
-            windows[idx] = padded[
-                :,
-                ki : ki + pool.stride * h_out : pool.stride,
-                kj : kj + pool.stride * w_out : pool.stride,
-            ]
-            idx += 1
-    if kind == "maxpool":
-        return windows.max(axis=0)
-    return windows.mean(axis=0)
+    @property
+    def patches(self) -> np.ndarray | None:
+        conv = self.layer.conv
+        return None if conv is None else np.hstack(list(conv.group_patches(self.input)))
 
 
 def forward(
@@ -312,42 +386,9 @@ def forward(
     for layer in net.layers:
         in_id = layer.input if layer.input is not None else prev_id
         value = current if in_id is None else outputs[in_id]
-
-        if layer.kind == "conv":
-            if value.shape[0] != layer.conv.c_in:
-                raise ShapeError(
-                    f"layer {layer.id}: expects {layer.conv.c_in} channels, "
-                    f"got {value.shape[0]}"
-                )
-            out, resp, patches = _conv_forward(
-                layer.conv, value, want_patches=layer.id in taps
-            )
-            if layer.id in taps:
-                recorded[layer.id] = TapPoint(output=out, response=resp, patches=patches)
-        else:
-            if layer.kind == "relu":
-                out = np.maximum(value, 0.0)
-            elif layer.kind in ("maxpool", "avgpool"):
-                out = _pool_forward(layer.kind, layer.pool, value)
-            elif layer.kind == "add":
-                other = outputs.get(layer.source)
-                if other is None or other.shape != value.shape:
-                    raise ShapeError(f"layer {layer.id}: bad add source {layer.source!r}")
-                out = value + other
-            elif layer.kind == "fc":
-                flat = value.reshape(-1)
-                out = layer.fc.weights @ flat
-                if layer.fc.bias is not None:
-                    out = out + layer.fc.bias
-            elif layer.kind == "channel_affine":
-                aff = layer.affine
-                out = value * aff.scale[:, None, None] + aff.shift[:, None, None]
-            else:  # pragma: no cover
-                raise ShapeError(f"layer {layer.id}: unknown kind {layer.kind}")
-            if layer.id in taps:
-                resp = out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :]
-                recorded[layer.id] = TapPoint(output=out, response=resp)
-
+        out = _KINDS[layer.kind].forward(layer, value, outputs)
+        if layer.id in taps:
+            recorded[layer.id] = TapPoint(output=out, input=value, layer=layer)
         outputs[layer.id] = out
         current = out
         prev_id = layer.id
@@ -356,6 +397,22 @@ def forward(
     if taps:
         return current, recorded
     return current
+
+
+def stack_taps(
+    net: NetworkSpec, samples, taps, attr: str = "response"
+) -> dict[str, np.ndarray]:
+    """Run each sample up to the last layer in ``taps`` and stack, per tapped
+    layer, the ``attr`` rows of its TapPoint (``response`` or ``patches``),
+    sample-major, then spatial position."""
+    taps = set(taps)
+    last = next(layer.id for layer in reversed(net.layers) if layer.id in taps)
+    rows: dict[str, list] = {tap: [] for tap in taps}
+    for sample in samples:
+        _, recorded = forward(net, sample, taps=taps, stop_after=last)
+        for tap in taps:
+            rows[tap].append(getattr(recorded[tap], attr))
+    return {tap: np.vstack(r) for tap, r in rows.items()}
 
 
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:
@@ -372,11 +429,9 @@ def network_flops(net: NetworkSpec) -> tuple[int, dict[str, int]]:
     shapes = propagate_shapes(net)
     per_layer: dict[str, int] = {}
     for layer in net.layers:
-        if layer.kind == "conv":
-            _, h_out, w_out = shapes[layer.id]
-            per_layer[layer.id] = flops_of_layer(layer.conv, h_out, w_out)
-        elif layer.kind == "fc":
-            per_layer[layer.id] = flops_of_fc(layer.fc)
+        rule = _KINDS[layer.kind].flops
+        if rule is not None:
+            per_layer[layer.id] = rule(layer, shapes[layer.id])
     return sum(per_layer.values()), per_layer
 
 
@@ -404,34 +459,3 @@ def flops_ratio_decomposed(c_in: int, c_out: int, k: int, n: int) -> float:
             stacklevel=2,
         )
     return float(ratio)
-
-
-def clone_network(net: NetworkSpec) -> NetworkSpec:
-    """Deep-enough copy: layer records are fresh, arrays are copied."""
-    new_layers = []
-    for layer in net.layers:
-        conv = None
-        if layer.conv is not None:
-            conv = replace(
-                layer.conv,
-                weights=None if layer.conv.weights is None else layer.conv.weights.copy(),
-                bias=None if layer.conv.bias is None else layer.conv.bias.copy(),
-            )
-        fc = None
-        if layer.fc is not None:
-            fc = replace(
-                layer.fc,
-                weights=None if layer.fc.weights is None else layer.fc.weights.copy(),
-                bias=None if layer.fc.bias is None else layer.fc.bias.copy(),
-            )
-        affine = None
-        if layer.affine is not None:
-            affine = replace(
-                layer.affine,
-                scale=None if layer.affine.scale is None else layer.affine.scale.copy(),
-                shift=None if layer.affine.shift is None else layer.affine.shift.copy(),
-            )
-        new_layers.append(
-            replace(layer, conv=conv, fc=fc, affine=affine, meta=dict(layer.meta))
-        )
-    return NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers)

@@ -14,7 +14,9 @@ Format (version 1)
 
 Each layer object carries ``id``, ``kind`` and optionally ``stage`` and
 ``input`` (the id of the layer it reads; omitted means the previous layer).
-Kind-specific fields:
+Kind-specific fields are those of the kind's parameter record in ``model``
+(``ConvWeights``, ``PoolParams``, ``FcParams``, ``AffineParams``), in
+declaration order:
 
 * conv: ``c_in, c_out, k, groups, stride, pad, weights, bias`` where
   ``weights``/``bias`` are ``{"offset": bytes, "length": bytes}`` into the
@@ -33,46 +35,35 @@ and lengths are in bytes and must be 4-byte aligned.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .model import (
-    AffineParams,
-    ConvWeights,
-    FcParams,
-    LayerSpec,
-    NetworkSpec,
-    PoolParams,
-    propagate_shapes,
-)
+from .model import LAYER_KINDS, PARAM_TYPES, LayerSpec, NetworkSpec, propagate_shapes
 
 FORMAT_VERSION = 1
 
 
 class _BlobWriter:
     def __init__(self):
-        self.chunks: list[bytes] = []
+        self.chunks: list[np.ndarray] = []
         self.offset = 0
 
     def put(self, array: np.ndarray | None) -> dict | None:
         if array is None:
             return None
-        data = np.ascontiguousarray(array, dtype="<f4").tobytes()
-        entry = {"offset": self.offset, "length": len(data)}
+        data = np.ascontiguousarray(array, dtype="<f4")
+        entry = {"offset": self.offset, "length": data.nbytes}
         self.chunks.append(data)
-        self.offset += len(data)
+        self.offset += data.nbytes
         return entry
-
-    def bytes(self) -> bytes:
-        return b"".join(self.chunks)
 
 
 class _BlobReader:
-    def __init__(self, raw: bytes, path: str):
+    def __init__(self, raw: bytes):
         self.raw = raw
-        self.path = path
 
     def get(self, entry, shape, field: str) -> np.ndarray | None:
         if entry is None:
@@ -92,52 +83,32 @@ class _BlobReader:
         return flat.astype(np.float64).reshape(shape)
 
 
+# Parameter arrays that may be null; every other array must be present.
+_OPTIONAL_ARRAYS = ("bias",)
+_META_KEYS = ("decomposed_from", "rank_n")
+
+
+def _is_array(f) -> bool:
+    return "shape" in f.metadata
+
+
 def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
     obj: dict = {"id": layer.id, "kind": layer.kind}
-    if layer.stage is not None:
-        obj["stage"] = layer.stage
-    if layer.input is not None:
-        obj["input"] = layer.input
-    if layer.kind == "conv":
-        conv = layer.conv
-        if conv.weights is None:
-            raise ModelFormatError(
-                f"layer {layer.id}: cannot serialize a conv without weights"
-            )
-        obj.update(
-            c_in=conv.c_in,
-            c_out=conv.c_out,
-            k=conv.k,
-            groups=conv.groups,
-            stride=conv.stride,
-            pad=conv.pad,
-            weights=blob.put(conv.weights),
-            bias=blob.put(conv.bias),
-        )
-        for key in ("decomposed_from", "rank_n"):
-            if key in layer.meta:
-                obj[key] = layer.meta[key]
-    elif layer.kind in ("maxpool", "avgpool"):
-        obj.update(k=layer.pool.k, stride=layer.pool.stride, pad=layer.pool.pad)
-    elif layer.kind == "add":
-        obj["source"] = layer.source
-    elif layer.kind == "fc":
-        fc = layer.fc
-        if fc.weights is None:
-            raise ModelFormatError(f"layer {layer.id}: cannot serialize fc without weights")
-        obj.update(
-            in_features=fc.in_features,
-            out_features=fc.out_features,
-            weights=blob.put(fc.weights),
-            bias=blob.put(fc.bias),
-        )
-    elif layer.kind == "channel_affine":
-        aff = layer.affine
-        obj.update(
-            channels=aff.channels,
-            scale=blob.put(aff.scale),
-            shift=blob.put(aff.shift),
-        )
+    for key in ("stage", "input", "source"):
+        if getattr(layer, key) is not None:
+            obj[key] = getattr(layer, key)
+    attr = LAYER_KINDS[layer.kind]
+    params = None if attr is None else getattr(layer, attr)
+    for f in fields(params) if params is not None else ():
+        value = getattr(params, f.name)
+        if _is_array(f):
+            if value is None and f.name not in _OPTIONAL_ARRAYS:
+                raise ModelFormatError(
+                    f"layer {layer.id}: cannot serialize {layer.kind} without {f.name}"
+                )
+            value = blob.put(value)
+        obj[f.name] = value
+    obj.update((key, layer.meta[key]) for key in _META_KEYS if key in layer.meta)
     return obj
 
 
@@ -147,93 +118,54 @@ def _require(obj: dict, field: str, layer_id: str):
     return obj[field]
 
 
-def _layer_from_json(obj: dict, blob: _BlobReader) -> LayerSpec:
-    layer_id = obj.get("id")
+def _params_from_json(cls, obj: dict, blob: _BlobReader, layer_id: str):
+    """Read a parameter record field by field: scalars first, then the arrays,
+    whose shapes follow from the scalars."""
+    scalars = {}
+    for f in fields(cls):
+        if _is_array(f):
+            continue
+        if f.default is MISSING:
+            scalars[f.name] = int(_require(obj, f.name, layer_id))
+        else:
+            scalars[f.name] = int(obj.get(f.name, f.default))
+    params = cls(**scalars)
+    arrays = {}
+    for f in fields(cls):
+        if _is_array(f):
+            entry = obj.get(f.name) if f.name in _OPTIONAL_ARRAYS else _require(
+                obj, f.name, layer_id
+            )
+            shape = f.metadata["shape"](params)
+            arrays[f.name] = blob.get(entry, shape, f"layer {layer_id} {f.name}")
+    return replace(params, **arrays)
+
+
+def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
+    layer_id = obj.get("id") if isinstance(obj, dict) else None
     if not isinstance(layer_id, str) or not layer_id:
         raise ModelFormatError("layer: missing or invalid field 'id'")
     kind = _require(obj, "kind", layer_id)
-    stage = obj.get("stage")
-    input_ = obj.get("input")
-    meta = {}
-
-    conv = pool = fc = affine = None
-    source = None
-    if kind == "conv":
-        c_in = int(_require(obj, "c_in", layer_id))
-        c_out = int(_require(obj, "c_out", layer_id))
-        k = int(_require(obj, "k", layer_id))
-        groups = int(obj.get("groups", 1))
-        weights = blob.get(
-            _require(obj, "weights", layer_id),
-            (c_out, c_in // groups if groups else 0, k, k),
-            f"layer {layer_id} weights",
-        )
-        bias = blob.get(obj.get("bias"), (c_out,), f"layer {layer_id} bias")
-        conv = ConvWeights(
-            c_in=c_in,
-            c_out=c_out,
-            k=k,
-            groups=groups,
-            stride=int(obj.get("stride", 1)),
-            pad=int(obj.get("pad", 0)),
-            weights=weights,
-            bias=bias,
-        )
-        for key in ("decomposed_from", "rank_n"):
-            if key in obj:
-                meta[key] = obj[key]
-    elif kind == "relu":
-        pass
-    elif kind in ("maxpool", "avgpool"):
-        pool = PoolParams(
-            k=int(_require(obj, "k", layer_id)),
-            stride=int(_require(obj, "stride", layer_id)),
-            pad=int(obj.get("pad", 0)),
-        )
-    elif kind == "add":
-        source = _require(obj, "source", layer_id)
-    elif kind == "fc":
-        in_features = int(_require(obj, "in_features", layer_id))
-        out_features = int(_require(obj, "out_features", layer_id))
-        fc = FcParams(
-            in_features=in_features,
-            out_features=out_features,
-            weights=blob.get(
-                _require(obj, "weights", layer_id),
-                (out_features, in_features),
-                f"layer {layer_id} weights",
-            ),
-            bias=blob.get(obj.get("bias"), (out_features,), f"layer {layer_id} bias"),
-        )
-    elif kind == "channel_affine":
-        channels = int(_require(obj, "channels", layer_id))
-        affine = AffineParams(
-            channels=channels,
-            scale=blob.get(
-                _require(obj, "scale", layer_id), (channels,), f"layer {layer_id} scale"
-            ),
-            shift=blob.get(
-                _require(obj, "shift", layer_id), (channels,), f"layer {layer_id} shift"
-            ),
-        )
-    else:
-        raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
-
     try:
+        if kind not in LAYER_KINDS:
+            raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
+        attr = LAYER_KINDS[kind]
+        params = {}
+        if attr is not None:
+            params[attr] = _params_from_json(PARAM_TYPES[attr], obj, blob, layer_id)
         return LayerSpec(
             id=layer_id,
             kind=kind,
-            stage=stage,
-            input=input_,
-            source=source,
-            conv=conv,
-            pool=pool,
-            fc=fc,
-            affine=affine,
-            meta=meta,
+            stage=obj.get("stage"),
+            input=obj.get("input"),
+            source=obj.get("source"),
+            meta={key: obj[key] for key in _META_KEYS if key in obj},
+            **params,
         )
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    except ModelFormatError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ModelFormatError(f"layer {layer_id}: {exc}") from exc
 
 
 def save_model(net: NetworkSpec, manifest_path) -> Path:
@@ -258,7 +190,7 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     with open(manifest_path.parent / blob_name, "wb") as fh:
-        fh.write(blob.bytes())
+        fh.writelines(blob.chunks)
     return manifest_path
 
 
@@ -273,6 +205,8 @@ def load_model(manifest_path) -> NetworkSpec:
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"manifest is not valid JSON: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise ModelFormatError("manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
@@ -281,24 +215,30 @@ def load_model(manifest_path) -> NetworkSpec:
     for field in ("input_shape", "blob", "layers"):
         if field not in manifest:
             raise ModelFormatError(f"manifest: missing field {field!r}")
-    if not manifest["layers"]:
+    if not isinstance(manifest["layers"], list) or not manifest["layers"]:
         raise ModelFormatError("manifest: no layers")
     input_shape = manifest["input_shape"]
-    if len(input_shape) != 3 or any(int(v) < 1 for v in input_shape):
+    try:
+        shape = tuple(int(v) for v in input_shape)
+    except (ValueError, TypeError) as exc:
+        raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}") from exc
+    if not isinstance(input_shape, list) or len(shape) != 3 or min(shape) < 1:
         raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}")
 
+    if not isinstance(manifest["blob"], str):
+        raise ModelFormatError(f"manifest: bad blob name {manifest['blob']!r}")
     blob_path = manifest_path.parent / manifest["blob"]
     try:
         raw = blob_path.read_bytes()
     except FileNotFoundError:
         raise ModelFormatError(f"weight blob not found: {blob_path}")
-    reader = _BlobReader(raw, str(blob_path))
+    reader = _BlobReader(raw)
 
     layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]
     try:
         net = NetworkSpec(
             name=manifest.get("name", manifest_path.stem),
-            input_shape=tuple(int(v) for v in input_shape),
+            input_shape=shape,
             layers=layers,
         )
         propagate_shapes(net)

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg
-from .decompose import GroupDecomposition, group_conv_matrix, p_layer_id
+from .decompose import decomposed_pairs, group_conv_matrix
 from .errors import CalibrationWarning, ModelFormatError, ShapeError
-from .model import ConvWeights, NetworkSpec, clone_network, forward
+from .model import ConvWeights, NetworkSpec, stack_taps
 
 CALIBRATION_FORMAT_VERSION = 1
 
@@ -112,24 +112,6 @@ class CalibrationSet:
         return manifest_path
 
 
-def _stack_responses(net: NetworkSpec, calib: CalibrationSet, tap_id: str):
-    """Responses at one layer over all calibration samples, rows aligned as
-    (sample-major, then spatial position)."""
-    rows = []
-    for sample in calib.samples:
-        _, taps = forward(net, sample, taps={tap_id}, stop_after=tap_id)
-        rows.append(taps[tap_id].response)
-    return np.vstack(rows)
-
-
-def _stack_patches(net: NetworkSpec, calib: CalibrationSet, layer_id: str):
-    rows = []
-    for sample in calib.samples:
-        _, taps = forward(net, sample, taps={layer_id}, stop_after=layer_id)
-        rows.append(taps[layer_id].patches)
-    return np.vstack(rows)
-
-
 def collect_responses(
     original: NetworkSpec,
     compressed: NetworkSpec,
@@ -150,23 +132,21 @@ def collect_responses(
         raise ShapeError(f"layer {layer_id!r} not found in original network")
     if layer.kind != "conv":
         raise ShapeError(f"layer {layer_id!r} is not a convolution")
-    pid = p_layer_id(layer_id)
-    try:
-        p_layer = compressed.layer(pid)
-        d_layer = compressed.layer(f"{layer_id}.d")
-    except KeyError:
+    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
+    if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
+    d_layer, p_layer = pairs[layer_id]
 
-    y = _stack_responses(original, calib, layer_id)
+    y = stack_taps(original, calib.samples, [layer_id])[layer_id]
     if symmetric:
-        patches = _stack_patches(original, calib, layer_id)
+        patches = stack_taps(original, calib.samples, [layer_id], "patches")[layer_id]
         d_mat = group_conv_matrix(d_layer.conv)
         p_mat = p_layer.conv.weight_matrix()
         y_star = patches @ d_mat @ p_mat
         if p_layer.conv.bias is not None:
             y_star = y_star + p_layer.conv.bias
     else:
-        y_star = _stack_responses(compressed, calib, pid)
+        y_star = stack_taps(compressed, calib.samples, [p_layer.id])[p_layer.id]
     if y.shape != y_star.shape:
         raise ShapeError(
             f"misaligned responses for {layer_id}: {y.shape} vs {y_star.shape}"
@@ -220,27 +200,14 @@ def solve_reconstruction(
     return solution, np.zeros(c_out)
 
 
-def merge_into_pointwise(
-    decomp: GroupDecomposition, a: np.ndarray, bias_delta: np.ndarray | None = None
-) -> GroupDecomposition:
-    """Fold the mixing matrix into P: P' = P @ A, bias' = A^T b + delta."""
-    a = linalg.as_matrix(a, "a")
-    c_out = decomp.p_layer.c_out
-    if a.shape != (c_out, c_out):
-        raise ShapeError(f"A must be {c_out}x{c_out}, got {a.shape}")
-    merged_p = merge_pointwise_weights(decomp.p_layer, a, bias_delta)
-    return GroupDecomposition(
-        n=decomp.n,
-        d_layer=decomp.d_layer,
-        p_layer=merged_p,
-        block_singular_values=decomp.block_singular_values,
-        block_truncation_errors=decomp.block_truncation_errors,
-    )
-
-
 def merge_pointwise_weights(
-    p: ConvWeights, a: np.ndarray, bias_delta: np.ndarray | None
+    p: ConvWeights, a: np.ndarray, bias_delta: np.ndarray | None = None
 ) -> ConvWeights:
+    """Fold the mixing matrix into a pointwise layer: P' = P @ A,
+    bias' = A^T b + delta."""
+    a = linalg.as_matrix(a, "a")
+    if a.shape != (p.c_out, p.c_out):
+        raise ShapeError(f"A must be {p.c_out}x{p.c_out}, got {a.shape}")
     p_mat = p.weight_matrix() @ a  # (c_in, c_out)
     bias = np.zeros(p.c_out) if p.bias is None else a.T @ p.bias
     if bias_delta is not None:
@@ -267,17 +234,6 @@ class LayerReconstructionReport:
     residual_after: float
     used_identity_fallback: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "layer": self.layer_id,
-            "n": self.rank_n,
-            "sample_rows": self.sample_rows,
-            "ridge": self.ridge,
-            "residual_before": self.residual_before,
-            "residual_after": self.residual_after,
-            "identity_fallback": self.used_identity_fallback,
-        }
-
 
 def reconstruct_network(
     original: NetworkSpec,
@@ -294,16 +250,10 @@ def reconstruct_network(
     not increase the fitting residual; otherwise the layer keeps its plain
     truncated form (recorded in the report).
     """
-    result = clone_network(compressed)
+    result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
+    position = {layer.id: i for i, layer in enumerate(result.layers)}
     reports: list[LayerReconstructionReport] = []
-    decomposed_ids = [
-        layer.meta["decomposed_from"]
-        for layer in result.layers
-        if layer.kind == "conv"
-        and layer.meta.get("decomposed_from")
-        and layer.id.endswith(".p")
-    ]
-    for layer_id in decomposed_ids:
+    for layer_id, _, p_layer in decomposed_pairs(compressed):
         y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
@@ -313,12 +263,12 @@ def reconstruct_network(
         if fallback:
             residual_after = residual_before
         else:
-            p_spec = result.layer(p_layer_id(layer_id))
-            p_spec.conv = merge_pointwise_weights(p_spec.conv, a, delta)
+            merged = merge_pointwise_weights(p_layer.conv, a, delta)
+            result.layers[position[p_layer.id]] = replace(p_layer, conv=merged)
         reports.append(
             LayerReconstructionReport(
                 layer_id=layer_id,
-                rank_n=int(result.layer(p_layer_id(layer_id)).meta.get("rank_n", 0)),
+                rank_n=int(p_layer.meta.get("rank_n", 0)),
                 sample_rows=y.shape[0],
                 ridge=used_ridge,
                 residual_before=residual_before,

@@ -13,7 +13,7 @@ grouped convolutions, and anything named in the skip lists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -42,15 +42,7 @@ class CompressionPlan:
     predicted_flops: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "base_n": self.base_n,
-            "stage_ns": self.stage_ns,
-            "layer_ranks": self.layer_ranks,
-            "skipped_layers": self.skipped_layers,
-            "adjustments": self.adjustments,
-            "predicted_flops": self.predicted_flops,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompressionPlan":
@@ -116,45 +108,23 @@ def derive_stages(net: NetworkSpec) -> dict[str, str]:
     return labels
 
 
-def _effective_stage(net: NetworkSpec, derived: dict[str, str] | None):
-    def stage_of(layer):
-        if layer.stage is not None:
-            return layer.stage
-        if derived is not None:
-            return derived.get(layer.id)
-        return None
-
-    return stage_of
+def _conv_stages(net: NetworkSpec) -> dict[str, str]:
+    """Stage label of each staged conv: the manifest labels, or the derived
+    ones when no conv is labeled."""
+    labeled = {l.id: l.stage for l in net.conv_layers() if l.stage is not None}
+    return labeled or derive_stages(net)
 
 
-def _derived_if_unlabeled(net: NetworkSpec) -> dict[str, str] | None:
-    if any(l.stage is not None for l in net.conv_layers()):
-        return None
-    return derive_stages(net)
+def _plannable(layer, stages: dict[str, str]) -> bool:
+    """Eligible for decomposition: ungrouped, k > 1, staged."""
+    return layer.conv.k != 1 and layer.conv.groups == 1 and layer.id in stages
 
 
-def plannable_convs(net: NetworkSpec, derived: dict[str, str] | None = None) -> list:
-    """Conv layers eligible for decomposition: ungrouped, k > 1, staged."""
-    stage_of = _effective_stage(net, derived)
-    out = []
-    for layer in net.conv_layers():
-        conv = layer.conv
-        if conv.k == 1 or conv.groups != 1 or stage_of(layer) is None:
-            continue
-        out.append(layer)
-    return out
-
-
-def stage_order(net: NetworkSpec, derived: dict[str, str] | None = None) -> list[str]:
+def stage_order(net: NetworkSpec, stages: dict[str, str] | None = None) -> list[str]:
     """Stage labels of plannable convs, in first-appearance order."""
-    if derived is None:
-        derived = _derived_if_unlabeled(net)
-    stage_of = _effective_stage(net, derived)
-    seen: list[str] = []
-    for layer in plannable_convs(net, derived):
-        if stage_of(layer) not in seen:
-            seen.append(stage_of(layer))
-    return seen
+    stages = _conv_stages(net) if stages is None else stages
+    plannable = (stages[l.id] for l in net.conv_layers() if _plannable(l, stages))
+    return list(dict.fromkeys(plannable))
 
 
 def build_plan(
@@ -179,13 +149,12 @@ def build_plan(
     stage_caps = dict(stage_caps or {})
     ratio = DEGREES[degree]
 
-    derived = _derived_if_unlabeled(net)
-    stage_of = _effective_stage(net, derived)
-    stages = stage_order(net, derived)
-    unknown = [s for s in skip_stages if s not in stages]
+    stages = _conv_stages(net)
+    order = stage_order(net, stages)
+    unknown = [s for s in skip_stages if s not in order]
     if unknown:
         raise PlanError(f"skip stages not present in network: {unknown}")
-    compressed_stages = [s for s in stages if s not in set(skip_stages)]
+    compressed_stages = [s for s in order if s not in set(skip_stages)]
 
     stage_ns: dict[str, int] = {}
     adjustments: list[str] = []
@@ -202,13 +171,8 @@ def build_plan(
     skip_layer_set = set(skip_layers)
     for layer in net.conv_layers():
         conv = layer.conv
-        stage = stage_of(layer)
-        if (
-            layer.id in skip_layer_set
-            or stage not in stage_ns
-            or conv.k == 1
-            or conv.groups != 1
-        ):
+        stage = stages.get(layer.id)
+        if layer.id in skip_layer_set or stage not in stage_ns or not _plannable(layer, stages):
             skipped.append(layer.id)
             continue
         n = stage_ns[stage]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from groupcompress.cli import (
     main,
 )
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
-from groupcompress.model import forward
+from groupcompress.model import NetworkSpec, forward
 from groupcompress.modelio import load_model, save_model
 
 
@@ -73,6 +74,28 @@ class TestInspect:
         (tmp_path / "empty.bin").write_bytes(b"")
         assert main(["inspect", str(path)]) == EXIT_FORMAT
         assert "no layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m["layers"][0].update(stride=0),
+            lambda m: m["layers"][0].update(c_in="abc"),
+            lambda m: m.update(input_shape="abc"),
+            lambda m: m["layers"].__setitem__(1, 7),
+            lambda m: m["layers"][0].update(pad=-1),
+            lambda m: m.update(blob=7),
+        ],
+        ids=[
+            "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
+            "blob-not-name",
+        ],
+    )
+    def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):
+        manifest = json.loads(toy3_path.read_text())
+        mutate(manifest)
+        toy3_path.write_text(json.dumps(manifest))
+        assert main(["inspect", str(toy3_path)]) == EXIT_FORMAT
+        assert "error" in capsys.readouterr().err
 
 
 class TestPlan:
@@ -235,6 +258,24 @@ class TestCompress:
             assert row["truncation_error"] >= 0.0
             assert row["ridge"] > 0.0
         assert report["reconstruction"]["calibration"]["source"] == "synthetic"
+
+    def test_id_collision_is_plan_error_before_any_svd(self, tmp_path, capsys, monkeypatch):
+        # A relu named like the pointwise layer that decomposing c1 would add.
+        net = build_toy_three(seed=0)
+        layers = [replace(l, id="c1.p") if l.id == "r1" else l for l in net.layers]
+        path = save_model(NetworkSpec(net.name, net.input_shape, layers), tmp_path / "m.json")
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the id check")
+
+        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        code = main(
+            ["compress", str(path), "-o", str(tmp_path / "o"), "--degree", "constant",
+             "--base-n", "1", "--no-reconstruct"]
+        )
+        assert code == EXIT_PLAN
+        err = capsys.readouterr().err
+        assert "layer c1:" in err and "'c1.p'" in err
 
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):
         assert (

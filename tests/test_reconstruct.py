@@ -3,11 +3,13 @@ import pytest
 
 from groupcompress.decompose import decompose_layer, decompose_network
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
+from groupcompress.fixtures import build_toy_three
 from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward
+from groupcompress.modelio import save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
     collect_responses,
-    merge_into_pointwise,
+    merge_pointwise_weights,
     reconstruct_network,
     solve_reconstruction,
 )
@@ -161,9 +163,9 @@ class TestMerge:
             bias=rng.standard_normal(6),
         )
         decomp = decompose_layer(w, 2)
-        merged = merge_into_pointwise(decomp, np.eye(6), np.zeros(6))
-        assert np.allclose(merged.p_layer.weights, decomp.p_layer.weights, atol=1e-12)
-        assert np.allclose(merged.p_layer.bias, decomp.p_layer.bias, atol=1e-12)
+        merged = merge_pointwise_weights(decomp.p_layer, np.eye(6), np.zeros(6))
+        assert np.allclose(merged.weights, decomp.p_layer.weights, atol=1e-12)
+        assert np.allclose(merged.bias, decomp.p_layer.bias, atol=1e-12)
 
     def test_merge_equals_separate_mixing_layer(self):
         rng = np.random.default_rng(21)
@@ -174,13 +176,13 @@ class TestMerge:
         decomp = decompose_layer(w, 3)
         a = rng.standard_normal((5, 5))
         delta = rng.standard_normal(5)
-        merged = merge_into_pointwise(decomp, a, delta)
+        merged = merge_pointwise_weights(decomp.p_layer, a, delta)
         net_merged = NetworkSpec(
             "m",
             (6, 7, 7),
             [
                 LayerSpec(id="d", kind="conv", conv=decomp.d_layer),
-                LayerSpec(id="p", kind="conv", conv=merged.p_layer),
+                LayerSpec(id="p", kind="conv", conv=merged),
             ],
         )
         for _ in range(3):
@@ -203,7 +205,7 @@ class TestMerge:
         w = ConvWeights(4, 6, 3, pad=1, weights=rng.standard_normal((6, 4, 3, 3)))
         decomp = decompose_layer(w, 2)
         with pytest.raises(ShapeError, match="6x6"):
-            merge_into_pointwise(decomp, np.eye(4))
+            merge_pointwise_weights(decomp.p_layer, np.eye(4))
 
 
 class TestReconstructNetwork:
@@ -267,3 +269,30 @@ class TestReconstructNetwork:
         y, y_star_unmerged = collect_responses(net, compressed, calib, "c2")
         unmerged_before = float(np.linalg.norm(y - y_star_unmerged))
         assert reports[1].residual_before != pytest.approx(unmerged_before, rel=1e-6)
+
+
+class TestSharing:
+    """Outputs share the arrays of unchanged layers; inputs are never written."""
+
+    @staticmethod
+    def saved_bytes(net, path):
+        save_model(net, path)
+        return path.read_bytes(), path.with_suffix(".bin").read_bytes()
+
+    def test_inputs_unchanged_and_untouched_layers_shared(self, tmp_path):
+        net = build_toy_three(seed=0)
+        original_bytes = self.saved_bytes(net, tmp_path / "orig.json")
+        compressed, _ = decompose_network(net, {"c1": 1, "c2": 2})
+        compressed_bytes = self.saved_bytes(compressed, tmp_path / "comp.json")
+        calib = CalibrationSet.synthetic(net.input_shape, 40, seed=1)
+        merged, _ = reconstruct_network(net, compressed, calib)
+
+        assert self.saved_bytes(net, tmp_path / "orig.json") == original_bytes
+        assert self.saved_bytes(compressed, tmp_path / "comp.json") == compressed_bytes
+        for derived in (compressed, merged):
+            assert np.shares_memory(
+                derived.layer("c3").conv.weights, net.layer("c3").conv.weights
+            )
+        assert np.shares_memory(
+            merged.layer("c1.d").conv.weights, compressed.layer("c1.d").conv.weights
+        )
