@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .fixtures import BUILDERS
-from .model import NetworkSpec, network_flops, propagate_shapes, stack_taps
+from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
 from .modelio import load_model, save_model
 from .reconstruct import CalibrationSet, reconstruct_network
 from .schedule import CompressionPlan, build_plan, list_presets, plan_from_preset
@@ -208,6 +208,13 @@ def cmd_analyze(args) -> int:
     pairs = decomposed_pairs(compressed)
     if not pairs:
         raise PlanError(f"{args.compressed}: no decomposed layers to analyze")
+    if args.correlation:
+        if not args.calib and args.calib_count is None:
+            raise PlanError(
+                "correlation analysis needs calibration data: "
+                "pass --calib FILE or --calib-count N"
+            )
+        calib, _ = _calibration(args, compressed.input_shape)
 
     rank_reports = []
     labels = []
@@ -240,17 +247,6 @@ def cmd_analyze(args) -> int:
     write_rank_report_csv(out_dir / "ranks.csv", rank_reports, labels=labels)
 
     if args.correlation:
-        if not args.calib and args.calib_count is None:
-            raise PlanError(
-                "correlation analysis needs calibration data: "
-                "pass --calib FILE or --calib-count N"
-            )
-        if args.calib:
-            calib = CalibrationSet.from_file(args.calib)
-        else:
-            calib = CalibrationSet.synthetic(
-                compressed.input_shape, args.calib_count, seed=args.calib_seed
-            )
         summary_rows = _correlation_analysis(
             compressed, pairs, calib, out_dir, pre_activation=args.corr_pre_activation
         )
@@ -265,42 +261,31 @@ def cmd_analyze(args) -> int:
 
 
 def _pointwise_feeding(
-    compressed: NetworkSpec, d_layer, pointwise_ids: set[str]
+    compressed: NetworkSpec, inputs: dict, d_layer, pointwise_ids: set[str]
 ) -> tuple[str, str] | None:
     """Walk back from a group conv through activations to the decomposed
-    pointwise conv (one of ``pointwise_ids``) that feeds it. Returns
-    (pointwise_id, post_activation_tap_id) or None if anything else (another
-    conv, pooling, joins) intervenes."""
-    index = {l.id: i for i, l in enumerate(compressed.layers)}
-    current = d_layer
-    tap_id = None
-    while True:
-        in_id = current.input
-        if in_id is None:
-            pos = index[current.id]
-            if pos == 0:
-                return None
-            in_id = compressed.layers[pos - 1].id
+    pointwise conv (one of ``pointwise_ids``) that feeds it. ``inputs`` is
+    ``layer_inputs(compressed)``. Returns (pointwise_id, post_activation_tap_id)
+    or None if anything else (another conv, pooling, joins) intervenes."""
+    tap_id = in_id = inputs[d_layer.id]  # the map the group conv actually consumes
+    while in_id is not None:
         prev = compressed.layer(in_id)
-        if tap_id is None:
-            tap_id = prev.id  # the map the group conv actually consumes
         if prev.kind == "conv":
-            if prev.id in pointwise_ids:
-                return prev.id, tap_id
+            return (prev.id, tap_id) if prev.id in pointwise_ids else None
+        if prev.kind not in ("relu", "channel_affine"):
             return None
-        if prev.kind in ("relu", "channel_affine"):
-            current = prev
-            continue
-        return None
+        in_id = inputs[in_id]
+    return None
 
 
 def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=False):
     """Correlate each group conv's output with the output maps of the
     pointwise conv feeding it (post-activation by default)."""
     rows = []
+    inputs = layer_inputs(compressed)
     pointwise_ids = {p_layer.id for _, _, p_layer in pairs}
     for src, d_layer, _ in pairs:
-        found = _pointwise_feeding(compressed, d_layer, pointwise_ids)
+        found = _pointwise_feeding(compressed, inputs, d_layer, pointwise_ids)
         if found is None:
             continue
         point_id, post_act_id = found

@@ -60,15 +60,13 @@ class GroupDecomposition:
 
     ``d_layer``: group conv, c_in -> c_in, kernel k, c_in/n groups, original
     stride/pad. ``p_layer``: 1x1 conv, c_in -> c_out, carrying the bias.
-    ``block_singular_values`` holds the full descending spectrum of every
-    block; ``block_truncation_errors[i]`` equals
-    sqrt(sum of discarded sigma^2) for block i.
+    ``block_truncation_errors[i]`` equals sqrt(sum of discarded sigma^2) for
+    block i.
     """
 
     n: int
     d_layer: ConvWeights
     p_layer: ConvWeights
-    block_singular_values: list[np.ndarray]
     block_truncation_errors: np.ndarray
 
     @property
@@ -108,7 +106,6 @@ def decompose_layer(
 
     d_weights = np.zeros((c_in, n, k, k))
     p_matrix = np.zeros((c_in, c_out))
-    spectra: list[np.ndarray] = []
     errors = np.zeros(n_blocks)
     for i, block in enumerate(blocks):
         res = linalg.svd(block)
@@ -123,7 +120,6 @@ def decompose_layer(
         # Column m of d_block is the filter for output channel i*n + m.
         d_weights[i * n : (i + 1) * n] = d_block.T.reshape(n, n, k, k)
         p_matrix[i * n : (i + 1) * n] = p_block
-        spectra.append(res.singular_values)
         errors[i] = float(np.sqrt(np.sum(res.singular_values[n:] ** 2)))
 
     d_layer = ConvWeights(
@@ -150,7 +146,6 @@ def decompose_layer(
         n=n,
         d_layer=d_layer,
         p_layer=p_layer,
-        block_singular_values=spectra,
         block_truncation_errors=errors,
     )
 
@@ -221,7 +216,10 @@ def decompose_network(
     missing = [lid for lid in layer_ranks if lid not in ids]
     if missing:
         raise DecompositionError(f"layers not in network: {missing}")
-    planned = [l.id for l in net.layers if l.kind == "conv" and l.id in layer_ranks]
+    not_conv = [l.id for l in net.layers if l.id in layer_ranks and l.kind != "conv"]
+    if not_conv:
+        raise DecompositionError(f"planned layers are not convolutions: {not_conv}")
+    planned = [l.id for l in net.layers if l.id in layer_ranks]
     taken = ids - set(planned)
     for lid in planned:
         for new_id in (d_layer_id(lid), p_layer_id(lid)):
@@ -240,7 +238,7 @@ def decompose_network(
 
     for layer in net.layers:
         layer = replace(layer, input=remap(layer.input), source=remap(layer.source))
-        if layer.kind != "conv" or layer.id not in layer_ranks:
+        if layer.id not in layer_ranks:
             new_layers.append(layer)
             continue
         n = layer_ranks[layer.id]

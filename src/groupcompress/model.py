@@ -106,13 +106,6 @@ class ConvWeights(_Window):
         block = self.weights[g * per_group : (g + 1) * per_group]
         return block.reshape(per_group, -1).T
 
-    def group_patches(self, x: np.ndarray):
-        """im2col matrix of each filter group's input channels, in group order."""
-        per_group = self.c_in // self.groups
-        for g in range(self.groups):
-            chunk = x[g * per_group : (g + 1) * per_group]
-            yield linalg.im2col(chunk, self.k, self.stride, self.pad)
-
 
 @dataclass
 class PoolParams(_Window):
@@ -241,7 +234,12 @@ def _conv_forward(layer, x, outputs):
         raise ShapeError(
             f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[0]}"
         )
-    pieces = [p @ conv.group_matrix(g) for g, p in enumerate(conv.group_patches(x))]
+    per_group = conv.c_in // conv.groups
+    pieces = [
+        linalg.im2col(x[g * per_group : (g + 1) * per_group], conv.k, conv.stride, conv.pad)
+        @ conv.group_matrix(g)
+        for g in range(conv.groups)
+    ]
     resp = pieces[0] if conv.groups == 1 else np.hstack(pieces)
     if conv.bias is not None:
         resp = resp + conv.bias
@@ -319,99 +317,66 @@ LAYER_KINDS = {kind: rule.param for kind, rule in _KINDS.items()}
 PARAM_TYPES = {"conv": ConvWeights, "pool": PoolParams, "fc": FcParams, "affine": AffineParams}
 
 
+def layer_inputs(net: NetworkSpec) -> dict[str, str | None]:
+    """The id of the layer each layer reads, in network order. An omitted
+    ``input`` means the previous layer; None means the network input."""
+    inputs: dict[str, str | None] = {}
+    prev_id = None
+    for layer in net.layers:
+        inputs[layer.id] = layer.input if layer.input is not None else prev_id
+        prev_id = layer.id
+    return inputs
+
+
 def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     """Output shape of every layer; raises (naming the layer) on mismatch.
 
     Shapes are (C, H, W) except after fc, which yields (features,).
     """
     shapes: dict[str, tuple] = {}
-    prev_id = None
-    for layer in net.layers:
-        in_id = layer.input if layer.input is not None else prev_id
-        if in_id is None:
-            in_shape = net.input_shape
-        elif in_id not in shapes:
+    for layer, in_id in zip(net.layers, layer_inputs(net).values()):
+        if in_id is not None and in_id not in shapes:
             raise ShapeError(f"layer {layer.id}: input {in_id!r} not defined earlier")
-        else:
-            in_shape = shapes[in_id]
+        in_shape = net.input_shape if in_id is None else shapes[in_id]
         shapes[layer.id] = _KINDS[layer.kind].shape(layer, in_shape, shapes)
-        prev_id = layer.id
     return shapes
 
 
-@dataclass
-class TapPoint:
-    """Captured intermediates at one layer during a forward pass.
-
-    ``response`` is the output rearranged as (positions x channels) rows,
-    aligned with im2col row order; ``patches`` (conv layers only) is the
-    im2col matrix of the layer's input.
-    """
-
-    output: np.ndarray
-    input: np.ndarray
-    layer: LayerSpec
-
-    @property
-    def response(self) -> np.ndarray:
-        out = self.output
-        return out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :]
-
-    @property
-    def patches(self) -> np.ndarray | None:
-        conv = self.layer.conv
-        return None if conv is None else np.hstack(list(conv.group_patches(self.input)))
-
-
-def forward(
-    net: NetworkSpec,
-    x,
-    taps: set[str] | None = None,
-    stop_after: str | None = None,
-):
-    """Run the network on one C x H x W input.
-
-    Returns the final output, or ``(output, tap_points)`` when ``taps`` names
-    layers to record. With ``stop_after`` execution halts after that layer
-    and its output is returned.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _walk(net: NetworkSpec, x: np.ndarray):
+    """Run the network on one C x H x W float64 input, yielding each layer
+    and its output in network order."""
     if x.shape != net.input_shape:
         raise ShapeError(f"input shape {x.shape} != network input {net.input_shape}")
-    taps = taps or set()
-    recorded: dict[str, TapPoint] = {}
     outputs: dict[str, np.ndarray] = {}
-    current = x
-    prev_id = None
-    for layer in net.layers:
-        in_id = layer.input if layer.input is not None else prev_id
-        value = current if in_id is None else outputs[in_id]
-        out = _KINDS[layer.kind].forward(layer, value, outputs)
-        if layer.id in taps:
-            recorded[layer.id] = TapPoint(output=out, input=value, layer=layer)
-        outputs[layer.id] = out
-        current = out
-        prev_id = layer.id
-        if stop_after is not None and layer.id == stop_after:
-            break
-    if taps:
-        return current, recorded
-    return current
+    for layer, in_id in zip(net.layers, layer_inputs(net).values()):
+        value = x if in_id is None else outputs[in_id]
+        outputs[layer.id] = _KINDS[layer.kind].forward(layer, value, outputs)
+        yield layer, outputs[layer.id]
 
 
-def stack_taps(
-    net: NetworkSpec, samples, taps, attr: str = "response"
-) -> dict[str, np.ndarray]:
+def forward(net: NetworkSpec, x) -> np.ndarray:
+    """Run the network on one C x H x W input and return the final output."""
+    out = np.asarray(x, dtype=np.float64)
+    for _, out in _walk(net, out):
+        pass
+    return out
+
+
+def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
     """Run each sample up to the last layer in ``taps`` and stack, per tapped
-    layer, the ``attr`` rows of its TapPoint (``response`` or ``patches``),
-    sample-major, then spatial position."""
+    layer, its output as (positions x channels) rows aligned with im2col row
+    order: sample-major, then spatial position."""
     taps = set(taps)
     last = next(layer.id for layer in reversed(net.layers) if layer.id in taps)
     rows: dict[str, list] = {tap: [] for tap in taps}
     for sample in samples:
-        _, recorded = forward(net, sample, taps=taps, stop_after=last)
-        for tap in taps:
-            rows[tap].append(getattr(recorded[tap], attr))
+        for layer, out in _walk(net, np.asarray(sample, dtype=np.float64)):
+            if layer.id in taps:
+                rows[layer.id].append(
+                    out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :]
+                )
+            if layer.id == last:
+                break
     return {tap: np.vstack(r) for tap, r in rows.items()}
 
 

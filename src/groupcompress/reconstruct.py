@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .decompose import decomposed_pairs, group_conv_matrix
+from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ModelFormatError, ShapeError
 from .model import ConvWeights, NetworkSpec, stack_taps
 
@@ -83,9 +83,12 @@ class CalibrationSet:
             raise ModelFormatError(
                 f"unsupported calibration format_version {header['format_version']!r}"
             )
-        count = int(header["count"])
-        shape = tuple(int(v) for v in header["shape"])
-        blob = (manifest_path.parent / header["blob"]).read_bytes()
+        try:
+            count = int(header["count"])
+            shape = tuple(int(v) for v in header["shape"])
+            blob = (manifest_path.parent / header["blob"]).read_bytes()
+        except (OSError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"calibration manifest: bad value: {exc}") from exc
         expected = 4 * count * int(np.prod(shape))
         if len(blob) != expected:
             raise ModelFormatError(
@@ -123,13 +126,14 @@ def collect_responses(
 
     Y is the original layer's pre-activation response. Y* is the output of
     the corresponding pointwise layer in the compressed network (default),
-    or, with ``symmetric=True``, the (D, P) pair applied to the original
-    network's input patches at that layer, ignoring upstream drift.
+    or, with ``symmetric=True``, of the (D, P) pair spliced into the original
+    network in place of the layer, ignoring upstream drift.
     """
-    try:
-        layer = original.layer(layer_id)
-    except KeyError:
+    ids = [layer.id for layer in original.layers]
+    if layer_id not in ids:
         raise ShapeError(f"layer {layer_id!r} not found in original network")
+    position = ids.index(layer_id)
+    layer = original.layers[position]
     if layer.kind != "conv":
         raise ShapeError(f"layer {layer_id!r} is not a convolution")
     pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
@@ -138,15 +142,11 @@ def collect_responses(
     d_layer, p_layer = pairs[layer_id]
 
     y = stack_taps(original, calib.samples, [layer_id])[layer_id]
+    star_net = compressed
     if symmetric:
-        patches = stack_taps(original, calib.samples, [layer_id], "patches")[layer_id]
-        d_mat = group_conv_matrix(d_layer.conv)
-        p_mat = p_layer.conv.weight_matrix()
-        y_star = patches @ d_mat @ p_mat
-        if p_layer.conv.bias is not None:
-            y_star = y_star + p_layer.conv.bias
-    else:
-        y_star = stack_taps(compressed, calib.samples, [p_layer.id])[p_layer.id]
+        spliced = original.layers[:position] + [replace(d_layer, input=layer.input), p_layer]
+        star_net = NetworkSpec(original.name, original.input_shape, spliced)
+    y_star = stack_taps(star_net, calib.samples, [p_layer.id])[p_layer.id]
     if y.shape != y_star.shape:
         raise ShapeError(
             f"misaligned responses for {layer_id}: {y.shape} vs {y_star.shape}"

@@ -22,6 +22,7 @@ from .model import (
     ConvWeights,
     NetworkSpec,
     flops_of_layer,
+    layer_inputs,
     network_flops,
     propagate_shapes,
 )
@@ -90,21 +91,12 @@ def derive_stages(net: NetworkSpec) -> dict[str, str]:
     when present, take precedence over this derivation.
     """
     shapes = propagate_shapes(net)
+    inputs = layer_inputs(net)
     labels: dict[str, str] = {}
-    prev_id = None
-    for layer in net.layers:
-        if layer.kind == "conv":
-            in_id = layer.input if layer.input is not None else prev_id
-            if in_id is None:
-                _, h, w = net.input_shape
-            else:
-                shape = shapes[in_id]
-                if len(shape) != 3:
-                    prev_id = layer.id
-                    continue
-                _, h, w = shape
-            labels[layer.id] = f"s{h}x{w}"
-        prev_id = layer.id
+    for layer in net.conv_layers():
+        in_id = inputs[layer.id]
+        _, h, w = net.input_shape if in_id is None else shapes[in_id]
+        labels[layer.id] = f"s{h}x{w}"
     return labels
 
 

@@ -86,3 +86,45 @@ def block_truncation_energy(block, n):
     gram = block.T @ block if block.shape[0] >= block.shape[1] else block @ block.T
     eigvals = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
     return float(np.sum(eigvals[n:]))
+
+
+def im2col_rows(image, k, stride, pad):
+    """Patch matrix of one zero-padded (c, h, w) image: one row per output
+    position in row-major order; columns run channel-major, then kernel row,
+    then kernel column."""
+    image = np.asarray(image, dtype=np.float64)
+    c, h, w = image.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    padded[:, pad : pad + h, pad : pad + w] = image
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w + 2 * pad - k) // stride + 1
+    rows = []
+    for oy in range(h_out):
+        for ox in range(w_out):
+            window = padded[:, oy * stride : oy * stride + k, ox * stride : ox * stride + k]
+            rows.append(window.reshape(-1))
+    return np.array(rows)
+
+
+def block_diagonal_matrix(weights, groups):
+    """(c_in * k^2) x c_out matrix of a group conv with weights
+    (c_out, c_in // groups, k, k); zero outside the diagonal blocks."""
+    weights = np.asarray(weights, dtype=np.float64)
+    c_out, c_in_g, k, _ = weights.shape
+    rows, cols = c_in_g * k * k, c_out // groups
+    out = np.zeros((rows * groups, c_out))
+    for g in range(groups):
+        block = weights[g * cols : (g + 1) * cols].reshape(cols, -1).T
+        out[g * rows : (g + 1) * rows, g * cols : (g + 1) * cols] = block
+    return out
+
+
+def symmetric_pair_response(layer_input, d, p):
+    """Rows of a (D, P) pair applied to one input map as one dense product,
+    im2col(x) @ D @ P + b: the symmetric-reconstruction response. ``d`` is
+    the group conv, ``p`` the 1x1 conv (anything with the ConvWeights
+    attributes)."""
+    patches = im2col_rows(layer_input, d.weights.shape[-1], d.stride, d.pad)
+    p_matrix = np.asarray(p.weights, dtype=np.float64).reshape(p.weights.shape[0], -1).T
+    out = patches @ block_diagonal_matrix(d.weights, d.groups) @ p_matrix
+    return out if p.bias is None else out + p.bias

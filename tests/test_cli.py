@@ -14,6 +14,10 @@ from groupcompress.cli import (
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import NetworkSpec, forward
 from groupcompress.modelio import load_model, save_model
+from groupcompress.reconstruct import CalibrationSet
+from groupcompress.schedule import CompressionPlan
+
+from nets import residual_net
 
 
 @pytest.fixture
@@ -277,14 +281,28 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "layer c1:" in err and "'c1.p'" in err
 
+    def test_non_conv_plan_is_plan_error_before_any_svd(
+        self, toy3_path, tmp_path, capsys, monkeypatch
+    ):
+        plan = CompressionPlan("constant", 1, {}, {"c1": 1, "r1": 1})
+        plan = plan.save(tmp_path / "plan.json")
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the plan check")
+
+        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        out_dir = tmp_path / "o"
+        code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan)])
+        assert code == EXIT_PLAN
+        assert "'r1'" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):
         assert (
             main(["compress", str(toy3_path), "-o", str(tmp_path / "o")]) == EXIT_PLAN
         )
 
     def test_calibration_file_input(self, toy3_path, tmp_path):
-        from groupcompress.reconstruct import CalibrationSet
-
         calib_path = CalibrationSet.synthetic((3, 6, 6), 40, seed=3).save(
             tmp_path / "calib.json"
         )
@@ -307,9 +325,31 @@ class TestCompress:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["reconstruction"]["calibration"]["count"] == 40
 
-    def test_wrong_calibration_shape_is_numeric_error(self, toy3_path, tmp_path):
-        from groupcompress.reconstruct import CalibrationSet
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m, d: (d / m["blob"]).unlink(),
+            lambda m, d: m.update(blob=7),
+            lambda m, d: m.update(count="x"),
+            lambda m, d: m.update(shape=["x", 6, 6]),
+        ],
+        ids=["blob-missing", "blob-not-name", "count-x", "shape-x"],
+    )
+    def test_malformed_calibration_is_format_error(self, toy3_path, tmp_path, mutate, capsys):
+        calib_path = CalibrationSet.synthetic((3, 6, 6), 40, seed=3).save(
+            tmp_path / "calib.json"
+        )
+        manifest = json.loads(calib_path.read_text())
+        mutate(manifest, tmp_path)
+        calib_path.write_text(json.dumps(manifest))
+        code = main(
+            ["compress", str(toy3_path), "-o", str(tmp_path / "o"), "--degree", "constant",
+             "--base-n", "1", "--calib", str(calib_path)]
+        )
+        assert code == EXIT_FORMAT
+        assert "calibration" in capsys.readouterr().err
 
+    def test_wrong_calibration_shape_is_numeric_error(self, toy3_path, tmp_path):
         calib_path = CalibrationSet.synthetic((2, 6, 6), 40, seed=3).save(
             tmp_path / "calib.json"
         )
@@ -413,6 +453,43 @@ class TestAnalyze:
         assert (analysis / "correlation_summary.csv").exists()
         summary = (analysis / "correlation_summary.csv").read_text().splitlines()
         assert len(summary) == 3  # header + c2, c3
+
+    def test_wrong_calibration_shape_fails_before_any_output(
+        self, toy3_path, compressed_dir, tmp_path, capsys
+    ):
+        calib_path = CalibrationSet.synthetic((2, 6, 6), 20, seed=3).save(
+            tmp_path / "calib.json"
+        )
+        analysis = tmp_path / "analysis"
+        code = main(
+            ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+             str(analysis), "--correlation", "--calib", str(calib_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert "calibration shape" in capsys.readouterr().err
+        assert not list(analysis.iterdir())
+
+    def test_correlation_walk_stops_at_joins(self, tmp_path):
+        # c2 and the shortcut sc read r1, the activation of c1's pointwise
+        # layer; c3 reads through an add, and c1 reads the network input.
+        path = save_model(residual_net(seed=0), tmp_path / "res.json")
+        out_dir = tmp_path / "out"
+        assert main(
+            ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--calib-count", "20"]
+        ) == EXIT_OK
+        analysis = tmp_path / "analysis"
+        assert main(
+            ["analyze", str(path), str(out_dir / "model.json"), "-o", str(analysis),
+             "--correlation", "--calib-count", "20"]
+        ) == EXIT_OK
+        assert sorted(p.name for p in analysis.glob("correlation_*")) == [
+            "correlation_c2.csv", "correlation_sc.csv", "correlation_summary.csv"
+        ]
+        summary = (analysis / "correlation_summary.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in summary[1:]] == [
+            ["c2", "c1.p", "r1"], ["sc", "c1.p", "r1"]
+        ]
 
     def test_uncompressed_model_is_plan_error(self, toy3_path, tmp_path):
         code = main(

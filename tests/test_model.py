@@ -17,8 +17,10 @@ from groupcompress.model import (
     flops_ratio_decomposed,
     flops_ratio_fraction,
     forward,
+    layer_inputs,
     network_flops,
     propagate_shapes,
+    stack_taps,
 )
 
 from oracles import direct_conv
@@ -160,17 +162,18 @@ class TestForward:
         b = forward(net, x)
         assert np.array_equal(a, b)
 
-    def test_tap_points_expose_patches_and_response(self):
+    def test_stack_taps_rows_match_im2col_product(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((4, 3, 3, 3))
-        net = NetworkSpec("t", (3, 6, 6), [conv_layer("c", w, pad=1)])
-        x = rng.standard_normal((3, 6, 6))
-        out, taps = forward(net, x, taps={"c"})
-        tap = taps["c"]
-        assert tap.patches.shape == (36, 27)
-        assert np.allclose(tap.patches, linalg.im2col(x, 3, 1, 1))
-        assert np.allclose(tap.response, tap.patches @ net.layer("c").conv.weight_matrix())
-        assert np.allclose(tap.output, out)
+        net = NetworkSpec(
+            "t", (3, 6, 6), [conv_layer("c", w, pad=1), LayerSpec(id="r", kind="relu")]
+        )
+        samples = rng.standard_normal((2, 3, 6, 6))
+        rows = stack_taps(net, samples, ["c"])["c"]
+        w_mat = net.layer("c").conv.weight_matrix()
+        expected = np.vstack([linalg.im2col(x, 3, 1, 1) @ w_mat for x in samples])
+        assert rows.shape == (72, 4)
+        assert np.allclose(rows, expected)
 
     def test_shape_mismatch_names_layer(self):
         w = np.zeros((2, 3, 3, 3))
@@ -203,6 +206,7 @@ class TestShapePropagation:
             ],
         )
         net.layer("proj").input = "stem"
+        assert layer_inputs(net) == {"stem": None, "c1": "stem", "proj": "stem", "add": "c1"}
         shapes = propagate_shapes(net)
         assert shapes["c1"] == (4, 4, 4)
         assert shapes["proj"] == (4, 4, 4)

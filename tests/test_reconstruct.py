@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from groupcompress.decompose import decompose_layer, decompose_network
+from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
-from groupcompress.fixtures import build_toy_three
-from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward
+from groupcompress.fixtures import build_toy_cnn, build_toy_three
+from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward, layer_inputs
 from groupcompress.modelio import save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
@@ -14,7 +14,8 @@ from groupcompress.reconstruct import (
     solve_reconstruction,
 )
 
-from oracles import pinv_solve
+from nets import residual_net
+from oracles import pinv_solve, symmetric_pair_response
 
 
 def toy_net(seed=0, widths=(3, 6, 8, 8), size=6):
@@ -93,6 +94,25 @@ class TestCollectResponses:
         _, y_star_asym = collect_responses(net, compressed, calib, "c2")
         _, y_star_sym = collect_responses(net, compressed, calib, "c2", symmetric=True)
         assert np.linalg.norm(y_star_asym - y_star_sym) > 1e-6
+
+    @pytest.mark.parametrize("build", [build_toy_cnn, residual_net], ids=["toy4", "residual"])
+    def test_symmetric_matches_dense_pair_oracle(self, build):
+        # Downstream of truncated layers, symmetric Y* is still the pair
+        # applied to the original network's input at the layer.
+        net = build(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
+        inputs = layer_inputs(net)
+        ids = [l.id for l in net.layers]
+        for src, d_layer, p_layer in decomposed_pairs(compressed)[1:]:
+            upto = ids.index(inputs[src]) + 1
+            prefix = NetworkSpec(net.name, net.input_shape, net.layers[:upto])
+            expected = np.vstack(
+                [symmetric_pair_response(forward(prefix, x), d_layer.conv, p_layer.conv)
+                 for x in calib.samples]
+            )
+            _, y_star = collect_responses(net, compressed, calib, src, symmetric=True)
+            assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_not_decomposed_layer_rejected(self):
         net = toy_net(seed=7, widths=(3, 6, 6))
