@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fixtures import BUILDERS
 from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
-from .modelio import load_model, save_model
+from .modelio import load_model, save_model, write_atomically
 from .reconstruct import CalibrationSet, reconstruct_network
 from .schedule import CompressionPlan, build_plan, list_presets, plan_from_preset
 
@@ -40,6 +40,16 @@ EXIT_GENERIC = 1
 EXIT_FORMAT = 2
 EXIT_PLAN = 3
 EXIT_NUMERIC = 4
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
@@ -139,8 +149,8 @@ def run_compress(args) -> dict:
         "layers": layer_rows,
         "output_model": model_path.name,
     }
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    with write_atomically(out_dir / "report.json") as (report_tmp,):
+        report_tmp.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--base-n", type=int)
     p_comp.add_argument("--calib", help="calibration manifest (json)")
     p_comp.add_argument("--calib-seed", type=int, default=0)
-    p_comp.add_argument("--calib-count", type=int, default=128)
+    p_comp.add_argument("--calib-count", type=_positive_int, default=128)
     p_comp.add_argument("--ridge", type=float, default=None)
     p_comp.add_argument("--no-reconstruct", action="store_true")
     p_comp.add_argument("--no-intercept", action="store_true")
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--correlation", action="store_true")
     p_an.add_argument("--calib")
     p_an.add_argument("--calib-seed", type=int, default=0)
-    p_an.add_argument("--calib-count", type=int, default=None)
+    p_an.add_argument("--calib-count", type=_positive_int, default=None)
     p_an.add_argument("--energy-sigma", action="store_true",
                       help="accumulate sigma instead of sigma^2")
     p_an.add_argument("--corr-pre-activation", action="store_true",

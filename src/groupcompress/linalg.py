@@ -113,21 +113,26 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
             stacklevel=2,
         )
 
-    if ridge == 0.0:
+    try:
+        if ridge != 0.0:
+            # Normal equations are well conditioned once regularized.
+            gram = design.T @ design
+            gram[np.diag_indices_from(gram)] += ridge
+            return np.linalg.solve(gram, design.T @ targets)
         solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-        if rank < design.shape[1]:
-            warnings.warn(
-                f"design is rank deficient (rank {rank} < {design.shape[1]} "
-                "columns); returning the minimum-norm solution",
-                RankDeficiencyWarning,
-                stacklevel=2,
-            )
-        return solution
-
-    # Ridge > 0: normal equations are well conditioned once regularized.
-    gram = design.T @ design
-    gram[np.diag_indices_from(gram)] += ridge
-    return np.linalg.solve(gram, design.T @ targets)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"least-squares solve failed for {design.shape[0]}x{design.shape[1]} "
+            f"design (ridge {ridge}): {exc}"
+        ) from exc
+    if rank < design.shape[1]:
+        warnings.warn(
+            f"design is rank deficient (rank {rank} < {design.shape[1]} "
+            "columns); returning the minimum-norm solution",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+    return solution
 
 
 def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:

@@ -177,8 +177,9 @@ class NetworkSpec:
 
 
 # Per-kind rules. Shape: (layer, input shape, earlier shapes) -> output shape.
-# Forward: (layer, input, earlier outputs) -> output. FLOPs: (layer, output
-# shape) -> int, for the kinds that carry FLOPs.
+# Forward: (layer, input, the output an add reads as ``source``, else None)
+# -> output. FLOPs: (layer, output shape) -> int, for the kinds that carry
+# FLOPs.
 
 
 def _spatial_shape(layer: LayerSpec, c: int, h_out: int, w_out: int) -> tuple:
@@ -187,21 +188,27 @@ def _spatial_shape(layer: LayerSpec, c: int, h_out: int, w_out: int) -> tuple:
     return (c, h_out, w_out)
 
 
+def _chw(layer: LayerSpec, in_shape: tuple) -> tuple:
+    if len(in_shape) != 3:
+        raise ShapeError(f"layer {layer.id}: needs a C x H x W input, got shape {in_shape}")
+    return in_shape
+
+
 def _conv_shape(layer, in_shape, shapes):
     conv = layer.conv
-    c, h, w = in_shape
+    c, h, w = _chw(layer, in_shape)
     if c != conv.c_in:
         raise ShapeError(f"layer {layer.id}: expects {conv.c_in} channels, got {c}")
     return _spatial_shape(layer, conv.c_out, *conv.out_size(h, w))
 
 
 def _pool_shape(layer, in_shape, shapes):
-    c, h, w = in_shape
+    c, h, w = _chw(layer, in_shape)
     return _spatial_shape(layer, c, *layer.pool.out_size(h, w))
 
 
 def _affine_shape(layer, in_shape, shapes):
-    if in_shape[0] != layer.affine.channels:
+    if _chw(layer, in_shape)[0] != layer.affine.channels:
         raise ShapeError(
             f"layer {layer.id}: affine over {layer.affine.channels} channels, "
             f"input has {in_shape[0]}"
@@ -228,7 +235,7 @@ def _fc_shape(layer, in_shape, shapes):
     return (layer.fc.out_features,)
 
 
-def _conv_forward(layer, x, outputs):
+def _conv_forward(layer, x, other):
     conv = layer.conv
     if x.shape[0] != conv.c_in:
         raise ShapeError(
@@ -264,21 +271,20 @@ def _pool_windows(pool: PoolParams, x: np.ndarray, fill: float) -> np.ndarray:
     return windows
 
 
-def _add_forward(layer, x, outputs):
-    other = outputs.get(layer.source)
+def _add_forward(layer, x, other):
     if other is None or other.shape != x.shape:
         raise ShapeError(f"layer {layer.id}: bad add source {layer.source!r}")
     return x + other
 
 
-def _fc_forward(layer, x, outputs):
+def _fc_forward(layer, x, other):
     out = layer.fc.weights @ x.reshape(-1)
     if layer.fc.bias is not None:
         out = out + layer.fc.bias
     return out
 
 
-def _affine_forward(layer, x, outputs):
+def _affine_forward(layer, x, other):
     aff = layer.affine
     return x * aff.scale[:, None, None] + aff.shift[:, None, None]
 
@@ -299,14 +305,14 @@ _KINDS = {
         "conv", _conv_shape, _conv_forward,
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
-    "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, outs: np.maximum(x, 0.0)),
+    "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, other: np.maximum(x, 0.0)),
     "maxpool": _Kind(
         "pool", _pool_shape,
-        lambda layer, x, outs: _pool_windows(layer.pool, x, -np.inf).max(axis=0),
+        lambda layer, x, other: _pool_windows(layer.pool, x, -np.inf).max(axis=0),
     ),
     "avgpool": _Kind(
         "pool", _pool_shape,
-        lambda layer, x, outs: _pool_windows(layer.pool, x, 0.0).mean(axis=0),
+        lambda layer, x, other: _pool_windows(layer.pool, x, 0.0).mean(axis=0),
     ),
     "add": _Kind(None, _add_shape, _add_forward),
     "fc": _Kind("fc", _fc_shape, _fc_forward, lambda layer, shape: flops_of_fc(layer.fc)),
@@ -342,42 +348,65 @@ def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     return shapes
 
 
-def _walk(net: NetworkSpec, x: np.ndarray):
-    """Run the network on one C x H x W float64 input, yielding each layer
-    and its output in network order."""
-    if x.shape != net.input_shape:
-        raise ShapeError(f"input shape {x.shape} != network input {net.input_shape}")
-    outputs: dict[str, np.ndarray] = {}
-    for layer, in_id in zip(net.layers, layer_inputs(net).values()):
-        value = x if in_id is None else outputs[in_id]
-        outputs[layer.id] = _KINDS[layer.kind].forward(layer, value, outputs)
-        yield layer, outputs[layer.id]
+def _walk(net: NetworkSpec, xs: list):
+    """Run the network on a list of C x H x W float64 inputs in lockstep,
+    layer by layer. Yields each layer, the list of its inputs and the list of
+    its outputs, one entry per sample, in network order.
+
+    The caller may replace the entries of the yielded output list before it
+    resumes the walk; later layers then read the replacements. An output is
+    dropped once the last layer reading it has run.
+    """
+    for x in xs:
+        if x.shape != net.input_shape:
+            raise ShapeError(f"input shape {x.shape} != network input {net.input_shape}")
+    inputs = layer_inputs(net)
+    last_reader: dict[str, int] = {}
+    for i, layer in enumerate(net.layers):
+        for read in (inputs[layer.id], layer.source):
+            last_reader[read] = i
+    outputs: dict[str, list[np.ndarray]] = {}
+    for i, layer in enumerate(net.layers):
+        in_id = inputs[layer.id]
+        values = xs if in_id is None else outputs[in_id]
+        others = outputs.get(layer.source, [None] * len(xs))
+        rule = _KINDS[layer.kind].forward
+        outputs[layer.id] = [rule(layer, x, other) for x, other in zip(values, others)]
+        yield layer, values, outputs[layer.id]
+        for read in (in_id, layer.source):
+            if last_reader.get(read) == i:
+                outputs.pop(read, None)
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Run the network on one C x H x W input and return the final output."""
-    out = np.asarray(x, dtype=np.float64)
-    for _, out in _walk(net, out):
+    for _, _, (out,) in _walk(net, [np.asarray(x, dtype=np.float64)]):
         pass
     return out
 
 
+def response_rows(outputs: list) -> np.ndarray:
+    """Stack per-sample layer outputs as (positions x channels) rows aligned
+    with im2col row order: sample-major, then spatial position."""
+    return np.vstack(
+        [out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :] for out in outputs]
+    )
+
+
 def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
     """Run each sample up to the last layer in ``taps`` and stack, per tapped
-    layer, its output as (positions x channels) rows aligned with im2col row
-    order: sample-major, then spatial position."""
+    layer, its output as ``response_rows``. Samples are walked one at a time,
+    so only one sample's activations are live at once."""
     taps = set(taps)
     last = next(layer.id for layer in reversed(net.layers) if layer.id in taps)
-    rows: dict[str, list] = {tap: [] for tap in taps}
+    outs: dict[str, list] = {tap: [] for tap in taps}
     for sample in samples:
-        for layer, out in _walk(net, np.asarray(sample, dtype=np.float64)):
+        for layer, _, (out,) in _walk(net, [np.asarray(sample, dtype=np.float64)]):
             if layer.id in taps:
-                rows[layer.id].append(
-                    out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :]
-                )
+                outs[layer.id].append(out)
             if layer.id == last:
                 break
-    return {tap: np.vstack(r) for tap, r in rows.items()}
+    return {tap: response_rows(o) for tap, o in outs.items()}
 
 
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:

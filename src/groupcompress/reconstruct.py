@@ -29,7 +29,9 @@ import numpy as np
 from . import linalg
 from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ModelFormatError, ShapeError
-from .model import ConvWeights, NetworkSpec, stack_taps
+from .model import (
+    ConvWeights, NetworkSpec, _walk, propagate_shapes, response_rows, stack_taps,
+)
 
 CALIBRATION_FORMAT_VERSION = 1
 
@@ -52,6 +54,8 @@ class CalibrationSet:
             raise ShapeError(
                 f"calibration samples must be (count, C, H, W), got {self.samples.ndim}-D"
             )
+        if self.count < 1:
+            raise ShapeError("a calibration set needs at least one sample")
 
     @property
     def count(self) -> int:
@@ -89,6 +93,8 @@ class CalibrationSet:
             blob = (manifest_path.parent / header["blob"]).read_bytes()
         except (OSError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"calibration manifest: bad value: {exc}") from exc
+        if count < 1:
+            raise ModelFormatError(f"calibration manifest: count {count} is below 1")
         expected = 4 * count * int(np.prod(shape))
         if len(blob) != expected:
             raise ModelFormatError(
@@ -235,6 +241,36 @@ class LayerReconstructionReport:
     used_identity_fallback: bool = False
 
 
+def _advance(walk, layer_id: str) -> tuple[list, list]:
+    """Step ``walk`` (a ``model._walk``) to ``layer_id``; its inputs and outputs."""
+    for layer, inputs, outputs in walk:
+        if layer.id == layer_id:
+            return inputs, outputs
+        del inputs, outputs  # so the walk can drop them before the next layer
+    raise ShapeError(f"layer {layer_id!r} not found in network order")
+
+
+def _chain(layers: list, values: list) -> list:
+    """Outputs of ``layers`` applied in sequence to each of ``values``."""
+    net = NetworkSpec("chain", values[0].shape, [replace(l, input=None) for l in layers])
+    *_, (_, _, outputs) = _walk(net, values)
+    return outputs
+
+
+def _check_rows(compressed: NetworkSpec, pairs, count: int, intercept: bool) -> None:
+    """Every solve needs at least as many response rows as unknowns; checked
+    from shapes alone, before any forward pass."""
+    shapes = propagate_shapes(compressed)
+    for layer_id, _, p_layer in pairs:
+        c_out, h, w = shapes[p_layer.id]
+        rows, needed = count * h * w, c_out + (1 if intercept else 0)
+        if rows < needed:
+            raise ShapeError(
+                f"layer {layer_id}: {count} calibration samples give {rows} response "
+                f"rows for {needed} unknown columns; collect more calibration samples"
+            )
+
+
 def reconstruct_network(
     original: NetworkSpec,
     compressed: NetworkSpec,
@@ -246,15 +282,33 @@ def reconstruct_network(
     """Reconstruct every decomposed layer, front to back, merging each A
     into its pointwise layer before moving deeper.
 
+    Each network is walked once, all calibration samples in lockstep. The
+    original network's walk gives Y at each source conv. In the asymmetric
+    (default) mode the compressed network's walk gives Y* at each P layer;
+    after the solve, P's outputs are recomputed from D's outputs with the
+    merged layer, so deeper layers see the compressed prefix in its final
+    form. In symmetric mode Y* is the pair applied to the source conv's
+    input in the original walk, and the compressed network is not walked.
+
     Identity is always feasible, so a solve is only accepted when it does
     not increase the fitting residual; otherwise the layer keeps its plain
     truncated form (recorded in the report).
     """
+    pairs = decomposed_pairs(compressed)
+    _check_rows(compressed, pairs, calib.count, intercept)
+    samples = list(calib.samples)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
+    original_walk = _walk(original, samples)
+    compressed_walk = None if symmetric else _walk(compressed, samples)
     reports: list[LayerReconstructionReport] = []
-    for layer_id, _, p_layer in decomposed_pairs(compressed):
-        y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
+    for layer_id, d_layer, p_layer in pairs:
+        source_inputs, y_outputs = _advance(original_walk, layer_id)
+        if symmetric:
+            star_outputs = _chain([d_layer, p_layer], source_inputs)
+        else:
+            p_inputs, star_outputs = _advance(compressed_walk, p_layer.id)
+        y, y_star = response_rows(y_outputs), response_rows(star_outputs)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
         residual_before = float(np.linalg.norm(y - y_star))
@@ -263,8 +317,11 @@ def reconstruct_network(
         if fallback:
             residual_after = residual_before
         else:
-            merged = merge_pointwise_weights(p_layer.conv, a, delta)
-            result.layers[position[p_layer.id]] = replace(p_layer, conv=merged)
+            merged = replace(p_layer, conv=merge_pointwise_weights(p_layer.conv, a, delta))
+            result.layers[position[p_layer.id]] = merged
+            if not symmetric:
+                # Deeper layers read the merged layer's outputs.
+                star_outputs[:] = _chain([merged], p_inputs)
         reports.append(
             LayerReconstructionReport(
                 layer_id=layer_id,
@@ -276,4 +333,6 @@ def reconstruct_network(
                 used_identity_fallback=fallback,
             )
         )
+        # Release this pair's activations before the walks move on.
+        source_inputs = y_outputs = p_inputs = star_outputs = y = y_star = None
     return result, reports

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import CompressionPlan
 
-from nets import residual_net
+from nets import residual_net, toy_net
 
 
 @pytest.fixture
@@ -332,8 +333,9 @@ class TestCompress:
             lambda m, d: m.update(blob=7),
             lambda m, d: m.update(count="x"),
             lambda m, d: m.update(shape=["x", 6, 6]),
+            lambda m, d: (m.update(count=0), (d / m["blob"]).write_bytes(b"")),
         ],
-        ids=["blob-missing", "blob-not-name", "count-x", "shape-x"],
+        ids=["blob-missing", "blob-not-name", "count-x", "shape-x", "count-0"],
     )
     def test_malformed_calibration_is_format_error(self, toy3_path, tmp_path, mutate, capsys):
         calib_path = CalibrationSet.synthetic((3, 6, 6), 40, seed=3).save(
@@ -348,6 +350,46 @@ class TestCompress:
         )
         assert code == EXIT_FORMAT
         assert "calibration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_calibration_count_below_one_is_usage_error(self, toy3_path, tmp_path, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", str(toy3_path), "-o", str(tmp_path / "o"), "--degree",
+                  "constant", "--base-n", "1", "--calib-count", count])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_too_few_calibration_rows_fail_before_any_forward(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One 3x3 sample gives 9 rows: enough for c1 and c2, not for c3.
+        path = save_model(toy_net(seed=41, widths=(3, 6, 8, 16), size=3), tmp_path / "m.json")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the row check")
+
+        monkeypatch.setattr("groupcompress.linalg.im2col", no_forward)
+        out_dir = tmp_path / "o"
+        code = main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+                     "--base-n", "1", "--calib-count", "1"])
+        assert code == EXIT_NUMERIC
+        assert "layer c3:" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+
+    def test_interrupted_report_write_leaves_no_report(self, toy3_path, tmp_path, monkeypatch):
+        out_dir = tmp_path / "o"
+        args = ["compress", str(toy3_path), "-o", str(out_dir), "--degree", "constant",
+                "--base-n", "1", "--calib-count", "4"]
+        assert main(args) == EXIT_OK
+
+        def half_then_fail(path, text, **kwargs):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        assert main(args) != EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == ["model.bin", "model.json"]
 
     def test_wrong_calibration_shape_is_numeric_error(self, toy3_path, tmp_path):
         calib_path = CalibrationSet.synthetic((2, 6, 6), 40, seed=3).save(

@@ -157,6 +157,15 @@ class TestLeastSquares:
             res_identity = np.linalg.norm(targets - design)
             assert res <= res_identity + 1e-12
 
+    @pytest.mark.parametrize("ridge, routine", [(0.0, "lstsq"), (1.0, "solve")])
+    def test_solver_failure_is_numerical_error(self, monkeypatch, ridge, routine):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, routine, boom)
+        with pytest.raises(NumericalError, match="20x4"):
+            linalg.solve_least_squares(np.ones((20, 4)), np.ones((20, 2)), ridge=ridge)
+
     def test_row_mismatch(self):
         with pytest.raises(ShapeError, match="rows"):
             linalg.solve_least_squares(np.ones((4, 2)), np.ones((5, 2)))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from groupcompress.errors import ModelFormatError
+from groupcompress import modelio
+from groupcompress.errors import ModelFormatError, ShapeError
 from groupcompress.model import (
     AffineParams,
     ConvWeights,
@@ -152,3 +153,33 @@ def test_inconsistent_shapes_rejected(tmp_path, net):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match="c1"):
         load_model(path)
+
+
+def test_conv_after_fc_is_not_saved(tmp_path):
+    # load_model would reject it, so save_model must not write it.
+    net = NetworkSpec(
+        "fc-conv",
+        (1, 2, 2),
+        [
+            LayerSpec(id="fc", kind="fc", fc=FcParams(4, 4, np.eye(4), np.zeros(4))),
+            LayerSpec(
+                id="conv", kind="conv", conv=ConvWeights(4, 4, 1, weights=np.ones((4, 4, 1, 1)))
+            ),
+        ],
+    )
+    with pytest.raises(ShapeError, match="layer conv: needs a C x H x W input"):
+        save_model(net, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_save_leaves_no_model(tmp_path, monkeypatch):
+    path = save_model(build_net(seed=0), tmp_path / "model.json")
+
+    def half_then_fail(obj, fh, **kwargs):
+        fh.write('{"format_version": 1, "lay')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(modelio.json, "dump", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(build_net(seed=1), path)
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from groupcompress import linalg
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
@@ -8,42 +11,50 @@ from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward, la
 from groupcompress.modelio import save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
+    LayerReconstructionReport,
     collect_responses,
+    default_ridge,
     merge_pointwise_weights,
     reconstruct_network,
     solve_reconstruction,
 )
 
-from nets import residual_net
+from nets import residual_net, toy_net
 from oracles import pinv_solve, symmetric_pair_response
 
 
-def toy_net(seed=0, widths=(3, 6, 8, 8), size=6):
-    """Conv/relu chain; final conv has no activation after it."""
-    rng = np.random.default_rng(seed)
-    layers = []
-    for i, (c_in, c_out) in enumerate(zip(widths, widths[1:])):
-        layers.append(
-            LayerSpec(
-                id=f"c{i + 1}",
-                kind="conv",
-                stage="s0",
-                conv=ConvWeights(
-                    c_in,
-                    c_out,
-                    3,
-                    pad=1,
-                    weights=rng.standard_normal((c_out, c_in, 3, 3)) / (3 * c_in**0.5),
-                    bias=0.1 * rng.standard_normal(c_out),
-                ),
+def per_layer_reconstruction(
+    original, compressed, calib, ridge=None, intercept=True, symmetric=False
+):
+    """Reference for ``reconstruct_network``: for every pair in turn, re-run
+    both networks from the input (``collect_responses``), solve and merge."""
+    result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
+    position = {layer.id: i for i, layer in enumerate(result.layers)}
+    reports = []
+    for layer_id, _, p_layer in decomposed_pairs(compressed):
+        y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
+        used_ridge = default_ridge(y_star) if ridge is None else ridge
+        a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
+        before = float(np.linalg.norm(y - y_star))
+        after = float(np.linalg.norm(y - y_star @ a - delta))
+        fallback = after > before
+        if not fallback:
+            merged = merge_pointwise_weights(p_layer.conv, a, delta)
+            result.layers[position[p_layer.id]] = replace(p_layer, conv=merged)
+        reports.append(
+            LayerReconstructionReport(
+                layer_id, int(p_layer.meta["rank_n"]), y.shape[0], used_ridge,
+                before, before if fallback else after, fallback,
             )
         )
-        if i + 2 < len(widths):
-            layers.append(LayerSpec(id=f"r{i + 1}", kind="relu"))
-    return NetworkSpec("toy", (widths[0], size, size), layers)
+    return result, reports
 
 
 class TestCalibrationSet:
+    def test_empty_set_rejected(self):
+        with pytest.raises(ShapeError, match="at least one sample"):
+            CalibrationSet(np.zeros((0, 3, 6, 6)))
+
     def test_synthetic_deterministic(self):
         a = CalibrationSet.synthetic((3, 6, 6), 5, seed=42)
         b = CalibrationSet.synthetic((3, 6, 6), 5, seed=42)
@@ -289,6 +300,70 @@ class TestReconstructNetwork:
         y, y_star_unmerged = collect_responses(net, compressed, calib, "c2")
         unmerged_before = float(np.linalg.norm(y - y_star_unmerged))
         assert reports[1].residual_before != pytest.approx(unmerged_before, rel=1e-6)
+
+
+class TestOnePass:
+    """reconstruct_network walks each network once over all samples and
+    gives exactly what the per-layer loop gives."""
+
+    @pytest.mark.filterwarnings("ignore::groupcompress.errors.RankDeficiencyWarning")
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"symmetric": True}, {"ridge": 0.0}, {"intercept": False}],
+        ids=["default", "symmetric", "ridge0", "no-intercept"],
+    )
+    @pytest.mark.parametrize(
+        "build", [build_toy_three, build_toy_cnn, residual_net], ids=["toy3", "toy4", "residual"]
+    )
+    def test_matches_per_layer_loop(self, build, options):
+        net = build(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 12, seed=17)
+        merged, reports = reconstruct_network(net, compressed, calib, **options)
+        expected, expected_reports = per_layer_reconstruction(net, compressed, calib, **options)
+        assert reports == expected_reports
+        for got, want in zip(merged.layers, expected.layers):
+            assert got.id == want.id
+            if got.kind == "conv":
+                assert np.array_equal(got.conv.weights, want.conv.weights)
+                assert np.array_equal(got.conv.bias, want.conv.bias)
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+    def test_each_network_walked_once(self, monkeypatch, symmetric):
+        # One im2col per sample per conv group: the original convs, the
+        # compressed convs and one recomputed P per pair bound the count.
+        net = build_toy_cnn(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=18)
+        calls = []
+        real_im2col = linalg.im2col
+
+        def counting_im2col(*args, **kwargs):
+            calls.append(1)
+            return real_im2col(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "im2col", counting_im2col)
+        reconstruct_network(net, compressed, calib, symmetric=symmetric)
+
+        def group_passes(n):
+            return sum(l.conv.groups for l in n.conv_layers())
+
+        pairs = len(decomposed_pairs(compressed))
+        bound = calib.count * (group_passes(net) + group_passes(compressed) + pairs)
+        assert 0 < len(calls) <= bound
+
+    def test_too_few_rows_fail_before_any_forward(self, monkeypatch):
+        # One 3x3 sample gives 9 rows: enough for c1 and c2, not for c3's
+        # 16 channels plus intercept.
+        net = toy_net(seed=41, widths=(3, 6, 8, 16), size=3)
+        compressed, _ = decompose_network(net, {"c1": 1, "c2": 1, "c3": 1})
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the row check")
+
+        monkeypatch.setattr(linalg, "im2col", no_forward)
+        with pytest.raises(ShapeError, match="layer c3: 1 calibration samples give 9 "):
+            reconstruct_network(net, compressed, CalibrationSet.synthetic((3, 3, 3), 1))
 
 
 class TestSharing:
