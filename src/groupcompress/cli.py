@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _ridge(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--calib", help="calibration manifest (json)")
     p_comp.add_argument("--calib-seed", type=int, default=0)
     p_comp.add_argument("--calib-count", type=_positive_int, default=128)
-    p_comp.add_argument("--ridge", type=float, default=None)
+    p_comp.add_argument("--ridge", type=_ridge, default=None)
     p_comp.add_argument("--no-reconstruct", action="store_true")
     p_comp.add_argument("--no-intercept", action="store_true")
     p_comp.add_argument("--symmetric-reconstruction", action="store_true")

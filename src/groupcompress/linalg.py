@@ -1,13 +1,18 @@
-"""Dense matrix kernels: multiply, SVD, linear least squares, im2col.
+"""Dense matrix kernels: multiply, SVD, linear least squares, patches.
 
 All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
 the boundary so callers higher up the pipeline can assume clean inputs.
 
-im2col column ordering is fixed: for an input of C channels and kernel size
-k, column index ``c*k*k + ki*k + kj`` holds channel ``c``, kernel row ``ki``,
-kernel column ``kj``. Row index is ``oy*W_out + ox``. Serialized
-decompositions rely on this ordering; do not change it.
+Patch layout is fixed. ``sliding_windows`` gives the k x k windows of a
+C x H x W map as a C x k x k x H_out x W_out array; ``patch_columns`` is the
+same memory read as a (C*k*k) x (H_out*W_out) matrix, so row ``c*k*k +
+ki*k + kj`` holds channel ``c``, kernel row ``ki``, kernel column ``kj``
+(channel-major), and column ``oy*W_out + ox`` the output position. The rows
+of any channel range are one contiguous block, which is what lets a group
+conv take one group's patches as a reshape. ``im2col`` is the transpose:
+one row per output position. Serialized decompositions rely on this
+ordering; do not change it.
 """
 
 from __future__ import annotations
@@ -135,14 +140,8 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
     return solution
 
 
-def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Rearrange k x k sliding windows of a C x H x W map into matrix rows.
-
-    Returns an (H_out * W_out) x (C * k * k) matrix; see the module docstring
-    for the fixed row/column ordering. Out-of-bounds positions introduced by
-    zero padding contribute zeros.
-    """
-    image = np.asarray(image, dtype=np.float64)
+def _window_shape(image: np.ndarray, k: int, stride: int, pad: int) -> tuple[int, int]:
+    """Validate a C x H x W map and a window; return (H_out, W_out)."""
     if image.ndim != 3:
         raise ShapeError(f"image must be C x H x W, got {image.ndim}-D")
     if k < 1:
@@ -151,8 +150,7 @@ def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ShapeError(f"pad must be >= 0, got {pad}")
-
-    c, h, w = image.shape
+    _, h, w = image.shape
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (w + 2 * pad - k) // stride + 1
     if h_out < 1 or w_out < 1:
@@ -160,23 +158,48 @@ def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
             f"degenerate output size {h_out}x{w_out} for input {h}x{w}, "
             f"k={k}, stride={stride}, pad={pad}"
         )
+    return h_out, w_out
 
+
+def sliding_windows(image, k: int, stride: int = 1, pad: int = 0, fill: float = 0.0) -> np.ndarray:
+    """The k x k windows of a C x H x W map padded by ``fill``, as a fresh
+    C x k x k x H_out x W_out array."""
+    image = np.asarray(image, dtype=np.float64)
+    h_out, w_out = _window_shape(image, k, stride, pad)
+    c, h, w = image.shape
     if pad > 0:
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        padded = np.full((c, h + 2 * pad, w + 2 * pad), fill)
         padded[:, pad : pad + h, pad : pad + w] = image
     else:
         padded = image
 
     # One strided slice per kernel offset; cheaper than gathering per window.
-    cols = np.empty((c, k, k, h_out, w_out), dtype=np.float64)
+    windows = np.empty((c, k, k, h_out, w_out), dtype=np.float64)
     for ki in range(k):
         for kj in range(k):
-            cols[:, ki, kj] = padded[
+            windows[:, ki, kj] = padded[
                 :,
                 ki : ki + stride * h_out : stride,
                 kj : kj + stride * w_out : stride,
             ]
-    return cols.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, c * k * k)
+    return windows
+
+
+def patch_columns(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """The zero-padded k x k patches of a C x H x W map as one C-contiguous
+    (C * k * k) x (H_out * W_out) matrix; see the module docstring for the
+    ordering. For k = 1, stride 1, pad 0 it is a view of a C-contiguous ``image``."""
+    image = np.asarray(image, dtype=np.float64)
+    if (k, stride, pad) == (1, 1, 0):
+        _window_shape(image, k, stride, pad)
+        return image.reshape(image.shape[0], -1)
+    return sliding_windows(image, k, stride, pad).reshape(image.shape[0] * k * k, -1)
+
+
+def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """The transpose of ``patch_columns``: one row per output position, an
+    (H_out * W_out) x (C * k * k) matrix."""
+    return patch_columns(image, k, stride, pad).T
 
 
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:

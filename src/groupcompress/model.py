@@ -8,9 +8,18 @@ Supported kinds: conv, relu, maxpool, avgpool, add, fc, channel_affine.
 FLOPs convention: two operations per multiply-accumulate, bias and
 activations excluded. Only conv and fc layers carry FLOPs.
 
+A conv with G groups runs as batched matrix products: the weights read as
+G stacked (c_out/G) x (c_in/G * k^2) matrices, and one ``patch_columns``
+matrix of a run of consecutive groups' channels reads, without a copy, as
+the same number of stacked (c_in/G * k^2) x (H_out * W_out) matrices (see
+``linalg`` for the layout). Groups go through in chunks of
+``max(1, c_out // (c_in/G * k^2))``, so one chunk's patches are at most
+about the size of the layer's output, or of one group's patches. Pooling
+reduces the same sliding windows, padded with -inf (max) or 0 (average).
+
 Specs are shared, not copied: a network derived from another keeps the
-unchanged parameter arrays of its input, and no code writes to an array in
-place.
+unchanged parameter arrays of its input, and no code writes in place to an
+array it did not allocate.
 """
 
 from __future__ import annotations
@@ -97,14 +106,6 @@ class ConvWeights(_Window):
         if self.weights is None:
             raise ShapeError("layer has no materialized weights")
         return self.weights.reshape(self.c_out, -1).T
-
-    def group_matrix(self, g: int) -> np.ndarray:
-        """Matrix form ((c_in/groups)*k^2 x c_out/groups) of one filter group."""
-        if self.weights is None:
-            raise ShapeError("layer has no materialized weights")
-        per_group = self.c_out // self.groups
-        block = self.weights[g * per_group : (g + 1) * per_group]
-        return block.reshape(per_group, -1).T
 
 
 @dataclass
@@ -241,34 +242,32 @@ def _conv_forward(layer, x, other):
         raise ShapeError(
             f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[0]}"
         )
-    per_group = conv.c_in // conv.groups
-    pieces = [
-        linalg.im2col(x[g * per_group : (g + 1) * per_group], conv.k, conv.stride, conv.pad)
-        @ conv.group_matrix(g)
-        for g in range(conv.groups)
-    ]
-    resp = pieces[0] if conv.groups == 1 else np.hstack(pieces)
+    if conv.weights is None:
+        raise ShapeError(f"layer {layer.id}: no materialized weights")
+    groups, k = conv.groups, conv.k
+    per_in, per_out = conv.c_in // groups, conv.c_out // groups
+    c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[1:]))
+    weights = conv.weights.reshape(groups, per_out, per_in * k * k)
+    out = np.empty((groups, per_out, h_out * w_out))
+    # Chunks of groups whose patches are at most about the size of the output
+    # (see the module docstring).
+    chunk = max(1, c_out // (per_in * k * k))
+    for g in range(0, groups, chunk):
+        end = min(g + chunk, groups)
+        patches = linalg.patch_columns(x[g * per_in : end * per_in], k, conv.stride, conv.pad)
+        np.matmul(weights[g:end], patches.reshape(end - g, per_in * k * k, -1), out=out[g:end])
+    out = out.reshape(c_out, h_out, w_out)
     if conv.bias is not None:
-        resp = resp + conv.bias
-    return resp.T.reshape(conv.c_out, *conv.out_size(*x.shape[1:]))
+        out += conv.bias[:, None, None]
+    return out
 
 
-def _pool_windows(pool: PoolParams, x: np.ndarray, fill: float) -> np.ndarray:
-    c, h, w = x.shape
-    h_out, w_out = pool.out_size(h, w)
-    padded = np.full((c, h + 2 * pool.pad, w + 2 * pool.pad), fill)
-    padded[:, pool.pad : pool.pad + h, pool.pad : pool.pad + w] = x
-    windows = np.empty((pool.k * pool.k, c, h_out, w_out))
-    idx = 0
-    for ki in range(pool.k):
-        for kj in range(pool.k):
-            windows[idx] = padded[
-                :,
-                ki : ki + pool.stride * h_out : pool.stride,
-                kj : kj + pool.stride * w_out : pool.stride,
-            ]
-            idx += 1
-    return windows
+def _pool_forward(fill: float, reduce: Callable) -> Callable:
+    def rule(layer, x, other):
+        pool = layer.pool
+        return reduce(linalg.sliding_windows(x, pool.k, pool.stride, pool.pad, fill), axis=(1, 2))
+
+    return rule
 
 
 def _add_forward(layer, x, other):
@@ -306,14 +305,8 @@ _KINDS = {
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
     "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, other: np.maximum(x, 0.0)),
-    "maxpool": _Kind(
-        "pool", _pool_shape,
-        lambda layer, x, other: _pool_windows(layer.pool, x, -np.inf).max(axis=0),
-    ),
-    "avgpool": _Kind(
-        "pool", _pool_shape,
-        lambda layer, x, other: _pool_windows(layer.pool, x, 0.0).mean(axis=0),
-    ),
+    "maxpool": _Kind("pool", _pool_shape, _pool_forward(-np.inf, np.max)),
+    "avgpool": _Kind("pool", _pool_shape, _pool_forward(0.0, np.mean)),
     "add": _Kind(None, _add_shape, _add_forward),
     "fc": _Kind("fc", _fc_shape, _fc_forward, lambda layer, shape: flops_of_fc(layer.fc)),
     "channel_affine": _Kind("affine", _affine_shape, _affine_forward),

@@ -35,6 +35,7 @@ and lengths are in bytes and must be 4-byte aligned.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
@@ -74,7 +75,7 @@ class _BlobReader:
             offset, length = int(entry["offset"]), int(entry["length"])
         except (TypeError, KeyError) as exc:
             raise ModelFormatError(f"{field}: malformed blob reference") from exc
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if length != 4 * count:
             raise ModelFormatError(
                 f"{field}: blob length {length} != {4 * count} expected for shape {shape}"
@@ -148,6 +149,9 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
     if not isinstance(layer_id, str) or not layer_id:
         raise ModelFormatError("layer: missing or invalid field 'id'")
     kind = _require(obj, "kind", layer_id)
+    for key in ("stage", "input", "source"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise ModelFormatError(f"layer {layer_id}: {key} must be a string")
     try:
         if kind not in LAYER_KINDS:
             raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
@@ -166,7 +170,7 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
         )
     except ModelFormatError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ModelFormatError(f"layer {layer_id}: {exc}") from exc
 
 
@@ -252,7 +256,7 @@ def load_model(manifest_path) -> NetworkSpec:
     input_shape = manifest["input_shape"]
     try:
         shape = tuple(int(v) for v in input_shape)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}") from exc
     if not isinstance(input_shape, list) or len(shape) != 3 or min(shape) < 1:
         raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}")
@@ -264,6 +268,8 @@ def load_model(manifest_path) -> NetworkSpec:
         raw = blob_path.read_bytes()
     except FileNotFoundError:
         raise ModelFormatError(f"weight blob not found: {blob_path}")
+    except (OSError, ValueError) as exc:  # a directory, or a name with a NUL byte
+        raise ModelFormatError(f"cannot read weight blob {blob_path}: {exc}") from exc
     reader = _BlobReader(raw)
 
     layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]

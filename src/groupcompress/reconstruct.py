@@ -20,6 +20,7 @@ earlier decomposed layer is already in its final merged form.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -294,6 +295,8 @@ def reconstruct_network(
     not increase the fitting residual; otherwise the layer keeps its plain
     truncated form (recorded in the report).
     """
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     pairs = decomposed_pairs(compressed)
     _check_rows(compressed, pairs, calib.count, intercept)
     samples = list(calib.samples)

@@ -128,3 +128,45 @@ def symmetric_pair_response(layer_input, d, p):
     p_matrix = np.asarray(p.weights, dtype=np.float64).reshape(p.weights.shape[0], -1).T
     out = patches @ block_diagonal_matrix(d.weights, d.groups) @ p_matrix
     return out if p.bias is None else out + p.bias
+
+
+def per_group_conv(image, weights, bias=None, stride=1, pad=0, groups=1):
+    """Group convolution one filter group at a time: a patch matrix and a
+    product per group, the groups' columns side by side. The loop the
+    batched conv kernel replaced, kept as its reference."""
+    image = np.asarray(image, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    c_out, c_in_g, k, _ = weights.shape
+    per_out = c_out // groups
+    pieces = [
+        im2col_rows(image[g * c_in_g : (g + 1) * c_in_g], k, stride, pad)
+        @ weights[g * per_out : (g + 1) * per_out].reshape(per_out, -1).T
+        for g in range(groups)
+    ]
+    resp = np.hstack(pieces)
+    if bias is not None:
+        resp = resp + bias
+    h_out = (image.shape[1] + 2 * pad - k) // stride + 1
+    w_out = (image.shape[2] + 2 * pad - k) // stride + 1
+    return resp.T.reshape(c_out, h_out, w_out)
+
+
+def direct_pool(image, k, stride, pad, mode):
+    """Nested-loop max or average pooling over a (c, h, w) image. Padded
+    positions never win a max and count as zeros in an average."""
+    image = np.asarray(image, dtype=np.float64)
+    c, h, w = image.shape
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w + 2 * pad - k) // stride + 1
+    out = np.empty((c, h_out, w_out))
+    for ch in range(c):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                values = [
+                    image[ch, iy, ix]
+                    for iy in range(oy * stride - pad, oy * stride - pad + k)
+                    for ix in range(ox * stride - pad, ox * stride - pad + k)
+                    if 0 <= iy < h and 0 <= ix < w
+                ]
+                out[ch, oy, ox] = max(values) if mode == "max" else sum(values) / (k * k)
+    return out

@@ -89,10 +89,14 @@ class TestInspect:
             lambda m: m["layers"].__setitem__(1, 7),
             lambda m: m["layers"][0].update(pad=-1),
             lambda m: m.update(blob=7),
+            lambda m: m["layers"][0].update(c_in=float("inf")),
+            lambda m: m.update(input_shape=[3, float("inf"), 6]),
+            lambda m: m["layers"][1].update(input=["c1"]),
+            lambda m: m.update(blob=""),
         ],
         ids=[
             "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
-            "blob-not-name",
+            "blob-not-name", "c_in-inf", "input_shape-inf", "input-list", "blob-directory",
         ],
     )
     def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):
@@ -359,6 +363,14 @@ class TestCompress:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    def test_bad_ridge_is_usage_error(self, toy3_path, tmp_path, ridge):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", str(toy3_path), "-o", str(tmp_path / "o"), "--degree",
+                  "constant", "--base-n", "1", "--calib-count", "8", f"--ridge={ridge}"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o" / "model.bin").exists()
+
     def test_too_few_calibration_rows_fail_before_any_forward(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -368,7 +380,7 @@ class TestCompress:
         def no_forward(*args, **kwargs):
             raise AssertionError("a forward pass ran before the row check")
 
-        monkeypatch.setattr("groupcompress.linalg.im2col", no_forward)
+        monkeypatch.setattr("groupcompress.linalg.patch_columns", no_forward)
         out_dir = tmp_path / "o"
         code = main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib-count", "1"])

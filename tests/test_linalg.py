@@ -4,7 +4,7 @@ import pytest
 from groupcompress import linalg
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
 
-from oracles import direct_conv, naive_matmul, pinv_solve, singular_values_via_gram
+from oracles import direct_conv, im2col_rows, naive_matmul, pinv_solve, singular_values_via_gram
 
 
 class TestMatmul:
@@ -214,6 +214,31 @@ class TestIm2col:
     def test_degenerate_output_raises(self):
         with pytest.raises(ShapeError, match="degenerate"):
             linalg.im2col(np.ones((1, 2, 2)), k=5, stride=1, pad=0)
+
+
+class TestPatchColumns:
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1), (1, 2, 0)])
+    def test_channel_major_layout(self, k, stride, pad):
+        rng = np.random.default_rng(23)
+        img = rng.standard_normal((3, 7, 6))
+        out = linalg.patch_columns(img, k, stride, pad)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, im2col_rows(img, k, stride, pad).T)
+        assert np.array_equal(linalg.im2col(img, k, stride, pad), out.T)
+
+    def test_pointwise_is_a_view(self):
+        img = np.random.default_rng(24).standard_normal((4, 5, 6))
+        out = linalg.patch_columns(img, 1)
+        assert out.shape == (4, 30)
+        assert np.shares_memory(out, img)
+
+    def test_windows_pad_with_fill(self):
+        img = np.ones((2, 2, 2))
+        windows = linalg.sliding_windows(img, 3, stride=1, pad=1, fill=-np.inf)
+        assert windows.shape == (2, 3, 3, 2, 2)
+        # Output (0, 0) sees padding in its top row and left column.
+        assert np.all(windows[:, 0, :, 0, 0] == -np.inf)
+        assert np.all(windows[:, 1:, 1:, 0, 0] == 1.0)
 
 
 def test_numerical_rank():

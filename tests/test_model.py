@@ -1,11 +1,14 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from groupcompress import linalg
+from groupcompress import linalg, model
+from groupcompress.decompose import decompose_network
 from groupcompress.errors import ShapeError
+from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
     AffineParams,
     ConvWeights,
@@ -23,7 +26,8 @@ from groupcompress.model import (
     stack_taps,
 )
 
-from oracles import direct_conv
+from nets import residual_net
+from oracles import direct_conv, direct_pool, per_group_conv
 
 
 def conv_layer(layer_id, weights, bias=None, stride=1, pad=0, groups=1, stage=None):
@@ -185,6 +189,77 @@ class TestForward:
         net = NetworkSpec("t", (1, 3, 3), [LayerSpec(id="r", kind="relu")])
         with pytest.raises(ShapeError, match="input shape"):
             forward(net, np.zeros((2, 3, 3)))
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestBatchedConv:
+    """The chunked-groups conv kernel against the per-group loop."""
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, groups, stride, pad, bias",
+        [
+            (25, 25, 3, 25, 1, 1, True),  # depthwise, chunks of 2 with a last one of 1
+            (10, 40, 3, 10, 1, 1, True),  # chunks of 4, 4 and 2
+            (12, 18, 3, 3, 2, 1, True),  # stride 2, pad 1
+            (12, 8, 1, 4, 1, 0, True),  # 1x1: the patches are a view
+            (6, 6, 3, 1, 1, 1, False),  # ungrouped, bias None
+            (16, 16, 5, 16, 2, 2, False),  # depthwise 5x5, stride 2, bias None
+        ],
+        ids=["depthwise", "partial-chunk", "stride2-pad1", "k1-view", "ungrouped-nobias",
+             "depthwise-k5-stride2"],
+    )
+    def test_random_layer_matches_per_group_loop(self, c_in, c_out, k, groups, stride, pad, bias):
+        rng = np.random.default_rng(c_in * 100 + c_out + k)
+        w = rng.standard_normal((c_out, c_in // groups, k, k))
+        b = rng.standard_normal(c_out) if bias else None
+        net = NetworkSpec(
+            "t", (c_in, 9, 11), [conv_layer("c", w, bias=b, stride=stride, pad=pad, groups=groups)]
+        )
+        x = rng.standard_normal((c_in, 9, 11))
+        want = per_group_conv(x, w, bias=b, stride=stride, pad=pad, groups=groups)
+        got = forward(net, x)
+        assert got.shape == want.shape
+        assert rel_err(got, want) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "build", [build_toy_three, build_toy_cnn, residual_net], ids=["toy3", "toy4", "residual"]
+    )
+    @pytest.mark.parametrize("decomposed", [False, True], ids=["original", "decomposed"])
+    def test_whole_forward_matches_per_group_loop(self, monkeypatch, build, decomposed):
+        net = build(0)
+        if decomposed:
+            net, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        x = np.random.default_rng(7).standard_normal(net.input_shape)
+        got = forward(net, x)
+
+        def oracle(layer, x, other):
+            c = layer.conv
+            return per_group_conv(x, c.weights, c.bias, c.stride, c.pad, c.groups)
+
+        conv_rule = dataclasses.replace(model._KINDS["conv"], forward=oracle)
+        monkeypatch.setitem(model._KINDS, "conv", conv_rule)
+        assert rel_err(got, forward(net, x)) <= 1e-10
+
+
+class TestPooling:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_padded_pools_match_nested_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        pool = PoolParams(k=k, stride=int(rng.integers(1, 4)), pad=int(rng.integers(1, k)))
+        shape = (int(rng.integers(1, 4)), int(rng.integers(k, 10)), int(rng.integers(k, 10)))
+        x = rng.standard_normal(shape)
+        for kind, mode in (("maxpool", "max"), ("avgpool", "avg")):
+            net = NetworkSpec("t", shape, [LayerSpec(id="p", kind=kind, pool=pool)])
+            got = forward(net, x)
+            want = direct_pool(x, pool.k, pool.stride, pool.pad, mode)
+            if mode == "max":
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestShapePropagation:

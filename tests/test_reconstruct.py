@@ -330,19 +330,20 @@ class TestOnePass:
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
     def test_each_network_walked_once(self, monkeypatch, symmetric):
-        # One im2col per sample per conv group: the original convs, the
-        # compressed convs and one recomputed P per pair bound the count.
+        # One patch matrix per sample per chunk of conv groups, and never more
+        # chunks than groups: the original convs, the compressed convs and one
+        # recomputed P per pair bound the count.
         net = build_toy_cnn(0)
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=18)
         calls = []
-        real_im2col = linalg.im2col
+        real_patch_columns = linalg.patch_columns
 
-        def counting_im2col(*args, **kwargs):
+        def counting_patch_columns(*args, **kwargs):
             calls.append(1)
-            return real_im2col(*args, **kwargs)
+            return real_patch_columns(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "im2col", counting_im2col)
+        monkeypatch.setattr(linalg, "patch_columns", counting_patch_columns)
         reconstruct_network(net, compressed, calib, symmetric=symmetric)
 
         def group_passes(n):
@@ -351,6 +352,19 @@ class TestOnePass:
         pairs = len(decomposed_pairs(compressed))
         bound = calib.count * (group_passes(net) + group_passes(compressed) + pairs)
         assert 0 < len(calls) <= bound
+
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):
+        net = build_toy_three(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the ridge check")
+
+        monkeypatch.setattr(linalg, "patch_columns", no_forward)
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            reconstruct_network(net, compressed, CalibrationSet.synthetic(net.input_shape, 8),
+                                ridge=ridge)
 
     def test_too_few_rows_fail_before_any_forward(self, monkeypatch):
         # One 3x3 sample gives 9 rows: enough for c1 and c2, not for c3's
@@ -361,7 +375,7 @@ class TestOnePass:
         def no_forward(*args, **kwargs):
             raise AssertionError("a forward pass ran before the row check")
 
-        monkeypatch.setattr(linalg, "im2col", no_forward)
+        monkeypatch.setattr(linalg, "patch_columns", no_forward)
         with pytest.raises(ShapeError, match="layer c3: 1 calibration samples give 9 "):
             reconstruct_network(net, compressed, CalibrationSet.synthetic((3, 3, 3), 1))
 
