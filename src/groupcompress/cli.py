@@ -190,12 +190,15 @@ def cmd_plan(args) -> int:
     else:
         if not args.degree or args.base_n is None:
             raise PlanError("pass --preset or both --degree and --base-n")
-        caps = dict(kv.split("=") for kv in args.stage_cap or [])
+        try:  # build_plan checks the stages and values
+            caps = {s: int(n) for s, _, n in (f.partition("=") for f in args.stage_cap or [])}
+        except ValueError:
+            raise PlanError(f"--stage-cap expects STAGE=N, got {args.stage_cap}") from None
         plan = build_plan(
             net,
             args.degree,
             args.base_n,
-            stage_caps={k: int(v) for k, v in caps.items()},
+            stage_caps=caps,
             skip_stages=args.skip_stage or [],
             skip_layers=args.skip_layer or [],
         )

@@ -8,18 +8,21 @@ Supported kinds: conv, relu, maxpool, avgpool, add, fc, channel_affine.
 FLOPs convention: two operations per multiply-accumulate, bias and
 activations excluded. Only conv and fc layers carry FLOPs.
 
-A conv with G groups runs as batched matrix products: the weights read as
-G stacked (c_out/G) x (c_in/G * k^2) matrices, and one ``patch_columns``
-matrix of a run of consecutive groups' channels reads, without a copy, as
-the same number of stacked (c_in/G * k^2) x (H_out * W_out) matrices (see
-``linalg`` for the layout). Groups go through in chunks of
-``max(1, c_out // (c_in/G * k^2))``, so one chunk's patches are at most
-about the size of the layer's output, or of one group's patches. Pooling
-reduces the same sliding windows, padded with -inf (max) or 0 (average).
+Layers run on sample-major batches: an activation is one float64
+(N, C, H, W) array, or (N, features) after fc. A conv with G groups runs as
+batched matrix products: the weights read as G stacked (c_out/G) x
+(c_in/G * k^2) matrices, and one ``patch_columns`` matrix of a run of
+consecutive groups' channels of one sample reads, without a copy, as the
+same number of stacked (c_in/G * k^2) x (H_out * W_out) matrices (see
+``linalg`` for the layout). The conv takes one sample at a time, and its
+groups in chunks of ``max(1, c_out // (c_in/G * k^2))``, so one patch
+matrix is at most about the size of one sample's output, or of one group's
+patches, whatever N is. Pooling reduces the same sliding windows, padded
+with -inf (max) or 0 (average), also one sample at a time.
 
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
-array it did not allocate.
+array it did not allocate, except to a ``_walk`` output as ``_walk`` allows.
 """
 
 from __future__ import annotations
@@ -177,10 +180,10 @@ class NetworkSpec:
         return [l for l in self.layers if l.kind == "conv"]
 
 
-# Per-kind rules. Shape: (layer, input shape, earlier shapes) -> output shape.
-# Forward: (layer, input, the output an add reads as ``source``, else None)
-# -> output. FLOPs: (layer, output shape) -> int, for the kinds that carry
-# FLOPs.
+# Per-kind rules. Shape: (layer, one sample's input shape, earlier shapes)
+# -> one sample's output shape. Forward: (layer, input batch, the output
+# batch an add reads as ``source``, else None) -> output batch. FLOPs:
+# (layer, output shape) -> int, for the kinds that carry FLOPs.
 
 
 def _spatial_shape(layer: LayerSpec, c: int, h_out: int, w_out: int) -> tuple:
@@ -236,27 +239,29 @@ def _fc_shape(layer, in_shape, shapes):
     return (layer.fc.out_features,)
 
 
-def _conv_forward(layer, x, other):
+def _conv_forward(layer, x, other=None):
     conv = layer.conv
-    if x.shape[0] != conv.c_in:
+    if x.shape[1] != conv.c_in:
         raise ShapeError(
-            f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[0]}"
+            f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[1]}"
         )
     if conv.weights is None:
         raise ShapeError(f"layer {layer.id}: no materialized weights")
-    groups, k = conv.groups, conv.k
+    groups, k, stride, pad = conv.groups, conv.k, conv.stride, conv.pad
     per_in, per_out = conv.c_in // groups, conv.c_out // groups
-    c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[1:]))
-    weights = conv.weights.reshape(groups, per_out, per_in * k * k)
-    out = np.empty((groups, per_out, h_out * w_out))
-    # Chunks of groups whose patches are at most about the size of the output
-    # (see the module docstring).
-    chunk = max(1, c_out // (per_in * k * k))
-    for g in range(0, groups, chunk):
-        end = min(g + chunk, groups)
-        patches = linalg.patch_columns(x[g * per_in : end * per_in], k, conv.stride, conv.pad)
-        np.matmul(weights[g:end], patches.reshape(end - g, per_in * k * k, -1), out=out[g:end])
-    out = out.reshape(c_out, h_out, w_out)
+    c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[2:]))
+    rows = per_in * k * k
+    weights = conv.weights.reshape(groups, per_out, rows)
+    out = np.empty((len(x), groups, per_out, h_out * w_out))
+    # One sample at a time, in chunks of groups whose patches are at most
+    # about the size of one sample's output (see the module docstring).
+    chunk = max(1, c_out // rows)
+    for sample, sample_out in zip(x, out):
+        for g in range(0, groups, chunk):
+            end = min(g + chunk, groups)
+            patches = linalg.patch_columns(sample[g * per_in : end * per_in], k, stride, pad)
+            np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=sample_out[g:end])
+    out = out.reshape(len(x), c_out, h_out, w_out)
     if conv.bias is not None:
         out += conv.bias[:, None, None]
     return out
@@ -264,8 +269,12 @@ def _conv_forward(layer, x, other):
 
 def _pool_forward(fill: float, reduce: Callable) -> Callable:
     def rule(layer, x, other):
-        pool = layer.pool
-        return reduce(linalg.sliding_windows(x, pool.k, pool.stride, pool.pad, fill), axis=(1, 2))
+        p = layer.pool
+        out = np.empty((len(x), *_pool_shape(layer, x.shape[1:], None)))
+        for sample, sample_out in zip(x, out):
+            windows = linalg.sliding_windows(sample, p.k, p.stride, p.pad, fill)
+            reduce(windows, axis=(1, 2), out=sample_out)
+        return out
 
     return rule
 
@@ -277,7 +286,8 @@ def _add_forward(layer, x, other):
 
 
 def _fc_forward(layer, x, other):
-    out = layer.fc.weights @ x.reshape(-1)
+    # A product per sample: one over the batch would round differently per N.
+    out = (layer.fc.weights @ x.reshape(len(x), -1, 1))[..., 0]
     if layer.fc.bias is not None:
         out = out + layer.fc.bias
     return out
@@ -285,7 +295,9 @@ def _fc_forward(layer, x, other):
 
 def _affine_forward(layer, x, other):
     aff = layer.affine
-    return x * aff.scale[:, None, None] + aff.shift[:, None, None]
+    out = x * aff.scale[:, None, None]
+    out += aff.shift[:, None, None]  # in place: no second batch-sized temporary
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,31 +353,30 @@ def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     return shapes
 
 
-def _walk(net: NetworkSpec, xs: list):
-    """Run the network on a list of C x H x W float64 inputs in lockstep,
-    layer by layer. Yields each layer, the list of its inputs and the list of
-    its outputs, one entry per sample, in network order.
+def _walk(net: NetworkSpec, x):
+    """Run the network on an (N, C, H, W) batch, layer by layer, and yield
+    each layer, its input batch and its output batch, in network order.
+    Batches are (N, features) after fc, and each conv patch matrix is one
+    sample's (see the module docstring).
 
-    The caller may replace the entries of the yielded output list before it
-    resumes the walk; later layers then read the replacements. An output is
+    The caller may overwrite the yielded output array in place before it
+    resumes the walk; later layers then read the new values. An output is
     dropped once the last layer reading it has run.
     """
-    for x in xs:
-        if x.shape != net.input_shape:
-            raise ShapeError(f"input shape {x.shape} != network input {net.input_shape}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1:] != net.input_shape:
+        raise ShapeError(f"input shape {x.shape[1:]} != network input {net.input_shape}")
     inputs = layer_inputs(net)
     last_reader: dict[str, int] = {}
     for i, layer in enumerate(net.layers):
         for read in (inputs[layer.id], layer.source):
             last_reader[read] = i
-    outputs: dict[str, list[np.ndarray]] = {}
+    outputs: dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
         in_id = inputs[layer.id]
-        values = xs if in_id is None else outputs[in_id]
-        others = outputs.get(layer.source, [None] * len(xs))
-        rule = _KINDS[layer.kind].forward
-        outputs[layer.id] = [rule(layer, x, other) for x, other in zip(values, others)]
-        yield layer, values, outputs[layer.id]
+        value = x if in_id is None else outputs[in_id]
+        outputs[layer.id] = _KINDS[layer.kind].forward(layer, value, outputs.get(layer.source))
+        yield layer, value, outputs[layer.id]
         for read in (in_id, layer.source):
             if last_reader.get(read) == i:
                 outputs.pop(read, None)
@@ -373,33 +384,29 @@ def _walk(net: NetworkSpec, xs: list):
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Run the network on one C x H x W input and return the final output."""
-    for _, _, (out,) in _walk(net, [np.asarray(x, dtype=np.float64)]):
+    for _, _, out in _walk(net, np.asarray(x)[None]):
         pass
-    return out
+    return out[0]
 
 
-def response_rows(outputs: list) -> np.ndarray:
-    """Stack per-sample layer outputs as (positions x channels) rows aligned
-    with im2col row order: sample-major, then spatial position."""
-    return np.vstack(
-        [out.reshape(out.shape[0], -1).T if out.ndim == 3 else out[None, :] for out in outputs]
-    )
+def response_rows(out: np.ndarray) -> np.ndarray:
+    """A layer's output batch as (positions x channels) rows in im2col row
+    order (sample-major, then position), column-major: sums over it, such as
+    the default ridge, depend on the memory order in their last bits."""
+    return np.moveaxis(out, 1, 0).reshape(out.shape[1], -1).T
 
 
 def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
-    """Run each sample up to the last layer in ``taps`` and stack, per tapped
-    layer, its output as ``response_rows``. Samples are walked one at a time,
-    so only one sample's activations are live at once."""
+    """Run the (N, C, H, W) batch ``samples`` up to the last layer in
+    ``taps`` and return, per tapped layer, its output as ``response_rows``."""
     taps = set(taps)
     last = next(layer.id for layer in reversed(net.layers) if layer.id in taps)
-    outs: dict[str, list] = {tap: [] for tap in taps}
-    for sample in samples:
-        for layer, _, (out,) in _walk(net, [np.asarray(sample, dtype=np.float64)]):
-            if layer.id in taps:
-                outs[layer.id].append(out)
-            if layer.id == last:
-                break
-    return {tap: response_rows(o) for tap, o in outs.items()}
+    rows: dict[str, np.ndarray] = {}
+    for layer, _, out in _walk(net, samples):
+        if layer.id in taps:
+            rows[layer.id] = response_rows(out)
+        if layer.id == last:
+            return rows
 
 
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:

@@ -30,9 +30,7 @@ import numpy as np
 from . import linalg
 from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ModelFormatError, ShapeError
-from .model import (
-    ConvWeights, NetworkSpec, _walk, propagate_shapes, response_rows, stack_taps,
-)
+from .model import ConvWeights, NetworkSpec, _conv_forward, _walk, propagate_shapes, response_rows
 
 CALIBRATION_FORMAT_VERSION = 1
 
@@ -79,8 +77,10 @@ class CalibrationSet:
             header = json.loads(manifest_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ModelFormatError(f"calibration manifest not found: {manifest_path}")
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"calibration manifest is not JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
+            raise ModelFormatError(f"calibration manifest is not readable JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ModelFormatError("calibration manifest: not a JSON object")
         for fld in ("format_version", "count", "shape", "blob"):
             if fld not in header:
                 raise ModelFormatError(f"calibration manifest: missing field {fld!r}")
@@ -88,15 +88,18 @@ class CalibrationSet:
             raise ModelFormatError(
                 f"unsupported calibration format_version {header['format_version']!r}"
             )
+        count, shape = header["count"], header["shape"]
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(type(v) is int and v >= 1 for v in [count, *shape])):
+            raise ModelFormatError(
+                f"calibration manifest: need an integer count and a (C, H, W) shape of "
+                f"integers, all >= 1; got count {count!r}, shape {shape!r}"
+            )
         try:
-            count = int(header["count"])
-            shape = tuple(int(v) for v in header["shape"])
             blob = (manifest_path.parent / header["blob"]).read_bytes()
         except (OSError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"calibration manifest: bad value: {exc}") from exc
-        if count < 1:
-            raise ModelFormatError(f"calibration manifest: count {count} is below 1")
-        expected = 4 * count * int(np.prod(shape))
+            raise ModelFormatError(f"calibration manifest: bad blob: {exc}") from exc
+        expected = 4 * count * math.prod(shape)
         if len(blob) != expected:
             raise ModelFormatError(
                 f"calibration blob has {len(blob)} bytes, expected {expected}"
@@ -133,27 +136,22 @@ def collect_responses(
 
     Y is the original layer's pre-activation response. Y* is the output of
     the corresponding pointwise layer in the compressed network (default),
-    or, with ``symmetric=True``, of the (D, P) pair spliced into the original
-    network in place of the layer, ignoring upstream drift.
+    or, with ``symmetric=True``, of the (D, P) pair applied to the original
+    layer's input, ignoring upstream drift.
     """
-    ids = [layer.id for layer in original.layers]
-    if layer_id not in ids:
-        raise ShapeError(f"layer {layer_id!r} not found in original network")
-    position = ids.index(layer_id)
-    layer = original.layers[position]
-    if layer.kind != "conv":
-        raise ShapeError(f"layer {layer_id!r} is not a convolution")
+    kinds = {layer.id: layer.kind for layer in original.layers}
+    if kinds.get(layer_id) != "conv":
+        raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
     pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
     d_layer, p_layer = pairs[layer_id]
-
-    y = stack_taps(original, calib.samples, [layer_id])[layer_id]
-    star_net = compressed
+    conv_input, y_output = _advance(_walk(original, calib.samples), layer_id)
     if symmetric:
-        spliced = original.layers[:position] + [replace(d_layer, input=layer.input), p_layer]
-        star_net = NetworkSpec(original.name, original.input_shape, spliced)
-    y_star = stack_taps(star_net, calib.samples, [p_layer.id])[p_layer.id]
+        star_output = _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
+    else:
+        _, star_output = _advance(_walk(compressed, calib.samples), p_layer.id)
+    y, y_star = response_rows(y_output), response_rows(star_output)
     if y.shape != y_star.shape:
         raise ShapeError(
             f"misaligned responses for {layer_id}: {y.shape} vs {y_star.shape}"
@@ -219,16 +217,7 @@ def merge_pointwise_weights(
     bias = np.zeros(p.c_out) if p.bias is None else a.T @ p.bias
     if bias_delta is not None:
         bias = bias + bias_delta
-    return ConvWeights(
-        c_in=p.c_in,
-        c_out=p.c_out,
-        k=1,
-        groups=1,
-        stride=1,
-        pad=0,
-        weights=p_mat.T.reshape(p.c_out, p.c_in, 1, 1),
-        bias=bias,
-    )
+    return replace(p, weights=p_mat.T.reshape(p.c_out, p.c_in, 1, 1), bias=bias)
 
 
 @dataclass
@@ -242,20 +231,13 @@ class LayerReconstructionReport:
     used_identity_fallback: bool = False
 
 
-def _advance(walk, layer_id: str) -> tuple[list, list]:
-    """Step ``walk`` (a ``model._walk``) to ``layer_id``; its inputs and outputs."""
-    for layer, inputs, outputs in walk:
+def _advance(walk, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``walk`` (a ``model._walk``) to ``layer_id``; its input and output."""
+    for layer, value, out in walk:
         if layer.id == layer_id:
-            return inputs, outputs
-        del inputs, outputs  # so the walk can drop them before the next layer
+            return value, out
+        del value, out  # so the walk can drop them before the next layer
     raise ShapeError(f"layer {layer_id!r} not found in network order")
-
-
-def _chain(layers: list, values: list) -> list:
-    """Outputs of ``layers`` applied in sequence to each of ``values``."""
-    net = NetworkSpec("chain", values[0].shape, [replace(l, input=None) for l in layers])
-    *_, (_, _, outputs) = _walk(net, values)
-    return outputs
 
 
 def _check_rows(compressed: NetworkSpec, pairs, count: int, intercept: bool) -> None:
@@ -283,13 +265,14 @@ def reconstruct_network(
     """Reconstruct every decomposed layer, front to back, merging each A
     into its pointwise layer before moving deeper.
 
-    Each network is walked once, all calibration samples in lockstep. The
+    Each network is walked once, all calibration samples as one batch. The
     original network's walk gives Y at each source conv. In the asymmetric
     (default) mode the compressed network's walk gives Y* at each P layer;
-    after the solve, P's outputs are recomputed from D's outputs with the
-    merged layer, so deeper layers see the compressed prefix in its final
-    form. In symmetric mode Y* is the pair applied to the source conv's
-    input in the original walk, and the compressed network is not walked.
+    after the solve, the merged layer's output on D's output overwrites the
+    walk's P output in place, so deeper layers see the compressed prefix in
+    its final form. In symmetric mode Y* is the pair applied to the source
+    conv's input in the original walk, and the compressed network is not
+    walked.
 
     Identity is always feasible, so a solve is only accepted when it does
     not increase the fitting residual; otherwise the layer keeps its plain
@@ -299,19 +282,18 @@ def reconstruct_network(
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     pairs = decomposed_pairs(compressed)
     _check_rows(compressed, pairs, calib.count, intercept)
-    samples = list(calib.samples)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    original_walk = _walk(original, samples)
-    compressed_walk = None if symmetric else _walk(compressed, samples)
+    original_walk = _walk(original, calib.samples)
+    compressed_walk = None if symmetric else _walk(compressed, calib.samples)
     reports: list[LayerReconstructionReport] = []
     for layer_id, d_layer, p_layer in pairs:
-        source_inputs, y_outputs = _advance(original_walk, layer_id)
+        conv_input, y_output = _advance(original_walk, layer_id)
         if symmetric:
-            star_outputs = _chain([d_layer, p_layer], source_inputs)
+            star_output = _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
         else:
-            p_inputs, star_outputs = _advance(compressed_walk, p_layer.id)
-        y, y_star = response_rows(y_outputs), response_rows(star_outputs)
+            p_input, star_output = _advance(compressed_walk, p_layer.id)
+        y, y_star = response_rows(y_output), response_rows(star_output)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
         residual_before = float(np.linalg.norm(y - y_star))
@@ -323,8 +305,8 @@ def reconstruct_network(
             merged = replace(p_layer, conv=merge_pointwise_weights(p_layer.conv, a, delta))
             result.layers[position[p_layer.id]] = merged
             if not symmetric:
-                # Deeper layers read the merged layer's outputs.
-                star_outputs[:] = _chain([merged], p_inputs)
+                # Deeper layers read the merged layer's output.
+                star_output[...] = _conv_forward(merged, p_input)
         reports.append(
             LayerReconstructionReport(
                 layer_id=layer_id,
@@ -337,5 +319,5 @@ def reconstruct_network(
             )
         )
         # Release this pair's activations before the walks move on.
-        source_inputs = y_outputs = p_inputs = star_outputs = y = y_star = None
+        conv_input = y_output = p_input = star_output = y = y_star = None
     return result, reports

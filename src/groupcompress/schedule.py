@@ -50,9 +50,9 @@ class CompressionPlan:
         try:
             return cls(
                 degree=obj["degree"],
-                base_n=int(obj["base_n"]),
-                stage_ns={k: int(v) for k, v in obj["stage_ns"].items()},
-                layer_ranks={k: int(v) for k, v in obj["layer_ranks"].items()},
+                base_n=_integer(obj["base_n"], "base_n"),
+                stage_ns=_integers(obj["stage_ns"], "stage_ns"),
+                layer_ranks=_integers(obj["layer_ranks"], "layer_ranks"),
                 skipped_layers=list(obj.get("skipped_layers", [])),
                 adjustments=list(obj.get("adjustments", [])),
                 predicted_flops=obj.get("predicted_flops"),
@@ -69,11 +69,25 @@ class CompressionPlan:
     @classmethod
     def load(cls, path) -> "CompressionPlan":
         try:
-            return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise PlanError(f"plan file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"plan file is not JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
+            raise PlanError(f"plan file is not readable JSON: {exc}") from exc
+        return cls.from_json(obj)
+
+
+def _integer(value, name: str) -> int:
+    if type(value) is not int:
+        raise PlanError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, name: str) -> dict[str, int]:
+    """A plan field mapping names (stages or layers) to integers."""
+    if not isinstance(value, dict):
+        raise PlanError(f"{name} must map names to integers, got {value!r}")
+    return {key: _integer(v, f"{name}[{key!r}]") for key, v in value.items()}
 
 
 def _largest_divisor_at_most(value: int, cap: int) -> int:
@@ -131,7 +145,8 @@ def build_plan(
     apply stage caps, then clamp each layer's n to a divisor of its c_in.
 
     Adjustments (caps or divisor clamps) are reported on the plan, never
-    fatal. Unknown stage names in the skip list are a planning error.
+    fatal. Unknown stage names in the skip list or the caps, and caps below
+    1, are planning errors.
     """
     degree = degree.lower()
     if degree not in DEGREES:
@@ -143,9 +158,12 @@ def build_plan(
 
     stages = _conv_stages(net)
     order = stage_order(net, stages)
-    unknown = [s for s in skip_stages if s not in order]
+    unknown = [s for s in [*skip_stages, *stage_caps] if s not in order]
     if unknown:
-        raise PlanError(f"skip stages not present in network: {unknown}")
+        raise PlanError(f"skip stages or stage caps not present in network: {unknown}")
+    for stage, cap in stage_caps.items():
+        if type(cap) is not int or cap < 1:
+            raise PlanError(f"stage {stage}: cap must be an integer >= 1, got {cap!r}")
     compressed_stages = [s for s in order if s not in set(skip_stages)]
 
     stage_ns: dict[str, int] = {}

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec
+from groupcompress.model import (
+    AffineParams, ConvWeights, FcParams, LayerSpec, NetworkSpec, PoolParams,
+)
 
 
 def residual_net(seed=0):
@@ -54,3 +56,27 @@ def toy_net(seed=0, widths=(3, 6, 8, 8), size=6):
         if i + 2 < len(widths):
             layers.append(LayerSpec(id=f"r{i + 1}", kind="relu"))
     return NetworkSpec("toy", (widths[0], size, size), layers)
+
+
+def pool_fc_net(seed=0):
+    """Every layer kind but add: a conv and a channel affine, a padded max
+    pool, a grouped conv, an average pool, then fc, relu and an fc without
+    bias."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        LayerSpec(id="c1", kind="conv", conv=ConvWeights(
+            3, 4, 3, pad=1, weights=rng.standard_normal((4, 3, 3, 3)) / 5,
+            bias=rng.standard_normal(4))),
+        LayerSpec(id="bn", kind="channel_affine", affine=AffineParams(
+            4, scale=rng.standard_normal(4), shift=rng.standard_normal(4))),
+        LayerSpec(id="r1", kind="relu"),
+        LayerSpec(id="mp", kind="maxpool", pool=PoolParams(3, 2, pad=1)),
+        LayerSpec(id="g", kind="conv", conv=ConvWeights(
+            4, 6, 3, groups=2, pad=1, weights=rng.standard_normal((6, 2, 3, 3)) / 4)),
+        LayerSpec(id="ap", kind="avgpool", pool=PoolParams(2, 1)),
+        LayerSpec(id="fc1", kind="fc", fc=FcParams(
+            54, 5, weights=rng.standard_normal((5, 54)) / 7, bias=rng.standard_normal(5))),
+        LayerSpec(id="r2", kind="relu"),
+        LayerSpec(id="fc2", kind="fc", fc=FcParams(5, 3, weights=rng.standard_normal((3, 5)))),
+    ]
+    return NetworkSpec("pool-fc", (3, 7, 7), layers)

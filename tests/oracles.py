@@ -170,3 +170,36 @@ def direct_pool(image, k, stride, pad, mode):
                 ]
                 out[ch, oy, ox] = max(values) if mode == "max" else sum(values) / (k * k)
     return out
+
+
+def reference_forward(net, x):
+    """One (c, h, w) sample through ``net``, layer by layer: ``per_group_conv``
+    and ``direct_pool`` for convolution and pooling, plain numpy for the
+    other kinds. The per-sample walk the batched one replaced, kept as its
+    reference."""
+    outputs, prev = {}, None
+    for layer in net.layers:
+        in_id = layer.input if layer.input is not None else prev
+        value = np.asarray(x, dtype=np.float64) if in_id is None else outputs[in_id]
+        if layer.kind == "conv":
+            c = layer.conv
+            out = per_group_conv(value, c.weights, c.bias, c.stride, c.pad, c.groups)
+        elif layer.kind in ("maxpool", "avgpool"):
+            p = layer.pool
+            out = direct_pool(value, p.k, p.stride, p.pad, layer.kind[:3])
+        elif layer.kind == "relu":
+            out = np.maximum(value, 0.0)
+        elif layer.kind == "add":
+            out = value + outputs[layer.source]
+        elif layer.kind == "fc":
+            out = layer.fc.weights @ value.reshape(-1)
+            if layer.fc.bias is not None:
+                out = out + layer.fc.bias
+        elif layer.kind == "channel_affine":
+            a = layer.affine
+            out = value * a.scale[:, None, None] + a.shift[:, None, None]
+        else:
+            raise ValueError(f"no reference for layer kind {layer.kind!r}")
+        outputs[layer.id] = out
+        prev = layer.id
+    return outputs[prev]

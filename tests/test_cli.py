@@ -150,6 +150,30 @@ class TestPlan:
         plan = json.loads(plan_path.read_text())
         assert plan["stage_ns"] == {"s8": 1, "s4": 2}
 
+    @pytest.mark.parametrize(
+        "cap, named",
+        [("foo", "--stage-cap"), ("s6=x", "--stage-cap"), ("s6=0", "s6"),
+         ("nosuch=2", "'nosuch'")],
+    )
+    def test_bad_stage_cap_is_plan_error(self, toy3_path, tmp_path, capsys, cap, named):
+        plan_path = tmp_path / "plan.json"
+        code = main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                     "--stage-cap", cap, "-o", str(plan_path)])
+        assert code == EXIT_PLAN
+        assert named in capsys.readouterr().err
+        assert not plan_path.exists()
+
+
+def _with_blob(floats, **fields):
+    """A calibration-manifest edit that sets ``fields`` and writes a blob of
+    ``floats`` float32 zeros: the size the edited fields imply."""
+
+    def mutate(manifest, directory):
+        manifest.update(fields)
+        (directory / manifest["blob"]).write_bytes(bytes(4 * floats))
+
+    return mutate
+
 
 class TestCompress:
     def test_lossless_at_full_rank(self, toy4_path, tmp_path):
@@ -302,6 +326,25 @@ class TestCompress:
         assert "'r1'" in capsys.readouterr().err
         assert not (out_dir / "model.bin").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("layer_ranks", [1, 1, 1], "layer_ranks"), ("stage_ns", [1], "stage_ns"),
+         ("layer_ranks", {"c1": 1.5, "c2": 1, "c3": 1}, "layer_ranks['c1']")],
+        ids=["layer_ranks-list", "stage_ns-list", "rank-not-integer"],
+    )
+    def test_malformed_plan_file_is_plan_error(
+        self, toy3_path, tmp_path, capsys, field, value, named
+    ):
+        plan = CompressionPlan("constant", 1, {"s6": 1}, {"c1": 1, "c2": 1, "c3": 1}).to_json()
+        plan[field] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out_dir = tmp_path / "o"
+        code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan_path)])
+        assert code == EXIT_PLAN
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):
         assert (
             main(["compress", str(toy3_path), "-o", str(tmp_path / "o")]) == EXIT_PLAN
@@ -337,17 +380,23 @@ class TestCompress:
             lambda m, d: m.update(blob=7),
             lambda m, d: m.update(count="x"),
             lambda m, d: m.update(shape=["x", 6, 6]),
-            lambda m, d: (m.update(count=0), (d / m["blob"]).write_bytes(b"")),
+            _with_blob(0, count=0),
+            lambda m, d: list(m),  # the field names, in a list
+            _with_blob(40 * 3, shape=[-1, -1, 3]),
+            _with_blob(40 * 36, shape=[6, 6]),
+            _with_blob(3 * 6 * 6, count=1.7),
         ],
-        ids=["blob-missing", "blob-not-name", "count-x", "shape-x", "count-0"],
+        ids=["blob-missing", "blob-not-name", "count-x", "shape-x", "count-0", "header-list",
+             "shape-negative", "shape-2d", "count-float"],
     )
     def test_malformed_calibration_is_format_error(self, toy3_path, tmp_path, mutate, capsys):
+        """``mutate`` edits the manifest in place, or returns a replacement."""
         calib_path = CalibrationSet.synthetic((3, 6, 6), 40, seed=3).save(
             tmp_path / "calib.json"
         )
         manifest = json.loads(calib_path.read_text())
-        mutate(manifest, tmp_path)
-        calib_path.write_text(json.dumps(manifest))
+        replacement = mutate(manifest, tmp_path)
+        calib_path.write_text(json.dumps(manifest if replacement is None else replacement))
         code = main(
             ["compress", str(toy3_path), "-o", str(tmp_path / "o"), "--degree", "constant",
              "--base-n", "1", "--calib", str(calib_path)]

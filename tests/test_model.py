@@ -26,8 +26,8 @@ from groupcompress.model import (
     stack_taps,
 )
 
-from nets import residual_net
-from oracles import direct_conv, direct_pool, per_group_conv
+from nets import pool_fc_net, residual_net
+from oracles import direct_conv, direct_pool, per_group_conv, reference_forward
 
 
 def conv_layer(layer_id, weights, bias=None, stride=1, pad=0, groups=1, stage=None):
@@ -235,13 +235,37 @@ class TestBatchedConv:
         x = np.random.default_rng(7).standard_normal(net.input_shape)
         got = forward(net, x)
 
-        def oracle(layer, x, other):
+        def oracle(layer, batch, other):
             c = layer.conv
-            return per_group_conv(x, c.weights, c.bias, c.stride, c.pad, c.groups)
+            return np.stack(
+                [per_group_conv(x, c.weights, c.bias, c.stride, c.pad, c.groups) for x in batch]
+            )
 
         conv_rule = dataclasses.replace(model._KINDS["conv"], forward=oracle)
         monkeypatch.setitem(model._KINDS, "conv", conv_rule)
         assert rel_err(got, forward(net, x)) <= 1e-10
+
+
+class TestBatchWalk:
+    """A walk over a batch of samples against walks over one sample each."""
+
+    @pytest.mark.parametrize(
+        "build", [build_toy_three, build_toy_cnn, residual_net, pool_fc_net],
+        ids=["toy3", "toy4", "residual", "pool-fc-affine"],
+    )
+    def test_batch_matches_one_sample_walks(self, build):
+        net = build(0)
+        xs = np.random.default_rng(9).standard_normal((5, *net.input_shape))
+        batch = {layer.id: out for layer, _, out in model._walk(net, xs)}
+        singles = [{layer.id: out for layer, _, out in model._walk(net, x[None])} for x in xs]
+        for layer in net.layers:
+            stacked = np.concatenate([single[layer.id] for single in singles])
+            assert batch[layer.id].shape == (5, *propagate_shapes(net)[layer.id])
+            assert np.array_equal(batch[layer.id], stacked), layer.id
+        for x, out in zip(xs, batch[net.layers[-1].id]):
+            want = reference_forward(net, x)
+            assert rel_err(forward(net, x), want) <= 1e-10
+            assert np.array_equal(forward(net, x), out)
 
 
 class TestPooling:

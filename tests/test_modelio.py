@@ -21,6 +21,8 @@ from groupcompress.model import (
 )
 from groupcompress.modelio import load_model, save_model
 
+from json_edits import cut_or_grow, edit_fields
+
 
 def build_net(seed=0):
     rng = np.random.default_rng(seed)
@@ -190,28 +192,6 @@ def test_interrupted_save_leaves_no_model(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _dicts(value):
-    """Every JSON object in ``value``, outermost first."""
-    if isinstance(value, dict):
-        yield value
-        children = value.values()
-    elif isinstance(value, list):
-        children = value
-    else:
-        return
-    for child in children:
-        yield from _dicts(child)
-
-
-# Edge values drawn as often as arbitrary JSON, which rarely hits them.
-_JSON_VALUES = st.sampled_from(
-    [None, True, -1, 0, 2**63, 1.5, float("inf"), float("nan"), "", "c1", [1], {}]
-) | st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=4,
-)
 # Keys a toy3 manifest may lack: optional layer fields.
 _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
 _TOY3 = build_toy_three(0)
@@ -225,19 +205,10 @@ def test_mutated_manifest_or_blob_raises_only_model_format_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(_TOY3, Path(tmp) / "toy3.json")
         manifest = json.loads(path.read_text())
-        for _ in range(data.draw(st.integers(1, 2), label="edits")):
-            target = data.draw(st.sampled_from(list(_dicts(manifest))), label="object")
-            key = data.draw(st.sampled_from(sorted(set(target) | _OPTIONAL_KEYS)), label="key")
-            if data.draw(st.booleans(), label="delete"):
-                target.pop(key, None)
-            else:
-                target[key] = data.draw(_JSON_VALUES, label="value")
+        edit_fields(data, manifest, _OPTIONAL_KEYS)
         path.write_text(json.dumps(manifest))
         blob = path.with_suffix(".bin")
-        raw = blob.read_bytes()
-        cut = data.draw(st.just(len(raw)) | st.integers(0, len(raw)), label="blob length")
-        tail = data.draw(st.just(b"") | st.binary(max_size=8), label="blob tail")
-        blob.write_bytes(raw[:cut] + tail)
+        blob.write_bytes(cut_or_grow(data, blob.read_bytes(), "blob"))
         try:
             load_model(path)
         except ModelFormatError:

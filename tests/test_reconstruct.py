@@ -1,7 +1,12 @@
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcompress import linalg
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
@@ -19,6 +24,7 @@ from groupcompress.reconstruct import (
     solve_reconstruction,
 )
 
+from json_edits import cut_or_grow, edit_fields
 from nets import residual_net, toy_net
 from oracles import pinv_solve, symmetric_pair_response
 
@@ -75,6 +81,24 @@ class TestCalibrationSet:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(ModelFormatError, match="bytes"):
             CalibrationSet.from_file(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_calibration_raises_only_model_format_error(data):
+    """Any edit of a calibration manifest's fields, or cut or growth of its
+    bytes or of its blob, either loads or raises ModelFormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = CalibrationSet.synthetic((2, 3, 3), 2, seed=0).save(Path(tmp) / "calib.json")
+        header = json.loads(path.read_text())
+        edit_fields(data, header)
+        path.write_bytes(cut_or_grow(data, json.dumps(header).encode(), "manifest"))
+        blob = path.with_suffix(".bin")
+        blob.write_bytes(cut_or_grow(data, blob.read_bytes(), "blob"))
+        try:
+            CalibrationSet.from_file(path)
+        except ModelFormatError:
+            pass
 
 
 class TestCollectResponses:

@@ -1,10 +1,17 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcompress.decompose import decompose_network
 from groupcompress.errors import PlanError
 from groupcompress.fixtures import build_resnet34, build_toy_three, build_vgg16
 from groupcompress.model import network_flops
+from groupcompress import schedule
 from groupcompress.schedule import (
     CompressionPlan,
     build_plan,
@@ -14,6 +21,8 @@ from groupcompress.schedule import (
     predict_flops,
     stage_order,
 )
+
+from json_edits import cut_or_grow, edit_fields
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,21 @@ class TestBuildPlan:
             build_plan(resnet, "slope", 1)
         with pytest.raises(PlanError, match="skip stages"):
             build_plan(resnet, "quarter", 1, skip_stages=["conv9_x"])
+
+    @pytest.mark.parametrize(
+        "caps, named",
+        [({"conv9_x": 8}, "conv9_x"), ({"conv4_x": 0}, "conv4_x"),
+         ({"conv4_x": 8.0}, "conv4_x"), ({"conv4_x": True}, "conv4_x")],
+        ids=["unknown-stage", "zero", "float", "bool"],
+    )
+    def test_bad_stage_caps(self, resnet, monkeypatch, caps, named):
+        with pytest.raises(PlanError, match=named):
+            build_plan(resnet, "quarter", 1, stage_caps=caps)
+        # Presets go through the same check.
+        preset = {"network": "resnet34", "degree": "quarter", "base_n": 1, "stage_caps": caps}
+        monkeypatch.setattr(schedule, "load_preset", lambda name: preset)
+        with pytest.raises(PlanError, match=named):
+            plan_from_preset(resnet, "bad")
 
     def test_stage_order_is_depth_order(self, resnet):
         assert stage_order(resnet) == [
@@ -232,3 +256,22 @@ class TestPlanFile:
         plan = CompressionPlan("constant", 5, {"s6": 5}, {"c2": 5})
         with pytest.raises(PlanError, match="invalid n"):
             predict_flops(net, plan)
+
+
+_TOY3_PLAN = build_plan(build_toy_three(0), "constant", 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_plan_file_raises_only_plan_error(data):
+    """Any edit of a saved plan's fields, or cut or growth of its bytes,
+    either loads or raises PlanError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _TOY3_PLAN.save(Path(tmp) / "plan.json")
+        plan = json.loads(path.read_text())
+        edit_fields(data, plan)
+        path.write_bytes(cut_or_grow(data, json.dumps(plan).encode(), "plan"))
+        try:
+            CompressionPlan.load(path)
+        except PlanError:
+            pass
