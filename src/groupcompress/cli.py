@@ -304,17 +304,22 @@ def _pointwise_feeding(
 
 def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=False):
     """Correlate each group conv's output with the output maps of the
-    pointwise conv feeding it (post-activation by default)."""
-    rows = []
+    pointwise conv feeding it (post-activation by default). Every tap comes
+    from one walk of the network."""
     inputs = layer_inputs(compressed)
     pointwise_ids = {p_layer.id for _, _, p_layer in pairs}
+    fed = []
     for src, d_layer, _ in pairs:
         found = _pointwise_feeding(compressed, inputs, d_layer, pointwise_ids)
-        if found is None:
-            continue
-        point_id, post_act_id = found
-        tap_point = point_id if pre_activation else post_act_id
-        stacked = stack_taps(compressed, calib.samples, [tap_point, d_layer.id])
+        if found is not None:
+            point_id, post_act_id = found
+            fed.append((src, d_layer, point_id, point_id if pre_activation else post_act_id))
+    if not fed:
+        return []
+    taps = [layer_id for _, d_layer, _, tap in fed for layer_id in (tap, d_layer.id)]
+    stacked = stack_taps(compressed, calib.samples, taps)
+    rows = []
+    for src, d_layer, point_id, tap_point in fed:
         point, group = stacked[tap_point], stacked[d_layer.id]
         if point.shape[0] != group.shape[0]:
             continue  # strided group conv; rows misalign

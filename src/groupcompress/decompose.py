@@ -13,6 +13,10 @@ c_in / n groups, original stride and padding) and P by a 1 x 1 convolution
 (c_in -> c_out, stride 1, no padding) that also carries the original bias.
 No nonlinearity sits between the two layers.
 
+The c_in / n blocks of a layer are factored as one (c_in / n) x (n * k^2) x
+c_out stack in a single SVD call; each block's factors, and so the
+serialized model, are byte-identical to those of a separate SVD per block.
+
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
 well conditioned for response reconstruction.
@@ -25,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import DecompositionError, ModelFormatError
+from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
 from .model import ConvWeights, LayerSpec, NetworkSpec
 
 
@@ -33,8 +37,9 @@ def _divisors(value: int) -> list[int]:
     return [d for d in range(1, value + 1) if value % d == 0]
 
 
-def partition_blocks(w: ConvWeights, n: int) -> list[np.ndarray]:
-    """Split the layer's weight matrix into c_in / n row blocks of n*k^2 rows.
+def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
+    """The layer's weight matrix as a stack of its c_in / n row blocks: a
+    (c_in / n) x (n*k^2) x c_out view, no copy.
 
     Stacking the blocks vertically reproduces the weight matrix exactly.
     """
@@ -46,12 +51,7 @@ def partition_blocks(w: ConvWeights, n: int) -> list[np.ndarray]:
         raise DecompositionError(
             f"n={n} must divide c_in={w.c_in}; valid choices: {_divisors(w.c_in)}"
         )
-    matrix = w.weight_matrix()  # (c_in * k^2) x c_out
-    rows_per_block = n * w.k * w.k
-    return [
-        matrix[i * rows_per_block : (i + 1) * rows_per_block]
-        for i in range(w.c_in // n)
-    ]
+    return w.weight_matrix().reshape(w.c_in // n, n * w.k * w.k, w.c_out)
 
 
 @dataclass
@@ -100,27 +100,16 @@ def decompose_layer(
             "refusing to decompose a 1x1 convolution (no compression); "
             "pass force_pointwise=True to override"
         )
-    blocks = partition_blocks(w, n)
+    res = linalg.svd(partition_blocks(w, n))
     k, c_in, c_out = w.k, w.c_in, w.c_out
-    n_blocks = len(blocks)
-
-    d_weights = np.zeros((c_in, n, k, k))
-    p_matrix = np.zeros((c_in, c_out))
-    errors = np.zeros(n_blocks)
-    for i, block in enumerate(blocks):
-        res = linalg.svd(block)
-        kept = min(n, res.rank)
-        trunc = res.truncate(kept)
-        d_block = trunc.u * trunc.singular_values  # (n*k^2, kept)
-        p_block = trunc.vt  # (kept, c_out)
-        if kept < n:
-            # Rank bound min(n*k^2, c_out) fell below n; pad with zeros.
-            d_block = np.hstack([d_block, np.zeros((d_block.shape[0], n - kept))])
-            p_block = np.vstack([p_block, np.zeros((n - kept, c_out))])
-        # Column m of d_block is the filter for output channel i*n + m.
-        d_weights[i * n : (i + 1) * n] = d_block.T.reshape(n, n, k, k)
-        p_matrix[i * n : (i + 1) * n] = p_block
-        errors[i] = float(np.sqrt(np.sum(res.singular_values[n:] ** 2)))
+    kept = min(n, res.rank)
+    # Zeros beyond `kept` pad blocks whose rank bound min(n*k^2, c_out) is
+    # below n. Column m of block i of d is the filter for output channel i*n + m.
+    d = np.zeros((c_in // n, n * k * k, n))
+    d[..., :kept] = res.u[..., :kept] * res.singular_values[:, None, :kept]
+    p = np.zeros((c_in // n, n, c_out))
+    p[:, :kept] = res.vt[:, :kept]
+    errors = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
 
     d_layer = ConvWeights(
         c_in=c_in,
@@ -129,7 +118,7 @@ def decompose_layer(
         groups=c_in // n,
         stride=w.stride,
         pad=w.pad,
-        weights=d_weights,
+        weights=d.transpose(0, 2, 1).reshape(c_in, n, k, k),
         bias=None,
     )
     p_layer = ConvWeights(
@@ -139,7 +128,7 @@ def decompose_layer(
         groups=1,
         stride=1,
         pad=0,
-        weights=p_matrix.T.reshape(c_out, c_in, 1, 1),
+        weights=p.reshape(c_in, c_out).T.reshape(c_out, c_in, 1, 1),
         bias=None if w.bias is None else w.bias.copy(),
     )
     return GroupDecomposition(
@@ -155,16 +144,14 @@ def group_conv_matrix(conv: ConvWeights) -> np.ndarray:
     (c_in * k^2) x c_out; the off-block entries are structurally zero."""
     if conv.weights is None:
         raise DecompositionError("layer has no materialized weights")
-    n_in = conv.c_in // conv.groups
-    k = conv.k
-    out = np.zeros((conv.c_in * k * k, conv.c_out))
-    per_out = conv.c_out // conv.groups
-    rows = n_in * k * k
-    for g in range(conv.groups):
-        block = conv.weights[g * per_out : (g + 1) * per_out]
-        out[g * rows : (g + 1) * rows, g * per_out : (g + 1) * per_out] = block.reshape(
-            per_out, -1
-        ).T
+    g, per_out = conv.groups, conv.c_out // conv.groups
+    rows = conv.c_in // g * conv.k * conv.k
+    out = np.zeros((g * rows, conv.c_out))
+    # Group i's filters are block (i, i) of the (G, rows, G, per_out) view.
+    diagonal = np.arange(g)
+    out.reshape(g, rows, g, per_out)[diagonal, :, diagonal] = (
+        conv.weights.reshape(g, per_out, rows).transpose(0, 2, 1)
+    )
     return out
 
 
@@ -244,8 +231,8 @@ def decompose_network(
         n = layer_ranks[layer.id]
         try:
             decomp = decompose_layer(layer.conv, n, force_pointwise=force_pointwise)
-        except DecompositionError as exc:
-            raise DecompositionError(f"layer {layer.id}: {exc}") from exc
+        except (DecompositionError, ShapeError, NumericalError) as exc:
+            raise type(exc)(f"layer {layer.id}: {exc}") from exc
         decompositions[layer.id] = decomp
         provenance = {"decomposed_from": layer.id, "rank_n": n}
         new_layers.append(

@@ -25,24 +25,31 @@ import numpy as np
 from .errors import NumericalError, RankDeficiencyWarning, ShapeError
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated 2-D float64 array (finite, non-empty)."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got {arr.ndim}-D")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+def _check_entries(arr: np.ndarray, name: str) -> np.ndarray:
+    if min(arr.shape) < 1:
         raise ShapeError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite entries")
     return arr
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a validated 2-D float64 array (finite, non-empty)."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got {arr.ndim}-D")
+    return _check_entries(arr, name)
+
+
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``a = u @ diag(singular_values) @ vt``.
+    """Thin SVD ``a = u @ diag(singular_values) @ vt`` of a matrix, or of
+    each matrix in a stack.
 
-    ``u`` is m x r, ``vt`` is r x n with r = min(m, n); singular values are
-    sorted descending and nonnegative.
+    For an m x n matrix ``u`` is m x r and ``vt`` is r x n with r = min(m, n);
+    a stack (..., m, n) adds its leading axes to all three factors, and
+    ``rank``, ``truncate`` and ``reconstruct`` act on the trailing axes.
+    Singular values are sorted descending and nonnegative.
     """
 
     u: np.ndarray
@@ -51,20 +58,20 @@ class SvdResult:
 
     @property
     def rank(self) -> int:
-        return self.singular_values.shape[0]
+        return self.singular_values.shape[-1]
 
     def truncate(self, rank: int) -> "SvdResult":
         """Keep the leading ``rank`` singular triplets."""
         if not 1 <= rank <= self.rank:
             raise ShapeError(f"rank must be in [1, {self.rank}], got {rank}")
         return SvdResult(
-            u=self.u[:, :rank],
-            singular_values=self.singular_values[:rank],
-            vt=self.vt[:rank, :],
+            u=self.u[..., :rank],
+            singular_values=self.singular_values[..., :rank],
+            vt=self.vt[..., :rank, :],
         )
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
+        return (self.u * self.singular_values[..., None, :]) @ self.vt
 
 
 def matmul(a, b) -> np.ndarray:
@@ -80,18 +87,23 @@ def matmul(a, b) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a dense matrix.
+    """Thin singular value decomposition of a dense matrix, or of every
+    matrix in a stack (..., m, n), in one LAPACK call.
 
-    Raises NumericalError (with the matrix dimensions in the message) if the
-    underlying iteration fails to converge.
+    Each matrix of a stack gets exactly the factors, to the bit, that it
+    would get alone. Raises NumericalError (with the array's shape in the
+    message) if the underlying iteration fails to converge.
     """
-    a = as_matrix(a, "a")
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim < 2:
+        raise ShapeError(f"a must be a matrix or a stack of matrices, got {arr.ndim}-D")
+    _check_entries(arr, "a")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix: {exc}"
-        ) from exc
+        shape = "x".join(map(str, arr.shape))
+        kind = "matrix" if arr.ndim == 2 else "stack"
+        raise NumericalError(f"SVD did not converge for {shape} {kind}: {exc}") from exc
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 

@@ -72,7 +72,8 @@ class _BlobReader:
         if entry is None:
             return None
         try:
-            offset, length = int(entry["offset"]), int(entry["length"])
+            offset = _integer(entry["offset"], f"{field} offset")
+            length = _integer(entry["length"], f"{field} length")
         except (TypeError, KeyError) as exc:
             raise ModelFormatError(f"{field}: malformed blob reference") from exc
         count = math.prod(shape)
@@ -115,6 +116,14 @@ def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
     return obj
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; a float, even a whole one, or a boolean is rejected,
+    never truncated."""
+    if type(value) is not int:
+        raise ModelFormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _require(obj: dict, field: str, layer_id: str):
     if field not in obj:
         raise ModelFormatError(f"layer {layer_id}: missing field {field!r}")
@@ -129,9 +138,10 @@ def _params_from_json(cls, obj: dict, blob: _BlobReader, layer_id: str):
         if _is_array(f):
             continue
         if f.default is MISSING:
-            scalars[f.name] = int(_require(obj, f.name, layer_id))
+            value = _require(obj, f.name, layer_id)
         else:
-            scalars[f.name] = int(obj.get(f.name, f.default))
+            value = obj.get(f.name, f.default)
+        scalars[f.name] = _integer(value, f"layer {layer_id}: {f.name}")
     params = cls(**scalars)
     arrays = {}
     for f in fields(cls):
@@ -149,9 +159,11 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
     if not isinstance(layer_id, str) or not layer_id:
         raise ModelFormatError("layer: missing or invalid field 'id'")
     kind = _require(obj, "kind", layer_id)
-    for key in ("stage", "input", "source"):
+    for key in ("stage", "input", "source", "decomposed_from"):
         if obj.get(key) is not None and not isinstance(obj[key], str):
             raise ModelFormatError(f"layer {layer_id}: {key} must be a string")
+    if "rank_n" in obj:
+        _integer(obj["rank_n"], f"layer {layer_id}: rank_n")
     try:
         if kind not in LAYER_KINDS:
             raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
@@ -254,12 +266,11 @@ def load_model(manifest_path) -> NetworkSpec:
     if not isinstance(manifest["layers"], list) or not manifest["layers"]:
         raise ModelFormatError("manifest: no layers")
     input_shape = manifest["input_shape"]
-    try:
-        shape = tuple(int(v) for v in input_shape)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}") from exc
-    if not isinstance(input_shape, list) or len(shape) != 3 or min(shape) < 1:
-        raise ModelFormatError(f"manifest: bad input_shape {input_shape!r}")
+    if not (isinstance(input_shape, list) and len(input_shape) == 3
+            and all(type(v) is int and v >= 1 for v in input_shape)):
+        raise ModelFormatError(
+            f"manifest: input_shape must be three integers >= 1, got {input_shape!r}"
+        )
 
     if not isinstance(manifest["blob"], str):
         raise ModelFormatError(f"manifest: bad blob name {manifest['blob']!r}")
@@ -276,7 +287,7 @@ def load_model(manifest_path) -> NetworkSpec:
     try:
         net = NetworkSpec(
             name=manifest.get("name", manifest_path.stem),
-            input_shape=shape,
+            input_shape=tuple(input_shape),
             layers=layers,
         )
         propagate_shapes(net)

@@ -88,6 +88,36 @@ def block_truncation_energy(block, n):
     return float(np.sum(eigvals[n:]))
 
 
+def per_block_decompose(weights, n):
+    """Rank-n factors of an ungrouped conv with weights (c_out, c_in, k, k),
+    one SVD per channel block of its (c_in * k^2) x c_out weight matrix:
+    D weights (c_in, n, k, k), P weights (c_out, c_in, 1, 1) and the
+    per-block truncation errors. Singular values go into D; a block whose
+    rank bound min(n * k^2, c_out) is below n is padded with zeros. The
+    per-block loop the stacked decomposition replaced, kept as its
+    reference."""
+    weights = np.asarray(weights, dtype=np.float64)
+    c_out, c_in, k, _ = weights.shape
+    matrix = weights.reshape(c_out, -1).T
+    rows = n * k * k
+    d_weights = np.zeros((c_in, n, k, k))
+    p_matrix = np.zeros((c_in, c_out))
+    errors = np.zeros(c_in // n)
+    for i in range(c_in // n):
+        u, s, vt = np.linalg.svd(matrix[i * rows : (i + 1) * rows], full_matrices=False)
+        kept = min(n, s.shape[0])
+        d_block = u[:, :kept] * s[:kept]
+        p_block = vt[:kept]
+        if kept < n:
+            d_block = np.hstack([d_block, np.zeros((rows, n - kept))])
+            p_block = np.vstack([p_block, np.zeros((n - kept, c_out))])
+        # Column m of d_block is the filter for output channel i*n + m.
+        d_weights[i * n : (i + 1) * n] = d_block.T.reshape(n, n, k, k)
+        p_matrix[i * n : (i + 1) * n] = p_block
+        errors[i] = float(np.sqrt(np.sum(s[n:] ** 2)))
+    return d_weights, p_matrix.T.reshape(c_out, c_in, 1, 1), errors
+
+
 def im2col_rows(image, k, stride, pad):
     """Patch matrix of one zero-padded (c, h, w) image: one row per output
     position in row-major order; columns run channel-major, then kernel row,

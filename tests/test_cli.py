@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from groupcompress import model
 from groupcompress.cli import (
     EXIT_FORMAT,
     EXIT_NUMERIC,
@@ -13,7 +14,8 @@ from groupcompress.cli import (
     main,
 )
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
-from groupcompress.model import NetworkSpec, forward
+from groupcompress.degeneracy import filter_correlation, write_correlation_csv
+from groupcompress.model import NetworkSpec, forward, stack_taps
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import CompressionPlan
@@ -93,10 +95,18 @@ class TestInspect:
             lambda m: m.update(input_shape=[3, float("inf"), 6]),
             lambda m: m["layers"][1].update(input=["c1"]),
             lambda m: m.update(blob=""),
+            lambda m: m["layers"][0].update(stride=1.9),
+            lambda m: m.update(input_shape=[3.9, 6, 6]),
+            lambda m: m["layers"][0].update(groups=True),
+            lambda m: m["layers"][0]["weights"].update(offset=0.0),
+            lambda m: m["layers"][0].update(rank_n=1.5),
+            lambda m: m["layers"][0].update(decomposed_from=["c1"]),
         ],
         ids=[
             "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
             "blob-not-name", "c_in-inf", "input_shape-inf", "input-list", "blob-directory",
+            "stride-float", "input_shape-float", "groups-bool", "offset-float",
+            "rank_n-float", "decomposed_from-list",
         ],
     )
     def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):
@@ -309,6 +319,20 @@ class TestCompress:
         assert code == EXIT_PLAN
         err = capsys.readouterr().err
         assert "layer c1:" in err and "'c1.p'" in err
+
+    def test_non_finite_weight_is_numeric_error_naming_layer(self, tmp_path, capsys):
+        net = build_toy_three(seed=0)
+        net.layer("c1").conv.weights[0, 0, 0, 0] = np.nan
+        path = save_model(net, tmp_path / "m.json")
+        out_dir = tmp_path / "o"
+        code = main(
+            ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--no-reconstruct"]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "layer c1:" in err and "non-finite" in err
+        assert not (out_dir / "model.bin").exists()
 
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
@@ -593,6 +617,38 @@ class TestAnalyze:
         assert [row.split(",")[:3] for row in summary[1:]] == [
             ["c2", "c1.p", "r1"], ["sc", "c1.p", "r1"]
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["--corr-pre-activation"]], ids=["post", "pre"])
+    def test_correlation_walks_the_network_once(
+        self, toy3_path, compressed_dir, tmp_path, monkeypatch, flags
+    ):
+        walks = []
+        walk = model._walk
+
+        def counting_walk(net, x):
+            walks.append(net.name)
+            return walk(net, x)
+
+        monkeypatch.setattr(model, "_walk", counting_walk)
+        analysis = tmp_path / "analysis"
+        assert main(
+            ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+             str(analysis), "--correlation", "--calib-count", "8", *flags]
+        ) == EXIT_OK
+        assert len(walks) == 1
+        # Each pair's CSV is byte-identical to one from a walk of its own.
+        compressed = load_model(compressed_dir / "model.json")
+        samples = CalibrationSet.synthetic(compressed.input_shape, 8, seed=0).samples
+        summary = (analysis / "correlation_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in summary] == ["c2", "c3"]
+        for row in summary:
+            src, _, tap, n = row.split(",")[:4]
+            stacked = stack_taps(compressed, samples, [tap, f"{src}.d"])
+            report = filter_correlation(stacked[tap], stacked[f"{src}.d"], block_size=int(n))
+            write_correlation_csv(tmp_path / "expected.csv", report)
+            expected = (tmp_path / "expected.csv").read_bytes()
+            assert (analysis / f"correlation_{src}.csv").read_bytes() == expected
+        assert len(walks) == 1 + len(summary)
 
     def test_uncompressed_model_is_plan_error(self, toy3_path, tmp_path):
         code = main(

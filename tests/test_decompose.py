@@ -7,6 +7,7 @@ from groupcompress.decompose import (
     decompose_layer,
     decompose_network,
     decomposed_jacobian_rank,
+    group_conv_matrix,
     partition_blocks,
 )
 from groupcompress.errors import DecompositionError
@@ -20,7 +21,7 @@ from groupcompress.model import (
     network_flops,
 )
 
-from oracles import block_truncation_energy
+from oracles import block_diagonal_matrix, block_truncation_energy, per_block_decompose
 
 
 def random_conv(rng, c_in, c_out, k, bias=True, stride=1, pad=None):
@@ -68,6 +69,46 @@ class TestPartition:
         w = ConvWeights(4, 4, 3, groups=2, weights=np.zeros((4, 2, 3, 3)))
         with pytest.raises(DecompositionError, match="ungrouped"):
             partition_blocks(w, 2)
+
+    def test_blocks_are_a_view_of_the_weights(self):
+        rng = np.random.default_rng(19)
+        w = random_conv(rng, 6, 5, 3)
+        blocks = partition_blocks(w, 3)
+        assert blocks.shape == (2, 27, 5)
+        assert np.shares_memory(blocks, w.weights)
+
+
+class TestStackedDecomposition:
+    """One SVD over a layer's stacked blocks against one SVD per block."""
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, n, stride, force",
+        [
+            (6, 5, 3, 6, 1, False),  # n = c_in: one block
+            (8, 12, 3, 1, 1, False),  # depthwise D
+            (8, 10, 3, 2, 2, False),  # stride 2
+            (8, 6, 1, 4, 1, True),  # forced 1x1
+            (8, 2, 3, 4, 1, False),  # c_out < n: the rank bound pads with zeros
+            (4, 3, 1, 4, 1, True),  # 1x1 with c_out < n
+        ],
+        ids=["one-block", "depthwise", "stride-2", "forced-1x1", "padded", "padded-1x1"],
+    )
+    def test_matches_per_block_oracle(self, c_in, c_out, k, n, stride, force):
+        rng = np.random.default_rng(c_in * 100 + c_out * 10 + n)
+        w = random_conv(rng, c_in, c_out, k, stride=stride)
+        decomp = decompose_layer(w, n, force_pointwise=force)
+        d_weights, p_weights, errors = per_block_decompose(w.weights, n)
+        assert np.array_equal(decomp.d_layer.weights, d_weights)
+        assert np.array_equal(decomp.p_layer.weights, p_weights)
+        assert np.array_equal(decomp.block_truncation_errors, errors)
+        assert decomp.d_layer.stride == stride
+
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_group_conv_matrix_matches_per_group_oracle(self, groups):
+        rng = np.random.default_rng(20 + groups)
+        weights = rng.standard_normal((16, 8 // groups, 3, 3))
+        conv = ConvWeights(8, 16, 3, groups=groups, weights=weights)
+        assert np.array_equal(group_conv_matrix(conv), block_diagonal_matrix(weights, groups))
 
 
 class TestDecomposeLayer:
@@ -273,6 +314,21 @@ class TestDecomposeNetwork:
         ratio = flops_ratio_fraction(6, 3, 2)
         assert per_after["c2.d"] + per_after["c2.p"] == per_before["c2"] * ratio
         assert per_after["c1"] == per_before["c1"]
+
+    def test_one_svd_call_per_planned_layer(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        net = self.build(rng)
+        net.layers = net.layers[:3]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        decompose_network(net, {"c1": 1, "c2": 2})
+        assert calls == [(4, 9, 4), (2, 18, 6)]
 
     def test_unknown_layer_rejected(self):
         rng = np.random.default_rng(18)

@@ -89,8 +89,38 @@ class TestSvd:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", boom)
-        with pytest.raises(NumericalError, match="4x3"):
+        with pytest.raises(NumericalError, match="4x3 matrix"):
             linalg.svd(np.ones((4, 3)))
+        with pytest.raises(NumericalError, match="5x4x3 stack"):
+            linalg.svd(np.ones((5, 4, 3)))
+
+    def test_stack_matches_each_matrix_alone(self):
+        rng = np.random.default_rng(8)
+        for shape in [(4, 5, 3), (3, 2, 7), (2, 3, 6, 6)]:
+            a = rng.standard_normal(shape)
+            res = linalg.svd(a)
+            rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
+            assert rel <= 1e-10
+            assert res.rank == min(shape[-2:])
+            for index in np.ndindex(*shape[:-2]):
+                alone = linalg.svd(a[index])
+                assert np.array_equal(res.u[index], alone.u)
+                assert np.array_equal(res.singular_values[index], alone.singular_values)
+                assert np.array_equal(res.vt[index], alone.vt)
+            cut = res.truncate(1)
+            assert cut.u.shape == (*shape[:-1], 1) and cut.vt.shape == (*shape[:-2], 1, shape[-1])
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.ones(3), "1-D"),
+            (np.ones((2, 0, 3)), "non-empty"),
+            (np.array([[[1.0, np.nan]]]), "non-finite"),
+        ],
+    )
+    def test_bad_input_is_shape_error(self, a, message):
+        with pytest.raises(ShapeError, match=message):
+            linalg.svd(a)
 
 
 class TestLeastSquares:
