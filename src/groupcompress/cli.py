@@ -244,7 +244,7 @@ def cmd_analyze(args) -> int:
     labels = []
     for src, d_layer, p_layer in pairs:
         conv = original.layer(src).conv
-        n = int(p_layer.meta.get("rank_n", d_layer.conv.c_in // d_layer.conv.groups))
+        n = d_layer.conv.c_in // d_layer.conv.groups
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, n)
         rank_reports.append(report)
         labels.append(src)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
-from .model import ConvWeights, LayerSpec, NetworkSpec
+from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs
 
 
 def _divisors(value: int) -> list[int]:
@@ -173,16 +173,28 @@ def p_layer_id(layer_id: str) -> str:
 
 def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]:
     """(source id, D layer, P layer) for every decomposed conv, in network
-    order, found by the ``decomposed_from`` provenance both layers carry."""
+    order, found by the ``decomposed_from`` provenance both layers carry. D
+    must be a conv and P a 1x1 ungrouped conv reading all of D's channels; a
+    ``rank_n`` must be D's c_in / groups. Anything else is a ModelFormatError."""
     found: dict[str, list[LayerSpec]] = {}
     for layer in net.layers:
         src = layer.meta.get("decomposed_from")
         if src:
             found.setdefault(src, []).append(layer)
+    inputs = layer_inputs(net)
     for src, layers in found.items():
         if len(layers) != 2:
             raise ModelFormatError(
                 f"{len(layers)} layers carry the provenance decomposed_from={src!r}"
+            )
+        d, p = layers
+        n = d.conv.c_in // d.conv.groups if d.kind == "conv" else None
+        if not (n and p.kind == "conv" and inputs[p.id] == d.id and p.conv.k == 1
+                and p.conv.groups == 1 and p.conv.c_in == d.conv.c_out
+                and all(layer.meta.get("rank_n", n) == n for layer in layers)):
+            raise ModelFormatError(
+                f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not a conv D and a 1x1 "
+                "ungrouped conv reading all of D's channels, with rank_n = D's c_in / groups"
             )
     return [(src, d, p) for src, (d, p) in found.items()]
 

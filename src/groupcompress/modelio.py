@@ -1,4 +1,5 @@
-"""Model serialization: JSON manifest plus a raw float32 weight blob.
+"""File formats: models and calibration sets (a JSON manifest plus a raw
+float32 blob) and compression plans (JSON only).
 
 Format (version 1)
 ------------------
@@ -30,6 +31,15 @@ declaration order:
 The blob is little-endian float32, tensors in C order; conv weights are
 (c_out, c_in/groups, k, k), fc weights (out_features, in_features). Offsets
 and lengths are in bytes and must be 4-byte aligned.
+
+A calibration manifest is ``{"format_version": 1, "count": N, "shape": [C,
+H, W], "blob": "calib.bin"}``; its blob is the (N, C, H, W) samples. A plan
+file is ``schedule.CompressionPlan.to_json()``, with no blob.
+
+All three are read by ``read_json``: a missing, unreadable or malformed file
+raises ModelFormatError (PlanError for a plan). ``json_integer`` checks
+their integers, never truncating. ``write_json`` writes them, the blob
+first and each file atomically, so an interrupted write leaves no file.
 """
 
 from __future__ import annotations
@@ -72,14 +82,14 @@ class _BlobReader:
         if entry is None:
             return None
         try:
-            offset = _integer(entry["offset"], f"{field} offset")
-            length = _integer(entry["length"], f"{field} length")
+            offset = json_integer(entry["offset"], f"{field} offset")
+            length = json_integer(entry["length"], f"{field} length")
         except (TypeError, KeyError) as exc:
             raise ModelFormatError(f"{field}: malformed blob reference") from exc
         count = math.prod(shape)
         if length != 4 * count:
             raise ModelFormatError(
-                f"{field}: blob length {length} != {4 * count} expected for shape {shape}"
+                f"{field}: blob length {length} bytes, expected {4 * count} for shape {shape}"
             )
         if offset < 0 or offset + length > len(self.raw):
             raise ModelFormatError(f"{field}: blob slice out of range")
@@ -116,11 +126,12 @@ def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
     return obj
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer; a float, even a whole one, or a boolean is rejected,
-    never truncated."""
-    if type(value) is not int:
-        raise ModelFormatError(f"{field} must be an integer, got {value!r}")
+def json_integer(value, field: str, minimum: int | None = None, error=ModelFormatError) -> int:
+    """A JSON integer, at least ``minimum`` when given; a float, even a whole
+    one, or a boolean raises ``error``, never truncated."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{field} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -141,7 +152,7 @@ def _params_from_json(cls, obj: dict, blob: _BlobReader, layer_id: str):
             value = _require(obj, f.name, layer_id)
         else:
             value = obj.get(f.name, f.default)
-        scalars[f.name] = _integer(value, f"layer {layer_id}: {f.name}")
+        scalars[f.name] = json_integer(value, f"layer {layer_id}: {f.name}")
     params = cls(**scalars)
     arrays = {}
     for f in fields(cls):
@@ -163,7 +174,7 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
         if obj.get(key) is not None and not isinstance(obj[key], str):
             raise ModelFormatError(f"layer {layer_id}: {key} must be a string")
     if "rank_n" in obj:
-        _integer(obj["rank_n"], f"layer {layer_id}: rank_n")
+        json_integer(obj["rank_n"], f"layer {layer_id}: rank_n")
     try:
         if kind not in LAYER_KINDS:
             raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
@@ -210,6 +221,69 @@ def write_atomically(*paths: Path):
             tmp.unlink(missing_ok=True)
 
 
+def write_json(path, document: dict, blob: _BlobWriter | None = None) -> Path:
+    """Write ``document`` to ``path`` as indented JSON and, when given,
+    ``blob`` to the file its ``"blob"`` field names beside it.
+
+    Both files are written in full before either is moved into place, and
+    the blob goes first, so a new manifest never names an unfinished blob.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    paths = [path] if blob is None else [path.parent / document["blob"], path]
+    with write_atomically(*paths) as temps:
+        if blob is not None:
+            with open(temps[0], "wb") as fh:
+                fh.writelines(blob.chunks)
+        with open(temps[-1], "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+    return path
+
+
+def read_json(path, kind: str, error=ModelFormatError):
+    """The JSON document at ``path``. A file that is missing, unreadable
+    (a directory), not UTF-8 or not JSON raises ``error`` naming ``kind``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{kind} not found: {path}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{kind} is not readable JSON: {exc}") from exc
+
+
+def _read_manifest(path, kind: str, required: tuple) -> tuple[dict, _BlobReader]:
+    """A version-1 manifest with the ``required`` fields, and its blob."""
+    path = Path(path)
+    manifest = read_json(path, kind)
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{kind}: not a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ModelFormatError(
+            f"{kind}: unsupported format_version {version!r} (expected {FORMAT_VERSION})"
+        )
+    for field in (*required, "blob"):
+        if field not in manifest:
+            raise ModelFormatError(f"{kind}: missing field {field!r}")
+    if not isinstance(manifest["blob"], str):
+        raise ModelFormatError(f"{kind}: bad blob name {manifest['blob']!r}")
+    blob_path = path.parent / manifest["blob"]
+    try:
+        return manifest, _BlobReader(blob_path.read_bytes())
+    except FileNotFoundError:
+        raise ModelFormatError(f"{kind}: blob not found: {blob_path}") from None
+    except (OSError, ValueError) as exc:  # a directory, or a name with a NUL byte
+        raise ModelFormatError(f"{kind}: cannot read blob {blob_path}: {exc}") from exc
+
+
+def _shape(value, field: str) -> tuple[int, int, int]:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ModelFormatError(f"{field} must be three integers >= 1, got {value!r}")
+    return tuple(json_integer(v, field, 1) for v in value)
+
+
 def save_model(net: NetworkSpec, manifest_path) -> Path:
     """Write ``<manifest_path>`` and its sibling ``.bin`` blob.
 
@@ -219,78 +293,52 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
     """
     propagate_shapes(net)
     manifest_path = Path(manifest_path)
-    blob_name = manifest_path.with_suffix(".bin").name
     blob = _BlobWriter()
     layers = [_layer_to_json(layer, blob) for layer in net.layers]
     manifest = {
         "format_version": FORMAT_VERSION,
         "name": net.name,
         "input_shape": list(net.input_shape),
-        "blob": blob_name,
+        "blob": manifest_path.with_suffix(".bin").name,
         "layers": layers,
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    # Both files are written in full before either is moved into place, and
-    # the blob goes first, so a new manifest never names an unfinished blob.
-    blob_path = manifest_path.parent / blob_name
-    with write_atomically(blob_path, manifest_path) as (tmp_blob, tmp_manifest):
-        with open(tmp_blob, "wb") as fh:
-            fh.writelines(blob.chunks)
-        with open(tmp_manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-    return manifest_path
+    return write_json(manifest_path, manifest, blob)
 
 
 def load_model(manifest_path) -> NetworkSpec:
     """Load and validate a model; shape propagation runs as a consistency check."""
-    manifest_path = Path(manifest_path)
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise ModelFormatError(f"manifest not found: {manifest_path}")
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"manifest is not valid JSON: {exc}") from exc
-
-    if not isinstance(manifest, dict):
-        raise ModelFormatError("manifest: not a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format_version {version!r} (expected {FORMAT_VERSION})"
-        )
-    for field in ("input_shape", "blob", "layers"):
-        if field not in manifest:
-            raise ModelFormatError(f"manifest: missing field {field!r}")
+    manifest, reader = _read_manifest(manifest_path, "manifest", ("input_shape", "layers"))
     if not isinstance(manifest["layers"], list) or not manifest["layers"]:
         raise ModelFormatError("manifest: no layers")
-    input_shape = manifest["input_shape"]
-    if not (isinstance(input_shape, list) and len(input_shape) == 3
-            and all(type(v) is int and v >= 1 for v in input_shape)):
-        raise ModelFormatError(
-            f"manifest: input_shape must be three integers >= 1, got {input_shape!r}"
-        )
-
-    if not isinstance(manifest["blob"], str):
-        raise ModelFormatError(f"manifest: bad blob name {manifest['blob']!r}")
-    blob_path = manifest_path.parent / manifest["blob"]
-    try:
-        raw = blob_path.read_bytes()
-    except FileNotFoundError:
-        raise ModelFormatError(f"weight blob not found: {blob_path}")
-    except (OSError, ValueError) as exc:  # a directory, or a name with a NUL byte
-        raise ModelFormatError(f"cannot read weight blob {blob_path}: {exc}") from exc
-    reader = _BlobReader(raw)
-
+    input_shape = _shape(manifest["input_shape"], "manifest: input_shape")
     layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]
     try:
-        net = NetworkSpec(
-            name=manifest.get("name", manifest_path.stem),
-            input_shape=tuple(input_shape),
-            layers=layers,
-        )
+        net = NetworkSpec(manifest.get("name", Path(manifest_path).stem), input_shape, layers)
         propagate_shapes(net)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
     return net
+
+
+def save_calibration(samples: np.ndarray, manifest_path) -> Path:
+    """Write (count, C, H, W) ``samples`` as a calibration manifest and blob."""
+    manifest_path = Path(manifest_path)
+    blob = _BlobWriter()
+    blob.put(samples)
+    header = {
+        "format_version": FORMAT_VERSION,
+        "count": samples.shape[0],
+        "shape": list(samples.shape[1:]),
+        "blob": manifest_path.with_suffix(".bin").name,
+    }
+    return write_json(manifest_path, header, blob)
+
+
+def load_calibration(manifest_path) -> np.ndarray:
+    """The (count, C, H, W) samples of a calibration manifest."""
+    kind = "calibration manifest"
+    header, reader = _read_manifest(manifest_path, kind, ("count", "shape"))
+    count = json_integer(header["count"], f"{kind}: count", 1)
+    shape = _shape(header["shape"], f"{kind}: shape")
+    whole = {"offset": 0, "length": len(reader.raw)}
+    return reader.get(whole, (count, *shape), "calibration samples")

@@ -19,7 +19,6 @@ earlier decomposed layer is already in its final merged form.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -29,10 +28,9 @@ import numpy as np
 
 from . import linalg
 from .decompose import decomposed_pairs
-from .errors import CalibrationWarning, ModelFormatError, ShapeError
+from .errors import CalibrationWarning, ShapeError
 from .model import ConvWeights, NetworkSpec, _conv_forward, _walk, propagate_shapes, response_rows
-
-CALIBRATION_FORMAT_VERSION = 1
+from .modelio import load_calibration, save_calibration
 
 
 @dataclass
@@ -45,7 +43,6 @@ class CalibrationSet:
     """
 
     samples: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -67,62 +64,14 @@ class CalibrationSet:
     @classmethod
     def synthetic(cls, shape, count: int, seed: int = 0) -> "CalibrationSet":
         rng = np.random.default_rng(seed)
-        samples = rng.standard_normal((count, *shape))
-        return cls(samples=samples, seed=seed)
+        return cls(samples=rng.standard_normal((count, *shape)))
 
     @classmethod
     def from_file(cls, manifest_path) -> "CalibrationSet":
-        manifest_path = Path(manifest_path)
-        try:
-            header = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ModelFormatError(f"calibration manifest not found: {manifest_path}")
-        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
-            raise ModelFormatError(f"calibration manifest is not readable JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise ModelFormatError("calibration manifest: not a JSON object")
-        for fld in ("format_version", "count", "shape", "blob"):
-            if fld not in header:
-                raise ModelFormatError(f"calibration manifest: missing field {fld!r}")
-        if header["format_version"] != CALIBRATION_FORMAT_VERSION:
-            raise ModelFormatError(
-                f"unsupported calibration format_version {header['format_version']!r}"
-            )
-        count, shape = header["count"], header["shape"]
-        if not (isinstance(shape, list) and len(shape) == 3
-                and all(type(v) is int and v >= 1 for v in [count, *shape])):
-            raise ModelFormatError(
-                f"calibration manifest: need an integer count and a (C, H, W) shape of "
-                f"integers, all >= 1; got count {count!r}, shape {shape!r}"
-            )
-        try:
-            blob = (manifest_path.parent / header["blob"]).read_bytes()
-        except (OSError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"calibration manifest: bad blob: {exc}") from exc
-        expected = 4 * count * math.prod(shape)
-        if len(blob) != expected:
-            raise ModelFormatError(
-                f"calibration blob has {len(blob)} bytes, expected {expected}"
-            )
-        samples = (
-            np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(count, *shape)
-        )
-        return cls(samples=samples)
+        return cls(samples=load_calibration(manifest_path))
 
     def save(self, manifest_path) -> Path:
-        manifest_path = Path(manifest_path)
-        blob_name = manifest_path.with_suffix(".bin").name
-        header = {
-            "format_version": CALIBRATION_FORMAT_VERSION,
-            "count": self.count,
-            "shape": list(self.sample_shape),
-            "blob": blob_name,
-        }
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-        with open(manifest_path.parent / blob_name, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.samples, dtype="<f4").tobytes())
-        return manifest_path
+        return save_calibration(self.samples, manifest_path)
 
 
 def collect_responses(

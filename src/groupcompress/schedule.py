@@ -26,6 +26,7 @@ from .model import (
     network_flops,
     propagate_shapes,
 )
+from .modelio import json_integer, read_json, write_json
 
 DEGREES = {"constant": 1, "half": 2, "quarter": 4}
 
@@ -50,7 +51,7 @@ class CompressionPlan:
         try:
             return cls(
                 degree=obj["degree"],
-                base_n=_integer(obj["base_n"], "base_n"),
+                base_n=json_integer(obj["base_n"], "base_n", error=PlanError),
                 stage_ns=_integers(obj["stage_ns"], "stage_ns"),
                 layer_ranks=_integers(obj["layer_ranks"], "layer_ranks"),
                 skipped_layers=list(obj.get("skipped_layers", [])),
@@ -61,33 +62,18 @@ class CompressionPlan:
             raise PlanError(f"malformed plan: {exc}") from exc
 
     def save(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
-        return path
+        return write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "CompressionPlan":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise PlanError(f"plan file not found: {path}")
-        except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
-            raise PlanError(f"plan file is not readable JSON: {exc}") from exc
-        return cls.from_json(obj)
-
-
-def _integer(value, name: str) -> int:
-    if type(value) is not int:
-        raise PlanError(f"{name} must be an integer, got {value!r}")
-    return value
+        return cls.from_json(read_json(path, "plan file", PlanError))
 
 
 def _integers(value, name: str) -> dict[str, int]:
     """A plan field mapping names (stages or layers) to integers."""
     if not isinstance(value, dict):
         raise PlanError(f"{name} must map names to integers, got {value!r}")
-    return {key: _integer(v, f"{name}[{key!r}]") for key, v in value.items()}
+    return {k: json_integer(v, f"{name}[{k!r}]", error=PlanError) for k, v in value.items()}
 
 
 def _largest_divisor_at_most(value: int, cap: int) -> int:
@@ -145,8 +131,8 @@ def build_plan(
     apply stage caps, then clamp each layer's n to a divisor of its c_in.
 
     Adjustments (caps or divisor clamps) are reported on the plan, never
-    fatal. Unknown stage names in the skip list or the caps, and caps below
-    1, are planning errors.
+    fatal. Unknown stage names in the skip list or the caps, unknown layer
+    ids in the skip list, and caps below 1, are planning errors.
     """
     degree = degree.lower()
     if degree not in DEGREES:
@@ -161,9 +147,11 @@ def build_plan(
     unknown = [s for s in [*skip_stages, *stage_caps] if s not in order]
     if unknown:
         raise PlanError(f"skip stages or stage caps not present in network: {unknown}")
+    unknown = sorted(set(skip_layers) - {l.id for l in net.layers})
+    if unknown:
+        raise PlanError(f"skip layers not present in network: {unknown}")
     for stage, cap in stage_caps.items():
-        if type(cap) is not int or cap < 1:
-            raise PlanError(f"stage {stage}: cap must be an integer >= 1, got {cap!r}")
+        json_integer(cap, f"stage {stage}: cap", 1, PlanError)
     compressed_stages = [s for s in order if s not in set(skip_stages)]
 
     stage_ns: dict[str, int] = {}

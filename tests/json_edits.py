@@ -39,7 +39,14 @@ def edit_fields(data, document, optional_keys=frozenset()):
         if data.draw(st.booleans(), label="delete"):
             target.pop(key, None)
         else:
-            target[key] = data.draw(JSON_VALUES, label="value")
+            target[key] = data.draw(_near(target.get(key)) | JSON_VALUES, label="value")
+
+
+def _near(value):
+    """Numbers a loader that truncates would read as the integer ``value``."""
+    if type(value) is not int:
+        return st.nothing()
+    return st.sampled_from([float(value), value + 0.5])
 
 
 def cut_or_grow(data, raw: bytes, label: str) -> bytes:

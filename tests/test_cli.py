@@ -44,6 +44,20 @@ class TestInspect:
         assert main(["inspect", str(tmp_path / "none.json")]) == EXIT_FORMAT
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink() or path.mkdir(),
+            lambda path: path.write_bytes(path.read_bytes().replace(b'"toy3"', b'"toy\xff"')),
+            lambda path: path.write_text("[" * 100_000),
+        ],
+        ids=["directory", "non-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_manifest_is_format_error(self, toy3_path, capsys, damage):
+        damage(toy3_path)
+        assert main(["inspect", str(toy3_path)]) == EXIT_FORMAT
+        assert "manifest is not readable JSON" in capsys.readouterr().err
+
     def test_single_conv_model(self, tmp_path, capsys):
         from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec
 
@@ -171,6 +185,14 @@ class TestPlan:
                      "--stage-cap", cap, "-o", str(plan_path)])
         assert code == EXIT_PLAN
         assert named in capsys.readouterr().err
+        assert not plan_path.exists()
+
+    def test_unknown_skip_layer_is_plan_error(self, toy3_path, tmp_path, capsys):
+        plan_path = tmp_path / "p.json"
+        code = main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                     "--skip-layer", "nosuch", "-o", str(plan_path)])
+        assert code == EXIT_PLAN
+        assert "'nosuch'" in capsys.readouterr().err
         assert not plan_path.exists()
 
 
@@ -516,6 +538,23 @@ class TestAnalyze:
             ]
         )
         return out_dir
+
+    @pytest.mark.parametrize("fault", ["p-is-relu", "rank_n-mismatch"])
+    def test_malformed_decomposed_pair_is_format_error(
+        self, toy3_path, compressed_dir, tmp_path, capsys, fault
+    ):
+        path = compressed_dir / "model.json"
+        manifest = json.loads(path.read_text())
+        layers = {layer["id"]: layer for layer in manifest["layers"]}
+        if fault == "p-is-relu":  # c1's provenance moved from its P layer to r1
+            for key in ("decomposed_from", "rank_n"):
+                layers["r1"][key] = layers["c1.p"].pop(key)
+        else:  # c1.d has c_in / groups = 1
+            layers["c1.d"]["rank_n"] = layers["c1.p"]["rank_n"] = 3
+        path.write_text(json.dumps(manifest))
+        code = main(["analyze", str(toy3_path), str(path), "-o", str(tmp_path / "a")])
+        assert code == EXIT_FORMAT
+        assert "decomposed_from='c1'" in capsys.readouterr().err
 
     def test_csv_bundle(self, toy3_path, compressed_dir, tmp_path):
         analysis = tmp_path / "analysis"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from groupcompress.decompose import (
     decompose_layer,
     decompose_network,
     decomposed_jacobian_rank,
+    decomposed_pairs,
     group_conv_matrix,
     partition_blocks,
 )
-from groupcompress.errors import DecompositionError
+from groupcompress.errors import DecompositionError, ModelFormatError
 from groupcompress.model import (
     ConvWeights,
     LayerSpec,
@@ -329,6 +332,28 @@ class TestDecomposeNetwork:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         decompose_network(net, {"c1": 1, "c2": 2})
         assert calls == [(4, 9, 4), (2, 18, 6)]
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"c1.p": {"meta": {}}, "r1": {"meta": {"decomposed_from": "c1"}}},
+            {"c1.p": {"meta": {}}, "c2.d": {"meta": {"decomposed_from": "c1"}}},
+            {"c1.p": {"input": "r1"}},
+            {"c1.p": {"meta": {"decomposed_from": "c1", "rank_n": 1}}},
+        ],
+        ids=["p-is-relu", "p-not-1x1", "p-reads-other", "rank_n-mismatch"],
+    )
+    def test_malformed_pair_is_format_error(self, edits):
+        net = self.build(np.random.default_rng(22))
+        net.layers = net.layers[:3]
+        compressed, _ = decompose_network(net, {"c1": 2, "c2": 2})
+        pairs = decomposed_pairs(compressed)
+        assert [(src, d.id, p.id) for src, d, p in pairs] == [
+            ("c1", "c1.d", "c1.p"), ("c2", "c2.d", "c2.p")
+        ]
+        compressed.layers = [replace(l, **edits.get(l.id, {})) for l in compressed.layers]
+        with pytest.raises(ModelFormatError, match="decomposed_from='c1'"):
+            decomposed_pairs(compressed)
 
     def test_unknown_layer_rejected(self):
         rng = np.random.default_rng(18)

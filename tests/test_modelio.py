@@ -20,6 +20,8 @@ from groupcompress.model import (
     forward,
 )
 from groupcompress.modelio import load_model, save_model
+from groupcompress.reconstruct import CalibrationSet
+from groupcompress.schedule import build_plan
 
 from json_edits import cut_or_grow, edit_fields
 
@@ -192,24 +194,91 @@ def test_interrupted_save_leaves_no_model(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "save",
+    [
+        lambda path: CalibrationSet.synthetic((2, 3, 3), 2, seed=0).save(path),
+        lambda path: build_plan(build_toy_three(0), "constant", 1).save(path),
+    ],
+    ids=["calibration", "plan"],
+)
+def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch, save):
+    """Whichever way the JSON is written, a save interrupted halfway
+    through leaves no file of that name, never a half-written one."""
+    path = save(tmp_path / "file.json")
+
+    def half_dump(obj, fh, **kwargs):
+        fh.write('{"format_version": 1, "co')
+        raise OSError("disk full")
+
+    def half_write_text(path, text, **kwargs):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", half_dump)
+    monkeypatch.setattr(Path, "write_text", half_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        save(path)
+    assert list(tmp_path.iterdir()) == []
+
+
 # Keys a toy3 manifest may lack: optional layer fields.
 _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
 _TOY3 = build_toy_three(0)
 
 
+def _same_json(a, b) -> bool:
+    """Equal as JSON text, so 1, 1.0 and true differ."""
+    return json.dumps(a) == json.dumps(b)
+
+
+def _decoded(entry, manifest_path: Path, manifest: dict) -> np.ndarray:
+    raw = (manifest_path.parent / manifest["blob"]).read_bytes()
+    return np.frombuffer(raw, "<f4", count=entry["length"] // 4, offset=entry["offset"])
+
+
+def _assert_same_fields(written: dict, written_path: Path, saved: dict, saved_path: Path):
+    """``saved`` holds ``written``'s value in every field the format defines.
+    Arrays are compared decoded, not by blob offset; a field ``written``
+    leaves out is not compared (its default was used), and keys the format
+    does not define, which are dropped on save, are not compared either."""
+    for key in ("format_version", "name", "input_shape"):
+        assert key not in written or _same_json(saved[key], written[key]), key
+    assert len(saved["layers"]) == len(written["layers"])
+    for old, new in zip(written["layers"], saved["layers"]):
+        for key in set(new) | _OPTIONAL_KEYS:
+            where = f"layer {new['id']} {key}"
+            if key not in new:  # an optional field saved only when set
+                assert old.get(key) is None, where
+            elif isinstance(new[key], dict):  # a blob reference
+                assert np.array_equal(
+                    _decoded(new[key], saved_path, saved),
+                    _decoded(old[key], written_path, written),
+                    equal_nan=True,
+                ), where
+            elif key in old:
+                assert _same_json(new[key], old[key]), where
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_manifest_or_blob_raises_only_model_format_error(data):
-    """Any edit of a valid manifest's fields, or cut or growth of its blob,
-    either loads or raises ModelFormatError."""
+    """Any edit of a valid manifest's fields, or cut or growth of its bytes
+    or of its blob, either raises ModelFormatError or loads a network that
+    saves back to the same value in every field the format defines."""
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(_TOY3, Path(tmp) / "toy3.json")
         manifest = json.loads(path.read_text())
         edit_fields(data, manifest, _OPTIONAL_KEYS)
-        path.write_text(json.dumps(manifest))
+        path.write_bytes(cut_or_grow(data, json.dumps(manifest).encode(), "manifest"))
         blob = path.with_suffix(".bin")
         blob.write_bytes(cut_or_grow(data, blob.read_bytes(), "blob"))
         try:
-            load_model(path)
+            net = load_model(path)
         except ModelFormatError:
-            pass
+            return
+        saved = save_model(net, Path(tmp) / "saved" / "toy3.json")
+        _assert_same_fields(
+            json.loads(path.read_bytes()), path, json.loads(saved.read_text()), saved
+        )
