@@ -6,8 +6,8 @@ from .decompose import (  # noqa: F401
     GroupDecomposition,
     decompose_layer,
     decompose_network,
-    decomposed_jacobian_rank,
     decomposed_pairs,
+    pair_layers,
     partition_blocks,
 )
 from .degeneracy import (  # noqa: F401
@@ -22,7 +22,6 @@ from .model import (  # noqa: F401
     LayerSpec,
     NetworkSpec,
     flops_of_layer,
-    flops_ratio_decomposed,
     forward,
     network_flops,
 )

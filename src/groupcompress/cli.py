@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
 
-from .decompose import decompose_network, decomposed_pairs, group_conv_matrix
+from .decompose import decompose_network, decomposed_pairs, group_conv_matrix, is_pair
 from .degeneracy import (
     equal_flops_ranks,
     filter_correlation,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .fixtures import BUILDERS
 from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
-from .modelio import load_model, save_model, write_atomically
+from .modelio import load_model, save_model, write_json
 from .reconstruct import CalibrationSet, reconstruct_network
 from .schedule import CompressionPlan, build_plan, list_presets, plan_from_preset
 
@@ -160,8 +159,7 @@ def run_compress(args) -> dict:
         "layers": layer_rows,
         "output_model": model_path.name,
     }
-    with write_atomically(out_dir / "report.json") as (report_tmp,):
-        report_tmp.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_json(out_dir / "report.json", report)
     return report
 
 
@@ -232,6 +230,13 @@ def cmd_analyze(args) -> int:
     pairs = decomposed_pairs(compressed)
     if not pairs:
         raise PlanError(f"{args.compressed}: no decomposed layers to analyze")
+    convs = {layer.id: layer.conv for layer in original.conv_layers()}
+    for src, d_layer, p_layer in pairs:
+        if src not in convs or not is_pair(convs[src], d_layer.conv, p_layer.conv):
+            raise ModelFormatError(
+                f"decomposed_from={src!r}: {d_layer.id!r}, {p_layer.id!r} are not the "
+                f"(D, P) pair of a conv of that name in {args.model}"
+            )
     if args.correlation:
         if not args.calib and args.calib_count is None:
             raise PlanError(
@@ -243,7 +248,7 @@ def cmd_analyze(args) -> int:
     rank_reports = []
     labels = []
     for src, d_layer, p_layer in pairs:
-        conv = original.layer(src).conv
+        conv = convs[src]
         n = d_layer.conv.c_in // d_layer.conv.groups
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, n)
         rank_reports.append(report)

@@ -11,7 +11,9 @@ diagonally yields
 where D is realized by a group convolution (c_in filters of n x k x k,
 c_in / n groups, original stride and padding) and P by a 1 x 1 convolution
 (c_in -> c_out, stride 1, no padding) that also carries the original bias.
-No nonlinearity sits between the two layers.
+No nonlinearity sits between the two layers. ``pair_layers`` is the one
+definition of this pair's geometry: the decomposer fills its weights in,
+plan prediction counts its FLOPs, and loaded pairs are checked against it.
 
 The c_in / n blocks of a layer are factored as one (c_in / n) x (n * k^2) x
 c_out stack in a single SVD call; each block's factors, and so the
@@ -33,8 +35,37 @@ from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeE
 from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs
 
 
-def _divisors(value: int) -> list[int]:
+def divisors(value: int) -> list[int]:
     return [d for d in range(1, value + 1) if value % d == 0]
+
+
+def pair_layers(conv: ConvWeights, n: int) -> tuple[ConvWeights, ConvWeights]:
+    """The shape-only (D, P) pair that replaces ungrouped ``conv`` at rank n.
+
+    This is the one definition of the pair. D: group conv, c_in -> c_in,
+    conv's kernel, stride and padding, c_in / n groups. P: 1x1 conv, c_in ->
+    c_out, stride 1, no padding. Their FLOPs are exactly n/c_out + 1/k^2 of
+    conv's.
+    """
+    if conv.groups != 1:
+        raise DecompositionError("only ungrouped layers can be decomposed")
+    if not 1 <= n <= conv.c_in or conv.c_in % n:
+        raise DecompositionError(
+            f"n={n} must divide c_in={conv.c_in}; valid choices: {divisors(conv.c_in)}"
+        )
+    d = ConvWeights(conv.c_in, conv.c_in, conv.k, groups=conv.c_in // n,
+                    stride=conv.stride, pad=conv.pad)
+    return d, ConvWeights(conv.c_in, conv.c_out, 1)
+
+
+def is_pair(conv: ConvWeights, d: ConvWeights, p: ConvWeights) -> bool:
+    """Whether ``d`` and ``p`` have the geometry of ``pair_layers(conv, n)``,
+    n being D's c_in / groups. Weights and biases are not compared."""
+    try:
+        pair = pair_layers(conv, d.c_in // d.groups)
+    except DecompositionError:
+        return False
+    return pair == tuple(replace(c, weights=None, bias=None) for c in (d, p))
 
 
 def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
@@ -43,23 +74,16 @@ def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
 
     Stacking the blocks vertically reproduces the weight matrix exactly.
     """
-    if w.groups != 1:
-        raise DecompositionError("only ungrouped layers can be partitioned")
+    pair_layers(w, n)
     if w.weights is None:
         raise DecompositionError("layer has no materialized weights")
-    if not 1 <= n <= w.c_in or w.c_in % n:
-        raise DecompositionError(
-            f"n={n} must divide c_in={w.c_in}; valid choices: {_divisors(w.c_in)}"
-        )
     return w.weight_matrix().reshape(w.c_in // n, n * w.k * w.k, w.c_out)
 
 
 @dataclass
 class GroupDecomposition:
-    """The (D, P) layer pair replacing one convolution.
-
-    ``d_layer``: group conv, c_in -> c_in, kernel k, c_in/n groups, original
-    stride/pad. ``p_layer``: 1x1 conv, c_in -> c_out, carrying the bias.
+    """The (D, P) layer pair replacing one convolution: ``pair_layers``
+    with the factors filled in, and the original bias on ``p_layer``.
     ``block_truncation_errors[i]`` equals sqrt(sum of discarded sigma^2) for
     block i.
     """
@@ -111,30 +135,15 @@ def decompose_layer(
     p[:, :kept] = res.vt[:, :kept]
     errors = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
 
-    d_layer = ConvWeights(
-        c_in=c_in,
-        c_out=c_in,
-        k=k,
-        groups=c_in // n,
-        stride=w.stride,
-        pad=w.pad,
-        weights=d.transpose(0, 2, 1).reshape(c_in, n, k, k),
-        bias=None,
-    )
-    p_layer = ConvWeights(
-        c_in=c_in,
-        c_out=c_out,
-        k=1,
-        groups=1,
-        stride=1,
-        pad=0,
-        weights=p.reshape(c_in, c_out).T.reshape(c_out, c_in, 1, 1),
-        bias=None if w.bias is None else w.bias.copy(),
-    )
+    d_layer, p_layer = pair_layers(w, n)
     return GroupDecomposition(
         n=n,
-        d_layer=d_layer,
-        p_layer=p_layer,
+        d_layer=replace(d_layer, weights=d.transpose(0, 2, 1).reshape(c_in, n, k, k)),
+        p_layer=replace(
+            p_layer,
+            weights=p.reshape(c_in, c_out).T.reshape(c_out, c_in, 1, 1),
+            bias=None if w.bias is None else w.bias.copy(),
+        ),
         block_truncation_errors=errors,
     )
 
@@ -155,27 +164,12 @@ def group_conv_matrix(conv: ConvWeights) -> np.ndarray:
     return out
 
 
-def decomposed_jacobian_rank(c_in: int, c_out: int, n: int) -> int:
-    """Rank of the assembled D @ P with full-rank blocks: min(c_in, c_out),
-    independent of n."""
-    if c_in < 1 or c_out < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    return min(c_in, c_out)
-
-
-def d_layer_id(layer_id: str) -> str:
-    return f"{layer_id}.d"
-
-
-def p_layer_id(layer_id: str) -> str:
-    return f"{layer_id}.p"
-
-
 def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]:
     """(source id, D layer, P layer) for every decomposed conv, in network
-    order, found by the ``decomposed_from`` provenance both layers carry. D
-    must be a conv and P a 1x1 ungrouped conv reading all of D's channels; a
-    ``rank_n`` must be D's c_in / groups. Anything else is a ModelFormatError."""
+    order, found by the ``decomposed_from`` provenance both layers carry. P
+    must read D, the two must be ``pair_layers`` of the conv with D's c_in,
+    kernel, stride and padding and P's c_out, and a ``rank_n`` must be D's
+    c_in / groups. Anything else is a ModelFormatError."""
     found: dict[str, list[LayerSpec]] = {}
     for layer in net.layers:
         src = layer.meta.get("decomposed_from")
@@ -188,13 +182,14 @@ def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]
                 f"{len(layers)} layers carry the provenance decomposed_from={src!r}"
             )
         d, p = layers
-        n = d.conv.c_in // d.conv.groups if d.kind == "conv" else None
-        if not (n and p.kind == "conv" and inputs[p.id] == d.id and p.conv.k == 1
-                and p.conv.groups == 1 and p.conv.c_in == d.conv.c_out
+        n = d.conv.c_in // d.conv.groups if d.kind == p.kind == "conv" else None
+        if not (n and inputs[p.id] == d.id
+                and is_pair(ConvWeights(d.conv.c_in, p.conv.c_out, d.conv.k, stride=d.conv.stride,
+                                        pad=d.conv.pad), d.conv, p.conv)
                 and all(layer.meta.get("rank_n", n) == n for layer in layers)):
             raise ModelFormatError(
-                f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not a conv D and a 1x1 "
-                "ungrouped conv reading all of D's channels, with rank_n = D's c_in / groups"
+                f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not the (D, P) pair of a "
+                "conv, with P reading D and rank_n = D's c_in / groups"
             )
     return [(src, d, p) for src, (d, p) in found.items()]
 
@@ -221,7 +216,7 @@ def decompose_network(
     planned = [l.id for l in net.layers if l.id in layer_ranks]
     taken = ids - set(planned)
     for lid in planned:
-        for new_id in (d_layer_id(lid), p_layer_id(lid)):
+        for new_id in (f"{lid}.d", f"{lid}.p"):
             if new_id in taken:
                 raise DecompositionError(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
@@ -249,7 +244,7 @@ def decompose_network(
         provenance = {"decomposed_from": layer.id, "rank_n": n}
         new_layers.append(
             LayerSpec(
-                id=d_layer_id(layer.id),
+                id=f"{layer.id}.d",
                 kind="conv",
                 stage=layer.stage,
                 input=layer.input,
@@ -259,14 +254,14 @@ def decompose_network(
         )
         new_layers.append(
             LayerSpec(
-                id=p_layer_id(layer.id),
+                id=f"{layer.id}.p",
                 kind="conv",
                 stage=layer.stage,
                 conv=decomp.p_layer,
                 meta=dict(provenance),
             )
         )
-        renamed[layer.id] = p_layer_id(layer.id)
+        renamed[layer.id] = f"{layer.id}.p"
 
     return (
         NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers),

@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .decompose import decomposed_jacobian_rank
 from .model import flops_ratio_fraction
 
 
@@ -68,7 +67,7 @@ def equal_flops_ranks(c_in: int, c_out: int, k: int, n: int) -> StrategyRankRepo
         c_d_prime_k=c_d_prime_k,
         rank_svd=int(np.floor(c_d)),
         rank_spatial=min(int(np.floor(c_d_prime_k)), c_out),
-        rank_group=decomposed_jacobian_rank(c_in, c_out, n),
+        rank_group=min(c_in, c_out),
     )
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-import warnings
 
 import numpy as np
 
@@ -433,23 +432,3 @@ def flops_ratio_fraction(c_out: int, k: int, n: int) -> Fraction:
     """Exact decomposed-to-original FLOPs ratio n/c_out + 1/k^2 as a Fraction."""
     return Fraction(n, c_out) + Fraction(1, k * k)
 
-
-def flops_ratio_decomposed(c_in: int, c_out: int, k: int, n: int) -> float:
-    """FLOPs ratio of the (group conv, pointwise) pair relative to the
-    original layer. Equals flops(D) + flops(P) over flops(original) exactly.
-
-    Warns when the ratio is >= 1 (the decomposition would not compress).
-    """
-    if not 1 <= n <= c_in:
-        raise ValueError(f"n must be in [1, c_in={c_in}], got {n}")
-    if c_in % n:
-        raise ValueError(f"n={n} must divide c_in={c_in}")
-    ratio = flops_ratio_fraction(c_out, k, n)
-    if ratio >= 1:
-        warnings.warn(
-            f"decomposition with n={n}, c_out={c_out}, k={k} is non-compressing "
-            f"(ratio {float(ratio):.3f})",
-            UserWarning,
-            stacklevel=2,
-        )
-    return float(ratio)

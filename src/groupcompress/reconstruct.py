@@ -259,7 +259,7 @@ def reconstruct_network(
         reports.append(
             LayerReconstructionReport(
                 layer_id=layer_id,
-                rank_n=int(p_layer.meta.get("rank_n", 0)),
+                rank_n=d_layer.conv.c_in // d_layer.conv.groups,
                 sample_rows=y.shape[0],
                 ridge=used_ridge,
                 residual_before=residual_before,

@@ -17,15 +17,9 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import PlanError
-from .model import (
-    ConvWeights,
-    NetworkSpec,
-    flops_of_layer,
-    layer_inputs,
-    network_flops,
-    propagate_shapes,
-)
+from .decompose import divisors, pair_layers
+from .errors import DecompositionError, PlanError
+from .model import NetworkSpec, flops_of_layer, layer_inputs, network_flops, propagate_shapes
 from .modelio import json_integer, read_json, write_json
 
 DEGREES = {"constant": 1, "half": 2, "quarter": 4}
@@ -49,14 +43,19 @@ class CompressionPlan:
     @classmethod
     def from_json(cls, obj: dict) -> "CompressionPlan":
         try:
+            degree, flops = obj["degree"], obj.get("predicted_flops")
+            if not (isinstance(degree, str) and degree in DEGREES):
+                raise PlanError(f"degree must be one of {sorted(DEGREES)}, got {degree!r}")
+            if flops is not None:
+                json_integer(flops, "predicted_flops", 0, PlanError)
             return cls(
-                degree=obj["degree"],
+                degree=degree,
                 base_n=json_integer(obj["base_n"], "base_n", error=PlanError),
                 stage_ns=_integers(obj["stage_ns"], "stage_ns"),
                 layer_ranks=_integers(obj["layer_ranks"], "layer_ranks"),
-                skipped_layers=list(obj.get("skipped_layers", [])),
-                adjustments=list(obj.get("adjustments", [])),
-                predicted_flops=obj.get("predicted_flops"),
+                skipped_layers=_strings(obj.get("skipped_layers", []), "skipped_layers"),
+                adjustments=_strings(obj.get("adjustments", []), "adjustments"),
+                predicted_flops=flops,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc
@@ -76,11 +75,11 @@ def _integers(value, name: str) -> dict[str, int]:
     return {k: json_integer(v, f"{name}[{k!r}]", error=PlanError) for k, v in value.items()}
 
 
-def _largest_divisor_at_most(value: int, cap: int) -> int:
-    for d in range(min(cap, value), 0, -1):
-        if value % d == 0:
-            return d
-    return 1
+def _strings(value, name: str) -> list[str]:
+    """A plan field listing strings (layer ids or notes)."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise PlanError(f"{name} must be a list of strings, got {value!r}")
+    return value
 
 
 def derive_stages(net: NetworkSpec) -> dict[str, str]:
@@ -174,13 +173,12 @@ def build_plan(
             skipped.append(layer.id)
             continue
         n = stage_ns[stage]
-        if n > conv.c_in or conv.c_in % n:
-            clamped = _largest_divisor_at_most(conv.c_in, n)
+        clamped = max(d for d in divisors(conv.c_in) if d <= n)
+        if clamped != n:
             adjustments.append(
                 f"layer {layer.id}: n {n} clamped to {clamped} (c_in={conv.c_in})"
             )
-            n = clamped
-        layer_ranks[layer.id] = n
+        layer_ranks[layer.id] = clamped
 
     plan = CompressionPlan(
         degree=degree,
@@ -194,18 +192,13 @@ def build_plan(
     return plan
 
 
-def decomposed_layer_flops(conv: ConvWeights, n: int, out_h: int, out_w: int) -> int:
-    """FLOPs of the (D, P) pair that would replace ``conv`` at rank n."""
-    d_layer = ConvWeights(conv.c_in, conv.c_in, conv.k, groups=conv.c_in // n)
-    p_layer = ConvWeights(conv.c_in, conv.c_out, 1)
-    return flops_of_layer(d_layer, out_h, out_w) + flops_of_layer(p_layer, out_h, out_w)
-
-
 def predict_flops(net: NetworkSpec, plan: CompressionPlan) -> int:
     """Total FLOPs of the planned network, without materializing weights.
 
-    Uses the same counting path as the real decomposition, so the predicted
-    count equals the measured count of the decomposed network exactly.
+    A planned conv counts as the ``pair_layers`` pair the decomposer builds,
+    so the predicted count equals the measured count of the decomposed
+    network exactly. An n that does not divide the conv's c_in is a
+    PlanError.
     """
     shapes = propagate_shapes(net)
     _, per_layer = network_flops(net)
@@ -214,14 +207,12 @@ def predict_flops(net: NetworkSpec, plan: CompressionPlan) -> int:
         if layer.id not in per_layer:
             continue
         if layer.kind == "conv" and layer.id in plan.layer_ranks:
-            n = plan.layer_ranks[layer.id]
-            conv = layer.conv
-            if not 1 <= n <= conv.c_in or conv.c_in % n:
-                raise PlanError(
-                    f"layer {layer.id}: invalid n={n} for c_in={conv.c_in}"
-                )
+            try:
+                pair = pair_layers(layer.conv, plan.layer_ranks[layer.id])
+            except DecompositionError as exc:
+                raise PlanError(f"layer {layer.id}: invalid n: {exc}") from exc
             _, h_out, w_out = shapes[layer.id]
-            total += decomposed_layer_flops(conv, n, h_out, w_out)
+            total += sum(flops_of_layer(conv, h_out, w_out) for conv in pair)
         else:
             total += per_layer[layer.id]
     return total

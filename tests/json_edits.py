@@ -1,7 +1,14 @@
 """Hypothesis helpers that damage a file format: edit the fields of a JSON
 document, cut or grow its bytes. Shared by the loaders' property tests."""
 
+import json
+
 from hypothesis import strategies as st
+
+
+def same_json(a, b) -> bool:
+    """Equal as JSON text, so 1, 1.0 and true differ."""
+    return json.dumps(a) == json.dumps(b)
 
 
 def json_objects(value):

@@ -375,8 +375,13 @@ class TestCompress:
     @pytest.mark.parametrize(
         "field, value, named",
         [("layer_ranks", [1, 1, 1], "layer_ranks"), ("stage_ns", [1], "stage_ns"),
-         ("layer_ranks", {"c1": 1.5, "c2": 1, "c3": 1}, "layer_ranks['c1']")],
-        ids=["layer_ranks-list", "stage_ns-list", "rank-not-integer"],
+         ("layer_ranks", {"c1": 1.5, "c2": 1, "c3": 1}, "layer_ranks['c1']"),
+         ("degree", 7, "degree"), ("skipped_layers", "abc", "skipped_layers"),
+         ("adjustments", "xy", "adjustments"), ("predicted_flops", "many", "predicted_flops"),
+         ("predicted_flops", -1, "predicted_flops")],
+        ids=["layer_ranks-list", "stage_ns-list", "rank-not-integer", "degree-unknown",
+             "skipped_layers-string", "adjustments-string", "predicted_flops-string",
+             "predicted_flops-negative"],
     )
     def test_malformed_plan_file_is_plan_error(
         self, toy3_path, tmp_path, capsys, field, value, named
@@ -489,12 +494,25 @@ class TestCompress:
                 "--base-n", "1", "--calib-count", "4"]
         assert main(args) == EXIT_OK
 
-        def half_then_fail(path, text, **kwargs):
+        # Break the report's write, whether it goes through json.dump or
+        # Path.write_text, halfway through; the model files are written whole.
+        dump, write_text = json.dump, Path.write_text
+
+        def half_dump(obj, fh, **kwargs):
+            if "report" not in Path(fh.name).name:
+                return dump(obj, fh, **kwargs)
+            fh.write('{"model": "to')
+            raise OSError("disk full")
+
+        def half_write_text(path, text, **kwargs):
+            if "report" not in path.name:
+                return write_text(path, text, **kwargs)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text[: len(text) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        monkeypatch.setattr(json, "dump", half_dump)
+        monkeypatch.setattr(Path, "write_text", half_write_text)
         assert main(args) != EXIT_OK
         assert sorted(p.name for p in out_dir.iterdir()) == ["model.bin", "model.json"]
 
@@ -539,22 +557,35 @@ class TestAnalyze:
         )
         return out_dir
 
-    @pytest.mark.parametrize("fault", ["p-is-relu", "rank_n-mismatch"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["p-is-relu", "rank_n-mismatch", "p-stride-2", "from-relu", "from-missing", "other-model"],
+    )
     def test_malformed_decomposed_pair_is_format_error(
-        self, toy3_path, compressed_dir, tmp_path, capsys, fault
+        self, toy3_path, toy4_path, compressed_dir, tmp_path, capsys, fault
     ):
+        """Every pair must be pair_layers of the original conv it names,
+        checked before any output is written."""
         path = compressed_dir / "model.json"
         manifest = json.loads(path.read_text())
         layers = {layer["id"]: layer for layer in manifest["layers"]}
+        src = {"from-relu": "r1", "from-missing": "zz"}.get(fault, "c1")
         if fault == "p-is-relu":  # c1's provenance moved from its P layer to r1
             for key in ("decomposed_from", "rank_n"):
                 layers["r1"][key] = layers["c1.p"].pop(key)
-        else:  # c1.d has c_in / groups = 1
+        elif fault == "rank_n-mismatch":  # c1.d has c_in / groups = 1
             layers["c1.d"]["rank_n"] = layers["c1.p"]["rank_n"] = 3
+        elif fault == "p-stride-2":
+            layers["c1.p"]["stride"] = 2
+        elif fault.startswith("from-"):  # names a relu, or no layer, of the original
+            layers["c1.d"]["decomposed_from"] = layers["c1.p"]["decomposed_from"] = src
         path.write_text(json.dumps(manifest))
-        code = main(["analyze", str(toy3_path), str(path), "-o", str(tmp_path / "a")])
+        original = toy4_path if fault == "other-model" else toy3_path  # toy4's c1 is 4 -> 4
+        analysis = tmp_path / "a"
+        code = main(["analyze", str(original), str(path), "-o", str(analysis)])
         assert code == EXIT_FORMAT
-        assert "decomposed_from='c1'" in capsys.readouterr().err
+        assert f"decomposed_from={src!r}" in capsys.readouterr().err
+        assert not list(analysis.iterdir())
 
     def test_csv_bundle(self, toy3_path, compressed_dir, tmp_path):
         analysis = tmp_path / "analysis"

@@ -8,9 +8,9 @@ from groupcompress.decompose import (
     GroupDecomposition,
     decompose_layer,
     decompose_network,
-    decomposed_jacobian_rank,
     decomposed_pairs,
     group_conv_matrix,
+    pair_layers,
     partition_blocks,
 )
 from groupcompress.errors import DecompositionError, ModelFormatError
@@ -245,14 +245,17 @@ class TestDecomposeLayer:
             assert pair == orig * flops_ratio_fraction(c_out, k, n)
 
 
+    @pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (2, 0)])
+    def test_pair_has_pair_layers_geometry(self, stride, pad):
+        w = random_conv(np.random.default_rng(23), 6, 5, 3, stride=stride, pad=pad)
+        decomp = decompose_layer(w, 2)
+        shapes = tuple(replace(c, weights=None, bias=None)
+                       for c in (decomp.d_layer, decomp.p_layer))
+        assert shapes == pair_layers(w, 2)
+        assert (shapes[0].stride, shapes[0].pad) == (stride, pad)
+
+
 class TestJacobianRank:
-    def test_reaches_c_in(self):
-        assert decomposed_jacobian_rank(256, 512, 1) == 256
-        assert decomposed_jacobian_rank(256, 512, 64) == 256
-
-    def test_single_channel(self):
-        assert decomposed_jacobian_rank(1, 8, 1) == 1
-
     def test_numerical_rank_of_assembled_product(self):
         rng = np.random.default_rng(14)
         w = random_conv(rng, 8, 12, 3, bias=False)
@@ -340,8 +343,13 @@ class TestDecomposeNetwork:
             {"c1.p": {"meta": {}}, "c2.d": {"meta": {"decomposed_from": "c1"}}},
             {"c1.p": {"input": "r1"}},
             {"c1.p": {"meta": {"decomposed_from": "c1", "rank_n": 1}}},
+            {"c1.p": {"conv": {"stride": 2}}},
+            {"c1.p": {"conv": {"pad": 1}}},
+            {"c1.d": {"conv": {"c_out": 8, "weights": None}},
+             "c1.p": {"conv": {"c_in": 8, "weights": None}}},
         ],
-        ids=["p-is-relu", "p-not-1x1", "p-reads-other", "rank_n-mismatch"],
+        ids=["p-is-relu", "p-not-1x1", "p-reads-other", "rank_n-mismatch", "p-stride-2",
+             "p-pad-1", "d-widens"],
     )
     def test_malformed_pair_is_format_error(self, edits):
         net = self.build(np.random.default_rng(22))
@@ -351,7 +359,13 @@ class TestDecomposeNetwork:
         assert [(src, d.id, p.id) for src, d, p in pairs] == [
             ("c1", "c1.d", "c1.p"), ("c2", "c2.d", "c2.p")
         ]
-        compressed.layers = [replace(l, **edits.get(l.id, {})) for l in compressed.layers]
+        def edited(layer):  # a "conv" edit replaces fields of the layer's conv
+            fields = dict(edits.get(layer.id, {}))
+            if "conv" in fields:
+                fields["conv"] = replace(layer.conv, **fields["conv"])
+            return replace(layer, **fields)
+
+        compressed.layers = [edited(l) for l in compressed.layers]
         with pytest.raises(ModelFormatError, match="decomposed_from='c1'"):
             decomposed_pairs(compressed)
 

@@ -1,13 +1,12 @@
 import dataclasses
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from groupcompress import linalg, model
-from groupcompress.decompose import decompose_network
-from groupcompress.errors import ShapeError
+from groupcompress.decompose import decompose_network, pair_layers
+from groupcompress.errors import DecompositionError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
     AffineParams,
@@ -17,7 +16,6 @@ from groupcompress.model import (
     NetworkSpec,
     PoolParams,
     flops_of_layer,
-    flops_ratio_decomposed,
     flops_ratio_fraction,
     forward,
     layer_inputs,
@@ -383,20 +381,6 @@ class TestFlops:
         assert per_layer["fc"] == 2 * 4 * 2
         assert total == per_layer["c"] + per_layer["fc"]
 
-    def test_ratio_depthwise_case(self):
-        ratio = flops_ratio_decomposed(512, 512, 3, 1)
-        assert ratio == pytest.approx(1 / 9 + 1 / 512, rel=1e-12)
-
-    def test_ratio_hand_computed(self):
-        assert flops_ratio_decomposed(16, 256, 3, 16) == pytest.approx(
-            16 / 256 + 1 / 9, rel=1e-12
-        )
-
-    def test_non_compressing_flagged(self):
-        with pytest.warns(UserWarning, match="non-compressing"):
-            ratio = flops_ratio_decomposed(8, 8, 1, 8)
-        assert ratio > 1.0
-
     def test_ratio_exactness_against_integer_flops(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -408,21 +392,15 @@ class TestFlops:
             out_h = int(rng.integers(1, 20))
             out_w = int(rng.integers(1, 20))
             original = ConvWeights(c_in=c_in, c_out=c_out, k=k)
-            d_layer = ConvWeights(c_in=c_in, c_out=c_in, k=k, groups=c_in // n)
-            p_layer = ConvWeights(c_in=c_in, c_out=c_out, k=1)
             f_orig = flops_of_layer(original, out_h, out_w)
-            f_pair = flops_of_layer(d_layer, out_h, out_w) + flops_of_layer(
-                p_layer, out_h, out_w
-            )
+            f_pair = sum(flops_of_layer(c, out_h, out_w) for c in pair_layers(original, n))
             assert Fraction(f_pair, f_orig) == flops_ratio_fraction(c_out, k, n)
             # The float ratio is the correctly rounded value of the same
             # rational, so plain float division must agree bit for bit.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # some draws are non-compressing
-                assert f_pair / f_orig == flops_ratio_decomposed(c_in, c_out, k, n)
+            assert f_pair / f_orig == float(flops_ratio_fraction(c_out, k, n))
 
     def test_invalid_n_rejected(self):
-        with pytest.raises(ValueError, match="divide"):
-            flops_ratio_decomposed(6, 8, 3, 4)
-        with pytest.raises(ValueError, match="n must be"):
-            flops_ratio_decomposed(6, 8, 3, 0)
+        conv = ConvWeights(c_in=6, c_out=8, k=3)
+        for n in (4, 0, 7):
+            with pytest.raises(DecompositionError, match=r"must divide c_in=6; .*\[1, 2, 3, 6\]"):
+                pair_layers(conv, n)

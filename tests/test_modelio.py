@@ -23,7 +23,7 @@ from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import build_plan
 
-from json_edits import cut_or_grow, edit_fields
+from json_edits import cut_or_grow, edit_fields, same_json
 
 
 def build_net(seed=0):
@@ -228,11 +228,6 @@ _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
 _TOY3 = build_toy_three(0)
 
 
-def _same_json(a, b) -> bool:
-    """Equal as JSON text, so 1, 1.0 and true differ."""
-    return json.dumps(a) == json.dumps(b)
-
-
 def _decoded(entry, manifest_path: Path, manifest: dict) -> np.ndarray:
     raw = (manifest_path.parent / manifest["blob"]).read_bytes()
     return np.frombuffer(raw, "<f4", count=entry["length"] // 4, offset=entry["offset"])
@@ -244,7 +239,7 @@ def _assert_same_fields(written: dict, written_path: Path, saved: dict, saved_pa
     leaves out is not compared (its default was used), and keys the format
     does not define, which are dropped on save, are not compared either."""
     for key in ("format_version", "name", "input_shape"):
-        assert key not in written or _same_json(saved[key], written[key]), key
+        assert key not in written or same_json(saved[key], written[key]), key
     assert len(saved["layers"]) == len(written["layers"])
     for old, new in zip(written["layers"], saved["layers"]):
         for key in set(new) | _OPTIONAL_KEYS:
@@ -258,7 +253,7 @@ def _assert_same_fields(written: dict, written_path: Path, saved: dict, saved_pa
                     equal_nan=True,
                 ), where
             elif key in old:
-                assert _same_json(new[key], old[key]), where
+                assert same_json(new[key], old[key]), where
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

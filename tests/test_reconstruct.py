@@ -13,7 +13,7 @@ from groupcompress.decompose import decompose_layer, decompose_network, decompos
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward, layer_inputs
-from groupcompress.modelio import save_model
+from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
     LayerReconstructionReport,
@@ -324,6 +324,20 @@ class TestReconstructNetwork:
         y, y_star_unmerged = collect_responses(net, compressed, calib, "c2")
         unmerged_before = float(np.linalg.norm(y - y_star_unmerged))
         assert reports[1].residual_before != pytest.approx(unmerged_before, rel=1e-6)
+
+
+def test_reported_n_is_the_pairs_when_manifest_omits_rank_n(tmp_path):
+    """rank_n is optional provenance: the report takes n from D."""
+    net = build_toy_three(seed=5)
+    compressed, _ = decompose_network(net, {"c1": 1, "c2": 2, "c3": 4})
+    path = save_model(compressed, tmp_path / "model.json")
+    manifest = json.loads(path.read_text())
+    for layer in manifest["layers"]:
+        layer.pop("rank_n", None)
+    path.write_text(json.dumps(manifest))
+    calib = CalibrationSet.synthetic(net.input_shape, 40, seed=6)
+    _, reports = reconstruct_network(net, load_model(path), calib)
+    assert [r.rank_n for r in reports] == [1, 2, 4]
 
 
 class TestOnePass:

@@ -22,7 +22,7 @@ from groupcompress.schedule import (
     stage_order,
 )
 
-from json_edits import cut_or_grow, edit_fields
+from json_edits import cut_or_grow, edit_fields, same_json
 
 
 @pytest.fixture(scope="module")
@@ -265,13 +265,19 @@ _TOY3_PLAN = build_plan(build_toy_three(0), "constant", 1)
 @given(data=st.data())
 def test_mutated_plan_file_raises_only_plan_error(data):
     """Any edit of a saved plan's fields, or cut or growth of its bytes,
-    either loads or raises PlanError."""
+    either raises PlanError or loads a plan that saves back to the same
+    value in every field the file gave (a field it left out takes its
+    default; keys the format does not define are dropped)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = _TOY3_PLAN.save(Path(tmp) / "plan.json")
         plan = json.loads(path.read_text())
         edit_fields(data, plan)
         path.write_bytes(cut_or_grow(data, json.dumps(plan).encode(), "plan"))
         try:
-            CompressionPlan.load(path)
+            loaded = CompressionPlan.load(path)
         except PlanError:
-            pass
+            return
+        written = json.loads(path.read_bytes())
+        saved = json.loads(loaded.save(Path(tmp) / "saved.json").read_text())
+        for key, value in saved.items():
+            assert key not in written or same_json(value, written[key]), key

@@ -15,7 +15,9 @@ OUT_DIR is. They are:
   ``compress`` command;
 * ``compress --degree constant --base-n 1 --calib-seed 41`` on toy3 and
   toy4, plain and with each of ``--symmetric-reconstruction``, ``--ridge 0``
-  and ``--no-intercept``.
+  and ``--no-intercept``;
+* ``analyze`` of each of those compressed toy models against its original,
+  plain and with ``--correlation --calib-count 8``.
 
 The package and ``perfbench`` are imported from the checkout that holds this
 script. Every file under OUT_DIR is then listed as ``<sha256>  <path>``,
@@ -40,6 +42,10 @@ TOY_VARIANTS = {
     "symmetric": ("--symmetric-reconstruction",),
     "ridge0": ("--ridge", "0"),
     "no-intercept": ("--no-intercept",),
+}
+ANALYZE_VARIANTS = {
+    "analyze": (),
+    "analyze-correlation": ("--correlation", "--calib-count", "8"),
 }
 
 
@@ -71,6 +77,9 @@ def main(argv: list[str]) -> int:
             groupcompress("compress", f"fixtures/{toy}.json", "-o", f"{toy}/{variant}",
                           "--degree", "constant", "--base-n", "1", "--calib-seed", "41",
                           *flags)
+            for analysis, analyze_flags in ANALYZE_VARIANTS.items():
+                groupcompress("analyze", f"fixtures/{toy}.json", f"{toy}/{variant}/model.json",
+                              "-o", f"{toy}/{variant}/{analysis}", *analyze_flags)
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
