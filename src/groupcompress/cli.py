@@ -33,7 +33,9 @@ from .fixtures import BUILDERS
 from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
 from .modelio import load_model, save_model, write_json
 from .reconstruct import CalibrationSet, reconstruct_network
-from .schedule import CompressionPlan, build_plan, list_presets, plan_from_preset
+from .schedule import (
+    CompressionPlan, build_plan, list_presets, plan_from_preset, predict_flops,
+)
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -64,7 +66,15 @@ def _ridge(text: str) -> float:
 
 def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
     if args.plan:
-        return CompressionPlan.load(args.plan)
+        plan = CompressionPlan.load(args.plan)
+        # The report echoes the file's prediction: it must be this network's.
+        predicted = plan.predicted_flops
+        if predicted is not None and predicted != (actual := predict_flops(net, plan)):
+            raise PlanError(
+                f"plan file predicts {predicted:,} FLOPs, but its layer ranks give "
+                f"{actual:,} on this model"
+            )
+        return plan
     if args.preset is not None:
         return plan_from_preset(net, args.preset)
     if args.degree is not None and args.base_n is not None:

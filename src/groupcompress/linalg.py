@@ -10,9 +10,11 @@ same memory read as a (C*k*k) x (H_out*W_out) matrix, so row ``c*k*k +
 ki*k + kj`` holds channel ``c``, kernel row ``ki``, kernel column ``kj``
 (channel-major), and column ``oy*W_out + ox`` the output position. The rows
 of any channel range are one contiguous block, which is what lets a group
-conv take one group's patches as a reshape. ``im2col`` is the transpose:
-one row per output position. Serialized decompositions rely on this
-ordering; do not change it.
+conv take one group's patches as a reshape. ``patch_tile`` gives the
+columns of a range of output rows, from a map padded once by ``pad_map``,
+so a conv can build its patches a block at a time. ``im2col`` is the
+transpose: one row per output position. Serialized decompositions rely on
+this ordering; do not change it.
 """
 
 from __future__ import annotations
@@ -173,28 +175,42 @@ def _window_shape(image: np.ndarray, k: int, stride: int, pad: int) -> tuple[int
     return h_out, w_out
 
 
+def pad_map(image, pad: int, fill: float = 0.0) -> np.ndarray:
+    """A C x H x W map framed by ``pad`` rows and columns of ``fill`` on each
+    side, as a fresh array; for pad = 0, the map itself."""
+    image = np.asarray(image, dtype=np.float64)
+    if pad == 0:
+        return image
+    c, h, w = image.shape
+    padded = np.full((c, h + 2 * pad, w + 2 * pad), fill)
+    padded[:, pad : pad + h, pad : pad + w] = image
+    return padded
+
+
+def _windows(padded: np.ndarray, k: int, stride: int, start: int, stop: int) -> np.ndarray:
+    """C x k x k x (stop - start) x W_out windows of output rows start..stop
+    of a padded map."""
+    c, _, w = padded.shape
+    w_out = (w - k) // stride + 1
+    windows = np.empty((c, k, k, stop - start, w_out), dtype=np.float64)
+    # One strided slice per kernel offset; cheaper than gathering per window.
+    for ki in range(k):
+        top = start * stride + ki
+        for kj in range(k):
+            windows[:, ki, kj] = padded[
+                :,
+                top : top + stride * (stop - start) : stride,
+                kj : kj + stride * w_out : stride,
+            ]
+    return windows
+
+
 def sliding_windows(image, k: int, stride: int = 1, pad: int = 0, fill: float = 0.0) -> np.ndarray:
     """The k x k windows of a C x H x W map padded by ``fill``, as a fresh
     C x k x k x H_out x W_out array."""
     image = np.asarray(image, dtype=np.float64)
-    h_out, w_out = _window_shape(image, k, stride, pad)
-    c, h, w = image.shape
-    if pad > 0:
-        padded = np.full((c, h + 2 * pad, w + 2 * pad), fill)
-        padded[:, pad : pad + h, pad : pad + w] = image
-    else:
-        padded = image
-
-    # One strided slice per kernel offset; cheaper than gathering per window.
-    windows = np.empty((c, k, k, h_out, w_out), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            windows[:, ki, kj] = padded[
-                :,
-                ki : ki + stride * h_out : stride,
-                kj : kj + stride * w_out : stride,
-            ]
-    return windows
+    h_out, _ = _window_shape(image, k, stride, pad)
+    return _windows(pad_map(image, pad, fill), k, stride, 0, h_out)
 
 
 def patch_columns(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -206,6 +222,20 @@ def patch_columns(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
         _window_shape(image, k, stride, pad)
         return image.reshape(image.shape[0], -1)
     return sliding_windows(image, k, stride, pad).reshape(image.shape[0] * k * k, -1)
+
+
+def patch_tile(padded, k: int, stride: int, start: int, stop: int) -> np.ndarray:
+    """The ``patch_columns`` columns of output rows start..stop, from a map
+    already padded by ``pad_map``: a fresh C-contiguous (C * k * k) x
+    ((stop - start) * W_out) matrix. Output row r reads padded rows
+    r*stride .. r*stride + k - 1, so the tile reads rows start*stride ..
+    (stop - 1)*stride + k - 1 only. Tiles of consecutive row ranges, side by
+    side, are ``patch_columns`` of the map."""
+    padded = np.asarray(padded, dtype=np.float64)
+    h_out, _ = _window_shape(padded, k, stride, 0)
+    if not 0 <= start < stop <= h_out:
+        raise ShapeError(f"output rows {start}..{stop} are not a range of 0..{h_out}")
+    return _windows(padded, k, stride, start, stop).reshape(padded.shape[0] * k * k, -1)
 
 
 def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:

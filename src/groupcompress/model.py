@@ -11,14 +11,24 @@ activations excluded. Only conv and fc layers carry FLOPs.
 Layers run on sample-major batches: an activation is one float64
 (N, C, H, W) array, or (N, features) after fc. A conv with G groups runs as
 batched matrix products: the weights read as G stacked (c_out/G) x
-(c_in/G * k^2) matrices, and one ``patch_columns`` matrix of a run of
-consecutive groups' channels of one sample reads, without a copy, as the
-same number of stacked (c_in/G * k^2) x (H_out * W_out) matrices (see
-``linalg`` for the layout). The conv takes one sample at a time, and its
-groups in chunks of ``max(1, c_out // (c_in/G * k^2))``, so one patch
-matrix is at most about the size of one sample's output, or of one group's
-patches, whatever N is. Pooling reduces the same sliding windows, padded
-with -inf (max) or 0 (average), also one sample at a time.
+(c_in/G * k^2) matrices, and the patches of a run of consecutive groups'
+channels read, without a copy, as the same number of stacked
+(c_in/G * k^2) x columns matrices (see ``linalg`` for the layout). A 1x1,
+stride-1, unpadded conv reads its input itself as the patches, all groups
+and samples in one product. Any other conv pads each sample once and builds
+its patches in blocks of at most about PATCH_BYTES, so that they are read
+back from cache, not memory, whatever the map size or N: runs of whole
+groups when one group's patches fit, else one group over a run of output
+rows (rows r..r' of the output read rows r*stride .. (r' - 1)*stride + k - 1
+of the padded map). A run has at least ceil((c_in/G * k^2) / W_out) rows,
+so that no product is narrower than it is deep, even where that exceeds the
+budget. Each product writes straight into its groups' output rows.
+PATCH_BYTES is 1 MiB, half of a core's L2 on the 2-vCPU Xeon (2 MiB L2 per
+core, one BLAS thread) it was measured on: 0.5, 2 and 4 MiB were no faster
+on the vgg16_a and resnet34 plan D forwards (see CHANGES.md).
+
+Pooling reduces the same sliding windows, padded with -inf (max) or 0
+(average), one sample at a time.
 
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
@@ -238,6 +248,26 @@ def _fc_shape(layer, in_shape, shapes):
     return (layer.fc.out_features,)
 
 
+PATCH_BYTES = 1 << 20  # the byte budget of one patch block; see the module docstring
+
+
+def _patch_blocks(groups: int, rows: int, h_out: int, w_out: int):
+    """The blocks a conv builds its patches in, as (first group, end group,
+    first output row, end output row): runs of whole groups when one group's
+    patches fit in PATCH_BYTES, else one group over runs of output rows."""
+    group_bytes = rows * h_out * w_out * 8
+    if group_bytes <= PATCH_BYTES:
+        chunk = PATCH_BYTES // group_bytes
+        for g in range(0, groups, chunk):
+            yield g, min(g + chunk, groups), 0, h_out
+        return
+    # A tile is at least as wide (R * W_out columns) as it is deep (rows).
+    tile = max(-(-rows // w_out), PATCH_BYTES // (rows * w_out * 8))
+    for g in range(groups):
+        for r in range(0, h_out, tile):
+            yield g, g + 1, r, min(r + tile, h_out)
+
+
 def _conv_forward(layer, x, other=None):
     conv = layer.conv
     if x.shape[1] != conv.c_in:
@@ -251,15 +281,20 @@ def _conv_forward(layer, x, other=None):
     c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[2:]))
     rows = per_in * k * k
     weights = conv.weights.reshape(groups, per_out, rows)
-    out = np.empty((len(x), groups, per_out, h_out * w_out))
-    # One sample at a time, in chunks of groups whose patches are at most
-    # about the size of one sample's output (see the module docstring).
-    chunk = max(1, c_out // rows)
-    for sample, sample_out in zip(x, out):
-        for g in range(0, groups, chunk):
-            end = min(g + chunk, groups)
-            patches = linalg.patch_columns(sample[g * per_in : end * per_in], k, stride, pad)
-            np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=sample_out[g:end])
+    out = np.empty((len(x), groups, per_out, h_out, w_out))
+    if (k, stride, pad) == (1, 1, 0):
+        # The patches are the input itself: every group in one product.
+        patches = x.reshape(len(x), groups, rows, h_out * w_out)
+        np.matmul(weights, patches, out=out.reshape(len(x), groups, per_out, -1))
+    else:
+        blocks = list(_patch_blocks(groups, rows, h_out, w_out))
+        for sample, sample_out in zip(x, out):
+            padded = linalg.pad_map(sample, pad)
+            for g, end, r, r_end in blocks:
+                patches = linalg.patch_tile(padded[g * per_in : end * per_in], k, stride, r, r_end)
+                # Output rows r..r_end of each group are one run of memory.
+                block_out = sample_out[g:end, :, r:r_end].reshape(end - g, per_out, -1, copy=False)
+                np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=block_out)
     out = out.reshape(len(x), c_out, h_out, w_out)
     if conv.bias is not None:
         out += conv.bias[:, None, None]

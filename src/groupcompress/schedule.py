@@ -50,8 +50,8 @@ class CompressionPlan:
                 json_integer(flops, "predicted_flops", 0, PlanError)
             return cls(
                 degree=degree,
-                base_n=json_integer(obj["base_n"], "base_n", error=PlanError),
-                stage_ns=_integers(obj["stage_ns"], "stage_ns"),
+                base_n=json_integer(obj["base_n"], "base_n", 1, PlanError),
+                stage_ns=_integers(obj["stage_ns"], "stage_ns", 1),
                 layer_ranks=_integers(obj["layer_ranks"], "layer_ranks"),
                 skipped_layers=_strings(obj.get("skipped_layers", []), "skipped_layers"),
                 adjustments=_strings(obj.get("adjustments", []), "adjustments"),
@@ -68,11 +68,12 @@ class CompressionPlan:
         return cls.from_json(read_json(path, "plan file", PlanError))
 
 
-def _integers(value, name: str) -> dict[str, int]:
-    """A plan field mapping names (stages or layers) to integers."""
+def _integers(value, name: str, minimum: int | None = None) -> dict[str, int]:
+    """A plan field mapping names (stages or layers) to integers, each at
+    least ``minimum`` when given."""
     if not isinstance(value, dict):
         raise PlanError(f"{name} must map names to integers, got {value!r}")
-    return {k: json_integer(v, f"{name}[{k!r}]", error=PlanError) for k, v in value.items()}
+    return {k: json_integer(v, f"{name}[{k!r}]", minimum, PlanError) for k, v in value.items()}
 
 
 def _strings(value, name: str) -> list[str]:

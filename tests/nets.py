@@ -1,10 +1,27 @@
-"""Small test networks shared by several test modules."""
+"""Small test networks shared by several test modules, and a hook on the
+forward pass."""
+
+import dataclasses
 
 import numpy as np
 
+from groupcompress import model
 from groupcompress.model import (
     AffineParams, ConvWeights, FcParams, LayerSpec, NetworkSpec, PoolParams,
 )
+
+
+def on_conv_forward(monkeypatch, hook):
+    """Call ``hook(layer)`` each time a walk (``model._walk``, so every
+    forward pass) runs a conv layer, before the layer runs. A walk runs each
+    conv once, through the conv rule in ``model._KINDS``."""
+    rule = model._KINDS["conv"]
+
+    def forward(layer, x, other):
+        hook(layer)
+        return rule.forward(layer, x, other)
+
+    monkeypatch.setitem(model._KINDS, "conv", dataclasses.replace(rule, forward=forward))
 
 
 def residual_net(seed=0):

@@ -20,7 +20,7 @@ from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import CompressionPlan
 
-from nets import residual_net, toy_net
+from nets import on_conv_forward, residual_net, toy_net
 
 
 @pytest.fixture
@@ -378,18 +378,26 @@ class TestCompress:
          ("layer_ranks", {"c1": 1.5, "c2": 1, "c3": 1}, "layer_ranks['c1']"),
          ("degree", 7, "degree"), ("skipped_layers", "abc", "skipped_layers"),
          ("adjustments", "xy", "adjustments"), ("predicted_flops", "many", "predicted_flops"),
-         ("predicted_flops", -1, "predicted_flops")],
+         ("predicted_flops", -1, "predicted_flops"), ("base_n", -7, "base_n"),
+         ("stage_ns", {"s6": 0}, "stage_ns['s6']"),
+         ("predicted_flops", 5, "predicts 5 FLOPs, but its layer ranks give 20,376")],
         ids=["layer_ranks-list", "stage_ns-list", "rank-not-integer", "degree-unknown",
              "skipped_layers-string", "adjustments-string", "predicted_flops-string",
-             "predicted_flops-negative"],
+             "predicted_flops-negative", "base_n-below-1", "stage_n-below-1",
+             "predicted_flops-not-the-plans"],
     )
     def test_malformed_plan_file_is_plan_error(
-        self, toy3_path, tmp_path, capsys, field, value, named
+        self, toy3_path, tmp_path, capsys, monkeypatch, field, value, named
     ):
         plan = CompressionPlan("constant", 1, {"s6": 1}, {"c1": 1, "c2": 1, "c3": 1}).to_json()
         plan[field] = value
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the plan check")
+
+        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan_path)])
         assert code == EXIT_PLAN
@@ -477,10 +485,10 @@ class TestCompress:
         # One 3x3 sample gives 9 rows: enough for c1 and c2, not for c3.
         path = save_model(toy_net(seed=41, widths=(3, 6, 8, 16), size=3), tmp_path / "m.json")
 
-        def no_forward(*args, **kwargs):
+        def no_forward(layer):
             raise AssertionError("a forward pass ran before the row check")
 
-        monkeypatch.setattr("groupcompress.linalg.patch_columns", no_forward)
+        on_conv_forward(monkeypatch, no_forward)
         out_dir = tmp_path / "o"
         code = main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib-count", "1"])

@@ -270,6 +270,32 @@ class TestPatchColumns:
         assert np.all(windows[:, 0, :, 0, 0] == -np.inf)
         assert np.all(windows[:, 1:, 1:, 0, 0] == 1.0)
 
+    @pytest.mark.parametrize("k, stride, pad, cuts", [
+        (3, 1, 1, (0, 3, 4, 7)),  # a tile of one row in the middle
+        (3, 2, 1, (0, 1, 4)),  # stride 2: tiles read overlapping map rows
+        (2, 2, 0, (0, 2, 3)),  # no padding: the map itself
+        (3, 1, 3, (0, 1, 8, 9)),  # the first and last tiles read only padding
+    ])
+    def test_tiles_side_by_side_are_the_patch_columns(self, k, stride, pad, cuts):
+        img = np.random.default_rng(25).standard_normal((3, 7 if pad < 3 else 5, 6))
+        padded = linalg.pad_map(img, pad)
+        tiles = [linalg.patch_tile(padded, k, stride, r, r_end) for r, r_end in zip(cuts, cuts[1:])]
+        assert all(tile.flags.c_contiguous for tile in tiles)
+        assert np.array_equal(np.hstack(tiles), linalg.patch_columns(img, k, stride, pad))
+
+    def test_pad_map_pads_once_or_not_at_all(self):
+        img = np.arange(8.0).reshape(2, 2, 2)
+        assert linalg.pad_map(img, 0) is img
+        padded = linalg.pad_map(img, 2, fill=-1.0)
+        assert padded.shape == (2, 6, 6)
+        assert np.array_equal(padded[:, 2:4, 2:4], img)
+        assert np.sum(padded == -1.0) == 2 * (36 - 4)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 6)])
+    def test_tile_outside_the_output_rows_raises(self, start, stop):
+        with pytest.raises(ShapeError, match="output rows"):
+            linalg.patch_tile(np.zeros((1, 7, 7)), 3, 1, start, stop)
+
 
 def test_numerical_rank():
     rng = np.random.default_rng(30)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcompress import linalg, model
 from groupcompress.decompose import decompose_network, pair_layers
@@ -25,7 +27,9 @@ from groupcompress.model import (
 )
 
 from nets import pool_fc_net, residual_net
-from oracles import direct_conv, direct_pool, per_group_conv, reference_forward
+from oracles import (
+    chunked_group_conv, direct_conv, direct_pool, per_group_conv, reference_forward,
+)
 
 
 def conv_layer(layer_id, weights, bias=None, stride=1, pad=0, groups=1, stage=None):
@@ -194,13 +198,13 @@ def rel_err(got, want):
 
 
 class TestBatchedConv:
-    """The chunked-groups conv kernel against the per-group loop."""
+    """The conv kernel against the per-group loop."""
 
     @pytest.mark.parametrize(
         "c_in, c_out, k, groups, stride, pad, bias",
         [
-            (25, 25, 3, 25, 1, 1, True),  # depthwise, chunks of 2 with a last one of 1
-            (10, 40, 3, 10, 1, 1, True),  # chunks of 4, 4 and 2
+            (25, 25, 3, 25, 1, 1, True),  # depthwise
+            (10, 40, 3, 10, 1, 1, True),  # four filters a group
             (12, 18, 3, 3, 2, 1, True),  # stride 2, pad 1
             (12, 8, 1, 4, 1, 0, True),  # 1x1: the patches are a view
             (6, 6, 3, 1, 1, 1, False),  # ungrouped, bias None
@@ -242,6 +246,87 @@ class TestBatchedConv:
         conv_rule = dataclasses.replace(model._KINDS["conv"], forward=oracle)
         monkeypatch.setitem(model._KINDS, "conv", conv_rule)
         assert rel_err(got, forward(net, x)) <= 1e-10
+
+
+def tiled_conv_blocks(groups, per_in, per_out, k, stride, pad, h, w, budget, seed=0):
+    """Run ``_conv_forward`` on two random samples with the patch budget set
+    to ``budget`` bytes, check each sample against the chunked and the
+    per-group kernels, and return the blocks the conv used."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((groups * per_out, per_in, k, k))
+    bias = rng.standard_normal(groups * per_out)
+    layer = conv_layer("c", weights, bias=bias, stride=stride, pad=pad, groups=groups)
+    xs = rng.standard_normal((2, groups * per_in, h, w))
+    h_out, w_out = layer.conv.out_size(h, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "PATCH_BYTES", budget)
+        got = model._conv_forward(layer, xs)
+        blocks = list(model._patch_blocks(groups, per_in * k * k, h_out, w_out))
+    for x, out in zip(xs, got):
+        for oracle in (chunked_group_conv, per_group_conv):
+            assert rel_err(out, oracle(x, weights, bias, stride, pad, groups)) <= 1e-10
+    return blocks
+
+
+class TestTiledConv:
+    """Patch blocks of whole groups or of a group's output rows, bounded by
+    PATCH_BYTES, against the chunk-per-groups and the per-group kernels."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_chunked_and_per_group_kernels(self, data):
+        groups, per_in, per_out = (data.draw(st.integers(1, n)) for n in (6, 4, 4))
+        k = data.draw(st.integers(1, 4))
+        stride = data.draw(st.sampled_from([1, 2]))
+        pad = data.draw(st.integers(0, 3))
+        h, w = (data.draw(st.integers(max(1, k - 2 * pad), 12)) for _ in range(2))
+        budget = data.draw(st.sampled_from([8, 300, 2000, 10_000, 1 << 20]))
+        blocks = tiled_conv_blocks(groups, per_in, per_out, k, stride, pad, h, w, budget,
+                                   seed=data.draw(st.integers(0, 2**16)))
+        rows = per_in * k * k
+        h_out, w_out = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        # Every (group, output row) once, in order.
+        assert [(g, r) for g0, end, r0, r1 in blocks for g in range(g0, end)
+                for r in range(r0, r1)] == [(g, r) for g in range(groups) for r in range(h_out)]
+        for g0, end, r0, r1 in blocks:
+            # Within budget, unless one group's tile is as wide as it is deep.
+            nbytes = (end - g0) * rows * (r1 - r0) * w_out * 8
+            assert nbytes <= budget or (end - g0 == 1 and r1 - r0 <= -(-rows // w_out))
+            if r1 < h_out:
+                assert (r1 - r0) * w_out >= rows
+
+    def test_stride2_row_tiles(self):
+        blocks = tiled_conv_blocks(2, 2, 3, 3, 2, 1, 13, 13, budget=3100)
+        assert [b[2:] for b in blocks[:3]] == [(0, 3), (3, 6), (6, 7)]
+
+    def test_padding_at_a_tile_edge(self):
+        # Output rows of one row each over a 4-row map padded by 3: tiles 1
+        # and 2 start inside the top padding, and the last reads only the
+        # bottom padding.
+        blocks = tiled_conv_blocks(3, 1, 2, 3, 1, 3, 4, 12, budget=8)
+        assert [b[2:] for b in blocks if b[0] == 0] == [(r, r + 1) for r in range(8)]
+
+    def test_last_tile_of_one_row(self):
+        blocks = tiled_conv_blocks(1, 1, 2, 3, 1, 1, 7, 10, budget=2200)
+        assert [b[2:] for b in blocks] == [(0, 3), (3, 6), (6, 7)]
+
+    def test_group_larger_than_budget(self):
+        # 27 rows x 64 positions is 13,824 bytes a group; a 4-row tile is the
+        # narrowest as wide as it is deep, though it exceeds the budget.
+        blocks = tiled_conv_blocks(3, 3, 2, 3, 1, 1, 8, 8, budget=5000)
+        assert blocks == [(g, g + 1, r, min(r + 4, 8)) for g in range(3) for r in (0, 4)]
+
+    def test_depthwise_block_of_many_groups(self):
+        # 9 rows x 36 positions is 2,592 bytes a group: five groups a block.
+        blocks = tiled_conv_blocks(24, 1, 1, 3, 1, 1, 6, 6, budget=5 * 2592 + 100)
+        assert blocks == [(g, min(g + 5, 24), 0, 6) for g in range(0, 24, 5)]
+
+    def test_pointwise_reads_the_input_itself(self, monkeypatch):
+        def no_tile(*args):
+            raise AssertionError("a 1x1 conv built a patch tile")
+
+        monkeypatch.setattr(linalg, "patch_tile", no_tile)
+        tiled_conv_blocks(4, 3, 2, 1, 1, 0, 5, 7, budget=8)
 
 
 class TestBatchWalk:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcompress import linalg
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
@@ -25,7 +24,7 @@ from groupcompress.reconstruct import (
 )
 
 from json_edits import cut_or_grow, edit_fields
-from nets import residual_net, toy_net
+from nets import on_conv_forward, residual_net, toy_net
 from oracles import pinv_solve, symmetric_pair_response
 
 
@@ -368,38 +367,26 @@ class TestOnePass:
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
     def test_each_network_walked_once(self, monkeypatch, symmetric):
-        # One patch matrix per sample per chunk of conv groups, and never more
-        # chunks than groups: the original convs, the compressed convs and one
-        # recomputed P per pair bound the count.
+        # A walk runs each conv once: the original network's convs, plus the
+        # compressed network's in the asymmetric mode, bound the count.
         net = build_toy_cnn(0)
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=18)
         calls = []
-        real_patch_columns = linalg.patch_columns
-
-        def counting_patch_columns(*args, **kwargs):
-            calls.append(1)
-            return real_patch_columns(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "patch_columns", counting_patch_columns)
+        on_conv_forward(monkeypatch, calls.append)
         reconstruct_network(net, compressed, calib, symmetric=symmetric)
-
-        def group_passes(n):
-            return sum(l.conv.groups for l in n.conv_layers())
-
-        pairs = len(decomposed_pairs(compressed))
-        bound = calib.count * (group_passes(net) + group_passes(compressed) + pairs)
-        assert 0 < len(calls) <= bound
+        walked = [net] if symmetric else [net, compressed]
+        assert 0 < len(calls) <= sum(len(n.conv_layers()) for n in walked)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):
         net = build_toy_three(0)
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
 
-        def no_forward(*args, **kwargs):
+        def no_forward(layer):
             raise AssertionError("a forward pass ran before the ridge check")
 
-        monkeypatch.setattr(linalg, "patch_columns", no_forward)
+        on_conv_forward(monkeypatch, no_forward)
         with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
             reconstruct_network(net, compressed, CalibrationSet.synthetic(net.input_shape, 8),
                                 ridge=ridge)
@@ -410,10 +397,10 @@ class TestOnePass:
         net = toy_net(seed=41, widths=(3, 6, 8, 16), size=3)
         compressed, _ = decompose_network(net, {"c1": 1, "c2": 1, "c3": 1})
 
-        def no_forward(*args, **kwargs):
+        def no_forward(layer):
             raise AssertionError("a forward pass ran before the row check")
 
-        monkeypatch.setattr(linalg, "patch_columns", no_forward)
+        on_conv_forward(monkeypatch, no_forward)
         with pytest.raises(ShapeError, match="layer c3: 1 calibration samples give 9 "):
             reconstruct_network(net, compressed, CalibrationSet.synthetic((3, 3, 3), 1))
 
