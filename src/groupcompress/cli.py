@@ -64,6 +64,16 @@ def _ridge(text: str) -> float:
     return value
 
 
+def _one_plan_source(args) -> None:
+    """Reject flags that name more than one plan source: a plan file, a
+    preset, or a schedule (--degree, --base-n and the flags that shape it)."""
+    flags = ("plan", "preset", "degree", "base_n", "stage_cap", "skip_stage", "skip_layer")
+    given = [name for name in flags if getattr(args, name, None) is not None]
+    if len({name if name in ("plan", "preset") else "schedule" for name in given}) > 1:
+        named = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise PlanError(f"give one plan source: a plan file, a preset or a schedule; got {named}")
+
+
 def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
     if args.plan:
         plan = CompressionPlan.load(args.plan)
@@ -101,6 +111,7 @@ def run_compress(args) -> dict:
 
     ``args`` carries the ``compress`` subcommand's parsed flags.
     """
+    _one_plan_source(args)
     net = load_model(args.model)
     plan = _resolve_plan(net, args)
     flops_before, per_before = network_flops(net)
@@ -192,6 +203,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _one_plan_source(args)
     net = load_model(args.model)
     if args.preset:
         plan = plan_from_preset(net, args.preset)

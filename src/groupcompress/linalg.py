@@ -1,20 +1,20 @@
-"""Dense matrix kernels: multiply, SVD, linear least squares, patches.
+"""Dense matrix kernels: multiply, SVD, linear least squares, windows.
 
 All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
 the boundary so callers higher up the pipeline can assume clean inputs.
 
-Patch layout is fixed. ``sliding_windows`` gives the k x k windows of a
-C x H x W map as a C x k x k x H_out x W_out array; ``patch_columns`` is the
-same memory read as a (C*k*k) x (H_out*W_out) matrix, so row ``c*k*k +
-ki*k + kj`` holds channel ``c``, kernel row ``ki``, kernel column ``kj``
-(channel-major), and column ``oy*W_out + ox`` the output position. The rows
-of any channel range are one contiguous block, which is what lets a group
-conv take one group's patches as a reshape. ``patch_tile`` gives the
-columns of a range of output rows, from a map padded once by ``pad_map``,
-so a conv can build its patches a block at a time. ``im2col`` is the
-transpose: one row per output position. Serialized decompositions rely on
-this ordering; do not change it.
+Patch layout is fixed. ``patch_tile`` gives the k x k patches of output
+rows start..stop of a C x H x W map padded once by ``pad_map``, as a
+(C*k*k) x ((stop - start)*W_out) matrix: row ``c*k*k + ki*k + kj`` holds
+channel ``c``, kernel row ``ki``, kernel column ``kj`` (channel-major), and
+column ``(oy - start)*W_out + ox`` the output position. The rows of any
+channel range are one contiguous block, which is what lets a group conv take
+one group's patches as a reshape, and the tiles of consecutive row ranges,
+side by side, are the patch matrix of the whole map. Serialized
+decompositions rely on this ordering; do not change it. ``window_views`` is
+the one place a window is sliced: it yields the k*k strided views of a
+padded map that ``patch_tile`` copies and pooling reduces.
 """
 
 from __future__ import annotations
@@ -154,27 +154,6 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
     return solution
 
 
-def _window_shape(image: np.ndarray, k: int, stride: int, pad: int) -> tuple[int, int]:
-    """Validate a C x H x W map and a window; return (H_out, W_out)."""
-    if image.ndim != 3:
-        raise ShapeError(f"image must be C x H x W, got {image.ndim}-D")
-    if k < 1:
-        raise ShapeError(f"kernel size must be >= 1, got {k}")
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ShapeError(f"pad must be >= 0, got {pad}")
-    _, h, w = image.shape
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(
-            f"degenerate output size {h_out}x{w_out} for input {h}x{w}, "
-            f"k={k}, stride={stride}, pad={pad}"
-        )
-    return h_out, w_out
-
-
 def pad_map(image, pad: int, fill: float = 0.0) -> np.ndarray:
     """A C x H x W map framed by ``pad`` rows and columns of ``fill`` on each
     side, as a fresh array; for pad = 0, the map itself."""
@@ -187,61 +166,34 @@ def pad_map(image, pad: int, fill: float = 0.0) -> np.ndarray:
     return padded
 
 
-def _windows(padded: np.ndarray, k: int, stride: int, start: int, stop: int) -> np.ndarray:
-    """C x k x k x (stop - start) x W_out windows of output rows start..stop
-    of a padded map."""
-    c, _, w = padded.shape
-    w_out = (w - k) // stride + 1
-    windows = np.empty((c, k, k, stop - start, w_out), dtype=np.float64)
+def window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int):
+    """Yield the k * k strided views of a padded C x H x W map that hold
+    kernel offset (ki, kj) of every k x k window of output rows start..stop,
+    each a C x (stop - start) x W_out view, in (ki, kj) row-major order.
+    Output row r reads padded rows r*stride .. r*stride + k - 1. The layers
+    check the window geometry (``model._Window``)."""
+    rows, w_out = stop - start, (padded.shape[2] - k) // stride + 1
     # One strided slice per kernel offset; cheaper than gathering per window.
     for ki in range(k):
-        top = start * stride + ki
         for kj in range(k):
-            windows[:, ki, kj] = padded[
-                :,
-                top : top + stride * (stop - start) : stride,
-                kj : kj + stride * w_out : stride,
-            ]
-    return windows
-
-
-def sliding_windows(image, k: int, stride: int = 1, pad: int = 0, fill: float = 0.0) -> np.ndarray:
-    """The k x k windows of a C x H x W map padded by ``fill``, as a fresh
-    C x k x k x H_out x W_out array."""
-    image = np.asarray(image, dtype=np.float64)
-    h_out, _ = _window_shape(image, k, stride, pad)
-    return _windows(pad_map(image, pad, fill), k, stride, 0, h_out)
-
-
-def patch_columns(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The zero-padded k x k patches of a C x H x W map as one C-contiguous
-    (C * k * k) x (H_out * W_out) matrix; see the module docstring for the
-    ordering. For k = 1, stride 1, pad 0 it is a view of a C-contiguous ``image``."""
-    image = np.asarray(image, dtype=np.float64)
-    if (k, stride, pad) == (1, 1, 0):
-        _window_shape(image, k, stride, pad)
-        return image.reshape(image.shape[0], -1)
-    return sliding_windows(image, k, stride, pad).reshape(image.shape[0] * k * k, -1)
+            top = start * stride + ki
+            yield padded[:, top : top + stride * rows : stride, kj : kj + stride * w_out : stride]
 
 
 def patch_tile(padded, k: int, stride: int, start: int, stop: int) -> np.ndarray:
-    """The ``patch_columns`` columns of output rows start..stop, from a map
-    already padded by ``pad_map``: a fresh C-contiguous (C * k * k) x
-    ((stop - start) * W_out) matrix. Output row r reads padded rows
-    r*stride .. r*stride + k - 1, so the tile reads rows start*stride ..
-    (stop - 1)*stride + k - 1 only. Tiles of consecutive row ranges, side by
-    side, are ``patch_columns`` of the map."""
+    """The patches of output rows start..stop of a map already padded by
+    ``pad_map``, as a fresh C-contiguous (C * k * k) x ((stop - start) *
+    W_out) matrix in the layout of the module docstring. The tile reads
+    padded rows start*stride .. (stop - 1)*stride + k - 1 only."""
     padded = np.asarray(padded, dtype=np.float64)
-    h_out, _ = _window_shape(padded, k, stride, 0)
+    c, h, w = padded.shape
+    h_out = (h - k) // stride + 1
     if not 0 <= start < stop <= h_out:
         raise ShapeError(f"output rows {start}..{stop} are not a range of 0..{h_out}")
-    return _windows(padded, k, stride, start, stop).reshape(padded.shape[0] * k * k, -1)
-
-
-def im2col(image, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The transpose of ``patch_columns``: one row per output position, an
-    (H_out * W_out) x (C * k * k) matrix."""
-    return patch_columns(image, k, stride, pad).T
+    tile = np.empty((c, k * k, stop - start, (w - k) // stride + 1))
+    for offset, view in enumerate(window_views(padded, k, stride, start, stop)):
+        tile[:, offset] = view
+    return tile.reshape(c * k * k, -1)
 
 
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:

@@ -27,8 +27,10 @@ PATCH_BYTES is 1 MiB, half of a core's L2 on the 2-vCPU Xeon (2 MiB L2 per
 core, one BLAS thread) it was measured on: 0.5, 2 and 4 MiB were no faster
 on the vgg16_a and resnet34 plan D forwards (see CHANGES.md).
 
-Pooling reduces the same sliding windows, padded with -inf (max) or 0
-(average), one sample at a time.
+Pooling pads each sample once, with -inf (max) or 0 (average), and folds
+the k^2 views of ``linalg.window_views`` into its output with np.maximum or
+np.add, in kernel row-major order; an average then divides by k^2. No
+window array is built.
 
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
@@ -110,8 +112,8 @@ class ConvWeights(_Window):
     def weight_matrix(self) -> np.ndarray:
         """The (c_in * k^2) x c_out matrix form of an ungrouped layer.
 
-        Row ordering matches im2col columns (channel-major, then kernel row,
-        then kernel column).
+        Row ordering matches the patch rows of ``linalg.patch_tile``
+        (channel-major, then kernel row, then kernel column).
         """
         if self.groups != 1:
             raise ShapeError("weight_matrix is defined for groups == 1")
@@ -128,6 +130,11 @@ class PoolParams(_Window):
 
     def __post_init__(self):
         self._check_window()
+        if self.pad >= self.k:
+            raise ShapeError(
+                f"pool pad={self.pad} must be below k={self.k}: a window of "
+                "padding alone has no value"
+            )
 
 
 @dataclass
@@ -301,13 +308,23 @@ def _conv_forward(layer, x, other=None):
     return out
 
 
-def _pool_forward(fill: float, reduce: Callable) -> Callable:
+def _pool_forward(fill: float, fold: Callable) -> Callable:
+    def pool_sample(p: PoolParams, sample: np.ndarray, out: np.ndarray) -> None:
+        # The views hold the padded sample, which is freed on return: one
+        # padded sample is live at a time.
+        views = linalg.window_views(
+            linalg.pad_map(sample, p.pad, fill), p.k, p.stride, 0, out.shape[1]
+        )
+        np.copyto(out, next(views))
+        for view in views:
+            fold(out, view, out=out)
+
     def rule(layer, x, other):
-        p = layer.pool
         out = np.empty((len(x), *_pool_shape(layer, x.shape[1:], None)))
         for sample, sample_out in zip(x, out):
-            windows = linalg.sliding_windows(sample, p.k, p.stride, p.pad, fill)
-            reduce(windows, axis=(1, 2), out=sample_out)
+            pool_sample(layer.pool, sample, sample_out)
+        if fold is np.add:  # the mean of the k*k values, divided as np.mean does
+            out /= layer.pool.k ** 2
         return out
 
     return rule
@@ -351,8 +368,8 @@ _KINDS = {
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
     "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, other: np.maximum(x, 0.0)),
-    "maxpool": _Kind("pool", _pool_shape, _pool_forward(-np.inf, np.max)),
-    "avgpool": _Kind("pool", _pool_shape, _pool_forward(0.0, np.mean)),
+    "maxpool": _Kind("pool", _pool_shape, _pool_forward(-np.inf, np.maximum)),
+    "avgpool": _Kind("pool", _pool_shape, _pool_forward(0.0, np.add)),
     "add": _Kind(None, _add_shape, _add_forward),
     "fc": _Kind("fc", _fc_shape, _fc_forward, lambda layer, shape: flops_of_fc(layer.fc)),
     "channel_affine": _Kind("affine", _affine_shape, _affine_forward),

@@ -115,12 +115,15 @@ class TestInspect:
             lambda m: m["layers"][0]["weights"].update(offset=0.0),
             lambda m: m["layers"][0].update(rank_n=1.5),
             lambda m: m["layers"][0].update(decomposed_from=["c1"]),
+            lambda m: m["layers"].__setitem__(
+                1, {"id": "r1", "kind": "maxpool", "k": 2, "stride": 1, "pad": 2}
+            ),
         ],
         ids=[
             "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
             "blob-not-name", "c_in-inf", "input_shape-inf", "input-list", "blob-directory",
             "stride-float", "input_shape-float", "groups-bool", "offset-float",
-            "rank_n-float", "decomposed_from-list",
+            "rank_n-float", "decomposed_from-list", "pool-pad-not-below-k",
         ],
     )
     def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):
@@ -185,6 +188,26 @@ class TestPlan:
                      "--stage-cap", cap, "-o", str(plan_path)])
         assert code == EXIT_PLAN
         assert named in capsys.readouterr().err
+        assert not plan_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--degree", "constant", "--base-n", "1"], "--preset, --degree, --base-n"),
+         (["--stage-cap", "s6=1"], "--preset, --stage-cap"),
+         (["--skip-stage", "s6"], "--preset, --skip-stage"),
+         (["--skip-layer", "c1"], "--preset, --skip-layer")],
+        ids=["degree-base-n", "stage-cap", "skip-stage", "skip-layer"],
+    )
+    def test_schedule_flags_beside_a_preset_are_plan_error(
+        self, toy3_path, tmp_path, capsys, flags, named
+    ):
+        plan_path = tmp_path / "plan.json"
+        code = main(["plan", str(toy3_path), "--preset", "vgg16_a", *flags,
+                     "-o", str(plan_path)])
+        assert code == EXIT_PLAN
+        assert f"one plan source: a plan file, a preset or a schedule; got {named}" in (
+            capsys.readouterr().err
+        )
         assert not plan_path.exists()
 
     def test_unknown_skip_layer_is_plan_error(self, toy3_path, tmp_path, capsys):
@@ -402,6 +425,32 @@ class TestCompress:
         code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan_path)])
         assert code == EXIT_PLAN
         assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--plan", "PLAN", "--degree", "constant", "--base-n", "1"],
+          "--plan, --degree, --base-n"),
+         (["--plan", "PLAN", "--preset", "vgg16_a"], "--plan, --preset"),
+         (["--preset", "vgg16_a", "--degree", "constant", "--base-n", "1"],
+          "--preset, --degree, --base-n")],
+        ids=["plan-and-schedule", "plan-and-preset", "preset-and-schedule"],
+    )
+    def test_two_plan_sources_are_plan_error_before_any_svd(
+        self, toy3_path, tmp_path, capsys, monkeypatch, flags, named
+    ):
+        plan = CompressionPlan("constant", 1, {"s6": 1}, {"c1": 1, "c2": 1, "c3": 1})
+        plan_path = plan.save(tmp_path / "plan.json")
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the plan source check")
+
+        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        out_dir = tmp_path / "o"
+        flags = [str(plan_path) if flag == "PLAN" else flag for flag in flags]
+        code = main(["compress", str(toy3_path), "-o", str(out_dir), *flags])
+        assert code == EXIT_PLAN
+        assert f"got {named}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):

@@ -24,7 +24,9 @@ from groupcompress.model import (
     network_flops,
 )
 
-from oracles import block_diagonal_matrix, block_truncation_energy, per_block_decompose
+from oracles import (
+    block_diagonal_matrix, block_truncation_energy, im2col_rows, per_block_decompose,
+)
 
 
 def random_conv(rng, c_in, c_out, k, bias=True, stride=1, pad=None):
@@ -214,7 +216,7 @@ class TestDecomposeLayer:
         gap = w.weight_matrix() - decomp.composed_matrix()
         op_norm = np.linalg.svd(gap, compute_uv=False)[0]
         x = rng.standard_normal((8, 7, 7))
-        patches = linalg.im2col(x, 3, 1, 1)
+        patches = im2col_rows(x, 3, 1, 1)
         y = patches @ w.weight_matrix()
         y_star = patches @ decomp.composed_matrix()
         assert np.linalg.norm(y - y_star) <= op_norm * np.linalg.norm(patches) + 1e-9

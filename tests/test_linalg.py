@@ -201,18 +201,26 @@ class TestLeastSquares:
             linalg.solve_least_squares(np.ones((4, 2)), np.ones((5, 2)))
 
 
+def patches(img, k, stride, pad):
+    """The patch matrix of a whole map: one tile of all its output rows."""
+    h_out = (img.shape[1] + 2 * pad - k) // stride + 1
+    return linalg.patch_tile(linalg.pad_map(img, pad), k, stride, 0, h_out)
+
+
 class TestIm2col:
+    """The patch layout on hand-made maps: one column per output position."""
+
     def test_whole_image_window(self):
         rng = np.random.default_rng(20)
         img = rng.standard_normal((1, 3, 3))
-        out = linalg.im2col(img, k=3, stride=1, pad=0)
-        assert out.shape == (1, 9)
-        assert np.array_equal(out[0], img.reshape(-1))
+        out = patches(img, k=3, stride=1, pad=0)
+        assert out.shape == (9, 1)
+        assert np.array_equal(out[:, 0], img.reshape(-1))
 
     def test_disjoint_tiling(self):
         rng = np.random.default_rng(21)
         img = rng.standard_normal((1, 4, 4))
-        out = linalg.im2col(img, k=2, stride=2, pad=0)
+        out = patches(img, k=2, stride=2, pad=0)
         assert out.shape == (4, 4)
         tiles = [
             img[0, 0:2, 0:2],
@@ -220,54 +228,51 @@ class TestIm2col:
             img[0, 2:4, 0:2],
             img[0, 2:4, 2:4],
         ]
-        for row, tile in zip(out, tiles):
-            assert np.array_equal(row, tile.reshape(-1))
+        for column, tile in zip(out.T, tiles):
+            assert np.array_equal(column, tile.reshape(-1))
 
     def test_column_ordering_is_channel_major(self):
-        # Mark one element per (channel, ki, kj) and check its column.
+        # Mark one element per (channel, ki, kj) and check its row.
         c, k = 2, 2
         img = np.zeros((c, 2, 2))
         img[1, 0, 1] = 5.0  # channel 1, kernel row 0, kernel col 1
-        out = linalg.im2col(img, k=k, stride=1, pad=0)
-        col = 1 * k * k + 0 * k + 1
-        assert out[0, col] == 5.0
+        out = patches(img, k=k, stride=1, pad=0)
+        row = 1 * k * k + 0 * k + 1
+        assert out[row, 0] == 5.0
+        assert np.count_nonzero(out) == 1
 
     def test_matmul_equals_direct_convolution(self):
         rng = np.random.default_rng(22)
         img = rng.standard_normal((3, 8, 8))
         weights = rng.standard_normal((5, 3, 3, 3))
-        patches = linalg.im2col(img, k=3, stride=1, pad=1)
-        w_mat = weights.reshape(5, -1).T
-        via_matmul = (patches @ w_mat).T.reshape(5, 8, 8)
-        assert np.allclose(via_matmul, direct_conv(img, weights, pad=1), atol=1e-12)
-
-    def test_degenerate_output_raises(self):
-        with pytest.raises(ShapeError, match="degenerate"):
-            linalg.im2col(np.ones((1, 2, 2)), k=5, stride=1, pad=0)
+        via_matmul = weights.reshape(5, -1) @ patches(img, k=3, stride=1, pad=1)
+        assert np.allclose(via_matmul.reshape(5, 8, 8), direct_conv(img, weights, pad=1), atol=1e-12)
 
 
 class TestPatchColumns:
+    """``patch_tile`` and ``window_views`` against the nested-loop patches."""
+
     @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1), (1, 2, 0)])
     def test_channel_major_layout(self, k, stride, pad):
         rng = np.random.default_rng(23)
         img = rng.standard_normal((3, 7, 6))
-        out = linalg.patch_columns(img, k, stride, pad)
+        out = patches(img, k, stride, pad)
         assert out.flags.c_contiguous
         assert np.array_equal(out, im2col_rows(img, k, stride, pad).T)
-        assert np.array_equal(linalg.im2col(img, k, stride, pad), out.T)
 
     def test_pointwise_is_a_view(self):
         img = np.random.default_rng(24).standard_normal((4, 5, 6))
-        out = linalg.patch_columns(img, 1)
-        assert out.shape == (4, 30)
-        assert np.shares_memory(out, img)
+        [view] = linalg.window_views(img, 1, 1, 0, 5)
+        assert np.shares_memory(view, img)
+        assert np.array_equal(view, img)
 
     def test_windows_pad_with_fill(self):
         img = np.ones((2, 2, 2))
-        windows = linalg.sliding_windows(img, 3, stride=1, pad=1, fill=-np.inf)
-        assert windows.shape == (2, 3, 3, 2, 2)
+        views = list(linalg.window_views(linalg.pad_map(img, 1, fill=-np.inf), 3, 1, 0, 2))
+        windows = np.stack(views, axis=1).reshape(2, 3, 3, 2, 2)  # views in (ki, kj) order
         # Output (0, 0) sees padding in its top row and left column.
         assert np.all(windows[:, 0, :, 0, 0] == -np.inf)
+        assert np.all(windows[:, :, 0, 0, 0] == -np.inf)
         assert np.all(windows[:, 1:, 1:, 0, 0] == 1.0)
 
     @pytest.mark.parametrize("k, stride, pad, cuts", [
@@ -281,7 +286,7 @@ class TestPatchColumns:
         padded = linalg.pad_map(img, pad)
         tiles = [linalg.patch_tile(padded, k, stride, r, r_end) for r, r_end in zip(cuts, cuts[1:])]
         assert all(tile.flags.c_contiguous for tile in tiles)
-        assert np.array_equal(np.hstack(tiles), linalg.patch_columns(img, k, stride, pad))
+        assert np.array_equal(np.hstack(tiles), im2col_rows(img, k, stride, pad).T)
 
     def test_pad_map_pads_once_or_not_at_all(self):
         img = np.arange(8.0).reshape(2, 2, 2)

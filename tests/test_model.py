@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,8 @@ from groupcompress.model import (
 
 from nets import pool_fc_net, residual_net
 from oracles import (
-    chunked_group_conv, direct_conv, direct_pool, per_group_conv, reference_forward,
+    chunked_group_conv, direct_conv, direct_pool, im2col_rows, per_group_conv,
+    reference_forward,
 )
 
 
@@ -177,7 +179,7 @@ class TestForward:
         samples = rng.standard_normal((2, 3, 6, 6))
         rows = stack_taps(net, samples, ["c"])["c"]
         w_mat = net.layer("c").conv.weight_matrix()
-        expected = np.vstack([linalg.im2col(x, 3, 1, 1) @ w_mat for x in samples])
+        expected = np.vstack([im2col_rows(x, 3, 1, 1) @ w_mat for x in samples])
         assert rows.shape == (72, 4)
         assert np.allclose(rows, expected)
 
@@ -368,6 +370,51 @@ class TestPooling:
             else:
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_pools_match_nested_loops_on_batches(self, data):
+        k, stride = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        pad = data.draw(st.integers(0, k - 1))
+        sides = st.integers(max(1, k - 2 * pad), 12)  # at least one output row
+        h, w = data.draw(sides), data.draw(sides)
+        xs = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(
+            (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), h, w)
+        )
+        self.check_against_nested_loops(PoolParams(k, stride, pad), xs)
+
+    def test_global_7x7_average_of_resnet34(self):
+        xs = np.random.default_rng(13).standard_normal((1, 512, 7, 7))
+        self.check_against_nested_loops(PoolParams(7, 1), xs)
+
+    @staticmethod
+    def check_against_nested_loops(pool, xs):
+        for kind, mode in (("maxpool", "max"), ("avgpool", "avg")):
+            out = model._KINDS[kind].forward(LayerSpec(id="p", kind=kind, pool=pool), xs, None)
+            want = np.stack([direct_pool(x, pool.k, pool.stride, pool.pad, mode) for x in xs])
+            if mode == "max":
+                assert np.array_equal(out, want)
+            else:
+                assert np.allclose(out, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    def test_scratch_is_a_padded_sample_not_a_window_array(self, kind):
+        # The resnet34 stem pool over a batch of two: the windows of one
+        # sample alone would take 14.5 MB.
+        xs = np.random.default_rng(14).standard_normal((2, 64, 112, 112))
+        layer = LayerSpec(id="p", kind=kind, pool=PoolParams(3, 2, pad=1))
+        tracemalloc.start()
+        try:
+            out = model._KINDS[kind].forward(layer, xs, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded_sample = 64 * 114 * 114 * 8
+        assert peak <= out.nbytes + 2 * padded_sample
+
+    def test_padding_as_wide_as_the_window_is_rejected(self):
+        with pytest.raises(ShapeError, match="pad=2 must be below k=2"):
+            PoolParams(2, 1, pad=2)
+
 
 class TestShapePropagation:
     def test_downsample_branch(self):
@@ -433,6 +480,17 @@ class TestShapePropagation:
         )
         with pytest.raises(ShapeError, match="add"):
             propagate_shapes(net)
+
+    def test_degenerate_output_raises(self):
+        # A 3-row window over 2 rows leaves no output row.
+        conv = conv_layer("tall", np.ones((1, 1, 3, 3)))
+        pool = LayerSpec(id="tall", kind="maxpool", pool=PoolParams(3, 1))
+        for layer in (conv, pool):
+            net = NetworkSpec("t", (1, 2, 5), [layer])
+            with pytest.raises(ShapeError, match="layer tall: degenerate output 0x3"):
+                propagate_shapes(net)
+            with pytest.raises(ShapeError, match="layer tall: degenerate output 0x3"):
+                forward(net, np.ones((1, 2, 5)))
 
 
 class TestFlops:

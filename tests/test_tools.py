@@ -42,3 +42,19 @@ class TestModelDiff:
         write_blob(tmp_path / "b" / "model.bin", [1.0])
         assert model_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         assert "sizes differ (8 vs 4 bytes)" in capsys.readouterr().out
+
+    def test_float64_files_are_compared_as_float64(self, tmp_path, capsys):
+        values = np.array([1.0, -2.0, 3.0])
+        changed = values.copy()
+        changed[2] = np.nextafter(3.0, 4.0)  # a difference float32 cannot hold
+        for root, data in (("a", values), ("b", changed)):
+            (tmp_path / root / "toy3").mkdir(parents=True)
+            data.astype("<f8").tofile(tmp_path / root / "toy3" / "forward_compressed.f64")
+            values.astype("<f8").tofile(tmp_path / root / "toy3" / "forward_original.f64")
+        assert model_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "toy3/forward_compressed.f64: 1 of 3 float64 values differ, "
+            "largest relative difference 1.48e-16",
+            "toy3/forward_original.f64: 0 of 3 float64 values differ, "
+            "largest relative difference 0",
+        ]
