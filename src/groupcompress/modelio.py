@@ -40,6 +40,12 @@ All three are read by ``read_json``: a missing, unreadable or malformed file
 raises ModelFormatError (PlanError for a plan). ``json_integer`` checks
 their integers, never truncating. ``write_json`` writes them, the blob
 first and each file atomically, so an interrupted write leaves no file.
+
+Blobs are streamed: load reads each tensor from the open blob file straight
+into its float64 array, and save converts each array to float32 as it
+writes it, both through one buffer of ``SLICE_VALUES`` float32 values. Load
+and save therefore hold one bounded slice beyond the model's float64
+arrays, never a second copy of its weights.
 """
 
 from __future__ import annotations
@@ -59,24 +65,45 @@ from .model import LAYER_KINDS, PARAM_TYPES, LayerSpec, NetworkSpec, propagate_s
 FORMAT_VERSION = 1
 
 
+# Float32 values per step of a blob read or write: a 4 MB buffer.
+SLICE_VALUES = 1 << 20
+
+
 class _BlobWriter:
+    """Lays arrays out in a blob, holding each by reference until ``write``."""
+
     def __init__(self):
-        self.chunks: list[np.ndarray] = []
+        self.arrays: list[np.ndarray] = []
         self.offset = 0
 
     def put(self, array: np.ndarray | None) -> dict | None:
         if array is None:
             return None
-        data = np.ascontiguousarray(array, dtype="<f4")
-        entry = {"offset": self.offset, "length": data.nbytes}
-        self.chunks.append(data)
-        self.offset += data.nbytes
+        entry = {"offset": self.offset, "length": 4 * array.size}
+        self.arrays.append(array)
+        self.offset += entry["length"]
         return entry
+
+    def write(self, fh) -> None:
+        """Write every array to ``fh`` as little-endian float32 in C order,
+        converting a slice of at most SLICE_VALUES values at a time, so that
+        no array, contiguous or not, is copied whole."""
+        flags = ["external_loop", "buffered", "zerosize_ok"]
+        for array in self.arrays:
+            for part in np.nditer(
+                array, flags, op_dtypes="<f4", casting="unsafe", order="C", buffersize=SLICE_VALUES
+            ):
+                fh.write(part)
 
 
 class _BlobReader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
+    """Reads tensors from an open blob file, each straight into its float64
+    array through a float32 buffer of at most SLICE_VALUES values. A float64
+    copy of a float32 value is exact."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
 
     def get(self, entry, shape, field: str) -> np.ndarray | None:
         if entry is None:
@@ -91,10 +118,23 @@ class _BlobReader:
             raise ModelFormatError(
                 f"{field}: blob length {length} bytes, expected {4 * count} for shape {shape}"
             )
-        if offset < 0 or offset + length > len(self.raw):
+        if offset < 0 or offset + length > self.size:
             raise ModelFormatError(f"{field}: blob slice out of range")
-        flat = np.frombuffer(self.raw, dtype="<f4", count=count, offset=offset)
-        return flat.astype(np.float64).reshape(shape)
+        if offset % 4:
+            raise ModelFormatError(f"{field}: blob offset {offset} is not 4-byte aligned")
+        out = np.empty(count)
+        buffer = np.empty(min(count, SLICE_VALUES), dtype="<f4")
+        self.fh.seek(offset)
+        for start in range(0, count, SLICE_VALUES):
+            part = buffer[: count - start]
+            try:
+                read = self.fh.readinto(part)
+            except OSError as exc:
+                raise ModelFormatError(f"{field}: cannot read blob: {exc}") from exc
+            if read != part.nbytes:  # the file shrank
+                raise ModelFormatError(f"{field}: blob slice out of range")
+            out[start : start + len(part)] = part
+        return out.reshape(shape)
 
 
 # Parameter arrays that may be null; every other array must be present.
@@ -234,7 +274,7 @@ def write_json(path, document: dict, blob: _BlobWriter | None = None) -> Path:
     with write_atomically(*paths) as temps:
         if blob is not None:
             with open(temps[0], "wb") as fh:
-                fh.writelines(blob.chunks)
+                blob.write(fh)
         with open(temps[-1], "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2)
             fh.write("\n")
@@ -253,8 +293,10 @@ def read_json(path, kind: str, error=ModelFormatError):
         raise error(f"{kind} is not readable JSON: {exc}") from exc
 
 
-def _read_manifest(path, kind: str, required: tuple) -> tuple[dict, _BlobReader]:
-    """A version-1 manifest with the ``required`` fields, and its blob."""
+@contextmanager
+def _open_manifest(path, kind: str, required: tuple):
+    """A version-1 manifest with the ``required`` fields, and a reader of
+    its blob, which stays open until the block exits."""
     path = Path(path)
     manifest = read_json(path, kind)
     if not isinstance(manifest, dict):
@@ -271,11 +313,13 @@ def _read_manifest(path, kind: str, required: tuple) -> tuple[dict, _BlobReader]
         raise ModelFormatError(f"{kind}: bad blob name {manifest['blob']!r}")
     blob_path = path.parent / manifest["blob"]
     try:
-        return manifest, _BlobReader(blob_path.read_bytes())
+        fh = open(blob_path, "rb")
     except FileNotFoundError:
         raise ModelFormatError(f"{kind}: blob not found: {blob_path}") from None
     except (OSError, ValueError) as exc:  # a directory, or a name with a NUL byte
         raise ModelFormatError(f"{kind}: cannot read blob {blob_path}: {exc}") from exc
+    with fh:
+        yield manifest, _BlobReader(fh)
 
 
 def _shape(value, field: str) -> tuple[int, int, int]:
@@ -307,11 +351,12 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
 
 def load_model(manifest_path) -> NetworkSpec:
     """Load and validate a model; shape propagation runs as a consistency check."""
-    manifest, reader = _read_manifest(manifest_path, "manifest", ("input_shape", "layers"))
-    if not isinstance(manifest["layers"], list) or not manifest["layers"]:
-        raise ModelFormatError("manifest: no layers")
-    input_shape = _shape(manifest["input_shape"], "manifest: input_shape")
-    layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]
+    required = ("input_shape", "layers")
+    with _open_manifest(manifest_path, "manifest", required) as (manifest, reader):
+        if not isinstance(manifest["layers"], list) or not manifest["layers"]:
+            raise ModelFormatError("manifest: no layers")
+        input_shape = _shape(manifest["input_shape"], "manifest: input_shape")
+        layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]
     try:
         net = NetworkSpec(manifest.get("name", Path(manifest_path).stem), input_shape, layers)
         propagate_shapes(net)
@@ -337,8 +382,8 @@ def save_calibration(samples: np.ndarray, manifest_path) -> Path:
 def load_calibration(manifest_path) -> np.ndarray:
     """The (count, C, H, W) samples of a calibration manifest."""
     kind = "calibration manifest"
-    header, reader = _read_manifest(manifest_path, kind, ("count", "shape"))
-    count = json_integer(header["count"], f"{kind}: count", 1)
-    shape = _shape(header["shape"], f"{kind}: shape")
-    whole = {"offset": 0, "length": len(reader.raw)}
-    return reader.get(whole, (count, *shape), "calibration samples")
+    with _open_manifest(manifest_path, kind, ("count", "shape")) as (header, reader):
+        count = json_integer(header["count"], f"{kind}: count", 1)
+        shape = _shape(header["shape"], f"{kind}: shape")
+        whole = {"offset": 0, "length": reader.size}
+        return reader.get(whole, (count, *shape), "calibration samples")

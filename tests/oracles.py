@@ -259,3 +259,44 @@ def reference_forward(net, x):
         outputs[layer.id] = out
         prev = layer.id
     return outputs[prev]
+
+
+class WholeBlobWriter:
+    """The blob writer streaming replaced: a little-endian float32 copy of
+    every array, all held until one write. It has the interface of
+    ``modelio._BlobWriter``, so a test can save through it."""
+
+    def __init__(self):
+        self.chunks = []
+        self.offset = 0
+
+    def put(self, array):
+        if array is None:
+            return None
+        data = np.ascontiguousarray(array, dtype="<f4")
+        entry = {"offset": self.offset, "length": data.nbytes}
+        self.chunks.append(data)
+        self.offset += data.nbytes
+        return entry
+
+    def write(self, fh):
+        fh.writelines(self.chunks)
+
+
+class WholeBlobReader:
+    """The blob reader streaming replaced: the whole blob read as one bytes
+    object, each tensor converted from it. It has the interface of
+    ``modelio._BlobReader`` for well-formed files, so a test can load
+    through it."""
+
+    def __init__(self, fh):
+        self.raw = fh.read()
+        self.size = len(self.raw)
+
+    def get(self, entry, shape, field):
+        if entry is None:
+            return None
+        count = int(np.prod(shape))
+        assert entry["length"] == 4 * count, field
+        flat = np.frombuffer(self.raw, dtype="<f4", count=count, offset=entry["offset"])
+        return flat.astype(np.float64).reshape(shape)

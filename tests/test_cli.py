@@ -118,12 +118,14 @@ class TestInspect:
             lambda m: m["layers"].__setitem__(
                 1, {"id": "r1", "kind": "maxpool", "k": 2, "stride": 1, "pad": 2}
             ),
+            lambda m: m["layers"][0]["weights"].update(offset=2),
         ],
         ids=[
             "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
             "blob-not-name", "c_in-inf", "input_shape-inf", "input-list", "blob-directory",
             "stride-float", "input_shape-float", "groups-bool", "offset-float",
             "rank_n-float", "decomposed_from-list", "pool-pad-not-below-k",
+            "offset-misaligned",
         ],
     )
     def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):

@@ -1,5 +1,11 @@
+import gc
+import io
 import json
+import sys
 import tempfile
+import tracemalloc
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +15,9 @@ from hypothesis import strategies as st
 
 from groupcompress import modelio
 from groupcompress.errors import ModelFormatError, ShapeError
-from groupcompress.fixtures import build_toy_three
+from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
+    LAYER_KINDS,
     AffineParams,
     ConvWeights,
     FcParams,
@@ -23,6 +30,7 @@ from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import build_plan
 
+import oracles
 from json_edits import cut_or_grow, edit_fields, same_json
 
 
@@ -69,6 +77,39 @@ def build_net(seed=0):
             LayerSpec(id="fc", kind="fc", fc=FcParams(64, 2, weights=fcw)),
         ],
     )
+
+
+def build_wide_net(seed=0, out_features=10):
+    """A conv, then an fc whose weights are a transposed view: an array that
+    is not C-contiguous, which no blob writer may copy whole."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((256, out_features)).T
+    return NetworkSpec(
+        "wide",
+        (4, 8, 8),
+        [
+            LayerSpec(
+                id="c1",
+                kind="conv",
+                conv=ConvWeights(4, 4, 3, pad=1, weights=rng.standard_normal((4, 4, 3, 3))),
+            ),
+            LayerSpec(
+                id="fc",
+                kind="fc",
+                fc=FcParams(256, out_features, weights, rng.standard_normal(out_features)),
+            ),
+        ],
+    )
+
+
+def arrays(net):
+    """``(layer id, field, array)`` for every parameter array of ``net``."""
+    for layer in net.layers:
+        attr = LAYER_KINDS[layer.kind]
+        params = None if attr is None else getattr(layer, attr)
+        for f in fields(params) if params is not None else ():
+            if "shape" in f.metadata and getattr(params, f.name) is not None:
+                yield layer.id, f.name, getattr(params, f.name)
 
 
 @pytest.fixture
@@ -148,6 +189,19 @@ def test_blob_length_mismatch_rejected(tmp_path, net):
         load_model(path)
 
 
+def test_misaligned_offset_rejected(tmp_path):
+    """An offset that is not a multiple of 4 would read float32 values
+    across their boundaries: garbage weights, some of them NaN."""
+    path = save_model(build_toy_three(0), tmp_path / "toy3.json")
+    manifest = json.loads(path.read_text())
+    manifest["layers"][0]["weights"]["offset"] += 2
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(
+        ModelFormatError, match="layer c1 weights: blob offset 2 is not 4-byte aligned"
+    ):
+        load_model(path)
+
+
 def test_missing_blob_rejected(tmp_path, net):
     path = save_model(net, tmp_path / "model.json")
     (tmp_path / "model.bin").unlink()
@@ -192,6 +246,150 @@ def test_interrupted_save_leaves_no_model(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_model(build_net(seed=1), path)
     assert list(tmp_path.iterdir()) == []
+
+
+class _FailAfterFirstWrite:
+    """A file whose second ``write`` fails, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.written = []
+
+    def write(self, data):
+        if self.written:
+            raise OSError("disk full")
+        self.written.append(len(bytes(data)))
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _wrap_blob_files(monkeypatch, mode: str, wrap) -> list:
+    """Make ``modelio`` open each file it opens in ``mode`` (a blob) as
+    ``wrap(path)``; the wrapped files are listed in the returned list."""
+    blobs = []
+
+    def open_blob(file, file_mode="r", *args, **kwargs):
+        if file_mode != mode:
+            return open(file, file_mode, *args, **kwargs)
+        blobs.append(wrap(file))
+        return blobs[-1]
+
+    monkeypatch.setattr(modelio, "open", open_blob, raising=False)
+    return blobs
+
+
+def test_blob_write_interrupted_after_first_slice_leaves_no_file(tmp_path, monkeypatch):
+    path = save_model(build_net(seed=0), tmp_path / "model.json")
+    monkeypatch.setattr(modelio, "SLICE_VALUES", 16)
+    blobs = _wrap_blob_files(monkeypatch, "wb", lambda file: _FailAfterFirstWrite(open(file, "wb")))
+    with pytest.raises(OSError, match="disk full"):
+        save_model(build_net(seed=1), path)
+    assert [blob.written for blob in blobs] == [[16 * 4]]  # one slice, then the failure
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_load_leaves_no_open_blob(tmp_path, monkeypatch, net):
+    """A load that fails after reading some tensors closes its blob file:
+    an unclosed one would raise ResourceWarning when collected."""
+    path = save_model(net, tmp_path / "model.json")
+    manifest = json.loads(path.read_text())
+    manifest["layers"][-1]["weights"]["length"] -= 4  # fc, the last tensor
+    path.write_text(json.dumps(manifest))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ModelFormatError, match="layer fc weights: blob length"):
+            load_model(path)
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
+
+
+class _FailingBlob(io.BufferedReader):
+    """A blob file whose reads fail, as on an I/O error, or come up empty,
+    as when the file shrinks after it was opened."""
+
+    def __init__(self, path, fault):
+        super().__init__(io.FileIO(path))
+        self.fault = fault
+
+    def readinto(self, buffer):
+        if self.fault == "error":
+            raise OSError(5, "Input/output error")
+        return 0
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("error", "cannot read blob: .*Input/output error"), ("short", "blob slice out of range")],
+    ids=["io-error", "shrunk"],
+)
+def test_failing_blob_read_is_format_error(tmp_path, monkeypatch, net, fault, message):
+    path = save_model(net, tmp_path / "model.json")
+    blobs = _wrap_blob_files(monkeypatch, "rb", lambda file: _FailingBlob(file, fault))
+    with pytest.raises(ModelFormatError, match=f"layer c1 weights: {message}"):
+        load_model(path)
+    assert len(blobs) == 1 and blobs[0].closed
+
+
+@pytest.mark.parametrize(
+    "build", [build_toy_three, build_toy_cnn, build_wide_net], ids=["toy3", "toy4", "transposed"]
+)
+def test_streaming_io_matches_whole_blob_io(tmp_path, monkeypatch, build):
+    """Saving slice by slice writes the bytes the whole-blob writer wrote,
+    and loading slice by slice gives the arrays the whole-blob reader gave.
+    Seven-value slices make most tensors span slices and end mid-slice."""
+    net = build(0)
+    with monkeypatch.context() as whole:
+        whole.setattr(modelio, "_BlobWriter", oracles.WholeBlobWriter)
+        whole.setattr(modelio, "_BlobReader", oracles.WholeBlobReader)
+        expected_path = save_model(net, tmp_path / "whole" / "model.json")
+        expected = load_model(expected_path)
+    monkeypatch.setattr(modelio, "SLICE_VALUES", 7)
+    assert any(a.size > 7 and a.size % 7 for _, _, a in arrays(net))
+    path = save_model(net, tmp_path / "streamed" / "model.json")
+    for suffix in (".json", ".bin"):
+        assert path.with_suffix(suffix).read_bytes() == (
+            expected_path.with_suffix(suffix).read_bytes()
+        )
+    loaded = list(arrays(load_model(expected_path)))
+    assert [where for *where, _ in loaded] == [where for *where, _ in arrays(expected)]
+    for (*where, got), (_, _, want) in zip(loaded, arrays(expected)):
+        assert np.array_equal(got, want), where
+
+
+# What load and save may allocate beyond the model's own float64 arrays: the
+# float32 buffer of SLICE_VALUES values, plus 1 MB for the manifest.
+IO_SCRATCH_BYTES = 4 * modelio.SLICE_VALUES + (1 << 20)
+
+
+@pytest.mark.parametrize("out_features", [8192, 4 * 8192], ids=["model", "model-4x"])
+def test_load_and_save_hold_one_bounded_slice(tmp_path, out_features):
+    """The bound does not grow with the model. Even at the smaller size, a
+    contiguous copy of the fc weights (a transposed view of 16 MB), a
+    float32 copy of every array or the whole blob (8 MB each) exceeds it."""
+    net = build_wide_net(0, out_features)
+    assert not net.layer("fc").fc.weights.flags.c_contiguous
+    own = sum(a.nbytes for _, _, a in arrays(net))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        path = save_model(net, tmp_path / "wide.json")
+        save_extra = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_model(path)
+        load_extra = tracemalloc.get_traced_memory()[1] - before - own
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for _, _, a in arrays(loaded)) == own
+    assert save_extra <= IO_SCRATCH_BYTES
+    assert load_extra <= IO_SCRATCH_BYTES
 
 
 @pytest.mark.parametrize(

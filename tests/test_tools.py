@@ -31,8 +31,9 @@ class TestModelDiff:
         lines = capsys.readouterr().out.splitlines()
         assert lines == [
             "changed/model.bin: 2 of 8 float32 values differ, "
-            "largest relative difference 0.2",
-            "same/model.bin: 0 of 8 float32 values differ, largest relative difference 0",
+            "largest relative difference 0.2, norm-wise 0.0348",
+            "same/model.bin: 0 of 8 float32 values differ, "
+            "largest relative difference 0, norm-wise 0",
         ]
 
     def test_identical_trees_exit_0_and_sizes_are_compared(self, tmp_path, capsys):
@@ -54,7 +55,7 @@ class TestModelDiff:
         assert model_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "toy3/forward_compressed.f64: 1 of 3 float64 values differ, "
-            "largest relative difference 1.48e-16",
+            "largest relative difference 1.48e-16, norm-wise 1.19e-16",
             "toy3/forward_original.f64: 0 of 3 float64 values differ, "
-            "largest relative difference 0",
+            "largest relative difference 0, norm-wise 0",
         ]
