@@ -15,9 +15,20 @@ No nonlinearity sits between the two layers. ``pair_layers`` is the one
 definition of this pair's geometry: the decomposer fills its weights in,
 plan prediction counts its FLOPs, and loaded pairs are checked against it.
 
-The c_in / n blocks of a layer are factored as one (c_in / n) x (n * k^2) x
-c_out stack in a single SVD call; each block's factors, and so the
-serialized model, are byte-identical to those of a separate SVD per block.
+The c_in / n blocks of a layer form one (c_in / n) x (n * k^2) x c_out
+stack. It is cut into one contiguous part per CPU the process may run on
+(its affinity set), or one part per block when there are fewer blocks, and
+the parts are factored at the same time: the calling thread takes the first
+and a worker thread each other one, so one part starts no thread. Each part
+writes its own rows of the layer's D, P and truncation-error arrays, which
+are allocated in their final layout. An SVD of a stack gives each matrix
+exactly the factors it would get alone, so the serialized model is
+byte-identical to that of one SVD per block, whatever the CPU count. Layers
+are factored one after another in network order, so only one layer's
+factors are in memory at a time. The whole stack is validated in the
+calling thread before any part is factored, and workers call only private
+functions: a span tracer that wraps every public function keeps one span
+stack per process, which concurrent calls would break.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -26,6 +37,9 @@ well conditioned for response reconstruction.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,31 +133,64 @@ def decompose_layer(
     a plain channel SVD and the FLOPs ratio n/c_out + 1 never compresses.
     Pass ``force_pointwise=True`` to decompose them anyway.
     """
+    return _factor_stack(w, n, _checked_stack(w, n, force_pointwise))
+
+
+def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
+    """The validated block stack of ``w`` at rank n, ready for ``linalg._svd``."""
     if w.k == 1 and not force_pointwise:
         raise DecompositionError(
             "refusing to decompose a 1x1 convolution (no compression); "
             "pass force_pointwise=True to override"
         )
-    res = linalg.svd(partition_blocks(w, n))
+    return linalg.svd_input(partition_blocks(w, n))
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _factor_stack(w: ConvWeights, n: int, stack: np.ndarray) -> GroupDecomposition:
+    """``decompose_layer`` of ``w``, given its ``_checked_stack``."""
     k, c_in, c_out = w.k, w.c_in, w.c_out
-    kept = min(n, res.rank)
-    # Zeros beyond `kept` pad blocks whose rank bound min(n*k^2, c_out) is
-    # below n. Column m of block i of d is the filter for output channel i*n + m.
-    d = np.zeros((c_in // n, n * k * k, n))
-    d[..., :kept] = res.u[..., :kept] * res.singular_values[:, None, :kept]
-    p = np.zeros((c_in // n, n, c_out))
-    p[:, :kept] = res.vt[:, :kept]
-    errors = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
+    blocks = c_in // n
+    d = np.zeros((c_in, n, k, k))
+    p = np.zeros((c_out, c_in, 1, 1))
+    errors = np.empty(blocks)
+    # Views of block i's rows in the final layouts: d_rows[i, m] is the
+    # filter of D's output channel i*n + m, p_rows[i, m] is P's input
+    # channel i*n + m.
+    d_rows = d.reshape(blocks, n, n * k * k)
+    p_rows = p.reshape(c_out, blocks, n).transpose(1, 2, 0)
+
+    def factor_part(lo: int, hi: int) -> None:
+        res = linalg._svd(stack[lo:hi])
+        # Zeros beyond `kept` pad blocks whose rank bound min(n*k^2, c_out)
+        # is below n.
+        kept = min(n, res.rank)
+        np.multiply(res.u[..., :kept].transpose(0, 2, 1), res.singular_values[:, :kept, None],
+                    out=d_rows[lo:hi, :kept])
+        p_rows[lo:hi, :kept] = res.vt[:, :kept]
+        errors[lo:hi] = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
+
+    parts = min(_usable_cpus(), blocks)
+    bounds = [blocks * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts) as pool:
+        # The pool starts at most one thread per submitted task, and leaving
+        # the block waits for every task, also when a part fails.
+        rest = [pool.submit(factor_part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        factor_part(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
 
     d_layer, p_layer = pair_layers(w, n)
     return GroupDecomposition(
         n=n,
-        d_layer=replace(d_layer, weights=d.transpose(0, 2, 1).reshape(c_in, n, k, k)),
-        p_layer=replace(
-            p_layer,
-            weights=p.reshape(c_in, c_out).T.reshape(c_out, c_in, 1, 1),
-            bias=None if w.bias is None else w.bias.copy(),
-        ),
+        d_layer=replace(d_layer, weights=d),
+        p_layer=replace(p_layer, weights=p, bias=None if w.bias is None else w.bias.copy()),
         block_truncation_errors=errors,
     )
 
@@ -194,6 +241,14 @@ def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]
     return [(src, d, p) for src, (d, p) in found.items()]
 
 
+@contextmanager
+def _naming_layer(layer_id: str):
+    try:
+        yield
+    except (DecompositionError, ShapeError, NumericalError) as exc:
+        raise type(exc)(f"layer {layer_id}: {exc}") from exc
+
+
 def decompose_network(
     net: NetworkSpec,
     layer_ranks: dict[str, int],
@@ -205,6 +260,8 @@ def decompose_network(
     named ``<id>.p`` and all later references to the original id are
     redirected to it. Provenance (source id and n) is recorded on both
     layers. Every other layer keeps its parameter records and arrays.
+    Every planned layer is checked, its weights included, before the first
+    SVD; an error names the first failing layer in network order.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -222,6 +279,10 @@ def decompose_network(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
                 )
             taken.add(new_id)
+    stacks = {}
+    for lid in planned:
+        with _naming_layer(lid):
+            stacks[lid] = _checked_stack(net.layer(lid).conv, layer_ranks[lid], force_pointwise)
 
     new_layers: list[LayerSpec] = []
     decompositions: dict[str, GroupDecomposition] = {}
@@ -236,10 +297,8 @@ def decompose_network(
             new_layers.append(layer)
             continue
         n = layer_ranks[layer.id]
-        try:
-            decomp = decompose_layer(layer.conv, n, force_pointwise=force_pointwise)
-        except (DecompositionError, ShapeError, NumericalError) as exc:
-            raise type(exc)(f"layer {layer.id}: {exc}") from exc
+        with _naming_layer(layer.id):
+            decomp = _factor_stack(layer.conv, n, stacks.pop(layer.id))
         decompositions[layer.id] = decomp
         provenance = {"decomposed_from": layer.id, "rank_n": n}
         new_layers.append(

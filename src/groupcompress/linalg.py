@@ -96,10 +96,22 @@ def svd(a) -> SvdResult:
     would get alone. Raises NumericalError (with the array's shape in the
     message) if the underlying iteration fails to converge.
     """
+    return _svd(svd_input(a))
+
+
+def svd_input(a) -> np.ndarray:
+    """``a`` as the float64 matrix or stack ``svd`` accepts: at least 2-D,
+    non-empty and finite, else ShapeError."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim < 2:
         raise ShapeError(f"a must be a matrix or a stack of matrices, got {arr.ndim}-D")
-    _check_entries(arr, "a")
+    return _check_entries(arr, "a")
+
+
+def _svd(arr: np.ndarray) -> SvdResult:
+    """``svd`` of an array already passed through ``svd_input``. Private, so
+    that worker threads can call it without passing through the per-process
+    span tracer that wraps every public function."""
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:

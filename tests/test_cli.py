@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupcompress import model
+from groupcompress import decompose, linalg, model
 from groupcompress.cli import (
     EXIT_FORMAT,
     EXIT_NUMERIC,
@@ -15,6 +20,7 @@ from groupcompress.cli import (
 )
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.degeneracy import filter_correlation, write_correlation_csv
+from groupcompress.errors import NumericalError
 from groupcompress.model import NetworkSpec, forward, stack_taps
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
@@ -358,7 +364,7 @@ class TestCompress:
         def no_svd(a):
             raise AssertionError("SVD ran before the id check")
 
-        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
         code = main(
             ["compress", str(path), "-o", str(tmp_path / "o"), "--degree", "constant",
              "--base-n", "1", "--no-reconstruct"]
@@ -381,6 +387,84 @@ class TestCompress:
         assert "layer c1:" in err and "non-finite" in err
         assert not (out_dir / "model.bin").exists()
 
+    def test_non_finite_last_layer_fails_before_any_svd(self, tmp_path, capsys, monkeypatch):
+        net = build_toy_three(seed=0)
+        net.layer("c3").conv.weights[0, 0, 0, 0] = np.nan
+        path = save_model(net, tmp_path / "m.json")
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the weights were checked")
+
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        out_dir = tmp_path / "o"
+        code = main(
+            ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--no-reconstruct"]
+        )
+        assert code == EXIT_NUMERIC
+        assert "layer c3: a contains non-finite entries" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+
+    def test_failing_part_names_layer_and_leaves_no_worker_running(
+        self, toy3_path, tmp_path, capsys, monkeypatch
+    ):
+        # c2 is cut into three parts of its six blocks. The part holding
+        # its last block fails at once while the others are still running.
+        stack = decompose.partition_blocks(load_model(toy3_path).layer("c2").conv, 1)
+        svd = linalg._svd
+        finished = []
+
+        def failing_svd(a):
+            if a.shape[1:] == stack.shape[1:] and np.array_equal(a[-1], stack[-1]):
+                raise NumericalError("SVD did not converge")
+            time.sleep(0.2)
+            result = svd(a)
+            finished.append(a.shape)
+            return result
+
+        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(linalg, "_svd", failing_svd)
+        threads_before = set(threading.enumerate())
+        out_dir = tmp_path / "o"
+        code = main(
+            ["compress", str(toy3_path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--no-reconstruct"]
+        )
+        assert code == EXIT_NUMERIC
+        assert "layer c2: SVD did not converge" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+        # c1's three parts and c2's two others ran to the end; c3 never started.
+        assert finished.count((1, 9, 6)) == 3 and finished.count((2, 9, 8)) == 2
+        assert len(finished) == 5
+        assert set(threading.enumerate()) == threads_before
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_one_cpu_writes_the_same_bytes(self, toy4_path, tmp_path):
+        # Each run is a child process; "one" restricts it to one CPU first.
+        script = (
+            "import os, sys\n"
+            "from groupcompress import decompose\n"
+            "from groupcompress.cli import main\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "assert (decompose._usable_cpus() == 1) == (sys.argv[1] == 'one')\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(decompose.__file__).parents[1])}
+        outputs = {}
+        for cpus in ("one", "all"):
+            out_dir = tmp_path / cpus
+            subprocess.run(
+                [sys.executable, "-c", script, cpus, "compress", str(toy4_path), "-o",
+                 str(out_dir), "--degree", "constant", "--base-n", "1", "--calib-count", "8"],
+                env=env, check=True, timeout=120,
+            )
+            outputs[cpus] = [(out_dir / name).read_bytes() for name in ("model.bin", "report.json")]
+        assert outputs["one"] == outputs["all"]
+
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
     ):
@@ -390,7 +474,7 @@ class TestCompress:
         def no_svd(a):
             raise AssertionError("SVD ran before the plan check")
 
-        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan)])
         assert code == EXIT_PLAN
@@ -422,7 +506,7 @@ class TestCompress:
         def no_svd(a):
             raise AssertionError("SVD ran before the plan check")
 
-        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan_path)])
         assert code == EXIT_PLAN
@@ -447,7 +531,7 @@ class TestCompress:
         def no_svd(a):
             raise AssertionError("SVD ran before the plan source check")
 
-        monkeypatch.setattr("groupcompress.linalg.svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
         out_dir = tmp_path / "o"
         flags = [str(plan_path) if flag == "PLAN" else flag for flag in flags]
         code = main(["compress", str(toy3_path), "-o", str(out_dir), *flags])

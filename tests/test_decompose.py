@@ -1,9 +1,11 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from groupcompress import linalg
+from groupcompress import decompose, linalg
 from groupcompress.decompose import (
     GroupDecomposition,
     decompose_layer,
@@ -107,6 +109,28 @@ class TestStackedDecomposition:
         assert np.array_equal(decomp.p_layer.weights, p_weights)
         assert np.array_equal(decomp.block_truncation_errors, errors)
         assert decomp.d_layer.stride == stride
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, n",
+        [(6, 5, 3, 6), (4, 5, 3, 2), (3, 7, 3, 1), (7, 4, 3, 1), (14, 1, 3, 2)],
+        ids=["1-block", "2-blocks", "3-blocks", "7-blocks", "7-blocks-padded"],
+    )
+    def test_parts_match_per_block_oracle(self, monkeypatch, workers, c_in, c_out, k, n):
+        # Uneven cuts, layers with fewer blocks than workers, and more
+        # workers than cores, switching threads as often as they can.
+        monkeypatch.setattr(decompose, "_usable_cpus", lambda: workers)
+        w = random_conv(np.random.default_rng(c_in * 10 + n), c_in, c_out, k)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            decomp = decompose_layer(w, n)
+        finally:
+            sys.setswitchinterval(interval)
+        d_weights, p_weights, errors = per_block_decompose(w.weights, n)
+        assert np.array_equal(decomp.d_layer.weights, d_weights)
+        assert np.array_equal(decomp.p_layer.weights, p_weights)
+        assert np.array_equal(decomp.block_truncation_errors, errors)
 
     @pytest.mark.parametrize("groups", [1, 2, 8])
     def test_group_conv_matrix_matches_per_group_oracle(self, groups):
@@ -323,20 +347,47 @@ class TestDecomposeNetwork:
         assert per_after["c2.d"] + per_after["c2.p"] == per_before["c2"] * ratio
         assert per_after["c1"] == per_before["c1"]
 
-    def test_one_svd_call_per_planned_layer(self, monkeypatch):
-        rng = np.random.default_rng(21)
-        net = self.build(rng)
+    def test_each_stack_factored_once_in_at_most_one_part_per_cpu(self, monkeypatch):
+        net = self.build(np.random.default_rng(21))
         net.layers = net.layers[:3]
-        calls = []
-        svd = np.linalg.svd
+        ranks = {"c1": 1, "c2": 2}
+        svd = linalg._svd
+        for workers in (1, 2, 3, 5):
+            parts = []
 
-        def counting_svd(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            def recording_svd(a):
+                parts.append(a.copy())
+                return svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        decompose_network(net, {"c1": 1, "c2": 2})
-        assert calls == [(4, 9, 4), (2, 18, 6)]
+            monkeypatch.setattr(linalg, "_svd", recording_svd)
+            monkeypatch.setattr(decompose, "_usable_cpus", lambda: workers)
+            decompose_network(net, ranks)
+            stacks = [partition_blocks(net.layer(lid).conv, n) for lid, n in ranks.items()]
+            # Every part is a part of c1 or c2, and c1's all come first.
+            shapes = [stack.shape[1:] for stack in stacks]
+            assert [part.shape[1:] for part in parts] == sorted(
+                (part.shape[1:] for part in parts), key=shapes.index)
+            for stack in stacks:
+                mine = [part for part in parts if part.shape[1:] == stack.shape[1:]]
+                assert 1 <= len(mine) <= workers
+                # Parts in stack order, by where each one's first block sits.
+                mine.sort(key=lambda part: next(
+                    i for i, block in enumerate(stack) if np.array_equal(block, part[0])))
+                assert np.array_equal(np.concatenate(mine), stack)
+
+    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch):
+        net = self.build(np.random.default_rng(24))
+        net.layers = net.layers[:3]
+
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 1)
+        one_cpu, _ = decompose_network(net, {"c1": 1, "c2": 1})
+        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 5)
+        one_block, _ = decompose_network(net, {"c1": 4, "c2": 4})
+        assert [l.id for l in one_cpu.layers] == [l.id for l in one_block.layers]
 
     @pytest.mark.parametrize(
         "edits",
