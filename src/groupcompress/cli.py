@@ -1,24 +1,27 @@
 """Command-line front end: inspect, plan, compress, analyze, gen-fixtures.
 
-Exit codes: 0 success, 2 model/format error, 3 plan error, 4 numerical
-failure, 1 anything else.
+Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
+error, 4 numerical failure, 1 anything else. What needs no model (counts,
+seeds, the ridge, an ``-o`` that names a file) is a usage error at parse
+time, exit 2; ``compress`` reads its calibration set before the first SVD.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
+import os
 import sys
 from pathlib import Path
 
-from .decompose import decompose_network, decomposed_pairs, group_conv_matrix, is_pair
+from .decompose import decompose_network, decomposed_pairs, group_conv_matrix
 from .degeneracy import (
     equal_flops_ranks,
     filter_correlation,
     jacobian_energy_curve,
     svd_strategy_matrix,
     write_correlation_csv,
+    write_csv,
     write_energy_csv,
     write_rank_report_csv,
 )
@@ -44,14 +47,17 @@ EXIT_PLAN = 3
 EXIT_NUMERIC = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _ridge(text: str) -> float:
@@ -62,6 +68,15 @@ def _ridge(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+def _output_dir(text: str) -> str:
+    """An argparse type: a directory path, which need not exist yet, but
+    whose nearest existing ancestor (itself included) is a directory."""
+    existing = next(p for p in (Path(text), *Path(text).parents) if os.path.exists(p))
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return text
 
 
 def _one_plan_source(args) -> None:
@@ -75,7 +90,10 @@ def _one_plan_source(args) -> None:
 
 
 def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
-    if args.plan:
+    """The plan from the one source given: a plan file (``compress`` only), a
+    preset, or a schedule of --degree and --base-n, shaped by --stage-cap,
+    --skip-stage and --skip-layer where the subcommand has them."""
+    if getattr(args, "plan", None):
         plan = CompressionPlan.load(args.plan)
         # The report echoes the file's prediction: it must be this network's.
         predicted = plan.predicted_flops
@@ -88,14 +106,23 @@ def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
     if args.preset is not None:
         return plan_from_preset(net, args.preset)
     if args.degree is not None and args.base_n is not None:
-        return build_plan(net, args.degree, args.base_n)
-    raise PlanError("no plan given: pass --plan, --preset, or --degree/--base-n")
+        stage_cap, skip_stage, skip_layer = (
+            getattr(args, name, None) or [] for name in ("stage_cap", "skip_stage", "skip_layer"))
+        try:  # build_plan checks the stages and values
+            caps = {s: int(n) for s, _, n in (f.partition("=") for f in stage_cap)}
+        except ValueError:
+            raise PlanError(f"--stage-cap expects STAGE=N, got {stage_cap}") from None
+        return build_plan(net, args.degree, args.base_n, caps, skip_stage, skip_layer)
+    sources = "--plan, --preset" if "plan" in args else "--preset"
+    raise PlanError(f"no plan given: pass {sources}, or both --degree and --base-n")
 
 
 def _calibration(args, input_shape) -> tuple[CalibrationSet, dict]:
     if args.calib:
         calib = CalibrationSet.from_file(args.calib)
         info = {"source": str(Path(args.calib)), "count": calib.count}
+    elif args.calib_count is None:
+        raise PlanError("no calibration data: pass --calib FILE or --calib-count N")
     else:
         calib = CalibrationSet.synthetic(input_shape, args.calib_count, seed=args.calib_seed)
         info = {"source": "synthetic", "seed": args.calib_seed, "count": args.calib_count}
@@ -115,16 +142,15 @@ def run_compress(args) -> dict:
     net = load_model(args.model)
     plan = _resolve_plan(net, args)
     flops_before, per_before = network_flops(net)
+    reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
+    calib, calib_info = _calibration(args, net.input_shape) if reconstruct else (None, None)
 
     compressed, decomps = decompose_network(
         net, plan.layer_ranks, force_pointwise=args.force_1x1
     )
 
     recon_reports = {}
-    calib_info = None
-    reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
     if reconstruct:
-        calib, calib_info = _calibration(args, net.input_shape)
         compressed, reports = reconstruct_network(
             net,
             compressed,
@@ -204,24 +230,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_plan(args) -> int:
     _one_plan_source(args)
-    net = load_model(args.model)
-    if args.preset:
-        plan = plan_from_preset(net, args.preset)
-    else:
-        if not args.degree or args.base_n is None:
-            raise PlanError("pass --preset or both --degree and --base-n")
-        try:  # build_plan checks the stages and values
-            caps = {s: int(n) for s, _, n in (f.partition("=") for f in args.stage_cap or [])}
-        except ValueError:
-            raise PlanError(f"--stage-cap expects STAGE=N, got {args.stage_cap}") from None
-        plan = build_plan(
-            net,
-            args.degree,
-            args.base_n,
-            stage_caps=caps,
-            skip_stages=args.skip_stage or [],
-            skip_layers=args.skip_layer or [],
-        )
+    plan = _resolve_plan(load_model(args.model), args)
     plan.save(args.output)
     print(f"plan written to {args.output}")
     print(f"stage ranks: {plan.stage_ns}")
@@ -249,28 +258,16 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = "sigma" if args.energy_sigma else "squared"
 
-    pairs = decomposed_pairs(compressed)
+    pairs = decomposed_pairs(compressed, original)
     if not pairs:
         raise PlanError(f"{args.compressed}: no decomposed layers to analyze")
-    convs = {layer.id: layer.conv for layer in original.conv_layers()}
-    for src, d_layer, p_layer in pairs:
-        if src not in convs or not is_pair(convs[src], d_layer.conv, p_layer.conv):
-            raise ModelFormatError(
-                f"decomposed_from={src!r}: {d_layer.id!r}, {p_layer.id!r} are not the "
-                f"(D, P) pair of a conv of that name in {args.model}"
-            )
     if args.correlation:
-        if not args.calib and args.calib_count is None:
-            raise PlanError(
-                "correlation analysis needs calibration data: "
-                "pass --calib FILE or --calib-count N"
-            )
         calib, _ = _calibration(args, compressed.input_shape)
 
     rank_reports = []
     labels = []
     for src, d_layer, p_layer in pairs:
-        conv = convs[src]
+        conv = original.layer(src).conv
         n = d_layer.conv.c_in // d_layer.conv.groups
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, n)
         rank_reports.append(report)
@@ -302,10 +299,8 @@ def cmd_analyze(args) -> int:
             compressed, pairs, calib, out_dir, pre_activation=args.corr_pre_activation
         )
         if summary_rows:
-            with open(out_dir / "correlation_summary.csv", "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0]))
-                writer.writeheader()
-                writer.writerows(summary_rows)
+            write_csv(out_dir / "correlation_summary.csv", list(summary_rows[0]),
+                      [list(row.values()) for row in summary_rows])
 
     print(f"analysis written to {out_dir}")
     return EXIT_OK
@@ -405,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_comp = sub.add_parser("compress", help="decompose, reconstruct and serialize")
     p_comp.add_argument("model")
-    p_comp.add_argument("-o", "--output", required=True, help="output directory")
+    p_comp.add_argument("-o", "--output", type=_output_dir, required=True,
+                        help="output directory")
     p_comp.add_argument("--plan")
     p_comp.add_argument("--preset", choices=list_presets())
     p_comp.add_argument("--degree", choices=["constant", "half", "quarter"])
     p_comp.add_argument("--base-n", type=int)
     p_comp.add_argument("--calib", help="calibration manifest (json)")
-    p_comp.add_argument("--calib-seed", type=int, default=0)
-    p_comp.add_argument("--calib-count", type=_positive_int, default=128)
+    p_comp.add_argument("--calib-seed", type=_int_at_least(0), default=0)
+    p_comp.add_argument("--calib-count", type=_int_at_least(1), default=128)
     p_comp.add_argument("--ridge", type=_ridge, default=None)
     p_comp.add_argument("--no-reconstruct", action="store_true")
     p_comp.add_argument("--no-intercept", action="store_true")
@@ -423,11 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="emit energy/rank/correlation CSVs")
     p_an.add_argument("model")
     p_an.add_argument("compressed")
-    p_an.add_argument("-o", "--output", required=True, help="output directory")
+    p_an.add_argument("-o", "--output", type=_output_dir, required=True,
+                      help="output directory")
     p_an.add_argument("--correlation", action="store_true")
     p_an.add_argument("--calib")
-    p_an.add_argument("--calib-seed", type=int, default=0)
-    p_an.add_argument("--calib-count", type=_positive_int, default=None)
+    p_an.add_argument("--calib-seed", type=_int_at_least(0), default=0)
+    p_an.add_argument("--calib-count", type=_int_at_least(1), default=None)
     p_an.add_argument("--energy-sigma", action="store_true",
                       help="accumulate sigma instead of sigma^2")
     p_an.add_argument("--corr-pre-activation", action="store_true",
@@ -437,29 +434,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-fixtures", help="write synthetic models")
     p_gen.add_argument("name", choices=sorted(BUILDERS))
-    p_gen.add_argument("-o", "--output", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("-o", "--output", type=_output_dir, required=True,
+                       help="output directory")
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.set_defaults(func=cmd_gen_fixtures)
     return parser
 
 
+# The first entry whose types match the exception gives the exit code.
+_EXIT_CODES = (
+    (ModelFormatError, EXIT_FORMAT),
+    ((PlanError, DecompositionError), EXIT_PLAN),
+    ((NumericalError, ShapeError), EXIT_NUMERIC),
+    (Exception, EXIT_GENERIC),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (PlanError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN
-    except (NumericalError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -211,12 +211,16 @@ def group_conv_matrix(conv: ConvWeights) -> np.ndarray:
     return out
 
 
-def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]:
+def decomposed_pairs(
+    net: NetworkSpec, original: NetworkSpec | None = None
+) -> list[tuple[str, LayerSpec, LayerSpec]]:
     """(source id, D layer, P layer) for every decomposed conv, in network
     order, found by the ``decomposed_from`` provenance both layers carry. P
-    must read D, the two must be ``pair_layers`` of the conv with D's c_in,
-    kernel, stride and padding and P's c_out, and a ``rank_n`` must be D's
-    c_in / groups. Anything else is a ModelFormatError."""
+    must read D, a ``rank_n`` must be D's c_in / groups, and the two must be
+    ``pair_layers`` of the conv that the provenance names in ``original`` (by
+    default, of the conv that D's c_in, kernel, stride and padding and P's
+    c_out imply). Anything else is a ModelFormatError."""
+    convs = None if original is None else {l.id: l.conv for l in original.conv_layers()}
     found: dict[str, list[LayerSpec]] = {}
     for layer in net.layers:
         src = layer.meta.get("decomposed_from")
@@ -230,13 +234,14 @@ def decomposed_pairs(net: NetworkSpec) -> list[tuple[str, LayerSpec, LayerSpec]]
             )
         d, p = layers
         n = d.conv.c_in // d.conv.groups if d.kind == p.kind == "conv" else None
-        if not (n and inputs[p.id] == d.id
-                and is_pair(ConvWeights(d.conv.c_in, p.conv.c_out, d.conv.k, stride=d.conv.stride,
-                                        pad=d.conv.pad), d.conv, p.conv)
+        conv = convs.get(src) if convs is not None else n and ConvWeights(
+            d.conv.c_in, p.conv.c_out, d.conv.k, stride=d.conv.stride, pad=d.conv.pad)
+        if not (n and conv and inputs[p.id] == d.id and is_pair(conv, d.conv, p.conv)
                 and all(layer.meta.get("rank_n", n) == n for layer in layers)):
+            named = "" if convs is None else " of that name in the original model"
             raise ModelFormatError(
                 f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not the (D, P) pair of a "
-                "conv, with P reading D and rank_n = D's c_in / groups"
+                f"conv{named}, with P reading D and rank_n = D's c_in / groups"
             )
     return [(src, d, p) for src, (d, p) in found.items()]
 

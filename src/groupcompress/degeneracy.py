@@ -199,36 +199,32 @@ def filter_correlation(
     )
 
 
-def write_energy_csv(path, curve: EnergyCurve) -> Path:
+def write_csv(path, header: list | None, rows) -> Path:
+    """Write ``header`` (None: no header row) and then ``rows`` as CSV."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "sigma", "cumulative_energy"])
-        for i, (s, e) in enumerate(zip(curve.singular_values, curve.cumulative_energy)):
-            writer.writerow([i, repr(float(s)), repr(float(e))])
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_energy_csv(path, curve: EnergyCurve) -> Path:
+    return write_csv(path, ["index", "sigma", "cumulative_energy"], (
+        [i, repr(float(s)), repr(float(e))]
+        for i, (s, e) in enumerate(zip(curve.singular_values, curve.cumulative_energy))
+    ))
 
 
 def write_rank_report_csv(path, reports: list[StrategyRankReport], labels=None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fieldnames = ["layer"] + list(reports[0].to_row()) if reports else ["layer"]
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for i, report in enumerate(reports):
-            row = {"layer": labels[i] if labels else str(i)}
-            row.update(report.to_row())
-            writer.writerow(row)
-    return path
+    header = ["layer"] + list(reports[0].to_row()) if reports else ["layer"]
+    return write_csv(path, header, (
+        [labels[i] if labels else str(i), *report.to_row().values()]
+        for i, report in enumerate(reports)
+    ))
 
 
 def write_correlation_csv(path, report: CorrelationReport) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in report.matrix:
-            writer.writerow([repr(float(v)) for v in row])
-    return path
+    return write_csv(path, None, ([repr(float(v)) for v in row] for row in report.matrix))

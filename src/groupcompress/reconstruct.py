@@ -91,7 +91,7 @@ def collect_responses(
     kinds = {layer.id: layer.kind for layer in original.layers}
     if kinds.get(layer_id) != "conv":
         raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
-    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
+    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
     d_layer, p_layer = pairs[layer_id]
@@ -229,7 +229,7 @@ def reconstruct_network(
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
-    pairs = decomposed_pairs(compressed)
+    pairs = decomposed_pairs(compressed, original)
     _check_rows(compressed, pairs, calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}

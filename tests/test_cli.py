@@ -165,6 +165,23 @@ class TestPlan:
         code = main(["plan", str(toy3_path), "-o", str(tmp_path / "p.json")])
         assert code == EXIT_PLAN
 
+    @pytest.mark.parametrize(
+        "command, flags, sources",
+        [("plan", [], "--preset"), ("plan", ["--degree", "half"], "--preset"),
+         ("compress", [], "--plan, --preset"), ("compress", ["--base-n", "2"], "--plan, --preset")],
+        ids=["plan", "plan-degree-only", "compress", "compress-base-n-only"],
+    )
+    def test_no_plan_source_names_the_subcommands_sources(
+        self, toy3_path, tmp_path, capsys, command, flags, sources
+    ):
+        """``plan`` and ``compress`` resolve a plan through one function; its
+        message names only flags the subcommand has."""
+        out = tmp_path / "out"
+        assert main([command, str(toy3_path), "-o", str(out), *flags]) == EXIT_PLAN
+        err = capsys.readouterr().err
+        assert f"no plan given: pass {sources}, or both --degree and --base-n" in err
+        assert not out.exists()
+
     def test_stage_caps_flag(self, toy4_path, tmp_path):
         plan_path = tmp_path / "plan.json"
         code = main(
@@ -539,6 +556,29 @@ class TestCompress:
         assert f"got {named}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "calib, code, message",
+        [("missing", EXIT_FORMAT, "calibration"),
+         ("wrong-shape", EXIT_NUMERIC, "calibration shape (2, 6, 6)")],
+        ids=["missing", "wrong-shape"],
+    )
+    def test_calibration_is_read_before_any_svd(
+        self, toy3_path, tmp_path, capsys, monkeypatch, calib, code, message
+    ):
+        calib_path = tmp_path / "calib.json"
+        if calib == "wrong-shape":
+            CalibrationSet.synthetic((2, 6, 6), 8, seed=3).save(calib_path)
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the calibration set was read")
+
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        out_dir = tmp_path / "o"
+        assert main(["compress", str(toy3_path), "-o", str(out_dir), "--degree", "constant",
+                     "--base-n", "1", "--calib", str(calib_path)]) == code
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):
         assert (
             main(["compress", str(toy3_path), "-o", str(tmp_path / "o")]) == EXIT_PLAN
@@ -773,7 +813,10 @@ class TestAnalyze:
             ]
         )
         assert code == EXIT_PLAN
-        assert "calibration" in capsys.readouterr().err
+        assert "no calibration data: pass --calib FILE or --calib-count N" in (
+            capsys.readouterr().err
+        )
+        assert not list((tmp_path / "a").iterdir())
 
     def test_correlation_outputs(self, toy3_path, compressed_dir, tmp_path):
         analysis = tmp_path / "analysis"
@@ -868,6 +911,49 @@ class TestAnalyze:
             ["analyze", str(toy3_path), str(toy3_path), "-o", str(tmp_path / "a")]
         )
         assert code == EXIT_PLAN
+
+
+class TestUsageErrors:
+    """Input that needs no model fails at parse time with exit 2, before a
+    model is loaded."""
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        def load_model(path):
+            raise AssertionError("a model was loaded before the usage check")
+
+        monkeypatch.setattr("groupcompress.cli.load_model", load_model)
+
+    @staticmethod
+    def argv(command, model, out):
+        return {
+            "compress": ["compress", model, "-o", out, "--degree", "constant", "--base-n", "1"],
+            "analyze": ["analyze", model, model, "-o", out, "--correlation"],
+            "gen-fixtures": ["gen-fixtures", "toy3", "-o", out],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("compress", "--calib-seed"), ("analyze", "--calib-seed"), ("gen-fixtures", "--seed")],
+    )
+    def test_negative_seed(self, toy3_path, tmp_path, capsys, no_load, command, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*self.argv(command, str(toy3_path), str(out)), flag, "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["compress", "analyze", "gen-fixtures"])
+    def test_output_naming_a_file(self, toy3_path, tmp_path, capsys, no_load, command, below):
+        out = tmp_path / "o"
+        out.write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(command, str(toy3_path), str(out / below)))
+        assert exc.value.code == 2
+        assert f"{out} exists and is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
 
 
 class TestGenFixtures:

@@ -405,6 +405,34 @@ class TestOnePass:
             reconstruct_network(net, compressed, CalibrationSet.synthetic((3, 3, 3), 1))
 
 
+class TestOriginalMustMatch:
+    """Each (D, P) pair must be the pair of the conv it names in the original
+    network, checked before either network is walked."""
+
+    @staticmethod
+    def mismatched(fault):
+        net = toy_net(seed=43, widths=(3, 6, 6, 6))
+        compressed, _ = decompose_network(net, {"c1": 1, "c2": 2})
+        if fault == "missing":  # the original names its second conv x2
+            layers = [replace(l, id="x2") if l.id == "c2" else l for l in net.layers]
+            return NetworkSpec(net.name, net.input_shape, layers), compressed
+        return toy_net(seed=43, widths=(3, 6, 8, 6)), compressed  # c2 is 6 -> 8
+
+    @pytest.mark.parametrize("fault", ["missing", "wider"])
+    def test_mismatched_original_fails_before_any_forward(self, monkeypatch, fault):
+        original, compressed = self.mismatched(fault)
+        calib = CalibrationSet.synthetic((3, 6, 6), 8, seed=44)
+
+        def no_forward(layer):
+            raise AssertionError("a forward pass ran before the pair check")
+
+        on_conv_forward(monkeypatch, no_forward)
+        with pytest.raises(ModelFormatError, match="decomposed_from='c2'"):
+            reconstruct_network(original, compressed, calib)
+        with pytest.raises(ModelFormatError, match="decomposed_from='c2'"):
+            collect_responses(original, compressed, calib, "c1")
+
+
 class TestSharing:
     """Outputs share the arrays of unchanged layers; inputs are never written."""
 
