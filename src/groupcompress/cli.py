@@ -2,8 +2,10 @@
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
 error, 4 numerical failure, 1 anything else. What needs no model (counts,
-seeds, the ridge, an ``-o`` that names a file) is a usage error at parse
-time, exit 2; ``compress`` reads its calibration set before the first SVD.
+seeds, the ridge, an ``-o`` that cannot be written: a file or a path under
+one where a directory goes, a directory where a file goes) is a usage error
+at parse time, exit 2; ``compress`` reads its calibration set before the
+first SVD.
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ def _output_dir(text: str) -> str:
     existing = next(p for p in (Path(text), *Path(text).parents) if os.path.exists(p))
     if not existing.is_dir():
         raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return text
+
+
+def _output_file(text: str) -> str:
+    """An argparse type: a file path that is not a directory, in a directory
+    that ``_output_dir`` accepts."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    _output_dir(str(Path(text).parent))
     return text
 
 
@@ -189,7 +200,6 @@ def run_compress(args) -> dict:
         layer_rows.append(row)
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = save_model(compressed, out_dir / "model.json")
     report = {
         "model": net.name,
@@ -255,7 +265,6 @@ def cmd_analyze(args) -> int:
     original = load_model(args.model)
     compressed = load_model(args.compressed)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mode = "sigma" if args.energy_sigma else "squared"
 
     pairs = decomposed_pairs(compressed, original)
@@ -306,53 +315,37 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _pointwise_feeding(
-    compressed: NetworkSpec, inputs: dict, d_layer, pointwise_ids: set[str]
-) -> tuple[str, str] | None:
-    """Walk back from a group conv through activations to the decomposed
-    pointwise conv (one of ``pointwise_ids``) that feeds it. ``inputs`` is
-    ``layer_inputs(compressed)``. Returns (pointwise_id, post_activation_tap_id)
-    or None if anything else (another conv, pooling, joins) intervenes."""
-    tap_id = in_id = inputs[d_layer.id]  # the map the group conv actually consumes
-    while in_id is not None:
-        prev = compressed.layer(in_id)
-        if prev.kind == "conv":
-            return (prev.id, tap_id) if prev.id in pointwise_ids else None
-        if prev.kind not in ("relu", "channel_affine"):
-            return None
-        in_id = inputs[in_id]
-    return None
-
-
 def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=False):
     """Correlate each group conv's output with the output maps of the
-    pointwise conv feeding it (post-activation by default). Every tap comes
-    from one walk of the network."""
-    inputs = layer_inputs(compressed)
+    decomposed pointwise conv that feeds it through activations alone
+    (post-activation by default). A pair whose maps differ in output
+    positions, as a strided group conv's do, has no aligned rows and is
+    skipped. The taps of the pairs kept come from one walk of the network."""
+    inputs, shapes = layer_inputs(compressed), propagate_shapes(compressed)
+    kinds = {layer.id: layer.kind for layer in compressed.layers}
     pointwise_ids = {p_layer.id for _, _, p_layer in pairs}
     fed = []
     for src, d_layer, _ in pairs:
-        found = _pointwise_feeding(compressed, inputs, d_layer, pointwise_ids)
-        if found is not None:
-            point_id, post_act_id = found
-            fed.append((src, d_layer, point_id, point_id if pre_activation else post_act_id))
+        post_act_id = point_id = inputs[d_layer.id]  # the map the group conv consumes
+        while kinds.get(point_id) in ("relu", "channel_affine"):
+            point_id = inputs[point_id]
+        tap = point_id if pre_activation else post_act_id
+        if point_id in pointwise_ids and shapes[tap][1:] == shapes[d_layer.id][1:]:
+            fed.append((src, d_layer, point_id, tap))
     if not fed:
         return []
     taps = [layer_id for _, d_layer, _, tap in fed for layer_id in (tap, d_layer.id)]
     stacked = stack_taps(compressed, calib.samples, taps)
     rows = []
-    for src, d_layer, point_id, tap_point in fed:
-        point, group = stacked[tap_point], stacked[d_layer.id]
-        if point.shape[0] != group.shape[0]:
-            continue  # strided group conv; rows misalign
+    for src, d_layer, point_id, tap in fed:
         n = d_layer.conv.c_in // d_layer.conv.groups
-        report = filter_correlation(point, group, block_size=n)
+        report = filter_correlation(stacked[tap], stacked[d_layer.id], block_size=n)
         write_correlation_csv(out_dir / f"correlation_{src}.csv", report)
         rows.append(
             {
                 "layer": src,
                 "pointwise": point_id,
-                "tap": tap_point,
+                "tap": tap,
                 "n": n,
                 "mean_in_block": report.mean_in_block,
                 "mean_out_block": report.mean_out_block,
@@ -395,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--stage-cap", action="append", metavar="STAGE=N")
     p_plan.add_argument("--skip-stage", action="append", metavar="STAGE")
     p_plan.add_argument("--skip-layer", action="append", metavar="LAYER")
-    p_plan.add_argument("-o", "--output", required=True)
+    p_plan.add_argument("-o", "--output", type=_output_file, required=True)
     p_plan.set_defaults(func=cmd_plan)
 
     p_comp = sub.add_parser("compress", help="decompose, reconstruct and serialize")

@@ -433,6 +433,15 @@ def _walk(net: NetworkSpec, x):
                 outputs.pop(read, None)
 
 
+def _advance(walk, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``walk`` (a ``_walk``) to ``layer_id``; its input and output."""
+    for layer, value, out in walk:
+        if layer.id == layer_id:
+            return value, out
+        del value, out  # so the walk can drop them before the next layer
+    raise ShapeError(f"layer {layer_id!r} not found in network order")
+
+
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Run the network on one C x H x W input and return the final output."""
     for _, _, out in _walk(net, np.asarray(x)[None]):
@@ -441,23 +450,19 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
 
 
 def response_rows(out: np.ndarray) -> np.ndarray:
-    """A layer's output batch as (positions x channels) rows in im2col row
-    order (sample-major, then position), column-major: sums over it, such as
-    the default ridge, depend on the memory order in their last bits."""
+    """A layer's output batch as (positions x channels) rows: sample-major,
+    then output position in the column order of ``linalg.patch_tile``. The
+    result is column-major: sums over it, such as the default ridge, depend
+    on the memory order in their last bits."""
     return np.moveaxis(out, 1, 0).reshape(out.shape[1], -1).T
 
 
 def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
     """Run the (N, C, H, W) batch ``samples`` up to the last layer in
     ``taps`` and return, per tapped layer, its output as ``response_rows``."""
-    taps = set(taps)
-    last = next(layer.id for layer in reversed(net.layers) if layer.id in taps)
-    rows: dict[str, np.ndarray] = {}
-    for layer, _, out in _walk(net, samples):
-        if layer.id in taps:
-            rows[layer.id] = response_rows(out)
-        if layer.id == last:
-            return rows
+    walk, order = _walk(net, samples), [layer.id for layer in net.layers]
+    taps = sorted(set(taps), key=order.index)
+    return {tap: response_rows(_advance(walk, tap)[1]) for tap in taps}
 
 
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:

@@ -29,7 +29,9 @@ import numpy as np
 from . import linalg
 from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
-from .model import ConvWeights, NetworkSpec, _conv_forward, _walk, propagate_shapes, response_rows
+from .model import (
+    ConvWeights, NetworkSpec, _advance, _conv_forward, _walk, propagate_shapes, response_rows,
+)
 from .modelio import load_calibration, save_calibration
 
 
@@ -88,18 +90,13 @@ def collect_responses(
     or, with ``symmetric=True``, of the (D, P) pair applied to the original
     layer's input, ignoring upstream drift.
     """
-    kinds = {layer.id: layer.kind for layer in original.layers}
-    if kinds.get(layer_id) != "conv":
+    if layer_id not in {layer.id for layer in original.conv_layers()}:
         raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
-    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed, original)}
+    pairs = {pair[0]: pair for pair in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
-    d_layer, p_layer = pairs[layer_id]
-    conv_input, y_output = _advance(_walk(original, calib.samples), layer_id)
-    if symmetric:
-        star_output = _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
-    else:
-        _, star_output = _advance(_walk(compressed, calib.samples), p_layer.id)
+    walks = _walk(original, calib.samples), None if symmetric else _walk(compressed, calib.samples)
+    _, y_output, star_output = _pair_outputs(*walks, pairs[layer_id])
     y, y_star = response_rows(y_output), response_rows(star_output)
     if y.shape != y_star.shape:
         raise ShapeError(
@@ -180,13 +177,17 @@ class LayerReconstructionReport:
     used_identity_fallback: bool = False
 
 
-def _advance(walk, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Step ``walk`` (a ``model._walk``) to ``layer_id``; its input and output."""
-    for layer, value, out in walk:
-        if layer.id == layer_id:
-            return value, out
-        del value, out  # so the walk can drop them before the next layer
-    raise ShapeError(f"layer {layer_id!r} not found in network order")
+def _pair_outputs(original_walk, compressed_walk, pair):
+    """Step the walks (``model._walk``) to one ``decomposed_pairs`` entry
+    (source conv, D, P) and return P's input, the source conv's output Y and
+    P's output Y*. Without a compressed walk (symmetric mode), P's input is
+    None and Y* is the pair applied to the source conv's input."""
+    layer_id, d_layer, p_layer = pair
+    conv_input, y_output = _advance(original_walk, layer_id)
+    if compressed_walk is None:
+        return None, y_output, _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
+    p_input, star_output = _advance(compressed_walk, p_layer.id)
+    return p_input, y_output, star_output
 
 
 def _check_rows(compressed: NetworkSpec, pairs, count: int, intercept: bool) -> None:
@@ -236,12 +237,9 @@ def reconstruct_network(
     original_walk = _walk(original, calib.samples)
     compressed_walk = None if symmetric else _walk(compressed, calib.samples)
     reports: list[LayerReconstructionReport] = []
-    for layer_id, d_layer, p_layer in pairs:
-        conv_input, y_output = _advance(original_walk, layer_id)
-        if symmetric:
-            star_output = _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
-        else:
-            p_input, star_output = _advance(compressed_walk, p_layer.id)
+    for pair in pairs:
+        p_input, y_output, star_output = _pair_outputs(original_walk, compressed_walk, pair)
+        layer_id, d_layer, p_layer = pair
         y, y_star = response_rows(y_output), response_rows(star_output)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
@@ -268,5 +266,5 @@ def reconstruct_network(
             )
         )
         # Release this pair's activations before the walks move on.
-        conv_input = y_output = p_input = star_output = y = y_star = None
+        y_output = p_input = star_output = y = y_star = None
     return result, reports

@@ -768,7 +768,7 @@ class TestAnalyze:
         code = main(["analyze", str(original), str(path), "-o", str(analysis)])
         assert code == EXIT_FORMAT
         assert f"decomposed_from={src!r}" in capsys.readouterr().err
-        assert not list(analysis.iterdir())
+        assert not analysis.exists()
 
     def test_csv_bundle(self, toy3_path, compressed_dir, tmp_path):
         analysis = tmp_path / "analysis"
@@ -816,7 +816,7 @@ class TestAnalyze:
         assert "no calibration data: pass --calib FILE or --calib-count N" in (
             capsys.readouterr().err
         )
-        assert not list((tmp_path / "a").iterdir())
+        assert not (tmp_path / "a").exists()
 
     def test_correlation_outputs(self, toy3_path, compressed_dir, tmp_path):
         analysis = tmp_path / "analysis"
@@ -850,7 +850,7 @@ class TestAnalyze:
         )
         assert code == EXIT_NUMERIC
         assert "calibration shape" in capsys.readouterr().err
-        assert not list(analysis.iterdir())
+        assert not analysis.exists()
 
     def test_correlation_walk_stops_at_joins(self, tmp_path):
         # c2 and the shortcut sc read r1, the activation of c1's pointwise
@@ -873,6 +873,30 @@ class TestAnalyze:
         assert [row.split(",")[:3] for row in summary[1:]] == [
             ["c2", "c1.p", "r1"], ["sc", "c1.p", "r1"]
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["--corr-pre-activation"]], ids=["post", "pre"])
+    def test_correlation_skips_pairs_whose_rows_differ(self, tmp_path, flags):
+        # c2 has stride 2: its D reads r1, the 6x6 activation of c1's P, and
+        # writes 3x3 maps, so no row of the one lines up with a row of the
+        # other. c3's D reads c2's P through r2, both 3x3.
+        net = toy_net(seed=5, widths=(3, 4, 4, 4))
+        net.layers[2] = replace(net.layers[2], conv=replace(net.layers[2].conv, stride=2))
+        path = save_model(net, tmp_path / "strided.json")
+        out_dir = tmp_path / "out"
+        assert main(
+            ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--no-reconstruct"]
+        ) == EXIT_OK
+        analysis = tmp_path / "analysis"
+        assert main(
+            ["analyze", str(path), str(out_dir / "model.json"), "-o", str(analysis),
+             "--correlation", "--calib-count", "8", *flags]
+        ) == EXIT_OK
+        assert sorted(p.name for p in analysis.glob("correlation_*")) == [
+            "correlation_c3.csv", "correlation_summary.csv"
+        ]
+        summary = (analysis / "correlation_summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["c3"]
 
     @pytest.mark.parametrize("flags", [[], ["--corr-pre-activation"]], ids=["post", "pre"])
     def test_correlation_walks_the_network_once(
@@ -954,6 +978,22 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"{out} exists and is not a directory" in capsys.readouterr().err
         assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+    def test_plan_output_that_is_no_file(self, toy3_path, tmp_path, capsys, no_load, kind):
+        out = tmp_path / "o"
+        if kind == "directory":
+            out.mkdir()
+            target, message = out, f"{out} is a directory"
+        else:
+            out.write_text("kept")
+            target, message = out / "plan.json", f"{out} exists and is not a directory"
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                  "-o", str(target)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert (not list(out.iterdir())) if kind == "directory" else out.read_text() == "kept"
 
 
 class TestGenFixtures:

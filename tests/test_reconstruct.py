@@ -148,6 +148,23 @@ class TestCollectResponses:
             _, y_star = collect_responses(net, compressed, calib, src, symmetric=True)
             assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("build", [build_toy_cnn, residual_net], ids=["toy4", "residual"])
+    def test_asymmetric_matches_compressed_prefix_oracle(self, build):
+        # Asymmetric Y* is P's output in the compressed network: each sample
+        # run on its own through the compressed layers up to P.
+        net = build(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
+        ids = [l.id for l in compressed.layers]
+        for src, _, p_layer in decomposed_pairs(compressed):
+            upto = ids.index(p_layer.id) + 1
+            prefix = NetworkSpec(net.name, net.input_shape, compressed.layers[:upto])
+            expected = np.vstack(
+                [forward(prefix, x).reshape(p_layer.conv.c_out, -1).T for x in calib.samples]
+            )
+            _, y_star = collect_responses(net, compressed, calib, src)
+            assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
+
     def test_not_decomposed_layer_rejected(self):
         net = toy_net(seed=7, widths=(3, 6, 6))
         compressed, _ = decompose_network(net, {"c1": 1})

@@ -16,8 +16,9 @@ OUT_DIR is. They are:
 * ``compress --degree constant --base-n 1 --calib-seed 41`` on toy3 and
   toy4, plain and with each of ``--symmetric-reconstruction``, ``--ridge 0``
   and ``--no-intercept``;
-* ``analyze`` of each of those compressed toy models against its original,
-  plain and with ``--correlation --calib-count 8``.
+* ``analyze`` of each of those compressed toy models against its original:
+  plain, with ``--correlation --calib-count 8``, and with those flags and
+  ``--corr-pre-activation``.
 
 Beside each compressed model it also writes the compressed and the original
 network's output on one seeded sample, as raw little-endian float64
@@ -53,6 +54,7 @@ TOY_VARIANTS = {
 ANALYZE_VARIANTS = {
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "8"),
+    "analyze-pre-activation": ("--correlation", "--corr-pre-activation", "--calib-count", "8"),
 }
 
 
