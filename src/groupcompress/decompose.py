@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
-from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs
+from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs, read_arrays
 
 
 def divisors(value: int) -> list[int]:
@@ -264,9 +264,15 @@ def decompose_network(
     The D layer keeps the original layer's stage and input; the P layer is
     named ``<id>.p`` and all later references to the original id are
     redirected to it. Provenance (source id and n) is recorded on both
-    layers. Every other layer keeps its parameter records and arrays.
+    layers. Every other layer keeps its parameter records, and an array of
+    theirs that was not read (``model.Deferred``) stays unread.
+
     Every planned layer is checked, its weights included, before the first
-    SVD; an error names the first failing layer in network order.
+    SVD; an error names the first failing layer in network order. A planned
+    conv's arrays are read with ``read_arrays``, once for the check and
+    once to factor, and never kept in ``net``: besides the (D, P) factors
+    of the layers done so far, only the layer being checked or factored is
+    held, and the peak memory is set by the largest planned layer.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -284,10 +290,9 @@ def decompose_network(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
                 )
             taken.add(new_id)
-    stacks = {}
     for lid in planned:
         with _naming_layer(lid):
-            stacks[lid] = _checked_stack(net.layer(lid).conv, layer_ranks[lid], force_pointwise)
+            _checked_stack(read_arrays(net.layer(lid).conv), layer_ranks[lid], force_pointwise)
 
     new_layers: list[LayerSpec] = []
     decompositions: dict[str, GroupDecomposition] = {}
@@ -303,7 +308,7 @@ def decompose_network(
             continue
         n = layer_ranks[layer.id]
         with _naming_layer(layer.id):
-            decomp = _factor_stack(layer.conv, n, stacks.pop(layer.id))
+            decomp = decompose_layer(read_arrays(layer.conv), n, force_pointwise)
         decompositions[layer.id] = decomp
         provenance = {"decomposed_from": layer.id, "rank_n": n}
         new_layers.append(

@@ -35,12 +35,17 @@ window array is built.
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
 array it did not allocate, except to a ``_walk`` output as ``_walk`` allows.
+
+A parameter array may be ``Deferred``: not read yet (``modelio.load_model``
+defers every tensor). The first access of the field reads it and keeps the
+array, so a walk reads each tensor once. ``read_arrays`` reads a record's
+arrays for one use without keeping them in the record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +58,56 @@ def _array(shape: Callable):
     """A parameter array field; ``shape`` maps the record to the array's
     shape. The model file stores these fields in the weight blob."""
     return field(default=None, metadata={"shape": shape})
+
+
+class Deferred:
+    """A parameter array that has not been read: ``read()`` returns it as a
+    new float64 array of the field's shape, each time it is called."""
+
+    def read(self) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _ArrayField:
+    """The class attribute of a parameter array field. The value is stored
+    in the record's ``__dict__`` under the field's name; a ``Deferred`` one
+    is replaced by its array on first access."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the field's default
+        value = record.__dict__[self.name]
+        if isinstance(value, Deferred):
+            value = record.__dict__[self.name] = value.read()
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
+def _params(cls):
+    """``dataclass(cls)``, each ``_array`` field accessed through an
+    ``_ArrayField``."""
+    cls = dataclass(cls)
+    for f in fields(cls):
+        if "shape" in f.metadata:
+            setattr(cls, f.name, _ArrayField(f.name))
+    return cls
+
+
+def read_arrays(params):
+    """A copy of the parameter record ``params`` with every array read. A
+    ``Deferred`` array is read into the copy alone and stays deferred in
+    ``params``: it is freed with the copy."""
+    arrays = {}
+    for f in fields(params):
+        if "shape" in f.metadata:
+            value = vars(params)[f.name]
+            arrays[f.name] = value.read() if isinstance(value, Deferred) else value
+    return replace(params, **arrays)
 
 
 class _Window:
@@ -72,7 +127,7 @@ class _Window:
         return h_out, w_out
 
 
-@dataclass
+@_params
 class ConvWeights(_Window):
     """Weights and geometry of one convolutional layer.
 
@@ -97,17 +152,15 @@ class ConvWeights(_Window):
             raise ShapeError(
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
             )
-        expected = (self.c_out, self.c_in // self.groups, self.k, self.k)
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != expected:
-                raise ShapeError(
-                    f"conv weights shape {self.weights.shape} != expected {expected}"
-                )
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.c_out,):
-                raise ShapeError(f"bias shape {self.bias.shape} != ({self.c_out},)")
+        expected = {"weights": (self.c_out, self.c_in // self.groups, self.k, self.k),
+                    "bias": (self.c_out,)}
+        for name, shape in expected.items():
+            value = vars(self)[name]
+            if value is None or isinstance(value, Deferred):
+                continue  # a deferred array's reader checks its shape
+            value = vars(self)[name] = np.asarray(value, dtype=np.float64)
+            if value.shape != shape:
+                raise ShapeError(f"conv {name} shape {value.shape} != expected {shape}")
 
     def weight_matrix(self) -> np.ndarray:
         """The (c_in * k^2) x c_out matrix form of an ungrouped layer.
@@ -137,7 +190,7 @@ class PoolParams(_Window):
             )
 
 
-@dataclass
+@_params
 class FcParams:
     in_features: int
     out_features: int
@@ -145,7 +198,7 @@ class FcParams:
     bias: np.ndarray | None = _array(lambda f: (f.out_features,))
 
 
-@dataclass
+@_params
 class AffineParams:
     """Per-channel scale and shift (inference-time batch norm stand-in)."""
 

@@ -41,11 +41,23 @@ raises ModelFormatError (PlanError for a plan). ``json_integer`` checks
 their integers, never truncating. ``write_json`` writes them, the blob
 first and each file atomically, so an interrupted write leaves no file.
 
-Blobs are streamed: load reads each tensor from the open blob file straight
-into its float64 array, and save converts each array to float32 as it
-writes it, both through one buffer of ``SLICE_VALUES`` float32 values. Load
-and save therefore hold one bounded slice beyond the model's float64
-arrays, never a second copy of its weights.
+Tensors are read on use. Load checks every blob reference against the
+manifest and the blob's size, but reads no tensor: each array of the loaded
+network is a ``model.Deferred`` that the blob file stays open for. The
+first access of an array reads it straight into float64 and the record
+keeps it; ``model.read_arrays`` reads it for one use only. Save converts
+each float64 array to float32 as it writes it, and copies each tensor that
+was never read from the source blob as float32 bytes, with no float64
+step. Every read, copy and write goes through one buffer of
+``SLICE_VALUES`` float32 values, so load and save hold one bounded slice
+beyond the arrays that were read, never a second copy of the weights.
+
+The blob file is read through the handle load opened, never reopened by
+path, so saving over the model that was loaded works: ``write_atomically``
+unlinks the old blob, and the open handle still reads it. The handle is
+closed once no unread tensor of the model is left, and at once when a read
+fails. A failed read, at load or on use, raises ModelFormatError naming
+the tensor.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -60,7 +73,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError
-from .model import LAYER_KINDS, PARAM_TYPES, LayerSpec, NetworkSpec, propagate_shapes
+from .model import (
+    LAYER_KINDS, PARAM_TYPES, Deferred, LayerSpec, NetworkSpec, propagate_shapes,
+)
 
 FORMAT_VERSION = 1
 
@@ -70,13 +85,14 @@ SLICE_VALUES = 1 << 20
 
 
 class _BlobWriter:
-    """Lays arrays out in a blob, holding each by reference until ``write``."""
+    """Lays arrays out in a blob, holding each by reference until ``write``.
+    An unread ``_BlobTensor`` is laid out like an array of its size."""
 
     def __init__(self):
-        self.arrays: list[np.ndarray] = []
+        self.arrays: list = []
         self.offset = 0
 
-    def put(self, array: np.ndarray | None) -> dict | None:
+    def put(self, array) -> dict | None:
         if array is None:
             return None
         entry = {"offset": self.offset, "length": 4 * array.size}
@@ -87,25 +103,67 @@ class _BlobWriter:
     def write(self, fh) -> None:
         """Write every array to ``fh`` as little-endian float32 in C order,
         converting a slice of at most SLICE_VALUES values at a time, so that
-        no array, contiguous or not, is copied whole."""
+        no array, contiguous or not, is copied whole. An unread tensor is
+        copied from its blob, a slice at a time."""
         flags = ["external_loop", "buffered", "zerosize_ok"]
         for array in self.arrays:
+            if isinstance(array, _BlobTensor):
+                for part in array.slices():
+                    fh.write(part)
+                continue
             for part in np.nditer(
                 array, flags, op_dtypes="<f4", casting="unsafe", order="C", buffersize=SLICE_VALUES
             ):
                 fh.write(part)
 
 
+class _BlobTensor(Deferred):
+    """One tensor of the blob that ``reader`` has open, read when used."""
+
+    def __init__(self, reader: _BlobReader, offset: int, shape: tuple, field: str):
+        self.reader, self.offset, self.shape, self.field = reader, offset, shape, field
+        self.size = math.prod(shape)
+
+    def slices(self):
+        """The tensor's float32 values, each slice of at most SLICE_VALUES
+        values read into the same buffer. A failed read closes the blob
+        file and raises ModelFormatError."""
+        fh = self.reader.fh
+        if fh.closed:
+            raise ModelFormatError(f"{self.field}: cannot read blob: closed after a failed read")
+        buffer = np.empty(min(self.size, SLICE_VALUES), dtype="<f4")
+        try:
+            fh.seek(self.offset)
+            for start in range(0, self.size, SLICE_VALUES):
+                part = buffer[: self.size - start]
+                if fh.readinto(part) != part.nbytes:  # the file shrank
+                    fh.close()
+                    raise ModelFormatError(f"{self.field}: blob slice out of range")
+                yield part
+        except OSError as exc:
+            fh.close()
+            raise ModelFormatError(f"{self.field}: cannot read blob: {exc}") from exc
+
+    def read(self) -> np.ndarray:
+        """The tensor as a new float64 array; a float64 copy of a float32
+        value is exact."""
+        out = np.empty(self.size)
+        start = 0
+        for part in self.slices():
+            out[start : start + len(part)] = part
+            start += len(part)
+        return out.reshape(self.shape)
+
+
 class _BlobReader:
-    """Reads tensors from an open blob file, each straight into its float64
-    array through a float32 buffer of at most SLICE_VALUES values. A float64
-    copy of a float32 value is exact."""
+    """Checks tensor references into an open blob file, and gives each
+    tensor as a ``_BlobTensor``: the file stays open while one is left."""
 
     def __init__(self, fh):
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
 
-    def get(self, entry, shape, field: str) -> np.ndarray | None:
+    def get(self, entry, shape, field: str) -> _BlobTensor | None:
         if entry is None:
             return None
         try:
@@ -122,19 +180,7 @@ class _BlobReader:
             raise ModelFormatError(f"{field}: blob slice out of range")
         if offset % 4:
             raise ModelFormatError(f"{field}: blob offset {offset} is not 4-byte aligned")
-        out = np.empty(count)
-        buffer = np.empty(min(count, SLICE_VALUES), dtype="<f4")
-        self.fh.seek(offset)
-        for start in range(0, count, SLICE_VALUES):
-            part = buffer[: count - start]
-            try:
-                read = self.fh.readinto(part)
-            except OSError as exc:
-                raise ModelFormatError(f"{field}: cannot read blob: {exc}") from exc
-            if read != part.nbytes:  # the file shrank
-                raise ModelFormatError(f"{field}: blob slice out of range")
-            out[start : start + len(part)] = part
-        return out.reshape(shape)
+        return _BlobTensor(self, offset, tuple(shape), field)
 
 
 # Parameter arrays that may be null; every other array must be present.
@@ -154,7 +200,7 @@ def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
     attr = LAYER_KINDS[layer.kind]
     params = None if attr is None else getattr(layer, attr)
     for f in fields(params) if params is not None else ():
-        value = getattr(params, f.name)
+        value = vars(params)[f.name]  # an unread tensor stays unread: save copies its bytes
         if _is_array(f):
             if value is None and f.name not in _OPTIONAL_ARRAYS:
                 raise ModelFormatError(
@@ -293,10 +339,9 @@ def read_json(path, kind: str, error=ModelFormatError):
         raise error(f"{kind} is not readable JSON: {exc}") from exc
 
 
-@contextmanager
 def _open_manifest(path, kind: str, required: tuple):
-    """A version-1 manifest with the ``required`` fields, and a reader of
-    its blob, which stays open until the block exits."""
+    """A version-1 manifest with the ``required`` fields, and its blob file,
+    open for reading; the caller closes it."""
     path = Path(path)
     manifest = read_json(path, kind)
     if not isinstance(manifest, dict):
@@ -313,13 +358,11 @@ def _open_manifest(path, kind: str, required: tuple):
         raise ModelFormatError(f"{kind}: bad blob name {manifest['blob']!r}")
     blob_path = path.parent / manifest["blob"]
     try:
-        fh = open(blob_path, "rb")
+        return manifest, open(blob_path, "rb")
     except FileNotFoundError:
         raise ModelFormatError(f"{kind}: blob not found: {blob_path}") from None
     except (OSError, ValueError) as exc:  # a directory, or a name with a NUL byte
         raise ModelFormatError(f"{kind}: cannot read blob {blob_path}: {exc}") from exc
-    with fh:
-        yield manifest, _BlobReader(fh)
 
 
 def _shape(value, field: str) -> tuple[int, int, int]:
@@ -350,18 +393,25 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
 
 
 def load_model(manifest_path) -> NetworkSpec:
-    """Load and validate a model; shape propagation runs as a consistency check."""
-    required = ("input_shape", "layers")
-    with _open_manifest(manifest_path, "manifest", required) as (manifest, reader):
+    """Load and validate a model; shape propagation runs as a consistency
+    check. No tensor is read: each is read when first used (see the module
+    docstring)."""
+    manifest, fh = _open_manifest(manifest_path, "manifest", ("input_shape", "layers"))
+    try:
+        reader = _BlobReader(fh)
+        weakref.finalize(reader, fh.close)  # run when no unread tensor is left
         if not isinstance(manifest["layers"], list) or not manifest["layers"]:
             raise ModelFormatError("manifest: no layers")
         input_shape = _shape(manifest["input_shape"], "manifest: input_shape")
         layers = [_layer_from_json(obj, reader) for obj in manifest["layers"]]
-    try:
-        net = NetworkSpec(manifest.get("name", Path(manifest_path).stem), input_shape, layers)
-        propagate_shapes(net)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from exc
+        try:
+            net = NetworkSpec(manifest.get("name", Path(manifest_path).stem), input_shape, layers)
+            propagate_shapes(net)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
+    except BaseException:
+        fh.close()
+        raise
     return net
 
 
@@ -382,8 +432,10 @@ def save_calibration(samples: np.ndarray, manifest_path) -> Path:
 def load_calibration(manifest_path) -> np.ndarray:
     """The (count, C, H, W) samples of a calibration manifest."""
     kind = "calibration manifest"
-    with _open_manifest(manifest_path, kind, ("count", "shape")) as (header, reader):
+    header, fh = _open_manifest(manifest_path, kind, ("count", "shape"))
+    with fh:
         count = json_integer(header["count"], f"{kind}: count", 1)
         shape = _shape(header["shape"], f"{kind}: shape")
+        reader = _BlobReader(fh)
         whole = {"offset": 0, "length": reader.size}
-        return reader.get(whole, (count, *shape), "calibration samples")
+        return reader.get(whole, (count, *shape), "calibration samples").read()

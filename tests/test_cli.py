@@ -4,13 +4,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupcompress import decompose, linalg, model
+from groupcompress import decompose, linalg, model, modelio
 from groupcompress.cli import (
     EXIT_FORMAT,
     EXIT_NUMERIC,
@@ -21,12 +22,14 @@ from groupcompress.cli import (
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.degeneracy import filter_correlation, write_correlation_csv
 from groupcompress.errors import NumericalError
-from groupcompress.model import NetworkSpec, forward, stack_taps
+from groupcompress.model import (
+    ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, stack_taps,
+)
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
-from groupcompress.schedule import CompressionPlan
+from groupcompress.schedule import CompressionPlan, build_plan
 
-from nets import on_conv_forward, residual_net, toy_net
+from nets import on_conv_forward, pool_fc_net, residual_net, toy_net
 
 
 @pytest.fixture
@@ -242,6 +245,25 @@ class TestPlan:
         assert code == EXIT_PLAN
         assert "'nosuch'" in capsys.readouterr().err
         assert not plan_path.exists()
+
+
+def test_inspect_and_plan_read_no_tensor(toy4_path, tmp_path, capsys, monkeypatch):
+    """Both need shapes alone: with every blob read failing, they print the
+    same lines and write the same plan file."""
+    commands = [["inspect", str(toy4_path)],
+                ["plan", str(toy4_path), "--degree", "half", "--base-n", "1", "-o"]]
+    outputs = []
+    for fail in (False, True):
+        if fail:
+            def no_read(tensor):
+                raise AssertionError(f"{tensor.field} was read")
+            monkeypatch.setattr(modelio._BlobTensor, "slices", no_read)
+        plan_path = tmp_path / f"plan-{fail}.json"
+        for argv in commands:
+            assert main(argv + [str(plan_path)] * (argv[0] == "plan")) == EXIT_OK
+        printed = capsys.readouterr().out.replace(str(plan_path), "PLAN")
+        outputs.append((printed, plan_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _with_blob(floats, **fields):
@@ -481,6 +503,86 @@ class TestCompress:
             )
             outputs[cpus] = [(out_dir / name).read_bytes() for name in ("model.bin", "report.json")]
         assert outputs["one"] == outputs["all"]
+
+    @pytest.mark.parametrize(
+        "mode", [["--no-reconstruct"], ["--calib-count", "8"]], ids=["truncation", "reconstruction"]
+    )
+    def test_output_over_the_input_model(self, tmp_path, mode):
+        """compress -o the directory of its input ``model.json`` writes the
+        files it writes elsewhere. c4 is not planned, so it is copied from
+        the input blob after that file was unlinked to make room."""
+        model_path = save_model(build_toy_cnn(seed=0), tmp_path / "in" / "model.json")
+        plan = build_plan(build_toy_cnn(seed=0), "constant", 2, skip_layers=["c4"])
+        argv = ["compress", str(model_path), "--plan", str(plan.save(tmp_path / "plan.json")),
+                *mode, "-o"]
+        assert main(argv + [str(tmp_path / "elsewhere")]) == EXIT_OK
+        assert main(argv + [str(model_path.parent)]) == EXIT_OK
+        for name in ("model.json", "model.bin", "report.json"):
+            assert (model_path.parent / name).read_bytes() == (
+                tmp_path / "elsewhere" / name).read_bytes()
+
+    def test_truncation_reads_only_the_planned_layers(self, tmp_path, monkeypatch):
+        """c1 is the one planned layer. Its arrays are read twice, once to
+        be checked and once to be factored; every other tensor is copied to
+        the output unread, so a read of one fails the run. The files
+        written are those of a run that reads freely, and the blob file is
+        closed when the run is over."""
+        model_path = save_model(pool_fc_net(0), tmp_path / "pool.json")
+        argv = ["compress", str(model_path), "--degree", "constant", "--base-n", "1",
+                "--no-reconstruct", "-o"]
+        assert main(argv + [str(tmp_path / "free")]) == EXIT_OK
+        read, reads, opened = modelio._BlobTensor.read, [], []
+
+        def planned_only(tensor):
+            reads.append(tensor.field)
+            if not tensor.field.startswith("layer c1 "):
+                raise AssertionError(f"{tensor.field} was read")
+            return read(tensor)
+
+        def open_blob(file, mode="r", *args, **kwargs):
+            opened.append(open(file, mode, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(modelio._BlobTensor, "read", planned_only)
+        monkeypatch.setattr(modelio, "open", open_blob, raising=False)
+        assert main(argv + [str(tmp_path / "out")]) == EXIT_OK
+        assert reads == ["layer c1 weights", "layer c1 bias"] * 2
+        assert all(fh.closed for fh in opened)
+        for name in ("model.json", "model.bin", "report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+
+    def test_truncation_memory_is_set_by_the_planned_layer(self, tmp_path):
+        """Truncating a conv before a large fc tail allocates less than the
+        tail's float64 size, the same at two tail sizes: within the (D, P)
+        pair, a few copies of the planned layer and the I/O slice."""
+        c, size, n = 64, 4, 8
+        conv = ConvWeights(c, c, 3, pad=1, weights=np.ones((c, c, 3, 3)))
+        peaks, tails = [], []
+        for out_features in (2048, 8192):
+            fc = FcParams(c * size * size, out_features,
+                          weights=np.ones((out_features, c * size * size), dtype=np.float32))
+            net = NetworkSpec("tail", (c, size, size), [
+                LayerSpec(id="c1", kind="conv", conv=conv),
+                LayerSpec(id="fc", kind="fc", fc=fc),
+            ])
+            model_path = save_model(net, tmp_path / f"{out_features}.json")
+            del net, fc
+            tails.append(8 * c * size * size * out_features)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                code = main(["compress", str(model_path), "--degree", "constant", "--base-n",
+                             str(n), "--no-reconstruct", "-o", str(tmp_path / str(out_features))])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        layer = conv.weights.nbytes
+        d_and_p = 8 * (c * n * 9 + c * c)
+        slice_and_manifest = 4 * modelio.SLICE_VALUES + (1 << 20)
+        assert max(peaks) < min(tails)
+        assert abs(peaks[1] - peaks[0]) < layer
+        assert max(peaks) <= d_and_p + 4 * layer + slice_and_manifest
 
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch

@@ -16,8 +16,10 @@ from groupcompress.decompose import (
     partition_blocks,
 )
 from groupcompress.errors import DecompositionError, ModelFormatError
+from groupcompress.fixtures import build_toy_cnn
 from groupcompress.model import (
     ConvWeights,
+    Deferred,
     LayerSpec,
     NetworkSpec,
     flops_of_layer,
@@ -25,6 +27,7 @@ from groupcompress.model import (
     forward,
     network_flops,
 )
+from groupcompress.modelio import load_model, save_model
 
 from oracles import (
     block_diagonal_matrix, block_truncation_energy, im2col_rows, per_block_decompose,
@@ -421,6 +424,15 @@ class TestDecomposeNetwork:
         compressed.layers = [edited(l) for l in compressed.layers]
         with pytest.raises(ModelFormatError, match="decomposed_from='c1'"):
             decomposed_pairs(compressed)
+
+    def test_planned_convs_are_read_for_one_use(self, tmp_path):
+        """A planned conv of a loaded model is read without being kept in
+        the input network, and every other tensor stays unread, in the input
+        network and in the output's shared records."""
+        net = load_model(save_model(build_toy_cnn(seed=0), tmp_path / "toy4.json"))
+        compressed, _ = decompose_network(net, {"c2": 2, "c3": 2})
+        for layer in (*net.conv_layers(), compressed.layer("c1"), compressed.layer("c4")):
+            assert all(isinstance(vars(layer.conv)[name], Deferred) for name in ("weights", "bias"))
 
     def test_unknown_layer_rejected(self):
         rng = np.random.default_rng(18)

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcompress import modelio
+from groupcompress.cli import EXIT_FORMAT, main
+from groupcompress.decompose import decompose_network
 from groupcompress.errors import ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
@@ -32,6 +35,7 @@ from groupcompress.schedule import build_plan
 
 import oracles
 from json_edits import cut_or_grow, edit_fields, same_json
+from nets import pool_fc_net, residual_net
 
 
 def build_net(seed=0):
@@ -293,13 +297,22 @@ def test_blob_write_interrupted_after_first_slice_leaves_no_file(tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def _truncate_argv(model, out) -> list[str]:
+    """``compress`` of a ``pool_fc_net`` model with no reconstruction: c1 is
+    the one planned layer, and every other tensor is copied unread."""
+    return ["compress", str(model), "--degree", "constant", "--base-n", "1",
+            "--no-reconstruct", "-o", str(out)]
+
+
 def test_failed_load_leaves_no_open_blob(tmp_path, monkeypatch, net):
-    """A load that fails after reading some tensors closes its blob file:
-    an unclosed one would raise ResourceWarning when collected."""
+    """A load that fails after reading some tensor references closes its
+    blob file, and so does a compress whose deferred read fails: an
+    unclosed one would raise ResourceWarning when collected."""
     path = save_model(net, tmp_path / "model.json")
     manifest = json.loads(path.read_text())
     manifest["layers"][-1]["weights"]["length"] -= 4  # fc, the last tensor
     path.write_text(json.dumps(manifest))
+    pool_path = save_model(pool_fc_net(0), tmp_path / "pool" / "model.json")
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
@@ -307,18 +320,23 @@ def test_failed_load_leaves_no_open_blob(tmp_path, monkeypatch, net):
         with pytest.raises(ModelFormatError, match="layer fc weights: blob length"):
             load_model(path)
         gc.collect()
+        _wrap_blob_files(monkeypatch, "rb", lambda file: _FailingBlob(file, "short"))
+        assert main(_truncate_argv(pool_path, tmp_path / "out")) == EXIT_FORMAT
+        gc.collect()
     assert [hook.exc_value for hook in unraisable] == []
 
 
 class _FailingBlob(io.BufferedReader):
-    """A blob file whose reads fail, as on an I/O error, or come up empty,
-    as when the file shrinks after it was opened."""
+    """A blob file whose reads from byte ``start`` on fail, as on an I/O
+    error, or come up empty, as when the file shrinks after it was opened."""
 
-    def __init__(self, path, fault):
+    def __init__(self, path, fault, start=0):
         super().__init__(io.FileIO(path))
-        self.fault = fault
+        self.fault, self.start = fault, start
 
     def readinto(self, buffer):
+        if self.tell() < self.start:
+            return super().readinto(buffer)
         if self.fault == "error":
             raise OSError(5, "Input/output error")
         return 0
@@ -329,12 +347,32 @@ class _FailingBlob(io.BufferedReader):
     [("error", "cannot read blob: .*Input/output error"), ("short", "blob slice out of range")],
     ids=["io-error", "shrunk"],
 )
-def test_failing_blob_read_is_format_error(tmp_path, monkeypatch, net, fault, message):
+def test_failing_blob_read_is_format_error(tmp_path, monkeypatch, capsys, net, fault, message):
+    """A blob read fault raises ModelFormatError naming the tensor, and
+    closes the blob file, wherever the read happens: on the first use of a
+    loaded array, or in compress, as the planned c1 is read to be checked or
+    as the unread fc2 is copied to the output. compress then exits 2 and
+    leaves no model file."""
     path = save_model(net, tmp_path / "model.json")
     blobs = _wrap_blob_files(monkeypatch, "rb", lambda file: _FailingBlob(file, fault))
+    loaded = load_model(path)
     with pytest.raises(ModelFormatError, match=f"layer c1 weights: {message}"):
-        load_model(path)
+        loaded.layer("c1").conv.weights
     assert len(blobs) == 1 and blobs[0].closed
+    with pytest.raises(ModelFormatError, match="layer c1 bias: cannot read blob: closed"):
+        loaded.layer("c1").conv.bias
+
+    pool_path = save_model(pool_fc_net(0), tmp_path / "pool" / "model.json")
+    offsets = {obj["id"]: obj["weights"]["offset"]
+               for obj in json.loads(pool_path.read_text())["layers"] if "weights" in obj}
+    for failing in ("c1", "fc2"):
+        blobs = _wrap_blob_files(
+            monkeypatch, "rb", lambda file: _FailingBlob(file, fault, offsets[failing]))
+        out = tmp_path / failing
+        assert main(_truncate_argv(pool_path, out)) == EXIT_FORMAT
+        assert re.search(f"layer {failing} weights: {message}", capsys.readouterr().err)
+        assert len(blobs) == 1 and blobs[0].closed
+        assert not (out / "model.json").exists() and not (out / "model.bin").exists()
 
 
 @pytest.mark.parametrize(
@@ -363,6 +401,41 @@ def test_streaming_io_matches_whole_blob_io(tmp_path, monkeypatch, build):
         assert np.array_equal(got, want), where
 
 
+@pytest.mark.parametrize(
+    "build, skip",
+    [(build_toy_three, ["c1"]), (build_toy_cnn, ["c1"]), (residual_net, ["c1"]), (pool_fc_net, [])],
+    ids=["toy3", "toy4", "residual", "pool-fc"],
+)
+def test_deferred_reads_match_eager_load(tmp_path, monkeypatch, build, skip):
+    """Each array of a load with deferred reads equals the eager loader's,
+    and ``compress --no-reconstruct``, which copies the unplanned tensors
+    unread, writes the files of eager load -> decompose_network ->
+    save_model. Seven-value slices make most tensors span slices."""
+    net = build(0)
+    path = save_model(net, tmp_path / "model.json")
+    plan = build_plan(net, "constant", 2, skip_layers=skip)
+    plan_path = plan.save(tmp_path / "plan.json")
+    assert any(layer.id not in plan.layer_ranks for layer in net.conv_layers())
+    monkeypatch.setattr(modelio, "SLICE_VALUES", 7)
+    monkeypatch.setattr(oracles.EagerBlobReader, "slice_values", 7)
+    assert any(a.size > 7 and a.size % 7 for _, _, a in arrays(net))
+    with monkeypatch.context() as eager:
+        eager.setattr(modelio, "_BlobReader", oracles.EagerBlobReader)
+        expected = load_model(path)
+        compressed, _ = decompose_network(expected, plan.layer_ranks)
+        expected_path = save_model(compressed, tmp_path / "eager" / "model.json")
+    loaded = list(arrays(load_model(path)))
+    assert [where for *where, _ in loaded] == [where for *where, _ in arrays(expected)]
+    for (*where, got), (_, _, want) in zip(loaded, arrays(expected)):
+        assert np.array_equal(got, want), where
+
+    out = tmp_path / "deferred"
+    argv = ["compress", str(path), "--plan", str(plan_path), "--no-reconstruct", "-o", str(out)]
+    assert main(argv) == 0
+    for name in ("model.json", "model.bin"):
+        assert (out / name).read_bytes() == (expected_path.parent / name).read_bytes()
+
+
 # What load and save may allocate beyond the model's own float64 arrays: the
 # float32 buffer of SLICE_VALUES values, plus 1 MB for the manifest.
 IO_SCRATCH_BYTES = 4 * modelio.SLICE_VALUES + (1 << 20)
@@ -384,10 +457,11 @@ def test_load_and_save_hold_one_bounded_slice(tmp_path, out_features):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         loaded = load_model(path)
+        read = sum(a.nbytes for _, _, a in arrays(loaded))  # reads every tensor
         load_extra = tracemalloc.get_traced_memory()[1] - before - own
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for _, _, a in arrays(loaded)) == own
+    assert read == own
     assert save_extra <= IO_SCRATCH_BYTES
     assert load_extra <= IO_SCRATCH_BYTES
 
