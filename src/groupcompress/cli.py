@@ -173,7 +173,7 @@ def run_compress(args) -> dict:
         recon_reports = {r.layer_id: r for r in reports}
 
     flops_after, per_after = network_flops(compressed)
-    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed)}
+    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed, net)}
     layer_rows = []
     for layer_id, n in plan.layer_ranks.items():
         decomp = decomps[layer_id]
@@ -369,6 +369,20 @@ def cmd_gen_fixtures(args) -> int:
     return EXIT_OK
 
 
+def _add_schedule_flags(parser) -> None:
+    """--preset, or a schedule of --degree and --base-n."""
+    parser.add_argument("--preset", choices=list_presets())
+    parser.add_argument("--degree", choices=["constant", "half", "quarter"])
+    parser.add_argument("--base-n", type=int)
+
+
+def _add_calib_flags(parser, count: int | None) -> None:
+    """--calib, or --calib-count (default ``count``) seeded samples."""
+    parser.add_argument("--calib", help="calibration manifest (json)")
+    parser.add_argument("--calib-seed", type=_int_at_least(0), default=0)
+    parser.add_argument("--calib-count", type=_int_at_least(1), default=count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcompress",
@@ -382,9 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="build and save a compression plan")
     p_plan.add_argument("model")
-    p_plan.add_argument("--preset", choices=list_presets())
-    p_plan.add_argument("--degree", choices=["constant", "half", "quarter"])
-    p_plan.add_argument("--base-n", type=int)
+    _add_schedule_flags(p_plan)
     p_plan.add_argument("--stage-cap", action="append", metavar="STAGE=N")
     p_plan.add_argument("--skip-stage", action="append", metavar="STAGE")
     p_plan.add_argument("--skip-layer", action="append", metavar="LAYER")
@@ -396,12 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("-o", "--output", type=_output_dir, required=True,
                         help="output directory")
     p_comp.add_argument("--plan")
-    p_comp.add_argument("--preset", choices=list_presets())
-    p_comp.add_argument("--degree", choices=["constant", "half", "quarter"])
-    p_comp.add_argument("--base-n", type=int)
-    p_comp.add_argument("--calib", help="calibration manifest (json)")
-    p_comp.add_argument("--calib-seed", type=_int_at_least(0), default=0)
-    p_comp.add_argument("--calib-count", type=_int_at_least(1), default=128)
+    _add_schedule_flags(p_comp)
+    _add_calib_flags(p_comp, 128)
     p_comp.add_argument("--ridge", type=_ridge, default=None)
     p_comp.add_argument("--no-reconstruct", action="store_true")
     p_comp.add_argument("--no-intercept", action="store_true")
@@ -415,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("-o", "--output", type=_output_dir, required=True,
                       help="output directory")
     p_an.add_argument("--correlation", action="store_true")
-    p_an.add_argument("--calib")
-    p_an.add_argument("--calib-seed", type=_int_at_least(0), default=0)
-    p_an.add_argument("--calib-count", type=_int_at_least(1), default=None)
+    _add_calib_flags(p_an, None)
     p_an.add_argument("--energy-sigma", action="store_true",
                       help="accumulate sigma instead of sigma^2")
     p_an.add_argument("--corr-pre-activation", action="store_true",

@@ -72,16 +72,6 @@ def pair_layers(conv: ConvWeights, n: int) -> tuple[ConvWeights, ConvWeights]:
     return d, ConvWeights(conv.c_in, conv.c_out, 1)
 
 
-def is_pair(conv: ConvWeights, d: ConvWeights, p: ConvWeights) -> bool:
-    """Whether ``d`` and ``p`` have the geometry of ``pair_layers(conv, n)``,
-    n being D's c_in / groups. Weights and biases are not compared."""
-    try:
-        pair = pair_layers(conv, d.c_in // d.groups)
-    except DecompositionError:
-        return False
-    return pair == tuple(replace(c, weights=None, bias=None) for c in (d, p))
-
-
 def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
     """The layer's weight matrix as a stack of its c_in / n row blocks: a
     (c_in / n) x (n*k^2) x c_out view, no copy.
@@ -212,15 +202,15 @@ def group_conv_matrix(conv: ConvWeights) -> np.ndarray:
 
 
 def decomposed_pairs(
-    net: NetworkSpec, original: NetworkSpec | None = None
+    net: NetworkSpec, original: NetworkSpec
 ) -> list[tuple[str, LayerSpec, LayerSpec]]:
     """(source id, D layer, P layer) for every decomposed conv, in network
     order, found by the ``decomposed_from`` provenance both layers carry. P
     must read D, a ``rank_n`` must be D's c_in / groups, and the two must be
-    ``pair_layers`` of the conv that the provenance names in ``original`` (by
-    default, of the conv that D's c_in, kernel, stride and padding and P's
-    c_out imply). Anything else is a ModelFormatError."""
-    convs = None if original is None else {l.id: l.conv for l in original.conv_layers()}
+    ``pair_layers`` of the conv that the provenance names in ``original``
+    (weights and biases are not compared). Anything else is a
+    ModelFormatError."""
+    convs = {l.id: l.conv for l in original.conv_layers()}
     found: dict[str, list[LayerSpec]] = {}
     for layer in net.layers:
         src = layer.meta.get("decomposed_from")
@@ -234,14 +224,17 @@ def decomposed_pairs(
             )
         d, p = layers
         n = d.conv.c_in // d.conv.groups if d.kind == p.kind == "conv" else None
-        conv = convs.get(src) if convs is not None else n and ConvWeights(
-            d.conv.c_in, p.conv.c_out, d.conv.k, stride=d.conv.stride, pad=d.conv.pad)
-        if not (n and conv and inputs[p.id] == d.id and is_pair(conv, d.conv, p.conv)
+        try:
+            pair = pair_layers(convs[src], n) if n and src in convs else None
+        except DecompositionError:
+            pair = None
+        if not (pair and inputs[p.id] == d.id
+                and pair == tuple(replace(layer.conv, weights=None, bias=None) for layer in layers)
                 and all(layer.meta.get("rank_n", n) == n for layer in layers)):
-            named = "" if convs is None else " of that name in the original model"
             raise ModelFormatError(
                 f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not the (D, P) pair of a "
-                f"conv{named}, with P reading D and rank_n = D's c_in / groups"
+                "conv of that name in the original model, with P reading D and rank_n = "
+                "D's c_in / groups"
             )
     return [(src, d, p) for src, (d, p) in found.items()]
 

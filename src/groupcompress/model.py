@@ -36,28 +36,27 @@ Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
 array it did not allocate, except to a ``_walk`` output as ``_walk`` allows.
 
-A parameter array may be ``Deferred``: not read yet (``modelio.load_model``
-defers every tensor). The first access of the field reads it and keeps the
-array, so a walk reads each tensor once. ``read_arrays`` reads a record's
-arrays for one use without keeping them in the record.
+Each parameter array of ``ConvWeights``, ``FcParams`` and ``AffineParams``
+declares its shape, and whether a saved model may hold null for it (only a
+bias may), once, as an ``_ArrayField``; ``array_fields`` reads that schema
+for the record check, ``read_arrays`` and ``modelio``. A record makes each
+array it is given float64 and checks its shape; any array may be None in
+memory (a shape-only network). An array may be ``Deferred``: not read yet
+(``modelio.load_model`` defers every tensor). The first access of the field
+reads it and keeps the array, so a walk reads each tensor once.
+``read_arrays`` reads a record's arrays for one use without keeping them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .errors import ShapeError
-
-
-def _array(shape: Callable):
-    """A parameter array field; ``shape`` maps the record to the array's
-    shape. The model file stores these fields in the weight blob."""
-    return field(default=None, metadata={"shape": shape})
 
 
 class Deferred:
@@ -69,11 +68,15 @@ class Deferred:
 
 
 class _ArrayField:
-    """The class attribute of a parameter array field. The value is stored
-    in the record's ``__dict__`` under the field's name; a ``Deferred`` one
-    is replaced by its array on first access."""
+    """A parameter array field, declared as its default: ``shape`` maps the
+    record to the array's shape; ``nullable``, a saved model may hold null
+    for it. The value is kept in the record's ``__dict__``; a ``Deferred``
+    one is replaced by its array on first access."""
 
-    def __init__(self, name: str):
+    def __init__(self, shape: Callable, nullable: bool = False):
+        self.shape, self.nullable = shape, nullable
+
+    def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, record, owner=None):
@@ -88,26 +91,41 @@ class _ArrayField:
         record.__dict__[self.name] = value
 
 
-def _params(cls):
-    """``dataclass(cls)``, each ``_array`` field accessed through an
-    ``_ArrayField``."""
-    cls = dataclass(cls)
-    for f in fields(cls):
-        if "shape" in f.metadata:
-            setattr(cls, f.name, _ArrayField(f.name))
-    return cls
+def array_fields(params):
+    """``(name, shape, nullable, value)`` for each array field of the
+    parameter record ``params``, in declaration order: the shape the field
+    declares for ``params``, whether a saved model may hold null for it, and
+    the stored value, which may be ``Deferred`` and is not read. Given a
+    record class, it yields the same fields with shape and value None."""
+    cls = params if isinstance(params, type) else type(params)
+    for name, spec in vars(cls).items():
+        if isinstance(spec, _ArrayField):
+            if params is cls:
+                yield name, None, spec.nullable, None
+            else:
+                yield name, spec.shape(params), spec.nullable, params.__dict__[name]
+
+
+def _check_arrays(record) -> None:
+    """Each array given and read becomes float64 (not copied if it is) of
+    its declared shape. A ``Deferred`` one is not read: its reader checks."""
+    for name, shape, _, value in array_fields(record):
+        if value is None or isinstance(value, Deferred):
+            continue
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != shape:
+            raise ShapeError(f"{type(record).__name__} {name} shape {value.shape} != {shape}")
+        setattr(record, name, value)
 
 
 def read_arrays(params):
     """A copy of the parameter record ``params`` with every array read. A
     ``Deferred`` array is read into the copy alone and stays deferred in
     ``params``: it is freed with the copy."""
-    arrays = {}
-    for f in fields(params):
-        if "shape" in f.metadata:
-            value = vars(params)[f.name]
-            arrays[f.name] = value.read() if isinstance(value, Deferred) else value
-    return replace(params, **arrays)
+    return replace(params, **{
+        name: value.read() if isinstance(value, Deferred) else value
+        for name, _, _, value in array_fields(params)
+    })
 
 
 class _Window:
@@ -127,13 +145,9 @@ class _Window:
         return h_out, w_out
 
 
-@_params
+@dataclass
 class ConvWeights(_Window):
-    """Weights and geometry of one convolutional layer.
-
-    ``weights`` has shape (c_out, c_in // groups, k, k) and may be None for
-    shape-only networks (FLOPs counting without materialized parameters).
-    """
+    """Weights and geometry of one convolutional layer."""
 
     c_in: int
     c_out: int
@@ -141,8 +155,8 @@ class ConvWeights(_Window):
     groups: int = 1
     stride: int = 1
     pad: int = 0
-    weights: np.ndarray | None = _array(lambda c: (c.c_out, c.c_in // c.groups, c.k, c.k))
-    bias: np.ndarray | None = _array(lambda c: (c.c_out,))
+    weights: np.ndarray | None = _ArrayField(lambda c: (c.c_out, c.c_in // c.groups, c.k, c.k))
+    bias: np.ndarray | None = _ArrayField(lambda c: (c.c_out,), nullable=True)
 
     def __post_init__(self):
         if self.c_in < 1 or self.c_out < 1 or self.k < 1:
@@ -152,15 +166,7 @@ class ConvWeights(_Window):
             raise ShapeError(
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
             )
-        expected = {"weights": (self.c_out, self.c_in // self.groups, self.k, self.k),
-                    "bias": (self.c_out,)}
-        for name, shape in expected.items():
-            value = vars(self)[name]
-            if value is None or isinstance(value, Deferred):
-                continue  # a deferred array's reader checks its shape
-            value = vars(self)[name] = np.asarray(value, dtype=np.float64)
-            if value.shape != shape:
-                raise ShapeError(f"conv {name} shape {value.shape} != expected {shape}")
+        _check_arrays(self)
 
     def weight_matrix(self) -> np.ndarray:
         """The (c_in * k^2) x c_out matrix form of an ungrouped layer.
@@ -190,21 +196,25 @@ class PoolParams(_Window):
             )
 
 
-@_params
+@dataclass
 class FcParams:
     in_features: int
     out_features: int
-    weights: np.ndarray | None = _array(lambda f: (f.out_features, f.in_features))
-    bias: np.ndarray | None = _array(lambda f: (f.out_features,))
+    weights: np.ndarray | None = _ArrayField(lambda f: (f.out_features, f.in_features))
+    bias: np.ndarray | None = _ArrayField(lambda f: (f.out_features,), nullable=True)
+
+    __post_init__ = _check_arrays
 
 
-@_params
+@dataclass
 class AffineParams:
     """Per-channel scale and shift (inference-time batch norm stand-in)."""
 
     channels: int
-    scale: np.ndarray | None = _array(lambda a: (a.channels,))
-    shift: np.ndarray | None = _array(lambda a: (a.channels,))
+    scale: np.ndarray | None = _ArrayField(lambda a: (a.channels,))
+    shift: np.ndarray | None = _ArrayField(lambda a: (a.channels,))
+
+    __post_init__ = _check_arrays
 
 
 @dataclass
@@ -406,10 +416,10 @@ def _affine_forward(layer, x, other):
 
 @dataclass(frozen=True)
 class _Kind:
-    """What one layer kind does. ``param`` names the LayerSpec attribute
-    carrying the kind's parameters."""
+    """What one layer kind does. ``param`` is the LayerSpec attribute
+    carrying the kind's parameters and their record class, or None."""
 
-    param: str | None
+    param: tuple[str, type] | None
     shape: Callable
     forward: Callable
     flops: Callable | None = None
@@ -417,19 +427,18 @@ class _Kind:
 
 _KINDS = {
     "conv": _Kind(
-        "conv", _conv_shape, _conv_forward,
+        ("conv", ConvWeights), _conv_shape, _conv_forward,
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
     "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, other: np.maximum(x, 0.0)),
-    "maxpool": _Kind("pool", _pool_shape, _pool_forward(-np.inf, np.maximum)),
-    "avgpool": _Kind("pool", _pool_shape, _pool_forward(0.0, np.add)),
+    "maxpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(-np.inf, np.maximum)),
+    "avgpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(0.0, np.add)),
     "add": _Kind(None, _add_shape, _add_forward),
-    "fc": _Kind("fc", _fc_shape, _fc_forward, lambda layer, shape: flops_of_fc(layer.fc)),
-    "channel_affine": _Kind("affine", _affine_shape, _affine_forward),
+    "fc": _Kind(("fc", FcParams), _fc_shape, _fc_forward, lambda layer, _: flops_of_fc(layer.fc)),
+    "channel_affine": _Kind(("affine", AffineParams), _affine_shape, _affine_forward),
 }
-# Kind -> the LayerSpec attribute carrying its parameters (None: no parameters).
+# Kind -> (the LayerSpec attribute carrying its parameters, their class), or None.
 LAYER_KINDS = {kind: rule.param for kind, rule in _KINDS.items()}
-PARAM_TYPES = {"conv": ConvWeights, "pool": PoolParams, "fc": FcParams, "affine": AffineParams}
 
 
 def layer_inputs(net: NetworkSpec) -> dict[str, str | None]:

@@ -21,16 +21,17 @@ declaration order:
 
 * conv: ``c_in, c_out, k, groups, stride, pad, weights, bias`` where
   ``weights``/``bias`` are ``{"offset": bytes, "length": bytes}`` into the
-  blob (bias may be null). Optional provenance: ``decomposed_from``,
-  ``rank_n``.
+  blob. Optional provenance: ``decomposed_from``, ``rank_n``.
 * maxpool / avgpool: ``k, stride, pad``.
 * add: ``source`` (id of the joined layer).
 * fc: ``in_features, out_features, weights, bias``.
 * channel_affine: ``channels, scale, shift``.
 
-The blob is little-endian float32, tensors in C order; conv weights are
-(c_out, c_in/groups, k, k), fc weights (out_features, in_features). Offsets
-and lengths are in bytes and must be 4-byte aligned.
+The blob is little-endian float32, tensors in C order, each of the shape
+its field declares (``model.array_fields``): conv weights are (c_out,
+c_in/groups, k, k), fc weights (out_features, in_features). Only a bias
+may be null; any other array that is null or missing is a ModelFormatError.
+Offsets and lengths are in bytes and must be 4-byte aligned.
 
 A calibration manifest is ``{"format_version": 1, "count": N, "shape": [C,
 H, W], "blob": "calib.bin"}``; its blob is the (N, C, H, W) samples. A plan
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .model import (
-    LAYER_KINDS, PARAM_TYPES, Deferred, LayerSpec, NetworkSpec, propagate_shapes,
+    LAYER_KINDS, Deferred, LayerSpec, NetworkSpec, array_fields, propagate_shapes,
 )
 
 FORMAT_VERSION = 1
@@ -183,13 +184,7 @@ class _BlobReader:
         return _BlobTensor(self, offset, tuple(shape), field)
 
 
-# Parameter arrays that may be null; every other array must be present.
-_OPTIONAL_ARRAYS = ("bias",)
 _META_KEYS = ("decomposed_from", "rank_n")
-
-
-def _is_array(f) -> bool:
-    return "shape" in f.metadata
 
 
 def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
@@ -197,17 +192,17 @@ def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
     for key in ("stage", "input", "source"):
         if getattr(layer, key) is not None:
             obj[key] = getattr(layer, key)
-    attr = LAYER_KINDS[layer.kind]
-    params = None if attr is None else getattr(layer, attr)
-    for f in fields(params) if params is not None else ():
-        value = vars(params)[f.name]  # an unread tensor stays unread: save copies its bytes
-        if _is_array(f):
-            if value is None and f.name not in _OPTIONAL_ARRAYS:
+    if LAYER_KINDS[layer.kind] is not None:
+        params = getattr(layer, LAYER_KINDS[layer.kind][0])
+        arrays = list(array_fields(params))  # an unread tensor stays unread: save copies its bytes
+        names = {name for name, *_ in arrays}
+        obj.update((f.name, getattr(params, f.name)) for f in fields(params) if f.name not in names)
+        for name, _, nullable, value in arrays:
+            if value is None and not nullable:
                 raise ModelFormatError(
-                    f"layer {layer.id}: cannot serialize {layer.kind} without {f.name}"
+                    f"layer {layer.id}: cannot serialize {layer.kind} without {name}"
                 )
-            value = blob.put(value)
-        obj[f.name] = value
+            obj[name] = blob.put(value)
     obj.update((key, layer.meta[key]) for key in _META_KEYS if key in layer.meta)
     return obj
 
@@ -221,33 +216,28 @@ def json_integer(value, field: str, minimum: int | None = None, error=ModelForma
     return value
 
 
-def _require(obj: dict, field: str, layer_id: str):
-    if field not in obj:
-        raise ModelFormatError(f"layer {layer_id}: missing field {field!r}")
-    return obj[field]
+def _require(obj: dict, field: str, layer_id: str, default=MISSING):
+    """``obj[field]``, or ``default`` when the field is missing; a field
+    without a default may be neither missing nor null."""
+    if obj.get(field) is None and default is MISSING:
+        raise ModelFormatError(f"layer {layer_id}: missing or null field {field!r}")
+    return obj.get(field, default)
 
 
 def _params_from_json(cls, obj: dict, blob: _BlobReader, layer_id: str):
     """Read a parameter record field by field: scalars first, then the arrays,
     whose shapes follow from the scalars."""
+    names = {name for name, *_ in array_fields(cls)}
     scalars = {}
     for f in fields(cls):
-        if _is_array(f):
-            continue
-        if f.default is MISSING:
-            value = _require(obj, f.name, layer_id)
-        else:
-            value = obj.get(f.name, f.default)
-        scalars[f.name] = json_integer(value, f"layer {layer_id}: {f.name}")
+        if f.name not in names:
+            value = _require(obj, f.name, layer_id, f.default)
+            scalars[f.name] = json_integer(value, f"layer {layer_id}: {f.name}")
     params = cls(**scalars)
     arrays = {}
-    for f in fields(cls):
-        if _is_array(f):
-            entry = obj.get(f.name) if f.name in _OPTIONAL_ARRAYS else _require(
-                obj, f.name, layer_id
-            )
-            shape = f.metadata["shape"](params)
-            arrays[f.name] = blob.get(entry, shape, f"layer {layer_id} {f.name}")
+    for name, shape, nullable, _ in array_fields(params):
+        entry = _require(obj, name, layer_id, None if nullable else MISSING)
+        arrays[name] = blob.get(entry, shape, f"layer {layer_id} {name}")
     return replace(params, **arrays)
 
 
@@ -264,10 +254,8 @@ def _layer_from_json(obj, blob: _BlobReader) -> LayerSpec:
     try:
         if kind not in LAYER_KINDS:
             raise ModelFormatError(f"layer {layer_id}: unknown kind {kind!r}")
-        attr = LAYER_KINDS[kind]
-        params = {}
-        if attr is not None:
-            params[attr] = _params_from_json(PARAM_TYPES[attr], obj, blob, layer_id)
+        attr, cls = LAYER_KINDS[kind] or (None, None)
+        params = {} if attr is None else {attr: _params_from_json(cls, obj, blob, layer_id)}
         return LayerSpec(
             id=layer_id,
             kind=kind,
@@ -375,8 +363,10 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
     """Write ``<manifest_path>`` and its sibling ``.bin`` blob.
 
     The blob file name is the manifest name with a ``.bin`` suffix; writing
-    is deterministic (same network -> identical bytes). Shapes are checked
-    first, so a network that ``load_model`` would reject is not written.
+    is deterministic (same network -> identical bytes). Each record checked
+    its arrays' shapes when it was built; layer shapes, and that no required
+    array is None, are checked here, so a network that ``load_model`` would
+    reject is not written.
     """
     propagate_shapes(net)
     manifest_path = Path(manifest_path)

@@ -128,13 +128,14 @@ class TestInspect:
                 1, {"id": "r1", "kind": "maxpool", "k": 2, "stride": 1, "pad": 2}
             ),
             lambda m: m["layers"][0]["weights"].update(offset=2),
+            lambda m: m["layers"][0].update(weights=None),
         ],
         ids=[
             "stride-0", "c_in-abc", "input_shape-abc", "layer-not-object", "pad-negative",
             "blob-not-name", "c_in-inf", "input_shape-inf", "input-list", "blob-directory",
             "stride-float", "input_shape-float", "groups-bool", "offset-float",
             "rank_n-float", "decomposed_from-list", "pool-pad-not-below-k",
-            "offset-misaligned",
+            "offset-misaligned", "weights-null",
         ],
     )
     def test_malformed_manifest_value_is_format_error(self, toy3_path, mutate, capsys):
@@ -679,6 +680,25 @@ class TestCompress:
         assert main(["compress", str(toy3_path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib", str(calib_path)]) == code
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("layer_id, field", [("bn", "scale"), ("fc2", "weights")])
+    def test_null_required_array_fails_before_any_svd(
+        self, tmp_path, capsys, monkeypatch, layer_id, field
+    ):
+        path = save_model(pool_fc_net(0), tmp_path / "m.json")
+        manifest = json.loads(path.read_text())
+        next(l for l in manifest["layers"] if l["id"] == layer_id)[field] = None
+        path.write_text(json.dumps(manifest))
+
+        def no_svd(a):
+            raise AssertionError("SVD ran before the model was checked")
+
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        out_dir = tmp_path / "o"
+        assert main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+                     "--base-n", "1", "--calib-count", "4"]) == EXIT_FORMAT
+        assert f"layer {layer_id}: missing or null field '{field}'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_plan_is_plan_error(self, toy3_path, tmp_path):

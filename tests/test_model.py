@@ -416,6 +416,33 @@ class TestPooling:
             PoolParams(2, 1, pad=2)
 
 
+class TestParameterRecords:
+    @pytest.mark.parametrize(
+        "make, named",
+        [
+            (lambda: ConvWeights(3, 4, 3, weights=np.zeros((4, 3, 3, 2))), "ConvWeights weights"),
+            (lambda: ConvWeights(3, 4, 3, bias=np.zeros(3)), "ConvWeights bias"),
+            (lambda: FcParams(2, 3, np.zeros((2, 2))), "FcParams weights"),
+            (lambda: FcParams(2, 3, bias=np.zeros(2)), "FcParams bias"),
+            (lambda: AffineParams(3, scale=np.ones(2)), "AffineParams scale"),
+            (lambda: AffineParams(3, shift=np.ones((3, 1))), "AffineParams shift"),
+        ],
+        ids=["conv-weights", "conv-bias", "fc-weights", "fc-bias", "affine-scale",
+             "affine-shift"],
+    )
+    def test_misshaped_array_is_shape_error_at_construction(self, make, named):
+        with pytest.raises(ShapeError, match=f"{named} shape"):
+            make()
+
+    def test_arrays_become_float64_without_copying_float64(self):
+        weights = np.ones((3, 2))
+        fc = FcParams(2, 3, weights, bias=[1, 2, 3])
+        assert fc.weights is weights
+        assert fc.bias.dtype == np.float64
+        affine = AffineParams(2, scale=np.ones(2, dtype=np.float32), shift=None)
+        assert affine.scale.dtype == np.float64 and affine.shift is None
+
+
 class TestShapePropagation:
     def test_downsample_branch(self):
         # Projection shortcut: both the main path and the 1x1 projection read

@@ -6,7 +6,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from groupcompress.model import (
     LayerSpec,
     NetworkSpec,
     PoolParams,
+    array_fields,
     forward,
 )
 from groupcompress.modelio import load_model, save_model
@@ -109,11 +109,11 @@ def build_wide_net(seed=0, out_features=10):
 def arrays(net):
     """``(layer id, field, array)`` for every parameter array of ``net``."""
     for layer in net.layers:
-        attr = LAYER_KINDS[layer.kind]
-        params = None if attr is None else getattr(layer, attr)
-        for f in fields(params) if params is not None else ():
-            if "shape" in f.metadata and getattr(params, f.name) is not None:
-                yield layer.id, f.name, getattr(params, f.name)
+        if LAYER_KINDS[layer.kind] is not None:
+            params = getattr(layer, LAYER_KINDS[layer.kind][0])
+            for name, *_ in array_fields(params):
+                if getattr(params, name) is not None:
+                    yield layer.id, name, getattr(params, name)
 
 
 @pytest.fixture
@@ -495,9 +495,8 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch, save):
     assert list(tmp_path.iterdir()) == []
 
 
-# Keys a toy3 manifest may lack: optional layer fields.
+# Keys a manifest may lack: optional layer fields.
 _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
-_TOY3 = build_toy_three(0)
 
 
 def _decoded(entry, manifest_path: Path, manifest: dict) -> np.ndarray:
@@ -528,24 +527,25 @@ def _assert_same_fields(written: dict, written_path: Path, saved: dict, saved_pa
                 assert same_json(new[key], old[key]), where
 
 
+@pytest.mark.parametrize("net", [build_toy_three(0), pool_fc_net(0)], ids=["toy3", "pool-fc"])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_mutated_manifest_or_blob_raises_only_model_format_error(data):
+def test_mutated_manifest_or_blob_raises_only_model_format_error(net, data):
     """Any edit of a valid manifest's fields, or cut or growth of its bytes
     or of its blob, either raises ModelFormatError or loads a network that
     saves back to the same value in every field the format defines."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = save_model(_TOY3, Path(tmp) / "toy3.json")
+        path = save_model(net, Path(tmp) / "model.json")
         manifest = json.loads(path.read_text())
         edit_fields(data, manifest, _OPTIONAL_KEYS)
         path.write_bytes(cut_or_grow(data, json.dumps(manifest).encode(), "manifest"))
         blob = path.with_suffix(".bin")
         blob.write_bytes(cut_or_grow(data, blob.read_bytes(), "blob"))
         try:
-            net = load_model(path)
+            loaded = load_model(path)
         except ModelFormatError:
             return
-        saved = save_model(net, Path(tmp) / "saved" / "toy3.json")
+        saved = save_model(loaded, Path(tmp) / "saved" / "model.json")
         _assert_same_fields(
             json.loads(path.read_bytes()), path, json.loads(saved.read_text()), saved
         )

@@ -36,7 +36,7 @@ def per_layer_reconstruction(
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
     reports = []
-    for layer_id, _, p_layer in decomposed_pairs(compressed):
+    for layer_id, _, p_layer in decomposed_pairs(compressed, original):
         y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
@@ -138,7 +138,7 @@ class TestCollectResponses:
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
         inputs = layer_inputs(net)
         ids = [l.id for l in net.layers]
-        for src, d_layer, p_layer in decomposed_pairs(compressed)[1:]:
+        for src, d_layer, p_layer in decomposed_pairs(compressed, net)[1:]:
             upto = ids.index(inputs[src]) + 1
             prefix = NetworkSpec(net.name, net.input_shape, net.layers[:upto])
             expected = np.vstack(
@@ -156,7 +156,7 @@ class TestCollectResponses:
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
         ids = [l.id for l in compressed.layers]
-        for src, _, p_layer in decomposed_pairs(compressed):
+        for src, _, p_layer in decomposed_pairs(compressed, net):
             upto = ids.index(p_layer.id) + 1
             prefix = NetworkSpec(net.name, net.input_shape, compressed.layers[:upto])
             expected = np.vstack(
