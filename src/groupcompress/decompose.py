@@ -16,19 +16,15 @@ definition of this pair's geometry: the decomposer fills its weights in,
 plan prediction counts its FLOPs, and loaded pairs are checked against it.
 
 The c_in / n blocks of a layer form one (c_in / n) x (n * k^2) x c_out
-stack. It is cut into one contiguous part per CPU the process may run on
-(its affinity set), or one part per block when there are fewer blocks, and
-the parts are factored at the same time: the calling thread takes the first
-and a worker thread each other one, so one part starts no thread. Each part
-writes its own rows of the layer's D, P and truncation-error arrays, which
-are allocated in their final layout. An SVD of a stack gives each matrix
-exactly the factors it would get alone, so the serialized model is
-byte-identical to that of one SVD per block, whatever the CPU count. Layers
-are factored one after another in network order, so only one layer's
-factors are in memory at a time. The whole stack is validated in the
-calling thread before any part is factored, and workers call only private
-functions: a span tracer that wraps every public function keeps one span
-stack per process, which concurrent calls would break.
+stack. It is factored on every usable CPU (``linalg._on_every_cpu``), one
+contiguous part of the blocks per CPU. Each part writes its own rows of the
+layer's D, P and truncation-error arrays, which are allocated in their
+final layout. An SVD of a stack gives each matrix exactly the factors it
+would get alone, so the serialized model is byte-identical to that of one
+SVD per block, whatever the CPU count. Layers are factored one after
+another in network order, so only one layer's factors are in memory at a
+time. The whole stack is validated in the calling thread before any part is
+factored.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -37,8 +33,6 @@ well conditioned for response reconstruction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -136,13 +130,6 @@ def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
     return linalg.svd_input(partition_blocks(w, n))
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _factor_stack(w: ConvWeights, n: int, stack: np.ndarray) -> GroupDecomposition:
     """``decompose_layer`` of ``w``, given its ``_checked_stack``."""
     k, c_in, c_out = w.k, w.c_in, w.c_out
@@ -166,15 +153,7 @@ def _factor_stack(w: ConvWeights, n: int, stack: np.ndarray) -> GroupDecompositi
         p_rows[lo:hi, :kept] = res.vt[:, :kept]
         errors[lo:hi] = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
 
-    parts = min(_usable_cpus(), blocks)
-    bounds = [blocks * i // parts for i in range(parts + 1)]
-    with ThreadPoolExecutor(parts) as pool:
-        # The pool starts at most one thread per submitted task, and leaving
-        # the block waits for every task, also when a part fails.
-        rest = [pool.submit(factor_part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        factor_part(bounds[0], bounds[1])
-        for future in rest:
-            future.result()
+    linalg._on_every_cpu(blocks, factor_part)
 
     d_layer, p_layer = pair_layers(w, n)
     return GroupDecomposition(

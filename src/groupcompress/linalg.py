@@ -15,11 +15,19 @@ side by side, are the patch matrix of the whole map. Serialized
 decompositions rely on this ordering; do not change it. ``window_views`` is
 the one place a window is sliced: it yields the k*k strided views of a
 padded map that ``patch_tile`` copies and pooling reduces.
+
+``_on_every_cpu`` is the one way work runs on several CPUs: decompose's SVD
+blocks and the batch rules of ``model``. Code run in a share calls the
+private forms of the functions here (``_svd``, ``_pad_into``,
+``_fill_tile``, ``_window_views``).
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +178,25 @@ def pad_map(image, pad: int, fill: float = 0.0) -> np.ndarray:
     """A C x H x W map framed by ``pad`` rows and columns of ``fill`` on each
     side, as a fresh array; for pad = 0, the map itself."""
     image = np.asarray(image, dtype=np.float64)
+    return _pad_into(image, _pad_buffer(image.shape, pad, fill), pad)
+
+
+def _pad_buffer(shape: tuple, pad: int, fill: float) -> np.ndarray | None:
+    """Scratch for ``_pad_into``: a C x (H + 2 pad) x (W + 2 pad) array of
+    ``fill`` for C x H x W maps, or None for pad = 0."""
+    if pad == 0:
+        return None
+    c, h, w = shape
+    return np.full((c, h + 2 * pad, w + 2 * pad), fill)
+
+
+def _pad_into(image: np.ndarray, padded: np.ndarray | None, pad: int) -> np.ndarray:
+    """``pad_map`` of ``image``, written into the inside of ``padded`` (a
+    ``_pad_buffer``, whose frame is never written), or ``image`` itself for
+    pad = 0."""
     if pad == 0:
         return image
     c, h, w = image.shape
-    padded = np.full((c, h + 2 * pad, w + 2 * pad), fill)
     padded[:, pad : pad + h, pad : pad + w] = image
     return padded
 
@@ -184,6 +207,11 @@ def window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int)
     each a C x (stop - start) x W_out view, in (ki, kj) row-major order.
     Output row r reads padded rows r*stride .. r*stride + k - 1. The layers
     check the window geometry (``model._Window``)."""
+    return _window_views(padded, k, stride, start, stop)
+
+
+def _window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int):
+    """``window_views``, for the forward rules' worker threads."""
     rows, w_out = stop - start, (padded.shape[2] - k) // stride + 1
     # One strided slice per kernel offset; cheaper than gathering per window.
     for ki in range(k):
@@ -202,10 +230,52 @@ def patch_tile(padded, k: int, stride: int, start: int, stop: int) -> np.ndarray
     h_out = (h - k) // stride + 1
     if not 0 <= start < stop <= h_out:
         raise ShapeError(f"output rows {start}..{stop} are not a range of 0..{h_out}")
-    tile = np.empty((c, k * k, stop - start, (w - k) // stride + 1))
-    for offset, view in enumerate(window_views(padded, k, stride, start, stop)):
+    tile = np.empty(c * k * k * (stop - start) * ((w - k) // stride + 1))
+    return _fill_tile(tile, padded, k, stride, start, stop)
+
+
+def _fill_tile(buffer: np.ndarray, padded: np.ndarray, k: int, stride: int, start: int,
+               stop: int) -> np.ndarray:
+    """``patch_tile``, written into the leading values of the 1-D float64
+    ``buffer`` and returned as a view of them."""
+    c, w = padded.shape[0], padded.shape[2]
+    rows, w_out = stop - start, (w - k) // stride + 1
+    tile = buffer[: c * k * k * rows * w_out].reshape(c, k * k, rows, w_out)
+    for offset, view in enumerate(_window_views(padded, k, stride, start, stop)):
         tile[:, offset] = view
     return tile.reshape(c * k * k, -1)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_every_cpu(count: int, work: Callable, scratch: Callable = tuple) -> None:
+    """Call ``work(lo, hi, *scratch())`` on one contiguous share lo..hi of
+    range(count) per usable CPU, or one per item when there are fewer items,
+    all at the same time. The calling thread calls ``scratch`` for every
+    share, then works on the first share and a worker thread on each other
+    one, so one share starts no thread. It returns once every share has
+    finished, also when one raises, and then raises the calling thread's
+    error, else the first failed worker's. ``work`` writes only into arrays
+    it is given, and calls only private functions: a span tracer that wraps
+    every public function keeps one span stack per process, which
+    concurrent calls would break."""
+    parts = max(1, min(_usable_cpus(), count))
+    shares = [(count * i // parts, count * (i + 1) // parts, *scratch()) for i in range(parts)]
+    if parts == 1:
+        work(*shares[0])
+        return
+    with ThreadPoolExecutor(parts - 1) as pool:
+        # The pool starts one thread per submitted share, and leaving the
+        # block waits for every share, also when one fails.
+        rest = [pool.submit(work, *share) for share in shares[1:]]
+        work(*shares[0])
+        for future in rest:
+            future.result()
 
 
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:

@@ -32,6 +32,16 @@ the k^2 views of ``linalg.window_views`` into its output with np.maximum or
 np.add, in kernel row-major order; an average then divides by k^2. No
 window array is built.
 
+The conv, pool, channel affine, relu and add rules cut the batch into one
+contiguous share of samples per usable CPU (``linalg._on_every_cpu``); fc
+runs whole. Each share writes its own samples of one output array, so the
+output is the same to the bit whatever the CPU count, and a batch of one or
+a single CPU starts no thread. The calling thread reads the layer's
+parameter arrays (a first access may read the blob) and allocates each
+share's scratch, one padded sample and one patch tile, before the split:
+the workers write only into arrays they are given, and call only private
+functions.
+
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
 array it did not allocate, except to a ``_walk`` output as ``_walk`` allows.
@@ -71,7 +81,8 @@ class _ArrayField:
     """A parameter array field, declared as its default: ``shape`` maps the
     record to the array's shape; ``nullable``, a saved model may hold null
     for it. The value is kept in the record's ``__dict__``; a ``Deferred``
-    one is replaced by its array on first access."""
+    one is replaced by its array on first access. Once the record is built,
+    an assigned array is checked as construction checks it."""
 
     def __init__(self, shape: Callable, nullable: bool = False):
         self.shape, self.nullable = shape, nullable
@@ -88,7 +99,26 @@ class _ArrayField:
         return value
 
     def __set__(self, record, value):
+        if _BUILT in record.__dict__:
+            value = self.checked(record, value)
         record.__dict__[self.name] = value
+
+    def checked(self, record, value):
+        """``value`` as ``record`` keeps it: an array becomes float64 (not
+        copied if it is) of the declared shape, else ShapeError. None and a
+        ``Deferred`` value, which its reader checks, stay as they are."""
+        if value is None or isinstance(value, Deferred):
+            return value
+        value = np.asarray(value, dtype=np.float64)
+        shape = self.shape(record)
+        if value.shape != shape:
+            raise ShapeError(f"{type(record).__name__} {self.name} shape {value.shape} != {shape}")
+        return value
+
+
+# Set in a record's __dict__ once its dimensions are checked: from then on
+# its array fields check what they are given.
+_BUILT = "_arrays_checked"
 
 
 def array_fields(params):
@@ -107,14 +137,11 @@ def array_fields(params):
 
 
 def _check_arrays(record) -> None:
-    """Each array given and read becomes float64 (not copied if it is) of
-    its declared shape. A ``Deferred`` one is not read: its reader checks."""
-    for name, shape, _, value in array_fields(record):
-        if value is None or isinstance(value, Deferred):
-            continue
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != shape:
-            raise ShapeError(f"{type(record).__name__} {name} shape {value.shape} != {shape}")
+    """The last step of a record's ``__post_init__``, after its dimension
+    checks: from here on each array assigned is ``_ArrayField.checked``,
+    starting with those the record was given."""
+    record.__dict__[_BUILT] = True
+    for name, _, _, value in array_fields(record):
         setattr(record, name, value)
 
 
@@ -350,53 +377,74 @@ def _conv_forward(layer, x, other=None):
     per_in, per_out = conv.c_in // groups, conv.c_out // groups
     c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[2:]))
     rows = per_in * k * k
-    weights = conv.weights.reshape(groups, per_out, rows)
+    weights, bias = conv.weights.reshape(groups, per_out, rows), conv.bias
     out = np.empty((len(x), groups, per_out, h_out, w_out))
-    if (k, stride, pad) == (1, 1, 0):
-        # The patches are the input itself: every group in one product.
-        patches = x.reshape(len(x), groups, rows, h_out * w_out)
-        np.matmul(weights, patches, out=out.reshape(len(x), groups, per_out, -1))
+    maps = out.reshape(len(x), c_out, h_out, w_out)
+    pointwise = (k, stride, pad) == (1, 1, 0)
+    blocks = [] if pointwise else list(_patch_blocks(groups, rows, h_out, w_out))
+
+    def share(lo, hi, padded=None, tile=None):
+        if pointwise:
+            # The patches are the input itself: every group in one product.
+            patches = x[lo:hi].reshape(hi - lo, groups, rows, h_out * w_out)
+            np.matmul(weights, patches, out=out[lo:hi].reshape(hi - lo, groups, per_out, -1))
+        else:
+            for sample, sample_out in zip(x[lo:hi], out[lo:hi]):
+                sample = linalg._pad_into(sample, padded, pad)
+                for g, end, r, r_end in blocks:
+                    patches = linalg._fill_tile(tile, sample[g * per_in : end * per_in], k,
+                                                stride, r, r_end)
+                    # Output rows r..r_end of each group are one run of memory.
+                    block_out = sample_out[g:end, :, r:r_end].reshape(end - g, per_out, -1,
+                                                                       copy=False)
+                    np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=block_out)
+        if bias is not None:
+            maps[lo:hi] += bias[:, None, None]
+
+    if pointwise:
+        linalg._on_every_cpu(len(x), share)
     else:
-        blocks = list(_patch_blocks(groups, rows, h_out, w_out))
-        for sample, sample_out in zip(x, out):
-            padded = linalg.pad_map(sample, pad)
-            for g, end, r, r_end in blocks:
-                patches = linalg.patch_tile(padded[g * per_in : end * per_in], k, stride, r, r_end)
-                # Output rows r..r_end of each group are one run of memory.
-                block_out = sample_out[g:end, :, r:r_end].reshape(end - g, per_out, -1, copy=False)
-                np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=block_out)
-    out = out.reshape(len(x), c_out, h_out, w_out)
-    if conv.bias is not None:
-        out += conv.bias[:, None, None]
-    return out
+        # Each share's scratch: one padded sample and one tile of the largest block.
+        tile_values = max((end - g) * rows * (r_end - r) * w_out for g, end, r, r_end in blocks)
+        linalg._on_every_cpu(len(x), share, lambda: (
+            linalg._pad_buffer(x.shape[1:], pad, 0.0), np.empty(tile_values)))
+    return maps
 
 
 def _pool_forward(fill: float, fold: Callable) -> Callable:
-    def pool_sample(p: PoolParams, sample: np.ndarray, out: np.ndarray) -> None:
-        # The views hold the padded sample, which is freed on return: one
-        # padded sample is live at a time.
-        views = linalg.window_views(
-            linalg.pad_map(sample, p.pad, fill), p.k, p.stride, 0, out.shape[1]
-        )
-        np.copyto(out, next(views))
-        for view in views:
-            fold(out, view, out=out)
-
     def rule(layer, x, other):
+        p = layer.pool
         out = np.empty((len(x), *_pool_shape(layer, x.shape[1:], None)))
-        for sample, sample_out in zip(x, out):
-            pool_sample(layer.pool, sample, sample_out)
-        if fold is np.add:  # the mean of the k*k values, divided as np.mean does
-            out /= layer.pool.k ** 2
+
+        def share(lo, hi, padded):
+            for sample, sample_out in zip(x[lo:hi], out[lo:hi]):
+                views = linalg._window_views(
+                    linalg._pad_into(sample, padded, p.pad), p.k, p.stride, 0, out.shape[2]
+                )
+                np.copyto(sample_out, next(views))
+                for view in views:
+                    fold(sample_out, view, out=sample_out)
+            if fold is np.add:  # the mean of the k*k values, divided as np.mean does
+                out[lo:hi] /= p.k ** 2
+
+        linalg._on_every_cpu(len(x), share, lambda: (linalg._pad_buffer(x.shape[1:], p.pad, fill),))
         return out
 
     return rule
 
 
+def _relu_forward(layer, x, other):
+    out = np.empty_like(x)
+    linalg._on_every_cpu(len(x), lambda lo, hi: np.maximum(x[lo:hi], 0.0, out=out[lo:hi]))
+    return out
+
+
 def _add_forward(layer, x, other):
     if other is None or other.shape != x.shape:
         raise ShapeError(f"layer {layer.id}: bad add source {layer.source!r}")
-    return x + other
+    out = np.empty_like(x)
+    linalg._on_every_cpu(len(x), lambda lo, hi: np.add(x[lo:hi], other[lo:hi], out=out[lo:hi]))
+    return out
 
 
 def _fc_forward(layer, x, other):
@@ -408,9 +456,14 @@ def _fc_forward(layer, x, other):
 
 
 def _affine_forward(layer, x, other):
-    aff = layer.affine
-    out = x * aff.scale[:, None, None]
-    out += aff.shift[:, None, None]  # in place: no second batch-sized temporary
+    scale, shift = layer.affine.scale[:, None, None], layer.affine.shift[:, None, None]
+    out = np.empty_like(x)
+
+    def share(lo, hi):
+        np.multiply(x[lo:hi], scale, out=out[lo:hi])
+        out[lo:hi] += shift
+
+    linalg._on_every_cpu(len(x), share)
     return out
 
 
@@ -430,7 +483,7 @@ _KINDS = {
         ("conv", ConvWeights), _conv_shape, _conv_forward,
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
-    "relu": _Kind(None, lambda layer, s, shapes: s, lambda layer, x, other: np.maximum(x, 0.0)),
+    "relu": _Kind(None, lambda layer, s, shapes: s, _relu_forward),
     "maxpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(-np.inf, np.maximum)),
     "avgpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(0.0, np.add)),
     "add": _Kind(None, _add_shape, _add_forward),

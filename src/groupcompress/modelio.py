@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
@@ -127,23 +128,28 @@ class _BlobTensor(Deferred):
 
     def slices(self):
         """The tensor's float32 values, each slice of at most SLICE_VALUES
-        values read into the same buffer. A failed read closes the blob
-        file and raises ModelFormatError."""
+        values read into the same buffer. Each slice is sought and read
+        under the reader's lock, so threads may read tensors of one blob at
+        the same time. A failed read closes the blob file and raises
+        ModelFormatError."""
         fh = self.reader.fh
-        if fh.closed:
-            raise ModelFormatError(f"{self.field}: cannot read blob: closed after a failed read")
         buffer = np.empty(min(self.size, SLICE_VALUES), dtype="<f4")
-        try:
-            fh.seek(self.offset)
-            for start in range(0, self.size, SLICE_VALUES):
-                part = buffer[: self.size - start]
-                if fh.readinto(part) != part.nbytes:  # the file shrank
+        for start in range(0, self.size, SLICE_VALUES):
+            part = buffer[: self.size - start]
+            with self.reader.lock:
+                if fh.closed:
+                    raise ModelFormatError(
+                        f"{self.field}: cannot read blob: closed after a failed read")
+                try:
+                    fh.seek(self.offset + 4 * start)
+                    short = fh.readinto(part) != part.nbytes  # the file shrank
+                except OSError as exc:
+                    fh.close()
+                    raise ModelFormatError(f"{self.field}: cannot read blob: {exc}") from exc
+                if short:
                     fh.close()
                     raise ModelFormatError(f"{self.field}: blob slice out of range")
-                yield part
-        except OSError as exc:
-            fh.close()
-            raise ModelFormatError(f"{self.field}: cannot read blob: {exc}") from exc
+            yield part
 
     def read(self) -> np.ndarray:
         """The tensor as a new float64 array; a float64 copy of a float32
@@ -158,10 +164,11 @@ class _BlobTensor(Deferred):
 
 class _BlobReader:
     """Checks tensor references into an open blob file, and gives each
-    tensor as a ``_BlobTensor``: the file stays open while one is left."""
+    tensor as a ``_BlobTensor``: the file stays open while one is left.
+    ``lock`` guards the file position."""
 
     def __init__(self, fh):
-        self.fh = fh
+        self.fh, self.lock = fh, threading.Lock()
         self.size = os.fstat(fh.fileno()).st_size
 
     def get(self, entry, shape, field: str) -> _BlobTensor | None:

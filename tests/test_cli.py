@@ -462,7 +462,7 @@ class TestCompress:
             finished.append(a.shape)
             return result
 
-        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(linalg, "_svd", failing_svd)
         threads_before = set(threading.enumerate())
         out_dir = tmp_path / "o"
@@ -478,6 +478,37 @@ class TestCompress:
         assert len(finished) == 5
         assert set(threading.enumerate()) == threads_before
 
+    def test_failing_walk_share_exits_numeric_and_leaves_no_worker_running(
+        self, toy4_path, tmp_path, capsys, monkeypatch
+    ):
+        # The first conv of the original network's walk runs on three
+        # shares of the eight calibration samples. The share holding
+        # samples 5..7 fails at once while the other two are still running.
+        net = load_model(toy4_path)
+        samples = CalibrationSet.synthetic(net.input_shape, 8, seed=41).samples
+        pad_into, finished = linalg._pad_into, []
+
+        def slow_or_failing(image, padded, pad):
+            if np.array_equal(image, samples[5]):
+                raise NumericalError("share failed")
+            time.sleep(0.1)
+            finished.append(next(i for i, x in enumerate(samples) if np.array_equal(x, image)))
+            return pad_into(image, padded, pad)
+
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(linalg, "_pad_into", slow_or_failing)
+        threads_before = set(threading.enumerate())
+        out_dir = tmp_path / "o"
+        code = main(
+            ["compress", str(toy4_path), "-o", str(out_dir), "--degree", "constant",
+             "--base-n", "1", "--calib-count", "8", "--calib-seed", "41"]
+        )
+        assert code == EXIT_NUMERIC
+        assert "share failed" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+        assert sorted(finished) == [0, 1, 2, 3, 4]
+        assert set(threading.enumerate()) == threads_before
+
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="needs two CPUs",
@@ -486,11 +517,11 @@ class TestCompress:
         # Each run is a child process; "one" restricts it to one CPU first.
         script = (
             "import os, sys\n"
-            "from groupcompress import decompose\n"
+            "from groupcompress import linalg\n"
             "from groupcompress.cli import main\n"
             "if sys.argv[1] == 'one':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "assert (decompose._usable_cpus() == 1) == (sys.argv[1] == 'one')\n"
+            "assert (linalg._usable_cpus() == 1) == (sys.argv[1] == 'one')\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(decompose.__file__).parents[1])}

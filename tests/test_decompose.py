@@ -123,7 +123,7 @@ class TestStackedDecomposition:
     def test_parts_match_per_block_oracle(self, monkeypatch, workers, c_in, c_out, k, n):
         # Uneven cuts, layers with fewer blocks than workers, and more
         # workers than cores, switching threads as often as they can.
-        monkeypatch.setattr(decompose, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
         w = random_conv(np.random.default_rng(c_in * 10 + n), c_in, c_out, k)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -364,7 +364,7 @@ class TestDecomposeNetwork:
                 return svd(a)
 
             monkeypatch.setattr(linalg, "_svd", recording_svd)
-            monkeypatch.setattr(decompose, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
             decompose_network(net, ranks)
             stacks = [partition_blocks(net.layer(lid).conv, n) for lid, n in ranks.items()]
             # Every part is a part of c1 or c2, and c1's all come first.
@@ -387,9 +387,9 @@ class TestDecomposeNetwork:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         one_cpu, _ = decompose_network(net, {"c1": 1, "c2": 1})
-        monkeypatch.setattr(decompose, "_usable_cpus", lambda: 5)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
         one_block, _ = decompose_network(net, {"c1": 4, "c2": 4})
         assert [l.id for l in one_cpu.layers] == [l.id for l in one_block.layers]
 

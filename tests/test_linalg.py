@@ -309,3 +309,21 @@ def test_numerical_rank():
     s = np.array([4.0, 2.0, 1.0, 1e-12, 0.0, 0.0])
     a = u[:, :6] @ np.diag(s) @ v.T
     assert linalg.numerical_rank(a) == 3
+
+
+class TestOnEveryCpu:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_one_contiguous_share_per_cpu_or_item(self, monkeypatch, count, cpus):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        scratch, shares = iter(range(100)), []
+        linalg._on_every_cpu(count, lambda lo, hi, tag: shares.append((lo, hi, tag)),
+                             lambda: (next(scratch),))
+        shares.sort()
+        assert len(shares) == max(1, min(cpus, count))
+        assert shares[0][0] == 0 and shares[-1][1] == count
+        assert all(hi - lo in (count // len(shares), -(-count // len(shares)))
+                   for lo, hi, _ in shares)
+        assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+        # One scratch per share.
+        assert sorted(tag for _, _, tag in shares) == list(range(len(shares)))

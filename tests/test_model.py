@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from groupcompress.model import (
     propagate_shapes,
     stack_taps,
 )
+from groupcompress.modelio import load_model, save_model
 
 from nets import pool_fc_net, residual_net
 from oracles import (
@@ -327,7 +330,7 @@ class TestTiledConv:
         def no_tile(*args):
             raise AssertionError("a 1x1 conv built a patch tile")
 
-        monkeypatch.setattr(linalg, "patch_tile", no_tile)
+        monkeypatch.setattr(linalg, "_fill_tile", no_tile)
         tiled_conv_blocks(4, 3, 2, 1, 1, 0, 5, 7, budget=8)
 
 
@@ -351,6 +354,56 @@ class TestBatchWalk:
             want = reference_forward(net, x)
             assert rel_err(forward(net, x), want) <= 1e-10
             assert np.array_equal(forward(net, x), out)
+
+
+def _no_thread(thread):
+    raise AssertionError("a thread was started")
+
+
+class TestSplitWalk:
+    """A walk whose batch rules split the samples over CPUs against the
+    one-CPU walk. Each walk runs on a freshly loaded model, so that every
+    array is first read inside a batch rule."""
+
+    NETS = {
+        "toy4": lambda: build_toy_cnn(0),
+        "toy4-decomposed": lambda: decompose_network(build_toy_cnn(0), {"c1": 2, "c2": 1})[0],
+        "residual": residual_net,
+        "pool-fc-affine": pool_fc_net,
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("count", [2, 7])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_matches_one_cpu_walk(self, tmp_path, monkeypatch, name, count, cpus):
+        path = save_model(self.NETS[name](), tmp_path / "model.json")
+        xs = np.random.default_rng(count).standard_normal((count, *load_model(path).input_shape))
+
+        def outputs(workers):
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
+            return {layer.id: out for layer, _, out in model._walk(load_model(path), xs)}
+
+        serial = outputs(1)
+        # Switch threads as often as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = outputs(cpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(split) == list(serial)
+        for layer_id, out in serial.items():
+            assert np.array_equal(split[layer_id], out), layer_id
+
+    def test_one_sample_or_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        for net in (residual_net(), pool_fc_net()):
+            xs = np.random.default_rng(3).standard_normal((4, *net.input_shape))
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
+            forward(net, xs[0])
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+            for _ in model._walk(net, xs):
+                pass
 
 
 class TestPooling:
@@ -397,9 +450,19 @@ class TestPooling:
                 assert np.allclose(out, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
-    def test_scratch_is_a_padded_sample_not_a_window_array(self, kind):
+    def test_scratch_is_a_padded_sample_not_a_window_array(self, monkeypatch, kind):
+        self.check_scratch(monkeypatch, kind, cpus=1)
+
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    def test_scratch_is_a_padded_sample_per_share(self, monkeypatch, kind):
+        self.check_scratch(monkeypatch, kind, cpus=2)
+
+    @staticmethod
+    def check_scratch(monkeypatch, kind, cpus):
         # The resnet34 stem pool over a batch of two: the windows of one
-        # sample alone would take 14.5 MB.
+        # sample alone would take 14.5 MB. Each CPU's share of the batch
+        # holds one padded sample.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         xs = np.random.default_rng(14).standard_normal((2, 64, 112, 112))
         layer = LayerSpec(id="p", kind=kind, pool=PoolParams(3, 2, pad=1))
         tracemalloc.start()
@@ -409,7 +472,7 @@ class TestPooling:
         finally:
             tracemalloc.stop()
         padded_sample = 64 * 114 * 114 * 8
-        assert peak <= out.nbytes + 2 * padded_sample
+        assert peak <= out.nbytes + cpus * padded_sample + padded_sample
 
     def test_padding_as_wide_as_the_window_is_rejected(self):
         with pytest.raises(ShapeError, match="pad=2 must be below k=2"):
@@ -441,6 +504,35 @@ class TestParameterRecords:
         assert fc.bias.dtype == np.float64
         affine = AffineParams(2, scale=np.ones(2, dtype=np.float32), shift=None)
         assert affine.scale.dtype == np.float64 and affine.shift is None
+
+    @pytest.mark.parametrize(
+        "make, field, misshaped, named",
+        [
+            (lambda: ConvWeights(3, 4, 3), "weights", np.zeros((4, 3, 3, 2)), "ConvWeights weights"),
+            (lambda: ConvWeights(3, 4, 3), "bias", np.zeros(3), "ConvWeights bias"),
+            (lambda: FcParams(2, 3), "weights", np.zeros((2, 2)), "FcParams weights"),
+            (lambda: FcParams(2, 3), "bias", np.zeros(2), "FcParams bias"),
+            (lambda: AffineParams(3), "scale", np.ones(2), "AffineParams scale"),
+            (lambda: AffineParams(3), "shift", np.ones((3, 1)), "AffineParams shift"),
+        ],
+        ids=["conv-weights", "conv-bias", "fc-weights", "fc-bias", "affine-scale",
+             "affine-shift"],
+    )
+    def test_array_assigned_after_construction_is_checked(self, make, field, misshaped, named):
+        record = make()
+        with pytest.raises(ShapeError, match=f"{named} shape"):
+            setattr(record, field, misshaped)
+        assert getattr(record, field) is None  # the rejected array is not kept
+        shape = next(shape for name, shape, _, _ in model.array_fields(record) if name == field)
+        setattr(record, field, np.ones(shape, dtype=np.float32).tolist())
+        assert getattr(record, field).dtype == np.float64
+        assert getattr(record, field).shape == shape
+
+    def test_dimension_errors_come_before_array_checks(self):
+        with pytest.raises(ShapeError, match="groups=0 must divide"):
+            ConvWeights(4, 4, 3, groups=0, weights=np.zeros((4, 4, 3, 3)))
+        with pytest.raises(ShapeError, match="conv dimensions must be positive"):
+            ConvWeights(0, 4, 3, weights=np.zeros((4, 4, 3, 3)))
 
 
 class TestShapePropagation:

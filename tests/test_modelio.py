@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -373,6 +374,46 @@ def test_failing_blob_read_is_format_error(tmp_path, monkeypatch, capsys, net, f
         assert re.search(f"layer {failing} weights: {message}", capsys.readouterr().err)
         assert len(blobs) == 1 and blobs[0].closed
         assert not (out / "model.json").exists() and not (out / "model.bin").exists()
+
+
+class _SwitchAfterSeek(io.BufferedReader):
+    """A blob file whose ``seek`` waits, after it has moved, for a second
+    thread to seek too (or for a short timeout), so that two threads reading
+    at once both seek before either reads."""
+
+    def __init__(self, path, barrier):
+        super().__init__(io.FileIO(path))
+        self.barrier = barrier
+
+    def seek(self, *args):
+        position = super().seek(*args)
+        try:
+            self.barrier.wait(timeout=0.5)
+        except threading.BrokenBarrierError:
+            pass  # the other thread holds the blob: it does not seek now
+        return position
+
+
+def test_first_reads_from_two_threads_read_their_own_tensors(tmp_path, monkeypatch):
+    path = save_model(pool_fc_net(0), tmp_path / "model.json")
+    serial = load_model(path)
+    expected = {lid: serial.layer(lid).fc.weights for lid in ("fc1", "fc2")}
+    barrier = threading.Barrier(2)
+    _wrap_blob_files(monkeypatch, "rb", lambda file: _SwitchAfterSeek(file, barrier))
+    loaded, read = load_model(path), {}
+
+    def first_read(layer_id):
+        read[layer_id] = loaded.layer(layer_id).fc.weights
+
+    threads = [threading.Thread(target=first_read, args=(lid,)) for lid in expected]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert read.keys() == expected.keys()
+    for layer_id, weights in expected.items():
+        assert np.array_equal(read[layer_id], weights), layer_id
 
 
 @pytest.mark.parametrize(

@@ -31,14 +31,23 @@ script. Every file under OUT_DIR is then listed as ``<sha256>  <path>``,
 sorted by path: run it on two checkouts and ``diff`` the listings to check
 that a change keeps every byte written. The vgg16 workload needs about
 2 GB of memory and 1.5 GB of disk.
+
+After the listing, each ``compress`` command that reconstructs (every one
+without ``--no-reconstruct``: ``res34-recon`` and the toy variants) runs
+again in a child process limited to one CPU, writing into a temporary
+directory outside OUT_DIR. Each file it writes is compared with the same
+file under OUT_DIR; if any differs, its path is printed to stderr and the
+exit status is 1, since the result must not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,9 +67,32 @@ ANALYZE_VARIANTS = {
 }
 
 
-def groupcompress(*argv) -> None:
+def groupcompress(*argv, cpus: set[int] | None = None) -> None:
+    """Run the CLI in a child process, on ``cpus`` only if given."""
     subprocess.run([sys.executable, "-m", "groupcompress", *map(str, argv)],
-                   check=True, stdout=subprocess.DEVNULL)
+                   check=True, stdout=subprocess.DEVNULL,
+                   preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
+
+
+def one_cpu_differences(compress_runs) -> list[Path]:
+    """Rerun each ``(output dir, argv for an output dir)`` of
+    ``compress_runs`` on one CPU into a temporary directory, and return the
+    path under OUT_DIR of each file the rerun wrote differently."""
+    differ = []
+    with tempfile.TemporaryDirectory() as rerun_root:
+        for out_dir, argv in compress_runs:
+            rerun = Path(rerun_root) / out_dir
+            groupcompress(*argv(rerun), cpus={min(os.sched_getaffinity(0))})
+            for path in sorted(p for p in rerun.rglob("*") if p.is_file()):
+                original = out_dir / path.relative_to(rerun)
+                if not original.is_file() or original.read_bytes() != path.read_bytes():
+                    differ.append(original)
+    return differ
+
+
+def toy_compress_argv(toy: str, flags: tuple, out_dir: Path) -> list:
+    return ["compress", f"fixtures/{toy}.json", "-o", out_dir, "--degree", "constant",
+            "--base-n", "1", "--calib-seed", "41", *flags]
 
 
 def write_forwards(original: Path, out_dir: Path) -> None:
@@ -93,16 +125,22 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    reconstructing = []  # (output dir, argv for an output dir) of each such compress
+
+    def compress(argv_for, out_dir: Path) -> None:
+        argv = argv_for(out_dir)
+        groupcompress(*argv)
+        if "--no-reconstruct" not in argv:
+            reconstructing.append((out_dir, argv_for))
+
     for name in WORKLOADS:
         inputs = prepare(BENCH[name], WORKLOAD_SEED, Path(name))
-        groupcompress(*inputs.compress_argv(BENCH[name], Path(name) / "out"))
+        compress(functools.partial(inputs.compress_argv, BENCH[name]), Path(name) / "out")
         write_forwards(inputs.model, Path(name) / "out")
     for toy in ("toy3", "toy4"):
         groupcompress("gen-fixtures", toy, "-o", "fixtures")
         for variant, flags in TOY_VARIANTS.items():
-            groupcompress("compress", f"fixtures/{toy}.json", "-o", f"{toy}/{variant}",
-                          "--degree", "constant", "--base-n", "1", "--calib-seed", "41",
-                          *flags)
+            compress(functools.partial(toy_compress_argv, toy, flags), Path(toy) / variant)
             write_forwards(Path(f"fixtures/{toy}.json"), Path(toy) / variant)
             for analysis, analyze_flags in ANALYZE_VARIANTS.items():
                 groupcompress("analyze", f"fixtures/{toy}.json", f"{toy}/{variant}/model.json",
@@ -110,7 +148,10 @@ def main(argv: list[str]) -> int:
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
-    return 0
+    differ = one_cpu_differences(reconstructing)
+    for path in differ:
+        print(f"{path.as_posix()}: bytes differ when compress runs on one CPU", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
