@@ -17,9 +17,9 @@ the one place a window is sliced: it yields the k*k strided views of a
 padded map that ``patch_tile`` copies and pooling reduces.
 
 ``_on_every_cpu`` is the one way work runs on several CPUs: decompose's SVD
-blocks and the batch rules of ``model``. Code run in a share calls the
-private forms of the functions here (``_svd``, ``_pad_into``,
-``_fill_tile``, ``_window_views``).
+blocks and ``model._run``, which runs every layer of a batch. Code run in a
+share calls the private forms of the functions here (``_svd``,
+``_pad_into``, ``_fill_tile``, ``_window_views``).
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ def _on_every_cpu(count: int, work: Callable, scratch: Callable = tuple) -> None
     error, else the first failed worker's. ``work`` writes only into arrays
     it is given, and calls only private functions: a span tracer that wraps
     every public function keeps one span stack per process, which
-    concurrent calls would break."""
+    concurrent calls would break. Its callers are ``model._run``, for each
+    layer of a batch, and ``decompose._factor_stack``."""
     parts = max(1, min(_usable_cpus(), count))
     shares = [(count * i // parts, count * (i + 1) // parts, *scratch()) for i in range(parts)]
     if parts == 1:

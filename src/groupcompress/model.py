@@ -32,15 +32,16 @@ the k^2 views of ``linalg.window_views`` into its output with np.maximum or
 np.add, in kernel row-major order; an average then divides by k^2. No
 window array is built.
 
-The conv, pool, channel affine, relu and add rules cut the batch into one
-contiguous share of samples per usable CPU (``linalg._on_every_cpu``); fc
-runs whole. Each share writes its own samples of one output array, so the
-output is the same to the bit whatever the CPU count, and a batch of one or
-a single CPU starts no thread. The calling thread reads the layer's
-parameter arrays (a first access may read the blob) and allocates each
-share's scratch, one padded sample and one patch tile, before the split:
-the workers write only into arrays they are given, and call only private
-functions.
+One step, ``_run``, runs every layer on a batch. The kind's shape rule
+gives the output shape and checks it; the calling thread reads the layer's
+parameter arrays (a first access may read the blob), allocates the output
+and makes each share's scratch (one padded sample and one patch tile for a
+conv, one padded sample for a pool); ``linalg._on_every_cpu`` then gives each
+usable CPU one contiguous share of the samples. The kind's forward rule, a
+kernel, writes its share's samples of the output, so the output is the same
+to the bit whatever the CPU count, and a batch of one or a single CPU starts
+no thread. A kernel writes only into arrays it is given, and calls only
+private functions.
 
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
@@ -286,9 +287,12 @@ class NetworkSpec:
         return [l for l in self.layers if l.kind == "conv"]
 
 
-# Per-kind rules. Shape: (layer, one sample's input shape, earlier shapes)
-# -> one sample's output shape. Forward: (layer, input batch, the output
-# batch an add reads as ``source``, else None) -> output batch. FLOPs:
+# Per-kind rules, each run by ``_run`` (see the module docstring). Shape:
+# (layer, one sample's input shape, earlier shapes) -> one sample's output
+# shape, checked. Scratch: (layer, one sample's input shape, one sample's
+# output shape) -> the scratch arrays of one share. Forward: (layer, a
+# share's input batch, its batch of what an add reads as ``source``, else
+# None, its output batch, *its scratch), writing the output batch. FLOPs:
 # (layer, output shape) -> int, for the kinds that carry FLOPs.
 
 
@@ -365,106 +369,73 @@ def _patch_blocks(groups: int, rows: int, h_out: int, w_out: int):
             yield g, g + 1, r, min(r + tile, h_out)
 
 
-def _conv_forward(layer, x, other=None):
+def _conv_forward(layer, x, other, out, padded=None, tile=None):
     conv = layer.conv
-    if x.shape[1] != conv.c_in:
-        raise ShapeError(
-            f"layer {layer.id}: expects {conv.c_in} channels, got {x.shape[1]}"
-        )
-    if conv.weights is None:
-        raise ShapeError(f"layer {layer.id}: no materialized weights")
     groups, k, stride, pad = conv.groups, conv.k, conv.stride, conv.pad
     per_in, per_out = conv.c_in // groups, conv.c_out // groups
-    c_out, h_out, w_out = _spatial_shape(layer, conv.c_out, *conv.out_size(*x.shape[2:]))
+    n, _, h_out, w_out = out.shape
     rows = per_in * k * k
-    weights, bias = conv.weights.reshape(groups, per_out, rows), conv.bias
-    out = np.empty((len(x), groups, per_out, h_out, w_out))
-    maps = out.reshape(len(x), c_out, h_out, w_out)
-    pointwise = (k, stride, pad) == (1, 1, 0)
-    blocks = [] if pointwise else list(_patch_blocks(groups, rows, h_out, w_out))
-
-    def share(lo, hi, padded=None, tile=None):
-        if pointwise:
-            # The patches are the input itself: every group in one product.
-            patches = x[lo:hi].reshape(hi - lo, groups, rows, h_out * w_out)
-            np.matmul(weights, patches, out=out[lo:hi].reshape(hi - lo, groups, per_out, -1))
-        else:
-            for sample, sample_out in zip(x[lo:hi], out[lo:hi]):
-                sample = linalg._pad_into(sample, padded, pad)
-                for g, end, r, r_end in blocks:
-                    patches = linalg._fill_tile(tile, sample[g * per_in : end * per_in], k,
-                                                stride, r, r_end)
-                    # Output rows r..r_end of each group are one run of memory.
-                    block_out = sample_out[g:end, :, r:r_end].reshape(end - g, per_out, -1,
-                                                                       copy=False)
-                    np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=block_out)
-        if bias is not None:
-            maps[lo:hi] += bias[:, None, None]
-
-    if pointwise:
-        linalg._on_every_cpu(len(x), share)
+    weights = conv.weights.reshape(groups, per_out, rows)
+    grouped = out.reshape(n, groups, per_out, h_out, w_out)
+    if tile is None:
+        # A 1x1, stride-1, unpadded conv (``_conv_scratch`` gives it no
+        # tile): the patches are the input itself, every group in one product.
+        patches = x.reshape(n, groups, rows, h_out * w_out)
+        np.matmul(weights, patches, out=grouped.reshape(n, groups, per_out, -1))
     else:
-        # Each share's scratch: one padded sample and one tile of the largest block.
-        tile_values = max((end - g) * rows * (r_end - r) * w_out for g, end, r, r_end in blocks)
-        linalg._on_every_cpu(len(x), share, lambda: (
-            linalg._pad_buffer(x.shape[1:], pad, 0.0), np.empty(tile_values)))
-    return maps
+        blocks = list(_patch_blocks(groups, rows, h_out, w_out))
+        for sample, sample_out in zip(x, grouped):
+            sample = linalg._pad_into(sample, padded, pad)
+            for g, end, r, r_end in blocks:
+                patches = linalg._fill_tile(tile, sample[g * per_in : end * per_in], k, stride,
+                                            r, r_end)
+                # Output rows r..r_end of each group are one run of memory.
+                block_out = sample_out[g:end, :, r:r_end].reshape(end - g, per_out, -1, copy=False)
+                np.matmul(weights[g:end], patches.reshape(end - g, rows, -1), out=block_out)
+    if conv.bias is not None:
+        out += conv.bias[:, None, None]
 
 
-def _pool_forward(fill: float, fold: Callable) -> Callable:
-    def rule(layer, x, other):
+def _conv_scratch(layer, in_shape, out_shape):
+    """One padded sample and one tile of the largest patch block, or nothing
+    for a conv that reads its input as the patches."""
+    conv = layer.conv
+    if (conv.k, conv.stride, conv.pad) == (1, 1, 0):
+        return ()
+    rows = conv.c_in // conv.groups * conv.k ** 2
+    tile_values = max((end - g) * rows * (r_end - r) * out_shape[2]
+                      for g, end, r, r_end in _patch_blocks(conv.groups, rows, *out_shape[1:]))
+    return linalg._pad_buffer(in_shape, conv.pad, 0.0), np.empty(tile_values)
+
+
+def _pool_rules(fill: float, fold: Callable) -> tuple[Callable, Callable]:
+    """The forward and scratch rules of a pool padded with ``fill``."""
+    def forward(layer, x, other, out, padded):
         p = layer.pool
-        out = np.empty((len(x), *_pool_shape(layer, x.shape[1:], None)))
+        for sample, sample_out in zip(x, out):
+            views = linalg._window_views(
+                linalg._pad_into(sample, padded, p.pad), p.k, p.stride, 0, out.shape[2]
+            )
+            np.copyto(sample_out, next(views))
+            for view in views:
+                fold(sample_out, view, out=sample_out)
+        if fold is np.add:  # the mean of the k*k values, divided as np.mean does
+            out /= p.k ** 2
 
-        def share(lo, hi, padded):
-            for sample, sample_out in zip(x[lo:hi], out[lo:hi]):
-                views = linalg._window_views(
-                    linalg._pad_into(sample, padded, p.pad), p.k, p.stride, 0, out.shape[2]
-                )
-                np.copyto(sample_out, next(views))
-                for view in views:
-                    fold(sample_out, view, out=sample_out)
-            if fold is np.add:  # the mean of the k*k values, divided as np.mean does
-                out[lo:hi] /= p.k ** 2
-
-        linalg._on_every_cpu(len(x), share, lambda: (linalg._pad_buffer(x.shape[1:], p.pad, fill),))
-        return out
-
-    return rule
+    return forward, lambda layer, in_shape, out_shape: (
+        linalg._pad_buffer(in_shape, layer.pool.pad, fill),)
 
 
-def _relu_forward(layer, x, other):
-    out = np.empty_like(x)
-    linalg._on_every_cpu(len(x), lambda lo, hi: np.maximum(x[lo:hi], 0.0, out=out[lo:hi]))
-    return out
-
-
-def _add_forward(layer, x, other):
-    if other is None or other.shape != x.shape:
-        raise ShapeError(f"layer {layer.id}: bad add source {layer.source!r}")
-    out = np.empty_like(x)
-    linalg._on_every_cpu(len(x), lambda lo, hi: np.add(x[lo:hi], other[lo:hi], out=out[lo:hi]))
-    return out
-
-
-def _fc_forward(layer, x, other):
+def _fc_forward(layer, x, other, out):
     # A product per sample: one over the batch would round differently per N.
-    out = (layer.fc.weights @ x.reshape(len(x), -1, 1))[..., 0]
+    np.matmul(layer.fc.weights, x.reshape(len(x), -1, 1), out=out[..., None])
     if layer.fc.bias is not None:
-        out = out + layer.fc.bias
-    return out
+        out += layer.fc.bias
 
 
-def _affine_forward(layer, x, other):
-    scale, shift = layer.affine.scale[:, None, None], layer.affine.shift[:, None, None]
-    out = np.empty_like(x)
-
-    def share(lo, hi):
-        np.multiply(x[lo:hi], scale, out=out[lo:hi])
-        out[lo:hi] += shift
-
-    linalg._on_every_cpu(len(x), share)
-    return out
+def _affine_forward(layer, x, other, out):
+    np.multiply(x, layer.affine.scale[:, None, None], out=out)
+    out += layer.affine.shift[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -475,19 +446,22 @@ class _Kind:
     param: tuple[str, type] | None
     shape: Callable
     forward: Callable
+    scratch: Callable = lambda layer, in_shape, out_shape: ()
     flops: Callable | None = None
 
 
 _KINDS = {
     "conv": _Kind(
-        ("conv", ConvWeights), _conv_shape, _conv_forward,
+        ("conv", ConvWeights), _conv_shape, _conv_forward, _conv_scratch,
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
-    "relu": _Kind(None, lambda layer, s, shapes: s, _relu_forward),
-    "maxpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(-np.inf, np.maximum)),
-    "avgpool": _Kind(("pool", PoolParams), _pool_shape, _pool_forward(0.0, np.add)),
-    "add": _Kind(None, _add_shape, _add_forward),
-    "fc": _Kind(("fc", FcParams), _fc_shape, _fc_forward, lambda layer, _: flops_of_fc(layer.fc)),
+    "relu": _Kind(None, lambda layer, s, shapes: s,
+                  lambda layer, x, other, out: np.maximum(x, 0.0, out=out)),
+    "maxpool": _Kind(("pool", PoolParams), _pool_shape, *_pool_rules(-np.inf, np.maximum)),
+    "avgpool": _Kind(("pool", PoolParams), _pool_shape, *_pool_rules(0.0, np.add)),
+    "add": _Kind(None, _add_shape, lambda layer, x, other, out: np.add(x, other, out=out)),
+    "fc": _Kind(("fc", FcParams), _fc_shape, _fc_forward,
+                flops=lambda layer, _: flops_of_fc(layer.fc)),
     "channel_affine": _Kind(("affine", AffineParams), _affine_shape, _affine_forward),
 }
 # Kind -> (the LayerSpec attribute carrying its parameters, their class), or None.
@@ -519,6 +493,29 @@ def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     return shapes
 
 
+def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """``layer``'s output on the batch ``x`` (for an add, and the batch
+    ``other`` of its ``source``), as the module docstring says. A shape the
+    kind's rule rejects, or a required parameter array that is None, raises
+    ShapeError naming the layer."""
+    kind = _KINDS[layer.kind]
+    in_shape, earlier = x.shape[1:], {} if other is None else {layer.source: other.shape[1:]}
+    out_shape = kind.shape(layer, in_shape, earlier)
+    if kind.param is not None:
+        params = getattr(layer, kind.param[0])
+        for name, _, nullable, _ in array_fields(params):
+            if getattr(params, name) is None and not nullable:  # reads a Deferred array
+                raise ShapeError(f"layer {layer.id}: no materialized {name}")
+    out = np.empty((len(x), *out_shape))
+    linalg._on_every_cpu(
+        len(x),
+        lambda lo, hi, *scratch: kind.forward(
+            layer, x[lo:hi], None if other is None else other[lo:hi], out[lo:hi], *scratch),
+        lambda: kind.scratch(layer, in_shape, out_shape),
+    )
+    return out
+
+
 def _walk(net: NetworkSpec, x):
     """Run the network on an (N, C, H, W) batch, layer by layer, and yield
     each layer, its input batch and its output batch, in network order.
@@ -541,7 +538,7 @@ def _walk(net: NetworkSpec, x):
     for i, layer in enumerate(net.layers):
         in_id = inputs[layer.id]
         value = x if in_id is None else outputs[in_id]
-        outputs[layer.id] = _KINDS[layer.kind].forward(layer, value, outputs.get(layer.source))
+        outputs[layer.id] = _run(layer, value, outputs.get(layer.source))
         yield layer, value, outputs[layer.id]
         for read in (in_id, layer.source):
             if last_reader.get(read) == i:

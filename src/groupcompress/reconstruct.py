@@ -30,7 +30,7 @@ from . import linalg
 from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
 from .model import (
-    ConvWeights, NetworkSpec, _advance, _conv_forward, _walk, propagate_shapes, response_rows,
+    ConvWeights, NetworkSpec, _advance, _run, _walk, propagate_shapes, response_rows,
 )
 from .modelio import load_calibration, save_calibration
 
@@ -185,7 +185,7 @@ def _pair_outputs(original_walk, compressed_walk, pair):
     layer_id, d_layer, p_layer = pair
     conv_input, y_output = _advance(original_walk, layer_id)
     if compressed_walk is None:
-        return None, y_output, _conv_forward(p_layer, _conv_forward(d_layer, conv_input))
+        return None, y_output, _run(p_layer, _run(d_layer, conv_input))
     p_input, star_output = _advance(compressed_walk, p_layer.id)
     return p_input, y_output, star_output
 
@@ -253,7 +253,7 @@ def reconstruct_network(
             result.layers[position[p_layer.id]] = merged
             if not symmetric:
                 # Deeper layers read the merged layer's output.
-                star_output[...] = _conv_forward(merged, p_input)
+                star_output[...] = _run(merged, p_input)
         reports.append(
             LayerReconstructionReport(
                 layer_id=layer_id,

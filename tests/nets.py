@@ -1,8 +1,6 @@
 """Small test networks shared by several test modules, and a hook on the
 forward pass."""
 
-import dataclasses
-
 import numpy as np
 
 from groupcompress import model
@@ -14,14 +12,16 @@ from groupcompress.model import (
 def on_conv_forward(monkeypatch, hook):
     """Call ``hook(layer)`` each time a walk (``model._walk``, so every
     forward pass) runs a conv layer, before the layer runs. A walk runs each
-    conv once, through the conv rule in ``model._KINDS``."""
-    rule = model._KINDS["conv"]
+    conv once, through ``model._run``, whatever number of CPU shares that
+    cuts its batch into."""
+    run = model._run
 
-    def forward(layer, x, other):
-        hook(layer)
-        return rule.forward(layer, x, other)
+    def hooked(layer, x, other=None):
+        if layer.kind == "conv":
+            hook(layer)
+        return run(layer, x, other)
 
-    monkeypatch.setitem(model._KINDS, "conv", dataclasses.replace(rule, forward=forward))
+    monkeypatch.setattr(model, "_run", hooked)
 
 
 def residual_net(seed=0):

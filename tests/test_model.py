@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcompress import linalg, model
+from groupcompress import linalg, model, modelio
 from groupcompress.decompose import decompose_network, pair_layers
 from groupcompress.errors import DecompositionError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
@@ -197,6 +197,23 @@ class TestForward:
         with pytest.raises(ShapeError, match="input shape"):
             forward(net, np.zeros((2, 3, 3)))
 
+    @pytest.mark.parametrize(
+        "layer, field",
+        [
+            (LayerSpec(id="c", kind="conv", conv=ConvWeights(2, 3, 3, pad=1)), "weights"),
+            (LayerSpec(id="f", kind="fc", fc=FcParams(32, 5)), "weights"),
+            (LayerSpec(id="bn", kind="channel_affine",
+                       affine=AffineParams(2, shift=np.zeros(2))), "scale"),
+            (LayerSpec(id="bn", kind="channel_affine",
+                       affine=AffineParams(2, scale=np.ones(2))), "shift"),
+        ],
+        ids=["conv-weights", "fc-weights", "affine-scale", "affine-shift"],
+    )
+    def test_shape_only_layer_names_layer_and_field(self, layer, field):
+        net = NetworkSpec("t", (2, 4, 4), [layer])
+        with pytest.raises(ShapeError, match=f"^layer {layer.id}: no materialized {field}$"):
+            forward(net, np.zeros((2, 4, 4)))
+
 
 def rel_err(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -242,11 +259,10 @@ class TestBatchedConv:
         x = np.random.default_rng(7).standard_normal(net.input_shape)
         got = forward(net, x)
 
-        def oracle(layer, batch, other):
+        def oracle(layer, batch, other, out, *scratch):
             c = layer.conv
-            return np.stack(
-                [per_group_conv(x, c.weights, c.bias, c.stride, c.pad, c.groups) for x in batch]
-            )
+            out[...] = [per_group_conv(x, c.weights, c.bias, c.stride, c.pad, c.groups)
+                        for x in batch]
 
         conv_rule = dataclasses.replace(model._KINDS["conv"], forward=oracle)
         monkeypatch.setitem(model._KINDS, "conv", conv_rule)
@@ -254,9 +270,9 @@ class TestBatchedConv:
 
 
 def tiled_conv_blocks(groups, per_in, per_out, k, stride, pad, h, w, budget, seed=0):
-    """Run ``_conv_forward`` on two random samples with the patch budget set
-    to ``budget`` bytes, check each sample against the chunked and the
-    per-group kernels, and return the blocks the conv used."""
+    """Run a conv layer (``model._run``) on two random samples with the
+    patch budget set to ``budget`` bytes, check each sample against the
+    chunked and the per-group kernels, and return the blocks the conv used."""
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((groups * per_out, per_in, k, k))
     bias = rng.standard_normal(groups * per_out)
@@ -265,7 +281,7 @@ def tiled_conv_blocks(groups, per_in, per_out, k, stride, pad, h, w, budget, see
     h_out, w_out = layer.conv.out_size(h, w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "PATCH_BYTES", budget)
-        got = model._conv_forward(layer, xs)
+        got = model._run(layer, xs)
         blocks = list(model._patch_blocks(groups, per_in * k * k, h_out, w_out))
     for x, out in zip(xs, got):
         for oracle in (chunked_group_conv, per_group_conv):
@@ -395,6 +411,27 @@ class TestSplitWalk:
         for layer_id, out in serial.items():
             assert np.array_equal(split[layer_id], out), layer_id
 
+    def test_parameters_are_read_once_each_on_the_calling_thread(self, tmp_path, monkeypatch):
+        read, reads = modelio._BlobTensor.read, []
+
+        def recorded(tensor):
+            reads.append((tensor, threading.current_thread()))
+            return read(tensor)
+
+        monkeypatch.setattr(modelio._BlobTensor, "read", recorded)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+        for build in (pool_fc_net, residual_net):
+            net = load_model(save_model(build(), tmp_path / f"{build.__name__}.json"))
+            deferred = [value for layer in net.layers
+                        for params in (layer.conv, layer.fc, layer.affine) if params is not None
+                        for *_, value in model.array_fields(params) if value is not None]
+            reads.clear()
+            xs = np.random.default_rng(5).standard_normal((5, *net.input_shape))
+            for _ in model._walk(net, xs):
+                pass
+            assert all(thread is threading.main_thread() for _, thread in reads)
+            assert sorted(map(id, (tensor for tensor, _ in reads))) == sorted(map(id, deferred))
+
     def test_one_sample_or_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(threading.Thread, "start", _no_thread)
         for net in (residual_net(), pool_fc_net()):
@@ -442,7 +479,7 @@ class TestPooling:
     @staticmethod
     def check_against_nested_loops(pool, xs):
         for kind, mode in (("maxpool", "max"), ("avgpool", "avg")):
-            out = model._KINDS[kind].forward(LayerSpec(id="p", kind=kind, pool=pool), xs, None)
+            out = model._run(LayerSpec(id="p", kind=kind, pool=pool), xs)
             want = np.stack([direct_pool(x, pool.k, pool.stride, pool.pad, mode) for x in xs])
             if mode == "max":
                 assert np.array_equal(out, want)
@@ -467,7 +504,7 @@ class TestPooling:
         layer = LayerSpec(id="p", kind=kind, pool=PoolParams(3, 2, pad=1))
         tracemalloc.start()
         try:
-            out = model._KINDS[kind].forward(layer, xs, None)
+            out = model._run(layer, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,10 +32,11 @@ sorted by path: run it on two checkouts and ``diff`` the listings to check
 that a change keeps every byte written. The vgg16 workload needs about
 2 GB of memory and 1.5 GB of disk.
 
-After the listing, each ``compress`` command that reconstructs (every one
-without ``--no-reconstruct``: ``res34-recon`` and the toy variants) runs
-again in a child process limited to one CPU, writing into a temporary
-directory outside OUT_DIR. Each file it writes is compared with the same
+After the listing, each command that walks calibration batches runs again
+in a child process limited to one CPU, writing into a temporary directory
+outside OUT_DIR: every ``compress`` that reconstructs (every one without
+``--no-reconstruct``: ``res34-recon`` and the toy variants), and every
+``analyze --correlation``. Each file it writes is compared with the same
 file under OUT_DIR; if any differs, its path is printed to stderr and the
 exit status is 1, since the result must not depend on the CPU count.
 """
@@ -74,13 +75,13 @@ def groupcompress(*argv, cpus: set[int] | None = None) -> None:
                    preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
 
 
-def one_cpu_differences(compress_runs) -> list[Path]:
-    """Rerun each ``(output dir, argv for an output dir)`` of
-    ``compress_runs`` on one CPU into a temporary directory, and return the
-    path under OUT_DIR of each file the rerun wrote differently."""
+def one_cpu_differences(runs) -> list[Path]:
+    """Rerun each ``(output dir, argv for an output dir)`` of ``runs`` on one
+    CPU into a temporary directory, and return the path under OUT_DIR of
+    each file the rerun wrote differently."""
     differ = []
     with tempfile.TemporaryDirectory() as rerun_root:
-        for out_dir, argv in compress_runs:
+        for out_dir, argv in runs:
             rerun = Path(rerun_root) / out_dir
             groupcompress(*argv(rerun), cpus={min(os.sched_getaffinity(0))})
             for path in sorted(p for p in rerun.rglob("*") if p.is_file()):
@@ -93,6 +94,11 @@ def one_cpu_differences(compress_runs) -> list[Path]:
 def toy_compress_argv(toy: str, flags: tuple, out_dir: Path) -> list:
     return ["compress", f"fixtures/{toy}.json", "-o", out_dir, "--degree", "constant",
             "--base-n", "1", "--calib-seed", "41", *flags]
+
+
+def toy_analyze_argv(toy: str, variant: str, flags: tuple, out_dir: Path) -> list:
+    return ["analyze", f"fixtures/{toy}.json", f"{toy}/{variant}/model.json", "-o", out_dir,
+            *flags]
 
 
 def write_forwards(original: Path, out_dir: Path) -> None:
@@ -125,32 +131,32 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    reconstructing = []  # (output dir, argv for an output dir) of each such compress
+    walking = []  # (output dir, argv for an output dir) of each calibration-walking command
 
-    def compress(argv_for, out_dir: Path) -> None:
+    def run(argv_for, out_dir: Path) -> None:
         argv = argv_for(out_dir)
         groupcompress(*argv)
-        if "--no-reconstruct" not in argv:
-            reconstructing.append((out_dir, argv_for))
+        if "--no-reconstruct" not in argv and (argv[0] == "compress" or "--correlation" in argv):
+            walking.append((out_dir, argv_for))
 
     for name in WORKLOADS:
         inputs = prepare(BENCH[name], WORKLOAD_SEED, Path(name))
-        compress(functools.partial(inputs.compress_argv, BENCH[name]), Path(name) / "out")
+        run(functools.partial(inputs.compress_argv, BENCH[name]), Path(name) / "out")
         write_forwards(inputs.model, Path(name) / "out")
     for toy in ("toy3", "toy4"):
         groupcompress("gen-fixtures", toy, "-o", "fixtures")
         for variant, flags in TOY_VARIANTS.items():
-            compress(functools.partial(toy_compress_argv, toy, flags), Path(toy) / variant)
+            run(functools.partial(toy_compress_argv, toy, flags), Path(toy) / variant)
             write_forwards(Path(f"fixtures/{toy}.json"), Path(toy) / variant)
             for analysis, analyze_flags in ANALYZE_VARIANTS.items():
-                groupcompress("analyze", f"fixtures/{toy}.json", f"{toy}/{variant}/model.json",
-                              "-o", f"{toy}/{variant}/{analysis}", *analyze_flags)
+                run(functools.partial(toy_analyze_argv, toy, variant, analyze_flags),
+                    Path(toy) / variant / analysis)
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
-    differ = one_cpu_differences(reconstructing)
+    differ = one_cpu_differences(walking)
     for path in differ:
-        print(f"{path.as_posix()}: bytes differ when compress runs on one CPU", file=sys.stderr)
+        print(f"{path.as_posix()}: bytes differ when rerun on one CPU", file=sys.stderr)
     return 1 if differ else 0
 
 
