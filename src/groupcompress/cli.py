@@ -4,19 +4,19 @@ Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
 error, 4 numerical failure, 1 anything else. What needs no model (counts,
 seeds, the ridge, an ``-o`` that cannot be written: a file or a path under
 one where a directory goes, a directory where a file goes) is a usage error
-at parse time, exit 2; ``compress`` reads its calibration set before the
-first SVD.
+at parse time, exit 2; ``compress`` reads its calibration set, and checks
+that it gives each solve enough rows, before the first SVD.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from .decompose import decompose_network, decomposed_pairs, group_conv_matrix
+from . import linalg
+from .decompose import decompose_network, decomposed_pairs
 from .degeneracy import (
     equal_flops_ranks,
     filter_correlation,
@@ -37,7 +37,7 @@ from .errors import (
 from .fixtures import BUILDERS
 from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
 from .modelio import load_model, save_model, write_json
-from .reconstruct import CalibrationSet, reconstruct_network
+from .reconstruct import CalibrationSet, check_rows, reconstruct_network
 from .schedule import (
     CompressionPlan, build_plan, list_presets, plan_from_preset, predict_flops,
 )
@@ -63,13 +63,11 @@ def _int_at_least(minimum: int):
 
 
 def _ridge(text: str) -> float:
+    """An argparse type: a ridge that ``linalg.check_ridge`` accepts."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+        return linalg.check_ridge(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _output_dir(text: str) -> str:
@@ -155,6 +153,8 @@ def run_compress(args) -> dict:
     flops_before, per_before = network_flops(net)
     reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
     calib, calib_info = _calibration(args, net.input_shape) if reconstruct else (None, None)
+    if reconstruct:
+        check_rows(net, plan.layer_ranks, calib.count, not args.no_intercept)
 
     compressed, decomps = decompose_network(
         net, plan.layer_ranks, force_pointwise=args.force_1x1
@@ -274,13 +274,11 @@ def cmd_analyze(args) -> int:
         calib, _ = _calibration(args, compressed.input_shape)
 
     rank_reports = []
-    labels = []
     for src, d_layer, p_layer in pairs:
         conv = original.layer(src).conv
         n = d_layer.conv.c_in // d_layer.conv.groups
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, n)
         rank_reports.append(report)
-        labels.append(src)
 
         w_mat = conv.weight_matrix()
         write_energy_csv(
@@ -290,18 +288,16 @@ def cmd_analyze(args) -> int:
         write_energy_csv(
             out_dir / f"energy_{src}_group.csv",
             jacobian_energy_curve(
-                group_conv_matrix(d_layer.conv), p_layer.conv.weight_matrix(),
+                d_layer.conv.weight_matrix(), p_layer.conv.weight_matrix(),
                 mode=mode,
             ),
         )
-        if report.rank_svd >= 1:
-            write_energy_csv(
-                out_dir / f"energy_{src}_svd_baseline.csv",
-                jacobian_energy_curve(
-                    svd_strategy_matrix(w_mat, report.rank_svd), mode=mode
-                ),
-            )
-    write_rank_report_csv(out_dir / "ranks.csv", rank_reports, labels=labels)
+        # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
+        write_energy_csv(
+            out_dir / f"energy_{src}_svd_baseline.csv",
+            jacobian_energy_curve(svd_strategy_matrix(w_mat, report.rank_svd), mode=mode),
+        )
+    write_rank_report_csv(out_dir / "ranks.csv", rank_reports, [src for src, _, _ in pairs])
 
     if args.correlation:
         summary_rows = _correlation_analysis(

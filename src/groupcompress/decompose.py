@@ -73,8 +73,6 @@ def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
     Stacking the blocks vertically reproduces the weight matrix exactly.
     """
     pair_layers(w, n)
-    if w.weights is None:
-        raise DecompositionError("layer has no materialized weights")
     return w.weight_matrix().reshape(w.c_in // n, n * w.k * w.k, w.c_out)
 
 
@@ -96,8 +94,9 @@ class GroupDecomposition:
         return float(np.sqrt(np.sum(self.block_truncation_errors**2)))
 
     def d_matrix(self) -> np.ndarray:
-        """Assembled block-diagonal D, shape (c_in * k^2) x c_in."""
-        return group_conv_matrix(self.d_layer)
+        """Assembled D, shape (c_in * k^2) x c_in: block-diagonal, one
+        (n * k^2) x n block per group (``ConvWeights.weight_matrix``)."""
+        return self.d_layer.weight_matrix()
 
     def p_matrix(self) -> np.ndarray:
         """Assembled P, shape c_in x c_out."""
@@ -106,18 +105,6 @@ class GroupDecomposition:
     def composed_matrix(self) -> np.ndarray:
         """D @ P, same shape as the original weight matrix."""
         return self.d_matrix() @ self.p_matrix()
-
-
-def decompose_layer(
-    w: ConvWeights, n: int, force_pointwise: bool = False
-) -> GroupDecomposition:
-    """Best rank-n per-block factorization of an ungrouped convolution.
-
-    1x1 layers are rejected by default: with k == 1 the structure reduces to
-    a plain channel SVD and the FLOPs ratio n/c_out + 1 never compresses.
-    Pass ``force_pointwise=True`` to decompose them anyway.
-    """
-    return _factor_stack(w, n, _checked_stack(w, n, force_pointwise))
 
 
 def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
@@ -130,8 +117,16 @@ def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
     return linalg.svd_input(partition_blocks(w, n))
 
 
-def _factor_stack(w: ConvWeights, n: int, stack: np.ndarray) -> GroupDecomposition:
-    """``decompose_layer`` of ``w``, given its ``_checked_stack``."""
+def decompose_layer(
+    w: ConvWeights, n: int, force_pointwise: bool = False
+) -> GroupDecomposition:
+    """Best rank-n per-block factorization of an ungrouped convolution.
+
+    1x1 layers are rejected by default: with k == 1 the structure reduces to
+    a plain channel SVD and the FLOPs ratio n/c_out + 1 never compresses.
+    Pass ``force_pointwise=True`` to decompose them anyway.
+    """
+    stack = _checked_stack(w, n, force_pointwise)
     k, c_in, c_out = w.k, w.c_in, w.c_out
     blocks = c_in // n
     d = np.zeros((c_in, n, k, k))
@@ -162,22 +157,6 @@ def _factor_stack(w: ConvWeights, n: int, stack: np.ndarray) -> GroupDecompositi
         p_layer=replace(p_layer, weights=p, bias=None if w.bias is None else w.bias.copy()),
         block_truncation_errors=errors,
     )
-
-
-def group_conv_matrix(conv: ConvWeights) -> np.ndarray:
-    """Block-diagonal matrix form of a group convolution, shape
-    (c_in * k^2) x c_out; the off-block entries are structurally zero."""
-    if conv.weights is None:
-        raise DecompositionError("layer has no materialized weights")
-    g, per_out = conv.groups, conv.c_out // conv.groups
-    rows = conv.c_in // g * conv.k * conv.k
-    out = np.zeros((g * rows, conv.c_out))
-    # Group i's filters are block (i, i) of the (G, rows, G, per_out) view.
-    diagonal = np.arange(g)
-    out.reshape(g, rows, g, per_out)[diagonal, :, diagonal] = (
-        conv.weights.reshape(g, per_out, rows).transpose(0, 2, 1)
-    )
-    return out
 
 
 def decomposed_pairs(

@@ -16,7 +16,8 @@ Equal-FLOPs widths:
     c_d      = (c_in k^2 n + c_in c_out) / (c_in k^2 + c_out)
     c_d' k   = (c_in k^2 n + c_in c_out) / (c_in + c_out)
 
-Widths are reported as reals and floored when an integer rank is needed.
+Widths are reported as reals. An integer rank floors them, and is at most
+the rank bound min(c_in k^2, c_out) of the weight matrix.
 The comparisons R1 < R_ours (for n < c_in) and R2 < R_ours (for
 n < c_in / k^2) assume the usual regime c_in <= c_out < c_in k^2 with k > 1.
 """
@@ -65,7 +66,7 @@ def equal_flops_ranks(c_in: int, c_out: int, k: int, n: int) -> StrategyRankRepo
         flops_ratio=float(flops_ratio_fraction(c_out, k, n)),
         c_d=c_d,
         c_d_prime_k=c_d_prime_k,
-        rank_svd=int(np.floor(c_d)),
+        rank_svd=min(int(np.floor(c_d)), c_in * k * k, c_out),
         rank_spatial=min(int(np.floor(c_d_prime_k)), c_out),
         rank_group=min(c_in, c_out),
     )
@@ -218,11 +219,11 @@ def write_energy_csv(path, curve: EnergyCurve) -> Path:
     ))
 
 
-def write_rank_report_csv(path, reports: list[StrategyRankReport], labels=None) -> Path:
+def write_rank_report_csv(path, reports: list[StrategyRankReport], labels: list[str]) -> Path:
+    """One row per report, in the column ``layer`` its label."""
     header = ["layer"] + list(reports[0].to_row()) if reports else ["layer"]
     return write_csv(path, header, (
-        [labels[i] if labels else str(i), *report.to_row().values()]
-        for i, report in enumerate(reports)
+        [label, *report.to_row().values()] for label, report in zip(labels, reports)
     ))
 
 

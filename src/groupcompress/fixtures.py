@@ -125,7 +125,7 @@ def _basic_block(rng, layers, prefix, prev_id, c_in, c_out, stride, in_stage, ou
     return f"{prefix}relu"
 
 
-def build_resnet34(seed: int | None = 0, num_classes: int = 1000) -> NetworkSpec:
+def build_resnet34(seed: int | None = 0) -> NetworkSpec:
     """ResNet-34 for 3 x 224 x 224 inputs. ``seed=None`` builds a shape-only
     network (no weights) for FLOPs accounting."""
     rng = None if seed is None else np.random.default_rng(seed)
@@ -152,11 +152,11 @@ def build_resnet34(seed: int | None = 0, num_classes: int = 1000) -> NetworkSpec
                 block_in_stage, out_stage,
             )
     layers.append(LayerSpec(id="avgpool", kind="avgpool", pool=PoolParams(7, 1)))
-    layers.append(_fc(rng, "fc", 512, num_classes))
+    layers.append(_fc(rng, "fc", 512, 1000))
     return NetworkSpec("resnet34", (3, 224, 224), layers)
 
 
-def build_vgg16(seed: int | None = 0, num_classes: int = 1000) -> NetworkSpec:
+def build_vgg16(seed: int | None = 0) -> NetworkSpec:
     """VGG-16 (configuration D) for 3 x 224 x 224 inputs."""
     rng = None if seed is None else np.random.default_rng(seed)
     cfg = [
@@ -183,7 +183,7 @@ def build_vgg16(seed: int | None = 0, num_classes: int = 1000) -> NetworkSpec:
     layers.append(LayerSpec(id="fc6_relu", kind="relu"))
     layers.append(_fc(rng, "fc7", 4096, 4096))
     layers.append(LayerSpec(id="fc7_relu", kind="relu"))
-    layers.append(_fc(rng, "fc8", 4096, num_classes))
+    layers.append(_fc(rng, "fc8", 4096, 1000))
     return NetworkSpec("vgg16", (3, 224, 224), layers)
 
 

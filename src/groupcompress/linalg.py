@@ -4,26 +4,27 @@ All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
 the boundary so callers higher up the pipeline can assume clean inputs.
 
-Patch layout is fixed. ``patch_tile`` gives the k x k patches of output
-rows start..stop of a C x H x W map padded once by ``pad_map``, as a
+Patch layout is fixed. ``_fill_tile`` gives the k x k patches of output
+rows start..stop of a C x H x W map padded once by ``_pad_into``, as a
 (C*k*k) x ((stop - start)*W_out) matrix: row ``c*k*k + ki*k + kj`` holds
 channel ``c``, kernel row ``ki``, kernel column ``kj`` (channel-major), and
 column ``(oy - start)*W_out + ox`` the output position. The rows of any
 channel range are one contiguous block, which is what lets a group conv take
 one group's patches as a reshape, and the tiles of consecutive row ranges,
 side by side, are the patch matrix of the whole map. Serialized
-decompositions rely on this ordering; do not change it. ``window_views`` is
-the one place a window is sliced: it yields the k*k strided views of a
-padded map that ``patch_tile`` copies and pooling reduces.
+decompositions rely on this ordering; do not change it. ``_window_views``
+is the one place a window is sliced: it yields the k*k strided views of a
+padded map that ``_fill_tile`` copies and pooling reduces.
 
 ``_on_every_cpu`` is the one way work runs on several CPUs: decompose's SVD
 blocks and ``model._run``, which runs every layer of a batch. Code run in a
-share calls the private forms of the functions here (``_svd``,
-``_pad_into``, ``_fill_tile``, ``_window_views``).
+share calls only the private functions here (``_svd``, ``_pad_into``,
+``_fill_tile``, ``_window_views``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections.abc import Callable
@@ -142,8 +143,7 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
         raise ShapeError(
             f"design has {design.shape[0]} rows but targets has {targets.shape[0]}"
         )
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    check_ridge(ridge)
     if design.shape[0] < design.shape[1]:
         warnings.warn(
             f"design has fewer rows ({design.shape[0]}) than columns "
@@ -174,11 +174,11 @@ def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
     return solution
 
 
-def pad_map(image, pad: int, fill: float = 0.0) -> np.ndarray:
-    """A C x H x W map framed by ``pad`` rows and columns of ``fill`` on each
-    side, as a fresh array; for pad = 0, the map itself."""
-    image = np.asarray(image, dtype=np.float64)
-    return _pad_into(image, _pad_buffer(image.shape, pad, fill), pad)
+def check_ridge(ridge: float) -> float:
+    """``ridge`` if it is a finite number >= 0, else ValueError."""
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
+    return ridge
 
 
 def _pad_buffer(shape: tuple, pad: int, fill: float) -> np.ndarray | None:
@@ -191,8 +191,9 @@ def _pad_buffer(shape: tuple, pad: int, fill: float) -> np.ndarray | None:
 
 
 def _pad_into(image: np.ndarray, padded: np.ndarray | None, pad: int) -> np.ndarray:
-    """``pad_map`` of ``image``, written into the inside of ``padded`` (a
-    ``_pad_buffer``, whose frame is never written), or ``image`` itself for
+    """The C x H x W ``image`` framed by ``pad`` rows and columns on each
+    side: written into the inside of ``padded`` (a ``_pad_buffer``, whose
+    frame of fill values is never written), or ``image`` itself for
     pad = 0."""
     if pad == 0:
         return image
@@ -201,17 +202,12 @@ def _pad_into(image: np.ndarray, padded: np.ndarray | None, pad: int) -> np.ndar
     return padded
 
 
-def window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int):
+def _window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int):
     """Yield the k * k strided views of a padded C x H x W map that hold
     kernel offset (ki, kj) of every k x k window of output rows start..stop,
     each a C x (stop - start) x W_out view, in (ki, kj) row-major order.
     Output row r reads padded rows r*stride .. r*stride + k - 1. The layers
     check the window geometry (``model._Window``)."""
-    return _window_views(padded, k, stride, start, stop)
-
-
-def _window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int):
-    """``window_views``, for the forward rules' worker threads."""
     rows, w_out = stop - start, (padded.shape[2] - k) // stride + 1
     # One strided slice per kernel offset; cheaper than gathering per window.
     for ki in range(k):
@@ -220,24 +216,13 @@ def _window_views(padded: np.ndarray, k: int, stride: int, start: int, stop: int
             yield padded[:, top : top + stride * rows : stride, kj : kj + stride * w_out : stride]
 
 
-def patch_tile(padded, k: int, stride: int, start: int, stop: int) -> np.ndarray:
-    """The patches of output rows start..stop of a map already padded by
-    ``pad_map``, as a fresh C-contiguous (C * k * k) x ((stop - start) *
-    W_out) matrix in the layout of the module docstring. The tile reads
-    padded rows start*stride .. (stop - 1)*stride + k - 1 only."""
-    padded = np.asarray(padded, dtype=np.float64)
-    c, h, w = padded.shape
-    h_out = (h - k) // stride + 1
-    if not 0 <= start < stop <= h_out:
-        raise ShapeError(f"output rows {start}..{stop} are not a range of 0..{h_out}")
-    tile = np.empty(c * k * k * (stop - start) * ((w - k) // stride + 1))
-    return _fill_tile(tile, padded, k, stride, start, stop)
-
-
 def _fill_tile(buffer: np.ndarray, padded: np.ndarray, k: int, stride: int, start: int,
                stop: int) -> np.ndarray:
-    """``patch_tile``, written into the leading values of the 1-D float64
-    ``buffer`` and returned as a view of them."""
+    """The patches of output rows start..stop of a map padded by
+    ``_pad_into``, in the layout of the module docstring: a (C * k * k) x
+    ((stop - start) * W_out) matrix written into the leading values of the
+    1-D float64 ``buffer`` and returned as a C-contiguous view of them. It
+    reads padded rows start*stride .. (stop - 1)*stride + k - 1 only."""
     c, w = padded.shape[0], padded.shape[2]
     rows, w_out = stop - start, (w - k) // stride + 1
     tile = buffer[: c * k * k * rows * w_out].reshape(c, k * k, rows, w_out)
@@ -264,7 +249,7 @@ def _on_every_cpu(count: int, work: Callable, scratch: Callable = tuple) -> None
     it is given, and calls only private functions: a span tracer that wraps
     every public function keeps one span stack per process, which
     concurrent calls would break. Its callers are ``model._run``, for each
-    layer of a batch, and ``decompose._factor_stack``."""
+    layer of a batch, and ``decompose.decompose_layer``."""
     parts = max(1, min(_usable_cpus(), count))
     shares = [(count * i // parts, count * (i + 1) // parts, *scratch()) for i in range(parts)]
     if parts == 1:

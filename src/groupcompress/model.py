@@ -28,7 +28,7 @@ core, one BLAS thread) it was measured on: 0.5, 2 and 4 MiB were no faster
 on the vgg16_a and resnet34 plan D forwards (see CHANGES.md).
 
 Pooling pads each sample once, with -inf (max) or 0 (average), and folds
-the k^2 views of ``linalg.window_views`` into its output with np.maximum or
+the k^2 views of ``linalg._window_views`` into its output with np.maximum or
 np.add, in kernel row-major order; an average then divides by k^2. No
 window array is built.
 
@@ -197,16 +197,23 @@ class ConvWeights(_Window):
         _check_arrays(self)
 
     def weight_matrix(self) -> np.ndarray:
-        """The (c_in * k^2) x c_out matrix form of an ungrouped layer.
-
-        Row ordering matches the patch rows of ``linalg.patch_tile``
-        (channel-major, then kernel row, then kernel column).
-        """
-        if self.groups != 1:
-            raise ShapeError("weight_matrix is defined for groups == 1")
+        """The (c_in * k^2) x c_out matrix form of the layer, rows in the
+        patch row order of ``linalg._fill_tile`` (channel-major, then kernel
+        row, then kernel column): a view of the weights when ungrouped, else
+        a block-diagonal copy, group i's filters in block (i, i) and zeros
+        elsewhere."""
         if self.weights is None:
             raise ShapeError("layer has no materialized weights")
-        return self.weights.reshape(self.c_out, -1).T
+        g, per_out = self.groups, self.c_out // self.groups
+        if g == 1:
+            return self.weights.reshape(self.c_out, -1).T
+        rows = self.c_in // g * self.k * self.k
+        out = np.zeros((g * rows, self.c_out))
+        diagonal = np.arange(g)
+        out.reshape(g, rows, g, per_out)[diagonal, :, diagonal] = (
+            self.weights.reshape(g, per_out, rows).transpose(0, 2, 1)
+        )
+        return out
 
 
 @dataclass
@@ -563,7 +570,7 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
 
 def response_rows(out: np.ndarray) -> np.ndarray:
     """A layer's output batch as (positions x channels) rows: sample-major,
-    then output position in the column order of ``linalg.patch_tile``. The
+    then output position in the column order of ``linalg._fill_tile``. The
     result is column-major: sums over it, such as the default ridge, depend
     on the memory order in their last bits."""
     return np.moveaxis(out, 1, 0).reshape(out.shape[1], -1).T

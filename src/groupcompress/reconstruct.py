@@ -19,7 +19,6 @@ earlier decomposed layer is already in its final merged form.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -114,14 +113,13 @@ def default_ridge(y_star: np.ndarray) -> float:
 def solve_reconstruction(
     y,
     y_star,
-    ridge: float | None = None,
+    ridge: float,
     intercept: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve for the mixing matrix A (c_out x c_out) and a bias correction.
 
-    ``ridge=None`` applies the scale-aware default; pass 0.0 for the plain
-    unconstrained regression. Without an intercept the returned correction
-    is zero.
+    ``ridge`` 0.0 gives the plain unconstrained regression. Without an
+    intercept the returned correction is zero.
     """
     y = linalg.as_matrix(y, "y")
     y_star = linalg.as_matrix(y_star, "y_star")
@@ -140,9 +138,6 @@ def solve_reconstruction(
             CalibrationWarning,
             stacklevel=2,
         )
-    if ridge is None:
-        ridge = default_ridge(y_star)
-
     if intercept:
         design = np.hstack([y_star, np.ones((rows, 1))])
         solution = linalg.solve_least_squares(design, y, ridge=ridge)
@@ -151,18 +146,14 @@ def solve_reconstruction(
     return solution, np.zeros(c_out)
 
 
-def merge_pointwise_weights(
-    p: ConvWeights, a: np.ndarray, bias_delta: np.ndarray | None = None
-) -> ConvWeights:
+def merge_pointwise_weights(p: ConvWeights, a: np.ndarray, bias_delta: np.ndarray) -> ConvWeights:
     """Fold the mixing matrix into a pointwise layer: P' = P @ A,
     bias' = A^T b + delta."""
     a = linalg.as_matrix(a, "a")
     if a.shape != (p.c_out, p.c_out):
         raise ShapeError(f"A must be {p.c_out}x{p.c_out}, got {a.shape}")
     p_mat = p.weight_matrix() @ a  # (c_in, c_out)
-    bias = np.zeros(p.c_out) if p.bias is None else a.T @ p.bias
-    if bias_delta is not None:
-        bias = bias + bias_delta
+    bias = (np.zeros(p.c_out) if p.bias is None else a.T @ p.bias) + bias_delta
     return replace(p, weights=p_mat.T.reshape(p.c_out, p.c_in, 1, 1), bias=bias)
 
 
@@ -190,12 +181,14 @@ def _pair_outputs(original_walk, compressed_walk, pair):
     return p_input, y_output, star_output
 
 
-def _check_rows(compressed: NetworkSpec, pairs, count: int, intercept: bool) -> None:
-    """Every solve needs at least as many response rows as unknowns; checked
-    from shapes alone, before any forward pass."""
-    shapes = propagate_shapes(compressed)
-    for layer_id, _, p_layer in pairs:
-        c_out, h, w = shapes[p_layer.id]
+def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool) -> None:
+    """Every solve needs at least as many response rows as unknowns: checked
+    from the output shapes of the convs of ``net`` that ``layer_ids`` names,
+    in network order, before any forward pass or SVD. Other ids are left to
+    the plan check."""
+    shapes, layer_ids = propagate_shapes(net), set(layer_ids)
+    for layer_id in (l.id for l in net.conv_layers() if l.id in layer_ids):
+        c_out, h, w = shapes[layer_id]
         rows, needed = count * h * w, c_out + (1 if intercept else 0)
         if rows < needed:
             raise ShapeError(
@@ -224,14 +217,15 @@ def reconstruct_network(
     conv's input in the original walk, and the compressed network is not
     walked.
 
+    ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
     not increase the fitting residual; otherwise the layer keeps its plain
     truncated form (recorded in the report).
     """
-    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
+    if ridge is not None:
+        linalg.check_ridge(ridge)
     pairs = decomposed_pairs(compressed, original)
-    _check_rows(compressed, pairs, calib.count, intercept)
+    check_rows(original, [layer_id for layer_id, _, _ in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
     original_walk = _walk(original, calib.samples)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -619,18 +620,20 @@ class TestCompress:
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
     ):
-        plan = CompressionPlan("constant", 1, {}, {"c1": 1, "r1": 1})
-        plan = plan.save(tmp_path / "plan.json")
-
         def no_svd(a):
             raise AssertionError("SVD ran before the plan check")
 
         monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
-        out_dir = tmp_path / "o"
-        code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan)])
-        assert code == EXIT_PLAN
-        assert "'r1'" in capsys.readouterr().err
-        assert not (out_dir / "model.bin").exists()
+        # A relu, and an id that is no layer, with reconstruction on: the
+        # calibration row check leaves both to the plan check.
+        for planned in ("r1", "nosuch"):
+            plan = CompressionPlan("constant", 1, {}, {"c1": 1, planned: 1})
+            plan = plan.save(tmp_path / f"plan-{planned}.json")
+            out_dir = tmp_path / planned
+            code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan)])
+            assert code == EXIT_PLAN
+            assert f"'{planned}'" in capsys.readouterr().err
+            assert not (out_dir / "model.bin").exists()
 
     @pytest.mark.parametrize(
         "field, value, named",
@@ -816,7 +819,11 @@ class TestCompress:
         def no_forward(layer):
             raise AssertionError("a forward pass ran before the row check")
 
+        def no_svd(a):
+            raise AssertionError("SVD ran before the row check")
+
         on_conv_forward(monkeypatch, no_forward)
+        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib-count", "1"])
@@ -954,6 +961,21 @@ class TestAnalyze:
             "energy_c3_group.csv"
         )
 
+    def test_pair_that_does_not_compress(self, toy4_path, tmp_path):
+        # At n = c_in = 4 toy4's c4, a 36 x 3 weight matrix, has an
+        # equal-FLOPs SVD width c_d of 4, above the matrix's rank.
+        out_dir, analysis = tmp_path / "c", tmp_path / "a"
+        assert main(["compress", str(toy4_path), "-o", str(out_dir), "--degree", "constant",
+                     "--base-n", "4", "--no-reconstruct"]) == EXIT_OK
+        code = main(["analyze", str(toy4_path), str(out_dir / "model.json"), "-o", str(analysis)])
+        assert code == EXIT_OK
+        with open(analysis / "ranks.csv", newline="") as fh:
+            rows = {row["layer"]: row for row in csv.DictReader(fh)}
+        assert list(rows) == ["c1", "c2", "c3", "c4"]
+        assert (rows["c4"]["c_d"], rows["c4"]["rank_svd"]) == ("4.0", "3")
+        baseline = np.loadtxt(analysis / "energy_c4_svd_baseline.csv", delimiter=",", skiprows=1)
+        assert len(baseline) == 3 and baseline[-1, 2] == pytest.approx(1.0)
+
     def test_correlation_requires_calibration(self, toy3_path, compressed_dir, tmp_path, capsys):
         code = main(
             [
@@ -1088,6 +1110,54 @@ class TestAnalyze:
             ["analyze", str(toy3_path), str(toy3_path), "-o", str(tmp_path / "a")]
         )
         assert code == EXIT_PLAN
+
+
+class TestPointwiseConv:
+    """--force-1x1 and --energy-sigma on a network whose last conv is 1x1."""
+
+    @pytest.fixture
+    def compress_argv(self, tmp_path):
+        rng = np.random.default_rng(50)
+        layers = [
+            LayerSpec(id="c1", kind="conv", conv=ConvWeights(
+                3, 4, 3, pad=1, weights=rng.standard_normal((4, 3, 3, 3)))),
+            LayerSpec(id="r1", kind="relu"),
+            LayerSpec(id="pw", kind="conv", conv=ConvWeights(
+                4, 6, 1, weights=rng.standard_normal((6, 4, 1, 1)), bias=rng.standard_normal(6))),
+        ]
+        model = save_model(NetworkSpec("pointwise", (3, 5, 5), layers), tmp_path / "pw.json")
+        plan = CompressionPlan("constant", 2, {}, {"pw": 2}).save(tmp_path / "plan.json")
+        return ["compress", str(model), "--plan", str(plan), "--no-reconstruct", "-o"]
+
+    def test_force_1x1_decomposes_a_pointwise_conv(self, compress_argv, tmp_path, capsys):
+        assert main([*compress_argv, str(tmp_path / "refused")]) == EXIT_PLAN
+        assert "refusing to decompose a 1x1 convolution" in capsys.readouterr().err
+        assert not (tmp_path / "refused" / "model.bin").exists()
+        assert main([*compress_argv, str(tmp_path / "forced"), "--force-1x1"]) == EXIT_OK
+        original = load_model(compress_argv[1])
+        compressed = load_model(tmp_path / "forced" / "model.json")
+        assert [layer.id for layer in compressed.layers] == ["c1", "r1", "pw.d", "pw.p"]
+        d = compressed.layer("pw.d").conv
+        assert (d.k, d.groups) == (1, 2)
+        # Each 2 x 6 block of the 4 x 6 weight matrix has rank <= n = 2.
+        x = np.random.default_rng(51).standard_normal(original.input_shape)
+        assert np.allclose(forward(compressed, x), forward(original, x), atol=1e-10)
+
+    def test_energy_sigma_accumulates_sigma(self, compress_argv, tmp_path):
+        assert main([*compress_argv, str(tmp_path / "c"), "--force-1x1"]) == EXIT_OK
+        analyze = ["analyze", compress_argv[1], str(tmp_path / "c" / "model.json"), "-o"]
+        assert main([*analyze, str(tmp_path / "squared")]) == EXIT_OK
+        assert main([*analyze, str(tmp_path / "sigma"), "--energy-sigma"]) == EXIT_OK
+        for name in ("original", "group", "svd_baseline"):
+            curves = {}
+            for mode, weight in (("squared", np.square), ("sigma", np.asarray)):
+                rows = np.loadtxt(tmp_path / mode / f"energy_pw_{name}.csv", delimiter=",",
+                                  skiprows=1, ndmin=2)
+                weights = weight(rows[:, 1])
+                assert np.allclose(rows[:, 2], np.cumsum(weights) / weights.sum(), rtol=1e-12)
+                curves[mode] = rows
+            assert np.array_equal(curves["squared"][:, 1], curves["sigma"][:, 1])
+            assert not np.allclose(curves["squared"][:-1, 2], curves["sigma"][:-1, 2])
 
 
 class TestUsageErrors:

@@ -11,7 +11,6 @@ from groupcompress.decompose import (
     decompose_layer,
     decompose_network,
     decomposed_pairs,
-    group_conv_matrix,
     pair_layers,
     partition_blocks,
 )
@@ -141,7 +140,10 @@ class TestStackedDecomposition:
         rng = np.random.default_rng(20 + groups)
         weights = rng.standard_normal((16, 8 // groups, 3, 3))
         conv = ConvWeights(8, 16, 3, groups=groups, weights=weights)
-        assert np.array_equal(group_conv_matrix(conv), block_diagonal_matrix(weights, groups))
+        matrix = conv.weight_matrix()
+        assert np.array_equal(matrix, block_diagonal_matrix(weights, groups))
+        # Ungrouped, the matrix is a view of the weights; grouped, a copy.
+        assert np.shares_memory(matrix, weights) == (groups == 1)
 
 
 class TestDecomposeLayer:

@@ -62,6 +62,21 @@ class TestEqualFlopsRanks:
             group_cost = c_in * k * k * n + c_in * c_out
             assert svd_cost == pytest.approx(group_cost, rel=1e-12)
 
+    def test_svd_rank_is_within_the_weight_matrix_rank(self):
+        # c_d = 156 / 39 = 4, above the rank 3 of a 36 x 3 weight matrix
+        # (the toy4 fixture's last conv, at n = c_in).
+        report = equal_flops_ranks(4, 3, 3, 4)
+        assert report.c_d == pytest.approx(4.0)
+        assert report.rank_svd == 3
+        w = np.random.default_rng(2).standard_normal((36, 3))
+        assert np.allclose(svd_strategy_matrix(w, report.rank_svd), w)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            c_in, c_out, k = (int(v) for v in rng.integers(1, 9, size=3))
+            n = int(rng.choice([d for d in range(1, c_in + 1) if c_in % d == 0]))
+            report = equal_flops_ranks(c_in, c_out, k, n)
+            assert 1 <= report.rank_svd <= min(c_in * k * k, c_out)
+
     def test_rank_group_independent_of_n(self):
         ranks = {equal_flops_ranks(32, 64, 3, n).rank_group for n in (1, 2, 4, 8, 16, 32)}
         assert ranks == {32}

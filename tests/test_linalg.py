@@ -200,11 +200,30 @@ class TestLeastSquares:
         with pytest.raises(ShapeError, match="rows"):
             linalg.solve_least_squares(np.ones((4, 2)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_ridge_that_is_not_finite_and_nonnegative_raises(self, ridge):
+        rng = np.random.default_rng(17)
+        design, targets = rng.standard_normal((20, 4)), rng.standard_normal((20, 2))
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            linalg.solve_least_squares(design, targets, ridge=ridge)
+
+
+def pad_map(img, pad, fill=0.0):
+    """``img`` padded as the kernels pad it: into a ``_pad_buffer``."""
+    return linalg._pad_into(img, linalg._pad_buffer(img.shape, pad, fill), pad)
+
+
+def patch_tile(padded, k, stride, start, stop):
+    """The tile of output rows start..stop, in a buffer with room to spare."""
+    c, _, w = padded.shape
+    buffer = np.full(c * k * k * (stop - start) * ((w - k) // stride + 1) + 5, np.nan)
+    return linalg._fill_tile(buffer, padded, k, stride, start, stop)
+
 
 def patches(img, k, stride, pad):
     """The patch matrix of a whole map: one tile of all its output rows."""
     h_out = (img.shape[1] + 2 * pad - k) // stride + 1
-    return linalg.patch_tile(linalg.pad_map(img, pad), k, stride, 0, h_out)
+    return patch_tile(pad_map(img, pad), k, stride, 0, h_out)
 
 
 class TestIm2col:
@@ -250,7 +269,7 @@ class TestIm2col:
 
 
 class TestPatchColumns:
-    """``patch_tile`` and ``window_views`` against the nested-loop patches."""
+    """``_fill_tile`` and ``_window_views`` against the nested-loop patches."""
 
     @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1), (1, 2, 0)])
     def test_channel_major_layout(self, k, stride, pad):
@@ -262,13 +281,13 @@ class TestPatchColumns:
 
     def test_pointwise_is_a_view(self):
         img = np.random.default_rng(24).standard_normal((4, 5, 6))
-        [view] = linalg.window_views(img, 1, 1, 0, 5)
+        [view] = linalg._window_views(img, 1, 1, 0, 5)
         assert np.shares_memory(view, img)
         assert np.array_equal(view, img)
 
     def test_windows_pad_with_fill(self):
         img = np.ones((2, 2, 2))
-        views = list(linalg.window_views(linalg.pad_map(img, 1, fill=-np.inf), 3, 1, 0, 2))
+        views = list(linalg._window_views(pad_map(img, 1, fill=-np.inf), 3, 1, 0, 2))
         windows = np.stack(views, axis=1).reshape(2, 3, 3, 2, 2)  # views in (ki, kj) order
         # Output (0, 0) sees padding in its top row and left column.
         assert np.all(windows[:, 0, :, 0, 0] == -np.inf)
@@ -283,23 +302,18 @@ class TestPatchColumns:
     ])
     def test_tiles_side_by_side_are_the_patch_columns(self, k, stride, pad, cuts):
         img = np.random.default_rng(25).standard_normal((3, 7 if pad < 3 else 5, 6))
-        padded = linalg.pad_map(img, pad)
-        tiles = [linalg.patch_tile(padded, k, stride, r, r_end) for r, r_end in zip(cuts, cuts[1:])]
+        padded = pad_map(img, pad)
+        tiles = [patch_tile(padded, k, stride, r, r_end) for r, r_end in zip(cuts, cuts[1:])]
         assert all(tile.flags.c_contiguous for tile in tiles)
         assert np.array_equal(np.hstack(tiles), im2col_rows(img, k, stride, pad).T)
 
     def test_pad_map_pads_once_or_not_at_all(self):
         img = np.arange(8.0).reshape(2, 2, 2)
-        assert linalg.pad_map(img, 0) is img
-        padded = linalg.pad_map(img, 2, fill=-1.0)
+        assert pad_map(img, 0) is img
+        padded = pad_map(img, 2, fill=-1.0)
         assert padded.shape == (2, 6, 6)
         assert np.array_equal(padded[:, 2:4, 2:4], img)
         assert np.sum(padded == -1.0) == 2 * (36 - 4)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 6)])
-    def test_tile_outside_the_output_rows_raises(self, start, stop):
-        with pytest.raises(ShapeError, match="output rows"):
-            linalg.patch_tile(np.zeros((1, 7, 7)), 3, 1, start, stop)
 
 
 def test_numerical_rank():

@@ -225,6 +225,13 @@ class TestSolveReconstruction:
         with pytest.warns(CalibrationWarning):
             solve_reconstruction(y, y, ridge=0.0)
 
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_ridge_that_is_not_finite_raises(self, ridge, intercept):
+        y = np.random.default_rng(16).standard_normal((100, 4))
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            solve_reconstruction(y, y, ridge=ridge, intercept=intercept)
+
 
 class TestMerge:
     def test_identity_merge_is_noop(self):
@@ -276,7 +283,7 @@ class TestMerge:
         w = ConvWeights(4, 6, 3, pad=1, weights=rng.standard_normal((6, 4, 3, 3)))
         decomp = decompose_layer(w, 2)
         with pytest.raises(ShapeError, match="6x6"):
-            merge_pointwise_weights(decomp.p_layer, np.eye(4))
+            merge_pointwise_weights(decomp.p_layer, np.eye(4), np.zeros(4))
 
 
 class TestReconstructNetwork:

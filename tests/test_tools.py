@@ -1,12 +1,21 @@
+import functools
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "model_diff.py"
-spec = importlib.util.spec_from_file_location("model_diff", TOOL)
-model_diff = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(model_diff)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+model_diff = load_tool("model_diff")
+output_digests = load_tool("output_digests")
 
 
 def write_blob(path: Path, values) -> None:
@@ -59,3 +68,22 @@ class TestModelDiff:
             "toy3/forward_original.f64: 0 of 3 float64 values differ, "
             "largest relative difference 0, norm-wise 0",
         ]
+
+
+def test_one_cpu_rerun_names_each_file_written_differently(tmp_path, monkeypatch):
+    # As the tool's main sets them: it runs in its output directory, on
+    # relative paths, with one BLAS thread, and the package of this checkout.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    output_digests.groupcompress("gen-fixtures", "toy3", "-o", "fixtures")
+    argv_for = functools.partial(output_digests.toy_compress_argv, "toy3", ())
+    out_dir = Path("toy3")
+    output_digests.groupcompress(*argv_for(out_dir))
+    runs = [(out_dir, argv_for)]
+    assert output_digests.one_cpu_differences(runs) == []
+    model = out_dir / "model.bin"
+    data = bytearray(model.read_bytes())
+    data[len(data) // 2] ^= 1
+    model.write_bytes(data)
+    assert output_digests.one_cpu_differences(runs) == [model]
