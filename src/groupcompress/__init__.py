@@ -1,5 +1,12 @@
 """Compress CNN weights into filter-group + pointwise convolution pairs."""
 
+import os
+
+# The tool spreads its work over the CPUs itself, so BLAS defaults to one
+# thread (a caller's setting wins). It acts only before numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
 from .decompose import (  # noqa: F401

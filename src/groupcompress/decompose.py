@@ -19,12 +19,13 @@ The c_in / n blocks of a layer form one (c_in / n) x (n * k^2) x c_out
 stack. It is factored on every usable CPU (``linalg._on_every_cpu``), one
 contiguous part of the blocks per CPU. Each part writes its own rows of the
 layer's D, P and truncation-error arrays, which are allocated in their
-final layout. An SVD of a stack gives each matrix exactly the factors it
-would get alone, so the serialized model is byte-identical to that of one
-SVD per block, whatever the CPU count. Layers are factored one after
-another in network order, so only one layer's factors are in memory at a
-time. The whole stack is validated in the calling thread before any part is
-factored.
+final layout. A block's rank-n factors come from the eigendecomposition of
+its smaller Gram matrix (``linalg._leading_factors``), with the same bits
+in any part, so the serialized model is the same whatever the CPU count,
+and no singular triplet that the truncation drops is computed. Layers are
+factored one after another in network order, so only one layer's factors
+are in memory at a time. The whole stack is validated in the calling
+thread before any part is factored.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -80,8 +81,10 @@ def partition_blocks(w: ConvWeights, n: int) -> np.ndarray:
 class GroupDecomposition:
     """The (D, P) layer pair replacing one convolution: ``pair_layers``
     with the factors filled in, and the original bias on ``p_layer``.
-    ``block_truncation_errors[i]`` equals sqrt(sum of discarded sigma^2) for
-    block i.
+    ``block_truncation_errors[i]`` is sqrt(sum of discarded sigma^2) for
+    block i, within sqrt(min(n * k^2, c_out) * eps) ||W_i||_F: on a rank-
+    deficient block its sum of eigenvalues loses digits (2.2e-8 ||W_i||_F
+    on a rank-1 18 x 32 block), on a block of full rank it is within 1e-9.
     """
 
     n: int
@@ -108,7 +111,7 @@ class GroupDecomposition:
 
 
 def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
-    """The validated block stack of ``w`` at rank n, ready for ``linalg._svd``."""
+    """The validated block stack of ``w`` at rank n, ready to factor."""
     if w.k == 1 and not force_pointwise:
         raise DecompositionError(
             "refusing to decompose a 1x1 convolution (no compression); "
@@ -139,14 +142,12 @@ def decompose_layer(
     p_rows = p.reshape(c_out, blocks, n).transpose(1, 2, 0)
 
     def factor_part(lo: int, hi: int) -> None:
-        res = linalg._svd(stack[lo:hi])
+        d_part, p_part, errors[lo:hi] = linalg._leading_factors(stack[lo:hi], n)
         # Zeros beyond `kept` pad blocks whose rank bound min(n*k^2, c_out)
         # is below n.
-        kept = min(n, res.rank)
-        np.multiply(res.u[..., :kept].transpose(0, 2, 1), res.singular_values[:, :kept, None],
-                    out=d_rows[lo:hi, :kept])
-        p_rows[lo:hi, :kept] = res.vt[:, :kept]
-        errors[lo:hi] = np.sqrt(np.sum(res.singular_values[:, n:] ** 2, axis=1))
+        kept = p_part.shape[1]
+        d_rows[lo:hi, :kept] = d_part.transpose(0, 2, 1)
+        p_rows[lo:hi, :kept] = p_part
 
     linalg._on_every_cpu(blocks, factor_part)
 

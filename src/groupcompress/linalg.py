@@ -1,4 +1,5 @@
-"""Dense matrix kernels: multiply, SVD, linear least squares, windows.
+"""Dense matrix kernels: multiply, SVD, rank-n factors, linear least squares,
+windows.
 
 All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
@@ -16,10 +17,10 @@ decompositions rely on this ordering; do not change it. ``_window_views``
 is the one place a window is sliced: it yields the k*k strided views of a
 padded map that ``_fill_tile`` copies and pooling reduces.
 
-``_on_every_cpu`` is the one way work runs on several CPUs: decompose's SVD
-blocks and ``model._run``, which runs every layer of a batch. Code run in a
-share calls only the private functions here (``_svd``, ``_pad_into``,
-``_fill_tile``, ``_window_views``).
+``_on_every_cpu`` is the one way work runs on several CPUs: decompose's
+block factors and ``model._run``, which runs every layer of a batch. Code
+run in a share calls only the private functions here
+(``_leading_factors``, ``_pad_into``, ``_fill_tile``, ``_window_views``).
 """
 
 from __future__ import annotations
@@ -105,7 +106,14 @@ def svd(a) -> SvdResult:
     would get alone. Raises NumericalError (with the array's shape in the
     message) if the underlying iteration fails to converge.
     """
-    return _svd(svd_input(a))
+    arr = svd_input(a)
+    try:
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        shape = "x".join(map(str, arr.shape))
+        kind = "matrix" if arr.ndim == 2 else "stack"
+        raise NumericalError(f"SVD did not converge for {shape} {kind}: {exc}") from exc
+    return SvdResult(u=u, singular_values=s, vt=vt)
 
 
 def svd_input(a) -> np.ndarray:
@@ -117,17 +125,34 @@ def svd_input(a) -> np.ndarray:
     return _check_entries(arr, "a")
 
 
-def _svd(arr: np.ndarray) -> SvdResult:
-    """``svd`` of an array already passed through ``svd_input``. Private, so
-    that worker threads can call it without passing through the per-process
-    span tracer that wraps every public function."""
+def _leading_factors(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-n truncation D @ P of each m x c matrix W of a (b, m, c)
+    stack that passed ``svd_input``: D (b, m, r), P (b, r, c), r = min(n,
+    m, c), as a thin SVD gives them up to signs and rounding (D = U sigma,
+    P = V^T), and the truncation errors (b,). Tall W: V from the eigenvectors
+    of W^T W, D = W V. Wide W: U from those of W W^T and Y = U^T W, whose
+    rows Y / sigma would lose their orthogonality as sigma falls, so P = Q^T
+    and D = U R^T from Y^T = Q R, diag(R) >= 0. An error is the square root
+    of the sum of the discarded eigenvalues, each clipped at 0. Each matrix
+    gets the same bits in any stack. Private, so that worker threads can
+    call it without the per-process span tracer that wraps public functions.
+    """
+    tall = stack.shape[1] >= stack.shape[2]
+    gram = stack.transpose(0, 2, 1) @ stack if tall else stack @ stack.transpose(0, 2, 1)
     try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        eigenvalues, vectors = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
-        shape = "x".join(map(str, arr.shape))
-        kind = "matrix" if arr.ndim == 2 else "stack"
-        raise NumericalError(f"SVD did not converge for {shape} {kind}: {exc}") from exc
-    return SvdResult(u=u, singular_values=s, vt=vt)
+        shape = "x".join(map(str, stack.shape))
+        raise NumericalError(
+            f"eigendecomposition did not converge for {shape} stack: {exc}") from exc
+    r = min(n, gram.shape[-1])
+    leading = np.flip(vectors[..., -r:], -1)
+    errors = np.sqrt(np.sum(np.clip(eigenvalues[:, : gram.shape[-1] - r], 0.0, None), axis=1))
+    if tall:
+        return stack @ leading, leading.transpose(0, 2, 1), errors
+    q, upper = np.linalg.qr(stack.transpose(0, 2, 1) @ leading)
+    signs = np.where(np.diagonal(upper, axis1=1, axis2=2) < 0, -1.0, 1.0)[..., None]
+    return leading @ (upper * signs).transpose(0, 2, 1), q.transpose(0, 2, 1) * signs, errors
 
 
 def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:

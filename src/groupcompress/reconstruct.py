@@ -19,6 +19,7 @@ earlier decomposed layer is already in its final merged form.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -104,10 +105,15 @@ def collect_responses(
     return y, y_star
 
 
+def _sum_of_squares(rows: np.ndarray) -> float:
+    """The sum of the squared entries, in bits that, unlike those of
+    ``np.linalg.norm``, do not depend on the BLAS thread count."""
+    return float(np.einsum("ij,ij->", rows, rows))
+
+
 def default_ridge(y_star: np.ndarray) -> float:
     """Conditioning default: 1e-6 * trace(Y*^T Y*) / c_out."""
-    c_out = y_star.shape[1]
-    return 1e-6 * float(np.einsum("ij,ij->", y_star, y_star)) / c_out
+    return 1e-6 * _sum_of_squares(y_star) / y_star.shape[1]
 
 
 def solve_reconstruction(
@@ -237,8 +243,8 @@ def reconstruct_network(
         y, y_star = response_rows(y_output), response_rows(star_output)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
-        residual_before = float(np.linalg.norm(y - y_star))
-        residual_after = float(np.linalg.norm(y - y_star @ a - delta))
+        residual_before = math.sqrt(_sum_of_squares(y - y_star))
+        residual_after = math.sqrt(_sum_of_squares(y - y_star @ a - delta))
         fallback = residual_after > residual_before
         if fallback:
             residual_after = residual_before

@@ -402,10 +402,10 @@ class TestCompress:
         layers = [replace(l, id="c1.p") if l.id == "r1" else l for l in net.layers]
         path = save_model(NetworkSpec(net.name, net.input_shape, layers), tmp_path / "m.json")
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the id check")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         code = main(
             ["compress", str(path), "-o", str(tmp_path / "o"), "--degree", "constant",
              "--base-n", "1", "--no-reconstruct"]
@@ -433,10 +433,10 @@ class TestCompress:
         net.layer("c3").conv.weights[0, 0, 0, 0] = np.nan
         path = save_model(net, tmp_path / "m.json")
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the weights were checked")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         code = main(
             ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
@@ -452,19 +452,19 @@ class TestCompress:
         # c2 is cut into three parts of its six blocks. The part holding
         # its last block fails at once while the others are still running.
         stack = decompose.partition_blocks(load_model(toy3_path).layer("c2").conv, 1)
-        svd = linalg._svd
+        factors = linalg._leading_factors
         finished = []
 
-        def failing_svd(a):
+        def failing_factors(a, n):
             if a.shape[1:] == stack.shape[1:] and np.array_equal(a[-1], stack[-1]):
                 raise NumericalError("SVD did not converge")
             time.sleep(0.2)
-            result = svd(a)
+            result = factors(a, n)
             finished.append(a.shape)
             return result
 
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(linalg, "_svd", failing_svd)
+        monkeypatch.setattr(linalg, "_leading_factors", failing_factors)
         threads_before = set(threading.enumerate())
         out_dir = tmp_path / "o"
         code = main(
@@ -514,28 +514,40 @@ class TestCompress:
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="needs two CPUs",
     )
-    def test_one_cpu_writes_the_same_bytes(self, toy4_path, tmp_path):
-        # Each run is a child process; "one" restricts it to one CPU first.
+    def test_one_cpu_writes_the_same_bytes(self, toy3_path, toy4_path, tmp_path):
+        # Each run is a child process; "one" restricts it to one CPU before
+        # numpy loads, which sizes its BLAS thread pool then. The BLAS
+        # thread variables are removed, so the tool's own default is what
+        # pins BLAS, as when a user runs it.
         script = (
             "import os, sys\n"
-            "from groupcompress import linalg\n"
-            "from groupcompress.cli import main\n"
             "if sys.argv[1] == 'one':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from groupcompress import linalg\n"
+            "from groupcompress.cli import main\n"
             "assert (linalg._usable_cpus() == 1) == (sys.argv[1] == 'one')\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(decompose.__file__).parents[1])}
-        outputs = {}
-        for cpus in ("one", "all"):
-            out_dir = tmp_path / cpus
-            subprocess.run(
-                [sys.executable, "-c", script, cpus, "compress", str(toy4_path), "-o",
-                 str(out_dir), "--degree", "constant", "--base-n", "1", "--calib-count", "8"],
-                env=env, check=True, timeout=120,
-            )
-            outputs[cpus] = [(out_dir / name).read_bytes() for name in ("model.bin", "report.json")]
-        assert outputs["one"] == outputs["all"]
+        blas = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        env = {name: value for name, value in os.environ.items() if name not in blas}
+        env["PYTHONPATH"] = str(Path(decompose.__file__).parents[1])
+        commands = {
+            "toy4-reconstruct": [toy4_path, "--calib-count", "8"],
+            "toy3-reconstruct": [toy3_path, "--calib-seed", "41"],
+            "toy4-truncate": [toy4_path, "--no-reconstruct"],
+        }
+        for name, (model, *flags) in commands.items():
+            outputs = {}
+            for cpus in ("one", "all"):
+                out_dir = tmp_path / name / cpus
+                subprocess.run(
+                    [sys.executable, "-c", script, cpus, "compress", str(model), "-o",
+                     str(out_dir), "--degree", "constant", "--base-n", "1", *flags],
+                    env=env, check=True, timeout=120,
+                )
+                outputs[cpus] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            assert sorted(outputs["one"]) == ["model.bin", "model.json", "report.json"]
+            assert outputs["one"] == outputs["all"], name
 
     @pytest.mark.parametrize(
         "mode", [["--no-reconstruct"], ["--calib-count", "8"]], ids=["truncation", "reconstruction"]
@@ -620,10 +632,10 @@ class TestCompress:
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
     ):
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the plan check")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         # A relu, and an id that is no layer, with reconstruction on: the
         # calibration row check leaves both to the plan check.
         for planned in ("r1", "nosuch"):
@@ -657,10 +669,10 @@ class TestCompress:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the plan check")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan_path)])
         assert code == EXIT_PLAN
@@ -682,10 +694,10 @@ class TestCompress:
         plan = CompressionPlan("constant", 1, {"s6": 1}, {"c1": 1, "c2": 1, "c3": 1})
         plan_path = plan.save(tmp_path / "plan.json")
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the plan source check")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         flags = [str(plan_path) if flag == "PLAN" else flag for flag in flags]
         code = main(["compress", str(toy3_path), "-o", str(out_dir), *flags])
@@ -706,10 +718,10 @@ class TestCompress:
         if calib == "wrong-shape":
             CalibrationSet.synthetic((2, 6, 6), 8, seed=3).save(calib_path)
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the calibration set was read")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         assert main(["compress", str(toy3_path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib", str(calib_path)]) == code
@@ -725,10 +737,10 @@ class TestCompress:
         next(l for l in manifest["layers"] if l["id"] == layer_id)[field] = None
         path.write_text(json.dumps(manifest))
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the model was checked")
 
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         assert main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib-count", "4"]) == EXIT_FORMAT
@@ -819,11 +831,11 @@ class TestCompress:
         def no_forward(layer):
             raise AssertionError("a forward pass ran before the row check")
 
-        def no_svd(a):
+        def no_svd(stack, n):
             raise AssertionError("SVD ran before the row check")
 
         on_conv_forward(monkeypatch, no_forward)
-        monkeypatch.setattr("groupcompress.linalg._svd", no_svd)
+        monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
         out_dir = tmp_path / "o"
         code = main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
                      "--base-n", "1", "--calib-count", "1"])

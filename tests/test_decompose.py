@@ -88,52 +88,115 @@ class TestPartition:
         assert np.shares_memory(blocks, w.weights)
 
 
+def conv_with_blocks(rng, c_in, c_out, k, n, blocks="random", stride=1):
+    """A random conv whose rank-n channel blocks are then made ``blocks``:
+    "random", "zero", "rank-1" (every filter equal to the first, so the
+    whole weight matrix has rank 1) or "geometric" (each block's singular
+    values spaced geometrically from 1 down to 1e-3)."""
+    w = random_conv(rng, c_in, c_out, k, stride=stride)
+    stack = partition_blocks(w, n)  # a view: writing it writes the weights
+    if blocks == "zero":
+        stack[...] = 0.0
+    elif blocks == "rank-1":
+        stack[...] = stack[..., :1]
+    elif blocks == "geometric":
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        stack[...] = (u * np.geomspace(1.0, 1e-3, s.shape[-1])) @ vt
+    return w
+
+
+def assert_matches_per_block_oracle(decomp, w, n):
+    """The factors of ``decomp`` against one SVD per block, up to the signs
+    the two algorithms may choose: each block's D_i P_i within 1e-11
+    ||W_i||_F, D's column norms within 1e-12 sigma_1, P's rows orthonormal
+    to 1e-12 wherever D's column is not zero, and the errors within the
+    bound that ``GroupDecomposition`` states (and 1e-9 relative on blocks
+    of full rank)."""
+    stack = partition_blocks(w, n)
+    blocks, m, c_out = stack.shape
+    d_weights, p_weights, errors = per_block_decompose(w.weights, n)
+
+    def factors(d, p):
+        return d.reshape(blocks, n, m), p.reshape(c_out, blocks, n).transpose(1, 2, 0)
+
+    d_rows, p_rows = factors(decomp.d_layer.weights, decomp.p_layer.weights)
+    oracle_d, oracle_p = factors(d_weights, p_weights)
+    bound = np.sqrt(min(m, c_out) * np.finfo(np.float64).eps)
+    for i, block in enumerate(stack):
+        scale = np.linalg.norm(block)
+        gap = d_rows[i].T @ p_rows[i] - oracle_d[i].T @ oracle_p[i]
+        assert np.linalg.norm(gap) <= 1e-11 * scale
+        sigma = np.linalg.norm(d_rows[i], axis=1)
+        oracle_sigma = np.linalg.norm(oracle_d[i], axis=1)
+        assert np.all(np.abs(sigma - oracle_sigma) <= 1e-12 * oracle_sigma[0])
+        p = p_rows[i][sigma > 0]
+        assert np.allclose(p @ p.T, np.eye(len(p)), rtol=0, atol=1e-12)
+        assert abs(decomp.block_truncation_errors[i] - errors[i]) <= bound * scale
+        if np.linalg.matrix_rank(block) == min(m, c_out):
+            assert decomp.block_truncation_errors[i] == pytest.approx(errors[i], rel=1e-9)
+
+
 class TestStackedDecomposition:
-    """One SVD over a layer's stacked blocks against one SVD per block."""
+    """One eigendecomposition per block of a layer's stacked blocks against
+    one SVD per block, and the same bits whatever the CPU count."""
 
     @pytest.mark.parametrize(
-        "c_in, c_out, k, n, stride, force",
+        "c_in, c_out, k, n, stride, force, blocks",
         [
-            (6, 5, 3, 6, 1, False),  # n = c_in: one block
-            (8, 12, 3, 1, 1, False),  # depthwise D
-            (8, 10, 3, 2, 2, False),  # stride 2
-            (8, 6, 1, 4, 1, True),  # forced 1x1
-            (8, 2, 3, 4, 1, False),  # c_out < n: the rank bound pads with zeros
-            (4, 3, 1, 4, 1, True),  # 1x1 with c_out < n
+            (6, 5, 3, 6, 1, False, "random"),  # n = c_in: one block
+            (8, 12, 3, 1, 1, False, "random"),  # depthwise D
+            (8, 10, 3, 2, 2, False, "random"),  # stride 2
+            (8, 6, 1, 4, 1, True, "random"),  # forced 1x1
+            (8, 2, 3, 4, 1, False, "random"),  # c_out < n: the rank bound pads with zeros
+            (4, 3, 1, 4, 1, True, "random"),  # 1x1 with c_out < n
+            (8, 5, 3, 2, 1, False, "zero"),  # tall blocks (n k^2 >= c_out)
+            (8, 12, 3, 1, 1, False, "zero"),  # wide blocks (n k^2 < c_out)
+            (4, 32, 3, 2, 1, False, "rank-1"),  # 32 identical filters, wide
+            (8, 32, 3, 4, 1, False, "rank-1"),  # 32 identical filters, tall
+            (4, 24, 3, 2, 1, False, "geometric"),
+            (8, 4, 3, 2, 1, False, "geometric"),
+            (8, 2, 3, 4, 1, False, "rank-1"),  # c_out < n
+            (8, 6, 1, 4, 1, True, "geometric"),  # forced 1x1, every sigma kept
         ],
-        ids=["one-block", "depthwise", "stride-2", "forced-1x1", "padded", "padded-1x1"],
+        ids=["one-block", "depthwise", "stride-2", "forced-1x1", "padded", "padded-1x1",
+             "zero-tall", "zero-wide", "rank-1-wide", "rank-1-tall", "geometric-wide",
+             "geometric-tall", "rank-1-padded", "geometric-forced-1x1"],
     )
-    def test_matches_per_block_oracle(self, c_in, c_out, k, n, stride, force):
+    def test_matches_per_block_oracle(self, c_in, c_out, k, n, stride, force, blocks):
         rng = np.random.default_rng(c_in * 100 + c_out * 10 + n)
-        w = random_conv(rng, c_in, c_out, k, stride=stride)
+        w = conv_with_blocks(rng, c_in, c_out, k, n, blocks, stride=stride)
         decomp = decompose_layer(w, n, force_pointwise=force)
-        d_weights, p_weights, errors = per_block_decompose(w.weights, n)
-        assert np.array_equal(decomp.d_layer.weights, d_weights)
-        assert np.array_equal(decomp.p_layer.weights, p_weights)
-        assert np.array_equal(decomp.block_truncation_errors, errors)
+        assert_matches_per_block_oracle(decomp, w, n)
         assert decomp.d_layer.stride == stride
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize(
-        "c_in, c_out, k, n",
-        [(6, 5, 3, 6), (4, 5, 3, 2), (3, 7, 3, 1), (7, 4, 3, 1), (14, 1, 3, 2)],
-        ids=["1-block", "2-blocks", "3-blocks", "7-blocks", "7-blocks-padded"],
+        "c_in, c_out, k, n, blocks",
+        [(6, 5, 3, 6, "random"), (4, 5, 3, 2, "random"), (3, 7, 3, 1, "random"),
+         (7, 4, 3, 1, "random"), (14, 1, 3, 2, "random"), (7, 12, 3, 1, "rank-1"),
+         (10, 20, 3, 2, "geometric"), (5, 12, 3, 1, "zero")],
+        ids=["1-block", "2-blocks", "3-blocks", "7-blocks", "7-blocks-padded",
+             "7-blocks-rank-1", "5-blocks-geometric", "5-blocks-zero"],
     )
-    def test_parts_match_per_block_oracle(self, monkeypatch, workers, c_in, c_out, k, n):
+    def test_parts_match_per_block_oracle(
+        self, monkeypatch, workers, c_in, c_out, k, n, blocks
+    ):
         # Uneven cuts, layers with fewer blocks than workers, and more
         # workers than cores, switching threads as often as they can.
+        w = conv_with_blocks(np.random.default_rng(c_in * 10 + n), c_in, c_out, k, n, blocks)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+        one_part = decompose_layer(w, n)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
-        w = random_conv(np.random.default_rng(c_in * 10 + n), c_in, c_out, k)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             decomp = decompose_layer(w, n)
         finally:
             sys.setswitchinterval(interval)
-        d_weights, p_weights, errors = per_block_decompose(w.weights, n)
-        assert np.array_equal(decomp.d_layer.weights, d_weights)
-        assert np.array_equal(decomp.p_layer.weights, p_weights)
-        assert np.array_equal(decomp.block_truncation_errors, errors)
+        assert np.array_equal(decomp.d_layer.weights, one_part.d_layer.weights)
+        assert np.array_equal(decomp.p_layer.weights, one_part.p_layer.weights)
+        assert np.array_equal(decomp.block_truncation_errors, one_part.block_truncation_errors)
+        assert_matches_per_block_oracle(decomp, w, n)
 
     @pytest.mark.parametrize("groups", [1, 2, 8])
     def test_group_conv_matrix_matches_per_group_oracle(self, groups):
@@ -357,15 +420,15 @@ class TestDecomposeNetwork:
         net = self.build(np.random.default_rng(21))
         net.layers = net.layers[:3]
         ranks = {"c1": 1, "c2": 2}
-        svd = linalg._svd
+        factors = linalg._leading_factors
         for workers in (1, 2, 3, 5):
             parts = []
 
-            def recording_svd(a):
+            def recording_factors(a, n):
                 parts.append(a.copy())
-                return svd(a)
+                return factors(a, n)
 
-            monkeypatch.setattr(linalg, "_svd", recording_svd)
+            monkeypatch.setattr(linalg, "_leading_factors", recording_factors)
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
             decompose_network(net, ranks)
             stacks = [partition_blocks(net.layer(lid).conv, n) for lid, n in ranks.items()]

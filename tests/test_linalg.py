@@ -94,6 +94,14 @@ class TestSvd:
         with pytest.raises(NumericalError, match="5x4x3 stack"):
             linalg.svd(np.ones((5, 4, 3)))
 
+    def test_leading_factors_nonconvergence_names_the_stack(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericalError, match="5x4x3 stack"):
+            linalg._leading_factors(np.ones((5, 4, 3)), 1)
+
     def test_stack_matches_each_matrix_alone(self):
         rng = np.random.default_rng(8)
         for shape in [(4, 5, 3), (3, 2, 7), (2, 3, 6, 6)]:

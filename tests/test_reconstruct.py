@@ -40,8 +40,8 @@ def per_layer_reconstruction(
         y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
-        before = float(np.linalg.norm(y - y_star))
-        after = float(np.linalg.norm(y - y_star @ a - delta))
+        before, after = (float(np.sqrt(np.einsum("ij,ij->", gap, gap)))
+                         for gap in (y - y_star, y - y_star @ a - delta))
         fallback = after > before
         if not fallback:
             merged = merge_pointwise_weights(p_layer.conv, a, delta)

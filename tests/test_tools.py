@@ -87,3 +87,15 @@ def test_one_cpu_rerun_names_each_file_written_differently(tmp_path, monkeypatch
     data[len(data) // 2] ^= 1
     model.write_bytes(data)
     assert output_digests.one_cpu_differences(runs) == [model]
+
+
+def test_children_run_with_the_blas_thread_variables_removed(monkeypatch):
+    # The tool pins BLAS itself, so no child may inherit a caller's pin.
+    envs = []
+    monkeypatch.setattr(output_digests.subprocess, "run", lambda argv, **kw: envs.append(kw["env"]))
+    for name in output_digests.BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "1")
+    output_digests.groupcompress("inspect", "model.json")
+    output_digests.groupcompress("inspect", "model.json", cpus={0})
+    assert len(envs) == 2
+    assert not any(name in env for env in envs for name in output_digests.BLAS_THREAD_VARS)

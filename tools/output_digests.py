@@ -32,13 +32,17 @@ sorted by path: run it on two checkouts and ``diff`` the listings to check
 that a change keeps every byte written. The vgg16 workload needs about
 2 GB of memory and 1.5 GB of disk.
 
-After the listing, each command that walks calibration batches runs again
-in a child process limited to one CPU, writing into a temporary directory
-outside OUT_DIR: every ``compress`` that reconstructs (every one without
-``--no-reconstruct``: ``res34-recon`` and the toy variants), and every
-``analyze --correlation``. Each file it writes is compared with the same
-file under OUT_DIR; if any differs, its path is printed to stderr and the
-exit status is 1, since the result must not depend on the CPU count.
+Every child runs with the BLAS thread variables removed from its
+environment, as a user runs the tool, which then pins BLAS to one thread
+itself. After the listing, each command that runs on several CPUs runs
+again in a child process limited to one CPU, writing into a temporary
+directory outside OUT_DIR: every ``compress``, which factors its layers'
+blocks and, unless ``--no-reconstruct`` is given, walks calibration batches
+on every CPU, and every ``analyze --correlation``. Each file it writes is
+compared with the same file under OUT_DIR; if any differs, its path is
+printed to stderr and the exit status is 1, since the result must not
+depend on the CPU count. Nor may it depend on the BLAS thread count, which
+without the tool's pin would follow the CPU count.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("res34-d-truncate", "vgg16-a-truncate", "res34-recon")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOAD_SEED = 1
 FORWARD_SEED = 2
 TOY_VARIANTS = {
@@ -69,9 +74,11 @@ ANALYZE_VARIANTS = {
 
 
 def groupcompress(*argv, cpus: set[int] | None = None) -> None:
-    """Run the CLI in a child process, on ``cpus`` only if given."""
+    """Run the CLI in a child process with the BLAS thread variables removed
+    from its environment, on ``cpus`` only if given."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
     subprocess.run([sys.executable, "-m", "groupcompress", *map(str, argv)],
-                   check=True, stdout=subprocess.DEVNULL,
+                   check=True, stdout=subprocess.DEVNULL, env=env,
                    preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
 
 
@@ -121,8 +128,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    # Before numpy loads, as in the benchmark: one BLAS thread, and every
-    # child imports the package from this checkout.
+    # Before numpy loads, as in the benchmark: one BLAS thread for the
+    # forward outputs written here, and every child imports the package
+    # from this checkout.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["PYTHONPATH"] = str(ROOT / "src")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -131,13 +139,13 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    walking = []  # (output dir, argv for an output dir) of each calibration-walking command
+    threaded = []  # (output dir, argv for an output dir) of each command run on several CPUs
 
     def run(argv_for, out_dir: Path) -> None:
         argv = argv_for(out_dir)
         groupcompress(*argv)
-        if "--no-reconstruct" not in argv and (argv[0] == "compress" or "--correlation" in argv):
-            walking.append((out_dir, argv_for))
+        if argv[0] == "compress" or "--correlation" in argv:
+            threaded.append((out_dir, argv_for))
 
     for name in WORKLOADS:
         inputs = prepare(BENCH[name], WORKLOAD_SEED, Path(name))
@@ -154,7 +162,7 @@ def main(argv: list[str]) -> int:
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
-    differ = one_cpu_differences(walking)
+    differ = one_cpu_differences(threaded)
     for path in differ:
         print(f"{path.as_posix()}: bytes differ when rerun on one CPU", file=sys.stderr)
     return 1 if differ else 0
