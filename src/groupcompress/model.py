@@ -45,7 +45,8 @@ private functions.
 
 Specs are shared, not copied: a network derived from another keeps the
 unchanged parameter arrays of its input, and no code writes in place to an
-array it did not allocate, except to a ``_walk`` output as ``_walk`` allows.
+array it did not allocate, except to an output of ``_Walk.to`` as ``_Walk``
+allows.
 
 Each parameter array of ``ConvWeights``, ``FcParams`` and ``AffineParams``
 declares its shape, and whether a saved model may hold null for it (only a
@@ -523,49 +524,50 @@ def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None) -> np
     return out
 
 
-def _walk(net: NetworkSpec, x):
-    """Run the network on an (N, C, H, W) batch, layer by layer, and yield
-    each layer, its input batch and its output batch, in network order.
-    Batches are (N, features) after fc, and each conv patch matrix is one
-    sample's (see the module docstring).
+class _Walk:
+    """A walk of ``net`` over the (N, C, H, W) batch ``x``, paused between
+    layers: the next layer's position in ``net.layers`` and the live outputs,
+    each dropped once the last layer reading it has run. ``to`` resumes it.
+    The caller may overwrite a returned output in place; later layers then
+    read the new values. Batches are (N, features) after fc."""
 
-    The caller may overwrite the yielded output array in place before it
-    resumes the walk; later layers then read the new values. An output is
-    dropped once the last layer reading it has run.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1:] != net.input_shape:
-        raise ShapeError(f"input shape {x.shape[1:]} != network input {net.input_shape}")
-    inputs = layer_inputs(net)
-    last_reader: dict[str, int] = {}
-    for i, layer in enumerate(net.layers):
-        for read in (inputs[layer.id], layer.source):
-            last_reader[read] = i
-    outputs: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        in_id = inputs[layer.id]
-        value = x if in_id is None else outputs[in_id]
-        outputs[layer.id] = _run(layer, value, outputs.get(layer.source))
-        yield layer, value, outputs[layer.id]
-        for read in (in_id, layer.source):
-            if last_reader.get(read) == i:
-                outputs.pop(read, None)
+    def __init__(self, net: NetworkSpec, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 4 or x.shape[1:] != net.input_shape:
+            raise ShapeError(f"input shape {x.shape[1:]} != network input {net.input_shape}")
+        self.net, self.x, self.next, self.outputs = net, x, 0, {}
+        self.inputs = layer_inputs(net)
+        self.position = {layer.id: i for i, layer in enumerate(net.layers)}
+        self.last_reader = {read: i for i, layer in enumerate(net.layers)
+                            for read in (self.inputs[layer.id], layer.source)}
 
+    def index(self, layer_id: str) -> int:
+        """``layer_id``'s position in network order; ShapeError if the layer
+        is unknown or the walk has passed it."""
+        stop = self.position.get(layer_id)
+        if stop is None or stop < self.next:
+            reason = "not found in network order" if stop is None else "already passed by this walk"
+            raise ShapeError(f"layer {layer_id!r} {reason}")
+        return stop
 
-def _advance(walk, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Step ``walk`` (a ``_walk``) to ``layer_id``; its input and output."""
-    for layer, value, out in walk:
-        if layer.id == layer_id:
-            return value, out
-        del value, out  # so the walk can drop them before the next layer
-    raise ShapeError(f"layer {layer_id!r} not found in network order")
+    def to(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """Run the layers through ``layer_id``, checked by ``index`` before
+        any layer runs, and return its input and output batches."""
+        for i in range(self.next, self.index(layer_id) + 1):
+            layer = self.net.layers[i]
+            in_id = self.inputs[layer.id]
+            value = self.x if in_id is None else self.outputs[in_id]
+            out = self.outputs[layer.id] = _run(layer, value, self.outputs.get(layer.source))
+            for read in (in_id, layer.source):
+                if self.last_reader.get(read) == i:
+                    self.outputs.pop(read, None)
+        self.next = i + 1
+        return value, out
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Run the network on one C x H x W input and return the final output."""
-    for _, _, out in _walk(net, np.asarray(x)[None]):
-        pass
-    return out[0]
+    return _Walk(net, np.asarray(x)[None]).to(net.layers[-1].id)[1][0]
 
 
 def response_rows(out: np.ndarray) -> np.ndarray:
@@ -579,9 +581,8 @@ def response_rows(out: np.ndarray) -> np.ndarray:
 def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
     """Run the (N, C, H, W) batch ``samples`` up to the last layer in
     ``taps`` and return, per tapped layer, its output as ``response_rows``."""
-    walk, order = _walk(net, samples), [layer.id for layer in net.layers]
-    taps = sorted(set(taps), key=order.index)
-    return {tap: response_rows(_advance(walk, tap)[1]) for tap in taps}
+    walk = _Walk(net, samples)
+    return {tap: response_rows(walk.to(tap)[1]) for tap in sorted(set(taps), key=walk.index)}
 
 
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:

@@ -29,9 +29,7 @@ import numpy as np
 from . import linalg
 from .decompose import decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
-from .model import (
-    ConvWeights, NetworkSpec, _advance, _run, _walk, propagate_shapes, response_rows,
-)
+from .model import ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, response_rows
 from .modelio import load_calibration, save_calibration
 
 
@@ -95,7 +93,7 @@ def collect_responses(
     pairs = {pair[0]: pair for pair in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
-    walks = _walk(original, calib.samples), None if symmetric else _walk(compressed, calib.samples)
+    walks = _Walk(original, calib.samples), None if symmetric else _Walk(compressed, calib.samples)
     _, y_output, star_output = _pair_outputs(*walks, pairs[layer_id])
     y, y_star = response_rows(y_output), response_rows(star_output)
     if y.shape != y_star.shape:
@@ -175,15 +173,15 @@ class LayerReconstructionReport:
 
 
 def _pair_outputs(original_walk, compressed_walk, pair):
-    """Step the walks (``model._walk``) to one ``decomposed_pairs`` entry
+    """Resume the walks (``model._Walk``) at one ``decomposed_pairs`` entry
     (source conv, D, P) and return P's input, the source conv's output Y and
     P's output Y*. Without a compressed walk (symmetric mode), P's input is
     None and Y* is the pair applied to the source conv's input."""
     layer_id, d_layer, p_layer = pair
-    conv_input, y_output = _advance(original_walk, layer_id)
+    conv_input, y_output = original_walk.to(layer_id)
     if compressed_walk is None:
         return None, y_output, _run(p_layer, _run(d_layer, conv_input))
-    p_input, star_output = _advance(compressed_walk, p_layer.id)
+    p_input, star_output = compressed_walk.to(p_layer.id)
     return p_input, y_output, star_output
 
 
@@ -214,14 +212,14 @@ def reconstruct_network(
     """Reconstruct every decomposed layer, front to back, merging each A
     into its pointwise layer before moving deeper.
 
-    Each network is walked once, all calibration samples as one batch. The
-    original network's walk gives Y at each source conv. In the asymmetric
-    (default) mode the compressed network's walk gives Y* at each P layer;
-    after the solve, the merged layer's output on D's output overwrites the
-    walk's P output in place, so deeper layers see the compressed prefix in
-    its final form. In symmetric mode Y* is the pair applied to the source
-    conv's input in the original walk, and the compressed network is not
-    walked.
+    Each network is walked once (``model._Walk``), all calibration samples
+    as one batch, resumed at each pair. The original network's walk gives Y
+    at each source conv. In the asymmetric (default) mode the compressed
+    network's walk gives Y* at each P layer; after the solve, the merged
+    layer's output on D's output overwrites the walk's P output in place, so
+    deeper layers see the compressed prefix in its final form. In symmetric
+    mode Y* is the pair applied to the source conv's input in the original
+    walk, and the compressed network is not walked.
 
     ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
@@ -234,8 +232,8 @@ def reconstruct_network(
     check_rows(original, [layer_id for layer_id, _, _ in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    original_walk = _walk(original, calib.samples)
-    compressed_walk = None if symmetric else _walk(compressed, calib.samples)
+    original_walk = _Walk(original, calib.samples)
+    compressed_walk = None if symmetric else _Walk(compressed, calib.samples)
     reports: list[LayerReconstructionReport] = []
     for pair in pairs:
         p_input, y_output, star_output = _pair_outputs(original_walk, compressed_walk, pair)

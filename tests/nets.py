@@ -10,7 +10,7 @@ from groupcompress.model import (
 
 
 def on_conv_forward(monkeypatch, hook):
-    """Call ``hook(layer)`` each time a walk (``model._walk``, so every
+    """Call ``hook(layer)`` each time a walk (``model._Walk.to``, so every
     forward pass) runs a conv layer, before the layer runs. A walk runs each
     conv once, through ``model._run``, whatever number of CPU shares that
     cuts its batch into."""
@@ -22,6 +22,13 @@ def on_conv_forward(monkeypatch, hook):
         return run(layer, x, other)
 
     monkeypatch.setattr(model, "_run", hooked)
+
+
+def walk_outputs(net, xs):
+    """Every layer's output batch, by layer id, from one walk of ``net`` over
+    the batch ``xs`` stopped at each layer in turn."""
+    walk = model._Walk(net, xs)
+    return {layer.id: walk.to(layer.id)[1] for layer in net.layers}
 
 
 def residual_net(seed=0):

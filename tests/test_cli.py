@@ -1090,13 +1090,13 @@ class TestAnalyze:
         self, toy3_path, compressed_dir, tmp_path, monkeypatch, flags
     ):
         walks = []
-        walk = model._walk
 
-        def counting_walk(net, x):
-            walks.append(net.name)
-            return walk(net, x)
+        class CountingWalk(model._Walk):
+            def __init__(self, net, x):
+                walks.append(net.name)
+                super().__init__(net, x)
 
-        monkeypatch.setattr(model, "_walk", counting_walk)
+        monkeypatch.setattr(model, "_Walk", CountingWalk)
         analysis = tmp_path / "analysis"
         assert main(
             ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",

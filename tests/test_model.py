@@ -30,7 +30,7 @@ from groupcompress.model import (
 )
 from groupcompress.modelio import load_model, save_model
 
-from nets import pool_fc_net, residual_net
+from nets import on_conv_forward, pool_fc_net, residual_net, walk_outputs
 from oracles import (
     chunked_group_conv, direct_conv, direct_pool, im2col_rows, per_group_conv,
     reference_forward,
@@ -185,6 +185,13 @@ class TestForward:
         expected = np.vstack([im2col_rows(x, 3, 1, 1) @ w_mat for x in samples])
         assert rows.shape == (72, 4)
         assert np.allclose(rows, expected)
+
+    def test_stack_taps_unknown_tap_fails_before_any_layer_runs(self, monkeypatch):
+        net, ran = residual_net(), []
+        on_conv_forward(monkeypatch, ran.append)
+        with pytest.raises(ShapeError, match="^layer 'nosuch' not found in network order$"):
+            stack_taps(net, np.zeros((2, *net.input_shape)), ["c3", "nosuch"])
+        assert not ran
 
     def test_shape_mismatch_names_layer(self):
         w = np.zeros((2, 3, 3, 3))
@@ -360,8 +367,8 @@ class TestBatchWalk:
     def test_batch_matches_one_sample_walks(self, build):
         net = build(0)
         xs = np.random.default_rng(9).standard_normal((5, *net.input_shape))
-        batch = {layer.id: out for layer, _, out in model._walk(net, xs)}
-        singles = [{layer.id: out for layer, _, out in model._walk(net, x[None])} for x in xs]
+        batch = walk_outputs(net, xs)
+        singles = [walk_outputs(net, x[None]) for x in xs]
         for layer in net.layers:
             stacked = np.concatenate([single[layer.id] for single in singles])
             assert batch[layer.id].shape == (5, *propagate_shapes(net)[layer.id])
@@ -370,6 +377,57 @@ class TestBatchWalk:
             want = reference_forward(net, x)
             assert rel_err(forward(net, x), want) <= 1e-10
             assert np.array_equal(forward(net, x), out)
+
+
+class TestResumableWalk:
+    """A walk (``model._Walk``) stopped and resumed, or run over slices of
+    the samples, against one uninterrupted walk of the whole batch."""
+
+    NETS = {
+        "residual": residual_net,
+        "toy4-decomposed": lambda: decompose_network(build_toy_cnn(0), {"c1": 2, "c2": 1})[0],
+    }
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_stopped_and_resumed_matches_uninterrupted(self, name):
+        net = self.NETS[name]()
+        xs = np.random.default_rng(4).standard_normal((4, *net.input_shape))
+        last = net.layers[-1].id
+        value, out = model._Walk(net, xs).to(last)
+        stepped = walk_outputs(net, xs)
+        assert np.array_equal(stepped[last], out)
+        for layer in net.layers[:-1]:
+            walk = model._Walk(net, xs)
+            assert np.array_equal(walk.to(layer.id)[1], stepped[layer.id]), layer.id
+            resumed_value, resumed_out = walk.to(last)
+            assert np.array_equal(resumed_value, value), layer.id
+            assert np.array_equal(resumed_out, out), layer.id
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_walks_of_slices_give_slices_of_every_output(self, name):
+        net, count = self.NETS[name](), 7
+        xs = np.random.default_rng(5).standard_normal((count, *net.input_shape))
+        whole = walk_outputs(net, xs)
+        for size in (1, 2, count - 3):
+            slices = [walk_outputs(net, xs[lo:lo + size]) for lo in range(0, count, size)]
+            for layer in net.layers:
+                joined = np.concatenate([outputs[layer.id] for outputs in slices])
+                assert np.array_equal(joined, whole[layer.id]), (size, layer.id)
+
+    def test_unknown_or_passed_layer_fails_before_any_layer_runs(self, monkeypatch):
+        net = residual_net()
+        xs = np.random.default_rng(6).standard_normal((3, *net.input_shape))
+        walk, ran = model._Walk(net, xs), []
+        walk.to("c2")
+        on_conv_forward(monkeypatch, ran.append)
+        with pytest.raises(ShapeError, match="^layer 'nosuch' not found in network order$"):
+            walk.to("nosuch")
+        for passed in ("c1", "c2"):
+            with pytest.raises(ShapeError, match=f"^layer '{passed}' already passed by this walk$"):
+                walk.to(passed)
+        assert not ran
+        # A refused layer leaves the walk where it was.
+        assert np.array_equal(walk.to("c3")[1], walk_outputs(net, xs)["c3"])
 
 
 def _no_thread(thread):
@@ -397,7 +455,7 @@ class TestSplitWalk:
 
         def outputs(workers):
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
-            return {layer.id: out for layer, _, out in model._walk(load_model(path), xs)}
+            return walk_outputs(load_model(path), xs)
 
         serial = outputs(1)
         # Switch threads as often as they can.
@@ -426,9 +484,7 @@ class TestSplitWalk:
                         for params in (layer.conv, layer.fc, layer.affine) if params is not None
                         for *_, value in model.array_fields(params) if value is not None]
             reads.clear()
-            xs = np.random.default_rng(5).standard_normal((5, *net.input_shape))
-            for _ in model._walk(net, xs):
-                pass
+            walk_outputs(net, np.random.default_rng(5).standard_normal((5, *net.input_shape)))
             assert all(thread is threading.main_thread() for _, thread in reads)
             assert sorted(map(id, (tensor for tensor, _ in reads))) == sorted(map(id, deferred))
 
@@ -439,8 +495,7 @@ class TestSplitWalk:
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
             forward(net, xs[0])
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
-            for _ in model._walk(net, xs):
-                pass
+            walk_outputs(net, xs)
 
 
 class TestPooling:
