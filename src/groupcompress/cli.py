@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import linalg
-from .decompose import decompose_network, decomposed_pairs
+from .decompose import _naming_layer, decompose_network, decomposed_pairs
 from .degeneracy import (
     equal_flops_ranks,
     filter_correlation,
@@ -281,22 +281,23 @@ def cmd_analyze(args) -> int:
         rank_reports.append(report)
 
         w_mat = conv.weight_matrix()
-        write_energy_csv(
-            out_dir / f"energy_{src}_original.csv",
-            jacobian_energy_curve(w_mat, mode=mode),
-        )
-        write_energy_csv(
-            out_dir / f"energy_{src}_group.csv",
-            jacobian_energy_curve(
-                d_layer.conv.weight_matrix(), p_layer.conv.weight_matrix(),
-                mode=mode,
-            ),
-        )
-        # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
-        write_energy_csv(
-            out_dir / f"energy_{src}_svd_baseline.csv",
-            jacobian_energy_curve(svd_strategy_matrix(w_mat, report.rank_svd), mode=mode),
-        )
+        with _naming_layer(src):
+            write_energy_csv(
+                out_dir / f"energy_{src}_original.csv",
+                jacobian_energy_curve(w_mat, mode=mode),
+            )
+            write_energy_csv(
+                out_dir / f"energy_{src}_group.csv",
+                jacobian_energy_curve(
+                    d_layer.conv.weight_matrix(), p_layer.conv.weight_matrix(),
+                    mode=mode,
+                ),
+            )
+            # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
+            write_energy_csv(
+                out_dir / f"energy_{src}_svd_baseline.csv",
+                jacobian_energy_curve(svd_strategy_matrix(w_mat, report.rank_svd), mode=mode),
+            )
     write_rank_report_csv(out_dir / "ranks.csv", rank_reports, [src for src, _, _ in pairs])
 
     if args.correlation:

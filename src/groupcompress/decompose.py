@@ -96,18 +96,10 @@ class GroupDecomposition:
     def total_truncation_error(self) -> float:
         return float(np.sqrt(np.sum(self.block_truncation_errors**2)))
 
-    def d_matrix(self) -> np.ndarray:
-        """Assembled D, shape (c_in * k^2) x c_in: block-diagonal, one
-        (n * k^2) x n block per group (``ConvWeights.weight_matrix``)."""
-        return self.d_layer.weight_matrix()
-
-    def p_matrix(self) -> np.ndarray:
-        """Assembled P, shape c_in x c_out."""
-        return self.p_layer.weight_matrix()
-
     def composed_matrix(self) -> np.ndarray:
-        """D @ P, same shape as the original weight matrix."""
-        return self.d_matrix() @ self.p_matrix()
+        """D @ P, same shape as the original weight matrix: D block-diagonal,
+        (c_in * k^2) x c_in, P c_in x c_out (``ConvWeights.weight_matrix``)."""
+        return self.d_layer.weight_matrix() @ self.p_layer.weight_matrix()
 
 
 def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
@@ -117,7 +109,7 @@ def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
             "refusing to decompose a 1x1 convolution (no compression); "
             "pass force_pointwise=True to override"
         )
-    return linalg.svd_input(partition_blocks(w, n))
+    return linalg._check_entries(partition_blocks(w, n), "a")
 
 
 def decompose_layer(

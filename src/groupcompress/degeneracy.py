@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
+from .errors import ShapeError
 from .model import flops_ratio_fraction
 
 
@@ -104,7 +105,7 @@ def energy_curve(singular_values, mode: str = "squared") -> EnergyCurve:
         raise ValueError(f"mode must be 'squared' or 'sigma', got {mode!r}")
     total = float(weights.sum())
     if total == 0.0:
-        raise ValueError("zero matrix has no energy curve")
+        raise ShapeError("zero matrix has no energy curve")
     return EnergyCurve(
         singular_values=s, cumulative_energy=np.cumsum(weights) / total, mode=mode
     )
@@ -121,14 +122,22 @@ def jacobian_energy_curve(*matrices, mode: str = "squared") -> EnergyCurve:
         raise ValueError("need at least one matrix")
     composed = linalg.as_matrix(matrices[0], "matrix")
     for m in matrices[1:]:
-        composed = linalg.matmul(composed, m)
-    return energy_curve(linalg.svd(composed).singular_values, mode=mode)
+        m = linalg.as_matrix(m, "matrix")
+        if composed.shape[1] != m.shape[0]:
+            raise ShapeError(
+                f"inner dimensions differ: {composed.shape[0]}x{composed.shape[1]} "
+                f"times {m.shape[0]}x{m.shape[1]}"
+            )
+        composed = composed @ m
+    return energy_curve(linalg.svd(composed)[1], mode=mode)
 
 
 def svd_strategy_matrix(weight_matrix, rank: int) -> np.ndarray:
     """Rank-``rank`` truncation of a weight matrix (the channel-SVD baseline)."""
-    res = linalg.svd(weight_matrix)
-    return res.truncate(rank).reconstruct()
+    u, s, vt = linalg.svd(weight_matrix)
+    if not 1 <= rank <= s.size:
+        raise ShapeError(f"rank must be in [1, {s.size}], got {rank}")
+    return (u[:, :rank] * s[:rank]) @ vt[:rank]
 
 
 @dataclass

@@ -1,5 +1,4 @@
-"""Dense matrix kernels: multiply, SVD, rank-n factors, linear least squares,
-windows.
+"""Dense matrix kernels: SVD, rank-n factors, linear least squares, windows.
 
 All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
@@ -30,7 +29,6 @@ import os
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,81 +51,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _check_entries(arr, name)
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``a = u @ diag(singular_values) @ vt`` of a matrix, or of
-    each matrix in a stack.
-
-    For an m x n matrix ``u`` is m x r and ``vt`` is r x n with r = min(m, n);
-    a stack (..., m, n) adds its leading axes to all three factors, and
-    ``rank``, ``truncate`` and ``reconstruct`` act on the trailing axes.
-    Singular values are sorted descending and nonnegative.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin singular value decomposition ``(u, s, vt)`` of a dense matrix
+    that ``as_matrix`` accepts, ``s`` descending. Raises NumericalError
+    (with the matrix's shape in the message) if the underlying iteration
+    fails to converge.
     """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.singular_values.shape[-1]
-
-    def truncate(self, rank: int) -> "SvdResult":
-        """Keep the leading ``rank`` singular triplets."""
-        if not 1 <= rank <= self.rank:
-            raise ShapeError(f"rank must be in [1, {self.rank}], got {rank}")
-        return SvdResult(
-            u=self.u[..., :rank],
-            singular_values=self.singular_values[..., :rank],
-            vt=self.vt[..., :rank, :],
-        )
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values[..., None, :]) @ self.vt
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with shape validation."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: a is {a.shape[0]}x{a.shape[1]}, "
-            f"b is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a dense matrix, or of every
-    matrix in a stack (..., m, n), in one LAPACK call.
-
-    Each matrix of a stack gets exactly the factors, to the bit, that it
-    would get alone. Raises NumericalError (with the array's shape in the
-    message) if the underlying iteration fails to converge.
-    """
-    arr = svd_input(a)
+    arr = as_matrix(a, "a")
     try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        return np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        shape = "x".join(map(str, arr.shape))
-        kind = "matrix" if arr.ndim == 2 else "stack"
-        raise NumericalError(f"SVD did not converge for {shape} {kind}: {exc}") from exc
-    return SvdResult(u=u, singular_values=s, vt=vt)
-
-
-def svd_input(a) -> np.ndarray:
-    """``a`` as the float64 matrix or stack ``svd`` accepts: at least 2-D,
-    non-empty and finite, else ShapeError."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < 2:
-        raise ShapeError(f"a must be a matrix or a stack of matrices, got {arr.ndim}-D")
-    return _check_entries(arr, "a")
+        raise NumericalError(
+            f"SVD did not converge for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}") from exc
 
 
 def _leading_factors(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-n truncation D @ P of each m x c matrix W of a (b, m, c)
-    stack that passed ``svd_input``: D (b, m, r), P (b, r, c), r = min(n,
+    """The rank-n truncation D @ P of each m x c matrix W of a finite,
+    non-empty (b, m, c) float64 stack: D (b, m, r), P (b, r, c), r = min(n,
     m, c), as a thin SVD gives them up to signs and rounding (D = U sigma,
     P = V^T), and the truncation errors (b,). Tall W: V from the eigenvectors
     of W^T W, D = W V. Wide W: U from those of W W^T and Y = U^T W, whose
@@ -291,7 +231,7 @@ def _on_every_cpu(count: int, work: Callable, scratch: Callable = tuple) -> None
 
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:
     """Count singular values above rel_threshold times the largest one."""
-    s = svd(a).singular_values
+    s = svd(a)[1]
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_threshold * s[0]))

@@ -52,6 +52,7 @@ class CalibrationSet:
             )
         if self.count < 1:
             raise ShapeError("a calibration set needs at least one sample")
+        linalg._check_entries(self.samples, "calibration samples")
 
     @property
     def count(self) -> int:

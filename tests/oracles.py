@@ -10,22 +10,6 @@ import os
 import numpy as np
 
 
-def naive_matmul(a, b):
-    """Triple-loop matrix product."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, inner = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(inner):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def singular_values_via_gram(a):
     """Singular values as square roots of eigenvalues of A^T A (descending)."""
     a = np.asarray(a, dtype=np.float64)

@@ -708,8 +708,9 @@ class TestCompress:
     @pytest.mark.parametrize(
         "calib, code, message",
         [("missing", EXIT_FORMAT, "calibration"),
-         ("wrong-shape", EXIT_NUMERIC, "calibration shape (2, 6, 6)")],
-        ids=["missing", "wrong-shape"],
+         ("wrong-shape", EXIT_NUMERIC, "calibration shape (2, 6, 6)"),
+         ("non-finite", EXIT_NUMERIC, "calibration samples contains non-finite entries")],
+        ids=["missing", "wrong-shape", "non-finite"],
     )
     def test_calibration_is_read_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch, calib, code, message
@@ -717,6 +718,10 @@ class TestCompress:
         calib_path = tmp_path / "calib.json"
         if calib == "wrong-shape":
             CalibrationSet.synthetic((2, 6, 6), 8, seed=3).save(calib_path)
+        elif calib == "non-finite":
+            samples = CalibrationSet.synthetic((3, 6, 6), 48, seed=3).samples
+            samples[5, 1, 2, 3] = np.nan
+            modelio.save_calibration(samples, calib_path)
 
         def no_svd(stack, n):
             raise AssertionError("SVD ran before the calibration set was read")
@@ -1038,6 +1043,40 @@ class TestAnalyze:
         assert code == EXIT_NUMERIC
         assert "calibration shape" in capsys.readouterr().err
         assert not analysis.exists()
+
+    def test_non_finite_calibration_fails_before_any_walk(
+        self, toy3_path, compressed_dir, tmp_path, capsys, monkeypatch
+    ):
+        samples = CalibrationSet.synthetic((3, 6, 6), 20, seed=3).samples
+        samples[0, 0, 0, 0] = np.inf
+        calib_path = modelio.save_calibration(samples, tmp_path / "calib.json")
+
+        class NoWalk(model._Walk):
+            def __init__(self, net, x):
+                raise AssertionError("a walk started before the calibration set was checked")
+
+        monkeypatch.setattr(model, "_Walk", NoWalk)
+        analysis = tmp_path / "analysis"
+        code = main(
+            ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+             str(analysis), "--correlation", "--calib", str(calib_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert "calibration samples contains non-finite entries" in capsys.readouterr().err
+        assert not analysis.exists()
+
+    def test_zero_weight_matrix_is_numeric_error_naming_layer(self, tmp_path, capsys):
+        # c2 with all-zero weights compresses, but its matrix has no energy curve.
+        net = build_toy_three(seed=0)
+        net.layer("c2").conv.weights[...] = 0.0
+        path = save_model(net, tmp_path / "m.json")
+        out_dir, analysis = tmp_path / "c", tmp_path / "a"
+        assert main(["compress", str(path), "-o", str(out_dir), "--degree", "constant",
+                     "--base-n", "1", "--no-reconstruct"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["analyze", str(path), str(out_dir / "model.json"), "-o", str(analysis)])
+        assert code == EXIT_NUMERIC
+        assert "layer c2: zero matrix has no energy curve" in capsys.readouterr().err
 
     def test_correlation_walk_stops_at_joins(self, tmp_path):
         # c2 and the shortcut sc read r1, the activation of c1's pointwise

@@ -255,7 +255,7 @@ class TestDecomposeLayer:
         rng = np.random.default_rng(7)
         w = random_conv(rng, 8, 10, 3)
         decomp = decompose_layer(w, 2)
-        d = decomp.d_matrix()
+        d = decomp.d_layer.weight_matrix()
         rows, n, k = 2 * 9, 2, 3
         for i in range(4):
             block = d[i * rows : (i + 1) * rows, i * n : (i + 1) * n].copy()

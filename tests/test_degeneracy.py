@@ -13,6 +13,7 @@ from groupcompress.degeneracy import (
     write_energy_csv,
     write_rank_report_csv,
 )
+from groupcompress.errors import ShapeError
 from groupcompress.model import ConvWeights
 
 
@@ -113,7 +114,8 @@ class TestEnergyCurve:
         rng = np.random.default_rng(5)
         w = ConvWeights(8, 12, 3, pad=1, weights=rng.standard_normal((12, 8, 3, 3)))
         decomp = decompose_layer(w, 2)
-        curve = jacobian_energy_curve(decomp.d_matrix(), decomp.p_matrix())
+        curve = jacobian_energy_curve(decomp.d_layer.weight_matrix(),
+                                      decomp.p_layer.weight_matrix())
         nonzero = np.count_nonzero(
             curve.singular_values > 1e-8 * curve.singular_values[0]
         )
@@ -151,9 +153,39 @@ class TestEnergyCurve:
         with pytest.raises(ValueError, match="zero matrix"):
             jacobian_energy_curve(np.zeros((3, 3)))
 
+    def test_chain_is_the_product_of_its_factors(self):
+        rng = np.random.default_rng(11)
+        a, b, c = (rng.standard_normal(shape) for shape in [(7, 5), (5, 4), (4, 6)])
+        curve = jacobian_energy_curve(a, b, c)
+        assert np.array_equal(curve.singular_values, np.linalg.svd(a @ b @ c)[1])
+
+    def test_inner_dimensions_must_agree(self):
+        with pytest.raises(ShapeError, match="inner dimensions differ"):
+            jacobian_energy_curve(np.ones((2, 3)), np.ones((4, 2)))
+
+    def test_non_finite_factor_rejected(self):
+        with pytest.raises(ShapeError, match="non-finite"):
+            jacobian_energy_curve(np.ones((1, 2)), np.array([[np.nan], [1.0]]))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             energy_curve(np.array([2.0, 1.0]), mode="cubed")
+
+
+class TestSvdStrategyMatrix:
+    def test_is_the_truncated_svd_formula(self):
+        rng = np.random.default_rng(12)
+        for shape in [(9, 4), (4, 9), (6, 6)]:
+            w = rng.standard_normal(shape)
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            for rank in range(1, min(shape) + 1):
+                expected = (u[:, :rank] * s[:rank]) @ vt[:rank]
+                assert np.array_equal(svd_strategy_matrix(w, rank), expected)
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_rank_outside_one_to_min_dimension_rejected(self, rank):
+        with pytest.raises(ShapeError, match=r"rank must be in \[1, 3\]"):
+            svd_strategy_matrix(np.ones((5, 3)), rank)
 
 
 class TestFilterCorrelation:
@@ -181,7 +213,7 @@ class TestFilterCorrelation:
         activated = np.maximum(point_out, 0.0)
         w = ConvWeights(c, 12, 1, weights=rng.standard_normal((12, c, 1, 1)))
         decomp = decompose_layer(w, n, force_pointwise=True)
-        group_out = activated @ decomp.d_matrix()  # k=1: patches are the rows
+        group_out = activated @ decomp.d_layer.weight_matrix()  # k=1: patches are the rows
         report = filter_correlation(point_out, group_out, block_size=n)
         assert report.mean_in_block > report.mean_out_block
 

@@ -2,86 +2,61 @@ import numpy as np
 import pytest
 
 from groupcompress import linalg
+from groupcompress.degeneracy import svd_strategy_matrix
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
 
-from oracles import direct_conv, im2col_rows, naive_matmul, pinv_solve, singular_values_via_gram
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(linalg.matmul(np.eye(3), b), b)
-
-    def test_hand_computed(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[0.0], [1.0]]
-        assert np.array_equal(linalg.matmul(a, b), [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        assert np.allclose(linalg.matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            linalg.matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ShapeError, match="non-finite"):
-            linalg.matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
+from oracles import direct_conv, im2col_rows, pinv_solve, singular_values_via_gram
 
 
 class TestSvd:
     def test_diagonal(self):
-        res = linalg.svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0])
+        _, s, _ = linalg.svd(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0])
 
     def test_orthogonal_has_unit_values(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        res = linalg.svd(q)
-        assert np.allclose(res.singular_values, np.ones(6), atol=1e-10)
+        _, s, _ = linalg.svd(q)
+        assert np.allclose(s, np.ones(6), atol=1e-10)
 
     def test_values_match_gram_eigen_oracle(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((18, 4))
-        res = linalg.svd(a)
-        assert np.allclose(res.singular_values, singular_values_via_gram(a), atol=1e-9)
+        _, s, _ = linalg.svd(a)
+        assert np.allclose(s, singular_values_via_gram(a), atol=1e-9)
 
     def test_factor_orthonormality(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((9, 5))
-        res = linalg.svd(a)
-        assert np.allclose(res.u.T @ res.u, np.eye(5), atol=1e-10)
-        assert np.allclose(res.vt @ res.vt.T, np.eye(5), atol=1e-10)
+        u, _, vt = linalg.svd(a)
+        assert np.allclose(u.T @ u, np.eye(5), atol=1e-10)
+        assert np.allclose(vt @ vt.T, np.eye(5), atol=1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(4)
         for shape in [(5, 5), (8, 3), (3, 8)]:
             a = rng.standard_normal(shape)
-            res = linalg.svd(a)
-            rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
+            u, s, vt = linalg.svd(a)
+            rel = np.linalg.norm((u * s) @ vt - a) / np.linalg.norm(a)
             assert rel <= 1e-10
 
     def test_descending_order(self):
         rng = np.random.default_rng(5)
-        s = linalg.svd(rng.standard_normal((10, 6))).singular_values
+        _, s, _ = linalg.svd(rng.standard_normal((10, 6)))
         assert np.all(np.diff(s) <= 0)
         assert np.all(s >= 0)
 
     def test_eckart_young_exhaustive_small(self):
-        # Truncation error must equal sqrt(sum of discarded sigma^2) for
-        # every rank, on matrices up to 8x8.
+        # The channel-SVD baseline's truncation error must equal sqrt(sum
+        # of discarded sigma^2) for every rank, on matrices up to 8x8.
         rng = np.random.default_rng(6)
         for m in range(1, 9):
             for n in range(1, 9):
                 a = rng.standard_normal((m, n))
-                res = linalg.svd(a)
+                _, s, _ = linalg.svd(a)
                 for r in range(1, min(m, n) + 1):
-                    approx = res.truncate(r).reconstruct()
-                    err = np.linalg.norm(a - approx)
-                    expected = float(np.sqrt(np.sum(res.singular_values[r:] ** 2)))
+                    err = np.linalg.norm(a - svd_strategy_matrix(a, r))
+                    expected = float(np.sqrt(np.sum(s[r:] ** 2)))
                     assert err == pytest.approx(expected, abs=1e-10)
 
     def test_nonconvergence_translated(self, monkeypatch):
@@ -91,8 +66,6 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", boom)
         with pytest.raises(NumericalError, match="4x3 matrix"):
             linalg.svd(np.ones((4, 3)))
-        with pytest.raises(NumericalError, match="5x4x3 stack"):
-            linalg.svd(np.ones((5, 4, 3)))
 
     def test_leading_factors_nonconvergence_names_the_stack(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -102,28 +75,12 @@ class TestSvd:
         with pytest.raises(NumericalError, match="5x4x3 stack"):
             linalg._leading_factors(np.ones((5, 4, 3)), 1)
 
-    def test_stack_matches_each_matrix_alone(self):
-        rng = np.random.default_rng(8)
-        for shape in [(4, 5, 3), (3, 2, 7), (2, 3, 6, 6)]:
-            a = rng.standard_normal(shape)
-            res = linalg.svd(a)
-            rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
-            assert rel <= 1e-10
-            assert res.rank == min(shape[-2:])
-            for index in np.ndindex(*shape[:-2]):
-                alone = linalg.svd(a[index])
-                assert np.array_equal(res.u[index], alone.u)
-                assert np.array_equal(res.singular_values[index], alone.singular_values)
-                assert np.array_equal(res.vt[index], alone.vt)
-            cut = res.truncate(1)
-            assert cut.u.shape == (*shape[:-1], 1) and cut.vt.shape == (*shape[:-2], 1, shape[-1])
-
     @pytest.mark.parametrize(
         "a, message",
         [
             (np.ones(3), "1-D"),
-            (np.ones((2, 0, 3)), "non-empty"),
-            (np.array([[[1.0, np.nan]]]), "non-finite"),
+            (np.ones((0, 3)), "non-empty"),
+            (np.array([[1.0, np.nan]]), "non-finite"),
         ],
     )
     def test_bad_input_is_shape_error(self, a, message):

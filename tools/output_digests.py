@@ -13,6 +13,9 @@ OUT_DIR is. They are:
   workloads ``res34-d-truncate``, ``vgg16-a-truncate`` and ``res34-recon``,
   written by ``perfbench.workloads.prepare``, and each workload's
   ``compress`` command;
+* ``analyze`` of the ``res34-recon`` compressed model against its original,
+  plain and with ``--correlation --calib-count 4``: the SVDs of 15 resnet34
+  layers and their (D, P) pairs, and a correlation walk of that network;
 * ``compress --degree constant --base-n 1 --calib-seed 41`` on toy3 and
   toy4, plain and with each of ``--symmetric-reconstruction``, ``--ridge 0``
   and ``--no-intercept``;
@@ -71,6 +74,10 @@ ANALYZE_VARIANTS = {
     "analyze-correlation": ("--correlation", "--calib-count", "8"),
     "analyze-pre-activation": ("--correlation", "--corr-pre-activation", "--calib-count", "8"),
 }
+RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
+    "analyze": (),
+    "analyze-correlation": ("--correlation", "--calib-count", "4"),
+}
 
 
 def groupcompress(*argv, cpus: set[int] | None = None) -> None:
@@ -103,9 +110,8 @@ def toy_compress_argv(toy: str, flags: tuple, out_dir: Path) -> list:
             "--base-n", "1", "--calib-seed", "41", *flags]
 
 
-def toy_analyze_argv(toy: str, variant: str, flags: tuple, out_dir: Path) -> list:
-    return ["analyze", f"fixtures/{toy}.json", f"{toy}/{variant}/model.json", "-o", out_dir,
-            *flags]
+def analyze_argv(original: Path, compressed: Path, flags: tuple, out_dir: Path) -> list:
+    return ["analyze", original, compressed, "-o", out_dir, *flags]
 
 
 def write_forwards(original: Path, out_dir: Path) -> None:
@@ -149,15 +155,21 @@ def main(argv: list[str]) -> int:
 
     for name in WORKLOADS:
         inputs = prepare(BENCH[name], WORKLOAD_SEED, Path(name))
-        run(functools.partial(inputs.compress_argv, BENCH[name]), Path(name) / "out")
-        write_forwards(inputs.model, Path(name) / "out")
+        out_dir = Path(name) / "out"
+        run(functools.partial(inputs.compress_argv, BENCH[name]), out_dir)
+        write_forwards(inputs.model, out_dir)
+        if name == "res34-recon":
+            for analysis, flags in RECON_ANALYZE_VARIANTS.items():
+                run(functools.partial(analyze_argv, inputs.model, out_dir / "model.json", flags),
+                    out_dir / analysis)
     for toy in ("toy3", "toy4"):
         groupcompress("gen-fixtures", toy, "-o", "fixtures")
         for variant, flags in TOY_VARIANTS.items():
             run(functools.partial(toy_compress_argv, toy, flags), Path(toy) / variant)
             write_forwards(Path(f"fixtures/{toy}.json"), Path(toy) / variant)
             for analysis, analyze_flags in ANALYZE_VARIANTS.items():
-                run(functools.partial(toy_analyze_argv, toy, variant, analyze_flags),
+                run(functools.partial(analyze_argv, Path(f"fixtures/{toy}.json"),
+                                      Path(toy) / variant / "model.json", analyze_flags),
                     Path(toy) / variant / analysis)
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
