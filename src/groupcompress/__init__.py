@@ -10,6 +10,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 __version__ = "0.1.0"
 
 from .decompose import (  # noqa: F401
+    DecomposedPair,
     GroupDecomposition,
     decompose_layer,
     decompose_network,
@@ -35,6 +36,7 @@ from .model import (  # noqa: F401
 from .modelio import load_model, save_model  # noqa: F401
 from .reconstruct import (  # noqa: F401
     CalibrationSet,
+    ReconstructionFit,
     collect_responses,
     merge_pointwise_weights,
     reconstruct_network,

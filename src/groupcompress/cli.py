@@ -2,10 +2,11 @@
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
 error, 4 numerical failure, 1 anything else. What needs no model (counts,
-seeds, the ridge, an ``-o`` that cannot be written: a file or a path under
-one where a directory goes, a directory where a file goes) is a usage error
-at parse time, exit 2; ``compress`` reads its calibration set, and checks
-that it gives each solve enough rows, before the first SVD.
+seeds, the ridge, calibration flags that the run will not use, an ``-o``
+that cannot be written: a file or a path under one where a directory goes,
+a directory where a file goes) is a usage error at parse time, exit 2;
+``compress`` reads its calibration set, and checks that it gives each solve
+enough rows, before the first SVD.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import linalg
@@ -126,15 +128,18 @@ def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
     raise PlanError(f"no plan given: pass {sources}, or both --degree and --base-n")
 
 
-def _calibration(args, input_shape) -> tuple[CalibrationSet, dict]:
+def _calibration(args, input_shape, default_count=None) -> tuple[CalibrationSet, dict]:
+    """The set that --calib names, or else --calib-count samples
+    (``default_count`` when not given) from --calib-seed (0 when not given)."""
+    count = default_count if args.calib_count is None else args.calib_count
     if args.calib:
         calib = CalibrationSet.from_file(args.calib)
         info = {"source": str(Path(args.calib)), "count": calib.count}
-    elif args.calib_count is None:
+    elif count is None:
         raise PlanError("no calibration data: pass --calib FILE or --calib-count N")
     else:
-        calib = CalibrationSet.synthetic(input_shape, args.calib_count, seed=args.calib_seed)
-        info = {"source": "synthetic", "seed": args.calib_seed, "count": args.calib_count}
+        info = {"source": "synthetic", "seed": args.calib_seed or 0, "count": count}
+        calib = CalibrationSet.synthetic(input_shape, count, seed=info["seed"])
     if calib.sample_shape != tuple(input_shape):
         raise ShapeError(
             f"calibration shape {calib.sample_shape} != model input {tuple(input_shape)}"
@@ -152,52 +157,32 @@ def run_compress(args) -> dict:
     plan = _resolve_plan(net, args)
     flops_before, per_before = network_flops(net)
     reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
-    calib, calib_info = _calibration(args, net.input_shape) if reconstruct else (None, None)
+    calib, calib_info = _calibration(args, net.input_shape, 128) if reconstruct else (None, None)
     if reconstruct:
         check_rows(net, plan.layer_ranks, calib.count, not args.no_intercept)
 
-    compressed, decomps = decompose_network(
-        net, plan.layer_ranks, force_pointwise=args.force_1x1
-    )
-
-    recon_reports = {}
+    compressed, pairs = decompose_network(net, plan.layer_ranks, force_pointwise=args.force_1x1)
     if reconstruct:
-        compressed, reports = reconstruct_network(
-            net,
-            compressed,
-            calib,
-            ridge=args.ridge,
-            intercept=not args.no_intercept,
+        compressed, fits = reconstruct_network(
+            net, compressed, calib, ridge=args.ridge, intercept=not args.no_intercept,
             symmetric=args.symmetric_reconstruction,
         )
-        recon_reports = {r.layer_id: r for r in reports}
+        for pair, fit in zip(pairs, fits, strict=True):
+            pair.fit = fit
 
     flops_after, per_after = network_flops(compressed)
-    pairs = {src: (d, p) for src, d, p in decomposed_pairs(compressed, net)}
-    layer_rows = []
-    for layer_id, n in plan.layer_ranks.items():
-        decomp = decomps[layer_id]
-        d_layer, p_layer = pairs[layer_id]
-        row = {
-            "layer": layer_id,
-            "n": n,
-            "truncation_error": decomp.total_truncation_error,
-            "block_truncation_errors": [
-                float(e) for e in decomp.block_truncation_errors
-            ],
-            "flops_before": per_before[layer_id],
-            "flops_after": per_after[d_layer.id] + per_after[p_layer.id],
+    layer_rows = [
+        {
+            "layer": pair.source,
+            "n": pair.n,
+            "truncation_error": pair.total_truncation_error,
+            "block_truncation_errors": pair.block_truncation_errors.tolist(),
+            "flops_before": per_before[pair.source],
+            "flops_after": per_after[pair.d.id] + per_after[pair.p.id],
+            **(asdict(pair.fit) if pair.fit else {}),
         }
-        recon = recon_reports.get(layer_id)
-        if recon is not None:
-            row.update(
-                residual_before=recon.residual_before,
-                residual_after=recon.residual_after,
-                ridge=recon.ridge,
-                sample_rows=recon.sample_rows,
-                identity_fallback=recon.used_identity_fallback,
-            )
-        layer_rows.append(row)
+        for pair in pairs
+    ]
 
     out_dir = Path(args.output)
     model_path = save_model(compressed, out_dir / "model.json")
@@ -274,31 +259,20 @@ def cmd_analyze(args) -> int:
         calib, _ = _calibration(args, compressed.input_shape)
 
     rank_reports = []
-    for src, d_layer, p_layer in pairs:
-        conv = original.layer(src).conv
-        n = d_layer.conv.c_in // d_layer.conv.groups
-        report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, n)
+    for pair in pairs:
+        src, conv = pair.source, original.layer(pair.source).conv
+        report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
         rank_reports.append(report)
-
         w_mat = conv.weight_matrix()
         with _naming_layer(src):
-            write_energy_csv(
-                out_dir / f"energy_{src}_original.csv",
-                jacobian_energy_curve(w_mat, mode=mode),
-            )
-            write_energy_csv(
-                out_dir / f"energy_{src}_group.csv",
-                jacobian_energy_curve(
-                    d_layer.conv.weight_matrix(), p_layer.conv.weight_matrix(),
-                    mode=mode,
-                ),
-            )
+            write_energy_csv(out_dir / f"energy_{src}_original.csv",
+                             jacobian_energy_curve(w_mat, mode=mode))
+            write_energy_csv(out_dir / f"energy_{src}_group.csv", jacobian_energy_curve(
+                pair.d.conv.weight_matrix(), pair.p.conv.weight_matrix(), mode=mode))
             # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
-            write_energy_csv(
-                out_dir / f"energy_{src}_svd_baseline.csv",
-                jacobian_energy_curve(svd_strategy_matrix(w_mat, report.rank_svd), mode=mode),
-            )
-    write_rank_report_csv(out_dir / "ranks.csv", rank_reports, [src for src, _, _ in pairs])
+            write_energy_csv(out_dir / f"energy_{src}_svd_baseline.csv", jacobian_energy_curve(
+                svd_strategy_matrix(w_mat, report.rank_svd), mode=mode))
+    write_rank_report_csv(out_dir / "ranks.csv", rank_reports, [pair.source for pair in pairs])
 
     if args.correlation:
         summary_rows = _correlation_analysis(
@@ -320,30 +294,29 @@ def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=Fals
     skipped. The taps of the pairs kept come from one walk of the network."""
     inputs, shapes = layer_inputs(compressed), propagate_shapes(compressed)
     kinds = {layer.id: layer.kind for layer in compressed.layers}
-    pointwise_ids = {p_layer.id for _, _, p_layer in pairs}
+    pointwise_ids = {pair.p.id for pair in pairs}
     fed = []
-    for src, d_layer, _ in pairs:
-        post_act_id = point_id = inputs[d_layer.id]  # the map the group conv consumes
+    for pair in pairs:
+        post_act_id = point_id = inputs[pair.d.id]  # the map the group conv consumes
         while kinds.get(point_id) in ("relu", "channel_affine"):
             point_id = inputs[point_id]
         tap = point_id if pre_activation else post_act_id
-        if point_id in pointwise_ids and shapes[tap][1:] == shapes[d_layer.id][1:]:
-            fed.append((src, d_layer, point_id, tap))
+        if point_id in pointwise_ids and shapes[tap][1:] == shapes[pair.d.id][1:]:
+            fed.append((pair, point_id, tap))
     if not fed:
         return []
-    taps = [layer_id for _, d_layer, _, tap in fed for layer_id in (tap, d_layer.id)]
+    taps = [layer_id for pair, _, tap in fed for layer_id in (tap, pair.d.id)]
     stacked = stack_taps(compressed, calib.samples, taps)
     rows = []
-    for src, d_layer, point_id, tap in fed:
-        n = d_layer.conv.c_in // d_layer.conv.groups
-        report = filter_correlation(stacked[tap], stacked[d_layer.id], block_size=n)
-        write_correlation_csv(out_dir / f"correlation_{src}.csv", report)
+    for pair, point_id, tap in fed:
+        report = filter_correlation(stacked[tap], stacked[pair.d.id], block_size=pair.n)
+        write_correlation_csv(out_dir / f"correlation_{pair.source}.csv", report)
         rows.append(
             {
-                "layer": src,
+                "layer": pair.source,
                 "pointwise": point_id,
                 "tap": tap,
-                "n": n,
+                "n": pair.n,
                 "mean_in_block": report.mean_in_block,
                 "mean_out_block": report.mean_out_block,
                 "zero_variance_channels": len(report.zero_variance_channels),
@@ -353,11 +326,7 @@ def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=Fals
 
 
 def cmd_gen_fixtures(args) -> int:
-    if args.name not in BUILDERS:
-        raise ModelFormatError(
-            f"unknown fixture {args.name!r}; available: {sorted(BUILDERS)}"
-        )
-    net = BUILDERS[args.name](args.seed)
+    net = BUILDERS[args.name](args.seed)  # argparse's choices are the builders
     out_dir = Path(args.output)
     path = save_model(net, out_dir / f"{args.name}.json")
     total, _ = network_flops(net)
@@ -373,11 +342,24 @@ def _add_schedule_flags(parser) -> None:
     parser.add_argument("--base-n", type=int)
 
 
-def _add_calib_flags(parser, count: int | None) -> None:
-    """--calib, or --calib-count (default ``count``) seeded samples."""
+def _add_calib_flags(parser) -> None:
+    """--calib, or --calib-count seeded samples. ``_calibration`` sets their
+    defaults, so that ``_check_calib_flags`` sees which were given."""
     parser.add_argument("--calib", help="calibration manifest (json)")
-    parser.add_argument("--calib-seed", type=_int_at_least(0), default=0)
-    parser.add_argument("--calib-count", type=_int_at_least(1), default=count)
+    parser.add_argument("--calib-seed", type=_int_at_least(0))
+    parser.add_argument("--calib-count", type=_int_at_least(1))
+
+
+def _check_calib_flags(parser, args) -> None:
+    """Calibration flags on a run that reads no calibration set, ``compress
+    --no-reconstruct`` or ``analyze`` without --correlation, are a usage
+    error."""
+    given = [flag for flag in ("--calib", "--calib-count", "--calib-seed")
+             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    # Only compress and analyze take these flags.
+    if given and (args.no_reconstruct if args.command == "compress" else not args.correlation):
+        why = "--no-reconstruct" if args.command == "compress" else "without --correlation"
+        parser.error(f"{', '.join(given)}: {args.command} {why} reads no calibration data")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     p_comp.add_argument("--plan")
     _add_schedule_flags(p_comp)
-    _add_calib_flags(p_comp, 128)
+    _add_calib_flags(p_comp)
     p_comp.add_argument("--ridge", type=_ridge, default=None)
     p_comp.add_argument("--no-reconstruct", action="store_true")
     p_comp.add_argument("--no-intercept", action="store_true")
@@ -420,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("-o", "--output", type=_output_dir, required=True,
                       help="output directory")
     p_an.add_argument("--correlation", action="store_true")
-    _add_calib_flags(p_an, None)
+    _add_calib_flags(p_an)
     p_an.add_argument("--energy-sigma", action="store_true",
                       help="accumulate sigma instead of sigma^2")
     p_an.add_argument("--corr-pre-activation", action="store_true",
@@ -447,7 +429,9 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_calib_flags(parser, args)
     try:
         return args.func(args)
     except Exception as exc:

@@ -36,12 +36,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
 from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs, read_arrays
+
+if TYPE_CHECKING:
+    from .reconstruct import ReconstructionFit
 
 
 def divisors(value: int) -> list[int]:
@@ -102,6 +106,30 @@ class GroupDecomposition:
         return self.d_layer.weight_matrix() @ self.p_layer.weight_matrix()
 
 
+@dataclass(eq=False)
+class DecomposedPair:
+    """One decomposed conv: its id ``source`` and the (D, P) layers that
+    replace it. ``block_truncation_errors`` are ``GroupDecomposition``'s
+    (None for a pair read back from a saved model), and ``fit`` is its
+    ``reconstruct.ReconstructionFit`` (None until reconstruction). ``p`` is
+    the P layer as decomposed; a fit merges into a copy of it."""
+
+    source: str
+    d: LayerSpec
+    p: LayerSpec
+    block_truncation_errors: np.ndarray | None = None
+    fit: ReconstructionFit | None = None
+
+    @property
+    def n(self) -> int:
+        """The rank: D's input channels per group."""
+        return self.d.conv.c_in // self.d.conv.groups
+
+    @property
+    def total_truncation_error(self) -> float:
+        return float(np.sqrt(np.sum(self.block_truncation_errors**2)))
+
+
 def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
     """The validated block stack of ``w`` at rank n, ready to factor."""
     if w.k == 1 and not force_pointwise:
@@ -152,12 +180,10 @@ def decompose_layer(
     )
 
 
-def decomposed_pairs(
-    net: NetworkSpec, original: NetworkSpec
-) -> list[tuple[str, LayerSpec, LayerSpec]]:
-    """(source id, D layer, P layer) for every decomposed conv, in network
-    order, found by the ``decomposed_from`` provenance both layers carry. P
-    must read D, a ``rank_n`` must be D's c_in / groups, and the two must be
+def decomposed_pairs(net: NetworkSpec, original: NetworkSpec) -> list[DecomposedPair]:
+    """The ``DecomposedPair`` of every decomposed conv, in network order,
+    found by the ``decomposed_from`` provenance both layers carry. P must
+    read D, a ``rank_n`` must be the pair's n, and the two must be
     ``pair_layers`` of the conv that the provenance names in ``original``
     (weights and biases are not compared). Anything else is a
     ModelFormatError."""
@@ -168,26 +194,29 @@ def decomposed_pairs(
         if src:
             found.setdefault(src, []).append(layer)
     inputs = layer_inputs(net)
+    pairs = []
     for src, layers in found.items():
         if len(layers) != 2:
             raise ModelFormatError(
                 f"{len(layers)} layers carry the provenance decomposed_from={src!r}"
             )
         d, p = layers
-        n = d.conv.c_in // d.conv.groups if d.kind == p.kind == "conv" else None
+        pair = DecomposedPair(src, d, p)
+        n = pair.n if d.kind == p.kind == "conv" else None
         try:
-            pair = pair_layers(convs[src], n) if n and src in convs else None
+            geometry = pair_layers(convs[src], n) if n and src in convs else None
         except DecompositionError:
-            pair = None
-        if not (pair and inputs[p.id] == d.id
-                and pair == tuple(replace(layer.conv, weights=None, bias=None) for layer in layers)
+            geometry = None
+        if not (geometry and inputs[p.id] == d.id
+                and geometry == tuple(replace(l.conv, weights=None, bias=None) for l in layers)
                 and all(layer.meta.get("rank_n", n) == n for layer in layers)):
             raise ModelFormatError(
                 f"decomposed_from={src!r}: {d.id!r}, {p.id!r} are not the (D, P) pair of a "
                 "conv of that name in the original model, with P reading D and rank_n = "
                 "D's c_in / groups"
             )
-    return [(src, d, p) for src, (d, p) in found.items()]
+        pairs.append(pair)
+    return pairs
 
 
 @contextmanager
@@ -202,8 +231,10 @@ def decompose_network(
     net: NetworkSpec,
     layer_ranks: dict[str, int],
     force_pointwise: bool = False,
-) -> tuple[NetworkSpec, dict[str, GroupDecomposition]]:
-    """Replace every conv named in ``layer_ranks`` by its (D, P) pair.
+) -> tuple[NetworkSpec, list[DecomposedPair]]:
+    """Replace every conv named in ``layer_ranks`` by its (D, P) pair, and
+    return the new network and the ``DecomposedPair`` of each, in network
+    order.
 
     The D layer keeps the original layer's stage and input; the P layer is
     named ``<id>.p`` and all later references to the original id are
@@ -239,44 +270,28 @@ def decompose_network(
             _checked_stack(read_arrays(net.layer(lid).conv), layer_ranks[lid], force_pointwise)
 
     new_layers: list[LayerSpec] = []
-    decompositions: dict[str, GroupDecomposition] = {}
+    pairs: list[DecomposedPair] = []
     renamed: dict[str, str] = {}
-
-    def remap(ref: str | None) -> str | None:
-        return renamed.get(ref, ref) if ref is not None else None
-
     for layer in net.layers:
-        layer = replace(layer, input=remap(layer.input), source=remap(layer.source))
+        layer = replace(layer, input=renamed.get(layer.input, layer.input),
+                        source=renamed.get(layer.source, layer.source))
         if layer.id not in layer_ranks:
             new_layers.append(layer)
             continue
         n = layer_ranks[layer.id]
         with _naming_layer(layer.id):
             decomp = decompose_layer(read_arrays(layer.conv), n, force_pointwise)
-        decompositions[layer.id] = decomp
         provenance = {"decomposed_from": layer.id, "rank_n": n}
-        new_layers.append(
-            LayerSpec(
-                id=f"{layer.id}.d",
-                kind="conv",
-                stage=layer.stage,
-                input=layer.input,
-                conv=decomp.d_layer,
-                meta=dict(provenance),
-            )
+        pair = DecomposedPair(
+            layer.id,
+            LayerSpec(id=f"{layer.id}.d", kind="conv", stage=layer.stage, input=layer.input,
+                      conv=decomp.d_layer, meta=dict(provenance)),
+            LayerSpec(id=f"{layer.id}.p", kind="conv", stage=layer.stage,
+                      conv=decomp.p_layer, meta=dict(provenance)),
+            decomp.block_truncation_errors,
         )
-        new_layers.append(
-            LayerSpec(
-                id=f"{layer.id}.p",
-                kind="conv",
-                stage=layer.stage,
-                conv=decomp.p_layer,
-                meta=dict(provenance),
-            )
-        )
-        renamed[layer.id] = f"{layer.id}.p"
+        pairs.append(pair)
+        new_layers += [pair.d, pair.p]
+        renamed[layer.id] = pair.p.id
 
-    return (
-        NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers),
-        decompositions,
-    )
+    return NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers), pairs

@@ -74,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, ShapeError
 from .model import (
     LAYER_KINDS, Deferred, LayerSpec, NetworkSpec, array_fields, propagate_shapes,
 )
@@ -413,7 +413,13 @@ def load_model(manifest_path) -> NetworkSpec:
 
 
 def save_calibration(samples: np.ndarray, manifest_path) -> Path:
-    """Write (count, C, H, W) ``samples`` as a calibration manifest and blob."""
+    """Write (count, C, H, W) ``samples`` as a calibration manifest and blob.
+    Samples that float32 stores as non-finite raise ShapeError, and neither
+    file is written: a NaN, or a magnitude from 2**128 - 2**103 (halfway
+    between float32's largest value and 2**128) up."""
+    magnitude = max(-samples.min(), samples.max()) if samples.size else 0.0
+    if not magnitude < 2.0**128 - 2.0**103:
+        raise ShapeError(f"calibration samples reach {magnitude:.4g}, beyond float32's range")
     manifest_path = Path(manifest_path)
     blob = _BlobWriter()
     blob.put(samples)

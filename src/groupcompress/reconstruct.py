@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .decompose import decomposed_pairs
+from .decompose import DecomposedPair, decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
 from .model import ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, response_rows
 from .modelio import load_calibration, save_calibration
@@ -91,7 +91,7 @@ def collect_responses(
     """
     if layer_id not in {layer.id for layer in original.conv_layers()}:
         raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
-    pairs = {pair[0]: pair for pair in decomposed_pairs(compressed, original)}
+    pairs = {pair.source: pair for pair in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
     walks = _Walk(original, calib.samples), None if symmetric else _Walk(compressed, calib.samples)
@@ -162,27 +162,29 @@ def merge_pointwise_weights(p: ConvWeights, a: np.ndarray, bias_delta: np.ndarra
     return replace(p, weights=p_mat.T.reshape(p.c_out, p.c_in, 1, 1), bias=bias)
 
 
-@dataclass
-class LayerReconstructionReport:
-    layer_id: str
-    rank_n: int
-    sample_rows: int
-    ridge: float
+@dataclass(frozen=True)
+class ReconstructionFit:
+    """One pair's solve, its fields named and ordered like the keys they
+    become in a ``report.json`` layer row. ``residual_before`` and
+    ``residual_after`` are ||Y - Y*||_F and ||Y - Y* A - delta||_F over
+    ``sample_rows`` rows; on the identity fallback they are equal."""
+
     residual_before: float
     residual_after: float
-    used_identity_fallback: bool = False
+    ridge: float
+    sample_rows: int
+    identity_fallback: bool
 
 
-def _pair_outputs(original_walk, compressed_walk, pair):
-    """Resume the walks (``model._Walk``) at one ``decomposed_pairs`` entry
-    (source conv, D, P) and return P's input, the source conv's output Y and
-    P's output Y*. Without a compressed walk (symmetric mode), P's input is
-    None and Y* is the pair applied to the source conv's input."""
-    layer_id, d_layer, p_layer = pair
-    conv_input, y_output = original_walk.to(layer_id)
+def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
+    """Resume the walks (``model._Walk``) at one pair and return P's input,
+    the source conv's output Y and P's output Y*. Without a compressed walk
+    (symmetric mode), P's input is None and Y* is the pair applied to the
+    source conv's input."""
+    conv_input, y_output = original_walk.to(pair.source)
     if compressed_walk is None:
-        return None, y_output, _run(p_layer, _run(d_layer, conv_input))
-    p_input, star_output = compressed_walk.to(p_layer.id)
+        return None, y_output, _run(pair.p, _run(pair.d, conv_input))
+    p_input, star_output = compressed_walk.to(pair.p.id)
     return p_input, y_output, star_output
 
 
@@ -209,9 +211,10 @@ def reconstruct_network(
     ridge: float | None = None,
     intercept: bool = True,
     symmetric: bool = False,
-) -> tuple[NetworkSpec, list[LayerReconstructionReport]]:
+) -> tuple[NetworkSpec, list[ReconstructionFit]]:
     """Reconstruct every decomposed layer, front to back, merging each A
-    into its pointwise layer before moving deeper.
+    into its pointwise layer before moving deeper. Returns the merged
+    network and the ``ReconstructionFit`` of each pair, in network order.
 
     Each network is walked once (``model._Walk``), all calibration samples
     as one batch, resumed at each pair. The original network's walk gives Y
@@ -225,45 +228,34 @@ def reconstruct_network(
     ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
     not increase the fitting residual; otherwise the layer keeps its plain
-    truncated form (recorded in the report).
+    truncated form (``identity_fallback``).
     """
     if ridge is not None:
         linalg.check_ridge(ridge)
     pairs = decomposed_pairs(compressed, original)
-    check_rows(original, [layer_id for layer_id, _, _ in pairs], calib.count, intercept)
+    check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
     original_walk = _Walk(original, calib.samples)
     compressed_walk = None if symmetric else _Walk(compressed, calib.samples)
-    reports: list[LayerReconstructionReport] = []
+    fits: list[ReconstructionFit] = []
     for pair in pairs:
         p_input, y_output, star_output = _pair_outputs(original_walk, compressed_walk, pair)
-        layer_id, d_layer, p_layer = pair
         y, y_star = response_rows(y_output), response_rows(star_output)
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
-        residual_before = math.sqrt(_sum_of_squares(y - y_star))
-        residual_after = math.sqrt(_sum_of_squares(y - y_star @ a - delta))
-        fallback = residual_after > residual_before
+        before = math.sqrt(_sum_of_squares(y - y_star))
+        after = math.sqrt(_sum_of_squares(y - y_star @ a - delta))
+        fallback = after > before
         if fallback:
-            residual_after = residual_before
+            after = before
         else:
-            merged = replace(p_layer, conv=merge_pointwise_weights(p_layer.conv, a, delta))
-            result.layers[position[p_layer.id]] = merged
+            merged = replace(pair.p, conv=merge_pointwise_weights(pair.p.conv, a, delta))
+            result.layers[position[pair.p.id]] = merged
             if not symmetric:
                 # Deeper layers read the merged layer's output.
                 star_output[...] = _run(merged, p_input)
-        reports.append(
-            LayerReconstructionReport(
-                layer_id=layer_id,
-                rank_n=d_layer.conv.c_in // d_layer.conv.groups,
-                sample_rows=y.shape[0],
-                ridge=used_ridge,
-                residual_before=residual_before,
-                residual_after=residual_after,
-                used_identity_fallback=fallback,
-            )
-        )
+        fits.append(ReconstructionFit(before, after, used_ridge, y.shape[0], fallback))
         # Release this pair's activations before the walks move on.
         y_output = p_input = star_output = y = y_star = None
-    return result, reports
+    return result, fits

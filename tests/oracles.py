@@ -2,12 +2,25 @@
 
 These are deliberately naive (triple loops, eigendecompositions, explicit
 pseudo-inverses), or the slower kernels a faster one replaced, and share
-no code with the package under test.
+no code with the package under test. The exception is
+``per_layer_reconstruction``, the loop the one-pass reconstruction
+replaced: it reuses the package's solve and merge, and checks the walk.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
+
+from groupcompress.decompose import decomposed_pairs
+from groupcompress.model import NetworkSpec
+from groupcompress.reconstruct import (
+    ReconstructionFit,
+    collect_responses,
+    default_ridge,
+    merge_pointwise_weights,
+    solve_reconstruction,
+)
 
 
 def singular_values_via_gram(a):
@@ -313,3 +326,27 @@ class EagerBlobReader:
             assert self.fh.readinto(part) == part.nbytes, field
             out[start : start + len(part)] = part
         return out.reshape(shape)
+
+
+def per_layer_reconstruction(
+    original, compressed, calib, ridge=None, intercept=True, symmetric=False
+):
+    """Reference for ``reconstruct_network``: for every pair in turn, re-run
+    both networks from the input (``collect_responses``), solve and merge.
+    Returns the merged network and each pair's ``ReconstructionFit``."""
+    result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
+    position = {layer.id: i for i, layer in enumerate(result.layers)}
+    fits = []
+    for pair in decomposed_pairs(compressed, original):
+        y, y_star = collect_responses(original, result, calib, pair.source, symmetric=symmetric)
+        used_ridge = default_ridge(y_star) if ridge is None else ridge
+        a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
+        before, after = (float(np.sqrt(np.einsum("ij,ij->", gap, gap)))
+                         for gap in (y - y_star, y - y_star @ a - delta))
+        fallback = after > before
+        if not fallback:
+            merged = merge_pointwise_weights(pair.p.conv, a, delta)
+            result.layers[position[pair.p.id]] = replace(pair.p, conv=merged)
+        fits.append(ReconstructionFit(
+            before, before if fallback else after, used_ridge, y.shape[0], fallback))
+    return result, fits

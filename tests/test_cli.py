@@ -33,6 +33,15 @@ from groupcompress.schedule import CompressionPlan, build_plan
 from nets import on_conv_forward, pool_fc_net, residual_net, toy_net
 
 
+def non_finite_calibration(samples, path):
+    """A calibration file of ``samples``, which hold a non-finite value that
+    ``save_calibration`` refuses: a finite set of their shape is saved and
+    its blob overwritten with them."""
+    path = modelio.save_calibration(np.zeros_like(samples), path)
+    path.with_suffix(".bin").write_bytes(samples.astype("<f4").tobytes())
+    return path
+
+
 @pytest.fixture
 def toy3_path(tmp_path):
     return save_model(build_toy_three(seed=0), tmp_path / "toy3.json")
@@ -345,11 +354,8 @@ class TestCompress:
                 "constant",
                 "--base-n",
                 "1",
-                "--calib-count",
-                "64",
             ]
-            if not flag:
-                argv.append("--no-reconstruct")
+            argv += ["--calib-count", "64"] if flag else ["--no-reconstruct"]
             assert main(argv) == EXIT_OK
             reports[name] = json.loads((out_dir / "report.json").read_text())
 
@@ -371,6 +377,56 @@ class TestCompress:
             return err
 
         assert calib_error("with") <= calib_error("without")
+
+    ROW_KEYS = ["layer", "n", "truncation_error", "block_truncation_errors", "flops_before",
+                "flops_after"]
+    FIT_KEYS = ["residual_before", "residual_after", "ridge", "sample_rows", "identity_fallback"]
+
+    @pytest.mark.parametrize("reconstruct", [True, False], ids=["reconstruct", "truncate"])
+    def test_report_rows_keys_and_network_order(self, toy3_path, tmp_path, reconstruct):
+        """Each layer row has exactly these keys, in this order. Rows follow
+        network order, also for a plan file that lists the convs in reverse,
+        which writes the model bytes of the plan in order."""
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                     "-o", str(plan_path)]) == EXIT_OK
+        plan = json.loads(plan_path.read_text())
+        reversed_path = tmp_path / "reversed.json"
+        reversed_path.write_text(json.dumps(
+            {**plan, "layer_ranks": dict(reversed(plan["layer_ranks"].items()))}))
+        mode = ["--calib-count", "48"] if reconstruct else ["--no-reconstruct"]
+        outs = {name: tmp_path / name for name in ("in-order", "reversed")}
+        for name, path in (("in-order", plan_path), ("reversed", reversed_path)):
+            assert main(["compress", str(toy3_path), "--plan", str(path), *mode,
+                         "-o", str(outs[name])]) == EXIT_OK
+        keys = self.ROW_KEYS + (self.FIT_KEYS if reconstruct else [])
+        for name, out in outs.items():
+            report = json.loads((out / "report.json").read_text())
+            ranks = ["c1", "c2", "c3"] if name == "in-order" else ["c3", "c2", "c1"]
+            assert list(report["plan"]["layer_ranks"]) == ranks
+            assert [row["layer"] for row in report["layers"]] == ["c1", "c2", "c3"]
+            for row in report["layers"]:
+                assert list(row) == keys
+                assert type(row["n"]) is int
+                if reconstruct:
+                    assert type(row["sample_rows"]) is int
+                    assert type(row["identity_fallback"]) is bool
+        for file_name in ("model.json", "model.bin"):
+            assert (outs["in-order"] / file_name).read_bytes() == (
+                outs["reversed"] / file_name).read_bytes()
+
+    def test_unflagged_calibration_is_128_samples_from_seed_0(self, toy3_path, tmp_path):
+        outs = {name: tmp_path / name for name in ("unflagged", "flagged")}
+        for name, flags in (("unflagged", []), ("flagged", ["--calib-count", "128",
+                                                           "--calib-seed", "0"])):
+            assert main(["compress", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                         *flags, "-o", str(outs[name])]) == EXIT_OK
+        report = json.loads((outs["unflagged"] / "report.json").read_text())
+        assert report["reconstruction"]["calibration"] == {
+            "source": "synthetic", "seed": 0, "count": 128}
+        for file_name in ("model.json", "model.bin", "report.json"):
+            assert (outs["unflagged"] / file_name).read_bytes() == (
+                outs["flagged"] / file_name).read_bytes()
 
     def test_report_content(self, toy3_path, tmp_path):
         out_dir = tmp_path / "out"
@@ -721,7 +777,7 @@ class TestCompress:
         elif calib == "non-finite":
             samples = CalibrationSet.synthetic((3, 6, 6), 48, seed=3).samples
             samples[5, 1, 2, 3] = np.nan
-            modelio.save_calibration(samples, calib_path)
+            non_finite_calibration(samples, calib_path)
 
         def no_svd(stack, n):
             raise AssertionError("SVD ran before the calibration set was read")
@@ -1049,7 +1105,7 @@ class TestAnalyze:
     ):
         samples = CalibrationSet.synthetic((3, 6, 6), 20, seed=3).samples
         samples[0, 0, 0, 0] = np.inf
-        calib_path = modelio.save_calibration(samples, tmp_path / "calib.json")
+        calib_path = non_finite_calibration(samples, tmp_path / "calib.json")
 
         class NoWalk(model._Walk):
             def __init__(self, net, x):
@@ -1240,6 +1296,28 @@ class TestUsageErrors:
             main([*self.argv(command, str(toy3_path), str(out)), flag, "-1"])
         assert exc.value.code == 2
         assert "must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--calib", "calib.json"], ["--calib-count", "8"], ["--calib-seed", "0"],
+                  ["--calib-seed", "3", "--calib-count", "8"]],
+        ids=["calib", "count", "seed", "seed-and-count"])
+    @pytest.mark.parametrize("command", ["compress", "analyze"])
+    def test_calibration_flags_the_run_will_not_use(
+        self, toy3_path, tmp_path, capsys, no_load, command, flags
+    ):
+        # compress --no-reconstruct, and analyze without --correlation.
+        out = tmp_path / "o"
+        argv = {
+            "compress": ["compress", str(toy3_path), "-o", str(out), "--degree", "constant",
+                         "--base-n", "1", "--no-reconstruct"],
+            "analyze": ["analyze", str(toy3_path), str(toy3_path), "-o", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flags])
+        assert exc.value.code == 2
+        given = ", ".join(sorted(flag for flag in flags if flag.startswith("--")))
+        assert f"{given}: {command} " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])

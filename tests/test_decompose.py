@@ -379,11 +379,17 @@ class TestDecomposeNetwork:
         # `add` joins c2's 6-channel output with c1's 4 channels: invalid, so
         # drop it for this test and use a plain chain.
         net.layers = net.layers[:3]
-        compressed, decomps = decompose_network(net, {"c1": 2, "c2": 2})
+        compressed, pairs = decompose_network(net, {"c1": 2, "c2": 2})
         ids = [l.id for l in compressed.layers]
         assert ids == ["c1.d", "c1.p", "r1", "c2.d", "c2.p"]
         assert compressed.layer("c1.d").meta == {"decomposed_from": "c1", "rank_n": 2}
-        assert set(decomps) == {"c1", "c2"}
+        assert [(pair.source, pair.d.id, pair.p.id, pair.n) for pair in pairs] == [
+            ("c1", "c1.d", "c1.p", 2), ("c2", "c2.d", "c2.p", 2)
+        ]
+        for pair in pairs:
+            assert pair.d is compressed.layer(pair.d.id) and pair.p is compressed.layer(pair.p.id)
+            assert pair.block_truncation_errors.shape == (net.layer(pair.source).conv.c_in // 2,)
+            assert pair.fit is None
 
     def test_add_source_redirected_to_pointwise(self):
         rng = np.random.default_rng(16)
@@ -478,9 +484,10 @@ class TestDecomposeNetwork:
         net.layers = net.layers[:3]
         compressed, _ = decompose_network(net, {"c1": 2, "c2": 2})
         pairs = decomposed_pairs(compressed, net)
-        assert [(src, d.id, p.id) for src, d, p in pairs] == [
-            ("c1", "c1.d", "c1.p"), ("c2", "c2.d", "c2.p")
+        assert [(pair.source, pair.d.id, pair.p.id, pair.n) for pair in pairs] == [
+            ("c1", "c1.d", "c1.p", 2), ("c2", "c2.d", "c2.p", 2)
         ]
+        assert all(pair.block_truncation_errors is None for pair in pairs)
         def edited(layer):  # a "conv" edit replaces fields of the layer's conv
             fields = dict(edits.get(layer.id, {}))
             if "conv" in fields:

@@ -536,6 +536,32 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch, save):
     assert list(tmp_path.iterdir()) == []
 
 
+# float32 stores a magnitude from halfway between its largest finite value
+# and 2**128 on as infinity.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_INF_FROM = _FLOAT32_MAX + (2.0**128 - _FLOAT32_MAX) / 2
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, _FLOAT32_INF_FROM, -1e300, np.nan])
+def test_calibration_float32_cannot_hold_is_refused_before_any_write(tmp_path, value):
+    samples = CalibrationSet.synthetic((2, 3, 3), 4, seed=0).samples
+    samples[2, 1, 0, 2] = value
+    with pytest.raises(ShapeError, match="beyond float32's range"):
+        modelio.save_calibration(samples, tmp_path / "calib.json")
+    if np.isfinite(value):
+        with pytest.raises(ShapeError, match="beyond float32's range"):
+            CalibrationSet(samples).save(tmp_path / "calib.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [_FLOAT32_MAX, np.nextafter(_FLOAT32_INF_FROM, 0.0)])
+def test_calibration_at_the_float32_limit_loads_back_finite(tmp_path, value):
+    samples = CalibrationSet.synthetic((2, 3, 3), 4, seed=0).samples
+    samples[0, 0, 0, 0], samples[3, 1, 2, 2] = value, -value
+    loaded = CalibrationSet.from_file(CalibrationSet(samples).save(tmp_path / "calib.json"))
+    assert loaded.samples[0, 0, 0, 0] == -loaded.samples[3, 1, 2, 2] == _FLOAT32_MAX
+
+
 # Keys a manifest may lack: optional layer fields.
 _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
 

@@ -15,9 +15,7 @@ from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward, la
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
-    LayerReconstructionReport,
     collect_responses,
-    default_ridge,
     merge_pointwise_weights,
     reconstruct_network,
     solve_reconstruction,
@@ -25,34 +23,7 @@ from groupcompress.reconstruct import (
 
 from json_edits import cut_or_grow, edit_fields
 from nets import on_conv_forward, residual_net, toy_net
-from oracles import pinv_solve, symmetric_pair_response
-
-
-def per_layer_reconstruction(
-    original, compressed, calib, ridge=None, intercept=True, symmetric=False
-):
-    """Reference for ``reconstruct_network``: for every pair in turn, re-run
-    both networks from the input (``collect_responses``), solve and merge."""
-    result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
-    position = {layer.id: i for i, layer in enumerate(result.layers)}
-    reports = []
-    for layer_id, _, p_layer in decomposed_pairs(compressed, original):
-        y, y_star = collect_responses(original, result, calib, layer_id, symmetric=symmetric)
-        used_ridge = default_ridge(y_star) if ridge is None else ridge
-        a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
-        before, after = (float(np.sqrt(np.einsum("ij,ij->", gap, gap)))
-                         for gap in (y - y_star, y - y_star @ a - delta))
-        fallback = after > before
-        if not fallback:
-            merged = merge_pointwise_weights(p_layer.conv, a, delta)
-            result.layers[position[p_layer.id]] = replace(p_layer, conv=merged)
-        reports.append(
-            LayerReconstructionReport(
-                layer_id, int(p_layer.meta["rank_n"]), y.shape[0], used_ridge,
-                before, before if fallback else after, fallback,
-            )
-        )
-    return result, reports
+from oracles import per_layer_reconstruction, pinv_solve, symmetric_pair_response
 
 
 class TestCalibrationSet:
@@ -112,7 +83,7 @@ class TestCollectResponses:
     def test_first_layer_has_no_upstream_error(self):
         # At the first decomposed layer Y* must equal patches @ D @ P + bias.
         net = toy_net(seed=3, widths=(3, 6, 6))
-        compressed, decomps = decompose_network(net, {"c1": 1, "c2": 2})
+        compressed, _ = decompose_network(net, {"c1": 1, "c2": 2})
         calib = CalibrationSet.synthetic((3, 6, 6), 3, seed=4)
         y, y_star = collect_responses(net, compressed, calib, "c1")
         y_sym, y_star_sym = collect_responses(net, compressed, calib, "c1", symmetric=True)
@@ -138,14 +109,14 @@ class TestCollectResponses:
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
         inputs = layer_inputs(net)
         ids = [l.id for l in net.layers]
-        for src, d_layer, p_layer in decomposed_pairs(compressed, net)[1:]:
-            upto = ids.index(inputs[src]) + 1
+        for pair in decomposed_pairs(compressed, net)[1:]:
+            upto = ids.index(inputs[pair.source]) + 1
             prefix = NetworkSpec(net.name, net.input_shape, net.layers[:upto])
             expected = np.vstack(
-                [symmetric_pair_response(forward(prefix, x), d_layer.conv, p_layer.conv)
+                [symmetric_pair_response(forward(prefix, x), pair.d.conv, pair.p.conv)
                  for x in calib.samples]
             )
-            _, y_star = collect_responses(net, compressed, calib, src, symmetric=True)
+            _, y_star = collect_responses(net, compressed, calib, pair.source, symmetric=True)
             assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("build", [build_toy_cnn, residual_net], ids=["toy4", "residual"])
@@ -156,13 +127,13 @@ class TestCollectResponses:
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=9)
         ids = [l.id for l in compressed.layers]
-        for src, _, p_layer in decomposed_pairs(compressed, net):
-            upto = ids.index(p_layer.id) + 1
+        for pair in decomposed_pairs(compressed, net):
+            upto = ids.index(pair.p.id) + 1
             prefix = NetworkSpec(net.name, net.input_shape, compressed.layers[:upto])
             expected = np.vstack(
-                [forward(prefix, x).reshape(p_layer.conv.c_out, -1).T for x in calib.samples]
+                [forward(prefix, x).reshape(pair.p.conv.c_out, -1).T for x in calib.samples]
             )
-            _, y_star = collect_responses(net, compressed, calib, src)
+            _, y_star = collect_responses(net, compressed, calib, pair.source)
             assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_not_decomposed_layer_rejected(self):
@@ -350,7 +321,8 @@ class TestReconstructNetwork:
 
 
 def test_reported_n_is_the_pairs_when_manifest_omits_rank_n(tmp_path):
-    """rank_n is optional provenance: the report takes n from D."""
+    """rank_n is optional provenance: a pair's n comes from D, and the
+    loaded pairs reconstruct."""
     net = build_toy_three(seed=5)
     compressed, _ = decompose_network(net, {"c1": 1, "c2": 2, "c3": 4})
     path = save_model(compressed, tmp_path / "model.json")
@@ -358,9 +330,11 @@ def test_reported_n_is_the_pairs_when_manifest_omits_rank_n(tmp_path):
     for layer in manifest["layers"]:
         layer.pop("rank_n", None)
     path.write_text(json.dumps(manifest))
+    loaded = load_model(path)
+    assert [pair.n for pair in decomposed_pairs(loaded, net)] == [1, 2, 4]
     calib = CalibrationSet.synthetic(net.input_shape, 40, seed=6)
-    _, reports = reconstruct_network(net, load_model(path), calib)
-    assert [r.rank_n for r in reports] == [1, 2, 4]
+    _, fits = reconstruct_network(net, loaded, calib)
+    assert len(fits) == 3
 
 
 class TestOnePass:
