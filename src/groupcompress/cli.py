@@ -351,15 +351,20 @@ def _add_calib_flags(parser) -> None:
 
 
 def _check_calib_flags(parser, args) -> None:
-    """Calibration flags on a run that reads no calibration set, ``compress
-    --no-reconstruct`` or ``analyze`` without --correlation, are a usage
-    error."""
+    """A calibration flag this run does not read is a usage error: any of them
+    when no set is read (``compress --no-reconstruct``, ``analyze`` without
+    --correlation), and --calib-count or --calib-seed beside --calib."""
     given = [flag for flag in ("--calib", "--calib-count", "--calib-seed")
              if getattr(args, flag[2:].replace("-", "_"), None) is not None]
-    # Only compress and analyze take these flags.
-    if given and (args.no_reconstruct if args.command == "compress" else not args.correlation):
+    if not given:  # only compress and analyze take these flags
+        return
+    if args.no_reconstruct if args.command == "compress" else not args.correlation:
         why = "--no-reconstruct" if args.command == "compress" else "without --correlation"
-        parser.error(f"{', '.join(given)}: {args.command} {why} reads no calibration data")
+        unread, why = given, f"{why} reads no calibration data"
+    else:
+        unread, why = given[1:] if args.calib else [], "takes its samples from --calib"
+    if unread:
+        parser.error(f"{', '.join(unread)}: {args.command} {why}")
 
 
 def build_parser() -> argparse.ArgumentParser:

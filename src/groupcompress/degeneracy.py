@@ -33,6 +33,7 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 from .model import flops_ratio_fraction
+from .modelio import write_atomically
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,6 @@ class StrategyRankReport:
     rank_svd: int
     rank_spatial: int
     rank_group: int
-
-    def to_row(self) -> dict:
-        return asdict(self)
 
 
 def equal_flops_ranks(c_in: int, c_out: int, k: int, n: int) -> StrategyRankReport:
@@ -145,13 +143,12 @@ class CorrelationReport:
     """Absolute Pearson correlations between two layers' channel activations.
 
     ``matrix[i, j]`` correlates group-output channel i with pointwise-output
-    channel j. With ``block_size`` set, in-block entries are those where both
-    channels fall in the same filter group.
+    channel j. The block means are set for a given block size: in-block
+    entries are those where both channels fall in the same filter group.
     """
 
     matrix: np.ndarray
     zero_variance_channels: list[tuple[str, int]]
-    block_size: int | None = None
     mean_in_block: float | None = None
     mean_out_block: float | None = None
 
@@ -200,20 +197,14 @@ def filter_correlation(
         in_mask = gi == pj
         mean_in = float(corr[in_mask].mean())
         mean_out = float(corr[~in_mask].mean()) if (~in_mask).any() else 0.0
-    return CorrelationReport(
-        matrix=corr,
-        zero_variance_channels=flagged,
-        block_size=block_size,
-        mean_in_block=mean_in,
-        mean_out_block=mean_out,
-    )
+    return CorrelationReport(corr, flagged, mean_in_block=mean_in, mean_out_block=mean_out)
 
 
 def write_csv(path, header: list | None, rows) -> Path:
-    """Write ``header`` (None: no header row) and then ``rows`` as CSV."""
+    """Write ``header`` (None: no header row) and then ``rows`` as CSV, atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_atomically(path) as (tmp,), open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
@@ -230,9 +221,9 @@ def write_energy_csv(path, curve: EnergyCurve) -> Path:
 
 def write_rank_report_csv(path, reports: list[StrategyRankReport], labels: list[str]) -> Path:
     """One row per report, in the column ``layer`` its label."""
-    header = ["layer"] + list(reports[0].to_row()) if reports else ["layer"]
+    header = ["layer"] + list(asdict(reports[0])) if reports else ["layer"]
     return write_csv(path, header, (
-        [label, *report.to_row().values()] for label, report in zip(labels, reports)
+        [label, *asdict(report).values()] for label, report in zip(labels, reports)
     ))
 
 

@@ -47,11 +47,14 @@ manifest and the blob's size, but reads no tensor: each array of the loaded
 network is a ``model.Deferred`` that the blob file stays open for. The
 first access of an array reads it straight into float64 and the record
 keeps it; ``model.read_arrays`` reads it for one use only. Save converts
-each float64 array to float32 as it writes it, and copies each tensor that
-was never read from the source blob as float32 bytes, with no float64
-step. Every read, copy and write goes through one buffer of
-``SLICE_VALUES`` float32 values, so load and save hold one bounded slice
-beyond the arrays that were read, never a second copy of the weights.
+each array to float32 as it writes it, and copies each tensor that was
+never read from the source blob as float32 bytes, with no float64 step.
+An array of a model or a calibration set with a value float32 cannot
+hold (NaN, infinite, or rounding to infinity) raises ShapeError naming
+the tensor, before any file is written. Every read, copy and write goes
+through one buffer of ``SLICE_VALUES`` float32 values, so load and save
+hold one bounded slice beyond the arrays that were read, never a second
+copy of the weights.
 
 The blob file is read through the handle load opened, never reopened by
 path, so saving over the model that was loaded works: ``write_atomically``
@@ -94,9 +97,17 @@ class _BlobWriter:
         self.arrays: list = []
         self.offset = 0
 
-    def put(self, array) -> dict | None:
+    def put(self, array, name: str) -> dict | None:
+        """Lay out ``array``, the tensor ``name``. Unless its ``min`` and
+        ``max`` round to finite float32 values, ShapeError is raised; as
+        rounding is monotone, every value then does, and a NaN is caught."""
         if array is None:
             return None
+        if array.size and not isinstance(array, _BlobTensor):
+            low, high = array.min(), array.max()
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.float32([low, high])).all():
+                    raise ShapeError(f"{name}: {low:.4g} to {high:.4g}, beyond float32's range")
         entry = {"offset": self.offset, "length": 4 * array.size}
         self.arrays.append(array)
         self.offset += entry["length"]
@@ -209,7 +220,7 @@ def _layer_to_json(layer: LayerSpec, blob: _BlobWriter) -> dict:
                 raise ModelFormatError(
                     f"layer {layer.id}: cannot serialize {layer.kind} without {name}"
                 )
-            obj[name] = blob.put(value)
+            obj[name] = blob.put(value, f"layer {layer.id} {name}")
     obj.update((key, layer.meta[key]) for key in _META_KEYS if key in layer.meta)
     return obj
 
@@ -413,16 +424,10 @@ def load_model(manifest_path) -> NetworkSpec:
 
 
 def save_calibration(samples: np.ndarray, manifest_path) -> Path:
-    """Write (count, C, H, W) ``samples`` as a calibration manifest and blob.
-    Samples that float32 stores as non-finite raise ShapeError, and neither
-    file is written: a NaN, or a magnitude from 2**128 - 2**103 (halfway
-    between float32's largest value and 2**128) up."""
-    magnitude = max(-samples.min(), samples.max()) if samples.size else 0.0
-    if not magnitude < 2.0**128 - 2.0**103:
-        raise ShapeError(f"calibration samples reach {magnitude:.4g}, beyond float32's range")
+    """Write (count, C, H, W) ``samples`` as a calibration manifest and blob."""
     manifest_path = Path(manifest_path)
     blob = _BlobWriter()
-    blob.put(samples)
+    blob.put(samples, "calibration samples")
     header = {
         "format_version": FORMAT_VERSION,
         "count": samples.shape[0],

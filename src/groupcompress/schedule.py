@@ -112,9 +112,8 @@ def _plannable(layer, stages: dict[str, str]) -> bool:
     return layer.conv.k != 1 and layer.conv.groups == 1 and layer.id in stages
 
 
-def stage_order(net: NetworkSpec, stages: dict[str, str] | None = None) -> list[str]:
+def stage_order(net: NetworkSpec, stages: dict[str, str]) -> list[str]:
     """Stage labels of plannable convs, in first-appearance order."""
-    stages = _conv_stages(net) if stages is None else stages
     plannable = (stages[l.id] for l in net.conv_layers() if _plannable(l, stages))
     return list(dict.fromkeys(plannable))
 

@@ -263,13 +263,14 @@ def reference_forward(net, x):
 class WholeBlobWriter:
     """The blob writer streaming replaced: a little-endian float32 copy of
     every array, all held until one write. It has the interface of
-    ``modelio._BlobWriter``, so a test can save through it."""
+    ``modelio._BlobWriter``, so a test can save through it; it checks no
+    value's range."""
 
     def __init__(self):
         self.chunks = []
         self.offset = 0
 
-    def put(self, array):
+    def put(self, array, name):
         if array is None:
             return None
         data = np.ascontiguousarray(array, dtype="<f4")

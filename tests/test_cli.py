@@ -42,6 +42,18 @@ def non_finite_calibration(samples, path):
     return path
 
 
+def nan_weight_model(net, layer_id, path):
+    """``net`` saved at ``path`` with a NaN as the first weight of
+    ``layer_id``, which ``save_model`` refuses: the finite model is saved
+    and the NaN written into its blob."""
+    path = save_model(net, path)
+    layer = next(obj for obj in json.loads(path.read_text())["layers"] if obj["id"] == layer_id)
+    with open(path.with_suffix(".bin"), "r+b") as fh:
+        fh.seek(layer["weights"]["offset"])
+        fh.write(np.array([np.nan], "<f4").tobytes())
+    return path
+
+
 @pytest.fixture
 def toy3_path(tmp_path):
     return save_model(build_toy_three(seed=0), tmp_path / "toy3.json")
@@ -471,9 +483,7 @@ class TestCompress:
         assert "layer c1:" in err and "'c1.p'" in err
 
     def test_non_finite_weight_is_numeric_error_naming_layer(self, tmp_path, capsys):
-        net = build_toy_three(seed=0)
-        net.layer("c1").conv.weights[0, 0, 0, 0] = np.nan
-        path = save_model(net, tmp_path / "m.json")
+        path = nan_weight_model(build_toy_three(seed=0), "c1", tmp_path / "m.json")
         out_dir = tmp_path / "o"
         code = main(
             ["compress", str(path), "-o", str(out_dir), "--degree", "constant",
@@ -484,10 +494,27 @@ class TestCompress:
         assert "layer c1:" in err and "non-finite" in err
         assert not (out_dir / "model.bin").exists()
 
-    def test_non_finite_last_layer_fails_before_any_svd(self, tmp_path, capsys, monkeypatch):
+    def test_pair_beyond_float32_is_numeric_error_leaving_earlier_outputs(
+        self, toy3_path, tmp_path, capsys
+    ):
+        # All-finite float32 weights of +-3e38 give c2's D layer singular
+        # values that float32 cannot hold.
+        out_dir = tmp_path / "o"
+        argv = ["--degree", "constant", "--base-n", "2", "--no-reconstruct", "-o", str(out_dir)]
+        assert main(["compress", str(toy3_path), *argv]) == EXIT_OK
+        earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(earlier) == ["model.bin", "model.json", "report.json"]
         net = build_toy_three(seed=0)
-        net.layer("c3").conv.weights[0, 0, 0, 0] = np.nan
-        path = save_model(net, tmp_path / "m.json")
+        weights = net.layer("c2").conv.weights
+        weights[...] = np.where(weights < 0, -3e38, 3e38)
+        path = save_model(net, tmp_path / "huge.json")
+        capsys.readouterr()
+        assert main(["compress", str(path), *argv]) == EXIT_NUMERIC
+        assert "layer c2.d weights:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+
+    def test_non_finite_last_layer_fails_before_any_svd(self, tmp_path, capsys, monkeypatch):
+        path = nan_weight_model(build_toy_three(seed=0), "c3", tmp_path / "m.json")
 
         def no_svd(stack, n):
             raise AssertionError("SVD ran before the weights were checked")
@@ -1318,6 +1345,24 @@ class TestUsageErrors:
         assert exc.value.code == 2
         given = ", ".join(sorted(flag for flag in flags if flag.startswith("--")))
         assert f"{given}: {command} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--calib-count", "8"], ["--calib-seed", "0"],
+                  ["--calib-seed", "3", "--calib-count", "8"]],
+        ids=["count", "seed", "seed-and-count"])
+    @pytest.mark.parametrize("command", ["compress", "analyze"])
+    def test_calibration_count_or_seed_beside_calib(
+        self, toy3_path, tmp_path, capsys, no_load, command, flags
+    ):
+        # compress when it reconstructs, and analyze --correlation: the
+        # file gives the samples.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*self.argv(command, str(toy3_path), str(out)), "--calib", "calib.json", *flags])
+        assert exc.value.code == 2
+        given = ", ".join(sorted(flag for flag in flags if flag.startswith("--")))
+        assert f"{given}: {command} takes its samples from --calib" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])

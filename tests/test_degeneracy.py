@@ -10,6 +10,7 @@ from groupcompress.degeneracy import (
     jacobian_energy_curve,
     svd_strategy_matrix,
     write_correlation_csv,
+    write_csv,
     write_energy_csv,
     write_rank_report_csv,
 )
@@ -247,6 +248,17 @@ class TestCsvEmission:
         lines = path.read_text().strip().splitlines()
         assert "rank_group" in lines[0]
         assert lines[1].startswith("c1,16,32,3,4,")
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path):
+        path = write_csv(tmp_path / "ranks.csv", ["layer"], [["c1"]])
+
+        def half_rows():
+            yield ["c1"]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(path, ["layer"], half_rows())
+        assert list(tmp_path.iterdir()) == []
 
     def test_correlation_csv(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -562,6 +562,24 @@ def test_calibration_at_the_float32_limit_loads_back_finite(tmp_path, value):
     assert loaded.samples[0, 0, 0, 0] == -loaded.samples[3, 1, 2, 2] == _FLOAT32_MAX
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+def test_model_float32_cannot_hold_is_refused_before_any_write(tmp_path, value):
+    net = build_toy_three(0)
+    net.layer("c2").conv.weights[1, 0, 2, 1] = value
+    with pytest.raises(ShapeError, match=r"^layer c2 weights: .* beyond float32's range"):
+        save_model(net, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_model_weight_of_float32_max_loads_back_exactly(tmp_path):
+    net = build_toy_three(0)
+    weights = net.layer("c2").conv.weights
+    weights[0, 0, 0, 0], weights[-1, -1, -1, -1] = _FLOAT32_MAX, -_FLOAT32_MAX
+    loaded = load_model(save_model(net, tmp_path / "model.json")).layer("c2").conv.weights
+    assert np.array_equal(loaded, weights.astype(np.float32))
+    assert loaded[0, 0, 0, 0] == -loaded[-1, -1, -1, -1] == _FLOAT32_MAX
+
+
 # Keys a manifest may lack: optional layer fields.
 _OPTIONAL_KEYS = {"input", "source", "stage", "decomposed_from", "rank_n"}
 

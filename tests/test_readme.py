@@ -1,8 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example and CLI block run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from groupcompress.cli import main
 from groupcompress.fixtures import build_toy_three
 from groupcompress.modelio import save_model
 
@@ -17,3 +19,16 @@ def test_library_use_snippet_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     ratio = float(capsys.readouterr().out)
     assert 0.0 < ratio < 1.0
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    """Each ``groupcompress`` command of the CLI block, continuation lines
+    joined, exits 0 when the block is run in order in an empty directory."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("groupcompress ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)

@@ -108,7 +108,7 @@ class TestBuildPlan:
             plan_from_preset(resnet, "bad")
 
     def test_stage_order_is_depth_order(self, resnet):
-        assert stage_order(resnet) == [
+        assert stage_order(resnet, schedule._conv_stages(resnet)) == [
             "conv1",
             "conv2_x",
             "conv3_x",
@@ -146,7 +146,7 @@ class TestBuildPlan:
                 conv("d", 16, 16),
             ],
         )
-        assert stage_order(net) == ["s16x16", "s8x8", "s4x4"]
+        assert stage_order(net, schedule._conv_stages(net)) == ["s16x16", "s8x8", "s4x4"]
         plan = build_plan(net, "quarter", 1)
         assert plan.stage_ns == {"s16x16": 1, "s8x8": 4, "s4x4": 16}
         # The strided conv reads the 8x8 map, so it takes that stage's n.
