@@ -44,9 +44,12 @@ no thread. A kernel writes only into arrays it is given, and calls only
 private functions.
 
 Specs are shared, not copied: a network derived from another keeps the
-unchanged parameter arrays of its input, and no code writes in place to an
-array it did not allocate, except to an output of ``_Walk.to`` as ``_Walk``
-allows.
+unchanged parameter arrays of its input. Code writes in place only to an
+array it owns. A walk owns the outputs it allocated until it returns one
+from ``_Walk.to``, which hands that array to the caller (who may overwrite
+an output, as ``_Walk`` allows), or shares it with a fork. Only an
+elementwise layer (relu, channel affine, add) writes in place, into an
+input its walk owns and that no later layer reads.
 
 Each parameter array of ``ConvWeights``, ``FcParams`` and ``AffineParams``
 declares its shape, and whether a saved model may hold null for it (only a
@@ -456,6 +459,7 @@ class _Kind:
     forward: Callable
     scratch: Callable = lambda layer, in_shape, out_shape: ()
     flops: Callable | None = None
+    in_place: bool = False  # elementwise: its output may be its input array
 
 
 _KINDS = {
@@ -464,13 +468,15 @@ _KINDS = {
         lambda layer, shape: flops_of_layer(layer.conv, shape[1], shape[2]),
     ),
     "relu": _Kind(None, lambda layer, s, shapes: s,
-                  lambda layer, x, other, out: np.maximum(x, 0.0, out=out)),
+                  lambda layer, x, other, out: np.maximum(x, 0.0, out=out), in_place=True),
     "maxpool": _Kind(("pool", PoolParams), _pool_shape, *_pool_rules(-np.inf, np.maximum)),
     "avgpool": _Kind(("pool", PoolParams), _pool_shape, *_pool_rules(0.0, np.add)),
-    "add": _Kind(None, _add_shape, lambda layer, x, other, out: np.add(x, other, out=out)),
+    "add": _Kind(None, _add_shape, lambda layer, x, other, out: np.add(x, other, out=out),
+                 in_place=True),
     "fc": _Kind(("fc", FcParams), _fc_shape, _fc_forward,
                 flops=lambda layer, _: flops_of_fc(layer.fc)),
-    "channel_affine": _Kind(("affine", AffineParams), _affine_shape, _affine_forward),
+    "channel_affine": _Kind(("affine", AffineParams), _affine_shape, _affine_forward,
+                            in_place=True),
 }
 # Kind -> (the LayerSpec attribute carrying its parameters, their class), or None.
 LAYER_KINDS = {kind: rule.param for kind, rule in _KINDS.items()}
@@ -501,11 +507,13 @@ def propagate_shapes(net: NetworkSpec) -> dict[str, tuple]:
     return shapes
 
 
-def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
     """``layer``'s output on the batch ``x`` (for an add, and the batch
-    ``other`` of its ``source``), as the module docstring says. A shape the
-    kind's rule rejects, or a required parameter array that is None, raises
-    ShapeError naming the layer."""
+    ``other`` of its ``source``), as the module docstring says, written into
+    ``out`` if given (``x`` itself for an ``in_place`` kind), else into a
+    new array. A shape the kind's rule rejects, or a required parameter
+    array that is None, raises ShapeError naming the layer."""
     kind = _KINDS[layer.kind]
     in_shape, earlier = x.shape[1:], {} if other is None else {layer.source: other.shape[1:]}
     out_shape = kind.shape(layer, in_shape, earlier)
@@ -514,7 +522,8 @@ def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None) -> np
         for name, _, nullable, _ in array_fields(params):
             if getattr(params, name) is None and not nullable:  # reads a Deferred array
                 raise ShapeError(f"layer {layer.id}: no materialized {name}")
-    out = np.empty((len(x), *out_shape))
+    if out is None:
+        out = np.empty((len(x), *out_shape))
     linalg._on_every_cpu(
         len(x),
         lambda lo, hi, *scratch: kind.forward(
@@ -524,18 +533,40 @@ def _run(layer: LayerSpec, x: np.ndarray, other: np.ndarray | None = None) -> np
     return out
 
 
+def shared_prefix(a: NetworkSpec, b: NetworkSpec) -> int:
+    """How many leading layers ``a`` and ``b`` share. A shared layer stands
+    at the same position in both, with the same id, kind, input and source,
+    and holds the same parameter record (``is``), so that it reads only
+    shared layers and gives the same output in both on the same batch."""
+    count = 0
+    for x, y in zip(a.layers, b.layers):
+        param = _KINDS[x.kind].param
+        if ((x.id, x.kind, x.input, x.source) != (y.id, y.kind, y.input, y.source)
+                or param is not None and getattr(x, param[0]) is not getattr(y, param[0])):
+            break
+        count += 1
+    return count
+
+
 class _Walk:
     """A walk of ``net`` over the (N, C, H, W) batch ``x``, paused between
-    layers: the next layer's position in ``net.layers`` and the live outputs,
-    each dropped once the last layer reading it has run. ``to`` resumes it.
-    The caller may overwrite a returned output in place; later layers then
-    read the new values. Batches are (N, features) after fc."""
+    layers: the next layer's position in ``net.layers``, the live outputs,
+    each dropped once the last layer reading it has run, and the ids of the
+    live outputs the walk owns. ``to`` resumes it, and ``fork`` starts a walk
+    of another network from where it is. The walk owns each output it
+    allocates until ``to`` returns it, as input or output, or a fork shares
+    it. An ``in_place`` kind writes its output into its input when the walk
+    owns that input, the layer is its last reader, and ``to`` does not stop
+    at the layer (``to`` returns its input). So no array that a caller of
+    ``to`` or another walk holds is written. The caller may overwrite a
+    returned output in place; later layers then read the new values.
+    Batches are (N, features) after fc."""
 
     def __init__(self, net: NetworkSpec, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != net.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != network input {net.input_shape}")
-        self.net, self.x, self.next, self.outputs = net, x, 0, {}
+        self.net, self.x, self.next, self.outputs, self.owned = net, x, 0, {}, set()
         self.inputs = layer_inputs(net)
         self.position = {layer.id: i for i, layer in enumerate(net.layers)}
         self.last_reader = {read: i for i, layer in enumerate(net.layers)
@@ -553,16 +584,39 @@ class _Walk:
     def to(self, layer_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Run the layers through ``layer_id``, checked by ``index`` before
         any layer runs, and return its input and output batches."""
-        for i in range(self.next, self.index(layer_id) + 1):
+        stop = self.index(layer_id)
+        for i in range(self.next, stop + 1):
             layer = self.net.layers[i]
             in_id = self.inputs[layer.id]
             value = self.x if in_id is None else self.outputs[in_id]
-            out = self.outputs[layer.id] = _run(layer, value, self.outputs.get(layer.source))
+            in_place = (_KINDS[layer.kind].in_place and i < stop and in_id in self.owned
+                        and self.last_reader[in_id] == i)
+            out = self.outputs[layer.id] = _run(layer, value, self.outputs.get(layer.source),
+                                                value if in_place else None)
+            self.owned.add(layer.id)
             for read in (in_id, layer.source):
                 if self.last_reader.get(read) == i:
                     self.outputs.pop(read, None)
-        self.next = i + 1
+                    self.owned.discard(read)
+        self.next = stop + 1
+        self.owned.difference_update((in_id, layer_id))
         return value, out
+
+    def fork(self, net: NetworkSpec) -> _Walk:
+        """A walk of ``net`` over the same batch that starts where this walk
+        is, holding the live outputs that ``net`` reads later; neither walk
+        owns them. ``net`` must share (``shared_prefix``) each layer this
+        walk has run, else ShapeError, and read no output this walk has
+        dropped, which no network ``decompose_network`` derives from this
+        walk's network does."""
+        if shared_prefix(self.net, net) < self.next:
+            raise ShapeError(f"{net.name!r} does not share the {self.next} layers walked")
+        fork = _Walk(net, self.x)
+        fork.next = self.next
+        fork.outputs = {read: out for read, out in self.outputs.items()
+                        if fork.last_reader.get(read, -1) >= self.next}
+        self.owned.difference_update(fork.outputs)
+        return fork
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:

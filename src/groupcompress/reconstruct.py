@@ -29,7 +29,9 @@ import numpy as np
 from . import linalg
 from .decompose import DecomposedPair, decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
-from .model import ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, response_rows
+from .model import (
+    ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, response_rows, shared_prefix,
+)
 from .modelio import load_calibration, save_calibration
 
 
@@ -87,14 +89,15 @@ def collect_responses(
     Y is the original layer's pre-activation response. Y* is the output of
     the corresponding pointwise layer in the compressed network (default),
     or, with ``symmetric=True``, of the (D, P) pair applied to the original
-    layer's input, ignoring upstream drift.
+    layer's input, ignoring upstream drift. The walks are those of
+    ``reconstruct_network``: the layers both networks share run once.
     """
     if layer_id not in {layer.id for layer in original.conv_layers()}:
         raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
     pairs = {pair.source: pair for pair in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
-    walks = _Walk(original, calib.samples), None if symmetric else _Walk(compressed, calib.samples)
+    walks = _walks(original, compressed, calib.samples, symmetric)
     _, y_output, star_output = _pair_outputs(*walks, pairs[layer_id])
     y, y_star = response_rows(y_output), response_rows(star_output)
     if y.shape != y_star.shape:
@@ -176,6 +179,21 @@ class ReconstructionFit:
     identity_fallback: bool
 
 
+def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: bool):
+    """The walks (``model._Walk``) that ``_pair_outputs`` resumes: the
+    original network's and, unless ``symmetric``, the compressed network's.
+    The two networks agree up to the first layer they do not share
+    (``model.shared_prefix``), so the original walk runs those layers alone,
+    and the compressed walk is its fork after them."""
+    original_walk = _Walk(original, samples)
+    if symmetric:
+        return original_walk, None
+    shared = shared_prefix(original, compressed)
+    if shared:
+        original_walk.to(original.layers[shared - 1].id)
+    return original_walk, original_walk.fork(compressed)
+
+
 def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
     """Resume the walks (``model._Walk``) at one pair and return P's input,
     the source conv's output Y and P's output Y*. Without a compressed walk
@@ -219,9 +237,12 @@ def reconstruct_network(
     Each network is walked once (``model._Walk``), all calibration samples
     as one batch, resumed at each pair. The original network's walk gives Y
     at each source conv. In the asymmetric (default) mode the compressed
-    network's walk gives Y* at each P layer; after the solve, the merged
-    layer's output on D's output overwrites the walk's P output in place, so
-    deeper layers see the compressed prefix in its final form. In symmetric
+    network's walk gives Y* at each P layer. It is a fork of the original
+    walk after the leading layers the two networks share, which therefore
+    run once (in ``compress``, every layer before the first pair). After the
+    solve, the merged layer's output on D's output overwrites the walk's P
+    output in place, so deeper layers see the compressed prefix in its final
+    form. In symmetric
     mode Y* is the pair applied to the source conv's input in the original
     walk, and the compressed network is not walked.
 
@@ -236,8 +257,7 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    original_walk = _Walk(original, calib.samples)
-    compressed_walk = None if symmetric else _Walk(compressed, calib.samples)
+    original_walk, compressed_walk = _walks(original, compressed, calib.samples, symmetric)
     fits: list[ReconstructionFit] = []
     for pair in pairs:
         p_input, y_output, star_output = _pair_outputs(original_walk, compressed_walk, pair)
@@ -245,7 +265,10 @@ def reconstruct_network(
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
         before = math.sqrt(_sum_of_squares(y - y_star))
-        after = math.sqrt(_sum_of_squares(y - y_star @ a - delta))
+        rest = y_star @ a  # then Y - Y* A - delta, in the same array
+        np.subtract(y, rest, out=rest)
+        rest -= delta
+        after = math.sqrt(_sum_of_squares(rest))
         fallback = after > before
         if fallback:
             after = before
@@ -257,5 +280,5 @@ def reconstruct_network(
                 star_output[...] = _run(merged, p_input)
         fits.append(ReconstructionFit(before, after, used_ridge, y.shape[0], fallback))
         # Release this pair's activations before the walks move on.
-        y_output = p_input = star_output = y = y_star = None
+        y_output = p_input = star_output = y = y_star = rest = None
     return result, fits

@@ -16,10 +16,10 @@ def on_conv_forward(monkeypatch, hook):
     cuts its batch into."""
     run = model._run
 
-    def hooked(layer, x, other=None):
+    def hooked(layer, x, other=None, out=None):
         if layer.kind == "conv":
             hook(layer)
-        return run(layer, x, other)
+        return run(layer, x, other, out)
 
     monkeypatch.setattr(model, "_run", hooked)
 

@@ -2,9 +2,11 @@
 
 These are deliberately naive (triple loops, eigendecompositions, explicit
 pseudo-inverses), or the slower kernels a faster one replaced, and share
-no code with the package under test. The exception is
+no code with the package under test. The exceptions are
 ``per_layer_reconstruction``, the loop the one-pass reconstruction
-replaced: it reuses the package's solve and merge, and checks the walk.
+replaced: it reuses the package's solve and merge, and checks the walk;
+and ``unshared_walk``, the walk before forks and in-place layers: it
+reuses the package's layer step, and checks the walk's sharing rules.
 """
 
 import os
@@ -13,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from groupcompress.decompose import decomposed_pairs
-from groupcompress.model import NetworkSpec
+from groupcompress.model import NetworkSpec, _run, layer_inputs
 from groupcompress.reconstruct import (
     ReconstructionFit,
     collect_responses,
@@ -327,6 +329,17 @@ class EagerBlobReader:
             assert self.fh.readinto(part) == part.nbytes, field
             out[start : start + len(part)] = part
         return out.reshape(shape)
+
+
+def unshared_walk(net, xs):
+    """Every layer's output batch on the batch ``xs``, by layer id: each
+    layer run by ``model._run`` into a new array, and every output kept, so
+    that no array is shared or written twice."""
+    outputs = {}
+    for layer, in_id in zip(net.layers, layer_inputs(net).values()):
+        value = np.asarray(xs, dtype=np.float64) if in_id is None else outputs[in_id]
+        outputs[layer.id] = _run(layer, value, outputs.get(layer.source))
+    return outputs
 
 
 def per_layer_reconstruction(

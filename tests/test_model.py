@@ -26,6 +26,8 @@ from groupcompress.model import (
     layer_inputs,
     network_flops,
     propagate_shapes,
+    response_rows,
+    shared_prefix,
     stack_taps,
 )
 from groupcompress.modelio import load_model, save_model
@@ -33,7 +35,7 @@ from groupcompress.modelio import load_model, save_model
 from nets import on_conv_forward, pool_fc_net, residual_net, walk_outputs
 from oracles import (
     chunked_group_conv, direct_conv, direct_pool, im2col_rows, per_group_conv,
-    reference_forward,
+    reference_forward, unshared_walk,
 )
 
 
@@ -428,6 +430,131 @@ class TestResumableWalk:
         assert not ran
         # A refused layer leaves the walk where it was.
         assert np.array_equal(walk.to("c3")[1], walk_outputs(net, xs)["c3"])
+
+
+def branch_net(seed=0):
+    """A relu whose input a later layer reads too: ``r1`` and the add ``a``
+    (as its source) both read ``c1``."""
+    rng = np.random.default_rng(seed)
+    return NetworkSpec("branch", (2, 5, 5), [
+        conv_layer("c1", rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3), pad=1),
+        LayerSpec(id="r1", kind="relu"),
+        LayerSpec(id="a", kind="add", source="c1"),
+        conv_layer("c2", rng.standard_normal((2, 3, 3, 3)), pad=1),
+    ])
+
+
+class TestForkedWalk:
+    """Walks that fork (``model._Walk.fork``) and run elementwise layers in
+    place, against ``oracles.unshared_walk``, which shares and overwrites
+    nothing. Every array a walk returned, or shares with a fork, keeps its
+    values while both walks run on."""
+
+    NETS = {
+        "toy3": lambda: build_toy_three(0),
+        "toy4": lambda: build_toy_cnn(0),
+        "residual": residual_net,
+        "pool-fc-affine": pool_fc_net,
+        "branch": branch_net,
+    }
+
+    @pytest.mark.parametrize("cpus", [1, None], ids=["one-cpu", "every-cpu"])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_forks_and_stops_match_unshared_walk(self, monkeypatch, name, count, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        net = self.NETS[name]()
+        xs = np.random.default_rng(count).standard_normal((count, *net.input_shape))
+        given = xs.copy()
+        want = unshared_walk(net, xs)
+        inputs, ids = layer_inputs(net), [layer.id for layer in net.layers]
+        last = ids[-1]
+        for x, out in zip(xs, want[last]):
+            assert rel_err(out, reference_forward(net, x)) <= 1e-10
+        for split in range(len(ids)):
+            for stop in ids[split:]:
+                walk = model._Walk(net, xs)
+                if split:
+                    walk.to(ids[split - 1])
+                forked = walk.fork(net)
+                value, out = forked.to(stop)
+                held = value.copy(), out.copy()
+                in_id = inputs[stop]
+                assert np.array_equal(value, xs if in_id is None else want[in_id]), (split, stop)
+                assert np.array_equal(out, want[stop]), (split, stop)
+                for resumed in (forked, walk):
+                    if resumed.next < len(ids):
+                        assert np.array_equal(resumed.to(last)[1], want[last]), (split, stop)
+                assert np.array_equal(value, held[0]) and np.array_equal(out, held[1])
+        assert np.array_equal(xs, given)
+
+    @staticmethod
+    def in_place_layers(monkeypatch):
+        """The ids of the layers run in place from here on, in run order."""
+        run, written = model._run, []
+
+        def recorded(layer, x, other=None, out=None):
+            if out is x:
+                written.append(layer.id)
+            return run(layer, x, other, out)
+
+        monkeypatch.setattr(model, "_run", recorded)
+        return written
+
+    @pytest.mark.parametrize("stop, in_place", [
+        ("c3", ["r1", "a", "r2"]), ("a", ["r1"]), ("r2", ["r1", "a"]),
+    ])
+    def test_an_elementwise_layer_writes_an_owned_input_read_last(
+        self, monkeypatch, stop, in_place
+    ):
+        net, written = residual_net(), self.in_place_layers(monkeypatch)
+        model._Walk(net, np.random.default_rng(2).standard_normal((2, *net.input_shape))).to(stop)
+        assert written == in_place
+
+    def test_shared_arrays_are_not_written_in_place(self, monkeypatch):
+        # Forked after c1, both walks read c1's output through r1, its
+        # last reader in each; neither owns it.
+        net, written = residual_net(), self.in_place_layers(monkeypatch)
+        walk = model._Walk(net, np.random.default_rng(3).standard_normal((2, *net.input_shape)))
+        walk.to("c1")
+        forked = walk.fork(net)
+        walk.to("c3")
+        forked.to("c3")
+        assert written == ["a", "r2", "a", "r2"]
+
+    def test_prefix_shares_records_not_equal_copies(self):
+        net = residual_net()
+        compressed = decompose_network(net, {"c2": 1, "c3": 1})[0]
+        assert shared_prefix(net, compressed) == 2  # c1 and r1
+        assert shared_prefix(net, net) == len(net.layers)
+        copied = [dataclasses.replace(l, conv=dataclasses.replace(l.conv)) if l.conv else l
+                  for l in net.layers]
+        assert shared_prefix(net, NetworkSpec(net.name, net.input_shape, copied)) == 0
+
+    def test_fork_past_an_unshared_layer_is_refused(self):
+        net = residual_net()
+        compressed = decompose_network(net, {"c2": 1, "c3": 1})[0]
+        walk = model._Walk(net, np.zeros((1, *net.input_shape)))
+        walk.to("r1")
+        walk.fork(compressed)
+        walk.to("c2")
+        with pytest.raises(ShapeError, match="does not share the 3 layers walked"):
+            walk.fork(compressed)
+
+    @pytest.mark.parametrize("name, ranks, taps", [
+        ("toy3", {"c1": 1, "c2": 1}, ["c1.p", "c2.d"]),  # a relu reads P last
+        ("pool-fc-affine", {"c1": 1}, ["c1.p", "mp"]),  # a channel affine reads P last
+    ])
+    def test_one_sample_taps_keep_their_rows(self, name, ranks, taps):
+        # At N = 1 response_rows is a view of the tapped output, which the
+        # elementwise layer after P reads last: the pre-activation taps of
+        # ``analyze --correlation --corr-pre-activation``.
+        net = decompose_network(self.NETS[name](), ranks)[0]
+        xs = np.random.default_rng(7).standard_normal((1, *net.input_shape))
+        stacked, want = stack_taps(net, xs, taps), unshared_walk(net, xs)
+        for tap in taps:
+            assert np.array_equal(stacked[tap], response_rows(want[tap])), tap
 
 
 def _no_thread(thread):

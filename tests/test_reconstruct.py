@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,11 +349,14 @@ class TestOnePass:
         ids=["default", "symmetric", "ridge0", "no-intercept"],
     )
     @pytest.mark.parametrize(
-        "build", [build_toy_three, build_toy_cnn, residual_net], ids=["toy3", "toy4", "residual"]
+        "build, first",
+        [(build, first) for first in (0, 1) for build in (build_toy_three, build_toy_cnn, residual_net)],
+        ids=[f"{name}{plan}" for plan in ("", "-from-second-conv")
+             for name in ("toy3", "toy4", "residual")],
     )
-    def test_matches_per_layer_loop(self, build, options):
+    def test_matches_per_layer_loop(self, build, options, first):
         net = build(0)
-        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
         calib = CalibrationSet.synthetic(net.input_shape, 12, seed=17)
         merged, reports = reconstruct_network(net, compressed, calib, **options)
         expected, expected_reports = per_layer_reconstruction(net, compressed, calib, **options)
@@ -375,6 +379,20 @@ class TestOnePass:
         reconstruct_network(net, compressed, calib, symmetric=symmetric)
         walked = [net] if symmetric else [net, compressed]
         assert 0 < len(calls) <= sum(len(n.conv_layers()) for n in walked)
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["every-conv", "from-second-conv"])
+    def test_each_conv_runs_once(self, monkeypatch, first):
+        # Planned from c2 on, both networks start with c1 and r1: the
+        # compressed walk forks from the original's after them, so the
+        # stem conv c1 runs once, not once per network.
+        net = residual_net()
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
+        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=19)
+        calls = []
+        on_conv_forward(monkeypatch, lambda layer: calls.append(layer.id))
+        reconstruct_network(net, compressed, calib)
+        convs = {l.id for n in (net, compressed) for l in n.conv_layers()}
+        assert Counter(calls) == Counter(convs)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):

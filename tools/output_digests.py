@@ -21,7 +21,12 @@ OUT_DIR is. They are:
   and ``--no-intercept``;
 * ``analyze`` of each of those compressed toy models against its original:
   plain, with ``--correlation --calib-count 8``, and with those flags and
-  ``--corr-pre-activation``.
+  ``--corr-pre-activation``;
+* ``compress --plan --calib-seed 41`` on toy3 with a plan of
+  ``--degree constant --base-n 1 --skip-layer c1``, plain and with
+  ``--symmetric-reconstruction``: the asymmetric run shares toy3's first
+  layers between the original and the compressed network, so its
+  compressed walk starts past layer 0.
 
 Beside each compressed model it also writes the compressed and the original
 network's output on one seeded sample, as raw little-endian float64
@@ -74,6 +79,7 @@ ANALYZE_VARIANTS = {
     "analyze-correlation": ("--correlation", "--calib-count", "8"),
     "analyze-pre-activation": ("--correlation", "--corr-pre-activation", "--calib-count", "8"),
 }
+SKIP_C1_VARIANTS = {key: TOY_VARIANTS[key] for key in ("plain", "symmetric")}
 RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "4"),
@@ -108,6 +114,10 @@ def one_cpu_differences(runs) -> list[Path]:
 def toy_compress_argv(toy: str, flags: tuple, out_dir: Path) -> list:
     return ["compress", f"fixtures/{toy}.json", "-o", out_dir, "--degree", "constant",
             "--base-n", "1", "--calib-seed", "41", *flags]
+
+
+def planned_compress_argv(model: str, plan: Path, flags: tuple, out_dir: Path) -> list:
+    return ["compress", model, "-o", out_dir, "--plan", plan, "--calib-seed", "41", *flags]
 
 
 def analyze_argv(original: Path, compressed: Path, flags: tuple, out_dir: Path) -> list:
@@ -171,6 +181,13 @@ def main(argv: list[str]) -> int:
                 run(functools.partial(analyze_argv, Path(f"fixtures/{toy}.json"),
                                       Path(toy) / variant / "model.json", analyze_flags),
                     Path(toy) / variant / analysis)
+    skip_c1, toy3 = Path("toy3-skip-c1"), "fixtures/toy3.json"
+    groupcompress("plan", toy3, "--degree", "constant", "--base-n", "1", "--skip-layer", "c1",
+                  "-o", skip_c1 / "plan.json")
+    for variant, flags in SKIP_C1_VARIANTS.items():
+        run(functools.partial(planned_compress_argv, toy3, skip_c1 / "plan.json", flags),
+            skip_c1 / variant)
+        write_forwards(Path(toy3), skip_c1 / variant)
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
