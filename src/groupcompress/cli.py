@@ -2,7 +2,7 @@
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
 error, 4 numerical failure, 1 anything else. What needs no model (counts,
-seeds, the ridge, calibration flags that the run will not use, an ``-o``
+seeds, the ridge, flags that the run will not read, an ``-o``
 that cannot be written: a file or a path under one where a directory goes,
 a directory where a file goes) is a usage error at parse time, exit 2;
 ``compress`` reads its calibration set, and checks that it gives each solve
@@ -37,7 +37,9 @@ from .errors import (
     ShapeError,
 )
 from .fixtures import BUILDERS
-from .model import NetworkSpec, layer_inputs, network_flops, propagate_shapes, stack_taps
+from .model import (
+    NetworkSpec, layer_inputs, network_flops, propagate_shapes, read_arrays, stack_taps,
+)
 from .modelio import load_model, save_model, write_json
 from .reconstruct import CalibrationSet, check_rows, reconstruct_network
 from .schedule import (
@@ -260,7 +262,8 @@ def cmd_analyze(args) -> int:
 
     rank_reports = []
     for pair in pairs:
-        src, conv = pair.source, original.layer(pair.source).conv
+        # Read for this pair alone: the original's weights are not read again.
+        src, conv = pair.source, read_arrays(original.layer(pair.source).conv)
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
         rank_reports.append(report)
         w_mat = conv.weight_matrix()
@@ -344,25 +347,29 @@ def _add_schedule_flags(parser) -> None:
 
 def _add_calib_flags(parser) -> None:
     """--calib, or --calib-count seeded samples. ``_calibration`` sets their
-    defaults, so that ``_check_calib_flags`` sees which were given."""
+    defaults, so that ``_check_unread_flags`` sees which were given."""
     parser.add_argument("--calib", help="calibration manifest (json)")
     parser.add_argument("--calib-seed", type=_int_at_least(0))
     parser.add_argument("--calib-count", type=_int_at_least(1))
 
 
-def _check_calib_flags(parser, args) -> None:
-    """A calibration flag this run does not read is a usage error: any of them
-    when no set is read (``compress --no-reconstruct``, ``analyze`` without
-    --correlation), and --calib-count or --calib-seed beside --calib."""
-    given = [flag for flag in ("--calib", "--calib-count", "--calib-seed")
-             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
-    if not given:  # only compress and analyze take these flags
-        return
-    if args.no_reconstruct if args.command == "compress" else not args.correlation:
-        why = "--no-reconstruct" if args.command == "compress" else "without --correlation"
-        unread, why = given, f"{why} reads no calibration data"
-    else:
-        unread, why = given[1:] if args.calib else [], "takes its samples from --calib"
+def _check_unread_flags(parser, args) -> None:
+    """A flag this run does not read is a usage error: a calibration flag,
+    --ridge, --no-intercept or --symmetric-reconstruction with ``compress
+    --no-reconstruct``; a calibration flag or --corr-pre-activation with
+    ``analyze`` without --correlation; and --calib-count or --calib-seed
+    beside --calib."""
+    flags = ("--calib", "--calib-count", "--calib-seed", "--corr-pre-activation",
+             "--no-intercept", "--ridge", "--symmetric-reconstruction")
+    values = (getattr(args, flag[2:].replace("-", "_"), None) for flag in flags)
+    given = [flag for flag, value in zip(flags, values) if value is not None and value is not False]
+    if args.command == "compress" and args.no_reconstruct:
+        unread, why = given, "reads these only when it reconstructs"
+    elif args.command == "analyze" and not args.correlation:
+        unread, why = given, "reads these only with --correlation"
+    else:  # only compress and analyze take these flags
+        unread = [flag for flag in given if flag.startswith("--calib-") and "--calib" in given]
+        why = "takes its samples from --calib"
     if unread:
         parser.error(f"{', '.join(unread)}: {args.command} {why}")
 
@@ -436,7 +443,7 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_calib_flags(parser, args)
+    _check_unread_flags(parser, args)
     try:
         return args.func(args)
     except Exception as exc:

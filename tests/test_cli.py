@@ -1061,6 +1061,23 @@ class TestAnalyze:
             "energy_c3_group.csv"
         )
 
+    def test_source_weights_are_read_for_one_use(self, toy3_path, compressed_dir, tmp_path,
+                                                 monkeypatch):
+        # Each source conv's weights are read for its curves and freed: the
+        # loaded original keeps none of them.
+        loaded = []
+
+        def load_model(path):
+            loaded.append(modelio.load_model(path))
+            return loaded[-1]
+
+        monkeypatch.setattr("groupcompress.cli.load_model", load_model)
+        assert main(["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+                     str(tmp_path / "analysis")]) == EXIT_OK
+        original = loaded[0]
+        for layer_id in ("c1", "c2", "c3"):
+            assert isinstance(original.layer(layer_id).conv.__dict__["weights"], model.Deferred)
+
     def test_pair_that_does_not_compress(self, toy4_path, tmp_path):
         # At n = c_in = 4 toy4's c4, a 36 x 3 weight matrix, has an
         # equal-FLOPs SVD width c_d of 4, above the matrix's rank.
@@ -1326,14 +1343,25 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--calib", "calib.json"], ["--calib-count", "8"], ["--calib-seed", "0"],
-                  ["--calib-seed", "3", "--calib-count", "8"]],
-        ids=["calib", "count", "seed", "seed-and-count"])
-    @pytest.mark.parametrize("command", ["compress", "analyze"])
+        "command, flags",
+        [(command, flags) for command in ("compress", "analyze")
+         for flags in (["--calib", "calib.json"], ["--calib-count", "8"], ["--calib-seed", "0"],
+                       ["--calib-seed", "3", "--calib-count", "8"])]
+        + [("compress", ["--ridge", "0.5"]), ("compress", ["--ridge", "0"]),
+           ("compress", ["--no-intercept"]), ("compress", ["--symmetric-reconstruction"]),
+           ("compress", ["--ridge", "0.5", "--no-intercept", "--symmetric-reconstruction"]),
+           ("analyze", ["--corr-pre-activation"]),
+           ("analyze", ["--corr-pre-activation", "--calib-count", "8"])],
+        ids=[f"{command}-{name}" for command in ("compress", "analyze")
+             for name in ("calib", "count", "seed", "seed-and-count")]
+        + ["compress-ridge", "compress-ridge-0", "compress-no-intercept", "compress-symmetric",
+           "compress-ridge-no-intercept-symmetric", "analyze-pre-activation",
+           "analyze-pre-activation-and-count"])
     def test_calibration_flags_the_run_will_not_use(
         self, toy3_path, tmp_path, capsys, no_load, command, flags
     ):
-        # compress --no-reconstruct, and analyze without --correlation.
+        # compress --no-reconstruct, and analyze without --correlation: the
+        # calibration flags, and the flags of the fit or the correlation.
         out = tmp_path / "o"
         argv = {
             "compress": ["compress", str(toy3_path), "-o", str(out), "--degree", "constant",

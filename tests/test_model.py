@@ -298,6 +298,18 @@ def tiled_conv_blocks(groups, per_in, per_out, k, stride, pad, h, w, budget, see
     return blocks
 
 
+def traced_run(monkeypatch, layer, xs, cpus):
+    """``model._run(layer, xs)`` on ``cpus`` CPUs, and the peak of the
+    memory that tracemalloc traced while it ran."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    tracemalloc.start()
+    try:
+        out = model._run(layer, xs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTiledConv:
     """Patch blocks of whole groups or of a group's output rows, bounded by
     PATCH_BYTES, against the chunk-per-groups and the per-group kernels."""
@@ -357,6 +369,23 @@ class TestTiledConv:
 
         monkeypatch.setattr(linalg, "_fill_tile", no_tile)
         tiled_conv_blocks(4, 3, 2, 1, 1, 0, 5, 7, budget=8)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scratch_is_a_padded_sample_and_a_tile_per_share(self, monkeypatch, cpus):
+        # The resnet34 stem conv over a batch of two: the patches of one
+        # sample alone would take 14.8 MB. Each CPU's share of the batch
+        # holds one padded sample and one tile of 7 output rows; 64 KiB is
+        # left for the Python objects of the run and its threads.
+        rng = np.random.default_rng(15)
+        layer = conv_layer("conv1", rng.standard_normal((64, 3, 7, 7)),
+                           bias=rng.standard_normal(64), stride=2, pad=3)
+        xs = rng.standard_normal((2, 3, 224, 224))
+        out, peak = traced_run(monkeypatch, layer, xs, cpus)
+        rows = 3 * 7 * 7
+        tile = max((end - g) * rows * (r_end - r) * 112 * 8
+                   for g, end, r, r_end in model._patch_blocks(1, rows, 112, 112))
+        padded_sample = 3 * 230 * 230 * 8
+        assert peak <= out.nbytes + cpus * (padded_sample + tile) + (64 << 10)
 
 
 class TestBatchWalk:
@@ -681,15 +710,9 @@ class TestPooling:
         # The resnet34 stem pool over a batch of two: the windows of one
         # sample alone would take 14.5 MB. Each CPU's share of the batch
         # holds one padded sample.
-        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         xs = np.random.default_rng(14).standard_normal((2, 64, 112, 112))
         layer = LayerSpec(id="p", kind=kind, pool=PoolParams(3, 2, pad=1))
-        tracemalloc.start()
-        try:
-            out = model._run(layer, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_run(monkeypatch, layer, xs, cpus)
         padded_sample = 64 * 114 * 114 * 8
         assert peak <= out.nbytes + cpus * padded_sample + padded_sample
 
