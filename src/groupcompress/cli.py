@@ -4,9 +4,11 @@ Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
 error, 4 numerical failure, 1 anything else. What needs no model (counts,
 seeds, the ridge, flags that the run will not read, an ``-o``
 that cannot be written: a file or a path under one where a directory goes,
-a directory where a file goes) is a usage error at parse time, exit 2;
-``compress`` reads its calibration set, and checks that it gives each solve
-enough rows, before the first SVD.
+a directory where a file goes) is a usage error at parse time, exit 2. A
+reconstruction flag beside a plan that decomposes no layer is a plan
+error, exit 3, before any sample is drawn or tensor read. ``compress``
+reads its calibration set, and checks that it gives each solve enough
+rows, before the first SVD.
 """
 
 from __future__ import annotations
@@ -157,6 +159,9 @@ def run_compress(args) -> dict:
     _one_plan_source(args)
     net = load_model(args.model)
     plan = _resolve_plan(net, args)
+    if not plan.layer_ranks and (unread := _given(args, _RECONSTRUCTION_FLAGS)):
+        raise PlanError(f"{', '.join(unread)}: the plan decomposes no layer, so compress "
+                        "reads none of these")
     flops_before, per_before = network_flops(net)
     reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
     calib, calib_info = _calibration(args, net.input_shape, 128) if reconstruct else (None, None)
@@ -262,7 +267,8 @@ def cmd_analyze(args) -> int:
 
     rank_reports = []
     for pair in pairs:
-        # Read for this pair alone: the original's weights are not read again.
+        # Read for this pair alone and freed: only the --correlation walk
+        # reads D and P again.
         src, conv = pair.source, read_arrays(original.layer(pair.source).conv)
         report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
         rank_reports.append(report)
@@ -271,7 +277,8 @@ def cmd_analyze(args) -> int:
             write_energy_csv(out_dir / f"energy_{src}_original.csv",
                              jacobian_energy_curve(w_mat, mode=mode))
             write_energy_csv(out_dir / f"energy_{src}_group.csv", jacobian_energy_curve(
-                pair.d.conv.weight_matrix(), pair.p.conv.weight_matrix(), mode=mode))
+                read_arrays(pair.d.conv).weight_matrix(), read_arrays(pair.p.conv).weight_matrix(),
+                mode=mode))
             # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
             write_energy_csv(out_dir / f"energy_{src}_svd_baseline.csv", jacobian_energy_curve(
                 svd_strategy_matrix(w_mat, report.rank_svd), mode=mode))
@@ -353,16 +360,25 @@ def _add_calib_flags(parser) -> None:
     parser.add_argument("--calib-count", type=_int_at_least(1))
 
 
+# The flags that only a reconstruction reads.
+_RECONSTRUCTION_FLAGS = ("--calib", "--calib-count", "--calib-seed", "--no-intercept", "--ridge",
+                         "--symmetric-reconstruction")
+
+
+def _given(args, flags) -> list[str]:
+    """The ``flags`` given on the command line, in sorted order."""
+    values = ((flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in sorted(flags))
+    return [flag for flag, value in values if value is not None and value is not False]
+
+
 def _check_unread_flags(parser, args) -> None:
-    """A flag this run does not read is a usage error: a calibration flag,
-    --ridge, --no-intercept or --symmetric-reconstruction with ``compress
-    --no-reconstruct``; a calibration flag or --corr-pre-activation with
-    ``analyze`` without --correlation; and --calib-count or --calib-seed
-    beside --calib."""
-    flags = ("--calib", "--calib-count", "--calib-seed", "--corr-pre-activation",
-             "--no-intercept", "--ridge", "--symmetric-reconstruction")
-    values = (getattr(args, flag[2:].replace("-", "_"), None) for flag in flags)
-    given = [flag for flag, value in zip(flags, values) if value is not None and value is not False]
+    """A flag this run does not read is a usage error: a reconstruction
+    flag with ``compress --no-reconstruct``; a calibration flag or
+    --corr-pre-activation with ``analyze`` without --correlation; and
+    --calib-count or --calib-seed beside --calib. A plan that decomposes no
+    layer reads no reconstruction flag either; ``run_compress`` checks that
+    once it has read the plan."""
+    given = _given(args, (*_RECONSTRUCTION_FLAGS, "--corr-pre-activation"))
     if args.command == "compress" and args.no_reconstruct:
         unread, why = given, "reads these only when it reconstructs"
     elif args.command == "analyze" and not args.correlation:

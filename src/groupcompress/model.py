@@ -51,15 +51,18 @@ an output, as ``_Walk`` allows), or shares it with a fork. Only an
 elementwise layer (relu, channel affine, add) writes in place, into an
 input its walk owns and that no later layer reads.
 
-Each parameter array of ``ConvWeights``, ``FcParams`` and ``AffineParams``
-declares its shape, and whether a saved model may hold null for it (only a
-bias may), once, as an ``_ArrayField``; ``array_fields`` reads that schema
-for the record check, ``read_arrays`` and ``modelio``. A record makes each
-array it is given float64 and checks its shape; any array may be None in
-memory (a shape-only network). An array may be ``Deferred``: not read yet
-(``modelio.load_model`` defers every tensor). The first access of the field
-reads it and keeps the array, so a walk reads each tensor once.
-``read_arrays`` reads a record's arrays for one use without keeping them.
+The parameter records (``ConvWeights``, ``PoolParams``, ``FcParams``,
+``AffineParams``) are frozen: ``dataclasses.replace`` is the one way to
+change one, and it builds a new record. Each parameter array declares its
+shape, and whether a saved model may hold null for it (only a bias may),
+once, as an ``_ArrayField``; ``array_fields`` reads that schema for the
+record check, ``read_arrays`` and ``modelio``. A record makes each array it
+is given float64 and checks its shape, once, when it is built; any array
+may be None in memory (a shape-only network). An array may be ``Deferred``:
+not read yet (``modelio.load_model`` defers every tensor). The first access
+of the field reads it and keeps the array, so a walk reads each tensor
+once. ``read_arrays`` reads a record's arrays for one use without keeping
+them.
 """
 
 from __future__ import annotations
@@ -85,9 +88,9 @@ class Deferred:
 class _ArrayField:
     """A parameter array field, declared as its default: ``shape`` maps the
     record to the array's shape; ``nullable``, a saved model may hold null
-    for it. The value is kept in the record's ``__dict__``; a ``Deferred``
-    one is replaced by its array on first access. Once the record is built,
-    an assigned array is checked as construction checks it."""
+    for it. The value is kept in the record's ``__dict__``, as
+    ``_check_arrays`` left it; a ``Deferred`` one is replaced by its array
+    on first access."""
 
     def __init__(self, shape: Callable, nullable: bool = False):
         self.shape, self.nullable = shape, nullable
@@ -103,27 +106,8 @@ class _ArrayField:
             value = record.__dict__[self.name] = value.read()
         return value
 
-    def __set__(self, record, value):
-        if _BUILT in record.__dict__:
-            value = self.checked(record, value)
+    def __set__(self, record, value):  # a data descriptor: reads go through __get__
         record.__dict__[self.name] = value
-
-    def checked(self, record, value):
-        """``value`` as ``record`` keeps it: an array becomes float64 (not
-        copied if it is) of the declared shape, else ShapeError. None and a
-        ``Deferred`` value, which its reader checks, stay as they are."""
-        if value is None or isinstance(value, Deferred):
-            return value
-        value = np.asarray(value, dtype=np.float64)
-        shape = self.shape(record)
-        if value.shape != shape:
-            raise ShapeError(f"{type(record).__name__} {self.name} shape {value.shape} != {shape}")
-        return value
-
-
-# Set in a record's __dict__ once its dimensions are checked: from then on
-# its array fields check what they are given.
-_BUILT = "_arrays_checked"
 
 
 def array_fields(params):
@@ -143,11 +127,17 @@ def array_fields(params):
 
 def _check_arrays(record) -> None:
     """The last step of a record's ``__post_init__``, after its dimension
-    checks: from here on each array assigned is ``_ArrayField.checked``,
-    starting with those the record was given."""
-    record.__dict__[_BUILT] = True
-    for name, _, _, value in array_fields(record):
-        setattr(record, name, value)
+    checks: each array the record was given becomes float64 (not copied if
+    it is) of the shape its field declares, else ShapeError. None and a
+    ``Deferred`` array, which its reader checks, stay as they are. Records
+    are frozen, so no array is checked again: ``replace`` builds a new
+    record."""
+    for name, shape, _, value in array_fields(record):
+        if value is not None and not isinstance(value, Deferred):
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != shape:
+                raise ShapeError(f"{type(record).__name__} {name} shape {value.shape} != {shape}")
+            record.__dict__[name] = value
 
 
 def read_arrays(params):
@@ -177,7 +167,7 @@ class _Window:
         return h_out, w_out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvWeights(_Window):
     """Weights and geometry of one convolutional layer."""
 
@@ -220,7 +210,7 @@ class ConvWeights(_Window):
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolParams(_Window):
     k: int
     stride: int
@@ -235,7 +225,7 @@ class PoolParams(_Window):
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FcParams:
     in_features: int
     out_features: int
@@ -245,7 +235,7 @@ class FcParams:
     __post_init__ = _check_arrays
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineParams:
     """Per-channel scale and shift (inference-time batch norm stand-in)."""
 

@@ -51,10 +51,12 @@ each array to float32 as it writes it, and copies each tensor that was
 never read from the source blob as float32 bytes, with no float64 step.
 An array of a model or a calibration set with a value float32 cannot
 hold (NaN, infinite, or rounding to infinity) raises ShapeError naming
-the tensor, before any file is written. Every read, copy and write goes
-through one buffer of ``SLICE_VALUES`` float32 values, so load and save
-hold one bounded slice beyond the arrays that were read, never a second
-copy of the weights.
+the tensor, before any file is written. A copied tensor is checked as it
+is copied: a value that is not finite raises ShapeError naming the
+tensor, after the old files were removed, so no model is left at the
+path. Every read, copy and write goes through one buffer of
+``SLICE_VALUES`` float32 values, so load and save hold one bounded slice
+beyond the arrays that were read, never a second copy of the weights.
 
 The blob file is read through the handle load opened, never reopened by
 path, so saving over the model that was loaded works: ``write_atomically``
@@ -90,11 +92,12 @@ SLICE_VALUES = 1 << 20
 
 
 class _BlobWriter:
-    """Lays arrays out in a blob, holding each by reference until ``write``.
-    An unread ``_BlobTensor`` is laid out like an array of its size."""
+    """Lays arrays out in a blob, holding each by reference, with its
+    tensor's name, until ``write``. An unread ``_BlobTensor`` is laid out
+    like an array of its size."""
 
     def __init__(self):
-        self.arrays: list = []
+        self.arrays: list = []  # (array, name)
         self.offset = 0
 
     def put(self, array, name: str) -> dict | None:
@@ -109,7 +112,7 @@ class _BlobWriter:
                 if not np.isfinite(np.float32([low, high])).all():
                     raise ShapeError(f"{name}: {low:.4g} to {high:.4g}, beyond float32's range")
         entry = {"offset": self.offset, "length": 4 * array.size}
-        self.arrays.append(array)
+        self.arrays.append((array, name))
         self.offset += entry["length"]
         return entry
 
@@ -117,11 +120,14 @@ class _BlobWriter:
         """Write every array to ``fh`` as little-endian float32 in C order,
         converting a slice of at most SLICE_VALUES values at a time, so that
         no array, contiguous or not, is copied whole. An unread tensor is
-        copied from its blob, a slice at a time."""
+        copied from its blob, a slice at a time; a slice with a value that
+        is not finite raises ShapeError naming the tensor."""
         flags = ["external_loop", "buffered", "zerosize_ok"]
-        for array in self.arrays:
+        for array, name in self.arrays:
             if isinstance(array, _BlobTensor):
                 for part in array.slices():
+                    if not np.isfinite(part).all():
+                        raise ShapeError(f"{name}: non-finite value in a tensor copied unread")
                     fh.write(part)
                 continue
             for part in np.nditer(

@@ -240,11 +240,11 @@ def reconstruct_network(
     network's walk gives Y* at each P layer. It is a fork of the original
     walk after the leading layers the two networks share, which therefore
     run once (in ``compress``, every layer before the first pair). After the
-    solve, the merged layer's output on D's output overwrites the walk's P
-    output in place, so deeper layers see the compressed prefix in its final
-    form. In symmetric
-    mode Y* is the pair applied to the source conv's input in the original
-    walk, and the compressed network is not walked.
+    solve, the merged layer runs on D's output straight into the array the
+    walk returned as P's output, so deeper layers see the compressed prefix
+    in its final form. In symmetric mode Y* is the pair applied to the
+    source conv's input in the original walk, and the compressed network is
+    not walked.
 
     ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
@@ -277,7 +277,7 @@ def reconstruct_network(
             result.layers[position[pair.p.id]] = merged
             if not symmetric:
                 # Deeper layers read the merged layer's output.
-                star_output[...] = _run(merged, p_input)
+                _run(merged, p_input, out=star_output)
         fits.append(ReconstructionFit(before, after, used_ridge, y.shape[0], fallback))
         # Release this pair's activations before the walks move on.
         y_output = p_input = star_output = y = y_star = rest = None

@@ -494,6 +494,43 @@ class TestCompress:
         assert "layer c1:" in err and "non-finite" in err
         assert not (out_dir / "model.bin").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--ridge", "0.5"],
+         ["--ridge", "0.5", "--no-intercept", "--symmetric-reconstruction", "--calib-count", "3"]],
+        ids=["ridge", "ridge-no-intercept-symmetric-count"])
+    def test_plan_of_no_layer_reads_no_reconstruction_flag(self, toy3_path, tmp_path, capsys,
+                                                            monkeypatch, flags):
+        plan, out_dir = tmp_path / "plan.json", tmp_path / "o"
+        assert main(["plan", str(toy3_path), "-o", str(plan), "--degree", "constant",
+                     "--base-n", "1", "--skip-layer", "c1", "--skip-layer", "c2",
+                     "--skip-layer", "c3"]) == EXIT_OK
+        argv = ["compress", str(toy3_path), "-o", str(out_dir), "--plan", str(plan)]
+        with monkeypatch.context() as refuse:
+            def no_read(*args, **kwargs):
+                raise AssertionError("a sample was drawn or a tensor read")
+            refuse.setattr(modelio._BlobTensor, "slices", no_read)
+            refuse.setattr(CalibrationSet, "synthetic", no_read)
+            capsys.readouterr()
+            assert main([*argv, *flags]) == EXIT_PLAN
+        given = ", ".join(sorted(flag for flag in flags if flag.startswith("--")))
+        assert f"{given}: the plan decomposes no layer" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main(argv) == EXIT_OK
+
+    def test_non_finite_weight_copied_unread_is_numeric_error(self, tmp_path, capsys):
+        # c3 is not planned, so its weights go from blob to blob unread: they
+        # are checked as they are copied, after the old files went.
+        path = nan_weight_model(build_toy_three(seed=0), "c3", tmp_path / "m.json")
+        plan, out_dir = tmp_path / "plan.json", tmp_path / "o"
+        assert main(["plan", str(path), "-o", str(plan), "--degree", "constant", "--base-n", "1",
+                     "--skip-layer", "c3"]) == EXIT_OK
+        code = main(["compress", str(path), "-o", str(out_dir), "--plan", str(plan),
+                     "--no-reconstruct"])
+        assert code == EXIT_NUMERIC
+        assert "layer c3 weights:" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists() and not (out_dir / "model.json").exists()
+
     def test_pair_beyond_float32_is_numeric_error_leaving_earlier_outputs(
         self, toy3_path, tmp_path, capsys
     ):
@@ -1063,8 +1100,8 @@ class TestAnalyze:
 
     def test_source_weights_are_read_for_one_use(self, toy3_path, compressed_dir, tmp_path,
                                                  monkeypatch):
-        # Each source conv's weights are read for its curves and freed: the
-        # loaded original keeps none of them.
+        # Each source conv's weights, and its D and P weights, are read for
+        # its curves and freed: neither loaded model keeps any of them.
         loaded = []
 
         def load_model(path):
@@ -1074,9 +1111,11 @@ class TestAnalyze:
         monkeypatch.setattr("groupcompress.cli.load_model", load_model)
         assert main(["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
                      str(tmp_path / "analysis")]) == EXIT_OK
-        original = loaded[0]
+        original, compressed = loaded
         for layer_id in ("c1", "c2", "c3"):
-            assert isinstance(original.layer(layer_id).conv.__dict__["weights"], model.Deferred)
+            for net, read_id in ((original, layer_id), (compressed, f"{layer_id}.d"),
+                                 (compressed, f"{layer_id}.p")):
+                assert isinstance(net.layer(read_id).conv.__dict__["weights"], model.Deferred)
 
     def test_pair_that_does_not_compress(self, toy4_path, tmp_path):
         # At n = c_in = 4 toy4's c4, a 36 x 3 weight matrix, has an

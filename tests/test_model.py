@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -760,15 +761,18 @@ class TestParameterRecords:
         ids=["conv-weights", "conv-bias", "fc-weights", "fc-bias", "affine-scale",
              "affine-shift"],
     )
-    def test_array_assigned_after_construction_is_checked(self, make, field, misshaped, named):
-        record = make()
-        with pytest.raises(ShapeError, match=f"{named} shape"):
-            setattr(record, field, misshaped)
-        assert getattr(record, field) is None  # the rejected array is not kept
-        shape = next(shape for name, shape, _, _ in model.array_fields(record) if name == field)
-        setattr(record, field, np.ones(shape, dtype=np.float32).tolist())
-        assert getattr(record, field).dtype == np.float64
-        assert getattr(record, field).shape == shape
+    def test_array_assigned_after_construction_is_refused(self, make, field, misshaped, named):
+        # A record is frozen: ``replace`` builds a new one, checked as
+        # construction checks it, and assignment is refused.
+        shape = next(shape for name, shape, _, _ in model.array_fields(make()) if name == field)
+        kept = np.ones(shape)
+        record = dataclasses.replace(make(), **{field: kept})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, np.zeros(shape))
+        assert getattr(record, field) is kept
+        text = f"{named} shape {misshaped.shape} != {shape}"
+        with pytest.raises(ShapeError, match=re.escape(text)):
+            dataclasses.replace(record, **{field: misshaped})
 
     def test_dimension_errors_come_before_array_checks(self):
         with pytest.raises(ShapeError, match="groups=0 must divide"):

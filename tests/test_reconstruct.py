@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcompress import reconstruct
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
@@ -393,6 +394,32 @@ class TestOnePass:
         reconstruct_network(net, compressed, calib)
         convs = {l.id for n in (net, compressed) for l in n.conv_layers()}
         assert Counter(calls) == Counter(convs)
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["every-conv", "from-second-conv"])
+    def test_merged_layer_writes_into_the_walk_output(self, monkeypatch, first):
+        # Each merged P layer runs straight into the array the compressed
+        # walk returned as P's output, which deeper layers then read.
+        net = residual_net()
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
+        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=19)
+        pair_outputs, run = reconstruct._pair_outputs, reconstruct._run
+        returned, runs = {}, []
+
+        def recording_pair_outputs(original_walk, compressed_walk, pair):
+            outputs = pair_outputs(original_walk, compressed_walk, pair)
+            returned[pair.p.id] = outputs[2]
+            return outputs
+
+        def recording_run(layer, x, other=None, out=None):
+            runs.append((layer.id, out))
+            return run(layer, x, other, out)
+
+        monkeypatch.setattr(reconstruct, "_pair_outputs", recording_pair_outputs)
+        monkeypatch.setattr(reconstruct, "_run", recording_run)
+        _, fits = reconstruct_network(net, compressed, calib)
+        merged = [p_id for p_id, fit in zip(returned, fits) if not fit.identity_fallback]
+        assert merged and [layer_id for layer_id, _ in runs] == merged
+        assert all(out is returned[layer_id] for layer_id, out in runs)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):
