@@ -1,14 +1,12 @@
 """Command-line front end: inspect, plan, compress, analyze, gen-fixtures.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 model/format error, 3 plan
-error, 4 numerical failure, 1 anything else. What needs no model (counts,
-seeds, the ridge, flags that the run will not read, an ``-o``
-that cannot be written: a file or a path under one where a directory goes,
-a directory where a file goes) is a usage error at parse time, exit 2. A
-reconstruction flag beside a plan that decomposes no layer is a plan
-error, exit 3, before any sample is drawn or tensor read. ``compress``
-reads its calibration set, and checks that it gives each solve enough
-rows, before the first SVD.
+error, 4 numerical failure, 1 anything else. ``_FLAGS`` is the one table
+of flags: the subcommands that take each, its default, and when a run
+reads it. What needs no model (counts, seeds, the ridge, a flag the run
+will not read, an ``-o`` that cannot be written) is a usage error at parse
+time, exit 2. ``compress`` reads its calibration set, and checks that it
+gives each solve enough rows, before the first SVD.
 """
 
 from __future__ import annotations
@@ -94,21 +92,79 @@ def _output_file(text: str) -> str:
     return text
 
 
+# When a run reads a flag, the ``read`` of its ``_FLAGS`` row: "always";
+# "fit", only when the run fits, which is ``compress`` when it reconstructs
+# and ``analyze`` with --correlation; "samples", as "fit" but never beside
+# --calib, whose file gives the samples; or as one of the plan sources.
+_PLAN_SOURCES = ("plan file", "preset", "schedule")
+_PLANNING, _FITTING = ("plan", "compress"), ("compress", "analyze")
+_STORE_TRUE = {"action": "store_true"}
+
+# One row per flag: its name, the subcommands that take it, its default (a
+# dict where it differs by subcommand), when a run reads it, and argparse's
+# type or action. ``main`` fills in the default of each flag not given.
+_FLAGS = (
+    ("--plan", ("compress",), None, "plan file", {}),
+    ("--preset", _PLANNING, None, "preset", {"choices": list_presets()}),
+    ("--degree", _PLANNING, None, "schedule", {"choices": ["constant", "half", "quarter"]}),
+    ("--base-n", _PLANNING, None, "schedule", {"type": _int_at_least(1)}),
+    ("--stage-cap", ("plan",), (), "schedule", {"action": "append", "metavar": "STAGE=N"}),
+    ("--skip-stage", ("plan",), (), "schedule", {"action": "append", "metavar": "STAGE"}),
+    ("--skip-layer", ("plan",), (), "schedule", {"action": "append", "metavar": "LAYER"}),
+    ("--calib", _FITTING, None, "fit", {"help": "calibration manifest (json)"}),
+    ("--calib-count", _FITTING, {"compress": 128}, "samples", {"type": _int_at_least(1)}),
+    ("--calib-seed", _FITTING, 0, "samples", {"type": _int_at_least(0)}),
+    ("--ridge", ("compress",), None, "fit", {"type": _ridge}),
+    ("--no-reconstruct", ("compress",), False, "always", _STORE_TRUE),
+    ("--no-intercept", ("compress",), False, "fit", _STORE_TRUE),
+    ("--symmetric-reconstruction", ("compress",), False, "fit", _STORE_TRUE),
+    ("--force-1x1", ("compress",), False, "always", _STORE_TRUE),
+    ("--correlation", ("analyze",), False, "always", _STORE_TRUE),
+    ("--energy-sigma", ("analyze",), False, "always",
+     {**_STORE_TRUE, "help": "accumulate sigma instead of sigma^2"}),
+    ("--corr-pre-activation", ("analyze",), False, "fit",
+     {**_STORE_TRUE, "help": "correlate raw pointwise outputs instead of the "
+      "post-activation maps"}),
+    ("--seed", ("gen-fixtures",), 0, "always", {"type": _int_at_least(0)}),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _unread_flags(given, fits: bool) -> list[str]:
+    """The flags of ``given`` that the run does not read, sorted: each "fit"
+    and "samples" flag unless it ``fits``, and each "samples" flag beside --calib."""
+    return sorted(flag for flag, _, _, read, _ in _FLAGS if flag in given and (
+        (read in ("fit", "samples") and not fits) or (read == "samples" and "--calib" in given)))
+
+
+def _check_unread_flags(parser, args) -> None:
+    """A flag this run does not read is a usage error. Whether ``compress``
+    fits also depends on its plan: ``run_compress`` checks that once it has
+    read the plan."""
+    fits = args.correlation if args.command == "analyze" else not args.no_reconstruct
+    if unread := _unread_flags(args.given, fits):
+        why = "takes its samples from --calib" if fits else {
+            "compress": "reads these only when it reconstructs",
+            "analyze": "reads these only with --correlation"}[args.command]
+        parser.error(f"{', '.join(unread)}: {args.command} {why}")
+
+
 def _one_plan_source(args) -> None:
-    """Reject flags that name more than one plan source: a plan file, a
-    preset, or a schedule (--degree, --base-n and the flags that shape it)."""
-    flags = ("plan", "preset", "degree", "base_n", "stage_cap", "skip_stage", "skip_layer")
-    given = [name for name in flags if getattr(args, name, None) is not None]
-    if len({name if name in ("plan", "preset") else "schedule" for name in given}) > 1:
-        named = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise PlanError(f"give one plan source: a plan file, a preset or a schedule; got {named}")
+    """Reject flags that name more than one plan source."""
+    given = {flag: read for flag, _, _, read, _ in _FLAGS
+             if read in _PLAN_SOURCES and flag in args.given}
+    if len(set(given.values())) > 1:
+        raise PlanError("give one plan source: a plan file, a preset or a schedule; "
+                        f"got {', '.join(given)}")
 
 
 def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
-    """The plan from the one source given: a plan file (``compress`` only), a
-    preset, or a schedule of --degree and --base-n, shaped by --stage-cap,
-    --skip-stage and --skip-layer where the subcommand has them."""
-    if getattr(args, "plan", None):
+    """The plan from the one source given: a plan file, a preset, or a
+    schedule of --degree and --base-n, shaped by the schedule's other flags."""
+    if args.plan:
         plan = CompressionPlan.load(args.plan)
         # The report echoes the file's prediction: it must be this network's.
         predicted = plan.predicted_flops
@@ -121,29 +177,26 @@ def _resolve_plan(net: NetworkSpec, args) -> CompressionPlan:
     if args.preset is not None:
         return plan_from_preset(net, args.preset)
     if args.degree is not None and args.base_n is not None:
-        stage_cap, skip_stage, skip_layer = (
-            getattr(args, name, None) or [] for name in ("stage_cap", "skip_stage", "skip_layer"))
         try:  # build_plan checks the stages and values
-            caps = {s: int(n) for s, _, n in (f.partition("=") for f in stage_cap)}
+            caps = {s: int(n) for s, _, n in (f.partition("=") for f in args.stage_cap)}
         except ValueError:
-            raise PlanError(f"--stage-cap expects STAGE=N, got {stage_cap}") from None
-        return build_plan(net, args.degree, args.base_n, caps, skip_stage, skip_layer)
-    sources = "--plan, --preset" if "plan" in args else "--preset"
+            raise PlanError(f"--stage-cap expects STAGE=N, got {args.stage_cap}") from None
+        return build_plan(net, args.degree, args.base_n, caps, args.skip_stage, args.skip_layer)
+    sources = ", ".join(flag for flag, commands, _, read, _ in _FLAGS
+                        if read in ("plan file", "preset") and args.command in commands)
     raise PlanError(f"no plan given: pass {sources}, or both --degree and --base-n")
 
 
-def _calibration(args, input_shape, default_count=None) -> tuple[CalibrationSet, dict]:
-    """The set that --calib names, or else --calib-count samples
-    (``default_count`` when not given) from --calib-seed (0 when not given)."""
-    count = default_count if args.calib_count is None else args.calib_count
+def _calibration(args, input_shape) -> tuple[CalibrationSet, dict]:
+    """The set that --calib names, or else --calib-count samples from --calib-seed."""
     if args.calib:
         calib = CalibrationSet.from_file(args.calib)
         info = {"source": str(Path(args.calib)), "count": calib.count}
-    elif count is None:
+    elif args.calib_count is None:
         raise PlanError("no calibration data: pass --calib FILE or --calib-count N")
     else:
-        info = {"source": "synthetic", "seed": args.calib_seed or 0, "count": count}
-        calib = CalibrationSet.synthetic(input_shape, count, seed=info["seed"])
+        info = {"source": "synthetic", "seed": args.calib_seed, "count": args.calib_count}
+        calib = CalibrationSet.synthetic(input_shape, args.calib_count, seed=args.calib_seed)
     if calib.sample_shape != tuple(input_shape):
         raise ShapeError(
             f"calibration shape {calib.sample_shape} != model input {tuple(input_shape)}"
@@ -159,12 +212,12 @@ def run_compress(args) -> dict:
     _one_plan_source(args)
     net = load_model(args.model)
     plan = _resolve_plan(net, args)
-    if not plan.layer_ranks and (unread := _given(args, _RECONSTRUCTION_FLAGS)):
+    if not plan.layer_ranks and (unread := _unread_flags(args.given, fits=False)):
         raise PlanError(f"{', '.join(unread)}: the plan decomposes no layer, so compress "
                         "reads none of these")
     flops_before, per_before = network_flops(net)
     reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
-    calib, calib_info = _calibration(args, net.input_shape, 128) if reconstruct else (None, None)
+    calib, calib_info = _calibration(args, net.input_shape) if reconstruct else (None, None)
     if reconstruct:
         check_rows(net, plan.layer_ranks, calib.count, not args.no_intercept)
 
@@ -345,51 +398,6 @@ def cmd_gen_fixtures(args) -> int:
     return EXIT_OK
 
 
-def _add_schedule_flags(parser) -> None:
-    """--preset, or a schedule of --degree and --base-n."""
-    parser.add_argument("--preset", choices=list_presets())
-    parser.add_argument("--degree", choices=["constant", "half", "quarter"])
-    parser.add_argument("--base-n", type=int)
-
-
-def _add_calib_flags(parser) -> None:
-    """--calib, or --calib-count seeded samples. ``_calibration`` sets their
-    defaults, so that ``_check_unread_flags`` sees which were given."""
-    parser.add_argument("--calib", help="calibration manifest (json)")
-    parser.add_argument("--calib-seed", type=_int_at_least(0))
-    parser.add_argument("--calib-count", type=_int_at_least(1))
-
-
-# The flags that only a reconstruction reads.
-_RECONSTRUCTION_FLAGS = ("--calib", "--calib-count", "--calib-seed", "--no-intercept", "--ridge",
-                         "--symmetric-reconstruction")
-
-
-def _given(args, flags) -> list[str]:
-    """The ``flags`` given on the command line, in sorted order."""
-    values = ((flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in sorted(flags))
-    return [flag for flag, value in values if value is not None and value is not False]
-
-
-def _check_unread_flags(parser, args) -> None:
-    """A flag this run does not read is a usage error: a reconstruction
-    flag with ``compress --no-reconstruct``; a calibration flag or
-    --corr-pre-activation with ``analyze`` without --correlation; and
-    --calib-count or --calib-seed beside --calib. A plan that decomposes no
-    layer reads no reconstruction flag either; ``run_compress`` checks that
-    once it has read the plan."""
-    given = _given(args, (*_RECONSTRUCTION_FLAGS, "--corr-pre-activation"))
-    if args.command == "compress" and args.no_reconstruct:
-        unread, why = given, "reads these only when it reconstructs"
-    elif args.command == "analyze" and not args.correlation:
-        unread, why = given, "reads these only with --correlation"
-    else:  # only compress and analyze take these flags
-        unread = [flag for flag in given if flag.startswith("--calib-") and "--calib" in given]
-        why = "takes its samples from --calib"
-    if unread:
-        parser.error(f"{', '.join(unread)}: {args.command} {why}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcompress",
@@ -403,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="build and save a compression plan")
     p_plan.add_argument("model")
-    _add_schedule_flags(p_plan)
-    p_plan.add_argument("--stage-cap", action="append", metavar="STAGE=N")
-    p_plan.add_argument("--skip-stage", action="append", metavar="STAGE")
-    p_plan.add_argument("--skip-layer", action="append", metavar="LAYER")
     p_plan.add_argument("-o", "--output", type=_output_file, required=True)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -414,14 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("model")
     p_comp.add_argument("-o", "--output", type=_output_dir, required=True,
                         help="output directory")
-    p_comp.add_argument("--plan")
-    _add_schedule_flags(p_comp)
-    _add_calib_flags(p_comp)
-    p_comp.add_argument("--ridge", type=_ridge, default=None)
-    p_comp.add_argument("--no-reconstruct", action="store_true")
-    p_comp.add_argument("--no-intercept", action="store_true")
-    p_comp.add_argument("--symmetric-reconstruction", action="store_true")
-    p_comp.add_argument("--force-1x1", action="store_true")
     p_comp.set_defaults(func=cmd_compress)
 
     p_an = sub.add_parser("analyze", help="emit energy/rank/correlation CSVs")
@@ -429,21 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("compressed")
     p_an.add_argument("-o", "--output", type=_output_dir, required=True,
                       help="output directory")
-    p_an.add_argument("--correlation", action="store_true")
-    _add_calib_flags(p_an)
-    p_an.add_argument("--energy-sigma", action="store_true",
-                      help="accumulate sigma instead of sigma^2")
-    p_an.add_argument("--corr-pre-activation", action="store_true",
-                      help="correlate raw pointwise outputs instead of the "
-                      "post-activation maps")
     p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("gen-fixtures", help="write synthetic models")
     p_gen.add_argument("name", choices=sorted(BUILDERS))
     p_gen.add_argument("-o", "--output", type=_output_dir, required=True,
                        help="output directory")
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.set_defaults(func=cmd_gen_fixtures)
+
+    # A flag not given stays out of ``args``, so that ``main`` sees which were.
+    for flag, commands, _, _, kwargs in _FLAGS:
+        for command in commands:
+            sub.choices[command].add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     return parser
 
 
@@ -459,6 +452,11 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The table flags given; then each flag not given takes its default.
+    args.given = {flag for flag, *_ in _FLAGS if _dest(flag) in vars(args)}
+    for flag, _, default, _, _ in _FLAGS:
+        vars(args).setdefault(_dest(flag), default.get(args.command)
+                              if isinstance(default, dict) else default)
     _check_unread_flags(parser, args)
     try:
         return args.func(args)

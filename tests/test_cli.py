@@ -440,6 +440,14 @@ class TestCompress:
             assert (outs["unflagged"] / file_name).read_bytes() == (
                 outs["flagged"] / file_name).read_bytes()
 
+    def test_unflagged_reconstruction_settings_in_report(self, toy3_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compress", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                     "--calib-count", "8", "-o", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["reconstruction"] == {
+            "enabled": True, "symmetric": False, "intercept": True,
+            "calibration": {"source": "synthetic", "seed": 0, "count": 8}}
+
     def test_report_content(self, toy3_path, tmp_path):
         out_dir = tmp_path / "out"
         main(
@@ -1458,6 +1466,91 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert (not list(out.iterdir())) if kind == "directory" else out.read_text() == "kept"
+
+
+    @pytest.mark.parametrize("base_n", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["plan", "compress"])
+    def test_base_n_below_one(self, toy3_path, tmp_path, capsys, no_load, command, base_n):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(toy3_path), "--degree", "constant", "--base-n", base_n,
+                  "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --base-n: must be at least 1, got {base_n}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_TRUNCATE = "compress {model} -o {out} --degree constant --base-n 1 --no-reconstruct"
+_FIT = "compress {model} -o {out} --degree constant --base-n 1"
+_EMPTY_PLAN = "compress {model} -o {out} --plan {empty_plan}"
+_ANALYZE = "analyze {model} {model} -o {out}"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # compress --no-reconstruct
+    (f"{_TRUNCATE} --calib calib.json", 2, "--calib: compress reads these only when it"),
+    (f"{_TRUNCATE} --calib-count 8", 2, "--calib-count: compress reads these only when it"),
+    (f"{_TRUNCATE} --calib-seed 0", 2, "--calib-seed: compress reads these only when it"),
+    (f"{_TRUNCATE} --ridge 0.5", 2, "--ridge: compress reads these only when it"),
+    (f"{_TRUNCATE} --no-intercept", 2, "--no-intercept: compress reads these only when it"),
+    (f"{_TRUNCATE} --symmetric-reconstruction", 2,
+     "--symmetric-reconstruction: compress reads these only when it reconstructs"),
+    # compress that reconstructs, beside --calib
+    (f"{_FIT} --calib calib.json --calib-count 8", 2,
+     "--calib-count: compress takes its samples from --calib"),
+    (f"{_FIT} --calib calib.json --calib-seed 0", 2,
+     "--calib-seed: compress takes its samples from --calib"),
+    # compress with a plan that decomposes no layer
+    (f"{_EMPTY_PLAN} --calib calib.json", 3, "--calib: the plan decomposes no layer"),
+    (f"{_EMPTY_PLAN} --calib-count 8", 3, "--calib-count: the plan decomposes no layer"),
+    (f"{_EMPTY_PLAN} --calib-seed 0", 3, "--calib-seed: the plan decomposes no layer"),
+    (f"{_EMPTY_PLAN} --ridge 0.5", 3, "--ridge: the plan decomposes no layer"),
+    (f"{_EMPTY_PLAN} --no-intercept", 3, "--no-intercept: the plan decomposes no layer"),
+    (f"{_EMPTY_PLAN} --symmetric-reconstruction", 3,
+     "--symmetric-reconstruction: the plan decomposes no layer, so compress reads none"),
+    # compress with a second plan source, or half a schedule
+    (f"{_EMPTY_PLAN} --preset vgg16_a", 3, "got --plan, --preset"),
+    (f"{_EMPTY_PLAN} --degree constant", 3, "got --plan, --degree"),
+    (f"{_EMPTY_PLAN} --base-n 1", 3, "got --plan, --base-n"),
+    (f"{_FIT} --preset vgg16_a", 3, "got --preset, --degree, --base-n"),
+    ("compress {model} -o {out} --degree constant", 3, "no plan given: pass --plan, --preset"),
+    ("compress {model} -o {out} --base-n 1", 3, "no plan given: pass --plan, --preset"),
+    # analyze without --correlation
+    (f"{_ANALYZE} --calib calib.json", 2, "--calib: analyze reads these only with"),
+    (f"{_ANALYZE} --calib-count 8", 2, "--calib-count: analyze reads these only with"),
+    (f"{_ANALYZE} --calib-seed 0", 2, "--calib-seed: analyze reads these only with"),
+    (f"{_ANALYZE} --corr-pre-activation", 2,
+     "--corr-pre-activation: analyze reads these only with --correlation"),
+    # analyze --correlation, beside --calib
+    (f"{_ANALYZE} --correlation --calib calib.json --calib-count 8", 2,
+     "--calib-count: analyze takes its samples from --calib"),
+    (f"{_ANALYZE} --correlation --calib calib.json --calib-seed 0", 2,
+     "--calib-seed: analyze takes its samples from --calib"),
+])
+def test_unread_flag_is_refused_before_any_read(toy3_path, tmp_path, capsys, monkeypatch,
+                                                 argv, code, message):
+    """Each flag of ``compress`` and ``analyze``, in each run that does not
+    read it: exit 2 at parse time, or exit 3 once the plan is known, before
+    any tensor, calibration file or sample is read."""
+    paths = {"model": toy3_path, "out": tmp_path / "o", "empty_plan": tmp_path / "plan.json"}
+    assert main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                 "--skip-layer", "c1", "--skip-layer", "c2", "--skip-layer", "c3",
+                 "-o", str(paths["empty_plan"])]) == EXIT_OK
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a tensor, calibration file or sample was read")
+
+    for name, owner in (("slices", modelio._BlobTensor), ("synthetic", CalibrationSet),
+                        ("from_file", CalibrationSet)):
+        monkeypatch.setattr(owner, name, no_read)
+    capsys.readouterr()
+    try:
+        exit_code = main([word.format(**paths) for word in argv.split()])
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
+    assert message in capsys.readouterr().err
+    assert not paths["out"].exists()
 
 
 class TestGenFixtures:

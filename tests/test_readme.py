@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from groupcompress.cli import main
+from groupcompress.cli import _FLAGS, main
 from groupcompress.fixtures import build_toy_three
 from groupcompress.modelio import save_model
 
@@ -32,3 +32,14 @@ def test_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+def test_flag_table_matches_the_cli():
+    """The CLI section's flag table has one row per flag of ``cli._FLAGS``,
+    with the same subcommands."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `-")]
+    in_readme = {cells[0].strip(" `").split()[0]: cells[1].strip().split(", ") for cells in rows}
+    assert len(in_readme) == len(rows)
+    assert in_readme == {flag: list(commands) for flag, commands, *_ in _FLAGS}

@@ -20,13 +20,15 @@ OUT_DIR is. They are:
   toy4, plain and with each of ``--symmetric-reconstruction``, ``--ridge 0``
   and ``--no-intercept``;
 * ``analyze`` of each of those compressed toy models against its original:
-  plain, with ``--correlation --calib-count 8``, and with those flags and
-  ``--corr-pre-activation``;
+  plain, with ``--correlation --calib-count 8``, with those flags and
+  ``--corr-pre-activation``, and with ``--energy-sigma``;
 * ``compress --plan --calib-seed 41`` on toy3 with a plan of
   ``--degree constant --base-n 1 --skip-layer c1``, plain and with
   ``--symmetric-reconstruction``: the asymmetric run shares toy3's first
   layers between the original and the compressed network, so its
-  compressed walk starts past layer 0.
+  compressed walk starts past layer 0;
+* ``compress --plan --calib-seed 41`` on toy4 with a plan of ``--degree
+  quarter --base-n 1 --stage-cap s4=2``, whose cap lowers stage s4's n.
 
 Beside each compressed model it also writes the compressed and the original
 network's output on one seeded sample, as raw little-endian float64
@@ -78,6 +80,7 @@ ANALYZE_VARIANTS = {
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "8"),
     "analyze-pre-activation": ("--correlation", "--corr-pre-activation", "--calib-count", "8"),
+    "analyze-energy-sigma": ("--energy-sigma",),
 }
 SKIP_C1_VARIANTS = {key: TOY_VARIANTS[key] for key in ("plain", "symmetric")}
 RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
@@ -188,6 +191,11 @@ def main(argv: list[str]) -> int:
         run(functools.partial(planned_compress_argv, toy3, skip_c1 / "plan.json", flags),
             skip_c1 / variant)
         write_forwards(Path(toy3), skip_c1 / variant)
+    capped, toy4 = Path("toy4-stage-cap"), "fixtures/toy4.json"
+    groupcompress("plan", toy4, "--degree", "quarter", "--base-n", "1", "--stage-cap", "s4=2",
+                  "-o", capped / "plan.json")
+    run(functools.partial(planned_compress_argv, toy4, capped / "plan.json", ()), capped / "plain")
+    write_forwards(Path(toy4), capped / "plain")
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
