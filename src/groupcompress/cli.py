@@ -40,7 +40,7 @@ from .fixtures import BUILDERS
 from .model import (
     NetworkSpec, layer_inputs, network_flops, propagate_shapes, read_arrays, stack_taps,
 )
-from .modelio import load_model, save_model, write_json
+from .modelio import load_model, save_model
 from .reconstruct import CalibrationSet, check_rows, reconstruct_network
 from .schedule import (
     CompressionPlan, build_plan, list_presets, plan_from_preset, predict_flops,
@@ -207,7 +207,9 @@ def _calibration(args, input_shape) -> tuple[CalibrationSet, dict]:
 def run_compress(args) -> dict:
     """plan -> decompose -> (optional) reconstruct -> serialize + report.
 
-    ``args`` carries the ``compress`` subcommand's parsed flags.
+    ``args`` carries the ``compress`` subcommand's parsed flags. The model
+    and ``report.json`` are written in one ``modelio.write_json`` call, so
+    an interrupted run leaves the old set of files, the new one or none.
     """
     _one_plan_source(args)
     net = load_model(args.model)
@@ -231,21 +233,8 @@ def run_compress(args) -> dict:
             pair.fit = fit
 
     flops_after, per_after = network_flops(compressed)
-    layer_rows = [
-        {
-            "layer": pair.source,
-            "n": pair.n,
-            "truncation_error": pair.total_truncation_error,
-            "block_truncation_errors": pair.block_truncation_errors.tolist(),
-            "flops_before": per_before[pair.source],
-            "flops_after": per_after[pair.d.id] + per_after[pair.p.id],
-            **(asdict(pair.fit) if pair.fit else {}),
-        }
-        for pair in pairs
-    ]
-
     out_dir = Path(args.output)
-    model_path = save_model(compressed, out_dir / "model.json")
+    model_path = out_dir / "model.json"
     report = {
         "model": net.name,
         "plan": plan.to_json(),
@@ -258,10 +247,28 @@ def run_compress(args) -> dict:
         "flops_before": flops_before,
         "flops_after": flops_after,
         "flops_ratio": flops_after / flops_before,
-        "layers": layer_rows,
+        "layers": [],
         "output_model": model_path.name,
     }
-    write_json(out_dir / "report.json", report)
+
+    def with_layer_rows() -> dict:
+        # Written after the blob, whose write factors each pair that
+        # reconstruction has not: only then are its truncation errors known.
+        report["layers"] = [
+            {
+                "layer": pair.source,
+                "n": pair.n,
+                "truncation_error": pair.total_truncation_error,
+                "block_truncation_errors": pair.block_truncation_errors.tolist(),
+                "flops_before": per_before[pair.source],
+                "flops_after": per_after[pair.d.id] + per_after[pair.p.id],
+                **(asdict(pair.fit) if pair.fit else {}),
+            }
+            for pair in pairs
+        ]
+        return report
+
+    save_model(compressed, model_path, then=[(out_dir / "report.json", with_layer_rows)])
     return report
 
 

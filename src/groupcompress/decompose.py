@@ -22,10 +22,15 @@ layer's D, P and truncation-error arrays, which are allocated in their
 final layout. A block's rank-n factors come from the eigendecomposition of
 its smaller Gram matrix (``linalg._leading_factors``), with the same bits
 in any part, so the serialized model is the same whatever the CPU count,
-and no singular triplet that the truncation drops is computed. Layers are
-factored one after another in network order, so only one layer's factors
-are in memory at a time. The whole stack is validated in the calling
-thread before any part is factored.
+and no singular triplet that the truncation drops is computed. The whole
+stack is validated in the calling thread before any part is factored.
+
+``decompose_network`` checks every planned layer but factors none: each
+pair's arrays are ``model.Deferred`` and share one factorization of the
+source conv, run when the first of them is read. ``modelio.save_model``
+reads each as it writes it, so a truncation run factors and writes one
+pair at a time, and holds one layer's factors, not all of them.
+Reconstruction's walks read a pair's arrays when they reach it.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -34,15 +39,19 @@ well conditioned for response reconstruction.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
-from .model import ConvWeights, LayerSpec, NetworkSpec, layer_inputs, read_arrays
+from .model import (
+    ConvWeights, Deferred, LayerSpec, NetworkSpec, array_fields, layer_inputs, read_arrays,
+)
+from .modelio import check_float32, float32_holds
 
 if TYPE_CHECKING:
     from .reconstruct import ReconstructionFit
@@ -106,19 +115,63 @@ class GroupDecomposition:
         return self.d_layer.weight_matrix() @ self.p_layer.weight_matrix()
 
 
+class _PairFactors:
+    """One factorization of the planned conv ``source`` at rank n, shared by
+    its pair's deferred arrays (``_Factor``): D's weights, P's weights and
+    P's bias. The first read of any of them runs ``decompose_layer`` on
+    ``read_arrays(conv)``, and each of the others is held only until it is
+    read. An array read again is factored again, to the same bits.
+    ``errors`` are the block truncation errors, None until the first
+    factoring."""
+
+    def __init__(self, source: str, conv: ConvWeights, n: int, force_pointwise: bool):
+        self.source, self.conv, self.n, self.force_pointwise = source, conv, n, force_pointwise
+        self.unread: dict[str, np.ndarray | None] = {}
+        self.errors: np.ndarray | None = None
+
+    def factor(self) -> None:
+        with _naming_layer(self.source):
+            decomp = decompose_layer(read_arrays(self.conv), self.n, self.force_pointwise)
+        self.unread = {"d weights": decomp.d_layer.weights,
+                       "p weights": decomp.p_layer.weights, "p bias": decomp.p_layer.bias}
+        self.errors = decomp.block_truncation_errors
+
+    def take(self, name: str) -> np.ndarray:
+        if name not in self.unread:
+            self.factor()
+        return self.unread.pop(name)
+
+    def deferred(self, record: ConvWeights, layer: str, names=("weights",)) -> ConvWeights:
+        """``record`` with each array ``names`` lists read from this
+        factorization, as ``layer``'s ("d" or "p")."""
+        return replace(record, **{name: _Factor(self, f"{layer} {name}", shape)
+                                  for name, shape, _, _ in array_fields(record) if name in names})
+
+
+class _Factor(Deferred):
+    """One array of a pair, read from its ``_PairFactors``."""
+
+    def __init__(self, factors: _PairFactors, name: str, shape: tuple):
+        super().__init__(shape)
+        self.factors, self.name = factors, name
+
+    def read(self) -> np.ndarray:
+        return self.factors.take(self.name)
+
+
 @dataclass(eq=False)
 class DecomposedPair:
     """One decomposed conv: its id ``source`` and the (D, P) layers that
-    replace it. ``block_truncation_errors`` are ``GroupDecomposition``'s
-    (None for a pair read back from a saved model), and ``fit`` is its
-    ``reconstruct.ReconstructionFit`` (None until reconstruction). ``p`` is
-    the P layer as decomposed; a fit merges into a copy of it."""
+    replace it. ``fit`` is its ``reconstruct.ReconstructionFit`` (None
+    until reconstruction), and ``factors`` the factorization its arrays
+    share (None for a pair read back from a saved model). ``p`` is the P
+    layer as decomposed; a fit merges into a copy of it."""
 
     source: str
     d: LayerSpec
     p: LayerSpec
-    block_truncation_errors: np.ndarray | None = None
     fit: ReconstructionFit | None = None
+    factors: _PairFactors | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -126,18 +179,29 @@ class DecomposedPair:
         return self.d.conv.c_in // self.d.conv.groups
 
     @property
+    def block_truncation_errors(self) -> np.ndarray | None:
+        """``GroupDecomposition``'s, known once the pair has been factored:
+        reading them first factors it. None for a pair read back from a
+        saved model."""
+        if self.factors is None:
+            return None
+        if self.factors.errors is None:
+            self.factors.factor()
+        return self.factors.errors
+
+    @property
     def total_truncation_error(self) -> float:
         return float(np.sqrt(np.sum(self.block_truncation_errors**2)))
 
 
-def _checked_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
-    """The validated block stack of ``w`` at rank n, ready to factor."""
+def _block_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
+    """The block stack of ``w`` at rank n; its entries are not checked."""
     if w.k == 1 and not force_pointwise:
         raise DecompositionError(
             "refusing to decompose a 1x1 convolution (no compression); "
             "pass force_pointwise=True to override"
         )
-    return linalg._check_entries(partition_blocks(w, n), "a")
+    return partition_blocks(w, n)
 
 
 def decompose_layer(
@@ -149,7 +213,7 @@ def decompose_layer(
     a plain channel SVD and the FLOPs ratio n/c_out + 1 never compresses.
     Pass ``force_pointwise=True`` to decompose them anyway.
     """
-    stack = _checked_stack(w, n, force_pointwise)
+    stack = linalg._check_entries(_block_stack(w, n, force_pointwise), "a")
     k, c_in, c_out = w.k, w.c_in, w.c_out
     blocks = c_in // n
     d = np.zeros((c_in, n, k, k))
@@ -219,6 +283,24 @@ def decomposed_pairs(net: NetworkSpec, original: NetworkSpec) -> list[Decomposed
     return pairs
 
 
+def _checked_layer(conv: ConvWeights, layer_id: str, n: int, force_pointwise: bool) -> bool:
+    """Check the planned conv ``layer_id``, read, at rank n, as
+    ``decompose_layer`` would, and apply ``modelio``'s float32 rule to the
+    bias P copies, all with no SVD. Return whether float32 holds a bound of
+    D's values: D = W V with V orthonormal, so no value of a block's D
+    exceeds the block's Frobenius norm (here given a margin for rounding),
+    and P's values are at most 1. The norms are the entry check too: they
+    are finite where every entry is, so each entry is checked, to name a
+    non-finite one, only where they are not."""
+    with _naming_layer(layer_id):
+        stack = _block_stack(conv, n, force_pointwise)
+        largest = math.sqrt(np.einsum("bij,bij->b", stack, stack).max())
+        if not math.isfinite(largest):
+            linalg._check_entries(stack, "a")
+    check_float32(conv.bias, f"layer {layer_id}.p bias")
+    return float32_holds(-1.001 * largest, 1.001 * largest)
+
+
 @contextmanager
 def _naming_layer(layer_id: str):
     try:
@@ -242,12 +324,15 @@ def decompose_network(
     layers. Every other layer keeps its parameter records, and an array of
     theirs that was not read (``model.Deferred``) stays unread.
 
-    Every planned layer is checked, its weights included, before the first
-    SVD; an error names the first failing layer in network order. A planned
-    conv's arrays are read with ``read_arrays``, once for the check and
-    once to factor, and never kept in ``net``: besides the (D, P) factors
-    of the layers done so far, only the layer being checked or factored is
-    held, and the peak memory is set by the largest planned layer.
+    No layer is factored here: a pair's D weights, P weights and P bias are
+    ``Deferred`` arrays that share one ``_PairFactors`` (see the module
+    docstring). What can fail is checked first, for every planned layer,
+    before the first SVD; an error names the first failing layer in network
+    order. That includes ``modelio``'s float32 rule (``_checked_layer``), so
+    that a save refuses a pair before it touches any file: a layer is
+    factored here only where the rule fails for a bound of D's values. A
+    planned conv's arrays are read with ``read_arrays``, once for the check
+    and once to factor, and never kept in ``net``.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -265,9 +350,13 @@ def decompose_network(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
                 )
             taken.add(new_id)
-    for lid in planned:
+    beyond = [lid for lid in planned if not _checked_layer(
+        read_arrays(net.layer(lid).conv), lid, layer_ranks[lid], force_pointwise)]
+    for lid in beyond:
         with _naming_layer(lid):
-            _checked_stack(read_arrays(net.layer(lid).conv), layer_ranks[lid], force_pointwise)
+            d = decompose_layer(read_arrays(net.layer(lid).conv), layer_ranks[lid],
+                                force_pointwise).d_layer.weights
+        check_float32(d, f"layer {lid}.d weights")
 
     new_layers: list[LayerSpec] = []
     pairs: list[DecomposedPair] = []
@@ -279,16 +368,18 @@ def decompose_network(
             new_layers.append(layer)
             continue
         n = layer_ranks[layer.id]
-        with _naming_layer(layer.id):
-            decomp = decompose_layer(read_arrays(layer.conv), n, force_pointwise)
+        factors = _PairFactors(layer.id, layer.conv, n, force_pointwise)
+        d, p = pair_layers(layer.conv, n)
+        # P has weights, and a bias where the source conv has one.
+        p_arrays = [name for name, *_, value in array_fields(layer.conv) if value is not None]
         provenance = {"decomposed_from": layer.id, "rank_n": n}
         pair = DecomposedPair(
             layer.id,
             LayerSpec(id=f"{layer.id}.d", kind="conv", stage=layer.stage, input=layer.input,
-                      conv=decomp.d_layer, meta=dict(provenance)),
+                      conv=factors.deferred(d, "d"), meta=dict(provenance)),
             LayerSpec(id=f"{layer.id}.p", kind="conv", stage=layer.stage,
-                      conv=decomp.p_layer, meta=dict(provenance)),
-            decomp.block_truncation_errors,
+                      conv=factors.deferred(p, "p", p_arrays), meta=dict(provenance)),
+            factors=factors,
         )
         pairs.append(pair)
         new_layers += [pair.d, pair.p]

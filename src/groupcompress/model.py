@@ -59,14 +59,16 @@ once, as an ``_ArrayField``; ``array_fields`` reads that schema for the
 record check, ``read_arrays`` and ``modelio``. A record makes each array it
 is given float64 and checks its shape, once, when it is built; any array
 may be None in memory (a shape-only network). An array may be ``Deferred``:
-not read yet (``modelio.load_model`` defers every tensor). The first access
-of the field reads it and keeps the array, so a walk reads each tensor
-once. ``read_arrays`` reads a record's arrays for one use without keeping
-them.
+not read yet (``modelio.load_model`` defers every tensor, and
+``decompose.decompose_network`` every array of a (D, P) pair). The first
+access of the field reads it and keeps the array, so a walk reads each
+tensor once. ``read_arrays`` reads a record's arrays for one use without
+keeping them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -78,8 +80,15 @@ from .errors import ShapeError
 
 
 class Deferred:
-    """A parameter array that has not been read: ``read()`` returns it as a
-    new float64 array of the field's shape, each time it is called."""
+    """A parameter array that has not been read, of ``shape`` (``size``
+    values): ``read()`` returns it as a new float64 array of that shape,
+    each time it is called. ``modelio`` defers each tensor of a loaded
+    model, and ``decompose.decompose_network`` each array of a pair's
+    factors; ``modelio._BlobWriter`` lays one out by its size and reads it
+    only as it writes it."""
+
+    def __init__(self, shape: tuple):
+        self.shape, self.size = tuple(shape), math.prod(shape)
 
     def read(self) -> np.ndarray:
         raise NotImplementedError

@@ -40,7 +40,9 @@ file is ``schedule.CompressionPlan.to_json()``, with no blob.
 All three are read by ``read_json``: a missing, unreadable or malformed file
 raises ModelFormatError (PlanError for a plan). ``json_integer`` checks
 their integers, never truncating. ``write_json`` writes them, the blob
-first and each file atomically, so an interrupted write leaves no file.
+first, with every file of one call in one ``write_atomically``, so an
+interrupted write leaves none of them. ``compress`` writes its report in
+the same call as the model it describes, after the blob.
 
 Tensors are read on use. Load checks every blob reference against the
 manifest and the blob's size, but reads no tensor: each array of the loaded
@@ -50,13 +52,20 @@ keeps it; ``model.read_arrays`` reads it for one use only. Save converts
 each array to float32 as it writes it, and copies each tensor that was
 never read from the source blob as float32 bytes, with no float64 step.
 An array of a model or a calibration set with a value float32 cannot
-hold (NaN, infinite, or rounding to infinity) raises ShapeError naming
-the tensor, before any file is written. A copied tensor is checked as it
-is copied: a value that is not finite raises ShapeError naming the
-tensor, after the old files were removed, so no model is left at the
-path. Every read, copy and write goes through one buffer of
-``SLICE_VALUES`` float32 values, so load and save hold one bounded slice
-beyond the arrays that were read, never a second copy of the weights.
+hold (NaN, infinite, or rounding to infinity: ``float32_holds``) raises
+ShapeError naming the tensor, before any file is written. A copied
+tensor is checked as it is copied: a value that is not finite raises
+ShapeError naming the tensor, after the old files were removed, so no
+model is left at the path. Any other ``Deferred`` array, such as the
+factors of a pair that ``decompose.decompose_network`` made, is read as
+it is written, and freed once written: save then factors one pair at a
+time. ``decompose_network`` has already applied the float32 rule to
+those factors, by a bound, before any file was touched; a failure while
+one is factored (a LAPACK non-convergence) comes after the old files
+were removed, and leaves no model at the path. Every read, copy and write
+goes through one buffer of ``SLICE_VALUES`` float32 values, so load and
+save hold one bounded slice beyond the arrays that were read, never a
+second copy of the weights.
 
 The blob file is read through the handle load opened, never reopened by
 path, so saving over the model that was loaded works: ``write_atomically``
@@ -91,26 +100,39 @@ FORMAT_VERSION = 1
 SLICE_VALUES = 1 << 20
 
 
+def float32_holds(low, high) -> bool:
+    """Whether every value from ``low`` to ``high`` rounds to a finite
+    float32 value: the one rule of what a blob can hold. Rounding is
+    monotone, so the two ends decide, and a NaN end fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.float32([low, high])).all())
+
+
+def check_float32(array, name: str) -> None:
+    """ShapeError naming the tensor ``name`` unless ``float32_holds`` for
+    the ``min`` and ``max`` of ``array``; None and an empty array pass."""
+    if array is not None and array.size:
+        low, high = array.min(), array.max()
+        if not float32_holds(low, high):
+            raise ShapeError(f"{name}: {low:.4g} to {high:.4g}, beyond float32's range")
+
+
 class _BlobWriter:
     """Lays arrays out in a blob, holding each by reference, with its
-    tensor's name, until ``write``. An unread ``_BlobTensor`` is laid out
-    like an array of its size."""
+    tensor's name, until ``write``. A ``Deferred`` array is laid out by its
+    size, unread."""
 
     def __init__(self):
         self.arrays: list = []  # (array, name)
         self.offset = 0
 
     def put(self, array, name: str) -> dict | None:
-        """Lay out ``array``, the tensor ``name``. Unless its ``min`` and
-        ``max`` round to finite float32 values, ShapeError is raised; as
-        rounding is monotone, every value then does, and a NaN is caught."""
+        """Lay out ``array``, the tensor ``name``; ``check_float32`` checks it
+        unless it is ``Deferred``."""
         if array is None:
             return None
-        if array.size and not isinstance(array, _BlobTensor):
-            low, high = array.min(), array.max()
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.float32([low, high])).all():
-                    raise ShapeError(f"{name}: {low:.4g} to {high:.4g}, beyond float32's range")
+        if not isinstance(array, Deferred):
+            check_float32(array, name)
         entry = {"offset": self.offset, "length": 4 * array.size}
         self.arrays.append((array, name))
         self.offset += entry["length"]
@@ -121,7 +143,9 @@ class _BlobWriter:
         converting a slice of at most SLICE_VALUES values at a time, so that
         no array, contiguous or not, is copied whole. An unread tensor is
         copied from its blob, a slice at a time; a slice with a value that
-        is not finite raises ShapeError naming the tensor."""
+        is not finite raises ShapeError naming the tensor. Any other
+        ``Deferred`` array is read here, once, checked by ``check_float32``
+        and freed once it is written."""
         flags = ["external_loop", "buffered", "zerosize_ok"]
         for array, name in self.arrays:
             if isinstance(array, _BlobTensor):
@@ -130,6 +154,9 @@ class _BlobWriter:
                         raise ShapeError(f"{name}: non-finite value in a tensor copied unread")
                     fh.write(part)
                 continue
+            if isinstance(array, Deferred):
+                array = array.read()
+                check_float32(array, name)
             for part in np.nditer(
                 array, flags, op_dtypes="<f4", casting="unsafe", order="C", buffersize=SLICE_VALUES
             ):
@@ -140,8 +167,8 @@ class _BlobTensor(Deferred):
     """One tensor of the blob that ``reader`` has open, read when used."""
 
     def __init__(self, reader: _BlobReader, offset: int, shape: tuple, field: str):
-        self.reader, self.offset, self.shape, self.field = reader, offset, shape, field
-        self.size = math.prod(shape)
+        super().__init__(shape)
+        self.reader, self.offset, self.field = reader, offset, field
 
     def slices(self):
         """The tensor's float32 values, each slice of at most SLICE_VALUES
@@ -319,23 +346,29 @@ def write_atomically(*paths: Path):
             tmp.unlink(missing_ok=True)
 
 
-def write_json(path, document: dict, blob: _BlobWriter | None = None) -> Path:
+def write_json(path, document: dict, blob: _BlobWriter | None = None, then=()) -> Path:
     """Write ``document`` to ``path`` as indented JSON and, when given,
-    ``blob`` to the file its ``"blob"`` field names beside it.
+    ``blob`` to the file its ``"blob"`` field names beside it; then, for
+    each ``(path, make)`` of ``then``, the document ``make()`` returns once
+    the blob and ``document`` are written.
 
-    Both files are written in full before either is moved into place, and
-    the blob goes first, so a new manifest never names an unfinished blob.
+    Every file goes through one ``write_atomically`` call: all are written
+    in full before any is moved into place, the blob first, so a new
+    manifest never names an unfinished blob, and an interrupted write
+    leaves none of them.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    paths = [path] if blob is None else [path.parent / document["blob"], path]
-    with write_atomically(*paths) as temps:
+    documents = [(path, lambda: document), *then]
+    blobs = [] if blob is None else [path.parent / document["blob"]]
+    with write_atomically(*blobs, *(doc_path for doc_path, _ in documents)) as temps:
         if blob is not None:
             with open(temps[0], "wb") as fh:
                 blob.write(fh)
-        with open(temps[-1], "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        for tmp, (_, make) in zip(temps[len(blobs):], documents):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(make(), fh, indent=2)
+                fh.write("\n")
     return path
 
 
@@ -383,14 +416,17 @@ def _shape(value, field: str) -> tuple[int, int, int]:
     return tuple(json_integer(v, field, 1) for v in value)
 
 
-def save_model(net: NetworkSpec, manifest_path) -> Path:
-    """Write ``<manifest_path>`` and its sibling ``.bin`` blob.
+def save_model(net: NetworkSpec, manifest_path, then=()) -> Path:
+    """Write ``<manifest_path>`` and its sibling ``.bin`` blob, and the
+    documents of ``then`` after them, as ``write_json`` does.
 
     The blob file name is the manifest name with a ``.bin`` suffix; writing
     is deterministic (same network -> identical bytes). Each record checked
     its arrays' shapes when it was built; layer shapes, and that no required
     array is None, are checked here, so a network that ``load_model`` would
-    reject is not written.
+    reject is not written. A ``Deferred`` array is read as the blob is
+    written, so a decomposed network's pairs are factored one at a time
+    (``decompose.decompose_network``).
     """
     propagate_shapes(net)
     manifest_path = Path(manifest_path)
@@ -403,7 +439,7 @@ def save_model(net: NetworkSpec, manifest_path) -> Path:
         "blob": manifest_path.with_suffix(".bin").name,
         "layers": layers,
     }
-    return write_json(manifest_path, manifest, blob)
+    return write_json(manifest_path, manifest, blob, then)
 
 
 def load_model(manifest_path) -> NetworkSpec:

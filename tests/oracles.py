@@ -5,8 +5,11 @@ pseudo-inverses), or the slower kernels a faster one replaced, and share
 no code with the package under test. The exceptions are
 ``per_layer_reconstruction``, the loop the one-pass reconstruction
 replaced: it reuses the package's solve and merge, and checks the walk;
-and ``unshared_walk``, the walk before forks and in-place layers: it
-reuses the package's layer step, and checks the walk's sharing rules.
+``unshared_walk``, the walk before forks and in-place layers: it reuses
+the package's layer step, and checks the walk's sharing rules; and
+``eager_decompose_network``, the decomposition before pairs were factored
+on first use: it reuses the package's ``decompose_layer``, and checks
+when and how often a pair is factored.
 """
 
 import os
@@ -14,8 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from groupcompress.decompose import decomposed_pairs
-from groupcompress.model import NetworkSpec, _run, layer_inputs
+from groupcompress.decompose import decompose_layer, decomposed_pairs
+from groupcompress.model import LayerSpec, NetworkSpec, _run, layer_inputs, read_arrays
 from groupcompress.reconstruct import (
     ReconstructionFit,
     collect_responses,
@@ -364,3 +367,29 @@ def per_layer_reconstruction(
         fits.append(ReconstructionFit(
             before, before if fallback else after, used_ridge, y.shape[0], fallback))
     return result, fits
+
+
+def eager_decompose_network(net, layer_ranks, force_pointwise=False):
+    """Reference for ``decompose_network``: each planned conv factored at
+    once, in network order, with the same layer ids, inputs and provenance,
+    and every array of every pair held. Returns the network and each
+    source conv's block truncation errors, by id. It checks no input."""
+    layers, errors, renamed = [], {}, {}
+    for layer in net.layers:
+        layer = replace(layer, input=renamed.get(layer.input, layer.input),
+                        source=renamed.get(layer.source, layer.source))
+        if layer.id not in layer_ranks:
+            layers.append(layer)
+            continue
+        n = layer_ranks[layer.id]
+        decomp = decompose_layer(read_arrays(layer.conv), n, force_pointwise)
+        provenance = {"decomposed_from": layer.id, "rank_n": n}
+        layers += [
+            LayerSpec(id=f"{layer.id}.d", kind="conv", stage=layer.stage, input=layer.input,
+                      conv=decomp.d_layer, meta=dict(provenance)),
+            LayerSpec(id=f"{layer.id}.p", kind="conv", stage=layer.stage,
+                      conv=decomp.p_layer, meta=dict(provenance)),
+        ]
+        errors[layer.id] = decomp.block_truncation_errors
+        renamed[layer.id] = f"{layer.id}.p"
+    return NetworkSpec(net.name, net.input_shape, layers), errors

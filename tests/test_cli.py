@@ -607,6 +607,26 @@ class TestCompress:
         assert len(finished) == 5
         assert set(threading.enumerate()) == threads_before
 
+    def test_factoring_failure_in_the_save_leaves_no_set(
+        self, toy3_path, tmp_path, capsys, monkeypatch
+    ):
+        """A pair is factored as the blob is written, after the old files at
+        -o were removed: a LAPACK failure there exits 4 and leaves none of
+        the set."""
+        out_dir = tmp_path / "o"
+        argv = ["compress", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                "--no-reconstruct", "-o", str(out_dir)]
+        assert main(argv) == EXIT_OK
+
+        def no_convergence(stack, n):
+            raise NumericalError("eigendecomposition did not converge")
+
+        monkeypatch.setattr(linalg, "_leading_factors", no_convergence)
+        capsys.readouterr()
+        assert main(argv) == EXIT_NUMERIC
+        assert "layer c1: eigendecomposition did not converge" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_failing_walk_share_exits_numeric_and_leaves_no_worker_running(
         self, toy4_path, tmp_path, capsys, monkeypatch
     ):
@@ -756,6 +776,36 @@ class TestCompress:
         assert max(peaks) < min(tails)
         assert abs(peaks[1] - peaks[0]) < layer
         assert max(peaks) <= d_and_p + 4 * layer + slice_and_manifest
+
+    def test_truncation_memory_does_not_grow_with_the_planned_layers(self, tmp_path, monkeypatch):
+        """Four identical planned convs take the memory of one, within one
+        pair's D and P: the save factors and writes one pair at a time. One
+        CPU, so that no two shares' scratch overlap by chance, and a first
+        run untraced, so that both traced runs find the same caches."""
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+        c, n = 256, 32
+        conv = ConvWeights(c, c, 3, pad=1, weights=np.random.default_rng(0).standard_normal(
+            (c, c, 3, 3)), bias=np.ones(c))
+        ids = ["c1", "c2", "c3", "c4"]
+        net = NetworkSpec("chain", (c, 4, 4), [
+            LayerSpec(id=layer_id, kind="conv", conv=conv) for layer_id in ids])
+        model_path = save_model(net, tmp_path / "chain.json")
+        del net, conv
+        peaks = []
+        for planned in (ids[:1], ids[:1], ids):
+            plan = CompressionPlan("constant", n, {}, dict.fromkeys(planned, n)).save(
+                tmp_path / "plan.json")
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                code = main(["compress", str(model_path), "--plan", str(plan), "--no-reconstruct",
+                             "-o", str(tmp_path / str(len(peaks)))])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        d_and_p = 8 * (c * n * 9 + c * c)
+        assert abs(peaks[2] - peaks[1]) < d_and_p
 
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
@@ -983,7 +1033,9 @@ class TestCompress:
         assert main(args) == EXIT_OK
 
         # Break the report's write, whether it goes through json.dump or
-        # Path.write_text, halfway through; the model files are written whole.
+        # Path.write_text, halfway through. The model files are written whole
+        # before it, but the report goes in the same atomic write as the
+        # model, so none of the three is left.
         dump, write_text = json.dump, Path.write_text
 
         def half_dump(obj, fh, **kwargs):
@@ -1002,7 +1054,54 @@ class TestCompress:
         monkeypatch.setattr(json, "dump", half_dump)
         monkeypatch.setattr(Path, "write_text", half_write_text)
         assert main(args) != EXIT_OK
-        assert sorted(p.name for p in out_dir.iterdir()) == ["model.bin", "model.json"]
+        assert sorted(p.name for p in out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("file_name", ["model.bin", "model.json", "report.json"])
+    @pytest.mark.parametrize("mode", [["--no-reconstruct"], ["--calib-count", "8"]],
+                             ids=["truncation", "reconstruction"])
+    def test_interrupted_run_leaves_old_new_or_no_set(
+        self, toy3_path, tmp_path, monkeypatch, file_name, mode
+    ):
+        """An interrupt while one of the three files is half-written leaves
+        the old set byte-identical, the new set, or none of the set. Files
+        of other names are left alone."""
+        out_dir, new_dir = tmp_path / "o", tmp_path / "new"
+        argv = ["compress", str(toy3_path), "--degree", "constant", *mode, "--base-n"]
+        assert main([*argv, "1", "-o", str(out_dir)]) == EXIT_OK
+        assert main([*argv, "2", "-o", str(new_dir)]) == EXIT_OK
+        (out_dir / "notes.txt").write_text("kept")
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "notes.txt"}
+
+        old, new = files(out_dir), files(new_dir)
+        assert sorted(old) == ["model.bin", "model.json", "report.json"] and old != new
+
+        class HalfWritten:
+            """A file whose first write goes half to disk, then is interrupted."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise KeyboardInterrupt
+
+        def interrupting_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return HalfWritten(fh) if Path(file).name.startswith(f".{file_name}.") else fh
+
+        monkeypatch.setattr(modelio, "open", interrupting_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "2", "-o", str(out_dir)])
+        assert files(out_dir) in (old, new, {})
+        assert (out_dir / "notes.txt").read_text() == "kept"
 
     def test_wrong_calibration_shape_is_numeric_error(self, toy3_path, tmp_path):
         calib_path = CalibrationSet.synthetic((2, 6, 6), 40, seed=3).save(

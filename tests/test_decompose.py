@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from groupcompress import decompose, linalg
+from groupcompress.cli import main
 from groupcompress.decompose import (
     GroupDecomposition,
     decompose_layer,
@@ -15,7 +17,7 @@ from groupcompress.decompose import (
     partition_blocks,
 )
 from groupcompress.errors import DecompositionError, ModelFormatError
-from groupcompress.fixtures import build_toy_cnn
+from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
     ConvWeights,
     Deferred,
@@ -26,11 +28,15 @@ from groupcompress.model import (
     flops_ratio_fraction,
     forward,
     network_flops,
+    read_arrays,
 )
 from groupcompress.modelio import load_model, save_model
+from groupcompress.schedule import CompressionPlan
 
+from nets import pool_fc_net, residual_net
 from oracles import (
-    block_diagonal_matrix, block_truncation_energy, im2col_rows, per_block_decompose,
+    block_diagonal_matrix, block_truncation_energy, eager_decompose_network, im2col_rows,
+    per_block_decompose,
 )
 
 
@@ -358,6 +364,14 @@ class TestJacobianRank:
         assert linalg.numerical_rank(decomp.composed_matrix()) == 8
 
 
+def read_pairs(decomposed):
+    """``decompose_network``'s result, once each pair's arrays were read,
+    which factors the pairs (D first, so each once) in network order."""
+    for pair in decomposed[1]:
+        read_arrays(pair.d.conv), read_arrays(pair.p.conv)
+    return decomposed
+
+
 class TestDecomposeNetwork:
     def build(self, rng):
         w1 = random_conv(rng, 4, 4, 3)
@@ -436,7 +450,7 @@ class TestDecomposeNetwork:
 
             monkeypatch.setattr(linalg, "_leading_factors", recording_factors)
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
-            decompose_network(net, ranks)
+            read_pairs(decompose_network(net, ranks))
             stacks = [partition_blocks(net.layer(lid).conv, n) for lid, n in ranks.items()]
             # Every part is a part of c1 or c2, and c1's all come first.
             shapes = [stack.shape[1:] for stack in stacks]
@@ -459,9 +473,9 @@ class TestDecomposeNetwork:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
-        one_cpu, _ = decompose_network(net, {"c1": 1, "c2": 1})
+        one_cpu, _ = read_pairs(decompose_network(net, {"c1": 1, "c2": 1}))
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
-        one_block, _ = decompose_network(net, {"c1": 4, "c2": 4})
+        one_block, _ = read_pairs(decompose_network(net, {"c1": 4, "c2": 4}))
         assert [l.id for l in one_cpu.layers] == [l.id for l in one_block.layers]
 
     @pytest.mark.parametrize(
@@ -512,3 +526,84 @@ class TestDecomposeNetwork:
         net = self.build(rng)
         with pytest.raises(DecompositionError, match="nope"):
             decompose_network(net, {"nope": 2})
+
+
+def pointwise_net(seed=0):
+    """A 3x3 conv without bias, then a 1x1 conv with one."""
+    rng = np.random.default_rng(seed)
+    return NetworkSpec("pointwise", (4, 5, 5), [
+        LayerSpec(id="c1", kind="conv", conv=random_conv(rng, 4, 6, 3, bias=False)),
+        LayerSpec(id="r1", kind="relu"),
+        LayerSpec(id="pw", kind="conv", conv=random_conv(rng, 6, 8, 1)),
+    ])
+
+
+def near_float32_net(seed=0):
+    """One conv whose single block has singular values 2.5e38 to 1e38: its
+    Frobenius norm, 3.7e38, is beyond float32, while D's values are not."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((36, 4)))[0]
+    matrix = q * np.array([2.5e38, 2e38, 1.5e38, 1e38])
+    conv = ConvWeights(4, 4, 3, pad=1, weights=matrix.T.reshape(4, 4, 3, 3),
+                       bias=rng.standard_normal(4))
+    return NetworkSpec("near-float32", (4, 5, 5), [LayerSpec(id="c1", kind="conv", conv=conv)])
+
+
+class TestFactoredOnFirstRead:
+    """``decompose_network`` defers each pair's factoring to the first read
+    of one of its arrays; ``oracles.eager_decompose_network`` factors every
+    pair at once. Both give the same layers, arrays and files."""
+
+    CASES = {  # build, layer ranks, force_pointwise
+        "toy3": (build_toy_three, {"c1": 1, "c2": 2, "c3": 4}, False),
+        "toy4": (build_toy_cnn, {"c1": 2, "c2": 1, "c3": 4, "c4": 2}, False),
+        "residual": (residual_net, {"c1": 1, "c2": 2, "sc": 4, "c3": 2}, False),
+        "pool-fc": (pool_fc_net, {"c1": 1}, False),
+        "pointwise": (pointwise_net, {"c1": 2, "pw": 3}, True),
+        # Factored once in the check, to check D, then again when read.
+        "near-float32": (near_float32_net, {"c1": 4}, False),
+    }
+
+    @pytest.fixture(params=["one-cpu", "every-cpu"])
+    def cpus(self, request, monkeypatch):
+        if request.param == "one-cpu":
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_arrays_match_the_eager_oracle(self, cpus, name):
+        build, ranks, force = self.CASES[name]
+        net = build(0)
+        expected, errors = eager_decompose_network(net, ranks, force)
+        compressed, pairs = decompose_network(net, ranks, force)
+
+        def structure(network):
+            return [(l.id, l.kind, l.stage, l.input, l.source, l.meta) for l in network.layers]
+
+        assert structure(compressed) == structure(expected)
+        assert [pair.source for pair in pairs] == list(errors)
+        for pair in pairs:
+            for layer in (pair.d, pair.p):
+                # The first read factors the pair; the attribute read, a
+                # second one of the same array, factors it again.
+                once, want = read_arrays(layer.conv), expected.layer(layer.id).conv
+                for field, *_, value in array_fields(want):
+                    for got in (getattr(once, field), getattr(layer.conv, field)):
+                        assert (got is None if value is None
+                                else np.array_equal(got, value)), (layer.id, field)
+            assert np.array_equal(pair.block_truncation_errors, errors[pair.source])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_truncation_writes_the_eager_bytes(self, cpus, name, tmp_path):
+        build, ranks, force = self.CASES[name]
+        path = save_model(build(0), tmp_path / "model.json")
+        plan = CompressionPlan("constant", 1, {}, ranks).save(tmp_path / "plan.json")
+        out = tmp_path / "out"
+        assert main(["compress", str(path), "--plan", str(plan), "--no-reconstruct",
+                     *(["--force-1x1"] if force else []), "-o", str(out)]) == 0
+        compressed, errors = eager_decompose_network(load_model(path), ranks, force)
+        eager = save_model(compressed, tmp_path / "eager" / "model.json")
+        for file_name in ("model.json", "model.bin"):
+            assert (out / file_name).read_bytes() == (eager.parent / file_name).read_bytes()
+        rows = json.loads((out / "report.json").read_text())["layers"]
+        assert {row["layer"]: row["block_truncation_errors"] for row in rows} == {
+            source: errors[source].tolist() for source in errors}

@@ -28,7 +28,10 @@ OUT_DIR is. They are:
   layers between the original and the compressed network, so its
   compressed walk starts past layer 0;
 * ``compress --plan --calib-seed 41`` on toy4 with a plan of ``--degree
-  quarter --base-n 1 --stage-cap s4=2``, whose cap lowers stage s4's n.
+  quarter --base-n 1 --stage-cap s4=2``, whose cap lowers stage s4's n;
+* ``compress --plan --force-1x1 --no-reconstruct`` on the resnet34 fixture
+  with a plan file that ranks one 3x3 conv and three 1x1 projection
+  shortcuts, which no schedule plans (``FORCE_1X1_RANKS``).
 
 Beside each compressed model it also writes the compressed and the original
 network's output on one seeded sample, as raw little-endian float64
@@ -87,6 +90,7 @@ RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "4"),
 }
+FORCE_1X1_RANKS = {"conv3_1a": 8, "conv3_1proj": 8, "conv4_1proj": 8, "conv5_1proj": 8}
 
 
 def groupcompress(*argv, cpus: set[int] | None = None) -> None:
@@ -123,6 +127,10 @@ def planned_compress_argv(model: str, plan: Path, flags: tuple, out_dir: Path) -
     return ["compress", model, "-o", out_dir, "--plan", plan, "--calib-seed", "41", *flags]
 
 
+def forced_compress_argv(model: Path, plan: Path, out_dir: Path) -> list:
+    return ["compress", model, "-o", out_dir, "--plan", plan, "--force-1x1", "--no-reconstruct"]
+
+
 def analyze_argv(original: Path, compressed: Path, flags: tuple, out_dir: Path) -> list:
     return ["analyze", original, compressed, "-o", out_dir, *flags]
 
@@ -153,6 +161,7 @@ def main(argv: list[str]) -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["PYTHONPATH"] = str(ROOT / "src")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from groupcompress.schedule import CompressionPlan
     from perfbench.workloads import WORKLOADS as BENCH, prepare
 
     out = Path(argv[0])
@@ -166,8 +175,10 @@ def main(argv: list[str]) -> int:
         if argv[0] == "compress" or "--correlation" in argv:
             threaded.append((out_dir, argv_for))
 
+    models = {}
     for name in WORKLOADS:
         inputs = prepare(BENCH[name], WORKLOAD_SEED, Path(name))
+        models[name] = inputs.model
         out_dir = Path(name) / "out"
         run(functools.partial(inputs.compress_argv, BENCH[name]), out_dir)
         write_forwards(inputs.model, out_dir)
@@ -196,6 +207,10 @@ def main(argv: list[str]) -> int:
                   "-o", capped / "plan.json")
     run(functools.partial(planned_compress_argv, toy4, capped / "plan.json", ()), capped / "plain")
     write_forwards(Path(toy4), capped / "plain")
+    forced, resnet34 = Path("res34-force-1x1"), models["res34-d-truncate"]
+    CompressionPlan("constant", 8, {}, FORCE_1X1_RANKS).save(forced / "plan.json")
+    run(functools.partial(forced_compress_argv, resnet34, forced / "plan.json"), forced / "plain")
+    write_forwards(resnet34, forced / "plain")
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
