@@ -180,11 +180,13 @@ class ReconstructionFit:
 
 
 def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: bool):
-    """The walks (``model._Walk``) that ``_pair_outputs`` resumes: the
-    original network's and, unless ``symmetric``, the compressed network's.
-    The two networks agree up to the first layer they do not share
-    (``model.shared_prefix``), so the original walk runs those layers alone,
-    and the compressed walk is its fork after them."""
+    """The walks (``model._Walk``) of the batch ``samples`` that
+    ``_pair_outputs`` resumes: the original network's and, unless
+    ``symmetric``, the compressed network's. The two networks agree up to
+    the first layer they do not share (``model.shared_prefix``), so the
+    original walk runs those layers alone, and the compressed walk is its
+    fork after them. ``reconstruct_network`` keeps one such pair of walks
+    per chunk of samples."""
     original_walk = _Walk(original, samples)
     if symmetric:
         return original_walk, None
@@ -204,6 +206,13 @@ def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
         return None, y_output, _run(pair.p, _run(pair.d, conv_input))
     p_input, star_output = compressed_walk.to(pair.p.id)
     return p_input, y_output, star_output
+
+
+def _stacked_rows(outputs) -> np.ndarray:
+    """The ``response_rows`` of the chunks' output batches, stacked in
+    sample order, column-major like those of one batch."""
+    return np.concatenate([np.moveaxis(out, 1, 0).reshape(out.shape[1], -1)
+                           for out in outputs], axis=1).T
 
 
 def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool) -> None:
@@ -234,17 +243,18 @@ def reconstruct_network(
     into its pointwise layer before moving deeper. Returns the merged
     network and the ``ReconstructionFit`` of each pair, in network order.
 
-    Each network is walked once (``model._Walk``), all calibration samples
-    as one batch, resumed at each pair. The original network's walk gives Y
-    at each source conv. In the asymmetric (default) mode the compressed
-    network's walk gives Y* at each P layer. It is a fork of the original
-    walk after the leading layers the two networks share, which therefore
-    run once (in ``compress``, every layer before the first pair). After the
-    solve, the merged layer runs on D's output straight into the array the
-    walk returned as P's output, so deeper layers see the compressed prefix
-    in its final form. In symmetric mode Y* is the pair applied to the
-    source conv's input in the original walk, and the compressed network is
-    not walked.
+    The calibration samples go in chunks of one sample per usable CPU, so
+    that each layer of a chunk still runs on every CPU, and each chunk
+    walks each network once (``_walks``), resumed at each pair. Only the
+    maps that deeper layers read stay live for every sample; a layer the
+    walks pass between pairs, such as a resnet stem, is live for one chunk
+    at a time. The original network's walk gives Y at each source conv. In
+    the asymmetric (default) mode the compressed network's walk gives Y* at
+    each P layer. After the solve, the merged layer runs on each chunk's D
+    output straight into the array the chunk's walk returned as P's output,
+    so deeper layers see the compressed prefix in its final form. In
+    symmetric mode Y* is the pair applied to the source conv's input in the
+    original walk, and the compressed network is not walked.
 
     ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
@@ -257,11 +267,13 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    original_walk, compressed_walk = _walks(original, compressed, calib.samples, symmetric)
+    size = linalg._usable_cpus()
+    chunks = [_walks(original, compressed, calib.samples[lo : lo + size], symmetric)
+              for lo in range(0, calib.count, size)]
     fits: list[ReconstructionFit] = []
     for pair in pairs:
-        p_input, y_output, star_output = _pair_outputs(original_walk, compressed_walk, pair)
-        y, y_star = response_rows(y_output), response_rows(star_output)
+        outputs = [_pair_outputs(*walks, pair) for walks in chunks]
+        y, y_star = (_stacked_rows([chunk[i] for chunk in outputs]) for i in (1, 2))
         used_ridge = default_ridge(y_star) if ridge is None else ridge
         a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
         before = math.sqrt(_sum_of_squares(y - y_star))
@@ -277,8 +289,9 @@ def reconstruct_network(
             result.layers[position[pair.p.id]] = merged
             if not symmetric:
                 # Deeper layers read the merged layer's output.
-                _run(merged, p_input, out=star_output)
+                for p_input, _, star_output in outputs:
+                    _run(merged, p_input, out=star_output)
         fits.append(ReconstructionFit(before, after, used_ridge, y.shape[0], fallback))
         # Release this pair's activations before the walks move on.
-        y_output = p_input = star_output = y = y_star = rest = None
+        outputs = p_input = star_output = y = y_star = rest = None
     return result, fits

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcompress import reconstruct
+from groupcompress import linalg, reconstruct
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
@@ -340,7 +340,7 @@ def test_reported_n_is_the_pairs_when_manifest_omits_rank_n(tmp_path):
 
 
 class TestOnePass:
-    """reconstruct_network walks each network once over all samples and
+    """reconstruct_network walks each network once per chunk of samples and
     gives exactly what the per-layer loop gives."""
 
     @pytest.mark.filterwarnings("ignore::groupcompress.errors.RankDeficiencyWarning")
@@ -368,37 +368,32 @@ class TestOnePass:
                 assert np.array_equal(got.conv.weights, want.conv.weights)
                 assert np.array_equal(got.conv.bias, want.conv.bias)
 
-    @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
-    def test_each_network_walked_once(self, monkeypatch, symmetric):
-        # A walk runs each conv once: the original network's convs, plus the
-        # compressed network's in the asymmetric mode, bound the count.
-        net = build_toy_cnn(0)
-        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
-        calib = CalibrationSet.synthetic(net.input_shape, 3, seed=18)
-        calls = []
-        on_conv_forward(monkeypatch, calls.append)
-        reconstruct_network(net, compressed, calib, symmetric=symmetric)
-        walked = [net] if symmetric else [net, compressed]
-        assert 0 < len(calls) <= sum(len(n.conv_layers()) for n in walked)
-
-    @pytest.mark.parametrize("first", [0, 1], ids=["every-conv", "from-second-conv"])
-    def test_each_conv_runs_once(self, monkeypatch, first):
-        # Planned from c2 on, both networks start with c1 and r1: the
-        # compressed walk forks from the original's after them, so the
-        # stem conv c1 runs once, not once per network.
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("symmetric, first", [(False, 0), (False, 1), (True, 0)],
+                             ids=["every-conv", "from-second-conv", "symmetric"])
+    def test_each_conv_runs_once_per_chunk(self, monkeypatch, cpus, symmetric, first):
+        # The samples go in chunks of one per CPU, and each chunk's walks run
+        # each conv once: the original network's, and in the asymmetric mode
+        # the compressed network's. Planned from c2 on, both networks start
+        # with c1 and r1: the compressed walk forks from the original's after
+        # them, so the stem conv c1 runs once per chunk, not once per network.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         net = residual_net()
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=19)
         calls = []
         on_conv_forward(monkeypatch, lambda layer: calls.append(layer.id))
-        reconstruct_network(net, compressed, calib)
-        convs = {l.id for n in (net, compressed) for l in n.conv_layers()}
-        assert Counter(calls) == Counter(convs)
+        reconstruct_network(net, compressed, calib, symmetric=symmetric)
+        chunks = -(-calib.count // cpus)
+        convs = {l.id for n in ([net] if symmetric else [net, compressed]) for l in n.conv_layers()}
+        assert Counter(calls) == Counter(dict.fromkeys(convs, chunks))
 
     @pytest.mark.parametrize("first", [0, 1], ids=["every-conv", "from-second-conv"])
     def test_merged_layer_writes_into_the_walk_output(self, monkeypatch, first):
-        # Each merged P layer runs straight into the array the compressed
-        # walk returned as P's output, which deeper layers then read.
+        # Each merged P layer runs straight into the array each chunk's
+        # compressed walk returned as P's output, which deeper layers then
+        # read. One CPU, so three samples make three chunks.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         net = residual_net()
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=19)
@@ -407,7 +402,7 @@ class TestOnePass:
 
         def recording_pair_outputs(original_walk, compressed_walk, pair):
             outputs = pair_outputs(original_walk, compressed_walk, pair)
-            returned[pair.p.id] = outputs[2]
+            returned.setdefault(pair.p.id, []).append(outputs[2])
             return outputs
 
         def recording_run(layer, x, other=None, out=None):
@@ -418,8 +413,11 @@ class TestOnePass:
         monkeypatch.setattr(reconstruct, "_run", recording_run)
         _, fits = reconstruct_network(net, compressed, calib)
         merged = [p_id for p_id, fit in zip(returned, fits) if not fit.identity_fallback]
-        assert merged and [layer_id for layer_id, _ in runs] == merged
-        assert all(out is returned[layer_id] for layer_id, out in runs)
+        assert merged and [layer_id for layer_id, _ in runs] == [
+            p_id for p_id in merged for _ in range(calib.count)]
+        assert all(len(returned[p_id]) == calib.count for p_id in returned)
+        targets = [out for p_id in merged for out in returned[p_id]]
+        assert all(out is target for (_, out), target in zip(runs, targets, strict=True))
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):
