@@ -221,7 +221,8 @@ def run_compress(args) -> dict:
     reconstruct = not args.no_reconstruct and bool(plan.layer_ranks)
     calib, calib_info = _calibration(args, net.input_shape) if reconstruct else (None, None)
     if reconstruct:
-        check_rows(net, plan.layer_ranks, calib.count, not args.no_intercept)
+        # reconstruct_network checks again, and warns of thin layers then.
+        check_rows(net, plan.layer_ranks, calib.count, not args.no_intercept, warn=False)
 
     compressed, pairs = decompose_network(net, plan.layer_ranks, force_pointwise=args.force_1x1)
     if reconstruct:

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: SVD, rank-n factors, linear least squares, windows.
+"""Dense matrix kernels: SVD, rank-n factors, least-squares statistics, windows.
 
 All routines take and return plain numpy arrays and compute in float64,
 regardless of the precision weights were stored in. Shapes are validated at
@@ -95,48 +95,68 @@ def _leading_factors(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     return leading @ (upper * signs).transpose(0, 2, 1), q.transpose(0, 2, 1) * signs, errors
 
 
-def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
-    """Solve ``min_A ||targets - design @ A||_F^2 + ridge * ||A||_F^2``.
+class LeastSquares:
+    """The problem ``min_A ||T - X A||_F^2 + ridge * ||A||_F^2`` of a design X
+    (rows x ``columns``) and targets T, kept as statistics of their rows,
+    which ``add`` takes one block at a time. The statistics' bits depend on
+    the blocks' bits and order only, not on where the blocks came from.
 
-    With ridge = 0 this returns the pseudo-inverse (minimum-norm) solution;
-    a rank-deficient design then emits RankDeficiencyWarning. A design with
-    fewer rows than columns is underdetermined and also warns.
-    """
-    design = as_matrix(design, "design")
-    targets = as_matrix(targets, "targets")
-    if design.shape[0] != targets.shape[0]:
-        raise ShapeError(
-            f"design has {design.shape[0]} rows but targets has {targets.shape[0]}"
-        )
-    check_ridge(ridge)
-    if design.shape[0] < design.shape[1]:
-        warnings.warn(
-            f"design has fewer rows ({design.shape[0]}) than columns "
-            f"({design.shape[1]}); the solution is underdetermined",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
+    ``exact`` keeps the R factor of a TSQR of [X | T] (Demmel et al., SIAM
+    J. Sci. Comput. 2012): each block is factored with the R so far, and
+    ``solve`` (ridge 0) runs ``lstsq`` on R's X and T columns. That is the
+    stacked problem's minimizer, without squaring X's condition number, and
+    its rank test is the stacked X's: singular values at most eps *
+    max(rows, columns) times the largest count as zero. A rank-deficient X
+    gives the minimum-norm solution and a RankDeficiencyWarning. Otherwise
+    it keeps the Gram matrix X^T X (``gram``) and X^T T, and ``solve`` takes
+    the normal equations, which are well conditioned once regularized. At
+    ridge 0 (the default ridge of an all-zero Y*, say) it takes ``lstsq`` of
+    the Gram matrix at the same rcond, which then tests squared singular
+    values."""
 
-    try:
-        if ridge != 0.0:
-            # Normal equations are well conditioned once regularized.
-            gram = design.T @ design
-            gram[np.diag_indices_from(gram)] += ridge
-            return np.linalg.solve(gram, design.T @ targets)
-        solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"least-squares solve failed for {design.shape[0]}x{design.shape[1]} "
-            f"design (ridge {ridge}): {exc}"
-        ) from exc
-    if rank < design.shape[1]:
-        warnings.warn(
-            f"design is rank deficient (rank {rank} < {design.shape[1]} "
-            "columns); returning the minimum-norm solution",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return solution
+    def __init__(self, columns: int, exact: bool):
+        self.columns, self.exact, self.rows = columns, exact, 0
+        self.r = self.gram = self.cross = None
+
+    def add(self, design: np.ndarray, targets: np.ndarray) -> None:
+        """Add rows of X (``design``) and the same rows of T (``targets``)."""
+        if self.exact:
+            block = np.hstack([design, targets])
+            self.r = np.linalg.qr(block if self.r is None else np.vstack([self.r, block]),
+                                  mode="r")
+        elif self.gram is None:
+            self.gram, self.cross = design.T @ design, design.T @ targets
+        else:
+            self.gram += design.T @ design
+            self.cross += design.T @ targets
+        self.rows += design.shape[0]
+
+    def solve(self, ridge: float) -> np.ndarray:
+        """The minimizer A, columns x targets; NumericalError if LAPACK fails."""
+        check_ridge(ridge)
+        if self.exact and ridge:
+            raise ValueError(f"an exact (TSQR) solve takes ridge 0, got {ridge}")
+        p = self.columns
+        try:
+            if ridge:
+                gram = self.gram.copy()
+                gram[np.diag_indices_from(gram)] += ridge
+                return np.linalg.solve(gram, self.cross)
+            lhs, rhs = (self.r[:, :p], self.r[:, p:]) if self.exact else (self.gram, self.cross)
+            rcond = np.finfo(np.float64).eps * max(self.rows, p)
+            solution, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=rcond)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"least-squares solve failed for {self.rows}x{p} design (ridge {ridge}): {exc}"
+            ) from exc
+        if rank < p:
+            warnings.warn(
+                f"design is rank deficient (rank {rank} < {p} columns); "
+                "returning the minimum-norm solution",
+                RankDeficiencyWarning,
+                stacklevel=2,
+            )
+        return solution
 
 
 def check_ridge(ridge: float) -> float:

@@ -13,6 +13,13 @@ regression also compensates upstream error (asymmetric reconstruction); a
 symmetric variant that evaluates (D, P) on the original network's inputs is
 available for comparison.
 
+Each solve reads its rows one calibration sample at a time, in sample
+order, into statistics (``linalg.LeastSquares``): the Gram matrix of
+[Y* 1] and [Y* 1]^T Y for the ridge solve (the default), or the R factor
+of a TSQR of [Y* 1 | Y] for ridge 0. No solve stacks the rows of all
+samples, and the written bytes do not depend on how many samples a walk
+holds at once.
+
 Layers must be processed front to back: when layer L is solved, every
 earlier decomposed layer is already in its final merged form.
 """
@@ -113,9 +120,23 @@ def _sum_of_squares(rows: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", rows, rows))
 
 
-def default_ridge(y_star: np.ndarray) -> float:
-    """Conditioning default: 1e-6 * trace(Y*^T Y*) / c_out."""
-    return 1e-6 * _sum_of_squares(y_star) / y_star.shape[1]
+def default_ridge(fit: linalg.LeastSquares, c_out: int) -> float:
+    """Conditioning default: 1e-6 * trace(Y*^T Y*) / c_out, read from the
+    Gram matrix of a fit whose first ``c_out`` design columns are Y*."""
+    return 1e-6 * float(np.trace(fit.gram[:c_out, :c_out])) / c_out
+
+
+def _design(y_star: np.ndarray, intercept: bool) -> np.ndarray:
+    """The design rows of a solve: [Y* 1], or Y* without an intercept."""
+    return np.hstack([y_star, np.ones((y_star.shape[0], 1))]) if intercept else y_star
+
+
+def _mixing(solution: np.ndarray, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The mixing matrix A and the bias correction of a solution for the
+    design ``_design``; without an intercept the correction is zero."""
+    if intercept:
+        return solution[:-1], solution[-1]
+    return solution, np.zeros(solution.shape[1])
 
 
 def solve_reconstruction(
@@ -124,7 +145,9 @@ def solve_reconstruction(
     ridge: float,
     intercept: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for the mixing matrix A (c_out x c_out) and a bias correction.
+    """Solve for the mixing matrix A (c_out x c_out) and a bias correction:
+    the solve of ``reconstruct_network`` (``linalg.LeastSquares``) on one
+    block of rows.
 
     ``ridge`` 0.0 gives the plain unconstrained regression. Without an
     intercept the returned correction is zero.
@@ -146,12 +169,9 @@ def solve_reconstruction(
             CalibrationWarning,
             stacklevel=2,
         )
-    if intercept:
-        design = np.hstack([y_star, np.ones((rows, 1))])
-        solution = linalg.solve_least_squares(design, y, ridge=ridge)
-        return solution[:-1], solution[-1]
-    solution = linalg.solve_least_squares(y_star, y, ridge=ridge)
-    return solution, np.zeros(c_out)
+    fit = linalg.LeastSquares(needed, exact=ridge == 0)
+    fit.add(_design(y_star, intercept), y)
+    return _mixing(fit.solve(ridge), intercept)
 
 
 def merge_pointwise_weights(p: ConvWeights, a: np.ndarray, bias_delta: np.ndarray) -> ConvWeights:
@@ -208,19 +228,38 @@ def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
     return p_input, y_output, star_output
 
 
-def _stacked_rows(outputs) -> np.ndarray:
-    """The ``response_rows`` of the chunks' output batches, stacked in
-    sample order, column-major like those of one batch."""
-    return np.concatenate([np.moveaxis(out, 1, 0).reshape(out.shape[1], -1)
-                           for out in outputs], axis=1).T
+def _sample_rows(outputs):
+    """Yield the ``response_rows`` (Y, Y*) of each sample, in sample order,
+    from the chunks' ``_pair_outputs``."""
+    for _, y_output, star_output in outputs:
+        for i in range(y_output.shape[0]):
+            yield response_rows(y_output[i : i + 1]), response_rows(star_output[i : i + 1])
 
 
-def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool) -> None:
+def _residuals(outputs, a: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
+    """||Y - Y*||_F and ||Y - Y* A - delta||_F over the chunks'
+    ``_pair_outputs``, summed exactly sample by sample: a sum of squares
+    taken from the statistics would lose about half the digits of a small
+    residual."""
+    before = after = 0.0
+    for y, y_star in _sample_rows(outputs):
+        before += _sum_of_squares(y - y_star)
+        rest = y_star @ a  # then Y - Y* A - delta, in the same array
+        np.subtract(y, rest, out=rest)
+        rest -= delta
+        after += _sum_of_squares(rest)
+    return math.sqrt(before), math.sqrt(after)
+
+
+def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool,
+               warn: bool = True) -> None:
     """Every solve needs at least as many response rows as unknowns: checked
     from the output shapes of the convs of ``net`` that ``layer_ids`` names,
     in network order, before any forward pass or SVD. Other ids are left to
-    the plan check."""
-    shapes, layer_ids = propagate_shapes(net), set(layer_ids)
+    the plan check. If every layer passes and ``warn`` is set, each layer
+    given fewer than 10 rows per output channel gets a CalibrationWarning
+    that names it."""
+    shapes, layer_ids, thin = propagate_shapes(net), set(layer_ids), []
     for layer_id in (l.id for l in net.conv_layers() if l.id in layer_ids):
         c_out, h, w = shapes[layer_id]
         rows, needed = count * h * w, c_out + (1 if intercept else 0)
@@ -229,6 +268,11 @@ def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool) -> None
                 f"layer {layer_id}: {count} calibration samples give {rows} response "
                 f"rows for {needed} unknown columns; collect more calibration samples"
             )
+        if rows < 10 * c_out:
+            thin.append(f"layer {layer_id}: only {rows} rows for {c_out} output channels; "
+                        f"recommend >= {10 * c_out}")
+    for message in thin if warn else ():
+        warnings.warn(message, CalibrationWarning, stacklevel=2)
 
 
 def reconstruct_network(
@@ -273,14 +317,13 @@ def reconstruct_network(
     fits: list[ReconstructionFit] = []
     for pair in pairs:
         outputs = [_pair_outputs(*walks, pair) for walks in chunks]
-        y, y_star = (_stacked_rows([chunk[i] for chunk in outputs]) for i in (1, 2))
-        used_ridge = default_ridge(y_star) if ridge is None else ridge
-        a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
-        before = math.sqrt(_sum_of_squares(y - y_star))
-        rest = y_star @ a  # then Y - Y* A - delta, in the same array
-        np.subtract(y, rest, out=rest)
-        rest -= delta
-        after = math.sqrt(_sum_of_squares(rest))
+        c_out = pair.p.conv.c_out
+        fit = linalg.LeastSquares(c_out + (1 if intercept else 0), exact=ridge == 0)
+        for y, y_star in _sample_rows(outputs):
+            fit.add(_design(y_star, intercept), y)
+        used_ridge = default_ridge(fit, c_out) if ridge is None else ridge
+        a, delta = _mixing(fit.solve(used_ridge), intercept)
+        before, after = _residuals(outputs, a, delta)
         fallback = after > before
         if fallback:
             after = before
@@ -291,7 +334,7 @@ def reconstruct_network(
                 # Deeper layers read the merged layer's output.
                 for p_input, _, star_output in outputs:
                     _run(merged, p_input, out=star_output)
-        fits.append(ReconstructionFit(before, after, used_ridge, y.shape[0], fallback))
+        fits.append(ReconstructionFit(before, after, used_ridge, fit.rows, fallback))
         # Release this pair's activations before the walks move on.
-        outputs = p_input = star_output = y = y_star = rest = None
+        outputs = p_input = star_output = y = y_star = None
     return result, fits

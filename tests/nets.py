@@ -31,10 +31,11 @@ def walk_outputs(net, xs):
     return {layer.id: walk.to(layer.id)[1] for layer in net.layers}
 
 
-def residual_net(seed=0):
-    """A 3x3 conv chain with a residual join. The shortcut conv ``sc`` names
-    its input (``r1``, not the previous layer), and ``c3`` reads the
-    activation of the add."""
+def residual_net(seed=0, width=4, size=6):
+    """A 3x3 conv chain with a residual join, on 3 x ``size`` x ``size``
+    inputs, ``width`` channels wide after the first conv. The shortcut conv
+    ``sc`` names its input (``r1``, not the previous layer), and ``c3``
+    reads the activation of the add."""
     rng = np.random.default_rng(seed)
 
     def conv(layer_id, c_in, c_out, input_=None):
@@ -46,15 +47,15 @@ def residual_net(seed=0):
         )
 
     layers = [
-        conv("c1", 3, 4),
+        conv("c1", 3, width),
         LayerSpec(id="r1", kind="relu"),
-        conv("c2", 4, 4),
-        conv("sc", 4, 4, input_="r1"),
+        conv("c2", width, width),
+        conv("sc", width, width, input_="r1"),
         LayerSpec(id="a", kind="add", input="c2", source="sc"),
         LayerSpec(id="r2", kind="relu"),
-        conv("c3", 4, 4),
+        conv("c3", width, width),
     ]
-    return NetworkSpec("residual", (3, 6, 6), layers)
+    return NetworkSpec("residual", (3, size, size), layers)
 
 
 def toy_net(seed=0, widths=(3, 6, 8, 8), size=6):

@@ -4,7 +4,9 @@ These are deliberately naive (triple loops, eigendecompositions, explicit
 pseudo-inverses), or the slower kernels a faster one replaced, and share
 no code with the package under test. The exceptions are
 ``per_layer_reconstruction``, the loop the one-pass reconstruction
-replaced: it reuses the package's solve and merge, and checks the walk;
+replaced, with the stacked solve (``stacked_reconstruction_solve``) that
+the statistics replaced: it reuses the package's responses and merge, and
+checks the walk and the statistics;
 ``unshared_walk``, the walk before forks and in-place layers: it reuses
 the package's layer step, and checks the walk's sharing rules; and
 ``eager_decompose_network``, the decomposition before pairs were factored
@@ -13,18 +15,19 @@ when and how often a pair is factored.
 """
 
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from groupcompress.decompose import decompose_layer, decomposed_pairs
+from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
+from groupcompress.linalg import as_matrix, check_ridge
 from groupcompress.model import LayerSpec, NetworkSpec, _run, layer_inputs, read_arrays
 from groupcompress.reconstruct import (
     ReconstructionFit,
     collect_responses,
-    default_ridge,
     merge_pointwise_weights,
-    solve_reconstruction,
 )
 
 
@@ -44,6 +47,66 @@ def pinv_solve(design, targets):
     cutoff = max(design.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return vt.T @ (inv_s[:, None] * (u.T @ np.asarray(targets, dtype=np.float64)))
+
+
+def solve_least_squares(design, targets, ridge: float = 0.0) -> np.ndarray:
+    """Solve ``min_A ||targets - design @ A||_F^2 + ridge * ||A||_F^2`` on
+    the stacked rows: the solver ``linalg.LeastSquares`` replaced.
+
+    With ridge = 0 this returns the pseudo-inverse (minimum-norm) solution;
+    a rank-deficient design then emits RankDeficiencyWarning. A design with
+    fewer rows than columns is underdetermined and also warns.
+    """
+    design = as_matrix(design, "design")
+    targets = as_matrix(targets, "targets")
+    if design.shape[0] != targets.shape[0]:
+        raise ShapeError(
+            f"design has {design.shape[0]} rows but targets has {targets.shape[0]}"
+        )
+    check_ridge(ridge)
+    if design.shape[0] < design.shape[1]:
+        warnings.warn(
+            f"design has fewer rows ({design.shape[0]}) than columns "
+            f"({design.shape[1]}); the solution is underdetermined",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+
+    try:
+        if ridge != 0.0:
+            # Normal equations are well conditioned once regularized.
+            gram = design.T @ design
+            gram[np.diag_indices_from(gram)] += ridge
+            return np.linalg.solve(gram, design.T @ targets)
+        solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"least-squares solve failed for {design.shape[0]}x{design.shape[1]} "
+            f"design (ridge {ridge}): {exc}"
+        ) from exc
+    if rank < design.shape[1]:
+        warnings.warn(
+            f"design is rank deficient (rank {rank} < {design.shape[1]} "
+            "columns); returning the minimum-norm solution",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+    return solution
+
+
+def stacked_reconstruction_solve(y, y_star, ridge, intercept=True):
+    """The mixing matrix A and bias correction of ``solve_reconstruction``,
+    from the stacked rows of Y and Y* through ``solve_least_squares``.
+    ``ridge=None`` takes 1e-6 * ||Y*||_F^2 / c_out. Returns A, the
+    correction and the ridge used."""
+    c_out = y_star.shape[1]
+    if ridge is None:
+        ridge = 1e-6 * float(np.einsum("ij,ij->", y_star, y_star)) / c_out
+    if not intercept:
+        return solve_least_squares(y_star, y, ridge=ridge), np.zeros(c_out), ridge
+    design = np.hstack([y_star, np.ones((y_star.shape[0], 1))])
+    solution = solve_least_squares(design, y, ridge=ridge)
+    return solution[:-1], solution[-1], ridge
 
 
 def direct_conv(image, weights, bias=None, stride=1, pad=0, groups=1):
@@ -349,15 +412,15 @@ def per_layer_reconstruction(
     original, compressed, calib, ridge=None, intercept=True, symmetric=False
 ):
     """Reference for ``reconstruct_network``: for every pair in turn, re-run
-    both networks from the input (``collect_responses``), solve and merge.
-    Returns the merged network and each pair's ``ReconstructionFit``."""
+    both networks from the input (``collect_responses``), solve on the
+    stacked rows (``stacked_reconstruction_solve``) and merge. Returns the
+    merged network and each pair's ``ReconstructionFit``."""
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
     fits = []
     for pair in decomposed_pairs(compressed, original):
         y, y_star = collect_responses(original, result, calib, pair.source, symmetric=symmetric)
-        used_ridge = default_ridge(y_star) if ridge is None else ridge
-        a, delta = solve_reconstruction(y, y_star, ridge=used_ridge, intercept=intercept)
+        a, delta, used_ridge = stacked_reconstruction_solve(y, y_star, ridge, intercept)
         before, after = (float(np.sqrt(np.einsum("ij,ij->", gap, gap)))
                          for gap in (y - y_star, y - y_star @ a - delta))
         fallback = after > before

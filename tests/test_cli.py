@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from groupcompress.cli import (
 )
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.degeneracy import filter_correlation, write_correlation_csv
-from groupcompress.errors import NumericalError
+from groupcompress.errors import CalibrationWarning, NumericalError
 from groupcompress.model import (
     ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, stack_taps,
 )
@@ -1026,6 +1027,24 @@ class TestCompress:
         assert code == EXIT_NUMERIC
         assert "layer c3:" in capsys.readouterr().err
         assert not (out_dir / "model.bin").exists()
+
+    def test_thin_layers_warn_once_each_before_any_forward(self, toy3_path, tmp_path,
+                                                           monkeypatch):
+        # Two 6x6 samples give 72 rows: 10 per output channel for c1's 6,
+        # fewer for the 8 of c2 and c3. Both compress and the reconstruction
+        # check the rows; each thin layer warns once, before the first conv
+        # forward.
+        warned_at_forwards = []
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            on_conv_forward(monkeypatch, lambda layer: warned_at_forwards.append(len(record)))
+            code = main(["compress", str(toy3_path), "-o", str(tmp_path / "o"), "--degree",
+                         "constant", "--base-n", "1", "--calib-count", "2"])
+        assert code == EXIT_OK
+        thin = [(i, str(w.message).split(":")[0]) for i, w in enumerate(record)
+                if w.category is CalibrationWarning]
+        assert [layer for _, layer in thin] == ["layer c2", "layer c3"]
+        assert all(i < warned_at_forwards[0] for i, _ in thin)
 
     def test_interrupted_report_write_leaves_no_report(self, toy3_path, tmp_path, monkeypatch):
         out_dir = tmp_path / "o"

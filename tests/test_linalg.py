@@ -5,7 +5,9 @@ from groupcompress import linalg
 from groupcompress.degeneracy import svd_strategy_matrix
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
 
-from oracles import direct_conv, im2col_rows, pinv_solve, singular_values_via_gram
+from oracles import (
+    direct_conv, im2col_rows, pinv_solve, singular_values_via_gram, solve_least_squares,
+)
 
 
 class TestSvd:
@@ -92,29 +94,29 @@ class TestLeastSquares:
     def test_self_regression_gives_identity(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal((20, 4))
-        a = linalg.solve_least_squares(y, y, ridge=0.0)
+        a = solve_least_squares(y, y, ridge=0.0)
         assert np.allclose(a, np.eye(4), atol=1e-10)
 
     def test_orthonormal_design(self):
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
         targets = rng.standard_normal((30, 3))
-        a = linalg.solve_least_squares(q, targets, ridge=0.0)
+        a = solve_least_squares(q, targets, ridge=0.0)
         assert np.allclose(a, q.T @ targets, atol=1e-10)
 
     def test_matches_pinv_oracle(self):
         rng = np.random.default_rng(12)
         design = rng.standard_normal((50, 4))
         targets = rng.standard_normal((50, 3))
-        a = linalg.solve_least_squares(design, targets, ridge=0.0)
+        a = solve_least_squares(design, targets, ridge=0.0)
         assert np.allclose(a, pinv_solve(design, targets), atol=1e-9)
 
     def test_ridge_shrinks_solution(self):
         rng = np.random.default_rng(13)
         design = rng.standard_normal((40, 6))
         targets = rng.standard_normal((40, 2))
-        a0 = linalg.solve_least_squares(design, targets, ridge=0.0)
-        a1 = linalg.solve_least_squares(design, targets, ridge=10.0)
+        a0 = solve_least_squares(design, targets, ridge=0.0)
+        a1 = solve_least_squares(design, targets, ridge=10.0)
         assert np.linalg.norm(a1) < np.linalg.norm(a0)
 
     def test_ridge_solution_solves_regularized_normal_equations(self):
@@ -122,7 +124,7 @@ class TestLeastSquares:
         design = rng.standard_normal((25, 5))
         targets = rng.standard_normal((25, 4))
         ridge = 0.37
-        a = linalg.solve_least_squares(design, targets, ridge=ridge)
+        a = solve_least_squares(design, targets, ridge=ridge)
         lhs = design.T @ design @ a + ridge * a
         assert np.allclose(lhs, design.T @ targets, atol=1e-10)
 
@@ -132,12 +134,12 @@ class TestLeastSquares:
         design = np.hstack([base, base[:, :1] + base[:, 1:]])  # rank 2
         targets = rng.standard_normal((30, 2))
         with pytest.warns(RankDeficiencyWarning):
-            a = linalg.solve_least_squares(design, targets, ridge=0.0)
+            a = solve_least_squares(design, targets, ridge=0.0)
         assert np.allclose(a, pinv_solve(design, targets), atol=1e-9)
 
     def test_underdetermined_warns(self):
         with pytest.warns(RankDeficiencyWarning, match="fewer rows"):
-            linalg.solve_least_squares(np.ones((2, 5)), np.ones((2, 1)), ridge=1.0)
+            solve_least_squares(np.ones((2, 5)), np.ones((2, 1)), ridge=1.0)
 
     def test_residual_never_beats_identity(self):
         # With equal column counts the identity map is always feasible.
@@ -147,7 +149,7 @@ class TestLeastSquares:
             rows = int(rng.integers(n_cols + 1, 40))
             design = rng.standard_normal((rows, n_cols))
             targets = design + 0.1 * rng.standard_normal((rows, n_cols))
-            a = linalg.solve_least_squares(design, targets, ridge=0.0)
+            a = solve_least_squares(design, targets, ridge=0.0)
             res = np.linalg.norm(targets - design @ a)
             res_identity = np.linalg.norm(targets - design)
             assert res <= res_identity + 1e-12
@@ -159,18 +161,86 @@ class TestLeastSquares:
 
         monkeypatch.setattr(np.linalg, routine, boom)
         with pytest.raises(NumericalError, match="20x4"):
-            linalg.solve_least_squares(np.ones((20, 4)), np.ones((20, 2)), ridge=ridge)
+            solve_least_squares(np.ones((20, 4)), np.ones((20, 2)), ridge=ridge)
 
     def test_row_mismatch(self):
         with pytest.raises(ShapeError, match="rows"):
-            linalg.solve_least_squares(np.ones((4, 2)), np.ones((5, 2)))
+            solve_least_squares(np.ones((4, 2)), np.ones((5, 2)))
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_ridge_that_is_not_finite_and_nonnegative_raises(self, ridge):
         rng = np.random.default_rng(17)
         design, targets = rng.standard_normal((20, 4)), rng.standard_normal((20, 2))
         with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
-            linalg.solve_least_squares(design, targets, ridge=ridge)
+            solve_least_squares(design, targets, ridge=ridge)
+
+
+class TestLeastSquaresStatistics:
+    """``linalg.LeastSquares`` against the stacked solve it replaced
+    (``oracles.solve_least_squares``), over blocks of uneven sizes: one
+    block narrower than the columns, one of a single row."""
+
+    BLOCKS = (1, 7, 2, 50)
+
+    @classmethod
+    def fitted(cls, design, targets, exact):
+        fit = linalg.LeastSquares(design.shape[1], exact=exact)
+        for block in np.split(np.arange(len(design)), np.cumsum(cls.BLOCKS)[:-1]):
+            fit.add(design[block], targets[block])
+        assert fit.rows == len(design)
+        return fit
+
+    @pytest.mark.parametrize("exact, ridge", [(True, 0.0), (False, 0.37)], ids=["tsqr", "gram"])
+    def test_matches_the_stacked_solve(self, exact, ridge):
+        rng = np.random.default_rng(20)
+        design, targets = rng.standard_normal((60, 5)), rng.standard_normal((60, 3))
+        a = self.fitted(design, targets, exact).solve(ridge)
+        assert np.allclose(a, solve_least_squares(design, targets, ridge=ridge), atol=1e-10)
+
+    def test_tsqr_keeps_digits_the_normal_equations_lose(self):
+        # cond(X) = 1e7: the Gram matrix squares it to 1e14.
+        rng = np.random.default_rng(21)
+        u, _ = np.linalg.qr(rng.standard_normal((60, 4)))
+        design = u @ np.diag([1.0, 1e-3, 1e-5, 1e-7])
+        want = rng.standard_normal((4, 2))
+        a = self.fitted(design, design @ want, exact=True).solve(0.0)
+        assert np.allclose(a, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["tsqr", "gram"])
+    def test_rank_deficient_warns_and_returns_min_norm(self, exact):
+        # Gram mode at ridge 0: the default ridge of an all-zero response.
+        rng = np.random.default_rng(22)
+        base = rng.standard_normal((60, 2))
+        design = np.hstack([base, base[:, :1] + base[:, 1:]])  # rank 2
+        if not exact:
+            design = np.hstack([np.zeros((60, 3)), np.ones((60, 1))])  # rank 1
+        targets = rng.standard_normal((60, 2))
+        fit = self.fitted(design, targets, exact)
+        with pytest.warns(RankDeficiencyWarning, match=f"rank {2 if exact else 1} < "):
+            a = fit.solve(0.0)
+        assert np.allclose(a, pinv_solve(design, targets), atol=1e-9)
+
+    def test_exact_solve_refuses_a_ridge(self):
+        design = np.random.default_rng(23).standard_normal((20, 3))
+        with pytest.raises(ValueError, match="ridge 0"):
+            self.fitted(design, design, exact=True).solve(1.0)
+
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_ridge_that_is_not_finite_and_nonnegative_raises(self, ridge):
+        design = np.random.default_rng(24).standard_normal((60, 3))
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            self.fitted(design, design, exact=False).solve(ridge)
+
+    @pytest.mark.parametrize("exact, ridge, routine",
+                             [(True, 0.0, "lstsq"), (False, 0.0, "lstsq"), (False, 1.0, "solve")])
+    def test_solver_failure_is_numerical_error(self, monkeypatch, exact, ridge, routine):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        fit = self.fitted(np.ones((60, 4)), np.ones((60, 2)), exact)
+        monkeypatch.setattr(np.linalg, routine, boom)
+        with pytest.raises(NumericalError, match="60x4"):
+            fit.solve(ridge)
 
 
 def pad_map(img, pad, fill=0.0):

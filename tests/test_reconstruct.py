@@ -1,5 +1,7 @@
 import json
+import math
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,9 @@ from groupcompress import linalg, reconstruct
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
-from groupcompress.model import ConvWeights, LayerSpec, NetworkSpec, forward, layer_inputs
+from groupcompress.model import (
+    ConvWeights, LayerSpec, NetworkSpec, forward, layer_inputs, propagate_shapes,
+)
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import (
     CalibrationSet,
@@ -356,15 +360,51 @@ class TestOnePass:
              for name in ("toy3", "toy4", "residual")],
     )
     def test_matches_per_layer_loop(self, build, options, first):
+        # The statistics sum the rows in another order than the stacked
+        # solve, so values agree to 1e-8 relative, and the choices exactly.
         net = build(0)
         compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
         calib = CalibrationSet.synthetic(net.input_shape, 12, seed=17)
         merged, reports = reconstruct_network(net, compressed, calib, **options)
         expected, expected_reports = per_layer_reconstruction(net, compressed, calib, **options)
-        assert reports == expected_reports
+        assert len(reports) == len(expected_reports)
+        for got, want in zip(reports, expected_reports):
+            assert (got.sample_rows, got.identity_fallback) == (
+                want.sample_rows, want.identity_fallback)
+            for field in ("residual_before", "residual_after", "ridge"):
+                assert math.isclose(getattr(got, field), getattr(want, field), rel_tol=1e-8)
+        assert [l.id for l in merged.layers] == [l.id for l in expected.layers]
         for got, want in zip(merged.layers, expected.layers):
-            assert got.id == want.id
             if got.kind == "conv":
+                for array in ("weights", "bias"):
+                    got_array, want_array = getattr(got.conv, array), getattr(want.conv, array)
+                    if want_array is None:
+                        assert got_array is None
+                        continue
+                    assert np.linalg.norm(got_array - want_array) <= 1e-8 * np.linalg.norm(
+                        want_array)
+
+    @pytest.mark.filterwarnings("ignore::groupcompress.errors.RankDeficiencyWarning")
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"symmetric": True}, {"ridge": 0.0}, {"intercept": False}],
+        ids=["default", "symmetric", "ridge0", "no-intercept"],
+    )
+    def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, options):
+        # Chunks of one sample, of five (the last one ragged) and one chunk
+        # of every sample: the statistics take the samples one at a time,
+        # in order, so the merged weights and fits are the same bits.
+        net = residual_net()
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 12, seed=17)
+        runs = []
+        for cpus in (1, 5, calib.count):
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda cpus=cpus: cpus)
+            runs.append(reconstruct_network(net, compressed, calib, **options))
+        (merged, fits), rest = runs[0], runs[1:]
+        for other, other_fits in rest:
+            assert other_fits == fits
+            for got, want in zip(other.conv_layers(), merged.conv_layers(), strict=True):
                 assert np.array_equal(got.conv.weights, want.conv.weights)
                 assert np.array_equal(got.conv.bias, want.conv.bias)
 
@@ -444,6 +484,62 @@ class TestOnePass:
         on_conv_forward(monkeypatch, no_forward)
         with pytest.raises(ShapeError, match="layer c3: 1 calibration samples give 9 "):
             reconstruct_network(net, compressed, CalibrationSet.synthetic((3, 3, 3), 1))
+
+    def test_thin_layers_warn_before_any_forward(self, monkeypatch):
+        # Two 6x6 samples give 72 rows: 10 per output channel for c1's 6,
+        # fewer for the 8 of c2 and c3. The warnings come from the shapes,
+        # so they come although every conv forward fails.
+        net = build_toy_three(0)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+
+        def no_forward(layer):
+            raise AssertionError("a conv forward ran")
+
+        on_conv_forward(monkeypatch, no_forward)
+        with pytest.warns(CalibrationWarning) as record, pytest.raises(AssertionError):
+            reconstruct_network(net, compressed, CalibrationSet.synthetic(net.input_shape, 2))
+        assert [str(w.message) for w in record if w.category is CalibrationWarning] == [
+            f"layer {layer_id}: only 72 rows for 8 output channels; recommend >= 80"
+            for layer_id in ("c2", "c3")]
+
+
+def live_values(net, layer_id):
+    """Values per sample of the outputs a walk of ``net`` holds once it has
+    run ``layer_id``: that layer's, and each one a later layer reads."""
+    shapes, inputs = propagate_shapes(net), layer_inputs(net)
+    ids = [layer.id for layer in net.layers]
+    stop = ids.index(layer_id)
+    read_later = {read for layer in net.layers[stop + 1 :]
+                  for read in (inputs[layer.id], layer.source)}
+    return sum(math.prod(shapes[i]) for i in ids[: stop + 1] if i == layer_id or i in read_later)
+
+
+def test_memory_per_sample_is_the_live_maps(monkeypatch):
+    """Each added sample costs the maps the walks hold at a pair, and D's
+    output, which the merged P runs on: the rows of a solve are never
+    stacked over the samples. One CPU, so chunks of one sample, and a
+    first run untraced, so that both traced runs find the same caches."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+    net = residual_net(width=16, size=12)
+    compressed, pairs = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+    shapes = propagate_shapes(compressed)
+    per_sample = 8 * max(live_values(net, pair.source) + live_values(compressed, pair.p.id)
+                         + math.prod(shapes[pair.d.id]) for pair in pairs)
+    # Each chunk's walks also hold Python objects (layer tables, array
+    # headers): a few KB, less than half of any pair's response map,
+    # while one stack of a pair's rows adds a whole response map per sample.
+    margin = 8 * min(math.prod(shapes[pair.p.id]) for pair in pairs) // 2
+    peaks = []
+    for count in (4, 4, 20):
+        calib = CalibrationSet.synthetic(net.input_shape, count, seed=20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reconstruct_network(net, compressed, calib)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] <= (20 - 4) * (per_sample + margin)
 
 
 class TestOriginalMustMatch:

@@ -22,6 +22,9 @@ OUT_DIR is. They are:
 * ``analyze`` of each of those compressed toy models against its original:
   plain, with ``--correlation --calib-count 8``, with those flags and
   ``--corr-pre-activation``, and with ``--energy-sigma``;
+* ``compress --degree constant --base-n 1 --calib-seed 41 --calib-count
+  7`` on toy3, plain and with ``--ridge 0``: seven samples leave the last
+  chunk of a reconstruction short on any even number of CPUs;
 * ``compress --plan --calib-seed 41`` on toy3 with a plan of
   ``--degree constant --base-n 1 --skip-layer c1``, plain and with
   ``--symmetric-reconstruction``: the asymmetric run shares toy3's first
@@ -50,12 +53,13 @@ environment, as a user runs the tool, which then pins BLAS to one thread
 itself. After the listing, each command that runs on several CPUs runs
 again in a child process limited to one CPU, writing into a temporary
 directory outside OUT_DIR: every ``compress``, which factors its layers'
-blocks and, unless ``--no-reconstruct`` is given, walks calibration batches
-on every CPU, and every ``analyze --correlation``. Each file it writes is
-compared with the same file under OUT_DIR; if any differs, its path is
-printed to stderr and the exit status is 1, since the result must not
-depend on the CPU count. Nor may it depend on the BLAS thread count, which
-without the tool's pin would follow the CPU count.
+blocks and, unless ``--no-reconstruct`` is given, walks the calibration
+samples in chunks of one sample per CPU, and every ``analyze
+--correlation``. Each file it writes is compared with the same file under
+OUT_DIR; if any differs, its path is printed to stderr and the exit status
+is 1, since the result must not depend on the CPU count, nor so on the
+size of a reconstruction's chunks. Nor may it depend on the BLAS thread
+count, which without the tool's pin would follow the CPU count.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ ANALYZE_VARIANTS = {
     "analyze-energy-sigma": ("--energy-sigma",),
 }
 SKIP_C1_VARIANTS = {key: TOY_VARIANTS[key] for key in ("plain", "symmetric")}
+CALIB7_VARIANTS = {key: ("--calib-count", "7", *TOY_VARIANTS[key]) for key in ("plain", "ridge0")}
 RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "4"),
@@ -195,6 +200,9 @@ def main(argv: list[str]) -> int:
                 run(functools.partial(analyze_argv, Path(f"fixtures/{toy}.json"),
                                       Path(toy) / variant / "model.json", analyze_flags),
                     Path(toy) / variant / analysis)
+    for variant, flags in CALIB7_VARIANTS.items():
+        run(functools.partial(toy_compress_argv, "toy3", flags), Path("toy3-calib7") / variant)
+        write_forwards(Path("fixtures/toy3.json"), Path("toy3-calib7") / variant)
     skip_c1, toy3 = Path("toy3-skip-c1"), "fixtures/toy3.json"
     groupcompress("plan", toy3, "--degree", "constant", "--base-n", "1", "--skip-layer", "c1",
                   "-o", skip_c1 / "plan.json")
