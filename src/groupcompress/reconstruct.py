@@ -311,9 +311,9 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    size = linalg._usable_cpus()
-    chunks = [_walks(original, compressed, calib.samples[lo : lo + size], symmetric)
-              for lo in range(0, calib.count, size)]
+    per_chunk = linalg._usable_cpus()
+    chunks = [_walks(original, compressed, calib.samples[lo : lo + per_chunk], symmetric)
+              for lo in range(0, calib.count, per_chunk)]
     fits: list[ReconstructionFit] = []
     for pair in pairs:
         outputs = [_pair_outputs(*walks, pair) for walks in chunks]

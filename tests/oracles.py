@@ -3,10 +3,13 @@
 These are deliberately naive (triple loops, eigendecompositions, explicit
 pseudo-inverses), or the slower kernels a faster one replaced, and share
 no code with the package under test. The exceptions are
+``solve_least_squares``, the stacked solver that ``linalg.LeastSquares``
+replaced: it reuses the package's input checks (``as_matrix``,
+``check_ridge``);
 ``per_layer_reconstruction``, the loop the one-pass reconstruction
 replaced, with the stacked solve (``stacked_reconstruction_solve``) that
-the statistics replaced: it reuses the package's responses and merge, and
-checks the walk and the statistics;
+the per-sample statistics replaced: it reuses the package's responses and
+merge, and checks the walk and the statistics;
 ``unshared_walk``, the walk before forks and in-place layers: it reuses
 the package's layer step, and checks the walk's sharing rules; and
 ``eager_decompose_network``, the decomposition before pairs were factored
