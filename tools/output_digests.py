@@ -23,8 +23,8 @@ OUT_DIR is. They are:
   plain, with ``--correlation --calib-count 8``, with those flags and
   ``--corr-pre-activation``, and with ``--energy-sigma``;
 * ``compress --degree constant --base-n 1 --calib-seed 41 --calib-count
-  7`` on toy3, plain and with ``--ridge 0``: seven samples leave the last
-  chunk of a reconstruction short on any even number of CPUs;
+  7`` on toy3, plain and with ``--ridge 0``: on 2 to 6 CPUs, seven samples
+  leave the last chunk of a reconstruction short;
 * ``compress --plan --calib-seed 41`` on toy3 with a plan of
   ``--degree constant --base-n 1 --skip-layer c1``, plain and with
   ``--symmetric-reconstruction``: the asymmetric run shares toy3's first
@@ -57,7 +57,7 @@ blocks and, unless ``--no-reconstruct`` is given, walks the calibration
 samples in chunks of one sample per CPU, and every ``analyze
 --correlation``. Each file it writes is compared with the same file under
 OUT_DIR; if any differs, its path is printed to stderr and the exit status
-is 1, since the result must not depend on the CPU count, nor so on the
+is 1, since the result must depend neither on the CPU count nor on the
 size of a reconstruction's chunks. Nor may it depend on the BLAS thread
 count, which without the tool's pin would follow the CPU count.
 """
