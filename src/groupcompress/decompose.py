@@ -30,7 +30,9 @@ pair's arrays are ``model.Deferred`` and share one factorization of the
 source conv, run when the first of them is read. ``modelio.save_model``
 reads each as it writes it, so a truncation run factors and writes one
 pair at a time, and holds one layer's factors, not all of them.
-Reconstruction's walks read a pair's arrays when they reach it.
+Reconstruction's walks read a pair's arrays when they reach it, while
+the source conv is read for them (``model.reading``), so the pair is
+factored from that read.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -332,7 +334,9 @@ def decompose_network(
     that a save refuses a pair before it touches any file: a layer is
     factored here only where the rule fails for a bound of D's values. A
     planned conv's arrays are read with ``read_arrays``, once for the check
-    and once to factor, and never kept in ``net``.
+    and once to factor, and never kept in ``net``. Reconstruction reads
+    them into ``net`` only while its walks pass the conv (``model.reading``),
+    so the pair is factored from that read rather than from a second one.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]

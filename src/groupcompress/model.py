@@ -61,15 +61,19 @@ is given float64 and checks its shape, once, when it is built; any array
 may be None in memory (a shape-only network). An array may be ``Deferred``:
 not read yet (``modelio.load_model`` defers every tensor, and
 ``decompose.decompose_network`` every array of a (D, P) pair). The first
-access of the field reads it and keeps the array, so a walk reads each
-tensor once. ``read_arrays`` reads a record's arrays for one use without
-keeping them.
+access of the field reads it and keeps the array, so a plain walk reads
+each tensor once and keeps what it reads. ``read_arrays`` reads a record's
+arrays for one use without keeping them, and ``reading`` keeps them in the
+record for one block and then defers them again: reconstruction reads
+each source conv of the original this way, once per run, for the chunks
+of samples that pass it, and does not keep it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -157,6 +161,25 @@ def read_arrays(params):
         name: value.read() if isinstance(value, Deferred) else value
         for name, _, _, value in array_fields(params)
     })
+
+
+@contextmanager
+def reading(records):
+    """Read each ``Deferred`` array of the parameter records ``records``
+    into its record, once, and keep it there while the block runs, so that
+    every walk and ``read_arrays`` in the block shares that read; then put
+    the ``Deferred`` back. Each record then holds what it held before, and
+    the arrays read here are freed once no caller holds them."""
+    unread = [(record, {name: value for name, _, _, value in array_fields(record)
+                        if isinstance(value, Deferred)}) for record in records]
+    try:
+        for record, deferred in unread:
+            for name in deferred:
+                getattr(record, name)
+        yield
+    finally:
+        for record, deferred in unread:
+            record.__dict__.update(deferred)
 
 
 class _Window:

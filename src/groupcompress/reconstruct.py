@@ -37,7 +37,8 @@ from . import linalg
 from .decompose import DecomposedPair, decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
 from .model import (
-    ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, response_rows, shared_prefix,
+    LAYER_KINDS, ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, reading,
+    response_rows, shared_prefix,
 )
 from .modelio import load_calibration, save_calibration
 
@@ -202,7 +203,9 @@ class ReconstructionFit:
 def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: bool):
     """The walks (``model._Walk``) of the batch ``samples`` that
     ``_pair_outputs`` resumes: the original network's and, unless
-    ``symmetric``, the compressed network's. The two networks agree up to
+    ``symmetric``, the compressed network's. Only the original walk runs
+    the source convs; ``reconstruct_network`` reads each for the one pass
+    of its chunks (``model.reading``). The two networks agree up to
     the first layer they do not share (``model.shared_prefix``), so the
     original walk runs those layers alone, and the compressed walk is its
     fork after them. ``reconstruct_network`` keeps one such pair of walks
@@ -214,6 +217,19 @@ def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: b
     if shared:
         original_walk.to(original.layers[shared - 1].id)
     return original_walk, original_walk.fork(compressed)
+
+
+def _unheld(original: NetworkSpec, compressed: NetworkSpec) -> list[tuple[int, object]]:
+    """The position in ``original.layers`` and the parameter record of each
+    layer whose record ``compressed`` does not hold (``is``): for a
+    ``decompose_network`` output, the planned source convs. Only the
+    original walk reads them."""
+    def records(net):
+        return [(i, getattr(layer, LAYER_KINDS[layer.kind][0]))
+                for i, layer in enumerate(net.layers) if LAYER_KINDS[layer.kind]]
+
+    held = {id(record) for _, record in records(compressed)}
+    return [(i, record) for i, record in records(original) if id(record) not in held]
 
 
 def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
@@ -300,6 +316,16 @@ def reconstruct_network(
     symmetric mode Y* is the pair applied to the source conv's input in the
     original walk, and the compressed network is not walked.
 
+    A layer of ``original`` whose parameter record ``compressed`` does not
+    hold (``_unheld``: each planned source conv of a ``decompose_network``
+    output) is read once per run, with ``model.reading``, for the chunks
+    that pass it on the way to a pair; its pair is factored from that read.
+    After the last chunk has passed it, its record is deferred again. So,
+    for a ``decompose_network`` output, the weights of at most one source
+    conv are held at a time, and the loaded original keeps none of them
+    once the run ends. Records both networks hold, read by either walk,
+    stay read.
+
     ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
     Identity is always feasible, so a solve is only accepted when it does
     not increase the fitting residual; otherwise the layer keeps its plain
@@ -311,12 +337,17 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
+    unheld = _unheld(original, compressed)
+    source_position = {layer.id: i for i, layer in enumerate(original.layers)}
     per_chunk = linalg._usable_cpus()
     chunks = [_walks(original, compressed, calib.samples[lo : lo + per_chunk], symmetric)
               for lo in range(0, calib.count, per_chunk)]
     fits: list[ReconstructionFit] = []
     for pair in pairs:
-        outputs = [_pair_outputs(*walks, pair) for walks in chunks]
+        passed = [record for i, record in unheld if i <= source_position[pair.source]]
+        unheld = unheld[len(passed) :]
+        with reading(passed):
+            outputs = [_pair_outputs(*walks, pair) for walks in chunks]
         c_out = pair.p.conv.c_out
         fit = linalg.LeastSquares(c_out + (1 if intercept else 0), exact=ridge == 0)
         for y, y_star in _sample_rows(outputs):

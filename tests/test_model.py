@@ -774,6 +774,28 @@ class TestParameterRecords:
         with pytest.raises(ShapeError, match=re.escape(text)):
             dataclasses.replace(record, **{field: misshaped})
 
+    def test_reading_holds_each_deferred_array_for_the_block_alone(self):
+        # Within the block every access, ``read_arrays`` included, shares
+        # one read; after it, raised out of or not, the record holds its
+        # ``Deferred`` again and an array it was given stays as it was.
+        reads = []
+
+        class Counted(model.Deferred):
+            def read(self):
+                reads.append(self)
+                return np.arange(self.size, dtype=float).reshape(self.shape)
+
+        weights, bias = Counted((4, 3, 3, 3)), np.ones(4)
+        record = ConvWeights(3, 4, 3, weights=weights, bias=bias)
+        with model.reading([record]):
+            held = record.weights
+            assert model.read_arrays(record).weights is held and record.weights is held
+        assert reads == [weights]
+        with pytest.raises(KeyError), model.reading([record]):
+            raise KeyError("the block failed")
+        assert record.__dict__["weights"] is weights and record.bias is bias
+        assert reads == [weights, weights]
+
     def test_dimension_errors_come_before_array_checks(self):
         with pytest.raises(ShapeError, match="groups=0 must divide"):
             ConvWeights(4, 4, 3, groups=0, weights=np.zeros((4, 4, 3, 3)))

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcompress import linalg, reconstruct
+from groupcompress import linalg, modelio, reconstruct
 from groupcompress.decompose import decompose_layer, decompose_network, decomposed_pairs
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
-    ConvWeights, LayerSpec, NetworkSpec, forward, layer_inputs, propagate_shapes,
+    LAYER_KINDS, ConvWeights, Deferred, LayerSpec, NetworkSpec, array_fields, forward,
+    layer_inputs, propagate_shapes,
 )
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import (
@@ -503,6 +504,71 @@ class TestOnePass:
             for layer_id in ("c2", "c3")]
 
 
+def read_and_hold(net):
+    """Read every parameter array of ``net`` through its field, so that its
+    record keeps it: what a walk of the original did before reconstruction
+    read each source conv for one pass."""
+    for layer in net.layers:
+        if LAYER_KINDS[layer.kind]:
+            params = getattr(layer, LAYER_KINDS[layer.kind][0])
+            for name, *_ in array_fields(params):
+                getattr(params, name)
+    return net
+
+
+def source_tensors(pairs):
+    """The blob fields of the planned source convs' tensors, as
+    ``modelio.load_model`` names them."""
+    return [f"layer {pair.source} {name}" for pair in pairs for name in ("weights", "bias")]
+
+
+class TestSourcesReadForOnePass:
+    """The original walk reads each planned source conv once per run, for
+    the chunks that pass it, and the loaded original keeps none of them."""
+
+    @pytest.mark.filterwarnings("ignore::groupcompress.errors.RankDeficiencyWarning")
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"symmetric": True}, {"ridge": 0.0}, {"intercept": False}],
+        ids=["default", "symmetric", "ridge0", "no-intercept"],
+    )
+    @pytest.mark.parametrize("build", [residual_net, build_toy_cnn], ids=["residual", "toy4"])
+    def test_same_bits_and_reads_as_held_records(self, tmp_path, monkeypatch, build, options):
+        # Seven samples in chunks of 1, 2 and 5: 7, 4 and 2 chunks, the
+        # last two short. The same run on an original whose records were
+        # read up front and held gives the same bits, and each source
+        # tensor is read once whatever the chunk count: the pair is factored
+        # while the chunks pass its source, from the same read.
+        path = save_model(build(0), tmp_path / "net.json")
+        calib = CalibrationSet.synthetic(load_model(path).input_shape, 7, seed=23)
+        reads = Counter()
+        blob_read = modelio._BlobTensor.read
+
+        def counted_read(tensor):
+            reads[tensor.field] += 1
+            return blob_read(tensor)
+
+        monkeypatch.setattr(modelio._BlobTensor, "read", counted_read)
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda cpus=cpus: cpus)
+            held = read_and_hold(load_model(path))
+            held_compressed, _ = decompose_network(held, {l.id: 1 for l in held.conv_layers()})
+            want, want_fits = reconstruct_network(held, held_compressed, calib, **options)
+            net = load_model(path)
+            compressed, pairs = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+            reads.clear()
+            got, got_fits = reconstruct_network(net, compressed, calib, **options)
+            assert got_fits == want_fits
+            for got_layer, want_layer in zip(got.conv_layers(), want.conv_layers(), strict=True):
+                assert np.array_equal(got_layer.conv.weights, want_layer.conv.weights)
+                assert np.array_equal(got_layer.conv.bias, want_layer.conv.bias)
+            sources = source_tensors(pairs)
+            assert {field: reads[field] for field in sources} == dict.fromkeys(sources, 1)
+            for pair in pairs:
+                record = net.layer(pair.source).conv
+                assert all(isinstance(value, Deferred) for *_, value in array_fields(record))
+
+
 def live_values(net, layer_id):
     """Values per sample of the outputs a walk of ``net`` holds once it has
     run ``layer_id``: that layer's, and each one a later layer reads."""
@@ -540,6 +606,47 @@ def test_memory_per_sample_is_the_live_maps(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[2] - peaks[1] <= (20 - 4) * (per_sample + margin)
+
+
+def test_memory_holds_one_source_conv_at_a_time(tmp_path, monkeypatch):
+    """Reconstruction reads each planned source conv of a loaded original
+    for the chunks that pass it and drops it after them, so its peak
+    exceeds that of the same run on an original whose records were read
+    and held up front by at most the largest source conv: its float64
+    arrays, the float32 buffer its read fills, and the margin per sample
+    of ``test_memory_per_sample_is_the_live_maps``. The maps, scratch and
+    statistics, the same in both runs, cancel. A wide net on small maps,
+    so that each source conv outweighs the live maps, and one CPU."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+    path = save_model(residual_net(width=64, size=4), tmp_path / "wide.json")
+    calib = CalibrationSet.synthetic((3, 4, 4), 8, seed=20)
+
+    def traced_peak(held: bool) -> int:
+        net = load_model(path)
+        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+        read_and_hold(compressed)  # D and P, read by the walks of either run
+        if held:
+            read_and_hold(net)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reconstruct_network(net, compressed, calib)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    net = load_model(path)
+    compressed, pairs = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+    largest = max((net.layer(pair.source).conv for pair in pairs),
+                  key=lambda conv: conv.weights.size)
+    read_buffer = 4 * min(largest.weights.size, modelio.SLICE_VALUES)
+    margin = 8 * min(math.prod(shape) for layer_id, shape in propagate_shapes(
+        compressed).items() if layer_id.endswith(".p")) // 2
+    with pytest.warns(CalibrationWarning):
+        traced_peak(held=False)  # unused, so that both compared runs find the same caches
+        extra = traced_peak(held=False) - traced_peak(held=True)
+    assert extra <= largest.weights.nbytes + largest.bias.nbytes + read_buffer + (
+        calib.count * margin)
 
 
 class TestOriginalMustMatch:

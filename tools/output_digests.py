@@ -34,7 +34,11 @@ OUT_DIR is. They are:
   quarter --base-n 1 --stage-cap s4=2``, whose cap lowers stage s4's n;
 * ``compress --plan --force-1x1 --no-reconstruct`` on the resnet34 fixture
   with a plan file that ranks one 3x3 conv and three 1x1 projection
-  shortcuts, which no schedule plans (``FORCE_1X1_RANKS``).
+  shortcuts, which no schedule plans (``FORCE_1X1_RANKS``);
+* ``compress --preset ours_res34_d --calib-count 16`` on the resnet34
+  fixture: reconstruction of every decomposed conv of the network, the
+  run whose memory the original's source convs weigh on most (about 6 s
+  and 200 MB of peak RSS on a 2-vCPU Xeon).
 
 Beside each compressed model it also writes the compressed and the original
 network's output on one seeded sample, as raw little-endian float64
@@ -96,6 +100,7 @@ RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
     "analyze-correlation": ("--correlation", "--calib-count", "4"),
 }
 FORCE_1X1_RANKS = {"conv3_1a": 8, "conv3_1proj": 8, "conv4_1proj": 8, "conv5_1proj": 8}
+WHOLE_NETWORK_FLAGS = ("--preset", "ours_res34_d", "--calib-count", "16")
 
 
 def groupcompress(*argv, cpus: set[int] | None = None) -> None:
@@ -134,6 +139,10 @@ def planned_compress_argv(model: str, plan: Path, flags: tuple, out_dir: Path) -
 
 def forced_compress_argv(model: Path, plan: Path, out_dir: Path) -> list:
     return ["compress", model, "-o", out_dir, "--plan", plan, "--force-1x1", "--no-reconstruct"]
+
+
+def whole_network_argv(model: Path, out_dir: Path) -> list:
+    return ["compress", model, "-o", out_dir, *WHOLE_NETWORK_FLAGS]
 
 
 def analyze_argv(original: Path, compressed: Path, flags: tuple, out_dir: Path) -> list:
@@ -219,6 +228,9 @@ def main(argv: list[str]) -> int:
     CompressionPlan("constant", 8, {}, FORCE_1X1_RANKS).save(forced / "plan.json")
     run(functools.partial(forced_compress_argv, resnet34, forced / "plan.json"), forced / "plain")
     write_forwards(resnet34, forced / "plain")
+    whole = Path("res34-whole-recon") / "plain"
+    run(functools.partial(whole_network_argv, resnet34), whole)
+    write_forwards(resnet34, whole)
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             print(f"{hashlib.file_digest(fh, 'sha256').hexdigest()}  {path.as_posix()}")
