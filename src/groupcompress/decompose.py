@@ -18,12 +18,12 @@ plan prediction counts its FLOPs, and loaded pairs are checked against it.
 The c_in / n blocks of a layer form one (c_in / n) x (n * k^2) x c_out
 stack. It is factored on every usable CPU (``linalg._on_every_cpu``), one
 contiguous part of the blocks per CPU. Each part writes its own rows of the
-layer's D, P and truncation-error arrays, which are allocated in their
-final layout. A block's rank-n factors come from the eigendecomposition of
-its smaller Gram matrix (``linalg._leading_factors``), with the same bits
-in any part, so the serialized model is the same whatever the CPU count,
-and no singular triplet that the truncation drops is computed. The whole
-stack is validated in the calling thread before any part is factored.
+layer's D, P and truncation-error arrays in place, in their final layout,
+and stages nothing per block. A block's rank-n factors come from the
+eigendecomposition of its smaller Gram matrix (``linalg._leading_factors``),
+with the same bits in any part, so the serialized model is the same
+whatever the CPU count, and no singular triplet that the truncation drops
+is computed. The whole stack is validated in the calling thread first.
 
 ``decompose_network`` checks every planned layer but factors none: each
 pair's arrays are ``model.Deferred`` and share one factorization of the
@@ -217,23 +217,19 @@ def decompose_layer(
     """
     stack = linalg._check_entries(_block_stack(w, n, force_pointwise), "a")
     k, c_in, c_out = w.k, w.c_in, w.c_out
-    blocks = c_in // n
+    blocks, kept = c_in // n, min(n, c_out)
     d = np.zeros((c_in, n, k, k))
     p = np.zeros((c_out, c_in, 1, 1))
     errors = np.empty(blocks)
     # Views of block i's rows in the final layouts: d_rows[i, m] is the
     # filter of D's output channel i*n + m, p_rows[i, m] is P's input
-    # channel i*n + m.
-    d_rows = d.reshape(blocks, n, n * k * k)
-    p_rows = p.reshape(c_out, blocks, n).transpose(1, 2, 0)
+    # channel i*n + m. Rows from `kept` on stay zero: they pad blocks whose
+    # rank bound min(n*k^2, c_out) is below n.
+    d_rows = d.reshape(blocks, n, n * k * k)[:, :kept]
+    p_rows = p.reshape(c_out, blocks, n).transpose(1, 2, 0)[:, :kept]
 
     def factor_part(lo: int, hi: int) -> None:
-        d_part, p_part, errors[lo:hi] = linalg._leading_factors(stack[lo:hi], n)
-        # Zeros beyond `kept` pad blocks whose rank bound min(n*k^2, c_out)
-        # is below n.
-        kept = p_part.shape[1]
-        d_rows[lo:hi, :kept] = d_part.transpose(0, 2, 1)
-        p_rows[lo:hi, :kept] = p_part
+        errors[lo:hi] = linalg._leading_factors(stack[lo:hi], n, d_rows[lo:hi], p_rows[lo:hi])
 
     linalg._on_every_cpu(blocks, factor_part)
 

@@ -65,34 +65,38 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"SVD did not converge for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}") from exc
 
 
-def _leading_factors(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-n truncation D @ P of each m x c matrix W of a finite,
-    non-empty (b, m, c) float64 stack: D (b, m, r), P (b, r, c), r = min(n,
-    m, c), as a thin SVD gives them up to signs and rounding (D = U sigma,
-    P = V^T), and the truncation errors (b,). Tall W: V from the eigenvectors
-    of W^T W, D = W V. Wide W: U from those of W W^T and Y = U^T W, whose
-    rows Y / sigma would lose their orthogonality as sigma falls, so P = Q^T
-    and D = U R^T from Y^T = Q R, diag(R) >= 0. An error is the square root
-    of the sum of the discarded eigenvalues, each clipped at 0. Each matrix
-    gets the same bits in any stack. Private, so that worker threads can
-    call it without the per-process span tracer that wraps public functions.
+def _leading_factors(stack: np.ndarray, n: int, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Write the rank-n truncation D @ P of each m x c matrix W of a finite,
+    non-empty (b, m, c) float64 stack into the caller's views, D^T into
+    ``d`` (b, r, m) and P into ``p`` (b, r, c), r = min(n, m, c), as a thin
+    SVD gives them (D = U sigma, P = V^T) up to signs and rounding, and
+    return the truncation errors (b,). Tall W: V from the eigenvectors of
+    the Gram matrix W^T W, D^T = V^T W^T. Wide W: U from those of W W^T and
+    Y = U^T W, whose rows Y / sigma would lose their orthogonality as sigma
+    falls, so P = Q^T and D^T = R U^T from Y^T = Q R, diag(R) >= 0. An error
+    is the square root of the sum of the discarded eigenvalues, each clipped
+    at 0. Each matrix gets the same bits in any stack. No D or P is staged,
+    and the Gram matrix is freed once ``eigh`` has read it. Private, as
+    worker threads call it (``_on_every_cpu``).
     """
-    tall = stack.shape[1] >= stack.shape[2]
-    gram = stack.transpose(0, 2, 1) @ stack if tall else stack @ stack.transpose(0, 2, 1)
+    tall, stack_t = stack.shape[1] >= stack.shape[2], stack.transpose(0, 2, 1)
     try:
-        eigenvalues, vectors = np.linalg.eigh(gram)
+        eigenvalues, vectors = np.linalg.eigh(stack_t @ stack if tall else stack @ stack_t)
     except np.linalg.LinAlgError as exc:
         shape = "x".join(map(str, stack.shape))
         raise NumericalError(
             f"eigendecomposition did not converge for {shape} stack: {exc}") from exc
-    r = min(n, gram.shape[-1])
+    r = min(n, vectors.shape[-1])
     leading = np.flip(vectors[..., -r:], -1)
-    errors = np.sqrt(np.sum(np.clip(eigenvalues[:, : gram.shape[-1] - r], 0.0, None), axis=1))
     if tall:
-        return stack @ leading, leading.transpose(0, 2, 1), errors
-    q, upper = np.linalg.qr(stack.transpose(0, 2, 1) @ leading)
-    signs = np.where(np.diagonal(upper, axis1=1, axis2=2) < 0, -1.0, 1.0)[..., None]
-    return leading @ (upper * signs).transpose(0, 2, 1), q.transpose(0, 2, 1) * signs, errors
+        np.matmul(leading.transpose(0, 2, 1), stack_t, out=d)
+        p[...] = leading.transpose(0, 2, 1)
+    else:
+        q, upper = np.linalg.qr(stack_t @ leading)
+        signs = np.where(np.diagonal(upper, axis1=1, axis2=2) < 0, -1.0, 1.0)[..., None]
+        np.matmul(upper * signs, leading.transpose(0, 2, 1), out=d)
+        np.multiply(q.transpose(0, 2, 1), signs, out=p)
+    return np.sqrt(np.sum(np.clip(eigenvalues[:, :-r], 0.0, None), axis=1))
 
 
 class LeastSquares:

@@ -14,7 +14,10 @@ merge, and checks the walk and the statistics;
 the package's layer step, and checks the walk's sharing rules; and
 ``eager_decompose_network``, the decomposition before pairs were factored
 on first use: it reuses the package's ``decompose_layer``, and checks
-when and how often a pair is factored.
+when and how often a pair is factored. ``staged_leading_factors`` and
+``staged_decompose`` are the block factoring before it wrote its factors in
+place: they share no code with the package, and check that the in-place
+factors have the same bits.
 """
 
 import os
@@ -187,6 +190,54 @@ def per_block_decompose(weights, n):
         p_matrix[i * n : (i + 1) * n] = p_block
         errors[i] = float(np.sqrt(np.sum(s[n:] ** 2)))
     return d_weights, p_matrix.T.reshape(c_out, c_in, 1, 1), errors
+
+
+def staged_leading_factors(stack, n):
+    """The rank-n truncation D @ P of each m x c matrix W of a finite,
+    non-empty (b, m, c) float64 stack: D (b, m, r), P (b, r, c), r = min(n,
+    m, c), as a thin SVD gives them up to signs and rounding (D = U sigma,
+    P = V^T), and the truncation errors (b,). Tall W: V from the eigenvectors
+    of W^T W, D = W V. Wide W: U from those of W W^T and Y = U^T W, whose
+    rows Y / sigma would lose their orthogonality as sigma falls, so P = Q^T
+    and D = U R^T from Y^T = Q R, diag(R) >= 0. An error is the square root
+    of the sum of the discarded eigenvalues, each clipped at 0. Each matrix
+    gets the same bits in any stack. The package's ``_leading_factors``
+    before it wrote D and P into the caller's arrays, unchanged.
+    """
+    tall = stack.shape[1] >= stack.shape[2]
+    gram = stack.transpose(0, 2, 1) @ stack if tall else stack @ stack.transpose(0, 2, 1)
+    try:
+        eigenvalues, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        shape = "x".join(map(str, stack.shape))
+        raise NumericalError(
+            f"eigendecomposition did not converge for {shape} stack: {exc}") from exc
+    r = min(n, gram.shape[-1])
+    leading = np.flip(vectors[..., -r:], -1)
+    errors = np.sqrt(np.sum(np.clip(eigenvalues[:, : gram.shape[-1] - r], 0.0, None), axis=1))
+    if tall:
+        return stack @ leading, leading.transpose(0, 2, 1), errors
+    q, upper = np.linalg.qr(stack.transpose(0, 2, 1) @ leading)
+    signs = np.where(np.diagonal(upper, axis1=1, axis2=2) < 0, -1.0, 1.0)[..., None]
+    return leading @ (upper * signs).transpose(0, 2, 1), q.transpose(0, 2, 1) * signs, errors
+
+
+def staged_decompose(weights, n):
+    """D weights (c_in, n, k, k), P weights (c_out, c_in, 1, 1) and block
+    truncation errors of an ungrouped conv with weights (c_out, c_in, k, k)
+    at rank n, as ``decompose_layer`` made them before it factored in place:
+    ``staged_leading_factors`` of the whole block stack, then copied into
+    the final layouts, with zeros padding blocks whose rank bound min(n *
+    k^2, c_out) is below n."""
+    c_out, c_in, k, _ = weights.shape
+    blocks = c_in // n
+    stack = weights.reshape(c_out, -1).T.reshape(blocks, n * k * k, c_out)
+    d, p = np.zeros((c_in, n, k, k)), np.zeros((c_out, c_in, 1, 1))
+    d_part, p_part, errors = staged_leading_factors(stack, n)
+    kept = p_part.shape[1]
+    d.reshape(blocks, n, n * k * k)[:, :kept] = d_part.transpose(0, 2, 1)
+    p.reshape(c_out, blocks, n).transpose(1, 2, 0)[:, :kept] = p_part
+    return d, p, errors
 
 
 def im2col_rows(image, k, stride, pad):

@@ -479,7 +479,7 @@ class TestCompress:
         layers = [replace(l, id="c1.p") if l.id == "r1" else l for l in net.layers]
         path = save_model(NetworkSpec(net.name, net.input_shape, layers), tmp_path / "m.json")
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the id check")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -562,7 +562,7 @@ class TestCompress:
     def test_non_finite_last_layer_fails_before_any_svd(self, tmp_path, capsys, monkeypatch):
         path = nan_weight_model(build_toy_three(seed=0), "c3", tmp_path / "m.json")
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the weights were checked")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -584,11 +584,11 @@ class TestCompress:
         factors = linalg._leading_factors
         finished = []
 
-        def failing_factors(a, n):
+        def failing_factors(a, n, d, p):
             if a.shape[1:] == stack.shape[1:] and np.array_equal(a[-1], stack[-1]):
                 raise NumericalError("SVD did not converge")
             time.sleep(0.2)
-            result = factors(a, n)
+            result = factors(a, n, d, p)
             finished.append(a.shape)
             return result
 
@@ -619,7 +619,7 @@ class TestCompress:
                 "--no-reconstruct", "-o", str(out_dir)]
         assert main(argv) == EXIT_OK
 
-        def no_convergence(stack, n):
+        def no_convergence(stack, n, d, p):
             raise NumericalError("eigendecomposition did not converge")
 
         monkeypatch.setattr(linalg, "_leading_factors", no_convergence)
@@ -812,7 +812,7 @@ class TestCompress:
     def test_non_conv_plan_is_plan_error_before_any_svd(
         self, toy3_path, tmp_path, capsys, monkeypatch
     ):
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the plan check")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -849,7 +849,7 @@ class TestCompress:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the plan check")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -874,7 +874,7 @@ class TestCompress:
         plan = CompressionPlan("constant", 1, {"s6": 1}, {"c1": 1, "c2": 1, "c3": 1})
         plan_path = plan.save(tmp_path / "plan.json")
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the plan source check")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -903,7 +903,7 @@ class TestCompress:
             samples[5, 1, 2, 3] = np.nan
             non_finite_calibration(samples, calib_path)
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the calibration set was read")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -922,7 +922,7 @@ class TestCompress:
         next(l for l in manifest["layers"] if l["id"] == layer_id)[field] = None
         path.write_text(json.dumps(manifest))
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the model was checked")
 
         monkeypatch.setattr("groupcompress.linalg._leading_factors", no_svd)
@@ -1016,7 +1016,7 @@ class TestCompress:
         def no_forward(layer):
             raise AssertionError("a forward pass ran before the row check")
 
-        def no_svd(stack, n):
+        def no_svd(stack, n, d, p):
             raise AssertionError("SVD ran before the row check")
 
         on_conv_forward(monkeypatch, no_forward)

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from groupcompress.schedule import CompressionPlan
 from nets import pool_fc_net, residual_net
 from oracles import (
     block_diagonal_matrix, block_truncation_energy, eager_decompose_network, im2col_rows,
-    per_block_decompose,
+    per_block_decompose, staged_decompose,
 )
 
 
@@ -213,6 +214,53 @@ class TestStackedDecomposition:
         assert np.array_equal(matrix, block_diagonal_matrix(weights, groups))
         # Ungrouped, the matrix is a view of the weights; grouped, a copy.
         assert np.shares_memory(matrix, weights) == (groups == 1)
+
+
+class TestFactoredInPlace:
+    """Factors written straight into the layer's D and P arrays against the
+    staged path they replaced (``oracles.staged_decompose``)."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, n, force, blocks",
+        [
+            (12, 5, 3, 2, False, "random"),  # tall blocks (n k^2 >= c_out)
+            (12, 24, 3, 2, False, "random"),  # wide blocks (n k^2 < c_out)
+            (12, 24, 3, 2, False, "rank-1"),  # wide, every sigma but one zero
+            (20, 2, 3, 4, False, "random"),  # rank bound 2 < n: zero-padded rows
+            (10, 6, 1, 2, True, "random"),  # forced 1x1
+        ],
+        ids=["tall", "wide", "rank-1-wide", "padded", "forced-1x1"],
+    )
+    def test_same_bits_as_staged_factors(
+        self, monkeypatch, workers, c_in, c_out, k, n, force, blocks
+    ):
+        w = conv_with_blocks(np.random.default_rng(c_in * 10 + c_out), c_in, c_out, k, n, blocks)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)
+        decomp = decompose_layer(w, n, force_pointwise=force)
+        d, p, errors = staged_decompose(w.weights, n)
+        assert np.array_equal(decomp.d_layer.weights, d)
+        assert np.array_equal(decomp.p_layer.weights, p)
+        assert np.array_equal(decomp.block_truncation_errors, errors)
+
+    def test_factoring_holds_one_d(self, monkeypatch):
+        # Tall blocks (n k^2 >= c_out), and 8 n > c_out, so that the entry
+        # check's boolean copy of W is smaller than D: a second D-sized
+        # array live at any time exceeds the bound.
+        c_in, c_out, k, n = 64, 24, 3, 4
+        w = random_conv(np.random.default_rng(27), c_in, c_out, k)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+        d_bytes, p_bytes = 8 * c_in * n * k * k, 8 * c_out * c_in
+        gram_bytes = 8 * (c_in // n) * c_out * c_out  # and as much for its eigenvectors
+        check_bytes = c_out * c_in * k * k
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            decompose_layer(w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= d_bytes + p_bytes + 2 * gram_bytes + check_bytes
 
 
 class TestDecomposeLayer:
@@ -444,9 +492,9 @@ class TestDecomposeNetwork:
         for workers in (1, 2, 3, 5):
             parts = []
 
-            def recording_factors(a, n):
+            def recording_factors(a, n, d, p):
                 parts.append(a.copy())
-                return factors(a, n)
+                return factors(a, n, d, p)
 
             monkeypatch.setattr(linalg, "_leading_factors", recording_factors)
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: workers)

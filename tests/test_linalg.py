@@ -75,7 +75,8 @@ class TestSvd:
 
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(NumericalError, match="5x4x3 stack"):
-            linalg._leading_factors(np.ones((5, 4, 3)), 1)
+            linalg._leading_factors(np.ones((5, 4, 3)), 1, np.empty((5, 1, 4)),
+                                    np.empty((5, 1, 3)))
 
     @pytest.mark.parametrize(
         "a, message",
