@@ -18,7 +18,9 @@ order, into statistics (``linalg.LeastSquares``): the Gram matrix of
 [Y* 1] and [Y* 1]^T Y for the ridge solve (the default), or the R factor
 of a TSQR of [Y* 1 | Y] for ridge 0. No solve stacks the rows of all
 samples, and the written bytes do not depend on how many samples a walk
-holds at once.
+holds at once. The merged P then runs on each chunk's P input, and the
+residual after the solve is read from that output, the layer as deeper
+layers will run it.
 
 Layers must be processed front to back: when layer L is solved, every
 earlier decomposed layer is already in its final merged form.
@@ -37,8 +39,8 @@ from . import linalg
 from .decompose import DecomposedPair, decomposed_pairs
 from .errors import CalibrationWarning, ShapeError
 from .model import (
-    LAYER_KINDS, ConvWeights, NetworkSpec, _run, _Walk, propagate_shapes, reading,
-    response_rows, shared_prefix,
+    ConvWeights, LayerSpec, NetworkSpec, _run, _Walk, propagate_shapes, reading, response_rows,
+    shared_prefix,
 )
 from .modelio import load_calibration, save_calibration
 
@@ -105,8 +107,8 @@ def collect_responses(
     pairs = {pair.source: pair for pair in decomposed_pairs(compressed, original)}
     if layer_id not in pairs:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
-    walks = _walks(original, compressed, calib.samples, symmetric)
-    _, y_output, star_output = _pair_outputs(*walks, pairs[layer_id])
+    walks, pair = _walks(original, compressed, calib.samples, symmetric), pairs[layer_id]
+    [(y_output, star_output)] = _chunk_outputs(pair.p, [_pair_outputs(*walks, pair)])
     y, y_star = response_rows(y_output), response_rows(star_output)
     if y.shape != y_star.shape:
         raise ShapeError(
@@ -190,8 +192,10 @@ def merge_pointwise_weights(p: ConvWeights, a: np.ndarray, bias_delta: np.ndarra
 class ReconstructionFit:
     """One pair's solve, its fields named and ordered like the keys they
     become in a ``report.json`` layer row. ``residual_before`` and
-    ``residual_after`` are ||Y - Y*||_F and ||Y - Y* A - delta||_F over
-    ``sample_rows`` rows; on the identity fallback they are equal."""
+    ``residual_after`` are ||Y - Y*||_F and ||Y - P'(x)||_F over
+    ``sample_rows`` rows, P'(x) being the merged layer's output as the walk
+    runs it (Y* A + delta, up to rounding); on the identity fallback P' is
+    P, and they are equal."""
 
     residual_before: float
     residual_after: float
@@ -203,9 +207,7 @@ class ReconstructionFit:
 def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: bool):
     """The walks (``model._Walk``) of the batch ``samples`` that
     ``_pair_outputs`` resumes: the original network's and, unless
-    ``symmetric``, the compressed network's. Only the original walk runs
-    the source convs; ``reconstruct_network`` reads each for the one pass
-    of its chunks (``model.reading``). The two networks agree up to
+    ``symmetric``, the compressed network's. The two networks agree up to
     the first layer they do not share (``model.shared_prefix``), so the
     original walk runs those layers alone, and the compressed walk is its
     fork after them. ``reconstruct_network`` keeps one such pair of walks
@@ -219,52 +221,42 @@ def _walks(original: NetworkSpec, compressed: NetworkSpec, samples, symmetric: b
     return original_walk, original_walk.fork(compressed)
 
 
-def _unheld(original: NetworkSpec, compressed: NetworkSpec) -> list[tuple[int, object]]:
-    """The position in ``original.layers`` and the parameter record of each
-    layer whose record ``compressed`` does not hold (``is``): for a
-    ``decompose_network`` output, the planned source convs. Only the
-    original walk reads them."""
-    def records(net):
-        return [(i, getattr(layer, LAYER_KINDS[layer.kind][0]))
-                for i, layer in enumerate(net.layers) if LAYER_KINDS[layer.kind]]
-
-    held = {id(record) for _, record in records(compressed)}
-    return [(i, record) for i, record in records(original) if id(record) not in held]
-
-
 def _pair_outputs(original_walk, compressed_walk, pair: DecomposedPair):
     """Resume the walks (``model._Walk``) at one pair and return P's input,
     the source conv's output Y and P's output Y*. Without a compressed walk
-    (symmetric mode), P's input is None and Y* is the pair applied to the
-    source conv's input."""
+    (symmetric mode), P's input is D run on the source conv's input, and Y*
+    is None: ``_chunk_outputs`` makes it when it is read."""
     conv_input, y_output = original_walk.to(pair.source)
     if compressed_walk is None:
-        return None, y_output, _run(pair.p, _run(pair.d, conv_input))
+        return _run(pair.d, conv_input), y_output, None
     p_input, star_output = compressed_walk.to(pair.p.id)
     return p_input, y_output, star_output
 
 
-def _sample_rows(outputs):
-    """Yield the ``response_rows`` (Y, Y*) of each sample, in sample order,
-    from the chunks' ``_pair_outputs``."""
-    for _, y_output, star_output in outputs:
+def _chunk_outputs(p: LayerSpec, outputs, run: bool = False):
+    """Yield Y and Y* of each chunk's ``_pair_outputs``, Y* being the
+    pointwise layer ``p`` on P's input. A chunk's Y* array is read as it
+    is, unless ``run`` is set: then ``p`` runs into it first. Where the
+    chunk holds none, ``p`` runs into a new one."""
+    for p_input, y_output, star_output in outputs:
+        if run or star_output is None:
+            star_output = _run(p, p_input, out=star_output)
+        yield y_output, star_output
+
+
+def _residual(chunks, fit: linalg.LeastSquares | None = None, intercept: bool = True) -> float:
+    """||Y - Y*||_F over the chunks' (Y, Y*) (``_chunk_outputs``), summed
+    exactly sample by sample, in sample order: a sum of squares taken from
+    the statistics would lose about half the digits of a small residual.
+    Each sample's ``response_rows`` also go into ``fit``, if given."""
+    total = 0.0
+    for y_output, star_output in chunks:
         for i in range(y_output.shape[0]):
-            yield response_rows(y_output[i : i + 1]), response_rows(star_output[i : i + 1])
-
-
-def _residuals(outputs, a: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
-    """||Y - Y*||_F and ||Y - Y* A - delta||_F over the chunks'
-    ``_pair_outputs``, summed exactly sample by sample: a sum of squares
-    taken from the statistics would lose about half the digits of a small
-    residual."""
-    before = after = 0.0
-    for y, y_star in _sample_rows(outputs):
-        before += _sum_of_squares(y - y_star)
-        rest = y_star @ a  # then Y - Y* A - delta, in the same array
-        np.subtract(y, rest, out=rest)
-        rest -= delta
-        after += _sum_of_squares(rest)
-    return math.sqrt(before), math.sqrt(after)
+            y, y_star = response_rows(y_output[i : i + 1]), response_rows(star_output[i : i + 1])
+            if fit is not None:
+                fit.add(_design(y_star, intercept), y)
+            total += _sum_of_squares(y - y_star)
+    return math.sqrt(total)
 
 
 def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool,
@@ -308,28 +300,31 @@ def reconstruct_network(
     walks each network once (``_walks``), resumed at each pair. Only the
     maps that deeper layers read stay live for every sample; a layer the
     walks pass between pairs, such as a resnet stem, is live for one chunk
-    at a time. The original network's walk gives Y at each source conv. In
-    the asymmetric (default) mode the compressed network's walk gives Y* at
-    each P layer. After the solve, the merged layer runs on each chunk's D
-    output straight into the array the chunk's walk returned as P's output,
-    so deeper layers see the compressed prefix in its final form. In
-    symmetric mode Y* is the pair applied to the source conv's input in the
-    original walk, and the compressed network is not walked.
+    at a time. The original network's walk gives Y at each source conv,
+    and P's input is D's output: in the asymmetric (default) mode the
+    compressed network's walk gives it, and P's output Y*, at each P layer;
+    in symmetric mode D runs on the source conv's input in the original
+    walk, the compressed network is not walked, and each chunk's Y* is made
+    when it is read (``_chunk_outputs``), so a chunk holds D's output, not
+    Y*. One pass over the samples feeds the solve and sums ||Y - Y*||^2.
 
-    A layer of ``original`` whose parameter record ``compressed`` does not
-    hold (``_unheld``: each planned source conv of a ``decompose_network``
-    output) is read once per run, with ``model.reading``, for the chunks
-    that pass it on the way to a pair; its pair is factored from that read.
-    After the last chunk has passed it, its record is deferred again. So,
-    for a ``decompose_network`` output, the weights of at most one source
-    conv are held at a time, and the loaded original keeps none of them
-    once the run ends. Records both networks hold, read by either walk,
-    stay read.
+    After the solve, the merged layer runs on each chunk's P input straight
+    into the chunk's Y* array (a new one in symmetric mode), so deeper
+    layers see the compressed prefix in its final form, and
+    ``residual_after`` is summed from that output. ``ridge=None`` solves
+    each layer with the ``default_ridge`` of its Y*. Identity is always
+    feasible, so a solve is only accepted when it does not increase the
+    fitting residual; otherwise the unmerged P runs into the same arrays
+    again, and the layer keeps its plain truncated form
+    (``identity_fallback``).
 
-    ``ridge=None`` solves each layer with the ``default_ridge`` of its Y*.
-    Identity is always feasible, so a solve is only accepted when it does
-    not increase the fitting residual; otherwise the layer keeps its plain
-    truncated form (``identity_fallback``).
+    Each pair's source conv in ``original`` is read once per run, with
+    ``model.reading``, for the chunks that pass it; for a
+    ``decompose_network`` output, its pair is factored from that read.
+    After the last chunk has passed it, its record is deferred again. So
+    the weights of at most one source conv are held at a time, and the
+    loaded original keeps none of them once the run ends. Any other record,
+    read by either walk, stays read.
     """
     if ridge is not None:
         linalg.check_ridge(ridge)
@@ -337,35 +332,25 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    unheld = _unheld(original, compressed)
-    source_position = {layer.id: i for i, layer in enumerate(original.layers)}
     per_chunk = linalg._usable_cpus()
     chunks = [_walks(original, compressed, calib.samples[lo : lo + per_chunk], symmetric)
               for lo in range(0, calib.count, per_chunk)]
     fits: list[ReconstructionFit] = []
     for pair in pairs:
-        passed = [record for i, record in unheld if i <= source_position[pair.source]]
-        unheld = unheld[len(passed) :]
-        with reading(passed):
+        with reading([original.layer(pair.source).conv]):
             outputs = [_pair_outputs(*walks, pair) for walks in chunks]
         c_out = pair.p.conv.c_out
         fit = linalg.LeastSquares(c_out + (1 if intercept else 0), exact=ridge == 0)
-        for y, y_star in _sample_rows(outputs):
-            fit.add(_design(y_star, intercept), y)
+        before = _residual(_chunk_outputs(pair.p, outputs), fit, intercept)
         used_ridge = default_ridge(fit, c_out) if ridge is None else ridge
         a, delta = _mixing(fit.solve(used_ridge), intercept)
-        before, after = _residuals(outputs, a, delta)
+        # The merged P runs into each chunk's Y* array, which deeper layers read.
+        merged = replace(pair.p, conv=merge_pointwise_weights(pair.p.conv, a, delta))
+        after = _residual(_chunk_outputs(merged, outputs, run=True))
         fallback = after > before
         if fallback:
-            after = before
-        else:
-            merged = replace(pair.p, conv=merge_pointwise_weights(pair.p.conv, a, delta))
-            result.layers[position[pair.p.id]] = merged
-            if not symmetric:
-                # Deeper layers read the merged layer's output.
-                for p_input, _, star_output in outputs:
-                    _run(merged, p_input, out=star_output)
+            merged, after = pair.p, _residual(_chunk_outputs(pair.p, outputs, run=True))
+        result.layers[position[pair.p.id]] = merged
         fits.append(ReconstructionFit(before, after, used_ridge, fit.rows, fallback))
-        # Release this pair's activations before the walks move on.
-        outputs = p_input = star_output = y = y_star = None
+        outputs = None  # release this pair's activations before the walks move on
     return result, fits

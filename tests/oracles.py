@@ -10,6 +10,10 @@ replaced: it reuses the package's input checks (``as_matrix``,
 replaced, with the stacked solve (``stacked_reconstruction_solve``) that
 the per-sample statistics replaced: it reuses the package's responses and
 merge, and checks the walk and the statistics;
+``residual_pass_reconstruction``, the pair loop before the residual came
+from the merged P's output: it reuses the package's walks, statistics and
+merge, and checks the residuals and what deeper pairs read after a
+fallback;
 ``unshared_walk``, the walk before forks and in-place layers: it reuses
 the package's layer step, and checks the walk's sharing rules; and
 ``eager_decompose_network``, the decomposition before pairs were factored
@@ -20,6 +24,7 @@ place: they share no code with the package, and check that the in-place
 factors have the same bits.
 """
 
+import math
 import os
 import warnings
 from dataclasses import replace
@@ -28,11 +33,17 @@ import numpy as np
 
 from groupcompress.decompose import decompose_layer, decomposed_pairs
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
-from groupcompress.linalg import as_matrix, check_ridge
-from groupcompress.model import LayerSpec, NetworkSpec, _run, layer_inputs, read_arrays
+from groupcompress.linalg import LeastSquares, _usable_cpus, as_matrix, check_ridge
+from groupcompress.model import (
+    LayerSpec, NetworkSpec, _run, layer_inputs, read_arrays, response_rows,
+)
 from groupcompress.reconstruct import (
     ReconstructionFit,
+    _design,
+    _mixing,
+    _walks,
     collect_responses,
+    default_ridge,
     merge_pointwise_weights,
 )
 
@@ -483,6 +494,59 @@ def per_layer_reconstruction(
             result.layers[position[pair.p.id]] = replace(pair.p, conv=merged)
         fits.append(ReconstructionFit(
             before, before if fallback else after, used_ridge, y.shape[0], fallback))
+    return result, fits
+
+
+def residual_pass_reconstruction(
+    original, compressed, calib, ridge=None, intercept=True, symmetric=False
+):
+    """Reference for ``reconstruct_network``: its pair loop before the
+    residual came from the merged P's output. The same chunks of samples
+    and walks (``reconstruct._walks``) give each chunk's P input, Y and Y*;
+    symmetric mode's Y* is the whole pair run on the source conv's input.
+    The solve reads every sample's rows into the same statistics; a second
+    pass over them sums ||Y - Y*||^2 and ||Y - Y* A - delta||^2. Only a
+    kept merge runs, into each chunk's Y* array, and only in the asymmetric
+    mode. Returns the merged network and each pair's ``ReconstructionFit``."""
+    result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
+    position = {layer.id: i for i, layer in enumerate(result.layers)}
+    per_chunk = _usable_cpus()
+    chunks = [_walks(original, compressed, calib.samples[lo : lo + per_chunk], symmetric)
+              for lo in range(0, calib.count, per_chunk)]
+    fits = []
+    for pair in decomposed_pairs(compressed, original):
+        outputs = []
+        for original_walk, compressed_walk in chunks:
+            conv_input, y_output = original_walk.to(pair.source)
+            if compressed_walk is None:
+                outputs.append((None, y_output, _run(pair.p, _run(pair.d, conv_input))))
+            else:
+                p_input, star_output = compressed_walk.to(pair.p.id)
+                outputs.append((p_input, y_output, star_output))
+        rows = [(response_rows(y_output[i : i + 1]), response_rows(star_output[i : i + 1]))
+                for _, y_output, star_output in outputs for i in range(len(y_output))]
+        c_out = pair.p.conv.c_out
+        fit = LeastSquares(c_out + (1 if intercept else 0), exact=ridge == 0)
+        for y, y_star in rows:
+            fit.add(_design(y_star, intercept), y)
+        used_ridge = default_ridge(fit, c_out) if ridge is None else ridge
+        a, delta = _mixing(fit.solve(used_ridge), intercept)
+        before = after = 0.0
+        for y, y_star in rows:
+            before += float(np.einsum("ij,ij->", y - y_star, y - y_star))
+            rest = y - y_star @ a - delta
+            after += float(np.einsum("ij,ij->", rest, rest))
+        before, after = math.sqrt(before), math.sqrt(after)
+        fallback = after > before
+        if fallback:
+            after = before
+        else:
+            merged = replace(pair.p, conv=merge_pointwise_weights(pair.p.conv, a, delta))
+            result.layers[position[pair.p.id]] = merged
+            if not symmetric:
+                for p_input, _, star_output in outputs:
+                    _run(merged, p_input, out=star_output)
+        fits.append(ReconstructionFit(before, after, used_ridge, fit.rows, fallback))
     return result, fits
 
 

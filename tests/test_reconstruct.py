@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tempfile
@@ -30,7 +31,9 @@ from groupcompress.reconstruct import (
 
 from json_edits import cut_or_grow, edit_fields
 from nets import on_conv_forward, residual_net, toy_net
-from oracles import per_layer_reconstruction, pinv_solve, symmetric_pair_response
+from oracles import (
+    per_layer_reconstruction, pinv_solve, residual_pass_reconstruction, symmetric_pair_response,
+)
 
 
 class TestCalibrationSet:
@@ -344,6 +347,46 @@ def test_reported_n_is_the_pairs_when_manifest_omits_rank_n(tmp_path):
     assert len(fits) == 3
 
 
+def force_fallback(monkeypatch, call: int = 2):
+    """Make the ``call``-th ``linalg.LeastSquares.solve`` from now on
+    return A = -I and a zero bias correction, a merge that raises any
+    nonzero residual, so that its pair falls back."""
+    solve, calls = linalg.LeastSquares.solve, itertools.count(1)
+
+    def forced(fit, ridge):
+        solution = solve(fit, ridge)
+        return -np.eye(*solution.shape) if next(calls) == call else solution
+
+    monkeypatch.setattr(linalg.LeastSquares, "solve", forced)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_fallback_matches_the_residual_pass(monkeypatch, cpus, symmetric):
+    # Pair c2 falls back. The unmerged P then runs into the arrays that
+    # the merged P wrote, so c3 reads the same bits as when no merged P
+    # ran (the residual pass), and the fits agree; residual_after differs
+    # in rounding only, where it comes from the merged P's output rather
+    # than from Y* A + delta. Seven samples, so chunks of two leave one
+    # short.
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    net = build_toy_three(0)
+    compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
+    calib = CalibrationSet.synthetic(net.input_shape, 7, seed=29)
+    force_fallback(monkeypatch)
+    got, got_fits = reconstruct_network(net, compressed, calib, symmetric=symmetric)
+    force_fallback(monkeypatch)
+    want, want_fits = residual_pass_reconstruction(net, compressed, calib, symmetric=symmetric)
+    assert [fit.identity_fallback for fit in got_fits] == [False, True, False]
+    for got_fit, want_fit in zip(got_fits, want_fits, strict=True):
+        assert replace(got_fit, residual_after=0.0) == replace(want_fit, residual_after=0.0)
+        assert math.isclose(got_fit.residual_after, want_fit.residual_after, rel_tol=1e-12)
+    for got_layer, want_layer in zip(got.conv_layers(), want.conv_layers(), strict=True):
+        assert np.array_equal(got_layer.conv.weights, want_layer.conv.weights)
+        assert np.array_equal(got_layer.conv.bias, want_layer.conv.bias)
+    assert got.layer("c2.p").conv is compressed.layer("c2.p").conv
+
+
 class TestOnePass:
     """reconstruct_network walks each network once per chunk of samples and
     gives exactly what the per-layer loop gives."""
@@ -429,15 +472,21 @@ class TestOnePass:
         convs = {l.id for n in ([net] if symmetric else [net, compressed]) for l in n.conv_layers()}
         assert Counter(calls) == Counter(dict.fromkeys(convs, chunks))
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["merged", "fallback"])
     @pytest.mark.parametrize("first", [0, 1], ids=["every-conv", "from-second-conv"])
-    def test_merged_layer_writes_into_the_walk_output(self, monkeypatch, first):
+    def test_merged_layer_writes_into_the_walk_output(self, monkeypatch, first, fallback):
         # Each merged P layer runs straight into the array each chunk's
         # compressed walk returned as P's output, which deeper layers then
-        # read. One CPU, so three samples make three chunks.
+        # read. Where the second pair is made to fall back, its unmerged P
+        # then runs into the same arrays. One CPU, so three samples make
+        # three chunks.
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         net = residual_net()
-        compressed, _ = decompose_network(net, {l.id: 1 for l in net.conv_layers()[first:]})
+        compressed, pairs = decompose_network(
+            net, {l.id: 1 for l in net.conv_layers()[first:]})
         calib = CalibrationSet.synthetic(net.input_shape, 3, seed=19)
+        if fallback:
+            force_fallback(monkeypatch)
         pair_outputs, run = reconstruct._pair_outputs, reconstruct._run
         returned, runs = {}, []
 
@@ -447,18 +496,22 @@ class TestOnePass:
             return outputs
 
         def recording_run(layer, x, other=None, out=None):
-            runs.append((layer.id, out))
+            runs.append((layer, out))
             return run(layer, x, other, out)
 
         monkeypatch.setattr(reconstruct, "_pair_outputs", recording_pair_outputs)
         monkeypatch.setattr(reconstruct, "_run", recording_run)
         _, fits = reconstruct_network(net, compressed, calib)
-        merged = [p_id for p_id, fit in zip(returned, fits) if not fit.identity_fallback]
-        assert merged and [layer_id for layer_id, _ in runs] == [
-            p_id for p_id in merged for _ in range(calib.count)]
-        assert all(len(returned[p_id]) == calib.count for p_id in returned)
-        targets = [out for p_id in merged for out in returned[p_id]]
-        assert all(out is target for (_, out), target in zip(runs, targets, strict=True))
+        assert [fit.identity_fallback for fit in fits] == [
+            fallback and i == 1 for i in range(len(pairs))]
+        assert all(len(returned[pair.p.id]) == calib.count for pair in pairs)
+        expected = [(pair.p.id, unmerged, out) for pair, fit in zip(pairs, fits)
+                    for unmerged in (False, True)[: 1 + fit.identity_fallback]
+                    for out in returned[pair.p.id]]
+        assert len(runs) == len(expected)
+        for (layer, out), (p_id, unmerged, target) in zip(runs, expected):
+            assert layer.id == p_id and out is target
+            assert (layer is compressed.layer(p_id)) == unmerged
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_bad_ridge_fails_before_any_forward(self, monkeypatch, ridge):
@@ -580,17 +633,21 @@ def live_values(net, layer_id):
     return sum(math.prod(shapes[i]) for i in ids[: stop + 1] if i == layer_id or i in read_later)
 
 
-def test_memory_per_sample_is_the_live_maps(monkeypatch):
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_memory_per_sample_is_the_live_maps(monkeypatch, symmetric):
     """Each added sample costs the maps the walks hold at a pair, and D's
     output, which the merged P runs on: the rows of a solve are never
-    stacked over the samples. One CPU, so chunks of one sample, and a
-    first run untraced, so that both traced runs find the same caches."""
+    stacked over the samples. In symmetric mode only the original network
+    is walked, and a chunk holds D's output, not P's. One CPU, so chunks
+    of one sample, and a first run untraced, so that both traced runs find
+    the same caches."""
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
     net = residual_net(width=16, size=12)
     compressed, pairs = decompose_network(net, {l.id: 1 for l in net.conv_layers()})
     shapes = propagate_shapes(compressed)
-    per_sample = 8 * max(live_values(net, pair.source) + live_values(compressed, pair.p.id)
-                         + math.prod(shapes[pair.d.id]) for pair in pairs)
+    per_sample = 8 * max(
+        live_values(net, pair.source) + math.prod(shapes[pair.d.id])
+        + (0 if symmetric else live_values(compressed, pair.p.id)) for pair in pairs)
     # Each chunk's walks also hold Python objects (layer tables, array
     # headers): a few KB, less than half of any pair's response map,
     # while one stack of a pair's rows adds a whole response map per sample.
@@ -601,7 +658,7 @@ def test_memory_per_sample_is_the_live_maps(monkeypatch):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            reconstruct_network(net, compressed, calib)
+            reconstruct_network(net, compressed, calib, symmetric=symmetric)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()

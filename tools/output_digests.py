@@ -16,6 +16,9 @@ OUT_DIR is. They are:
 * ``analyze`` of the ``res34-recon`` compressed model against its original,
   plain and with ``--correlation --calib-count 4``: the SVDs of 15 resnet34
   layers and their (D, P) pairs, and a correlation walk of that network;
+* the ``res34-recon`` command with ``--symmetric-reconstruction``: its
+  stride-2 pair ``conv3_1a`` has a D output half the size of its P
+  output, 64 channels against 128;
 * ``compress --degree constant --base-n 1 --calib-seed 41`` on toy3 and
   toy4, plain and with each of ``--symmetric-reconstruction``, ``--ridge 0``
   and ``--no-intercept``;
@@ -145,6 +148,10 @@ def whole_network_argv(model: Path, out_dir: Path) -> list:
     return ["compress", model, "-o", out_dir, *WHOLE_NETWORK_FLAGS]
 
 
+def flagged_argv(argv_for, flags: tuple, out_dir: Path) -> list:
+    return [*argv_for(out_dir), *flags]
+
+
 def analyze_argv(original: Path, compressed: Path, flags: tuple, out_dir: Path) -> list:
     return ["analyze", original, compressed, "-o", out_dir, *flags]
 
@@ -200,6 +207,10 @@ def main(argv: list[str]) -> int:
             for analysis, flags in RECON_ANALYZE_VARIANTS.items():
                 run(functools.partial(analyze_argv, inputs.model, out_dir / "model.json", flags),
                     out_dir / analysis)
+            symmetric = Path(name) / "symmetric"
+            run(functools.partial(flagged_argv, functools.partial(
+                inputs.compress_argv, BENCH[name]), TOY_VARIANTS["symmetric"]), symmetric)
+            write_forwards(inputs.model, symmetric)
     for toy in ("toy3", "toy4"):
         groupcompress("gen-fixtures", toy, "-o", "fixtures")
         for variant, flags in TOY_VARIANTS.items():
