@@ -22,7 +22,6 @@ from .degeneracy import (  # noqa: F401
     EnergyCurve,
     StrategyRankReport,
     equal_flops_ranks,
-    filter_correlation,
     jacobian_energy_curve,
 )
 from .model import (  # noqa: F401

@@ -17,13 +17,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import linalg
+from . import linalg, model
 from .decompose import _naming_layer, decompose_network, decomposed_pairs
 from .degeneracy import (
+    ChannelCorrelation,
+    CorrelationReport,
     equal_flops_ranks,
-    filter_correlation,
-    jacobian_energy_curve,
-    svd_strategy_matrix,
+    strategy_energy_curves,
     write_correlation_csv,
     write_csv,
     write_energy_csv,
@@ -38,9 +38,9 @@ from .errors import (
 )
 from .fixtures import BUILDERS
 from .model import (
-    NetworkSpec, layer_inputs, network_flops, propagate_shapes, read_arrays, stack_taps,
+    NetworkSpec, layer_inputs, network_flops, propagate_shapes, read_arrays, response_rows,
 )
-from .modelio import load_model, save_model
+from .modelio import load_model, save_model, write_atomically
 from .reconstruct import CalibrationSet, check_rows, reconstruct_network
 from .schedule import (
     CompressionPlan, build_plan, list_presets, plan_from_preset, predict_flops,
@@ -315,6 +315,9 @@ def cmd_compress(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Write the run's CSVs in one ``modelio.write_atomically`` call, every
+    path known before the first write: an interrupted run leaves none of
+    the set in ``-o``, and files there that it does not write as they were."""
     original = load_model(args.model)
     compressed = load_model(args.compressed)
     out_dir = Path(args.output)
@@ -323,46 +326,49 @@ def cmd_analyze(args) -> int:
     pairs = decomposed_pairs(compressed, original)
     if not pairs:
         raise PlanError(f"{args.compressed}: no decomposed layers to analyze")
+    fed, calib = [], None
     if args.correlation:
         calib, _ = _calibration(args, compressed.input_shape)
-
-    rank_reports = []
-    for pair in pairs:
-        # Read for this pair alone and freed: only the --correlation walk
-        # reads D and P again.
-        src, conv = pair.source, read_arrays(original.layer(pair.source).conv)
-        report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
-        rank_reports.append(report)
-        w_mat = conv.weight_matrix()
-        with _naming_layer(src):
-            write_energy_csv(out_dir / f"energy_{src}_original.csv",
-                             jacobian_energy_curve(w_mat, mode=mode))
-            write_energy_csv(out_dir / f"energy_{src}_group.csv", jacobian_energy_curve(
-                read_arrays(pair.d.conv).weight_matrix(), read_arrays(pair.p.conv).weight_matrix(),
-                mode=mode))
-            # equal_flops_ranks keeps 1 <= rank_svd <= min(w_mat.shape).
-            write_energy_csv(out_dir / f"energy_{src}_svd_baseline.csv", jacobian_energy_curve(
-                svd_strategy_matrix(w_mat, report.rank_svd), mode=mode))
-    write_rank_report_csv(out_dir / "ranks.csv", rank_reports, [pair.source for pair in pairs])
-
-    if args.correlation:
-        summary_rows = _correlation_analysis(
-            compressed, pairs, calib, out_dir, pre_activation=args.corr_pre_activation
-        )
-        if summary_rows:
-            write_csv(out_dir / "correlation_summary.csv", list(summary_rows[0]),
-                      [list(row.values()) for row in summary_rows])
+        fed = _aligned_taps(compressed, pairs, pre_activation=args.corr_pre_activation)
+    names = [f"energy_{pair.source}_{curve}" for pair in pairs
+             for curve in ("original", "group", "svd_baseline")]
+    names += ["ranks", *(f"correlation_{pair.source}" for pair, _, _ in fed)]
+    names += ["correlation_summary"] if fed else []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with write_atomically(*(out_dir / f"{name}.csv" for name in names)) as temps:
+        files, rank_reports = iter(temps), []
+        for pair in pairs:
+            # Read for this pair alone and freed: only the --correlation walk
+            # reads D and P again.
+            conv = read_arrays(original.layer(pair.source).conv)
+            report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
+            rank_reports.append(report)
+            with _naming_layer(pair.source):
+                # equal_flops_ranks keeps 1 <= rank_svd <= min(W's shape).
+                for curve in strategy_energy_curves(
+                        conv.weight_matrix(), read_arrays(pair.d.conv).weight_matrix(),
+                        read_arrays(pair.p.conv).weight_matrix(), report.rank_svd, mode):
+                    write_energy_csv(next(files), curve)
+        write_rank_report_csv(next(files), rank_reports, [pair.source for pair in pairs])
+        summary = []
+        for (pair, point_id, tap), report in zip(fed, _correlations(compressed, fed, calib)):
+            write_correlation_csv(next(files), report)
+            summary.append([pair.source, point_id, tap, pair.n, report.mean_in_block,
+                            report.mean_out_block, len(report.zero_variance_channels)])
+        if summary:
+            write_csv(next(files), ["layer", "pointwise", "tap", "n", "mean_in_block",
+                                    "mean_out_block", "zero_variance_channels"], summary)
 
     print(f"analysis written to {out_dir}")
     return EXIT_OK
 
 
-def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=False):
-    """Correlate each group conv's output with the output maps of the
-    decomposed pointwise conv that feeds it through activations alone
-    (post-activation by default). A pair whose maps differ in output
-    positions, as a strided group conv's do, has no aligned rows and is
-    skipped. The taps of the pairs kept come from one walk of the network."""
+def _aligned_taps(compressed, pairs, pre_activation=False):
+    """(pair, pointwise id, tap) for each pair whose group conv reads the
+    output maps of a decomposed pointwise conv through activations alone,
+    the tap being those maps (post-activation, the default) or the
+    pointwise conv's output. A pair whose maps differ in output positions,
+    as a strided group conv's do, has no aligned rows and is skipped."""
     inputs, shapes = layer_inputs(compressed), propagate_shapes(compressed)
     kinds = {layer.id: layer.kind for layer in compressed.layers}
     pointwise_ids = {pair.p.id for pair in pairs}
@@ -374,26 +380,29 @@ def _correlation_analysis(compressed, pairs, calib, out_dir, pre_activation=Fals
         tap = point_id if pre_activation else post_act_id
         if point_id in pointwise_ids and shapes[tap][1:] == shapes[pair.d.id][1:]:
             fed.append((pair, point_id, tap))
-    if not fed:
-        return []
-    taps = [layer_id for pair, _, tap in fed for layer_id in (tap, pair.d.id)]
-    stacked = stack_taps(compressed, calib.samples, taps)
-    rows = []
-    for pair, point_id, tap in fed:
-        report = filter_correlation(stacked[tap], stacked[pair.d.id], block_size=pair.n)
-        write_correlation_csv(out_dir / f"correlation_{pair.source}.csv", report)
-        rows.append(
-            {
-                "layer": pair.source,
-                "pointwise": point_id,
-                "tap": tap,
-                "n": pair.n,
-                "mean_in_block": report.mean_in_block,
-                "mean_out_block": report.mean_out_block,
-                "zero_variance_channels": len(report.zero_variance_channels),
-            }
-        )
-    return rows
+    return fed
+
+
+def _correlations(compressed, fed, calib) -> list[CorrelationReport]:
+    """Each ``_aligned_taps`` entry's correlations, group output against
+    tap: one walk of ``compressed`` per chunk of ``calib`` adds each
+    sample's ``response_rows``, in sample order, to the pair's
+    ``ChannelCorrelation``, so no bit depends on the chunk size. A chunk's
+    tapped map is held until the last pair that reads it (``last``: pairs
+    come in network order) has added it."""
+    position = {layer.id: i for i, layer in enumerate(compressed.layers)}
+    last = {layer_id: position[pair.d.id] for pair, _, tap in fed for layer_id in (tap, pair.d.id)}
+    stats = [ChannelCorrelation() for _ in fed]
+    for chunk in calib.chunks() if fed else ():
+        walk, held = model._Walk(compressed, chunk), {}
+        for layer_id in sorted(last, key=position.get):
+            held[layer_id] = walk.to(layer_id)[1]
+            for stat, (pair, _, tap) in zip(stats, fed):
+                for i in range(len(chunk)) if pair.d.id == layer_id else ():
+                    stat.add(response_rows(held[layer_id][i : i + 1]),
+                             response_rows(held[tap][i : i + 1]))
+            held = {key: out for key, out in held.items() if last[key] > position[layer_id]}
+    return [stat.report(pair.n) for stat, (pair, _, _) in zip(stats, fed)]
 
 
 def cmd_gen_fixtures(args) -> int:

@@ -20,6 +20,10 @@ Widths are reported as reals. An integer rank floors them, and is at most
 the rank bound min(c_in k^2, c_out) of the weight matrix.
 The comparisons R1 < R_ours (for n < c_in) and R2 < R_ours (for
 n < c_in / k^2) assume the usual regime c_in <= c_out < c_in k^2 with k > 1.
+
+Filter correlations are per-sample statistics (``ChannelCorrelation``), so
+their bits do not depend on the CPU count: ``tools/output_digests.py``'s
+one-CPU rerun of ``analyze --correlation`` checks that.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 from .model import flops_ratio_fraction
-from .modelio import write_atomically
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,21 @@ def jacobian_energy_curve(*matrices, mode: str = "squared") -> EnergyCurve:
                 f"times {m.shape[0]}x{m.shape[1]}"
             )
         composed = composed @ m
-    return energy_curve(linalg.svd(composed)[1], mode=mode)
+    return energy_curve(linalg.singular_values(composed), mode=mode)
+
+
+def strategy_energy_curves(weight_matrix, d_matrix, p_matrix, rank_svd: int, mode="squared"):
+    """The ``EnergyCurve``s of one decomposed conv: of its weight matrix W, of
+    the assembled D times P, and of W's rank-``rank_svd`` truncation (the
+    channel-SVD baseline). By Eckart-Young the truncation's spectrum is W's
+    leading ``rank_svd`` singular values, then exact zeros, so each matrix
+    is factored once, for its singular values alone."""
+    s = linalg.singular_values(weight_matrix)
+    if not 1 <= rank_svd <= s.size:
+        raise ShapeError(f"rank must be in [1, {s.size}], got {rank_svd}")
+    baseline = np.concatenate([s[:rank_svd], np.zeros(s.size - rank_svd)])
+    return (energy_curve(s, mode), jacobian_energy_curve(d_matrix, p_matrix, mode=mode),
+            energy_curve(baseline, mode))
 
 
 def svd_strategy_matrix(weight_matrix, rank: int) -> np.ndarray:
@@ -143,73 +160,71 @@ class CorrelationReport:
     """Absolute Pearson correlations between two layers' channel activations.
 
     ``matrix[i, j]`` correlates group-output channel i with pointwise-output
-    channel j. The block means are set for a given block size: in-block
-    entries are those where both channels fall in the same filter group.
+    channel j. In-block entries are those where both channels fall in the
+    same filter group.
     """
 
     matrix: np.ndarray
     zero_variance_channels: list[tuple[str, int]]
-    mean_in_block: float | None = None
-    mean_out_block: float | None = None
+    mean_in_block: float
+    mean_out_block: float
 
 
-def filter_correlation(
-    point_responses,
-    group_responses,
-    block_size: int | None = None,
-) -> CorrelationReport:
-    """Correlate channel activations of a group conv with those of the
-    preceding pointwise conv, over aligned (samples x positions) rows.
+class ChannelCorrelation:
+    """Correlations of a group conv's output channels with those of the
+    pointwise output it reads, kept as statistics of aligned rows that
+    ``add`` takes a block at a time: the row count, each channel's mean and
+    centered sum of squares, and the centered cross products. Each block is
+    merged in by the update of Chan, Golub and LeVeque ("Algorithms for
+    computing the sample variance", 1983): the bits depend on the blocks'
+    bits and order only."""
 
-    Zero-variance channels yield zero correlation and are flagged rather
-    than propagating NaNs.
-    """
-    point = linalg.as_matrix(point_responses, "point_responses")
-    group = linalg.as_matrix(group_responses, "group_responses")
-    if point.shape[0] != group.shape[0]:
-        raise ValueError(
-            f"row counts differ: {point.shape[0]} vs {group.shape[0]} "
-            "(responses must come from the same calibration rows)"
-        )
-    flagged: list[tuple[str, int]] = []
+    count, mean, squares, cross = 0, None, None, None
 
-    def standardize(mat, label):
-        centered = mat - mat.mean(axis=0)
-        std = centered.std(axis=0)
-        dead = std == 0.0
-        for idx in np.flatnonzero(dead):
-            flagged.append((label, int(idx)))
-        std[dead] = 1.0
-        out = centered / std
-        out[:, dead] = 0.0
-        return out
+    def add(self, group_rows: np.ndarray, point_rows: np.ndarray) -> None:
+        """Add rows (rows x channels) of the group and pointwise outputs;
+        ValueError if their row counts differ."""
+        rows, split = np.hstack([group_rows, point_rows]), group_rows.shape[1]
+        mean = rows.mean(axis=0)
+        centered = rows - mean
+        squares = np.einsum("ij,ij->j", centered, centered)
+        squares[np.ptp(rows, axis=0) == 0] = 0.0  # a constant's mean may be inexact
+        cross = centered[:, :split].T @ centered[:, split:]
+        if self.count:
+            total = self.count + len(rows)
+            shift, weight = mean - self.mean, self.count * len(rows) / total
+            mean = self.mean + shift * (len(rows) / total)
+            squares += self.squares + shift * shift * weight
+            cross += self.cross + np.outer(shift[:split], shift[split:]) * weight
+        self.count += len(rows)
+        self.mean, self.squares, self.cross = mean, squares, cross
 
-    zp = standardize(point, "point")
-    zg = standardize(group, "group")
-    corr = np.abs(zg.T @ zp) / point.shape[0]
-
-    mean_in = mean_out = None
-    if block_size is not None:
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        gi = np.arange(corr.shape[0])[:, None] // block_size
-        pj = np.arange(corr.shape[1])[None, :] // block_size
-        in_mask = gi == pj
-        mean_in = float(corr[in_mask].mean())
-        mean_out = float(corr[~in_mask].mean()) if (~in_mask).any() else 0.0
-    return CorrelationReport(corr, flagged, mean_in_block=mean_in, mean_out_block=mean_out)
+    def report(self, block_size: int) -> CorrelationReport:
+        """The absolute correlations and their means in and out of filter
+        groups of ``block_size`` channels. A zero-variance channel
+        correlates 0 with every channel and is flagged, pointwise first."""
+        if not np.all(np.isfinite(self.cross)):
+            raise ShapeError("channel activations contain non-finite entries")
+        group, point = np.split(np.sqrt(self.squares), [len(self.cross)])
+        flagged = [(label, int(i)) for label, roots in (("point", point), ("group", group))
+                   for i in np.flatnonzero(roots == 0.0)]
+        scale = np.outer(group, point)
+        corr = np.divide(np.abs(self.cross), scale, out=np.zeros_like(scale), where=scale > 0)
+        in_block = np.equal.outer(np.arange(len(group)) // block_size,
+                                  np.arange(len(point)) // block_size)
+        mean_out = float(corr[~in_block].mean()) if (~in_block).any() else 0.0
+        return CorrelationReport(corr, flagged, float(corr[in_block].mean()), mean_out)
 
 
 def write_csv(path, header: list | None, rows) -> Path:
-    """Write ``header`` (None: no header row) and then ``rows`` as CSV, atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with write_atomically(path) as (tmp,), open(tmp, "w", newline="", encoding="utf-8") as fh:
+    """Write ``header`` (None: no header row), then ``rows``, as CSV to
+    ``path``, in ``analyze`` a temporary file of one ``write_atomically`` set."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         writer.writerows(rows)
-    return path
+    return Path(path)
 
 
 def write_energy_csv(path, curve: EnergyCurve) -> Path:

@@ -51,18 +51,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _check_entries(arr, name)
 
 
+def _svd(a, compute_uv: bool):
+    arr = as_matrix(a, "a")
+    try:
+        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"SVD did not converge for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}") from exc
+
+
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition ``(u, s, vt)`` of a dense matrix
     that ``as_matrix`` accepts, ``s`` descending. Raises NumericalError
     (with the matrix's shape in the message) if the underlying iteration
     fails to converge.
     """
-    arr = as_matrix(a, "a")
-    try:
-        return np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD did not converge for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}") from exc
+    return _svd(a, True)
+
+
+def singular_values(a) -> np.ndarray:
+    """``svd``'s descending ``s`` alone, with its checks and NumericalError."""
+    return _svd(a, False)
 
 
 def _leading_factors(stack: np.ndarray, n: int, d: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -259,7 +268,7 @@ def _on_every_cpu(count: int, work: Callable, scratch: Callable = tuple) -> None
 
 def numerical_rank(a, rel_threshold: float = 1e-8) -> int:
     """Count singular values above rel_threshold times the largest one."""
-    s = svd(a)[1]
+    s = singular_values(a)
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_threshold * s[0]))

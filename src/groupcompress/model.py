@@ -654,13 +654,6 @@ def response_rows(out: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 1, 0).reshape(out.shape[1], -1).T
 
 
-def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
-    """Run the (N, C, H, W) batch ``samples`` up to the last layer in
-    ``taps`` and return, per tapped layer, its output as ``response_rows``."""
-    walk = _Walk(net, samples)
-    return {tap: response_rows(walk.to(tap)[1]) for tap in sorted(set(taps), key=walk.index)}
-
-
 def flops_of_layer(conv: ConvWeights, out_h: int, out_w: int) -> int:
     """FLOPs of one conv layer: 2 * (c_in/groups) * k^2 * c_out * out_h * out_w."""
     return 2 * (conv.c_in // conv.groups) * conv.k * conv.k * conv.c_out * out_h * out_w

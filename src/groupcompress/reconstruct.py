@@ -74,6 +74,13 @@ class CalibrationSet:
     def sample_shape(self) -> tuple[int, int, int]:
         return tuple(self.samples.shape[1:])
 
+    def chunks(self):
+        """Views of ``samples`` in sample order, one sample per usable CPU
+        each (the last may hold fewer), so that each layer of a chunk runs
+        on every CPU: the one chunk size of every walk over the set."""
+        size = linalg._usable_cpus()
+        return (self.samples[lo : lo + size] for lo in range(0, self.count, size))
+
     @classmethod
     def synthetic(cls, shape, count: int, seed: int = 0) -> "CalibrationSet":
         rng = np.random.default_rng(seed)
@@ -160,19 +167,9 @@ def solve_reconstruction(
     if y.shape != y_star.shape:
         raise ShapeError(f"responses misaligned: {y.shape} vs {y_star.shape}")
     rows, c_out = y_star.shape
-    needed = c_out + (1 if intercept else 0)
-    if rows < needed:
-        raise ShapeError(
-            f"{rows} response rows for {needed} unknown columns; "
-            "collect more calibration samples"
-        )
-    if rows < 10 * c_out:
-        warnings.warn(
-            f"only {rows} rows for {c_out} output channels; recommend >= {10 * c_out}",
-            CalibrationWarning,
-            stacklevel=2,
-        )
-    fit = linalg.LeastSquares(needed, exact=ridge == 0)
+    if thin := _thin_rows(rows, c_out, intercept):
+        warnings.warn(thin, CalibrationWarning, stacklevel=2)
+    fit = linalg.LeastSquares(c_out + (1 if intercept else 0), exact=ridge == 0)
     fit.add(_design(y_star, intercept), y)
     return _mixing(fit.solve(ridge), intercept)
 
@@ -259,6 +256,19 @@ def _residual(chunks, fit: linalg.LeastSquares | None = None, intercept: bool = 
     return math.sqrt(total)
 
 
+def _thin_rows(rows: int, c_out: int, intercept: bool, layer="", given="") -> str | None:
+    """The rows rule of one solve: ShapeError if there are fewer rows than
+    unknowns, else the CalibrationWarning message if there are fewer than
+    10 per output channel. ``layer`` starts both messages, and ``given``
+    says where the rows came from in the error's."""
+    needed = c_out + (1 if intercept else 0)
+    if rows < needed:
+        raise ShapeError(f"{layer}{given}{rows} response rows for {needed} unknown columns; "
+                         "collect more calibration samples")
+    if rows < 10 * c_out:
+        return f"{layer}only {rows} rows for {c_out} output channels; recommend >= {10 * c_out}"
+
+
 def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool,
                warn: bool = True) -> None:
     """Every solve needs at least as many response rows as unknowns: checked
@@ -270,15 +280,9 @@ def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool,
     shapes, layer_ids, thin = propagate_shapes(net), set(layer_ids), []
     for layer_id in (l.id for l in net.conv_layers() if l.id in layer_ids):
         c_out, h, w = shapes[layer_id]
-        rows, needed = count * h * w, c_out + (1 if intercept else 0)
-        if rows < needed:
-            raise ShapeError(
-                f"layer {layer_id}: {count} calibration samples give {rows} response "
-                f"rows for {needed} unknown columns; collect more calibration samples"
-            )
-        if rows < 10 * c_out:
-            thin.append(f"layer {layer_id}: only {rows} rows for {c_out} output channels; "
-                        f"recommend >= {10 * c_out}")
+        if message := _thin_rows(count * h * w, c_out, intercept, f"layer {layer_id}: ",
+                                 f"{count} calibration samples give "):
+            thin.append(message)
     for message in thin if warn else ():
         warnings.warn(message, CalibrationWarning, stacklevel=2)
 
@@ -295,18 +299,18 @@ def reconstruct_network(
     into its pointwise layer before moving deeper. Returns the merged
     network and the ``ReconstructionFit`` of each pair, in network order.
 
-    The calibration samples go in chunks of one sample per usable CPU, so
-    that each layer of a chunk still runs on every CPU, and each chunk
-    walks each network once (``_walks``), resumed at each pair. Only the
-    maps that deeper layers read stay live for every sample; a layer the
-    walks pass between pairs, such as a resnet stem, is live for one chunk
-    at a time. The original network's walk gives Y at each source conv,
-    and P's input is D's output: in the asymmetric (default) mode the
-    compressed network's walk gives it, and P's output Y*, at each P layer;
-    in symmetric mode D runs on the source conv's input in the original
-    walk, the compressed network is not walked, and each chunk's Y* is made
-    when it is read (``_chunk_outputs``), so a chunk holds D's output, not
-    Y*. One pass over the samples feeds the solve and sums ||Y - Y*||^2.
+    The calibration samples go in the set's chunks
+    (``CalibrationSet.chunks``), and each chunk walks each network once
+    (``_walks``), resumed at each pair. Only the maps that deeper layers
+    read stay live for every sample; a layer the walks pass between pairs,
+    such as a resnet stem, is live for one chunk at a time. The original
+    network's walk gives Y at each source conv, and P's input is D's output:
+    in the asymmetric (default) mode the compressed network's walk gives it,
+    and P's output Y*, at each P layer; in symmetric mode D runs on the
+    source conv's input in the original walk, the compressed network is not
+    walked, and each chunk's Y* is made when it is read
+    (``_chunk_outputs``), so a chunk holds D's output, not Y*. One pass over
+    the samples feeds the solve and sums ||Y - Y*||^2.
 
     After the solve, the merged layer runs on each chunk's P input straight
     into the chunk's Y* array (a new one in symmetric mode), so deeper
@@ -332,9 +336,7 @@ def reconstruct_network(
     check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
-    per_chunk = linalg._usable_cpus()
-    chunks = [_walks(original, compressed, calib.samples[lo : lo + per_chunk], symmetric)
-              for lo in range(0, calib.count, per_chunk)]
+    chunks = [_walks(original, compressed, chunk, symmetric) for chunk in calib.chunks()]
     fits: list[ReconstructionFit] = []
     for pair in pairs:
         with reading([original.layer(pair.source).conv]):

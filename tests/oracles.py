@@ -21,7 +21,14 @@ on first use: it reuses the package's ``decompose_layer``, and checks
 when and how often a pair is factored. ``staged_leading_factors`` and
 ``staged_decompose`` are the block factoring before it wrote its factors in
 place: they share no code with the package, and check that the in-place
-factors have the same bits.
+factors have the same bits. ``full_svd_energy_curves`` is ``analyze``'s
+spectra before it took singular values alone: a full SVD of W, of its
+rank-r truncation (``svd_strategy_matrix``) and of D times P, through the
+package's ``energy_curve``. ``stack_taps`` and ``filter_correlation`` are
+``analyze --correlation`` before it kept per-sample statistics: one walk of
+the whole batch that stacks every tap's rows (``model._Walk``), and the
+correlation of two whole row stacks (returning the package's
+``CorrelationReport``).
 """
 
 import math
@@ -31,11 +38,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from groupcompress import linalg
 from groupcompress.decompose import decompose_layer, decomposed_pairs
+from groupcompress.degeneracy import CorrelationReport, energy_curve, svd_strategy_matrix
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
 from groupcompress.linalg import LeastSquares, _usable_cpus, as_matrix, check_ridge
 from groupcompress.model import (
-    LayerSpec, NetworkSpec, _run, layer_inputs, read_arrays, response_rows,
+    LayerSpec, NetworkSpec, _run, _Walk, layer_inputs, read_arrays, response_rows,
 )
 from groupcompress.reconstruct import (
     ReconstructionFit,
@@ -574,3 +583,66 @@ def eager_decompose_network(net, layer_ranks, force_pointwise=False):
         errors[layer.id] = decomp.block_truncation_errors
         renamed[layer.id] = f"{layer.id}.p"
     return NetworkSpec(net.name, net.input_shape, layers), errors
+
+
+def full_svd_energy_curves(w_mat, d_mat, p_mat, rank, mode="squared"):
+    """The original, group and channel-SVD baseline curves of one pair, as
+    ``analyze`` made them with a full (u, s, vt) SVD of each matrix."""
+    def curve(matrix):
+        return energy_curve(np.linalg.svd(matrix, full_matrices=False)[1], mode=mode)
+    return (curve(w_mat), curve(np.asarray(d_mat) @ np.asarray(p_mat)),
+            curve(svd_strategy_matrix(w_mat, rank)))
+
+
+def stack_taps(net: NetworkSpec, samples, taps) -> dict[str, np.ndarray]:
+    """Run the (N, C, H, W) batch ``samples`` up to the last layer in
+    ``taps`` and return, per tapped layer, its output as ``response_rows``."""
+    walk = _Walk(net, samples)
+    return {tap: response_rows(walk.to(tap)[1]) for tap in sorted(set(taps), key=walk.index)}
+
+
+def filter_correlation(
+    point_responses,
+    group_responses,
+    block_size: int | None = None,
+) -> CorrelationReport:
+    """Correlate channel activations of a group conv with those of the
+    preceding pointwise conv, over aligned (samples x positions) rows.
+
+    Zero-variance channels yield zero correlation and are flagged rather
+    than propagating NaNs.
+    """
+    point = linalg.as_matrix(point_responses, "point_responses")
+    group = linalg.as_matrix(group_responses, "group_responses")
+    if point.shape[0] != group.shape[0]:
+        raise ValueError(
+            f"row counts differ: {point.shape[0]} vs {group.shape[0]} "
+            "(responses must come from the same calibration rows)"
+        )
+    flagged: list[tuple[str, int]] = []
+
+    def standardize(mat, label):
+        centered = mat - mat.mean(axis=0)
+        std = centered.std(axis=0)
+        dead = std == 0.0
+        for idx in np.flatnonzero(dead):
+            flagged.append((label, int(idx)))
+        std[dead] = 1.0
+        out = centered / std
+        out[:, dead] = 0.0
+        return out
+
+    zp = standardize(point, "point")
+    zg = standardize(group, "group")
+    corr = np.abs(zg.T @ zp) / point.shape[0]
+
+    mean_in = mean_out = None
+    if block_size is not None:
+        if block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        gi = np.arange(corr.shape[0])[:, None] // block_size
+        pj = np.arange(corr.shape[1])[None, :] // block_size
+        in_mask = gi == pj
+        mean_in = float(corr[in_mask].mean())
+        mean_out = float(corr[~in_mask].mean()) if (~in_mask).any() else 0.0
+    return CorrelationReport(corr, flagged, mean_in_block=mean_in, mean_out_block=mean_out)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,25 +14,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupcompress import decompose, linalg, model, modelio
+from groupcompress import cli, decompose, degeneracy, linalg, model, modelio
 from groupcompress.cli import (
     EXIT_FORMAT,
+    EXIT_GENERIC,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PLAN,
     main,
 )
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
-from groupcompress.degeneracy import filter_correlation, write_correlation_csv
+from groupcompress.degeneracy import ChannelCorrelation, write_correlation_csv
 from groupcompress.errors import CalibrationWarning, NumericalError
 from groupcompress.model import (
-    ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, stack_taps,
+    ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, propagate_shapes, read_arrays,
+    response_rows,
 )
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import CompressionPlan, build_plan
 
 from nets import on_conv_forward, pool_fc_net, residual_net, toy_net
+from oracles import filter_correlation, stack_taps
 
 
 def non_finite_calibration(samples, path):
@@ -1391,36 +1395,159 @@ class TestAnalyze:
         assert [row.split(",")[0] for row in summary[1:]] == ["c3"]
 
     @pytest.mark.parametrize("flags", [[], ["--corr-pre-activation"]], ids=["post", "pre"])
-    def test_correlation_walks_the_network_once(
+    def test_correlation_walks_the_network_once_per_chunk(
         self, toy3_path, compressed_dir, tmp_path, monkeypatch, flags
     ):
+        # Three samples per chunk: 8 samples make chunks of 3, 3 and 2.
         walks = []
 
         class CountingWalk(model._Walk):
             def __init__(self, net, x):
-                walks.append(net.name)
+                walks.append(len(x))
                 super().__init__(net, x)
 
         monkeypatch.setattr(model, "_Walk", CountingWalk)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
         analysis = tmp_path / "analysis"
         assert main(
             ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
              str(analysis), "--correlation", "--calib-count", "8", *flags]
         ) == EXIT_OK
-        assert len(walks) == 1
-        # Each pair's CSV is byte-identical to one from a walk of its own.
+        assert walks == [3, 3, 2]
+        # Each pair's CSV is byte-identical to one from statistics of its
+        # own walk of the whole batch, fed one sample at a time.
         compressed = load_model(compressed_dir / "model.json")
         samples = CalibrationSet.synthetic(compressed.input_shape, 8, seed=0).samples
         summary = (analysis / "correlation_summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in summary] == ["c2", "c3"]
         for row in summary:
             src, _, tap, n = row.split(",")[:4]
-            stacked = stack_taps(compressed, samples, [tap, f"{src}.d"])
-            report = filter_correlation(stacked[tap], stacked[f"{src}.d"], block_size=int(n))
-            write_correlation_csv(tmp_path / "expected.csv", report)
+            walk, stats = model._Walk(compressed, samples), ChannelCorrelation()
+            point, group = walk.to(tap)[1], walk.to(f"{src}.d")[1]
+            for i in range(len(samples)):
+                stats.add(response_rows(group[i : i + 1]), response_rows(point[i : i + 1]))
+            write_correlation_csv(tmp_path / "expected.csv", stats.report(int(n)))
             expected = (tmp_path / "expected.csv").read_bytes()
             assert (analysis / f"correlation_{src}.csv").read_bytes() == expected
-        assert len(walks) == 1 + len(summary)
+        assert walks == [3, 3, 2] + [8] * len(summary)
+
+    @staticmethod
+    def with_dead_channels(net):
+        """``net`` with channel 0 of its first P output all -1, so that a
+        relu reading it is dead there, and channel 0 of its second D output
+        all zeros: the zero-variance channels of the second pair's
+        correlation."""
+        layers = list(net.layers)
+        d_at = [i for i, layer in enumerate(layers) if layer.id.endswith(".d")][1]
+        d = read_arrays(layers[d_at].conv)
+        weights = d.weights.copy()
+        weights[0] = 0.0
+        layers[d_at] = replace(layers[d_at], conv=replace(d, weights=weights, bias=None))
+        p_at = next(i for i, layer in enumerate(layers) if layer.id.endswith(".p"))
+        p = read_arrays(layers[p_at].conv)
+        weights, bias = p.weights.copy(), np.zeros(p.c_out) if p.bias is None else p.bias.copy()
+        weights[0], bias[0] = 0.0, -1.0
+        layers[p_at] = replace(layers[p_at], conv=replace(p, weights=weights, bias=bias))
+        return NetworkSpec(net.name, net.input_shape, layers)
+
+    @pytest.mark.parametrize("pre_activation", [False, True], ids=["post", "pre"])
+    @pytest.mark.parametrize("name", ["toy3", "toy4", "residual"])
+    def test_correlation_statistics_match_the_whole_stack_oracle(
+        self, name, pre_activation, monkeypatch
+    ):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        net = {"toy3": build_toy_three, "toy4": build_toy_cnn, "residual": residual_net}[name](0)
+        compressed, pairs = decompose.decompose_network(
+            net, {layer.id: 2 if layer.conv.c_in % 2 == 0 else 1 for layer in net.conv_layers()})
+        compressed = self.with_dead_channels(compressed)
+        pairs = decompose.decomposed_pairs(compressed, net)
+        calib = CalibrationSet.synthetic(net.input_shape, 5, seed=3)
+        fed = cli._aligned_taps(compressed, pairs, pre_activation=pre_activation)
+        assert fed
+        dead = set()
+        for (pair, _, tap), report in zip(fed, cli._correlations(compressed, fed, calib),
+                                          strict=True):
+            stacked = stack_taps(compressed, calib.samples, [tap, pair.d.id])
+            want = filter_correlation(stacked[tap], stacked[pair.d.id], block_size=pair.n)
+            np.testing.assert_allclose(report.matrix, want.matrix, rtol=0, atol=1e-12)
+            assert report.mean_in_block == pytest.approx(want.mean_in_block, rel=0, abs=1e-12)
+            assert report.mean_out_block == pytest.approx(want.mean_out_block, rel=0, abs=1e-12)
+            assert report.zero_variance_channels == want.zero_variance_channels
+            dead.update(report.zero_variance_channels)
+        # The zeroed D channel, and the P channel that is -1 before its relu.
+        assert ("group", 0) in dead
+        assert ("point", 0) in dead
+
+    def test_correlation_memory_does_not_grow_with_the_samples(self, monkeypatch):
+        """The correlation pass holds one chunk's maps at a time: from 4 to
+        20 samples its peak grows by less than one chunk's maps, every
+        layer's output counted. A whole-batch pass would hold 16 more
+        samples of every tapped map."""
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        net = toy_net(seed=1, widths=(3, 8, 8, 8, 8), size=16)
+        compressed, pairs = decompose.decompose_network(
+            net, {layer.id: 1 for layer in net.conv_layers()})
+        fed = cli._aligned_taps(compressed, pairs)
+        one_chunk = 2 * 8 * sum(math.prod(shape) for shape in propagate_shapes(compressed).values())
+        tapped = 8 * sum(math.prod(propagate_shapes(compressed)[layer_id])
+                         for pair, _, tap in fed for layer_id in (tap, pair.d.id))
+        assert 16 * tapped > one_chunk  # so the bound tells the two passes apart
+        peaks = []
+        for count in (4, 4, 20):
+            calib = CalibrationSet.synthetic(net.input_shape, count, seed=0)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cli._correlations(compressed, fed, calib)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < one_chunk
+
+    @pytest.mark.parametrize("fail_at", [1, 5, 10, 13])
+    def test_interrupted_run_leaves_none_of_its_set(
+        self, toy3_path, compressed_dir, tmp_path, monkeypatch, capsys, fail_at
+    ):
+        # toy3's run writes 13 CSVs: 3 curves for each of 3 pairs, ranks.csv,
+        # 2 correlation matrices and the summary.
+        argv = ["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+                str(tmp_path / "a"), "--correlation", "--calib-count", "8"]
+        assert main(argv) == EXIT_OK
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(written) == 13
+        notes = tmp_path / "a" / "notes.txt"
+        notes.write_bytes(b"kept\x00 as is\n")
+        calls, write_csv = [], degeneracy.write_csv
+
+        def failing_write_csv(path, header, rows):
+            calls.append(path)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            return write_csv(path, header, rows)
+
+        monkeypatch.setattr(degeneracy, "write_csv", failing_write_csv)
+        monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+        capsys.readouterr()
+        assert main(argv) == EXIT_GENERIC
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == fail_at
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["notes.txt"]
+        assert notes.read_bytes() == b"kept\x00 as is\n"
+        monkeypatch.setattr(degeneracy, "write_csv", write_csv)
+        monkeypatch.setattr(cli, "write_csv", write_csv)
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
+            [*written, "notes.txt"])
+
+    def test_analyze_takes_no_full_svd(self, toy3_path, compressed_dir, tmp_path, monkeypatch):
+        def values_only(*args, compute_uv=True, **kwargs):
+            assert not compute_uv, "a full SVD was taken"
+            return svd(*args, compute_uv=compute_uv, **kwargs)
+
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", values_only)
+        assert main(["analyze", str(toy3_path), str(compressed_dir / "model.json"), "-o",
+                     str(tmp_path / "a"), "--correlation", "--calib-count", "4"]) == EXIT_OK
 
     def test_uncompressed_model_is_plan_error(self, toy3_path, tmp_path):
         code = main(

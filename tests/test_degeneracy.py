@@ -4,18 +4,20 @@ import pytest
 from groupcompress import linalg
 from groupcompress.decompose import decompose_layer
 from groupcompress.degeneracy import (
+    ChannelCorrelation,
     energy_curve,
     equal_flops_ranks,
-    filter_correlation,
     jacobian_energy_curve,
+    strategy_energy_curves,
     svd_strategy_matrix,
     write_correlation_csv,
-    write_csv,
     write_energy_csv,
     write_rank_report_csv,
 )
 from groupcompress.errors import ShapeError
 from groupcompress.model import ConvWeights
+
+from oracles import filter_correlation, full_svd_energy_curves
 
 
 def random_tuple_in_regime(rng, max_cin=32, max_k=5):
@@ -158,7 +160,7 @@ class TestEnergyCurve:
         rng = np.random.default_rng(11)
         a, b, c = (rng.standard_normal(shape) for shape in [(7, 5), (5, 4), (4, 6)])
         curve = jacobian_energy_curve(a, b, c)
-        assert np.array_equal(curve.singular_values, np.linalg.svd(a @ b @ c)[1])
+        assert np.array_equal(curve.singular_values, np.linalg.svd(a @ b @ c, compute_uv=False))
 
     def test_inner_dimensions_must_agree(self):
         with pytest.raises(ShapeError, match="inner dimensions differ"):
@@ -189,11 +191,20 @@ class TestSvdStrategyMatrix:
             svd_strategy_matrix(np.ones((5, 3)), rank)
 
 
-class TestFilterCorrelation:
+def correlation_of(group, point, block_size=1, blocks=1):
+    """The ``ChannelCorrelation`` report of two row stacks, added in
+    ``blocks`` consecutive blocks of rows."""
+    stats = ChannelCorrelation()
+    for g, p in zip(np.array_split(group, blocks), np.array_split(point, blocks)):
+        stats.add(g, p)
+    return stats.report(block_size)
+
+
+class TestChannelCorrelation:
     def test_identity_pipeline_has_unit_diagonal(self):
         rng = np.random.default_rng(7)
         point = rng.standard_normal((500, 6))
-        report = filter_correlation(point, point.copy(), block_size=1)
+        report = correlation_of(point.copy(), point, blocks=5)
         assert np.allclose(np.diag(report.matrix), 1.0, atol=1e-12)
         assert report.mean_in_block == pytest.approx(1.0, abs=1e-12)
 
@@ -201,7 +212,7 @@ class TestFilterCorrelation:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((10_000, 8))
         b = rng.standard_normal((10_000, 8))
-        report = filter_correlation(a, b)
+        report = correlation_of(b, a, blocks=10)
         assert report.matrix.max() < 0.1
 
     def test_decomposed_layer_block_structure(self):
@@ -215,22 +226,97 @@ class TestFilterCorrelation:
         w = ConvWeights(c, 12, 1, weights=rng.standard_normal((12, c, 1, 1)))
         decomp = decompose_layer(w, n, force_pointwise=True)
         group_out = activated @ decomp.d_layer.weight_matrix()  # k=1: patches are the rows
-        report = filter_correlation(point_out, group_out, block_size=n)
+        report = correlation_of(group_out, point_out, block_size=n, blocks=8)
         assert report.mean_in_block > report.mean_out_block
 
     def test_zero_variance_flagged(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((100, 3))
         b = rng.standard_normal((100, 3))
-        b[:, 1] = 4.2
-        report = filter_correlation(a, b)
-        assert ("group", 1) in report.zero_variance_channels
-        assert np.allclose(report.matrix[1, :], 0.0)
+        a[:, 2] = 0.0
+        b[:, 1] = 4.2  # its column mean, summed row by row, is not exactly 4.2
+        report = correlation_of(b, a, blocks=4)
+        assert report.zero_variance_channels == [("point", 2), ("group", 1)]
+        assert np.all(report.matrix[1, :] == 0.0) and np.all(report.matrix[:, 2] == 0.0)
         assert np.all(np.isfinite(report.matrix))
 
     def test_misaligned_rows_rejected(self):
-        with pytest.raises(ValueError, match="row counts"):
-            filter_correlation(np.ones((5, 2)), np.ones((6, 2)))
+        with pytest.raises(ValueError, match="dimensions"):
+            ChannelCorrelation().add(np.ones((5, 2)), np.ones((6, 2)))
+
+    def test_non_finite_rows_rejected(self):
+        stats = ChannelCorrelation()
+        with np.errstate(invalid="ignore"):
+            stats.add(np.array([[1.0], [np.inf]]), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="non-finite"):
+            stats.report(1)
+
+    @pytest.mark.parametrize("blocks", [1, 3, 40])
+    def test_matches_the_whole_stack_oracle(self, blocks):
+        # Rows far from zero mean: the merge must not lose the digits that
+        # a one-pass sum of squares would.
+        rng = np.random.default_rng(12)
+        point = 1e3 + rng.standard_normal((120, 5)) @ rng.standard_normal((5, 5))
+        group = np.maximum(point, 1e3) @ rng.standard_normal((5, 6)) - 50.0
+        report = correlation_of(group, point, block_size=2, blocks=blocks)
+        want = filter_correlation(point, group, block_size=2)
+        np.testing.assert_allclose(report.matrix, want.matrix, rtol=0, atol=1e-12)
+        assert report.mean_in_block == pytest.approx(want.mean_in_block, rel=0, abs=1e-12)
+        assert report.mean_out_block == pytest.approx(want.mean_out_block, rel=0, abs=1e-12)
+        assert report.zero_variance_channels == want.zero_variance_channels
+
+
+def random_matrix(rng, shape, rank=None):
+    """A standard normal matrix of ``shape``, or a product of rank ``rank``."""
+    if rank is None:
+        return rng.standard_normal(shape)
+    return rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+
+
+class TestStrategyEnergyCurves:
+    @pytest.mark.parametrize("mode", ["squared", "sigma"])
+    @pytest.mark.parametrize("shape, rank_w, rank_svd", [
+        ((36, 8), None, 3),  # tall W
+        ((18, 12), None, 12),  # tall W, rank_svd at its largest
+        ((9, 16), None, 4),  # wide W (1x1 conv, c_in < c_out)
+        ((27, 10), 4, 6),  # rank-deficient W, rank_svd beyond its rank
+        ((8, 20), 3, 2),  # wide and rank-deficient
+    ])
+    def test_match_the_full_svd_path(self, shape, rank_w, rank_svd, mode):
+        rng = np.random.default_rng(sum(shape) + (rank_w or 0))
+        w = random_matrix(rng, shape, rank_w)
+        d, p = random_matrix(rng, (shape[0], 7)), random_matrix(rng, (7, shape[1]))
+        got = strategy_energy_curves(w, d, p, rank_svd, mode)
+        want = full_svd_energy_curves(w, d, p, rank_svd, mode)
+        for new, old in zip(got, want, strict=True):
+            assert new.mode == old.mode == mode
+            assert new.singular_values.shape == old.singular_values.shape
+            np.testing.assert_allclose(new.singular_values, old.singular_values, rtol=0,
+                                       atol=1e-12 * old.singular_values[0])
+            np.testing.assert_allclose(new.cumulative_energy, old.cumulative_energy, rtol=0,
+                                       atol=1e-12)
+
+    def test_baseline_is_the_leading_values_then_zeros(self):
+        w = np.random.default_rng(13).standard_normal((20, 6))
+        original, _, baseline = strategy_energy_curves(w, w, np.eye(6), 2)
+        assert np.array_equal(baseline.singular_values[:2], original.singular_values[:2])
+        assert np.all(baseline.singular_values[2:] == 0.0)
+        assert np.all(baseline.cumulative_energy[1:] == baseline.cumulative_energy[1])
+
+    def test_no_singular_vectors_are_formed(self, monkeypatch):
+        def no_vectors(*args, compute_uv=True, **kwargs):
+            assert not compute_uv, "a full SVD was taken"
+            return svd(*args, compute_uv=compute_uv, **kwargs)
+
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", no_vectors)
+        w = np.random.default_rng(14).standard_normal((12, 5))
+        strategy_energy_curves(w, w, np.eye(5), 3)
+
+    @pytest.mark.parametrize("rank", [0, 6])
+    def test_rank_outside_one_to_min_dimension_rejected(self, rank):
+        with pytest.raises(ShapeError, match=r"rank must be in \[1, 5\]"):
+            strategy_energy_curves(np.ones((9, 5)), np.ones((9, 1)), np.ones((1, 5)), rank)
 
 
 class TestCsvEmission:
@@ -249,22 +335,10 @@ class TestCsvEmission:
         assert "rank_group" in lines[0]
         assert lines[1].startswith("c1,16,32,3,4,")
 
-    def test_interrupted_write_leaves_no_file(self, tmp_path):
-        path = write_csv(tmp_path / "ranks.csv", ["layer"], [["c1"]])
-
-        def half_rows():
-            yield ["c1"]
-            raise OSError("disk full")
-
-        with pytest.raises(OSError, match="disk full"):
-            write_csv(path, ["layer"], half_rows())
-        assert list(tmp_path.iterdir()) == []
-
     def test_correlation_csv(self, tmp_path):
         rng = np.random.default_rng(11)
-        report = filter_correlation(
-            rng.standard_normal((50, 3)), rng.standard_normal((50, 2))
-        )
+        point, group = rng.standard_normal((50, 3)), rng.standard_normal((50, 2))
+        report = correlation_of(group, point)
         path = write_correlation_csv(tmp_path / "corr.csv", report)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2

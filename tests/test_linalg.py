@@ -69,6 +69,21 @@ class TestSvd:
         with pytest.raises(NumericalError, match="4x3 matrix"):
             linalg.svd(np.ones((4, 3)))
 
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (1, 5)])
+    def test_singular_values_are_svds_values(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        s = linalg.singular_values(a)
+        np.testing.assert_allclose(s, linalg.svd(a)[1], rtol=0, atol=1e-13 * s[0])
+        assert np.all(np.diff(s) <= 0) and s.shape == (min(shape),)
+
+    def test_singular_values_nonconvergence_translated(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        with pytest.raises(NumericalError, match="4x3 matrix"):
+            linalg.singular_values(np.ones((4, 3)))
+
     def test_leading_factors_nonconvergence_names_the_stack(self, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -86,9 +101,10 @@ class TestSvd:
             (np.array([[1.0, np.nan]]), "non-finite"),
         ],
     )
-    def test_bad_input_is_shape_error(self, a, message):
+    @pytest.mark.parametrize("svd", [linalg.svd, linalg.singular_values])
+    def test_bad_input_is_shape_error(self, a, message, svd):
         with pytest.raises(ShapeError, match=message):
-            linalg.svd(a)
+            svd(a)
 
 
 class TestLeastSquares:

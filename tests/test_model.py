@@ -29,14 +29,13 @@ from groupcompress.model import (
     propagate_shapes,
     response_rows,
     shared_prefix,
-    stack_taps,
 )
 from groupcompress.modelio import load_model, save_model
 
 from nets import on_conv_forward, pool_fc_net, residual_net, walk_outputs
 from oracles import (
     chunked_group_conv, direct_conv, direct_pool, im2col_rows, per_group_conv,
-    reference_forward, unshared_walk,
+    reference_forward, stack_taps, unshared_walk,
 )
 
 

@@ -54,6 +54,16 @@ class TestCalibrationSet:
         assert loaded.sample_shape == (2, 4, 4)
         assert np.allclose(loaded.samples, calib.samples, atol=1e-6)
 
+    @pytest.mark.parametrize("cpus, sizes", [(1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]),
+                                             (7, [7]), (9, [7])])
+    def test_chunks_are_views_of_one_sample_per_cpu(self, monkeypatch, cpus, sizes):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        calib = CalibrationSet.synthetic((2, 3, 3), 7, seed=4)
+        chunks = list(calib.chunks())
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert all(chunk.base is calib.samples for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), calib.samples)
+
     def test_truncated_blob_rejected(self, tmp_path):
         calib = CalibrationSet.synthetic((2, 4, 4), 3, seed=1)
         path = calib.save(tmp_path / "calib.json")

@@ -14,8 +14,9 @@ OUT_DIR is. They are:
   written by ``perfbench.workloads.prepare``, and each workload's
   ``compress`` command;
 * ``analyze`` of the ``res34-recon`` compressed model against its original,
-  plain and with ``--correlation --calib-count 4``: the SVDs of 15 resnet34
-  layers and their (D, P) pairs, and a correlation walk of that network;
+  plain and with ``--correlation --calib-count 4``: the singular values of
+  15 resnet34 layers and their (D, P) pairs, and the correlation walks of
+  that network, one per chunk of samples;
 * the ``res34-recon`` command with ``--symmetric-reconstruction``: its
   stride-2 pair ``conv3_1a`` has a D output half the size of its P
   output, 64 channels against 128;
@@ -62,11 +63,12 @@ again in a child process limited to one CPU, writing into a temporary
 directory outside OUT_DIR: every ``compress``, which factors its layers'
 blocks and, unless ``--no-reconstruct`` is given, walks the calibration
 samples in chunks of one sample per CPU, and every ``analyze
---correlation``. Each file it writes is compared with the same file under
-OUT_DIR; if any differs, its path is printed to stderr and the exit status
-is 1, since the result must depend neither on the CPU count nor on the
-size of a reconstruction's chunks. Nor may it depend on the BLAS thread
-count, which without the tool's pin would follow the CPU count.
+--correlation``, which walks the samples in the same chunks and adds each
+sample's rows to per-sample statistics. Each file it writes is compared
+with the same file under OUT_DIR; if any differs, its path is printed to
+stderr and the exit status is 1, since the result must depend neither on
+the CPU count nor on the size of a walk's chunks. Nor may it depend on the
+BLAS thread count, which without the tool's pin would follow the CPU count.
 """
 
 from __future__ import annotations
