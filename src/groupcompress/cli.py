@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fixtures import BUILDERS
 from .model import (
-    NetworkSpec, layer_inputs, network_flops, propagate_shapes, read_arrays, response_rows,
+    NetworkSpec, layer_inputs, network_flops, propagate_shapes, reading, response_rows,
 )
 from .modelio import load_model, save_model, write_atomically
 from .reconstruct import CalibrationSet, check_rows, reconstruct_network
@@ -330,6 +330,9 @@ def cmd_analyze(args) -> int:
     if args.correlation:
         calib, _ = _calibration(args, compressed.input_shape)
         fed = _aligned_taps(compressed, pairs, pre_activation=args.corr_pre_activation)
+        if not fed:
+            print("note: no correlation_*.csv written: no decomposed pair's group conv reads a "
+                  "decomposed pointwise conv's maps at its own output positions", file=sys.stderr)
     names = [f"energy_{pair.source}_{curve}" for pair in pairs
              for curve in ("original", "group", "svd_baseline")]
     names += ["ranks", *(f"correlation_{pair.source}" for pair, _, _ in fed)]
@@ -338,16 +341,16 @@ def cmd_analyze(args) -> int:
     with write_atomically(*(out_dir / f"{name}.csv" for name in names)) as temps:
         files, rank_reports = iter(temps), []
         for pair in pairs:
-            # Read for this pair alone and freed: only the --correlation walk
-            # reads D and P again.
-            conv = read_arrays(original.layer(pair.source).conv)
+            conv = original.layer(pair.source).conv
             report = equal_flops_ranks(conv.c_in, conv.c_out, conv.k, pair.n)
             rank_reports.append(report)
-            with _naming_layer(pair.source):
+            # Read for this pair alone and freed: only the --correlation walk
+            # reads D and P again.
+            convs = [conv, pair.d.conv, pair.p.conv]
+            with _naming_layer(pair.source), reading(convs):
                 # equal_flops_ranks keeps 1 <= rank_svd <= min(W's shape).
                 for curve in strategy_energy_curves(
-                        conv.weight_matrix(), read_arrays(pair.d.conv).weight_matrix(),
-                        read_arrays(pair.p.conv).weight_matrix(), report.rank_svd, mode):
+                        *(c.weight_matrix() for c in convs), report.rank_svd, mode):
                     write_energy_csv(next(files), curve)
         write_rank_report_csv(next(files), rank_reports, [pair.source for pair in pairs])
         summary = []

@@ -25,14 +25,14 @@ with the same bits in any part, so the serialized model is the same
 whatever the CPU count, and no singular triplet that the truncation drops
 is computed. The whole stack is validated in the calling thread first.
 
-``decompose_network`` checks every planned layer but factors none: each
-pair's arrays are ``model.Deferred`` and share one factorization of the
-source conv, run when the first of them is read. ``modelio.save_model``
-reads each as it writes it, so a truncation run factors and writes one
-pair at a time, and holds one layer's factors, not all of them.
+``decompose_network`` checks every planned layer and keeps no factors:
+each pair's arrays are ``model.Deferred`` and share one factorization of
+the source conv, ``_PairFactors.factor``, the tool's one factoring call,
+run on the conv read for it alone (``model.reading``) when the first of
+them is read. ``modelio.save_model`` reads each as it writes it, so a
+truncation run holds one layer's factors, not all of them.
 Reconstruction's walks read a pair's arrays when they reach it, while
-the source conv is read for them (``model.reading``), so the pair is
-factored from that read.
+the source conv is read for them, so the pair is factored from that read.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -51,7 +51,7 @@ import numpy as np
 from . import linalg
 from .errors import DecompositionError, ModelFormatError, NumericalError, ShapeError
 from .model import (
-    ConvWeights, Deferred, LayerSpec, NetworkSpec, array_fields, layer_inputs, read_arrays,
+    ConvWeights, Deferred, LayerSpec, NetworkSpec, array_fields, layer_inputs, reading,
 )
 from .modelio import check_float32, float32_holds
 
@@ -120,27 +120,27 @@ class GroupDecomposition:
 class _PairFactors:
     """One factorization of the planned conv ``source`` at rank n, shared by
     its pair's deferred arrays (``_Factor``): D's weights, P's weights and
-    P's bias. The first read of any of them runs ``decompose_layer`` on
-    ``read_arrays(conv)``, and each of the others is held only until it is
-    read. An array read again is factored again, to the same bits.
-    ``errors`` are the block truncation errors, None until the first
-    factoring."""
+    P's bias. The first read of any of them factors the conv, read for that
+    call alone (``factor``); the others are held in ``unread`` until read.
+    An array read again is factored again, to the same bits. ``errors`` are
+    the block truncation errors, None until the first factoring."""
 
     def __init__(self, source: str, conv: ConvWeights, n: int, force_pointwise: bool):
         self.source, self.conv, self.n, self.force_pointwise = source, conv, n, force_pointwise
         self.unread: dict[str, np.ndarray | None] = {}
         self.errors: np.ndarray | None = None
 
-    def factor(self) -> None:
-        with _naming_layer(self.source):
-            decomp = decompose_layer(read_arrays(self.conv), self.n, self.force_pointwise)
-        self.unread = {"d weights": decomp.d_layer.weights,
-                       "p weights": decomp.p_layer.weights, "p bias": decomp.p_layer.bias}
+    def factor(self) -> GroupDecomposition:
+        with _naming_layer(self.source), reading([self.conv]):
+            decomp = decompose_layer(self.conv, self.n, self.force_pointwise)
         self.errors = decomp.block_truncation_errors
+        return decomp
 
     def take(self, name: str) -> np.ndarray:
         if name not in self.unread:
-            self.factor()
+            decomp = self.factor()
+            self.unread = {"d weights": decomp.d_layer.weights,
+                           "p weights": decomp.p_layer.weights, "p bias": decomp.p_layer.bias}
         return self.unread.pop(name)
 
     def deferred(self, record: ConvWeights, layer: str, names=("weights",)) -> ConvWeights:
@@ -191,9 +191,7 @@ class DecomposedPair:
             self.factors.factor()
         return self.factors.errors
 
-    @property
-    def total_truncation_error(self) -> float:
-        return float(np.sqrt(np.sum(self.block_truncation_errors**2)))
+    total_truncation_error = GroupDecomposition.total_truncation_error
 
 
 def _block_stack(w: ConvWeights, n: int, force_pointwise: bool) -> np.ndarray:
@@ -282,20 +280,21 @@ def decomposed_pairs(net: NetworkSpec, original: NetworkSpec) -> list[Decomposed
 
 
 def _checked_layer(conv: ConvWeights, layer_id: str, n: int, force_pointwise: bool) -> bool:
-    """Check the planned conv ``layer_id``, read, at rank n, as
-    ``decompose_layer`` would, and apply ``modelio``'s float32 rule to the
-    bias P copies, all with no SVD. Return whether float32 holds a bound of
-    D's values: D = W V with V orthonormal, so no value of a block's D
-    exceeds the block's Frobenius norm (here given a margin for rounding),
-    and P's values are at most 1. The norms are the entry check too: they
-    are finite where every entry is, so each entry is checked, to name a
-    non-finite one, only where they are not."""
-    with _naming_layer(layer_id):
-        stack = _block_stack(conv, n, force_pointwise)
-        largest = math.sqrt(np.einsum("bij,bij->b", stack, stack).max())
-        if not math.isfinite(largest):
-            linalg._check_entries(stack, "a")
-    check_float32(conv.bias, f"layer {layer_id}.p bias")
+    """Check the planned conv ``layer_id``, read for the check alone, at
+    rank n, as ``decompose_layer`` would, and apply ``modelio``'s float32
+    rule to the bias P copies, all with no SVD. Return whether float32
+    holds a bound of D's values: D = W V with V orthonormal, so no value of
+    a block's D exceeds the block's Frobenius norm (here given a margin for
+    rounding), and P's values are at most 1. The norms are the entry check
+    too: they are finite where every entry is, so each entry is checked, to
+    name a non-finite one, only where they are not."""
+    with reading([conv]):
+        with _naming_layer(layer_id):
+            stack = _block_stack(conv, n, force_pointwise)
+            largest = math.sqrt(np.einsum("bij,bij->b", stack, stack).max())
+            if not math.isfinite(largest):
+                linalg._check_entries(stack, "a")
+        check_float32(conv.bias, f"layer {layer_id}.p bias")
     return float32_holds(-1.001 * largest, 1.001 * largest)
 
 
@@ -322,17 +321,17 @@ def decompose_network(
     layers. Every other layer keeps its parameter records, and an array of
     theirs that was not read (``model.Deferred``) stays unread.
 
-    No layer is factored here: a pair's D weights, P weights and P bias are
+    No factors are kept here: a pair's D weights, P weights and P bias are
     ``Deferred`` arrays that share one ``_PairFactors`` (see the module
     docstring). What can fail is checked first, for every planned layer,
     before the first SVD; an error names the first failing layer in network
     order. That includes ``modelio``'s float32 rule (``_checked_layer``), so
-    that a save refuses a pair before it touches any file: a layer is
-    factored here only where the rule fails for a bound of D's values. A
-    planned conv's arrays are read with ``read_arrays``, once for the check
-    and once to factor, and never kept in ``net``. Reconstruction reads
-    them into ``net`` only while its walks pass the conv (``model.reading``),
-    so the pair is factored from that read rather than from a second one.
+    that a save refuses a pair before it touches any file: where the rule
+    fails for a bound of D's values, the pair's own ``_PairFactors`` factors
+    it to check D, and drops the factors. A planned conv is read for the
+    check and for each factoring alone (``model.reading``). Reconstruction
+    reads it into ``net`` only while its walks pass the conv, so the pair
+    is factored from that read rather than from a second one.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -350,13 +349,8 @@ def decompose_network(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
                 )
             taken.add(new_id)
-    beyond = [lid for lid in planned if not _checked_layer(
-        read_arrays(net.layer(lid).conv), lid, layer_ranks[lid], force_pointwise)]
-    for lid in beyond:
-        with _naming_layer(lid):
-            d = decompose_layer(read_arrays(net.layer(lid).conv), layer_ranks[lid],
-                                force_pointwise).d_layer.weights
-        check_float32(d, f"layer {lid}.d weights")
+    beyond = {lid for lid in planned if not _checked_layer(
+        net.layer(lid).conv, lid, layer_ranks[lid], force_pointwise)}
 
     new_layers: list[LayerSpec] = []
     pairs: list[DecomposedPair] = []
@@ -369,6 +363,8 @@ def decompose_network(
             continue
         n = layer_ranks[layer.id]
         factors = _PairFactors(layer.id, layer.conv, n, force_pointwise)
+        if layer.id in beyond:  # factored to check D, and dropped
+            check_float32(factors.factor().d_layer.weights, f"layer {layer.id}.d weights")
         d, p = pair_layers(layer.conv, n)
         # P has weights, and a bias where the source conv has one.
         p_arrays = [name for name, *_, value in array_fields(layer.conv) if value is not None]

@@ -56,17 +56,18 @@ The parameter records (``ConvWeights``, ``PoolParams``, ``FcParams``,
 change one, and it builds a new record. Each parameter array declares its
 shape, and whether a saved model may hold null for it (only a bias may),
 once, as an ``_ArrayField``; ``array_fields`` reads that schema for the
-record check, ``read_arrays`` and ``modelio``. A record makes each array it
+record check, ``reading`` and ``modelio``. A record makes each array it
 is given float64 and checks its shape, once, when it is built; any array
 may be None in memory (a shape-only network). An array may be ``Deferred``:
 not read yet (``modelio.load_model`` defers every tensor, and
 ``decompose.decompose_network`` every array of a (D, P) pair). The first
 access of the field reads it and keeps the array, so a plain walk reads
-each tensor once and keeps what it reads. ``read_arrays`` reads a record's
-arrays for one use without keeping them, and ``reading`` keeps them in the
-record for one block and then defers them again: reconstruction reads
-each source conv of the original this way, once per run, for the chunks
-of samples that pass it, and does not keep it.
+each tensor once and keeps what it reads. ``reading`` is the one way to
+read a record for one use: it keeps the arrays in the record for one block
+and then defers them again. Reconstruction reads each source conv of the
+original this way, once per run, for the chunks of samples that pass it;
+``decompose`` reads each planned conv this way to check it and again to
+factor it, and ``analyze`` each conv of a pair for its spectra.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -153,22 +154,12 @@ def _check_arrays(record) -> None:
             record.__dict__[name] = value
 
 
-def read_arrays(params):
-    """A copy of the parameter record ``params`` with every array read. A
-    ``Deferred`` array is read into the copy alone and stays deferred in
-    ``params``: it is freed with the copy."""
-    return replace(params, **{
-        name: value.read() if isinstance(value, Deferred) else value
-        for name, _, _, value in array_fields(params)
-    })
-
-
 @contextmanager
 def reading(records):
     """Read each ``Deferred`` array of the parameter records ``records``
     into its record, once, and keep it there while the block runs, so that
-    every walk and ``read_arrays`` in the block shares that read; then put
-    the ``Deferred`` back. Each record then holds what it held before, and
+    every access in the block, a nested ``reading`` included, shares that
+    read; then put the ``Deferred`` back. Each record then holds what it held before, and
     the arrays read here are freed once no caller holds them."""
     unread = [(record, {name: value for name, _, _, value in array_fields(record)
                         if isinstance(value, Deferred)}) for record in records]

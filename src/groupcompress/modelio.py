@@ -48,7 +48,7 @@ Tensors are read on use. Load checks every blob reference against the
 manifest and the blob's size, but reads no tensor: each array of the loaded
 network is a ``model.Deferred`` that the blob file stays open for. The
 first access of an array reads it straight into float64 and the record
-keeps it; ``model.read_arrays`` reads it for one use only. Save converts
+keeps it; ``model.reading`` keeps it for one block only. Save converts
 each array to float32 as it writes it, and copies each tensor that was
 never read from the source blob as float32 bytes, with no float64 step.
 An array of a model or a calibration set with a value float32 cannot

@@ -107,21 +107,19 @@ def collect_responses(
     the corresponding pointwise layer in the compressed network (default),
     or, with ``symmetric=True``, of the (D, P) pair applied to the original
     layer's input, ignoring upstream drift. The walks are those of
-    ``reconstruct_network``: the layers both networks share run once.
+    ``reconstruct_network``, one pair per chunk (``CalibrationSet.chunks``),
+    each dropped at the pair: only the chunks' Y and Y* are held.
     """
     if layer_id not in {layer.id for layer in original.conv_layers()}:
         raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
-    pairs = {pair.source: pair for pair in decomposed_pairs(compressed, original)}
-    if layer_id not in pairs:
+    pair = next((p for p in decomposed_pairs(compressed, original) if p.source == layer_id), None)
+    if pair is None:
         raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
-    walks, pair = _walks(original, compressed, calib.samples, symmetric), pairs[layer_id]
-    [(y_output, star_output)] = _chunk_outputs(pair.p, [_pair_outputs(*walks, pair)])
-    y, y_star = response_rows(y_output), response_rows(star_output)
-    if y.shape != y_star.shape:
-        raise ShapeError(
-            f"misaligned responses for {layer_id}: {y.shape} vs {y_star.shape}"
-        )
-    return y, y_star
+    y, y_star = zip(*_chunk_outputs(pair.p, (
+        _pair_outputs(*_walks(original, compressed, chunk, symmetric), pair)
+        for chunk in calib.chunks())))
+    y = response_rows(np.concatenate(y))  # frees Y's chunks before Y*'s are joined
+    return y, response_rows(np.concatenate(y_star))
 
 
 def _sum_of_squares(rows: np.ndarray) -> float:

@@ -28,7 +28,11 @@ package's ``energy_curve``. ``stack_taps`` and ``filter_correlation`` are
 ``analyze --correlation`` before it kept per-sample statistics: one walk of
 the whole batch that stacks every tap's rows (``model._Walk``), and the
 correlation of two whole row stacks (returning the package's
-``CorrelationReport``).
+``CorrelationReport``). ``whole_batch_collect_responses`` is
+``collect_responses`` before it walked the set's chunks: one pair of walks
+(``reconstruct._walks``) of the whole batch. ``read_arrays`` is the
+package's copy-on-read of a parameter record before ``model.reading``
+became the one way to read a record for one use.
 """
 
 import math
@@ -44,17 +48,29 @@ from groupcompress.degeneracy import CorrelationReport, energy_curve, svd_strate
 from groupcompress.errors import NumericalError, RankDeficiencyWarning, ShapeError
 from groupcompress.linalg import LeastSquares, _usable_cpus, as_matrix, check_ridge
 from groupcompress.model import (
-    LayerSpec, NetworkSpec, _run, _Walk, layer_inputs, read_arrays, response_rows,
+    Deferred, LayerSpec, NetworkSpec, _run, _Walk, array_fields, layer_inputs, response_rows,
 )
 from groupcompress.reconstruct import (
     ReconstructionFit,
+    _chunk_outputs,
     _design,
     _mixing,
+    _pair_outputs,
     _walks,
     collect_responses,
     default_ridge,
     merge_pointwise_weights,
 )
+
+
+def read_arrays(params):
+    """A copy of the parameter record ``params`` with every array read. A
+    ``Deferred`` array is read into the copy alone and stays deferred in
+    ``params``: it is freed with the copy."""
+    return replace(params, **{
+        name: value.read() if isinstance(value, Deferred) else value
+        for name, _, _, value in array_fields(params)
+    })
 
 
 def singular_values_via_gram(a):
@@ -557,6 +573,19 @@ def residual_pass_reconstruction(
                     _run(merged, p_input, out=star_output)
         fits.append(ReconstructionFit(before, after, used_ridge, fit.rows, fallback))
     return result, fits
+
+
+def whole_batch_collect_responses(original, compressed, calib, layer_id, symmetric=False):
+    """Reference for ``collect_responses``: (Y, Y*) of the pair of
+    ``layer_id`` from one pair of walks of the whole batch of samples."""
+    if layer_id not in {layer.id for layer in original.conv_layers()}:
+        raise ShapeError(f"layer {layer_id!r} not found as a convolution in original network")
+    pairs = {pair.source: pair for pair in decomposed_pairs(compressed, original)}
+    if layer_id not in pairs:
+        raise ShapeError(f"layer {layer_id!r} is not decomposed in the compressed network")
+    walks, pair = _walks(original, compressed, calib.samples, symmetric), pairs[layer_id]
+    [(y_output, star_output)] = _chunk_outputs(pair.p, [_pair_outputs(*walks, pair)])
+    return response_rows(y_output), response_rows(star_output)
 
 
 def eager_decompose_network(net, layer_ranks, force_pointwise=False):

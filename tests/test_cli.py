@@ -27,15 +27,14 @@ from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.degeneracy import ChannelCorrelation, write_correlation_csv
 from groupcompress.errors import CalibrationWarning, NumericalError
 from groupcompress.model import (
-    ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, propagate_shapes, read_arrays,
-    response_rows,
+    ConvWeights, FcParams, LayerSpec, NetworkSpec, forward, propagate_shapes, response_rows,
 )
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import CalibrationSet
 from groupcompress.schedule import CompressionPlan, build_plan
 
 from nets import on_conv_forward, pool_fc_net, residual_net, toy_net
-from oracles import filter_correlation, stack_taps
+from oracles import filter_correlation, read_arrays, stack_taps
 
 
 def non_finite_calibration(samples, path):
@@ -1430,6 +1429,24 @@ class TestAnalyze:
             expected = (tmp_path / "expected.csv").read_bytes()
             assert (analysis / f"correlation_{src}.csv").read_bytes() == expected
         assert walks == [3, 3, 2] + [8] * len(summary)
+
+    def test_correlation_with_no_fed_pair_says_so(self, toy3_path, tmp_path, capsys):
+        # c1 alone is decomposed, so no pair's D reads a decomposed P's maps.
+        plan = tmp_path / "plan.json"
+        assert main(["plan", str(toy3_path), "--degree", "constant", "--base-n", "1",
+                     "--skip-layer", "c2", "--skip-layer", "c3", "-o", str(plan)]) == EXIT_OK
+        out_dir = tmp_path / "out"
+        assert main(["compress", str(toy3_path), "--plan", str(plan), "--calib-count", "8",
+                     "-o", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        analysis = tmp_path / "an"
+        assert main(["analyze", str(toy3_path), str(out_dir / "model.json"), "-o",
+                     str(analysis), "--correlation", "--calib-count", "8"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("note: no correlation_*.csv written: ")
+        assert not list(analysis.glob("correlation_*"))
+        assert (analysis / "ranks.csv").exists()
 
     @staticmethod
     def with_dead_channels(net):

@@ -29,7 +29,6 @@ from groupcompress.model import (
     flops_ratio_fraction,
     forward,
     network_flops,
-    read_arrays,
 )
 from groupcompress.modelio import load_model, save_model
 from groupcompress.schedule import CompressionPlan
@@ -37,7 +36,7 @@ from groupcompress.schedule import CompressionPlan
 from nets import pool_fc_net, residual_net
 from oracles import (
     block_diagonal_matrix, block_truncation_energy, eager_decompose_network, im2col_rows,
-    per_block_decompose, staged_decompose,
+    per_block_decompose, read_arrays, staged_decompose,
 )
 
 
@@ -639,6 +638,15 @@ class TestFactoredOnFirstRead:
                         assert (got is None if value is None
                                 else np.array_equal(got, value)), (layer.id, field)
             assert np.array_equal(pair.block_truncation_errors, errors[pair.source])
+
+    def test_float32_check_holds_nothing(self, tmp_path):
+        # The check factors c1 to check D, then drops the factors, and the
+        # loaded source conv is deferred again.
+        net = load_model(save_model(near_float32_net(), tmp_path / "model.json"))
+        _, pairs = decompose_network(net, {"c1": 4})
+        assert pairs[0].factors.errors is not None
+        assert all(not pair.factors.unread for pair in pairs)
+        assert all(isinstance(value, Deferred) for *_, value in array_fields(net.layer("c1").conv))
 
     @pytest.mark.parametrize("name", CASES)
     def test_truncation_writes_the_eager_bytes(self, cpus, name, tmp_path):

@@ -774,9 +774,9 @@ class TestParameterRecords:
             dataclasses.replace(record, **{field: misshaped})
 
     def test_reading_holds_each_deferred_array_for_the_block_alone(self):
-        # Within the block every access, ``read_arrays`` included, shares
-        # one read; after it, raised out of or not, the record holds its
-        # ``Deferred`` again and an array it was given stays as it was.
+        # Within the block every access shares one read; after it, raised
+        # out of or not, the record holds its ``Deferred`` again and an
+        # array it was given stays as it was.
         reads = []
 
         class Counted(model.Deferred):
@@ -788,7 +788,7 @@ class TestParameterRecords:
         record = ConvWeights(3, 4, 3, weights=weights, bias=bias)
         with model.reading([record]):
             held = record.weights
-            assert model.read_arrays(record).weights is held and record.weights is held
+            assert record.weights is held
         assert reads == [weights]
         with pytest.raises(KeyError), model.reading([record]):
             raise KeyError("the block failed")

@@ -17,8 +17,8 @@ from groupcompress.decompose import decompose_layer, decompose_network, decompos
 from groupcompress.errors import CalibrationWarning, ModelFormatError, ShapeError
 from groupcompress.fixtures import build_toy_cnn, build_toy_three
 from groupcompress.model import (
-    LAYER_KINDS, ConvWeights, Deferred, LayerSpec, NetworkSpec, array_fields, forward,
-    layer_inputs, propagate_shapes,
+    LAYER_KINDS, ConvWeights, Deferred, LayerSpec, NetworkSpec, PoolParams, array_fields,
+    forward, layer_inputs, propagate_shapes,
 )
 from groupcompress.modelio import load_model, save_model
 from groupcompress.reconstruct import (
@@ -33,6 +33,7 @@ from json_edits import cut_or_grow, edit_fields
 from nets import on_conv_forward, residual_net, toy_net
 from oracles import (
     per_layer_reconstruction, pinv_solve, residual_pass_reconstruction, symmetric_pair_response,
+    whole_batch_collect_responses,
 )
 
 
@@ -155,6 +156,23 @@ class TestCollectResponses:
             )
             _, y_star = collect_responses(net, compressed, calib, pair.source)
             assert np.linalg.norm(y_star - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+    @pytest.mark.parametrize("build", [build_toy_three, residual_net], ids=["toy3", "residual"])
+    def test_chunks_match_the_whole_batch_oracle(self, monkeypatch, build, symmetric, cpus):
+        # 7 samples: the last chunk is short at 2 and 5 CPUs.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        net = build(0)
+        compressed, pairs = decompose_network(
+            net, {layer.id: 2 if layer.conv.c_in % 2 == 0 else 1 for layer in net.conv_layers()})
+        calib = CalibrationSet.synthetic(net.input_shape, 7, seed=12)
+        for pair in pairs:
+            got = collect_responses(net, compressed, calib, pair.source, symmetric=symmetric)
+            want = whole_batch_collect_responses(net, compressed, calib, pair.source, symmetric)
+            for rows, expected in zip(got, want, strict=True):
+                assert np.array_equal(rows, expected), pair.source
+                assert rows.flags.f_contiguous and expected.flags.f_contiguous
 
     def test_not_decomposed_layer_rejected(self):
         net = toy_net(seed=7, widths=(3, 6, 6))
@@ -673,6 +691,53 @@ def test_memory_per_sample_is_the_live_maps(monkeypatch, symmetric):
         finally:
             tracemalloc.stop()
     assert peaks[2] - peaks[1] <= (20 - 4) * (per_sample + margin)
+
+
+def wide_stem_net(width=64, size=16):
+    """A wide 3x3 stem at full size, a 2x2 max pool, then two narrow 3x3
+    convs: like resnet34's stem, the stem's map outweighs the maps behind
+    it."""
+    rng = np.random.default_rng(21)
+
+    def conv(layer_id, c_in, c_out):
+        return LayerSpec(id=layer_id, kind="conv", conv=ConvWeights(
+            c_in, c_out, 3, pad=1, weights=rng.standard_normal((c_out, c_in, 3, 3)),
+            bias=rng.standard_normal(c_out)))
+
+    return NetworkSpec("wide-stem", (3, size, size), [
+        conv("c1", 3, width), LayerSpec(id="r1", kind="relu"),
+        LayerSpec(id="pool", kind="maxpool", pool=PoolParams(2, 2)),
+        conv("c2", width, 8), LayerSpec(id="r2", kind="relu"), conv("c3", 8, 8),
+    ])
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_collect_responses_memory_is_the_rows(monkeypatch, symmetric):
+    """``collect_responses`` holds one chunk's walks at a time, and each
+    chunk's Y and Y* until the rows are made: from 4 to 20 samples its peak
+    grows by at most twice the growth of the returned rows (chunks and
+    rows of one response live at once), plus one chunk's maps, every
+    layer's output of both networks counted. A whole-batch walk holds the
+    stem's map for every sample. Two CPUs, so chunks of two samples, and a
+    first run untraced, so that both traced runs find the same caches."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    net = wide_stem_net()
+    compressed, _ = decompose_network(net, {"c2": 1, "c3": 1})
+    shapes = {**propagate_shapes(net), **propagate_shapes(compressed)}
+    one_chunk = 2 * 8 * sum(math.prod(shape) for shape in shapes.values())
+    rows_growth = (20 - 4) * 2 * 8 * math.prod(shapes["c2"])  # Y and Y*
+    assert (20 - 4) * 8 * math.prod(shapes["c1"]) > 2 * rows_growth + one_chunk
+    peaks = []
+    for count in (4, 4, 20):
+        calib = CalibrationSet.synthetic(net.input_shape, count, seed=22)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            collect_responses(net, compressed, calib, "c2", symmetric=symmetric)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] <= 2 * rows_growth + one_chunk
 
 
 def test_memory_holds_one_source_conv_at_a_time(tmp_path, monkeypatch):
