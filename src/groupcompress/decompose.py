@@ -26,10 +26,11 @@ whatever the CPU count, and no singular triplet that the truncation drops
 is computed. The whole stack is validated in the calling thread first.
 
 ``decompose_network`` checks every planned layer and keeps no factors:
-each pair's arrays are ``model.Deferred`` and share one factorization of
-the source conv, ``_PairFactors.factor``, the tool's one factoring call,
-run on the conv read for it alone (``model.reading``) when the first of
-them is read. ``modelio.save_model`` reads each as it writes it, so a
+each array of a pair is a ``model.Deferred`` read from one factorization
+of the source conv, ``_PairFactors.factor``, the tool's one factoring
+call, run on the conv read for it alone (``model.reading``) when the
+first of them is read; ``decomposed_pairs`` then finds the pairs, as for
+every run. ``modelio.save_model`` reads each array as it writes it, so a
 truncation run holds one layer's factors, not all of them.
 Reconstruction's walks read a pair's arrays when they reach it, while
 the source conv is read for them, so the pair is factored from that read.
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,12 +120,12 @@ class GroupDecomposition:
 
 
 class _PairFactors:
-    """One factorization of the planned conv ``source`` at rank n, shared by
-    its pair's deferred arrays (``_Factor``): D's weights, P's weights and
-    P's bias. The first read of any of them factors the conv, read for that
-    call alone (``factor``); the others are held in ``unread`` until read.
-    An array read again is factored again, to the same bits. ``errors`` are
-    the block truncation errors, None until the first factoring."""
+    """One factorization of the planned conv ``source`` at rank n, which
+    its pair's arrays (D's weights, P's weights and P's bias, each a
+    ``Deferred`` over ``take``) share. The first read of any factors the
+    conv, read for that call alone (``factor``); the others wait in
+    ``unread``. An array read again is factored again, to the same bits.
+    ``errors`` are the block truncation errors, None until first factored."""
 
     def __init__(self, source: str, conv: ConvWeights, n: int, force_pointwise: bool):
         self.source, self.conv, self.n, self.force_pointwise = source, conv, n, force_pointwise
@@ -146,28 +148,17 @@ class _PairFactors:
     def deferred(self, record: ConvWeights, layer: str, names=("weights",)) -> ConvWeights:
         """``record`` with each array ``names`` lists read from this
         factorization, as ``layer``'s ("d" or "p")."""
-        return replace(record, **{name: _Factor(self, f"{layer} {name}", shape)
+        return replace(record, **{name: Deferred(shape, partial(self.take, f"{layer} {name}"))
                                   for name, shape, _, _ in array_fields(record) if name in names})
-
-
-class _Factor(Deferred):
-    """One array of a pair, read from its ``_PairFactors``."""
-
-    def __init__(self, factors: _PairFactors, name: str, shape: tuple):
-        super().__init__(shape)
-        self.factors, self.name = factors, name
-
-    def read(self) -> np.ndarray:
-        return self.factors.take(self.name)
 
 
 @dataclass(eq=False)
 class DecomposedPair:
-    """One decomposed conv: its id ``source`` and the (D, P) layers that
-    replace it. ``fit`` is its ``reconstruct.ReconstructionFit`` (None
-    until reconstruction), and ``factors`` the factorization its arrays
-    share (None for a pair read back from a saved model). ``p`` is the P
-    layer as decomposed; a fit merges into a copy of it."""
+    """One decomposed conv, as ``decomposed_pairs`` finds it: its id
+    ``source`` and the (D, P) layers that replace it. ``fit`` is its
+    ``reconstruct.ReconstructionFit`` (None until reconstruction); ``factors``,
+    attached by ``decompose_network``, the factorization its arrays share
+    (else None). ``p`` is the P layer as decomposed; a fit merges into a copy."""
 
     source: str
     d: LayerSpec
@@ -241,17 +232,19 @@ def decompose_layer(
 
 
 def decomposed_pairs(net: NetworkSpec, original: NetworkSpec) -> list[DecomposedPair]:
-    """The ``DecomposedPair`` of every decomposed conv, in network order,
-    found by the ``decomposed_from`` provenance both layers carry. P must
-    read D, a ``rank_n`` must be the pair's n, and the two must be
-    ``pair_layers`` of the conv that the provenance names in ``original``
-    (weights and biases are not compared). Anything else is a
-    ModelFormatError."""
+    """The ``DecomposedPair`` of every conv of ``original`` that ``net``
+    decomposes, in network order; the one place a pair is built. A pair is
+    two layers ``net`` adds to ``original`` with ``decomposed_from``
+    provenance: a layer ``original`` holds is shared, as an earlier round's
+    pair is. P must read D, a ``rank_n`` must be the pair's n, and the two
+    must be ``pair_layers`` of the conv the provenance names in ``original``
+    (weights and biases are not compared), else a ModelFormatError."""
     convs = {l.id: l.conv for l in original.conv_layers()}
+    held = {l.id for l in original.layers}
     found: dict[str, list[LayerSpec]] = {}
     for layer in net.layers:
         src = layer.meta.get("decomposed_from")
-        if src:
+        if src and layer.id not in held:
             found.setdefault(src, []).append(layer)
     inputs = layer_inputs(net)
     pairs = []
@@ -312,8 +305,9 @@ def decompose_network(
     force_pointwise: bool = False,
 ) -> tuple[NetworkSpec, list[DecomposedPair]]:
     """Replace every conv named in ``layer_ranks`` by its (D, P) pair, and
-    return the new network and the ``DecomposedPair`` of each, in network
-    order.
+    return the new network and its ``decomposed_pairs`` against ``net``,
+    each with its ``_PairFactors`` attached; a pair ``net`` already holds
+    is a shared layer like any other.
 
     The D layer keeps the original layer's stage and input; the P layer is
     named ``<id>.p`` and all later references to the original id are
@@ -321,17 +315,16 @@ def decompose_network(
     layers. Every other layer keeps its parameter records, and an array of
     theirs that was not read (``model.Deferred``) stays unread.
 
-    No factors are kept here: a pair's D weights, P weights and P bias are
-    ``Deferred`` arrays that share one ``_PairFactors`` (see the module
-    docstring). What can fail is checked first, for every planned layer,
-    before the first SVD; an error names the first failing layer in network
-    order. That includes ``modelio``'s float32 rule (``_checked_layer``), so
-    that a save refuses a pair before it touches any file: where the rule
-    fails for a bound of D's values, the pair's own ``_PairFactors`` factors
-    it to check D, and drops the factors. A planned conv is read for the
-    check and for each factoring alone (``model.reading``). Reconstruction
-    reads it into ``net`` only while its walks pass the conv, so the pair
-    is factored from that read rather than from a second one.
+    No factors are kept here (see the module docstring). What can fail is
+    checked first, for every planned layer, before the first SVD; an error
+    names the first failing layer in network order. That includes
+    ``modelio``'s float32 rule (``_checked_layer``), so that a save refuses
+    a pair before it touches any file: where the rule fails for a bound of
+    D's values, the pair's own ``_PairFactors`` factors it to check D, and
+    drops the factors. A planned conv is read for the check and for each
+    factoring alone (``model.reading``). Reconstruction reads it into
+    ``net`` only while its walks pass the conv, so the pair is factored
+    from that read rather than from a second one.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -353,7 +346,7 @@ def decompose_network(
         net.layer(lid).conv, lid, layer_ranks[lid], force_pointwise)}
 
     new_layers: list[LayerSpec] = []
-    pairs: list[DecomposedPair] = []
+    factored: dict[str, _PairFactors] = {}
     renamed: dict[str, str] = {}
     for layer in net.layers:
         layer = replace(layer, input=renamed.get(layer.input, layer.input),
@@ -362,23 +355,23 @@ def decompose_network(
             new_layers.append(layer)
             continue
         n = layer_ranks[layer.id]
-        factors = _PairFactors(layer.id, layer.conv, n, force_pointwise)
+        factors = factored[layer.id] = _PairFactors(layer.id, layer.conv, n, force_pointwise)
         if layer.id in beyond:  # factored to check D, and dropped
             check_float32(factors.factor().d_layer.weights, f"layer {layer.id}.d weights")
         d, p = pair_layers(layer.conv, n)
         # P has weights, and a bias where the source conv has one.
         p_arrays = [name for name, *_, value in array_fields(layer.conv) if value is not None]
         provenance = {"decomposed_from": layer.id, "rank_n": n}
-        pair = DecomposedPair(
-            layer.id,
+        new_layers += [
             LayerSpec(id=f"{layer.id}.d", kind="conv", stage=layer.stage, input=layer.input,
                       conv=factors.deferred(d, "d"), meta=dict(provenance)),
             LayerSpec(id=f"{layer.id}.p", kind="conv", stage=layer.stage,
                       conv=factors.deferred(p, "p", p_arrays), meta=dict(provenance)),
-            factors=factors,
-        )
-        pairs.append(pair)
-        new_layers += [pair.d, pair.p]
-        renamed[layer.id] = pair.p.id
+        ]
+        renamed[layer.id] = f"{layer.id}.p"
 
-    return NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers), pairs
+    result = NetworkSpec(name=net.name, input_shape=net.input_shape, layers=new_layers)
+    pairs = decomposed_pairs(result, net)
+    for pair in pairs:
+        pair.factors = factored[pair.source]
+    return result, pairs

@@ -58,14 +58,14 @@ shape, and whether a saved model may hold null for it (only a bias may),
 once, as an ``_ArrayField``; ``array_fields`` reads that schema for the
 record check, ``reading`` and ``modelio``. A record makes each array it
 is given float64 and checks its shape, once, when it is built; any array
-may be None in memory (a shape-only network). An array may be ``Deferred``:
-not read yet (``modelio.load_model`` defers every tensor, and
-``decompose.decompose_network`` every array of a (D, P) pair). The first
-access of the field reads it and keeps the array, so a plain walk reads
-each tensor once and keeps what it reads. ``reading`` is the one way to
-read a record for one use: it keeps the arrays in the record for one block
-and then defers them again. Reconstruction reads each source conv of the
-original this way, once per run, for the chunks of samples that pass it;
+may be None in memory (a shape-only network). An array may be ``Deferred``,
+its shape and its reader, not read yet (``modelio.load_model`` defers every
+tensor, and ``decompose.decompose_network`` every array of a (D, P) pair).
+The first access of the field reads it and keeps the array, so a plain
+walk reads each tensor once and keeps what it reads. ``reading`` is the one
+way to read a record for one use: it keeps the arrays in the record for one
+block and then defers them again. Reconstruction reads each source conv of
+the original this way, once per run, for the chunks of samples that pass it;
 ``decompose`` reads each planned conv this way to check it and again to
 factor it, and ``analyze`` each conv of a pair for its spectra.
 """
@@ -85,18 +85,18 @@ from .errors import ShapeError
 
 
 class Deferred:
-    """A parameter array that has not been read, of ``shape`` (``size``
-    values): ``read()`` returns it as a new float64 array of that shape,
-    each time it is called. ``modelio`` defers each tensor of a loaded
-    model, and ``decompose.decompose_network`` each array of a pair's
-    factors; ``modelio._BlobWriter`` lays one out by its size and reads it
-    only as it writes it."""
+    """A parameter array not read yet, of ``shape`` (``size`` values):
+    ``read()`` returns it as a new float64 array each time, from the
+    function ``read`` or a subclass's override. ``decompose`` reads each
+    array of a pair from its ``_PairFactors``; ``modelio._BlobTensor``, a
+    subclass, is one tensor of a loaded model. ``modelio._BlobWriter`` lays
+    one out by its size and reads it only as it writes it."""
 
-    def __init__(self, shape: tuple):
-        self.shape, self.size = tuple(shape), math.prod(shape)
+    def __init__(self, shape: tuple, read: Callable[[], np.ndarray] | None = None):
+        self.shape, self.size, self._read = tuple(shape), math.prod(shape), read
 
     def read(self) -> np.ndarray:
-        raise NotImplementedError
+        return self._read()
 
 
 class _ArrayField:

@@ -1573,6 +1573,61 @@ class TestAnalyze:
         assert code == EXIT_PLAN
 
 
+class TestRounds:
+    """``compress`` and ``analyze`` of a model that already holds pairs:
+    round 1 decomposes toy3's c1, round 2 the c2 of round 1's output. Each
+    fits and analyzes only the pairs it adds to the model it is given."""
+
+    def compress(self, model, skip, out_dir, *flags):
+        plan = out_dir.with_suffix(".plan.json")
+        skips = [arg for layer in skip for arg in ("--skip-layer", layer)]
+        assert main(["plan", str(model), "--degree", "constant", "--base-n", "1", *skips,
+                     "-o", str(plan)]) == EXIT_OK
+        return main(["compress", str(model), "--plan", str(plan), "-o", str(out_dir), *flags])
+
+    @pytest.fixture
+    def round1(self, toy3_path, tmp_path):
+        out_dir = tmp_path / "r1"
+        assert self.compress(toy3_path, ("c2", "c3"), out_dir, "--calib-count", "40") == EXIT_OK
+        return out_dir
+
+    @pytest.fixture
+    def round2(self, round1, tmp_path):
+        out_dir = tmp_path / "r2"
+        assert self.compress(round1 / "model.json", ("c3",), out_dir,
+                             "--calib-count", "40") == EXIT_OK
+        return out_dir
+
+    def test_second_round_fits_only_its_own_pair(self, round1, round2):
+        first, second = (json.loads((out / "report.json").read_text()) for out in (round1, round2))
+        assert [row["layer"] for row in second["layers"]] == ["c2"]
+        row = second["layers"][0]
+        assert row["residual_after"] < row["residual_before"]
+        assert second["flops_before"] == first["flops_after"] == 75_816
+
+    @pytest.mark.parametrize("original, layers", [("r1", ["c2"]), ("toy3", ["c1", "c2"])])
+    def test_analyze_of_a_second_round(self, toy3_path, round2, tmp_path, original, layers):
+        model = toy3_path if original == "toy3" else tmp_path / "r1" / "model.json"
+        analysis = tmp_path / "a"
+        assert main(["analyze", str(model), str(round2 / "model.json"), "-o",
+                     str(analysis)]) == EXIT_OK
+        with open(analysis / "ranks.csv", newline="") as fh:
+            assert [row["layer"] for row in csv.DictReader(fh)] == layers
+        assert sorted(p.name for p in analysis.glob("energy_*.csv")) == sorted(
+            f"energy_{layer}_{curve}.csv" for layer in layers
+            for curve in ("original", "group", "svd_baseline"))
+
+    def test_rounds_write_the_bytes_of_one_round(self, toy3_path, tmp_path):
+        # Round 1's pair is copied as float32 bytes, unread, and round 2
+        # does not take it for one of its own pairs.
+        r1, r2, both = tmp_path / "r1", tmp_path / "r2", tmp_path / "both"
+        assert self.compress(toy3_path, ("c2", "c3"), r1, "--no-reconstruct") == EXIT_OK
+        assert self.compress(r1 / "model.json", ("c3",), r2, "--no-reconstruct") == EXIT_OK
+        assert self.compress(toy3_path, ("c3",), both, "--no-reconstruct") == EXIT_OK
+        for name in ("model.json", "model.bin"):
+            assert (r2 / name).read_bytes() == (both / name).read_bytes(), name
+
+
 class TestPointwiseConv:
     """--force-1x1 and --energy-sigma on a network whose last conv is 1x1."""
 

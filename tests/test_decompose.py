@@ -575,6 +575,41 @@ class TestDecomposeNetwork:
             decompose_network(net, {"nope": 2})
 
 
+class TestRounds:
+    """A second round decomposes a network that already holds the pairs of a
+    first: toy3's c1 in round 1, its c2 in round 2. The pairs of a network
+    are the (D, P) layers it adds to the network it is compared with."""
+
+    def rounds(self):
+        toy3 = build_toy_three(0)
+        r1, _ = decompose_network(toy3, {"c1": 1})
+        return (toy3, r1, *decompose_network(r1, {"c2": 1}))
+
+    def test_pairs_are_the_layers_a_network_adds(self):
+        toy3, r1, r2, _ = self.rounds()
+        assert [pair.source for pair in decomposed_pairs(r2, r1)] == ["c2"]
+        assert [pair.source for pair in decomposed_pairs(r2, toy3)] == ["c1", "c2"]
+        assert decomposed_pairs(r1, r1) == []
+
+    def test_second_round_returns_its_own_pair_factored(self):
+        _, r1, r2, pairs = self.rounds()
+        assert [(pair.source, pair.d.id, pair.p.id) for pair in pairs] == [("c2", "c2.d", "c2.p")]
+        (found,) = decomposed_pairs(r2, r1)
+        assert found.d is pairs[0].d and found.p is pairs[0].p
+        assert pairs[0].factors is not None and found.factors is None
+        _, errors = eager_decompose_network(r1, {"c2": 1})
+        assert np.array_equal(pairs[0].block_truncation_errors, errors["c2"])
+
+    def test_provenance_naming_no_conv_of_the_original_is_format_error(self):
+        toy3, r1, _, _ = self.rounds()
+        r1.layers = [replace(l, meta={**l.meta, "decomposed_from": "zz"})
+                     if "decomposed_from" in l.meta else l for l in r1.layers]
+        with pytest.raises(ModelFormatError, match=(
+                r"decomposed_from='zz': 'c1.d', 'c1.p' are not the \(D, P\) pair of a conv of "
+                "that name in the original model")):
+            decomposed_pairs(r1, toy3)
+
+
 def pointwise_net(seed=0):
     """A 3x3 conv without bias, then a 1x1 conv with one."""
     rng = np.random.default_rng(seed)

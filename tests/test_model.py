@@ -776,7 +776,8 @@ class TestParameterRecords:
     def test_reading_holds_each_deferred_array_for_the_block_alone(self):
         # Within the block every access shares one read; after it, raised
         # out of or not, the record holds its ``Deferred`` again and an
-        # array it was given stays as it was.
+        # array it was given stays as it was. A ``Deferred`` reads by a
+        # subclass's ``read`` or by the function it is given.
         reads = []
 
         class Counted(model.Deferred):
@@ -784,16 +785,23 @@ class TestParameterRecords:
                 reads.append(self)
                 return np.arange(self.size, dtype=float).reshape(self.shape)
 
+        def read_fc():
+            reads.append(fc_weights)
+            return np.ones((2, 4))
+
         weights, bias = Counted((4, 3, 3, 3)), np.ones(4)
+        fc_weights = model.Deferred((2, 4), read_fc)
         record = ConvWeights(3, 4, 3, weights=weights, bias=bias)
-        with model.reading([record]):
+        fc = FcParams(4, 2, weights=fc_weights)
+        with model.reading([record, fc]):
             held = record.weights
-            assert record.weights is held
-        assert reads == [weights]
-        with pytest.raises(KeyError), model.reading([record]):
+            assert record.weights is held and fc.weights is fc.weights
+        assert reads == [weights, fc_weights]
+        with pytest.raises(KeyError), model.reading([record, fc]):
             raise KeyError("the block failed")
         assert record.__dict__["weights"] is weights and record.bias is bias
-        assert reads == [weights, weights]
+        assert fc.__dict__["weights"] is fc_weights
+        assert reads == [weights, fc_weights] * 2
 
     def test_dimension_errors_come_before_array_checks(self):
         with pytest.raises(ShapeError, match="groups=0 must divide"):

@@ -36,6 +36,11 @@ OUT_DIR is. They are:
   compressed walk starts past layer 0;
 * ``compress --plan --calib-seed 41`` on toy4 with a plan of ``--degree
   quarter --base-n 1 --stage-cap s4=2``, whose cap lowers stage s4's n;
+* two rounds of ``compress --plan --calib-seed 41 --calib-count 40`` on
+  toy3, each with a plan of ``--degree constant --base-n 1``: round 1
+  decomposes c1, round 2 the c2 of round 1's output, which already holds a
+  pair, and fits only the pair it adds; then ``analyze`` of round 2 against
+  round 1 (c2's pair) and against toy3 (both pairs);
 * ``compress --plan --force-1x1 --no-reconstruct`` on the resnet34 fixture
   with a plan file that ranks one 3x3 conv and three 1x1 projection
   shortcuts, which no schedule plans (``FORCE_1X1_RANKS``);
@@ -100,6 +105,8 @@ ANALYZE_VARIANTS = {
 }
 SKIP_C1_VARIANTS = {key: TOY_VARIANTS[key] for key in ("plain", "symmetric")}
 CALIB7_VARIANTS = {key: ("--calib-count", "7", *TOY_VARIANTS[key]) for key in ("plain", "ridge0")}
+ROUND_SKIPS = {"round1": ("c2", "c3"), "round2": ("c3",)}  # the layers each round does not plan
+ROUND_FLAGS = ("--calib-count", "40")
 RECON_ANALYZE_VARIANTS = {  # of the res34-recon output
     "analyze": (),
     "analyze-correlation": ("--correlation", "--calib-count", "4"),
@@ -232,6 +239,17 @@ def main(argv: list[str]) -> int:
         run(functools.partial(planned_compress_argv, toy3, skip_c1 / "plan.json", flags),
             skip_c1 / variant)
         write_forwards(Path(toy3), skip_c1 / variant)
+    rounds, model = Path("toy3-rounds"), Path(toy3)
+    for name, skips in ROUND_SKIPS.items():
+        plan = rounds / f"{name}-plan.json"
+        groupcompress("plan", model, "--degree", "constant", "--base-n", "1",
+                      *(arg for layer in skips for arg in ("--skip-layer", layer)), "-o", plan)
+        run(functools.partial(planned_compress_argv, model, plan, ROUND_FLAGS), rounds / name)
+        write_forwards(model, rounds / name)
+        model = rounds / name / "model.json"
+    for analysis, original in (("analyze-round1", rounds / "round1" / "model.json"),
+                               ("analyze-toy3", Path(toy3))):
+        run(functools.partial(analyze_argv, original, model, ()), rounds / "round2" / analysis)
     capped, toy4 = Path("toy4-stage-cap"), "fixtures/toy4.json"
     groupcompress("plan", toy4, "--degree", "quarter", "--base-n", "1", "--stage-cap", "s4=2",
                   "-o", capped / "plan.json")
