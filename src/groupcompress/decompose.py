@@ -25,15 +25,17 @@ with the same bits in any part, so the serialized model is the same
 whatever the CPU count, and no singular triplet that the truncation drops
 is computed. The whole stack is validated in the calling thread first.
 
-``decompose_network`` checks every planned layer and keeps no factors:
-each array of a pair is a ``model.Deferred`` read from one factorization
-of the source conv, ``_PairFactors.factor``, the tool's one factoring
-call, run on the conv read for it alone (``model.reading``) when the
-first of them is read; ``decomposed_pairs`` then finds the pairs, as for
-every run. ``modelio.save_model`` reads each array as it writes it, so a
-truncation run holds one layer's factors, not all of them.
-Reconstruction's walks read a pair's arrays when they reach it, while
-the source conv is read for them, so the pair is factored from that read.
+``decompose_network`` keeps no factors. It checks each planned layer in
+network order as it builds its pair (``_PairFactors.check``), factoring
+there only a layer whose bound of D float32 cannot hold, from the same
+read. Each array of a pair is a ``model.Deferred`` read from one
+factorization of the source conv, ``_PairFactors.factor``, the tool's one
+factoring call, run on the conv read for it alone (``model.reading``)
+when the first of them is read; ``decomposed_pairs`` then finds the
+pairs, as for every run. ``modelio.save_model`` reads each array as it
+writes it, so a truncation run holds one layer's factors, not all of
+them. A reconstruction walk reads a pair's arrays while the source conv
+is read for it, so the pair is factored from that read.
 
 Singular values are absorbed into D (D_i = U_i * sigma, P_i = V_i); this
 split is fixed so serialized decompositions stay portable and P stays
@@ -122,15 +124,35 @@ class GroupDecomposition:
 class _PairFactors:
     """One factorization of the planned conv ``source`` at rank n, which
     its pair's arrays (D's weights, P's weights and P's bias, each a
-    ``Deferred`` over ``take``) share. The first read of any factors the
-    conv, read for that call alone (``factor``); the others wait in
-    ``unread``. An array read again is factored again, to the same bits.
-    ``errors`` are the block truncation errors, None until first factored."""
+    ``Deferred`` over ``take``) share; ``check`` checks the conv as the
+    pair is built. The first read of any factors the conv, read for that
+    call alone (``factor``); the others wait in ``unread``. An array read
+    again is factored again, to the same bits. ``errors`` are the block
+    truncation errors, None until first factored."""
 
     def __init__(self, source: str, conv: ConvWeights, n: int, force_pointwise: bool):
         self.source, self.conv, self.n, self.force_pointwise = source, conv, n, force_pointwise
         self.unread: dict[str, np.ndarray | None] = {}
         self.errors: np.ndarray | None = None
+
+    def check(self) -> None:
+        """Check the conv at rank n as ``decompose_layer`` would, and apply
+        ``modelio``'s float32 rule to the bias P copies, from one read of
+        the conv. No value of a block's D = W V (V orthonormal) exceeds the
+        block's Frobenius norm, given here a margin for rounding, and P's
+        values are at most 1. The norms are the entry check too: only where
+        one is not finite are the entries checked, to name the bad one. Only
+        where float32 cannot hold D's bound is the conv factored, in the
+        same read, to check D itself; the factors are dropped."""
+        with reading([self.conv]):
+            with _naming_layer(self.source):
+                stack = _block_stack(self.conv, self.n, self.force_pointwise)
+                largest = math.sqrt(np.einsum("bij,bij->b", stack, stack).max())
+                if not math.isfinite(largest):
+                    linalg._check_entries(stack, "a")
+            check_float32(self.conv.bias, f"layer {self.source}.p bias")
+            if not float32_holds(-1.001 * largest, 1.001 * largest):
+                check_float32(self.factor().d_layer.weights, f"layer {self.source}.d weights")
 
     def factor(self) -> GroupDecomposition:
         with _naming_layer(self.source), reading([self.conv]):
@@ -272,25 +294,6 @@ def decomposed_pairs(net: NetworkSpec, original: NetworkSpec) -> list[Decomposed
     return pairs
 
 
-def _checked_layer(conv: ConvWeights, layer_id: str, n: int, force_pointwise: bool) -> bool:
-    """Check the planned conv ``layer_id``, read for the check alone, at
-    rank n, as ``decompose_layer`` would, and apply ``modelio``'s float32
-    rule to the bias P copies, all with no SVD. Return whether float32
-    holds a bound of D's values: D = W V with V orthonormal, so no value of
-    a block's D exceeds the block's Frobenius norm (here given a margin for
-    rounding), and P's values are at most 1. The norms are the entry check
-    too: they are finite where every entry is, so each entry is checked, to
-    name a non-finite one, only where they are not."""
-    with reading([conv]):
-        with _naming_layer(layer_id):
-            stack = _block_stack(conv, n, force_pointwise)
-            largest = math.sqrt(np.einsum("bij,bij->b", stack, stack).max())
-            if not math.isfinite(largest):
-                linalg._check_entries(stack, "a")
-        check_float32(conv.bias, f"layer {layer_id}.p bias")
-    return float32_holds(-1.001 * largest, 1.001 * largest)
-
-
 @contextmanager
 def _naming_layer(layer_id: str):
     try:
@@ -315,16 +318,14 @@ def decompose_network(
     layers. Every other layer keeps its parameter records, and an array of
     theirs that was not read (``model.Deferred``) stays unread.
 
-    No factors are kept here (see the module docstring). What can fail is
-    checked first, for every planned layer, before the first SVD; an error
-    names the first failing layer in network order. That includes
-    ``modelio``'s float32 rule (``_checked_layer``), so that a save refuses
-    a pair before it touches any file: where the rule fails for a bound of
-    D's values, the pair's own ``_PairFactors`` factors it to check D, and
-    drops the factors. A planned conv is read for the check and for each
-    factoring alone (``model.reading``). Reconstruction reads it into
-    ``net`` only while its walks pass the conv, so the pair is factored
-    from that read rather than from a second one.
+    No factors are kept here (see the module docstring). The plan's ids
+    are checked first; then each planned layer, in network order, by its
+    ``_PairFactors.check`` as its pair is built, so an error names the first
+    failing layer, and a save refuses a pair before it touches any file.
+    A planned conv is read for the check and for each factoring alone
+    (``model.reading``). Reconstruction reads it into ``net`` only while its
+    walks pass the conv, so the pair is factored from that read rather
+    than from a second one.
     """
     ids = {l.id for l in net.layers}
     missing = [lid for lid in layer_ranks if lid not in ids]
@@ -342,8 +343,6 @@ def decompose_network(
                     f"layer {lid}: its decomposed layer id {new_id!r} is already taken"
                 )
             taken.add(new_id)
-    beyond = {lid for lid in planned if not _checked_layer(
-        net.layer(lid).conv, lid, layer_ranks[lid], force_pointwise)}
 
     new_layers: list[LayerSpec] = []
     factored: dict[str, _PairFactors] = {}
@@ -356,8 +355,7 @@ def decompose_network(
             continue
         n = layer_ranks[layer.id]
         factors = factored[layer.id] = _PairFactors(layer.id, layer.conv, n, force_pointwise)
-        if layer.id in beyond:  # factored to check D, and dropped
-            check_float32(factors.factor().d_layer.weights, f"layer {layer.id}.d weights")
+        factors.check()
         d, p = pair_layers(layer.conv, n)
         # P has weights, and a bias where the source conv has one.
         p_arrays = [name for name, *_, value in array_fields(layer.conv) if value is not None]

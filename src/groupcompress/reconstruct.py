@@ -267,22 +267,20 @@ def _thin_rows(rows: int, c_out: int, intercept: bool, layer="", given="") -> st
         return f"{layer}only {rows} rows for {c_out} output channels; recommend >= {10 * c_out}"
 
 
-def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool,
-               warn: bool = True) -> None:
+def check_rows(net: NetworkSpec, layer_ids, count: int, intercept: bool) -> list[str]:
     """Every solve needs at least as many response rows as unknowns: checked
     from the output shapes of the convs of ``net`` that ``layer_ids`` names,
     in network order, before any forward pass or SVD. Other ids are left to
-    the plan check. If every layer passes and ``warn`` is set, each layer
-    given fewer than 10 rows per output channel gets a CalibrationWarning
-    that names it."""
+    the plan check. If every layer passes, return the CalibrationWarning
+    message of each layer given fewer than 10 rows per output channel,
+    which names it."""
     shapes, layer_ids, thin = propagate_shapes(net), set(layer_ids), []
     for layer_id in (l.id for l in net.conv_layers() if l.id in layer_ids):
         c_out, h, w = shapes[layer_id]
         if message := _thin_rows(count * h * w, c_out, intercept, f"layer {layer_id}: ",
                                  f"{count} calibration samples give "):
             thin.append(message)
-    for message in thin if warn else ():
-        warnings.warn(message, CalibrationWarning, stacklevel=2)
+    return thin
 
 
 def reconstruct_network(
@@ -331,7 +329,8 @@ def reconstruct_network(
     if ridge is not None:
         linalg.check_ridge(ridge)
     pairs = decomposed_pairs(compressed, original)
-    check_rows(original, [pair.source for pair in pairs], calib.count, intercept)
+    for message in check_rows(original, [pair.source for pair in pairs], calib.count, intercept):
+        warnings.warn(message, CalibrationWarning, stacklevel=2)
     result = NetworkSpec(compressed.name, compressed.input_shape, list(compressed.layers))
     position = {layer.id: i for i, layer in enumerate(result.layers)}
     chunks = [_walks(original, compressed, chunk, symmetric) for chunk in calib.chunks()]

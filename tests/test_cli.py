@@ -171,6 +171,18 @@ class TestInspect:
         assert main(["inspect", str(toy3_path)]) == EXIT_FORMAT
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda m: m["layers"][1].update(id="c1"), "duplicate layer id 'c1'"),
+        (lambda m: m["layers"][0].update(input="c3"), "layer c1: input 'c3' not defined earlier"),
+    ], ids=["duplicate-id", "input-not-earlier"])
+    def test_layer_order_error_is_format_error_naming_it(self, toy3_path, mutate, message,
+                                                         capsys):
+        manifest = json.loads(toy3_path.read_text())
+        mutate(manifest)
+        toy3_path.write_text(json.dumps(manifest))
+        assert main(["inspect", str(toy3_path)]) == EXIT_FORMAT
+        assert message in capsys.readouterr().err
+
 
 class TestPlan:
     def test_preset_plan_roundtrip(self, toy3_path, tmp_path, capsys):
@@ -577,6 +589,19 @@ class TestCompress:
         assert code == EXIT_NUMERIC
         assert "layer c3: a contains non-finite entries" in capsys.readouterr().err
         assert not (out_dir / "model.bin").exists()
+
+    def test_first_failing_layer_in_network_order_is_named(self, tmp_path, capsys):
+        # Every c1 weight 3e38 gives its D values of 7.35e38, beyond float32,
+        # and c3's blob holds a NaN. Each layer is checked, D included,
+        # before the next one, so c1 is the layer named.
+        net = build_toy_three(seed=0)
+        weights = net.layer("c1").conv.weights
+        weights[...] = np.full(weights.shape, 3e38)
+        path = nan_weight_model(net, "c3", tmp_path / "m.json")
+        code = main(["compress", str(path), "-o", str(tmp_path / "o"), "--degree", "constant",
+                     "--base-n", "1", "--no-reconstruct"])
+        assert code == EXIT_NUMERIC
+        assert "layer c1.d weights:" in capsys.readouterr().err
 
     def test_failing_part_names_layer_and_leaves_no_worker_running(
         self, toy3_path, tmp_path, capsys, monkeypatch
@@ -1833,6 +1858,9 @@ _ANALYZE = "analyze {model} {model} -o {out}"
     (f"{_FIT} --preset vgg16_a", 3, "got --preset, --degree, --base-n"),
     ("compress {model} -o {out} --degree constant", 3, "no plan given: pass --plan, --preset"),
     ("compress {model} -o {out} --base-n 1", 3, "no plan given: pass --plan, --preset"),
+    # compress with a value that is no integer
+    ("compress {model} -o {out} --degree constant --base-n x", 2,
+     "argument --base-n: not an integer: 'x'"),
     # analyze without --correlation
     (f"{_ANALYZE} --calib calib.json", 2, "--calib: analyze reads these only with"),
     (f"{_ANALYZE} --calib-count 8", 2, "--calib-count: analyze reads these only with"),

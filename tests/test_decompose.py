@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groupcompress import decompose, linalg
+from groupcompress import decompose, linalg, modelio
 from groupcompress.cli import main
 from groupcompress.decompose import (
     GroupDecomposition,
@@ -609,6 +609,16 @@ class TestRounds:
                 "that name in the original model")):
             decomposed_pairs(r1, toy3)
 
+    def test_provenance_naming_a_grouped_conv_is_format_error(self):
+        # Round 1's c1.d is a grouped conv, so no (D, P) pair can replace it.
+        _, r1, r2, _ = self.rounds()
+        r2.layers = [replace(l, meta={**l.meta, "decomposed_from": "c1.d"})
+                     if l.id in ("c2.d", "c2.p") else l for l in r2.layers]
+        with pytest.raises(ModelFormatError, match=(
+                r"decomposed_from='c1.d': 'c2.d', 'c2.p' are not the \(D, P\) pair of a conv "
+                "of that name in the original model")):
+            decomposed_pairs(r2, r1)
+
 
 def pointwise_net(seed=0):
     """A 3x3 conv without bias, then a 1x1 conv with one."""
@@ -698,3 +708,18 @@ class TestFactoredOnFirstRead:
         rows = json.loads((out / "report.json").read_text())["layers"]
         assert {row["layer"]: row["block_truncation_errors"] for row in rows} == {
             source: errors[source].tolist() for source in errors}
+
+
+def test_check_and_its_factoring_share_one_read(tmp_path, monkeypatch):
+    # c1's bound of D is beyond float32, so its check factors it to check D
+    # itself: from the read the check made, not from a second one.
+    net = load_model(save_model(near_float32_net(), tmp_path / "model.json"))
+    read, fields = modelio._BlobTensor.read, []
+
+    def recorded(tensor):
+        fields.append(tensor.field)
+        return read(tensor)
+
+    monkeypatch.setattr(modelio._BlobTensor, "read", recorded)
+    decompose_network(net, {"c1": 4})
+    assert sorted(fields) == ["layer c1 bias", "layer c1 weights"]

@@ -174,6 +174,16 @@ class TestEnergyCurve:
         with pytest.raises(ValueError, match="mode"):
             energy_curve(np.array([2.0, 1.0]), mode="cubed")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: equal_flops_ranks(0, 4, 3, 1), "dimensions must be positive"),
+        (lambda: energy_curve([]), "must be a non-empty 1-D array"),
+        (lambda: energy_curve([1.0, 2.0]), "must be nonnegative and descending"),
+        (lambda: jacobian_energy_curve(), "need at least one matrix"),
+    ], ids=["ranks-zero-dimension", "curve-empty", "curve-ascending", "jacobian-no-matrix"])
+    def test_bad_argument_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestSvdStrategyMatrix:
     def test_is_the_truncated_svd_formula(self):

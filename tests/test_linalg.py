@@ -377,6 +377,10 @@ def test_numerical_rank():
     assert linalg.numerical_rank(a) == 3
 
 
+def test_numerical_rank_of_zero_matrix_is_zero():
+    assert linalg.numerical_rank(np.zeros((3, 2))) == 0
+
+
 class TestOnEveryCpu:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("count", [0, 1, 2, 7])

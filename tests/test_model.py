@@ -803,6 +803,10 @@ class TestParameterRecords:
         assert fc.__dict__["weights"] is fc_weights
         assert reads == [weights, fc_weights] * 2
 
+    def test_weight_matrix_of_shape_only_conv_is_shape_error(self):
+        with pytest.raises(ShapeError, match="^layer has no materialized weights$"):
+            ConvWeights(3, 4, 3).weight_matrix()
+
     def test_dimension_errors_come_before_array_checks(self):
         with pytest.raises(ShapeError, match="groups=0 must divide"):
             ConvWeights(4, 4, 3, groups=0, weights=np.zeros((4, 4, 3, 3)))
@@ -885,6 +889,20 @@ class TestShapePropagation:
                 propagate_shapes(net)
             with pytest.raises(ShapeError, match="layer tall: degenerate output 0x3"):
                 forward(net, np.ones((1, 2, 5)))
+
+    @pytest.mark.parametrize("build, layer_id, edit, message", [
+        (pool_fc_net, "bn", lambda l: dataclasses.replace(l, affine=AffineParams(5)),
+         "layer bn: affine over 5 channels, input has 4"),
+        (residual_net, "a", lambda l: dataclasses.replace(l, source="c3"),
+         "layer a: add source must be an earlier layer"),
+        (pool_fc_net, "fc1", lambda l: dataclasses.replace(l, fc=FcParams(53, 5)),
+         "layer fc1: fc expects 53 features, got 54"),
+    ], ids=["affine-channels", "add-source-later", "fc-features"])
+    def test_misfit_layer_is_shape_error_naming_it(self, build, layer_id, edit, message):
+        net = build(0)
+        net.layers = [edit(l) if l.id == layer_id else l for l in net.layers]
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            propagate_shapes(net)
 
 
 class TestFlops:

@@ -240,6 +240,13 @@ def test_conv_after_fc_is_not_saved(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_shape_only_conv_is_not_saved(tmp_path):
+    net = NetworkSpec("t", (3, 4, 4), [LayerSpec(id="c1", kind="conv", conv=ConvWeights(3, 4, 3))])
+    with pytest.raises(ModelFormatError, match="^layer c1: cannot serialize conv without weights"):
+        save_model(net, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interrupted_save_leaves_no_model(tmp_path, monkeypatch):
     path = save_model(build_net(seed=0), tmp_path / "model.json")
 

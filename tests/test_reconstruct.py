@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +42,10 @@ class TestCalibrationSet:
     def test_empty_set_rejected(self):
         with pytest.raises(ShapeError, match="at least one sample"):
             CalibrationSet(np.zeros((0, 3, 6, 6)))
+
+    def test_samples_that_are_not_four_d_rejected(self):
+        with pytest.raises(ShapeError, match=r"must be \(count, C, H, W\), got 3-D"):
+            CalibrationSet(np.zeros((2, 3, 4)))
 
     def test_synthetic_deterministic(self):
         a = CalibrationSet.synthetic((3, 6, 6), 5, seed=42)
@@ -227,6 +232,11 @@ class TestSolveReconstruction:
             solve_reconstruction(
                 rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), ridge=0.0
             )
+
+    def test_misaligned_responses_rejected(self):
+        y = np.random.default_rng(17).standard_normal((100, 4))
+        with pytest.raises(ShapeError, match=r"responses misaligned: \(100, 4\) vs \(99, 4\)"):
+            solve_reconstruction(y, y[:-1], ridge=0.0)
 
     def test_thin_sampling_warns(self):
         rng = np.random.default_rng(15)
@@ -583,6 +593,17 @@ class TestOnePass:
         assert [str(w.message) for w in record if w.category is CalibrationWarning] == [
             f"layer {layer_id}: only 72 rows for 8 output channels; recommend >= 80"
             for layer_id in ("c2", "c3")]
+
+    def test_thin_layer_warning_names_the_caller(self):
+        # c2's 8 output channels get 72 rows from two 6x6 samples.
+        net = build_toy_three(0)
+        compressed, _ = decompose_network(net, {"c2": 1})
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            reconstruct_network(net, compressed, CalibrationSet.synthetic(net.input_shape, 2))
+        thin = [w for w in record if w.category is CalibrationWarning]
+        assert [str(w.message).split(":")[0] for w in thin] == ["layer c2"]
+        assert all(Path(w.filename) == Path(__file__) for w in thin)
 
 
 def read_and_hold(net):

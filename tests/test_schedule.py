@@ -92,6 +92,10 @@ class TestBuildPlan:
         with pytest.raises(PlanError, match="skip stages"):
             build_plan(resnet, "quarter", 1, skip_stages=["conv9_x"])
 
+    def test_base_n_below_one(self, resnet):
+        with pytest.raises(PlanError, match="base_n must be >= 1, got 0"):
+            build_plan(resnet, "constant", 0)
+
     @pytest.mark.parametrize(
         "caps, named",
         [({"conv9_x": 8}, "conv9_x"), ({"conv4_x": 0}, "conv4_x"),
